@@ -26,11 +26,10 @@ import (
 // whose results are appended to the tree as BENCH_<n>.json files, one per
 // measurement session, so optimization work leaves a comparable record
 // (schema documented in EXPERIMENTS.md). The suite is deliberately small —
-// eight microbenchmarks over the simulation hot paths plus six macros (the
+// eight microbenchmarks over the simulation hot paths plus five macros (the
 // Figure 4 sweep, the network-growth study, a refer-simd serving-load storm,
-// the sharded-maintenance shard-count sweep, the batched-drain worker-count
-// sweep, and the recovery-campaign sweep) — so CI can afford to run it on
-// every change.
+// the batched-drain worker-count sweep, and the recovery-campaign sweep) — so
+// CI can afford to run it on every change.
 
 // benchSchema names the BENCH file layout; bump on incompatible change.
 const benchSchema = "refer-bench/1"
@@ -460,59 +459,6 @@ func benchSimdLoad(parallelism int) (benchMacro, error) {
 	}, nil
 }
 
-// benchMaintainParallel times one maintenance round (membership re-homing +
-// per-cell upkeep) over the 10,000-sensor scale point at shard counts 1, 4
-// and 8 — the intra-run sharding of shard.go. The decisions are byte-
-// identical at every shard count (TestRunParallelismInvariance pins that);
-// this macro records what the sharding buys in wall time. Speedups are
-// relative to the 1-shard round and only materialize on multi-core hosts,
-// so read them against the report's cpus field.
-func benchMaintainParallel() (benchMacro, error) {
-	w := refer.BuildWorld(refer.ScenarioParams{Seed: 1, Sensors: 10000, MaxSpeed: 1, ActuatorGrid: 11})
-	sys := refer.NewREFERWithConfig(w, refer.REFERConfig{DisableMaintenance: true})
-	if err := sys.Build(); err != nil {
-		return benchMacro{}, err
-	}
-	round := func() {
-		if _, err := w.Sched.After(5*time.Second, func() {}); err != nil {
-			panic(err)
-		}
-		w.Sched.Step()
-		sys.MaintainOnce()
-	}
-	for k := 0; k < 8; k++ {
-		round() // reach steady state before measuring
-	}
-	start := time.Now()
-	extra := map[string]float64{"sensors": 10000}
-	rounds := 0
-	nsPerRound := map[int]float64{}
-	for _, shards := range []int{1, 4, 8} {
-		sys.SetRunParallelism(shards)
-		round() // let the new shard plan's scratch reach steady state
-		r := testing.Benchmark(func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				round()
-			}
-		})
-		ns := float64(r.T.Nanoseconds()) / float64(r.N)
-		nsPerRound[shards] = ns
-		extra[fmt.Sprintf("ns_per_round_shards_%d", shards)] = ns
-		rounds += r.N
-	}
-	for _, shards := range []int{4, 8} {
-		if ns := nsPerRound[shards]; ns > 0 {
-			extra[fmt.Sprintf("speedup_shards_%d", shards)] = nsPerRound[1] / ns
-		}
-	}
-	return benchMacro{
-		Name:        "maintain_parallel",
-		WallSeconds: time.Since(start).Seconds(),
-		Runs:        rounds,
-		Extra:       extra,
-	}, nil
-}
-
 // benchDrainParallel runs the S5 heavy-traffic frontier point (20,000
 // mobile sensors, dense per-second bursts from 64 sources) at DES drain
 // worker counts 1, 2, 4 and 8 — the intra-run event batching of
@@ -707,12 +653,6 @@ func runBenchSuite(quiet bool, parallelism int) (string, error) {
 		return "", err
 	}
 	report.Macro = append(report.Macro, sl)
-	progress("bench: maintain_parallel...\n")
-	mp, err := benchMaintainParallel()
-	if err != nil {
-		return "", err
-	}
-	report.Macro = append(report.Macro, mp)
 	progress("bench: drain_parallel...\n")
 	dp, err := benchDrainParallel()
 	if err != nil {

@@ -12,7 +12,6 @@
 //	refer-bench -energy radio   # price packets with the first-order radio model
 //	refer-bench -recovery       # enable self-healing recovery on every REFER run
 //	refer-bench -parallel 4     # bound sweep concurrency (figure output is identical)
-//	refer-bench -run-parallel 4 # shard each run's maintenance rounds across cores
 //	refer-bench -drain-parallel 4 # batch the DES drain's event prepares across cores
 //	refer-bench -bench          # fixed perf suite → BENCH_<n>.json (see EXPERIMENTS.md)
 //
@@ -65,7 +64,6 @@ func main() {
 		energyName    = flag.String("energy", "", "per-packet cost model for every run: paper, radio or harvesting (default: each figure's own default — paper constants, except the L* lifetime figures which default to radio)")
 		recoveryOn    = flag.Bool("recovery", false, "enable the self-healing recovery protocols (corner re-election, cell merge, CAN takeover) on every REFER run")
 		parallel      = flag.Int("parallel", 0, "concurrent simulation runs per sweep (0 = GOMAXPROCS); figure output is identical at any setting")
-		runParallel   = flag.Int("run-parallel", 0, "shards per maintenance round inside each run (0 = sequential); figure output is identical at any setting")
 		drainParallel = flag.Int("drain-parallel", 0, "DES drain workers inside each run (0/1 = serial); figure output is identical at any setting")
 		quiet         = flag.Bool("quiet", false, "suppress the live progress line on stderr")
 		warmup        = flag.Duration("warmup", 0, "override the warmup window (e.g. 5s; mainly for quick -fig S* passes)")
@@ -82,9 +80,6 @@ func main() {
 	// not a silent GOMAXPROCS fallback three sweeps in.
 	if *parallel < 0 || *parallel > refer.MaxParallelism {
 		fatal(fmt.Errorf("-parallel must be in [0, %d], got %d", refer.MaxParallelism, *parallel))
-	}
-	if *runParallel < 0 || *runParallel > refer.MaxParallelism {
-		fatal(fmt.Errorf("-run-parallel must be in [0, %d], got %d", refer.MaxParallelism, *runParallel))
 	}
 	if *drainParallel < 0 || *drainParallel > refer.MaxParallelism {
 		fatal(fmt.Errorf("-drain-parallel must be in [0, %d], got %d", refer.MaxParallelism, *drainParallel))
@@ -119,7 +114,6 @@ func main() {
 		Duration:         300 * time.Second,
 		TraceSample:      *traceN,
 		Parallelism:      *parallel,
-		RunParallelism:   *runParallel,
 		DrainParallelism: *drainParallel,
 	}
 	if *full {

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 
 	"refer/internal/can"
-	"refer/internal/chash"
 	"refer/internal/energy"
 	"refer/internal/geo"
 	"refer/internal/kautz"
@@ -60,20 +60,7 @@ func (s *System) Build() error {
 		s.w.Flood(a, 2, energy.Construction, nil, nil)
 	}
 	// The minimum-hash actuator becomes the starting server.
-	keys := make([]string, len(s.actuators))
-	for i, a := range s.actuators {
-		keys[i] = fmt.Sprintf("actuator-%d", a)
-	}
-	leaderKey, err := chash.MinKey(keys)
-	if err != nil {
-		return fmt.Errorf("core: leader election: %w", err)
-	}
-	var leader world.NodeID
-	for i, k := range keys {
-		if k == leaderKey {
-			leader = s.actuators[i]
-		}
-	}
+	leader := electLeader(s.actuators)
 
 	// The starting server partitions the actuator topology into triangles.
 	positions := make([]geo.Point, len(s.actuators))
@@ -272,6 +259,26 @@ func (s *System) newCell(idx int, tri geo.Triangle, positions []geo.Point, color
 	return cell, nil
 }
 
+// electLeader returns the starting server of Section III-B-1: the actuator
+// whose address "actuator-<id>" has the minimum consistent-hash value
+// (64-bit FNV-1a), ties broken lexicographically so the election is total
+// and independent of the order actuators are listed in. The caller
+// guarantees at least one actuator.
+func electLeader(actuators []world.NodeID) world.NodeID {
+	var leader world.NodeID
+	var bestKey string
+	var bestHash uint64
+	for i, a := range actuators {
+		key := fmt.Sprintf("actuator-%d", a)
+		h := fnv.New64a()
+		_, _ = h.Write([]byte(key)) // fnv.Write never fails
+		if sum := h.Sum64(); i == 0 || sum < bestHash || (sum == bestHash && key < bestKey) {
+			leader, bestKey, bestHash = a, key, sum
+		}
+	}
+	return leader
+}
+
 // notifyActuators charges the DFS ID-notification messages from the leader.
 func (s *System) notifyActuators(leader world.NodeID, adjacency [][]int) {
 	index := make(map[world.NodeID]int, len(s.actuators))
@@ -320,8 +327,8 @@ func (s *System) assignCellSensors() {
 // tie-breaks); the linear path remains as the DisableCellIndex ablation and
 // the property-test reference. Both paths decide ownership over the full
 // fixed triangle set — including cells since retired by a recovery merge —
-// and then resolve the owner through the absorber chain, so the indexed,
-// linear and sharded paths keep agreeing after merges.
+// and then resolve the owner through the absorber chain, so the indexed
+// and linear paths keep agreeing after merges.
 func (s *System) homeCell(p geo.Point) *Cell {
 	if s.cellIndex != nil {
 		if ti := s.cellIndex.Containing(p); ti >= 0 {

@@ -411,6 +411,17 @@ func TestDeterministicBuild(t *testing.T) {
 			}
 		}
 	}
+	// The starting-server election is total and order-independent: the same
+	// actuator wins however the actuator list is ordered.
+	want := electLeader(s1.actuators)
+	perm := append([]world.NodeID(nil), s1.actuators...)
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 20; trial++ {
+		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		if got := electLeader(perm); got != want {
+			t.Fatalf("leader depends on order: %d for %v, want %d", got, perm, want)
+		}
+	}
 }
 
 func TestCellMembersExcludesOverlay(t *testing.T) {

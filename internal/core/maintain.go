@@ -47,11 +47,6 @@ func (s *System) MaintainOnce() { s.maintainOnce() }
 // under mobility, then every cell checks its Kautz sensors and replaces
 // degraded ones with wait-state candidates.
 func (s *System) maintainOnce() {
-	if s.cfg.RunParallelism > 1 && len(s.cells) > 0 {
-		// Sharded round (shard.go): same decisions, same order, same bytes.
-		s.maintainParallel()
-		return
-	}
 	s.refreshMembership()
 	for _, c := range s.cells {
 		if c.retired {

@@ -61,15 +61,6 @@ type Config struct {
 	// forwarding decision. Benchmark/ablation knob for quantifying the
 	// table's saving; routing behavior is identical either way.
 	DisableRouteTable bool
-	// RunParallelism shards the per-round bulk maintenance phases —
-	// membership re-homing and the per-cell candidate-pool/geometry
-	// precompute — across this many worker goroutines inside a single run
-	// (see shard.go). 0 or 1 keeps the sequential path. Results are
-	// byte-identical at every setting: shards only compute decisions into
-	// private scratch; all side effects (RNG draws, energy charges, map
-	// mutations) are applied serially in the sequential order. Negative
-	// values are treated as 0 — callers validate at their own edges.
-	RunParallelism int
 	// DisableCellIndex reverts every cell lookup to the pre-index linear
 	// scans — O(sensors × cells) membership re-homing each probe round,
 	// per-candidate cell scans in entry selection, and the O(cells²)
@@ -141,13 +132,6 @@ type System struct {
 	// allocated on the first sweep so recovery-disabled runs never touch it.
 	cornerDownAt map[world.NodeID]time.Duration
 	stats        Stats
-
-	// shards is the lazily-built worker plan for RunParallelism > 1 (nil
-	// until the first parallel maintenance round); shardChecks accumulates
-	// the cell-index predicate evaluations counted by the shards' private
-	// cursors, folded into MaintainChecks by Stats.
-	shards      *shardPlan
-	shardChecks uint64
 }
 
 // Stats counts protocol activity for analysis and tests.
@@ -172,18 +156,6 @@ type Stats struct {
 	MaintainChecks int
 	// Rehomes counts sensors whose cell actually changed during maintenance.
 	Rehomes int
-	// ShardRounds counts maintenance rounds that ran the sharded path
-	// (RunParallelism > 1). The phase timers below are cumulative host
-	// nanoseconds per phase: the parallel membership phase, the parallel
-	// per-cell precompute, and the serial deterministic merge. The timers
-	// vary between replays (host timing); ShardRounds is deterministic per
-	// config but intentionally differs across RunParallelism settings, so
-	// replay comparisons across shard counts strip all four alongside the
-	// wall-clock fields.
-	ShardRounds       int
-	MembershipPhaseNs int64
-	CellPhaseNs       int64
-	MergeNs           int64
 }
 
 // New creates an unbuilt REFER system on w.
@@ -202,9 +174,6 @@ func New(w *world.World, cfg Config) *System {
 	}
 	if cfg.HopBudget <= 0 {
 		cfg.HopBudget = 3*cfg.Diameter + 4
-	}
-	if cfg.RunParallelism < 0 {
-		cfg.RunParallelism = 0
 	}
 	return &System{
 		w:          w,
@@ -228,25 +197,7 @@ func (s *System) Stats() Stats {
 	if s.cellIndex != nil {
 		st.MaintainChecks += int(s.cellIndex.Checks())
 	}
-	// Shard cursors count the same queries the index would have counted
-	// sequentially; each sensor is homed exactly once per round either way,
-	// so the folded total is identical at every RunParallelism setting.
-	st.MaintainChecks += int(s.shardChecks)
 	return st
-}
-
-// SetRunParallelism overrides Config.RunParallelism (values < 2 select the
-// sequential path). Safe before Build or between maintenance rounds; the
-// worker plan is (re)built lazily on the next sharded round. Results are
-// byte-identical at every setting.
-func (s *System) SetRunParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n != s.cfg.RunParallelism {
-		s.cfg.RunParallelism = n
-		s.shards = nil
-	}
 }
 
 // Cells returns the built cells.

@@ -25,13 +25,11 @@ import (
 // order is fixed by the struct definition, so the JSON encoding is
 // deterministic. The Trace recorder pointer is reduced to its presence —
 // attaching a recorder changes Stats.Trace counts in the Result, so traced
-// and untraced runs must not share a cache entry. RunParallelism and
-// DrainParallelism are deliberately excluded, exactly like the sweep-level
-// Parallelism in canonicalFigure: results are byte-identical modulo
-// StripWallClock at any shard count (pinned by TestRunParallelismInvariance)
-// and any drain worker count (pinned by TestDrainParallelismInvariance), so
-// sharded, batched-drain and sequential runs of one config all share a
-// cache entry.
+// and untraced runs must not share a cache entry. DrainParallelism is
+// deliberately excluded, exactly like the sweep-level Parallelism in
+// canonicalFigure: results are byte-identical modulo StripWallClock at any
+// drain worker count (pinned by TestDrainParallelismInvariance), so
+// batched-drain and serial runs of one config share a cache entry.
 type canonicalRun struct {
 	System           string          `json:"system"`
 	Scenario         scenario.Params `json:"scenario"`
@@ -104,10 +102,9 @@ func ConfigKey(cfg RunConfig) (string, error) {
 }
 
 // canonicalFigure is the serialized form OptionsKey hashes. Parallelism,
-// RunParallelism, DrainParallelism and Progress are deliberately excluded:
-// figure output is byte-identical at any sweep worker count (pinned by
-// TestParallelismInvariance), any in-run shard count (pinned by
-// TestRunParallelismInvariance) and any DES drain worker count (pinned by
+// DrainParallelism and Progress are deliberately excluded: figure output is
+// byte-identical at any sweep worker count (pinned by
+// TestParallelismInvariance) and any DES drain worker count (pinned by
 // TestDrainFigureInvariance), and a progress callback observes a build
 // without changing it.
 type canonicalFigure struct {

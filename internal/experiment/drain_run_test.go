@@ -12,7 +12,7 @@ import (
 // TestDrainParallelismInvariance pins the batched-drain contract at the
 // experiment level: a run is byte-identical — Result, energy ledgers, every
 // deterministic RunStats counter — at every DrainParallelism setting. Only
-// StripWallClock's host fields (wall clock, shard and drain bookkeeping)
+// StripWallClock's host fields (wall clock and drain bookkeeping)
 // may differ. Run under -race -count=2 by CI's determinism job.
 func TestDrainParallelismInvariance(t *testing.T) {
 	base := RunConfig{

@@ -186,20 +186,13 @@ type RunConfig struct {
 	// pre-existing ConfigKeys are unchanged. Ignored when
 	// Scenario.Energy carries an explicit model.
 	Energy energy.Spec
-	// RunParallelism shards the per-round bulk maintenance phases of a
-	// single REFER run across this many worker goroutines
-	// (core.Config.RunParallelism); 0 or 1 keeps the sequential path and
-	// non-REFER systems ignore it. Results are byte-identical at every
-	// setting, so — exactly like the sweep-level Options.Parallelism — the
-	// knob is excluded from ConfigKey. Values outside [0, MaxParallelism]
-	// are a config error.
-	RunParallelism int
 	// DrainParallelism sets the DES batched-drain worker count for the run
 	// (world.SetDrainParallelism): conflict-free radio completions are
 	// batched and their neighbor caches warmed in parallel, while every
 	// decision still commits serially in canonical order. 0 or 1 keeps the
 	// classic serial drain. Results are byte-identical at every setting, so
-	// — exactly like RunParallelism — the knob is excluded from ConfigKey.
+	// — exactly like the sweep-level Options.Parallelism — the knob is
+	// excluded from ConfigKey.
 	// Values outside [0, MaxParallelism] are a config error.
 	DrainParallelism int
 	// Recovery configures the self-healing actuator-recovery protocols
@@ -334,26 +327,13 @@ type RunStats struct {
 	// variants should strip it alongside the wall-clock fields.
 	MaintainChecks int `json:"maintain_checks"`
 	Rehomes        int `json:"rehomes"`
-	// ShardRounds counts maintenance rounds that ran the sharded path
-	// (RunConfig.RunParallelism > 1; zero for sequential or non-REFER runs),
-	// and the three phase timers accumulate host nanoseconds per sharded
-	// phase: parallel membership re-homing, parallel per-cell precompute,
-	// serial deterministic merge. The timers are host-execution detail like
-	// WallClock, and ShardRounds intentionally differs across RunParallelism
-	// settings of the same config, so StripWallClock zeroes all four —
-	// replay comparisons across shard counts stay bitwise.
-	ShardRounds       int   `json:"shard_rounds"`
-	MembershipPhaseNs int64 `json:"membership_phase_ns"`
-	CellPhaseNs       int64 `json:"cell_phase_ns"`
-	MergeNs           int64 `json:"merge_ns"`
 	// Batched-drain observability (RunConfig.DrainParallelism > 1; all zero
 	// on the serial path): batches formed, events committed through them vs
 	// serial-stepped, prepares re-executed after a read-set invalidation,
 	// host nanoseconds spent in parallel prepare phases, and the neighbor
-	// cache warms performed/consumed. Like ShardRounds these intentionally
-	// differ across DrainParallelism settings of the same config, so
-	// StripWallClock zeroes all seven and replay comparisons across drain
-	// settings stay bitwise.
+	// cache warms performed/consumed. These intentionally differ across
+	// DrainParallelism settings of the same config, so StripWallClock zeroes
+	// all seven and replay comparisons across drain settings stay bitwise.
 	DrainBatches       uint64 `json:"drain_batches"`
 	DrainBatchedEvents uint64 `json:"drain_batched_events"`
 	DrainSerialEvents  uint64 `json:"drain_serial_events"`
@@ -371,15 +351,11 @@ type RunStats struct {
 
 // StripWallClock returns the stats with the host-timing and host-execution
 // fields zeroed — everything left is a deterministic function of the
-// RunConfig (independent even of RunParallelism), so replay tests can
+// RunConfig (independent even of DrainParallelism), so replay tests can
 // compare Results for bitwise equality.
 func (s RunStats) StripWallClock() RunStats {
 	s.WallClock = 0
 	s.EventsPerSec = 0
-	s.ShardRounds = 0
-	s.MembershipPhaseNs = 0
-	s.CellPhaseNs = 0
-	s.MergeNs = 0
 	s.DrainBatches = 0
 	s.DrainBatchedEvents = 0
 	s.DrainSerialEvents = 0
@@ -401,7 +377,7 @@ func Run(cfg RunConfig) (Result, error) {
 const desBatch = 8192
 
 // MaxParallelism bounds every parallelism knob (Options.Parallelism,
-// Options.RunParallelism, RunConfig.RunParallelism and the simd wire
+// Options.DrainParallelism, RunConfig.DrainParallelism and the simd wire
 // fields): values above it are configuration mistakes, not machines, and
 // are rejected at the edge instead of silently spawning that many
 // goroutines or falling back to GOMAXPROCS.
@@ -455,9 +431,6 @@ func runObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) 
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	if err := validParallelism("RunConfig.RunParallelism", cfg.RunParallelism); err != nil {
-		return Result{}, err
-	}
 	if err := validParallelism("RunConfig.DrainParallelism", cfg.DrainParallelism); err != nil {
 		return Result{}, err
 	}
@@ -478,9 +451,6 @@ func runObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) 
 	sys, err := NewSystem(cfg.System, w)
 	if err != nil {
 		return Result{}, err
-	}
-	if cs, ok := sys.(*core.System); ok {
-		cs.SetRunParallelism(cfg.RunParallelism)
 	}
 	if err := sys.Build(); err != nil {
 		return Result{}, fmt.Errorf("experiment: building %s: %w", cfg.System, err)
@@ -663,10 +633,6 @@ func runObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) 
 		stats.FailoverSwitches = st.FailoverSwitches
 		stats.MaintainChecks = st.MaintainChecks
 		stats.Rehomes = st.Rehomes
-		stats.ShardRounds = st.ShardRounds
-		stats.MembershipPhaseNs = st.MembershipPhaseNs
-		stats.CellPhaseNs = st.CellPhaseNs
-		stats.MergeNs = st.MergeNs
 	case *kautzoverlay.System:
 		st := impl.Stats()
 		stats.RouteTableHits = st.RouteCacheHits

@@ -37,20 +37,12 @@ type Options struct {
 	// Parallelism bounds concurrent simulation runs (0 = GOMAXPROCS).
 	// Values outside [0, MaxParallelism] are a config error.
 	Parallelism int
-	// RunParallelism shards the bulk maintenance phases inside each REFER
-	// run across this many worker goroutines (RunConfig.RunParallelism).
-	// Orthogonal to Parallelism: one saturates cores across runs, the other
-	// within a run — the latter is what lets a single giant run use the
-	// machine. Results are byte-identical at every setting, so the knob is
-	// excluded from OptionsKey exactly like Parallelism. Values outside
-	// [0, MaxParallelism] are a config error.
-	RunParallelism int
 	// DrainParallelism sets the DES batched-drain worker count inside each
-	// run (RunConfig.DrainParallelism): the third parallelism layer, below
-	// Parallelism (across runs) and RunParallelism (maintenance shards
-	// within a run) — it overlaps the event queue's own conflict-free work.
+	// run (RunConfig.DrainParallelism): the intra-run layer below
+	// Parallelism (across runs) — it overlaps the event queue's own
+	// conflict-free work. 0 keeps the serial drain for every figure.
 	// Results are byte-identical at every setting, so the knob is excluded
-	// from OptionsKey exactly like the other two. Values outside
+	// from OptionsKey exactly like Parallelism. Values outside
 	// [0, MaxParallelism] are a config error.
 	DrainParallelism int
 	// Progress, when non-nil, receives one event after every completed
@@ -139,17 +131,9 @@ type SweepStats struct {
 	// Chaos sums the runs' applied-fault counters; zero unless a schedule
 	// was attached.
 	Chaos chaos.Stats `json:"chaos"`
-	// ShardRounds sums the runs' sharded maintenance rounds and the three
-	// phase timers their cumulative host nanoseconds (zero unless
-	// RunParallelism > 1). Host-execution detail like the wall-clock pair:
-	// cached-figure comparisons zero them alongside WallClock.
-	ShardRounds       uint64 `json:"shard_rounds"`
-	MembershipPhaseNs int64  `json:"membership_phase_ns"`
-	CellPhaseNs       int64  `json:"cell_phase_ns"`
-	MergeNs           int64  `json:"merge_ns"`
 	// Batched-drain totals summed across runs (zero unless
-	// DrainParallelism > 1). Host-execution detail like the shard
-	// counters: cached-figure comparisons zero them alongside WallClock.
+	// DrainParallelism > 1). Host-execution detail like the wall-clock
+	// pair: cached-figure comparisons zero them alongside WallClock.
 	DrainBatches       uint64 `json:"drain_batches"`
 	DrainBatchedEvents uint64 `json:"drain_batched_events"`
 	DrainSerialEvents  uint64 `json:"drain_serial_events"`
@@ -159,7 +143,7 @@ type SweepStats struct {
 	DrainWarmHits      uint64 `json:"drain_warm_hits"`
 	// Recovery sums the runs' self-healing counters; zero unless a recovery
 	// manager was attached. Deterministic per Options (virtual-time
-	// latencies), unlike the shard counters above.
+	// latencies), unlike the drain counters above.
 	Recovery recovery.Stats `json:"recovery"`
 }
 
@@ -173,10 +157,6 @@ func (s *SweepStats) accumulate(r RunStats) {
 	s.FailoverSwitches += uint64(r.FailoverSwitches)
 	s.Trace.Add(r.Trace)
 	s.Chaos.Add(r.Chaos)
-	s.ShardRounds += uint64(r.ShardRounds)
-	s.MembershipPhaseNs += r.MembershipPhaseNs
-	s.CellPhaseNs += r.CellPhaseNs
-	s.MergeNs += r.MergeNs
 	s.DrainBatches += r.DrainBatches
 	s.DrainBatchedEvents += r.DrainBatchedEvents
 	s.DrainSerialEvents += r.DrainSerialEvents
@@ -315,9 +295,6 @@ func sweep(ctx context.Context, o Options, xs []float64, configure func(x float6
 	if err := validParallelism("Options.Parallelism", o.Parallelism); err != nil {
 		return Figure{}, err
 	}
-	if err := validParallelism("Options.RunParallelism", o.RunParallelism); err != nil {
-		return Figure{}, err
-	}
 	if err := validParallelism("Options.DrainParallelism", o.DrainParallelism); err != nil {
 		return Figure{}, err
 	}
@@ -354,9 +331,6 @@ func sweep(ctx context.Context, o Options, xs []float64, configure func(x float6
 				}
 				if cfg.Recovery.IsZero() {
 					cfg.Recovery = o.Recovery
-				}
-				if cfg.RunParallelism == 0 {
-					cfg.RunParallelism = o.RunParallelism
 				}
 				if cfg.DrainParallelism == 0 {
 					cfg.DrainParallelism = o.DrainParallelism
@@ -411,7 +385,7 @@ func sweep(ctx context.Context, o Options, xs []float64, configure func(x float6
 			var err error
 			// The figure label attributes this worker's CPU samples to the
 			// sweep it serves ("sweep" for direct callers outside the
-			// registry); the in-run shard workers add cell-shard on top.
+			// registry).
 			figLabel := o.figureID
 			if figLabel == "" {
 				figLabel = "sweep"

@@ -113,34 +113,3 @@ func TestRecoverySpecEnablesPlainREFER(t *testing.T) {
 			ri.Stats.Recovery, re.Stats.Recovery)
 	}
 }
-
-// TestRecoveryParallelismInvariance pins the R figures' shard-count
-// equivalence: the R1 and R2 CSVs are byte-identical whether each run's
-// maintenance rounds execute sequentially or across four shards.
-func TestRecoveryParallelismInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-sweep comparison")
-	}
-	base := Options{
-		Seeds:    []int64{1},
-		Warmup:   20 * time.Second,
-		Duration: 80 * time.Second,
-	}
-	for _, id := range []string{"R1", "R2"} {
-		seq, par := base, base
-		seq.RunParallelism = 1
-		par.RunParallelism = 4
-		figSeq, err := buildByID(t.Context(), id, seq)
-		if err != nil {
-			t.Fatalf("%s sequential: %v", id, err)
-		}
-		figPar, err := buildByID(t.Context(), id, par)
-		if err != nil {
-			t.Fatalf("%s sharded: %v", id, err)
-		}
-		if figSeq.CSV() != figPar.CSV() {
-			t.Errorf("figure %s CSV differs between RunParallelism 1 and 4:\n--- rp=1\n%s\n--- rp=4\n%s",
-				id, figSeq.CSV(), figPar.CSV())
-		}
-	}
-}

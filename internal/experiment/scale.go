@@ -20,10 +20,9 @@ import (
 // growthXs are the growth-study network sizes (sensor population).
 var growthXs = []float64{1000, 2000, 5000, 10000}
 
-// frontierXs extend the growth study toward the 100,000-sensor frontier that
-// intra-run sharding (RunConfig.RunParallelism) makes tractable: a run this
-// size is one giant single-seed simulation, so sweep-level parallelism can
-// no longer soak the machine and the per-round shards have to.
+// frontierXs extend the growth study toward the 100,000-sensor frontier. A
+// run this size is one giant single-seed simulation: serial inside, with
+// sweep-level parallelism across the three points.
 var frontierXs = []float64{20000, 50000, 100000}
 
 // gridFor returns the actuator lattice side n for a sensor population,
@@ -31,6 +30,19 @@ var frontierXs = []float64{20000, 50000, 100000}
 // triangulate into 2(n-1)² cells, so sensors-per-cell stays around 50.
 func gridFor(sensors float64) int {
 	return int(math.Round(math.Sqrt(sensors/100))) + 1
+}
+
+// growthConfig is the S1–S4 run shape: the paper's traffic over a deployment
+// of x sensors moving at 1 m/s.
+func growthConfig(x float64, seed int64) RunConfig {
+	return RunConfig{
+		Scenario: scenario.Params{
+			Seed:         seed,
+			Sensors:      int(x),
+			MaxSpeed:     1,
+			ActuatorGrid: gridFor(x),
+		},
+	}
 }
 
 // growthSweep runs the S1–S3 grid: REFER vs its linear-scan ablation over
@@ -42,58 +54,33 @@ func growthSweep(ctx context.Context, o Options, pick func(Result) float64) (Fig
 	if len(o.Systems) == 0 {
 		o.Systems = []string{SystemREFER, SystemREFERLinearScan}
 	}
-	if o.Warmup == 0 {
-		o.Warmup = 20 * time.Second
-	}
-	if o.Duration == 0 {
-		o.Duration = 60 * time.Second
-	}
-	o = o.withDefaults()
-	fig, err := sweep(ctx, o, growthXs, func(x float64, seed int64) RunConfig {
-		return RunConfig{
-			Scenario: scenario.Params{
-				Seed:         seed,
-				Sensors:      int(x),
-				MaxSpeed:     1,
-				ActuatorGrid: gridFor(x),
-			},
-		}
-	}, pick)
-	fig.XLabel = "sensors"
-	return fig, err
+	return sensorSweep(ctx, o, growthXs, growthConfig, pick)
 }
 
-// frontierSweep runs the S4 grid: REFER alone (the linear-scan ablation is
-// quadratic in this regime and the two arms were already shown identical on
-// S1/S2) over frontier-scale deployments, maintenance sharded across the
-// machine unless the caller pinned a RunParallelism.
-func frontierSweep(ctx context.Context, o Options, pick func(Result) float64) (Figure, error) {
+// frontierSweep runs a frontier grid (S4, S5): REFER alone (the linear-scan
+// ablation is quadratic in this regime and the two arms were already shown
+// identical on S1/S2), one seed, because each point is a single giant run.
+func frontierSweep(ctx context.Context, o Options, xs []float64, configure func(x float64, seed int64) RunConfig, pick func(Result) float64) (Figure, error) {
 	if len(o.Systems) == 0 {
 		o.Systems = []string{SystemREFER}
 	}
 	if len(o.Seeds) == 0 {
-		o.Seeds = []int64{1} // one seed: points are single giant runs
+		o.Seeds = []int64{1}
 	}
+	return sensorSweep(ctx, o, xs, configure, pick)
+}
+
+// sensorSweep is the shared tail of the S sweeps: the short default windows,
+// then the sweep over sensor populations.
+func sensorSweep(ctx context.Context, o Options, xs []float64, configure func(x float64, seed int64) RunConfig, pick func(Result) float64) (Figure, error) {
 	if o.Warmup == 0 {
 		o.Warmup = 20 * time.Second
 	}
 	if o.Duration == 0 {
 		o.Duration = 60 * time.Second
 	}
-	if o.RunParallelism == 0 {
-		o.RunParallelism = defaultParallelism()
-	}
 	o = o.withDefaults()
-	fig, err := sweep(ctx, o, frontierXs, func(x float64, seed int64) RunConfig {
-		return RunConfig{
-			Scenario: scenario.Params{
-				Seed:         seed,
-				Sensors:      int(x),
-				MaxSpeed:     1,
-				ActuatorGrid: gridFor(x),
-			},
-		}
-	}, pick)
+	fig, err := sweep(ctx, o, xs, configure, pick)
 	fig.XLabel = "sensors"
 	return fig, err
 }
@@ -103,48 +90,29 @@ func frontierSweep(ctx context.Context, o Options, pick func(Result) float64) (F
 // enough to finish without the 100k point's hours.
 var drainXs = []float64{20000, 50000}
 
-// drainSweep runs the S5 grid: REFER alone over mobile heavy-traffic
-// frontier deployments — the workload the DES batched drain accelerates.
-// MaxSpeed 5 (the paper's cap) keeps neighbor caches churning so per-hop
-// rebuilds dominate, and the dense burst traffic piles conflict-free radio
+// drainConfig is the S5 run shape: mobile heavy-traffic frontier deployments
+// — the workload the DES batched drain targets (opt-in: an unset
+// DrainParallelism keeps the serial drain here as everywhere). MaxSpeed 5
+// (the paper's cap) keeps neighbor caches churning so per-hop rebuilds
+// dominate, and the dense burst traffic piles conflict-free radio
 // completions into drainable windows. The plotted delivery ratio is
 // byte-identical at any DrainParallelism (the knob is excluded from
 // OptionsKey); whole-run wall-clock scaling across worker counts is
 // measured by refer-bench's drain_parallel macro instead.
-func drainSweep(ctx context.Context, o Options, pick func(Result) float64) (Figure, error) {
-	if len(o.Systems) == 0 {
-		o.Systems = []string{SystemREFER}
+func drainConfig(x float64, seed int64) RunConfig {
+	return RunConfig{
+		// A burst every second from 64 sources — an order of magnitude
+		// above the paper's offered load — so forwarding, not protocol
+		// upkeep, is the run's dominant cost.
+		Sources:       64,
+		BurstInterval: time.Second,
+		Scenario: scenario.Params{
+			Seed:         seed,
+			Sensors:      int(x),
+			MaxSpeed:     5,
+			ActuatorGrid: gridFor(x),
+		},
 	}
-	if len(o.Seeds) == 0 {
-		o.Seeds = []int64{1} // one seed: points are single giant runs
-	}
-	if o.Warmup == 0 {
-		o.Warmup = 20 * time.Second
-	}
-	if o.Duration == 0 {
-		o.Duration = 60 * time.Second
-	}
-	if o.DrainParallelism == 0 {
-		o.DrainParallelism = defaultParallelism()
-	}
-	o = o.withDefaults()
-	fig, err := sweep(ctx, o, drainXs, func(x float64, seed int64) RunConfig {
-		return RunConfig{
-			// A burst every second from 64 sources — an order of magnitude
-			// above the paper's offered load — so forwarding, not protocol
-			// upkeep, is the run's dominant cost.
-			Sources:       64,
-			BurstInterval: time.Second,
-			Scenario: scenario.Params{
-				Seed:         seed,
-				Sensors:      int(x),
-				MaxSpeed:     5,
-				ActuatorGrid: gridFor(x),
-			},
-		}
-	}, pick)
-	fig.XLabel = "sensors"
-	return fig, err
 }
 
 // FigS1 builds the growth-study delivery-ratio figure.
@@ -187,7 +155,7 @@ func growthMaintainCost(ctx context.Context, o Options) (Figure, error) {
 }
 
 func frontierDelivery(ctx context.Context, o Options) (Figure, error) {
-	fig, err := frontierSweep(ctx, o, func(r Result) float64 {
+	fig, err := frontierSweep(ctx, o, frontierXs, growthConfig, func(r Result) float64 {
 		if r.Created == 0 {
 			return 0
 		}
@@ -198,7 +166,7 @@ func frontierDelivery(ctx context.Context, o Options) (Figure, error) {
 }
 
 func drainDelivery(ctx context.Context, o Options) (Figure, error) {
-	fig, err := drainSweep(ctx, o, func(r Result) float64 {
+	fig, err := frontierSweep(ctx, o, drainXs, drainConfig, func(r Result) float64 {
 		if r.Created == 0 {
 			return 0
 		}

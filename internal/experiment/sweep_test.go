@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -176,5 +177,38 @@ func TestWithDefaultsAppliedOnce(t *testing.T) {
 	}
 	if !once.defaulted {
 		t.Fatal("withDefaults did not mark the options as defaulted")
+	}
+}
+
+// TestParallelismValidation pins the edge validation of the sweep-level
+// knob: an out-of-range Options.Parallelism is a config error, not a silent
+// GOMAXPROCS fallback.
+func TestParallelismValidation(t *testing.T) {
+	quick := Options{Seeds: []int64{1}, Warmup: time.Second, Duration: time.Second,
+		Sensors: 120, Systems: []string{SystemREFER}}
+
+	for _, tc := range []struct {
+		name        string
+		parallelism int
+	}{
+		{"negative-parallelism", -1},
+		{"absurd-parallelism", MaxParallelism + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := quick
+			o.Parallelism = tc.parallelism
+			_, err := Fig4(o)
+			if err == nil || !strings.Contains(err.Error(), "Options.Parallelism") {
+				t.Fatalf("err = %v, want mention of Options.Parallelism", err)
+			}
+		})
+	}
+
+	// In-range values at the boundary are accepted.
+	if err := validParallelism("x", MaxParallelism); err != nil {
+		t.Fatalf("MaxParallelism rejected: %v", err)
+	}
+	if err := validParallelism("x", 0); err != nil {
+		t.Fatalf("0 rejected: %v", err)
 	}
 }

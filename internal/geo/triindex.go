@@ -61,10 +61,7 @@ func DistToTriangle(p, a, b, c Point) float64 {
 // NearestWithin keeps the LAST triangle at equal minimal distance (the
 // `d <= best` update rule), exactly matching the loops they replace, so an
 // indexed caller is byte-identical to a scanning one. Queries share scratch
-// buffers; a TriIndex must not be used from multiple goroutines. Concurrent
-// readers each take a Cursor instead: the triangle and bucket data are
-// immutable after construction, so any number of cursors may query in
-// parallel, each over its own scratch.
+// buffers; a TriIndex must not be used from multiple goroutines.
 type TriIndex struct {
 	tris   [][3]Point
 	region Rect
@@ -75,18 +72,8 @@ type TriIndex struct {
 	// bounding box overlaps the bucket.
 	buckets [][]int32
 
-	// The index's own query state, used by the Containing/NearestWithin
-	// methods (the single-goroutine interface).
-	triQueryState
-}
-
-// triQueryState is the mutable per-querier part of a TriIndex: scratch
-// buffers and the work counter. The TriIndex embeds one for its own methods;
-// every Cursor carries another, which is what makes cursor queries safe to
-// run concurrently over the shared immutable buckets.
-type triQueryState struct {
-	// stamp[i] == gen marks triangle i as already collected in the current
-	// NearestWithin query.
+	// Query scratch: stamp[i] == gen marks triangle i as already collected
+	// in the current NearestWithin query.
 	stamp   []uint32
 	gen     uint32
 	scratch []int32
@@ -193,16 +180,12 @@ func (idx *TriIndex) cellCoords(p Point) (col, row int) {
 // covers p, so only p's bucket needs scanning; bucket contents are kept in
 // ascending index order, preserving the first-hit tie-break.
 func (idx *TriIndex) Containing(p Point) int {
-	return idx.containing(p, &idx.triQueryState)
-}
-
-func (idx *TriIndex) containing(p Point, st *triQueryState) int {
 	if len(idx.tris) == 0 || !idx.region.Contains(p) {
 		return -1
 	}
 	col, row := idx.cellCoords(p)
 	for _, ti := range idx.buckets[row*idx.cols+col] {
-		st.checks++
+		idx.checks++
 		t := idx.tris[ti]
 		if PointInTriangle(p, t[0], t[1], t[2]) {
 			return int(ti)
@@ -220,10 +203,6 @@ func (idx *TriIndex) containing(p Point, st *triQueryState) int {
 // those buckets is exhaustive; candidates are deduplicated, sorted
 // ascending, and then judged by exactly the linear scan's comparison.
 func (idx *TriIndex) NearestWithin(p Point, margin float64) int {
-	return idx.nearestWithin(p, margin, &idx.triQueryState)
-}
-
-func (idx *TriIndex) nearestWithin(p Point, margin float64, st *triQueryState) int {
 	if len(idx.tris) == 0 {
 		return -1
 	}
@@ -235,15 +214,15 @@ func (idx *TriIndex) nearestWithin(p Point, margin float64, st *triQueryState) i
 	}
 	minCol, minRow := idx.cellCoords(lo)
 	maxCol, maxRow := idx.cellCoords(hi)
-	st.gen++
-	cand := st.scratch[:0]
+	idx.gen++
+	cand := idx.scratch[:0]
 	for row := minRow; row <= maxRow; row++ {
 		for col := minCol; col <= maxCol; col++ {
 			for _, ti := range idx.buckets[row*idx.cols+col] {
-				if st.stamp[ti] == st.gen {
+				if idx.stamp[ti] == idx.gen {
 					continue
 				}
-				st.stamp[ti] = st.gen
+				idx.stamp[ti] = idx.gen
 				cand = append(cand, ti)
 			}
 		}
@@ -255,11 +234,11 @@ func (idx *TriIndex) nearestWithin(p Point, margin float64, st *triQueryState) i
 			cand[j], cand[j-1] = cand[j-1], cand[j]
 		}
 	}
-	st.scratch = cand
+	idx.scratch = cand
 	best := -1
 	bestDist := margin
 	for _, ti := range cand {
-		st.checks++
+		idx.checks++
 		t := idx.tris[ti]
 		if d := DistToTriangle(p, t[0], t[1], t[2]); d <= bestDist {
 			best, bestDist = int(ti), d
@@ -272,40 +251,5 @@ func (idx *TriIndex) nearestWithin(p Point, margin float64, st *triQueryState) i
 func (idx *TriIndex) Len() int { return len(idx.tris) }
 
 // Checks returns the total triangle predicate evaluations performed across
-// all queries since construction through the index's own methods (monotone;
-// the index's work counter). Queries made through cursors count into each
-// cursor instead — see TriCursor.TakeChecks.
+// all queries since construction (monotone; the index's work counter).
 func (idx *TriIndex) Checks() uint64 { return idx.checks }
-
-// TriCursor is a private query handle over a shared TriIndex. The index's
-// triangle and bucket data are immutable after construction; all query-time
-// mutation (dedup stamps, candidate scratch, the work counter) lives in the
-// cursor, so any number of goroutines may query the same index concurrently
-// as long as each uses its own cursor. A cursor itself is single-goroutine,
-// and answers are bit-identical to the index's own methods.
-type TriCursor struct {
-	idx *TriIndex
-	st  triQueryState
-}
-
-// Cursor returns a new private query handle over the index.
-func (idx *TriIndex) Cursor() *TriCursor {
-	return &TriCursor{idx: idx, st: triQueryState{stamp: make([]uint32, len(idx.tris))}}
-}
-
-// Containing is TriIndex.Containing over the cursor's private scratch.
-func (c *TriCursor) Containing(p Point) int { return c.idx.containing(p, &c.st) }
-
-// NearestWithin is TriIndex.NearestWithin over the cursor's private scratch.
-func (c *TriCursor) NearestWithin(p Point, margin float64) int {
-	return c.idx.nearestWithin(p, margin, &c.st)
-}
-
-// TakeChecks returns the predicate evaluations counted by this cursor since
-// the last call and resets the counter, so a coordinator can fold per-worker
-// work into a global counter between parallel phases.
-func (c *TriCursor) TakeChecks() uint64 {
-	n := c.st.checks
-	c.st.checks = 0
-	return n
-}

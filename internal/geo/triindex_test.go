@@ -1,7 +1,6 @@
 package geo
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -108,75 +107,5 @@ func TestTriIndexEmpty(t *testing.T) {
 	}
 	if got := idx.NearestWithin(Point{X: 1, Y: 1}, 10); got != -1 {
 		t.Fatalf("NearestWithin on empty index = %d, want -1", got)
-	}
-}
-
-// TestTriCursorMatchesIndex checks that cursor queries are bit-identical to
-// the index's own methods and count the same work, since the sharded
-// maintenance path answers through cursors while the sequential path uses
-// the index directly — their MaintainChecks totals must agree.
-func TestTriCursorMatchesIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
-		tris := randomTris(rng, 1+rng.Intn(80), 400)
-		idx := NewTriIndex(tris)
-		cur := idx.Cursor()
-		margin := rng.Float64() * 50
-		before := idx.Checks()
-		for q := 0; q < 150; q++ {
-			p := Point{X: (rng.Float64()*1.4 - 0.2) * 400, Y: (rng.Float64()*1.4 - 0.2) * 400}
-			if got, want := cur.Containing(p), idx.Containing(p); got != want {
-				t.Fatalf("trial %d: cursor Containing(%v) = %d, index = %d", trial, p, got, want)
-			}
-			if got, want := cur.NearestWithin(p, margin), idx.NearestWithin(p, margin); got != want {
-				t.Fatalf("trial %d: cursor NearestWithin(%v) = %d, index = %d", trial, p, got, want)
-			}
-		}
-		if cw, iw := cur.TakeChecks(), idx.Checks()-before; cw != iw {
-			t.Fatalf("trial %d: cursor counted %d checks, index %d", trial, cw, iw)
-		}
-		if cur.TakeChecks() != 0 {
-			t.Fatal("TakeChecks did not reset the counter")
-		}
-	}
-}
-
-// TestTriCursorConcurrent hammers one index from many cursors at once; run
-// under -race this pins the immutability contract the shard workers rely on.
-func TestTriCursorConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	tris := randomTris(rng, 60, 300)
-	idx := NewTriIndex(tris)
-	type query struct {
-		p          Point
-		containing int
-		nearest    int
-	}
-	queries := make([]query, 400)
-	for i := range queries {
-		p := Point{X: (rng.Float64()*1.4 - 0.2) * 300, Y: (rng.Float64()*1.4 - 0.2) * 300}
-		queries[i] = query{p: p, containing: containingScan(tris, p), nearest: nearestScan(tris, p, 30)}
-	}
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		go func() {
-			cur := idx.Cursor()
-			for _, q := range queries {
-				if got := cur.Containing(q.p); got != q.containing {
-					done <- fmt.Errorf("Containing(%v) = %d, want %d", q.p, got, q.containing)
-					return
-				}
-				if got := cur.NearestWithin(q.p, 30); got != q.nearest {
-					done <- fmt.Errorf("NearestWithin(%v) = %d, want %d", q.p, got, q.nearest)
-					return
-				}
-			}
-			done <- nil
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
 	}
 }

@@ -157,16 +157,10 @@ type Server struct {
 	misses    atomic.Uint64
 	desEvents atomic.Uint64
 	busyNanos atomic.Int64
-	// Shard counters accumulated from every executed run before result
-	// stripping (StripWallClock zeroes them in the stored/cached stats, so
-	// the /metrics endpoint is the only place the server-side totals live).
-	shardRounds       atomic.Uint64
-	shardMembershipNs atomic.Int64
-	shardCellNs       atomic.Int64
-	shardMergeNs      atomic.Int64
-	// Batched-drain counters, accumulated like the shard counters: host-
-	// execution detail stripped from stored results, totalled here for
-	// /metrics.
+	// Batched-drain counters accumulated from every executed run before
+	// result stripping (StripWallClock zeroes them in the stored/cached
+	// stats, so the /metrics endpoint is the only place the server-side
+	// totals live).
 	drainBatches       atomic.Uint64
 	drainBatchedEvents atomic.Uint64
 	drainSerialEvents  atomic.Uint64
@@ -175,7 +169,7 @@ type Server struct {
 	drainWarms         atomic.Uint64
 	drainWarmHits      atomic.Uint64
 	// Recovery counters accumulated from every executed run. Unlike the
-	// shard counters these are deterministic virtual-time results, so they
+	// drain counters these are deterministic virtual-time results, so they
 	// survive result stripping; /metrics still aggregates them for fleet
 	// visibility.
 	recoveryReelections atomic.Uint64
@@ -517,13 +511,9 @@ func (s *Server) execute(r *run) {
 	r.mu.Unlock()
 	switch {
 	case err == nil && r.kind == KindRun:
-		// Fold the shard counters into /metrics before stripping: the strip
+		// Fold the drain counters into /metrics before stripping: the strip
 		// zeroes them (host-execution detail, and they differ across
-		// run_parallelism settings of one cache key).
-		s.shardRounds.Add(uint64(res.Stats.ShardRounds))
-		s.shardMembershipNs.Add(res.Stats.MembershipPhaseNs)
-		s.shardCellNs.Add(res.Stats.CellPhaseNs)
-		s.shardMergeNs.Add(res.Stats.MergeNs)
+		// drain_parallelism settings of one cache key).
 		s.drainBatches.Add(res.Stats.DrainBatches)
 		s.drainBatchedEvents.Add(res.Stats.DrainBatchedEvents)
 		s.drainSerialEvents.Add(res.Stats.DrainSerialEvents)
@@ -540,10 +530,6 @@ func (s *Server) execute(r *run) {
 		s.desEvents.Add(res.Stats.DESEvents)
 		s.finish(r, StateDone, &res, nil, nil)
 	case err == nil:
-		s.shardRounds.Add(fig.Stats.ShardRounds)
-		s.shardMembershipNs.Add(fig.Stats.MembershipPhaseNs)
-		s.shardCellNs.Add(fig.Stats.CellPhaseNs)
-		s.shardMergeNs.Add(fig.Stats.MergeNs)
 		s.drainBatches.Add(fig.Stats.DrainBatches)
 		s.drainBatchedEvents.Add(fig.Stats.DrainBatchedEvents)
 		s.drainSerialEvents.Add(fig.Stats.DrainSerialEvents)
@@ -558,12 +544,8 @@ func (s *Server) execute(r *run) {
 		fig.Stats.WallClock = 0
 		fig.Stats.RunWallClock = 0
 		fig.Stats.EventsPerSec = 0
-		fig.Stats.ShardRounds = 0
-		fig.Stats.MembershipPhaseNs = 0
-		fig.Stats.CellPhaseNs = 0
-		fig.Stats.MergeNs = 0
 		// The drain totals differ across drain_parallelism settings of one
-		// figure cache key, so they are stripped like the shard counters.
+		// figure cache key, so they are stripped like the wall-clock fields.
 		fig.Stats.DrainBatches = 0
 		fig.Stats.DrainBatchedEvents = 0
 		fig.Stats.DrainSerialEvents = 0
@@ -959,21 +941,17 @@ func (s *Server) MetricsSnapshot() Metrics {
 		DESEvents:     s.desEvents.Load(),
 		RunsTracked:   tracked,
 
-		ShardRounds:            s.shardRounds.Load(),
-		ShardMembershipPhaseNs: s.shardMembershipNs.Load(),
-		ShardCellPhaseNs:       s.shardCellNs.Load(),
-		ShardMergeNs:           s.shardMergeNs.Load(),
-		DrainBatches:           s.drainBatches.Load(),
-		DrainBatchedEvents:     s.drainBatchedEvents.Load(),
-		DrainSerialEvents:      s.drainSerialEvents.Load(),
-		DrainReexecs:           s.drainReexecs.Load(),
-		DrainPrepNs:            s.drainPrepNs.Load(),
-		DrainWarms:             s.drainWarms.Load(),
-		DrainWarmHits:          s.drainWarmHits.Load(),
-		RecoveryReelections:    s.recoveryReelections.Load(),
-		RecoveryMerges:         s.recoveryMerges.Load(),
-		RecoveryTakeovers:      s.recoveryTakeovers.Load(),
-		RecoveryLatencyNs:      s.recoveryLatencyNs.Load(),
+		DrainBatches:        s.drainBatches.Load(),
+		DrainBatchedEvents:  s.drainBatchedEvents.Load(),
+		DrainSerialEvents:   s.drainSerialEvents.Load(),
+		DrainReexecs:        s.drainReexecs.Load(),
+		DrainPrepNs:         s.drainPrepNs.Load(),
+		DrainWarms:          s.drainWarms.Load(),
+		DrainWarmHits:       s.drainWarmHits.Load(),
+		RecoveryReelections: s.recoveryReelections.Load(),
+		RecoveryMerges:      s.recoveryMerges.Load(),
+		RecoveryTakeovers:   s.recoveryTakeovers.Load(),
+		RecoveryLatencyNs:   s.recoveryLatencyNs.Load(),
 	}
 	if total := m.CacheHits + m.CacheMisses; total > 0 {
 		m.CacheHitRate = float64(m.CacheHits) / float64(total)

@@ -255,6 +255,29 @@ func TestServerCacheByteIdentical(t *testing.T) {
 		t.Fatal("cached result is not byte-identical to the fresh run's result")
 	}
 
+	// A body from an older client still carrying the removed run-sharding
+	// field is accepted (the decoder ignores unknown fields) and addresses
+	// the same cache entry.
+	legacy := struct {
+		RunRequest
+		RunWorkers int `json:"run_parallelism"`
+	}{req, 4}
+	resp, data = postJSON(t, client, ts.URL+"/runs", legacy)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("legacy-field submission: %d %s", resp.StatusCode, data)
+	}
+	var third SubmitResponse
+	if err := json.Unmarshal(data, &third); err != nil {
+		t.Fatal(err)
+	}
+	if !third.Cached || third.Key != first.Key {
+		t.Fatalf("legacy-field body missed the cache: %+v vs key %s", third, first.Key)
+	}
+	_, legacyBody := getBody(t, client, ts.URL+"/runs/"+third.ID+"/result")
+	if !bytes.Equal(freshBody, legacyBody) {
+		t.Fatal("legacy-field body's result is not byte-identical to the fresh run's")
+	}
+
 	// The served bytes equal a local replay of the same config.
 	cfg, err := req.Config()
 	if err != nil {
@@ -528,18 +551,6 @@ func TestServerValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative warmup returned %d, want 400: %s", resp.StatusCode, data)
 	}
-	resp, data = postJSON(t, client, ts.URL+"/runs", RunRequest{RunParallelism: -1})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative run_parallelism returned %d, want 400: %s", resp.StatusCode, data)
-	}
-	resp, data = postJSON(t, client, ts.URL+"/runs", RunRequest{RunParallelism: 1 << 20})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("absurd run_parallelism returned %d, want 400: %s", resp.StatusCode, data)
-	}
-	resp, data = postJSON(t, client, ts.URL+"/figures/4/runs", FigureRequest{RunParallelism: -2})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative figure run_parallelism returned %d, want 400: %s", resp.StatusCode, data)
-	}
 	resp, data = postJSON(t, client, ts.URL+"/runs", RunRequest{DrainParallelism: -1})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative drain_parallelism returned %d, want 400: %s", resp.StatusCode, data)
@@ -607,62 +618,6 @@ func TestRunRequestConfigKey(t *testing.T) {
 	}
 	if k1 != k2 {
 		t.Fatalf("wire and direct configs hash differently:\n%s\n%s", k1, k2)
-	}
-}
-
-// TestRunParallelismCacheAndMetrics pins the sharding contract at the
-// serving layer: run_parallelism does not enter the cache key (a sharded
-// run's result serves a sequential resubmission), the stored result is
-// stripped of shard bookkeeping, and the server-side totals surface in
-// /metrics instead.
-func TestRunParallelismCacheAndMetrics(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	client := ts.Client()
-
-	sharded := smallRun(21)
-	sharded.RunParallelism = 4
-	resp, data := postJSON(t, client, ts.URL+"/runs", sharded)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit sharded: %d: %s", resp.StatusCode, data)
-	}
-	var sub SubmitResponse
-	if err := json.Unmarshal(data, &sub); err != nil {
-		t.Fatal(err)
-	}
-	if st := waitTerminal(t, client, ts.URL, sub.ID); st.State != StateDone {
-		t.Fatalf("sharded run ended %s", st.State)
-	}
-
-	// The cached stats must be stripped: byte-identical to a sequential
-	// replay of the same key.
-	_, body := getBody(t, client, ts.URL+"/runs/"+sub.ID+"/result")
-	var res experiment.Result
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.ShardRounds != 0 || res.Stats.MergeNs != 0 {
-		t.Fatalf("stored result kept shard bookkeeping: %+v", res.Stats)
-	}
-
-	// Same submission without sharding hits the cache.
-	resp, data = postJSON(t, client, ts.URL+"/runs", smallRun(21))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("resubmit: %d: %s", resp.StatusCode, data)
-	}
-	var again SubmitResponse
-	if err := json.Unmarshal(data, &again); err != nil {
-		t.Fatal(err)
-	}
-	if !again.Cached || again.Key != sub.Key {
-		t.Fatalf("sequential resubmission missed the cache: %+v vs key %s", again, sub.Key)
-	}
-
-	m := s.MetricsSnapshot()
-	if m.ShardRounds == 0 {
-		t.Fatal("metrics shard_rounds = 0 after a sharded run")
-	}
-	if m.ShardMembershipPhaseNs < 0 || m.ShardCellPhaseNs <= 0 || m.ShardMergeNs <= 0 {
-		t.Fatalf("metrics phase timers not accumulated: %+v", m)
 	}
 }
 
@@ -736,7 +691,7 @@ func TestDrainParallelismCacheAndMetrics(t *testing.T) {
 
 // TestRecoveryWireCacheAndMetrics pins the serving-layer contract of the
 // recovery field: an enabled spec is part of the content address (unlike
-// run_parallelism it changes the result), the stored result keeps its
+// drain_parallelism it changes the result), the stored result keeps its
 // recovery counters (virtual-time deterministic, so they survive
 // stripping), and the server-side totals accumulate on /metrics.
 func TestRecoveryWireCacheAndMetrics(t *testing.T) {

@@ -61,17 +61,12 @@ type RunRequest struct {
 	// schema as RunConfig.Recovery; see EXPERIMENTS.md). Absent keeps
 	// recovery off and the run's cache key unchanged.
 	Recovery *recovery.Spec `json:"recovery,omitempty"`
-	// RunParallelism shards the run's bulk maintenance phases across this
-	// many worker goroutines (RunConfig.RunParallelism). Results are
-	// byte-identical at any setting, so the field is excluded from the
-	// cache key — a latency knob, not a result knob. Must lie in
-	// [0, MaxParallelism].
-	RunParallelism int `json:"run_parallelism,omitempty"`
 	// DrainParallelism sets the run's DES batched-drain worker count
 	// (RunConfig.DrainParallelism): conflict-free radio events prepare in
 	// parallel while every decision commits serially in canonical order.
-	// Byte-identical output at any setting; excluded from the cache key
-	// like RunParallelism. Must lie in [0, MaxParallelism].
+	// Byte-identical output at any setting, so the field is excluded from
+	// the cache key — a latency knob, not a result knob. Must lie in
+	// [0, MaxParallelism].
 	DrainParallelism int `json:"drain_parallelism,omitempty"`
 }
 
@@ -99,10 +94,6 @@ func (r RunRequest) Config() (experiment.RunConfig, error) {
 	if r.SensorBatteryJ < 0 {
 		return experiment.RunConfig{}, fmt.Errorf("sensor_battery_j must be >= 0, got %g", r.SensorBatteryJ)
 	}
-	if r.RunParallelism < 0 || r.RunParallelism > experiment.MaxParallelism {
-		return experiment.RunConfig{}, fmt.Errorf("run_parallelism must be in [0, %d], got %d",
-			experiment.MaxParallelism, r.RunParallelism)
-	}
 	if r.DrainParallelism < 0 || r.DrainParallelism > experiment.MaxParallelism {
 		return experiment.RunConfig{}, fmt.Errorf("drain_parallelism must be in [0, %d], got %d",
 			experiment.MaxParallelism, r.DrainParallelism)
@@ -124,7 +115,6 @@ func (r RunRequest) Config() (experiment.RunConfig, error) {
 		Sources:          r.Sources,
 		PacketsPerSource: r.PacketsPerSource,
 		FaultCount:       r.FaultCount,
-		RunParallelism:   r.RunParallelism,
 		DrainParallelism: r.DrainParallelism,
 	}
 	var err error
@@ -181,11 +171,6 @@ type FigureRequest struct {
 	// server's figure-parallelism setting. Figure output is byte-identical
 	// at any worker count, so this is a latency knob, not a result knob.
 	Parallelism int `json:"parallelism,omitempty"`
-	// RunParallelism shards the bulk maintenance phases inside each run of
-	// the sweep (Options.RunParallelism). Byte-identical output at any
-	// setting; excluded from the cache key like Parallelism. Must lie in
-	// [0, MaxParallelism].
-	RunParallelism int `json:"run_parallelism,omitempty"`
 	// DrainParallelism sets the DES batched-drain worker count inside each
 	// run of the sweep (Options.DrainParallelism). Byte-identical output at
 	// any setting; excluded from the cache key like Parallelism. Must lie
@@ -215,10 +200,6 @@ func (r FigureRequest) Options() (experiment.Options, error) {
 		return experiment.Options{}, fmt.Errorf("parallelism must be in [0, %d], got %d",
 			experiment.MaxParallelism, r.Parallelism)
 	}
-	if r.RunParallelism < 0 || r.RunParallelism > experiment.MaxParallelism {
-		return experiment.Options{}, fmt.Errorf("run_parallelism must be in [0, %d], got %d",
-			experiment.MaxParallelism, r.RunParallelism)
-	}
 	if r.DrainParallelism < 0 || r.DrainParallelism > experiment.MaxParallelism {
 		return experiment.Options{}, fmt.Errorf("drain_parallelism must be in [0, %d], got %d",
 			experiment.MaxParallelism, r.DrainParallelism)
@@ -229,7 +210,6 @@ func (r FigureRequest) Options() (experiment.Options, error) {
 		Systems:          r.Systems,
 		PacketsPerSource: r.PacketsPerSource,
 		Parallelism:      r.Parallelism,
-		RunParallelism:   r.RunParallelism,
 		DrainParallelism: r.DrainParallelism,
 	}
 	var err error
@@ -337,14 +317,6 @@ type Metrics struct {
 	DESEvents       uint64  `json:"des_events"`
 	DESEventsPerSec float64 `json:"des_events_per_sec"`
 	RunsTracked     int     `json:"runs_tracked"`
-	// Shard counters, accumulated across every executed run (before result
-	// stripping): maintenance rounds that ran the sharded path and the
-	// cumulative host nanoseconds per phase. All zero unless submissions
-	// set run_parallelism > 1.
-	ShardRounds            uint64 `json:"shard_rounds"`
-	ShardMembershipPhaseNs int64  `json:"shard_membership_phase_ns"`
-	ShardCellPhaseNs       int64  `json:"shard_cell_phase_ns"`
-	ShardMergeNs           int64  `json:"shard_merge_ns"`
 	// Batched-drain counters, accumulated across every executed run (before
 	// result stripping): prepared batches, events prepared in them, events
 	// the drain committed serially, prepares re-executed by the snapshot

@@ -489,26 +489,6 @@ func (w *World) Len() int { return len(w.nodes) }
 // static, which lets position-derived caches skip refreshing entirely.
 func (w *World) MaxSpeed() float64 { return w.maxSpeed }
 
-// AliveGen returns the liveness generation: a counter bumped whenever any
-// node's Alive() can have flipped (fault injection/recovery, battery
-// depletion through the charge sites, harvesting revival, duty-cycle sleep).
-// A reader that snapshots the generation, derives state from Alive()/Meter
-// reads, and later observes the same generation knows no liveness transition
-// happened in between — the validity guard the intra-run maintenance shards
-// use for their precomputed candidate pools.
-//
-// Concurrent-read contract: the World is single-owner for writes (every
-// mutation happens inside one DES event), but between mutations any number
-// of goroutines may concurrently call the pure query surface — AliveGen,
-// Len, MaxSpeed, Nodes, Node, plus Node.Alive and Meter.Fraction on the
-// returned nodes — as long as none of them triggers a charge, send, or node
-// mutation while the readers run. Position is NOT part of that surface for
-// arbitrary node sets: mobility models may memoize per node (waypoint legs),
-// so each node's position may be read by at most one goroutine at a time.
-// Neighbors/AliveNeighbors are excluded too (per-node caches share world
-// scratch).
-func (w *World) AliveGen() uint64 { return w.aliveGen }
-
 // Nodes returns the node list (shared slice; callers must not mutate).
 func (w *World) Nodes() []*Node { return w.nodes }
 

@@ -268,7 +268,7 @@ var (
 	FigS2 = experiment.FigS2
 	FigS3 = experiment.FigS3
 
-	// Growth frontier (20k–100k sensors, maintenance sharded per run).
+	// Growth frontier (20k–100k sensors, one giant single-seed run per point).
 	FigS4 = experiment.FigS4
 
 	// Self-healing recovery study (delivery ratio and repair latency under
@@ -277,9 +277,9 @@ var (
 	FigR2 = experiment.FigR2
 )
 
-// MaxParallelism bounds both parallelism knobs (Options.Parallelism /
-// Options.RunParallelism / RunConfig.RunParallelism); out-of-range values
-// are configuration errors, never silent fallbacks.
+// MaxParallelism bounds both parallelism knobs (Options.Parallelism and
+// Options.DrainParallelism / RunConfig.DrainParallelism); out-of-range
+// values are configuration errors, never silent fallbacks.
 const MaxParallelism = experiment.MaxParallelism
 
 // AllFigures regenerates every evaluation figure.
