@@ -1,6 +1,7 @@
 package refer
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -23,10 +24,10 @@ func quickOpts() Options {
 	}
 }
 
-func benchFigure(b *testing.B, build func(Options) (Figure, error)) {
+func benchFigure(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		fig, err := build(quickOpts())
+		fig, err := BuildFigure(context.Background(), id, quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -40,48 +41,48 @@ func benchFigure(b *testing.B, build func(Options) (Figure, error)) {
 
 // BenchmarkFig4MobilityThroughput regenerates Figure 4: QoS throughput vs
 // node mobility for all four systems.
-func BenchmarkFig4MobilityThroughput(b *testing.B) { benchFigure(b, Fig4) }
+func BenchmarkFig4MobilityThroughput(b *testing.B) { benchFigure(b, "4") }
 
 // BenchmarkFig5MobilityEnergy regenerates Figure 5: communication energy vs
 // node mobility.
-func BenchmarkFig5MobilityEnergy(b *testing.B) { benchFigure(b, Fig5) }
+func BenchmarkFig5MobilityEnergy(b *testing.B) { benchFigure(b, "5") }
 
 // BenchmarkFig6FaultDelay regenerates Figure 6: transmission delay vs
 // number of faulty nodes.
-func BenchmarkFig6FaultDelay(b *testing.B) { benchFigure(b, Fig6) }
+func BenchmarkFig6FaultDelay(b *testing.B) { benchFigure(b, "6") }
 
 // BenchmarkFig7FaultThroughput regenerates Figure 7: QoS throughput vs
 // number of faulty nodes.
-func BenchmarkFig7FaultThroughput(b *testing.B) { benchFigure(b, Fig7) }
+func BenchmarkFig7FaultThroughput(b *testing.B) { benchFigure(b, "7") }
 
 // BenchmarkFig8ScaleDelay regenerates Figure 8: transmission delay vs
 // network size.
-func BenchmarkFig8ScaleDelay(b *testing.B) { benchFigure(b, Fig8) }
+func BenchmarkFig8ScaleDelay(b *testing.B) { benchFigure(b, "8") }
 
 // BenchmarkFig9ScaleEnergy regenerates Figure 9: communication energy vs
 // network size.
-func BenchmarkFig9ScaleEnergy(b *testing.B) { benchFigure(b, Fig9) }
+func BenchmarkFig9ScaleEnergy(b *testing.B) { benchFigure(b, "9") }
 
 // BenchmarkFig10ConstructionEnergy regenerates Figure 10: topology
 // construction energy vs network size.
-func BenchmarkFig10ConstructionEnergy(b *testing.B) { benchFigure(b, Fig10) }
+func BenchmarkFig10ConstructionEnergy(b *testing.B) { benchFigure(b, "10") }
 
 // BenchmarkFig11TotalEnergy regenerates Figure 11: total energy vs network
 // size.
-func BenchmarkFig11TotalEnergy(b *testing.B) { benchFigure(b, Fig11) }
+func BenchmarkFig11TotalEnergy(b *testing.B) { benchFigure(b, "11") }
 
 // ---- Ablation benches (design-choice studies from DESIGN.md) ----
 
 // BenchmarkAblationFailover compares REFER with and without the Theorem 3.8
 // alternate-path failover under faults.
 func BenchmarkAblationFailover(b *testing.B) {
-	benchFigure(b, experiment.AblationFailover)
+	benchFigure(b, "A1")
 }
 
 // BenchmarkAblationMaintenance compares REFER with and without the
 // awake/wait/sleep maintenance under mobility.
 func BenchmarkAblationMaintenance(b *testing.B) {
-	benchFigure(b, experiment.AblationMaintenance)
+	benchFigure(b, "A2")
 }
 
 // ---- Single-system end-to-end runs ----
@@ -196,7 +197,7 @@ func benchFig4RouteSource(b *testing.B, system string) {
 	for i := 0; i < b.N; i++ {
 		opts := quickOpts()
 		opts.Systems = []string{system}
-		fig, err := Fig4(opts)
+		fig, err := BuildFigure(context.Background(), "4", opts)
 		if err != nil {
 			b.Fatal(err)
 		}

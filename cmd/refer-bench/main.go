@@ -13,11 +13,11 @@
 //	refer-bench -recovery       # enable self-healing recovery on every REFER run
 //	refer-bench -parallel 4     # bound sweep concurrency (figure output is identical)
 //	refer-bench -drain-parallel 4 # batch the DES drain's event prepares across cores
-//	refer-bench -bench          # fixed perf suite → BENCH_<n>.json (see EXPERIMENTS.md)
 //
 // A live progress line is written to stderr while sweeps run (suppress with
 // -quiet); Ctrl-C cancels the remaining runs cleanly. -cpuprofile and
-// -memprofile write pprof profiles of the whole invocation.
+// -memprofile write pprof profiles of the whole invocation. Performance is
+// measured by `go run ./benchmark` (benchmark/README.md), not by this command.
 package main
 
 import (
@@ -53,7 +53,6 @@ func fatal(err error) {
 
 func main() {
 	var (
-		bench         = flag.Bool("bench", false, "run the fixed perf suite and write the next BENCH_<n>.json instead of regenerating figures")
 		full          = flag.Bool("full", false, "paper-scale runs (5 seeds, 1000 s windows)")
 		seeds         = flag.Int("seeds", 0, "override the number of seeds")
 		extras        = flag.Bool("extras", false, "also run the ablation (A1, A2) and extension (E1–E3) studies")
@@ -97,15 +96,6 @@ func main() {
 			fatal(err)
 		}
 		defer pprof.StopCPUProfile()
-	}
-
-	if *bench {
-		path, err := runBenchSuite(*quiet, *parallel)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(path)
-		return
 	}
 
 	opts := refer.Options{

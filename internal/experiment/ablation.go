@@ -8,14 +8,10 @@ import (
 	"refer/internal/scenario"
 )
 
-// AblationFailover quantifies Theorem 3.8's contribution: REFER with and
+// ablationFailover (A1) quantifies Theorem 3.8's contribution: REFER with and
 // without the alternate-path failover, swept over the faulty-node counts of
 // Figure 7, measuring QoS throughput. Without failover a relay drops the
 // packet the moment its greedy shortest successor fails.
-func AblationFailover(o Options) (Figure, error) {
-	return buildByID(context.Background(), "A1", o)
-}
-
 func ablationFailover(ctx context.Context, o Options) (Figure, error) {
 	o = o.withDefaults()
 	o.Systems = []string{SystemREFER, SystemREFERNoFailover}
@@ -24,14 +20,10 @@ func ablationFailover(ctx context.Context, o Options) (Figure, error) {
 	return fig, err
 }
 
-// AblationMaintenance quantifies the awake/wait/sleep replacement scheme:
+// ablationMaintenance (A2) quantifies the awake/wait/sleep replacement scheme:
 // REFER with and without topology maintenance, swept over node mobility,
 // measuring QoS throughput. Without maintenance the embedding decays as
 // overlay sensors drift out of their cells.
-func AblationMaintenance(o Options) (Figure, error) {
-	return buildByID(context.Background(), "A2", o)
-}
-
 func ablationMaintenance(ctx context.Context, o Options) (Figure, error) {
 	o = o.withDefaults()
 	o.Systems = []string{SystemREFER, SystemREFERNoMaintenance}
@@ -45,14 +37,10 @@ func ablationMaintenance(ctx context.Context, o Options) (Figure, error) {
 // every 17 virtual minutes.
 var churnXs = []float64{0.02, 0.05, 0.1, 0.2}
 
-// AblationChurn compares all four systems' delivery ratio under sustained
+// ablationChurn (A3) compares all four systems' delivery ratio under sustained
 // Poisson churn (random sensors crashing at the swept rate, each down for
 // 30 s), driven by the deterministic fault-injection subsystem instead of
 // the paper's rotated faulty-node sets.
-func AblationChurn(o Options) (Figure, error) {
-	return buildByID(context.Background(), "A3", o)
-}
-
 func ablationChurn(ctx context.Context, o Options) (Figure, error) {
 	o = o.withDefaults()
 	fig, err := sweep(ctx, o, churnXs, func(x float64, seed int64) RunConfig {

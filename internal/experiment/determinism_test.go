@@ -140,7 +140,7 @@ func TestReplayChaosKautzOverlay(t *testing.T) { testReplayChaos(t, SystemKautzO
 // options) must render byte-identical CSV.
 func TestReplayChaosFigureCSV(t *testing.T) {
 	build := func() string {
-		fig, err := AblationChurn(Options{
+		fig, err := BuildFigure(context.Background(), "A3", Options{
 			Seeds:    []int64{1},
 			Warmup:   50 * time.Second,
 			Duration: 100 * time.Second,

@@ -154,7 +154,7 @@ func TestDrainParallelismValidation(t *testing.T) {
 		t.Run("options-"+tc.name, func(t *testing.T) {
 			o := Options{Seeds: []int64{1}, Warmup: time.Second, Duration: time.Second,
 				Sensors: 120, Systems: []string{SystemREFER}, DrainParallelism: tc.dp}
-			_, err := Fig4(o)
+			_, err := BuildFigure(context.Background(), "4", o)
 			if err == nil || !strings.Contains(err.Error(), "Options.DrainParallelism") {
 				t.Fatalf("err = %v, want Options.DrainParallelism range error", err)
 			}

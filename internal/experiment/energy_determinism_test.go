@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -70,7 +71,7 @@ func TestRadioModelRunMatchesFlatTopology(t *testing.T) {
 // scale: every system produces a curve, deaths happen at the starved end,
 // and censoring keeps undying points at the window length.
 func TestLifetimeFigureQuick(t *testing.T) {
-	fig, err := FigL1(Options{
+	fig, err := BuildFigure(context.Background(), "L1", Options{
 		Seeds:    []int64{1},
 		Warmup:   20 * time.Second,
 		Duration: 60 * time.Second,

@@ -7,6 +7,7 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -366,6 +367,12 @@ func (s RunStats) StripWallClock() RunStats {
 	return s
 }
 
+// ErrBuild marks a run whose system could not construct its topology on the
+// deployment (System.Build failed) — for REFER, typically a field too sparse
+// to embed its cells. Match it with errors.Is; the sparse-deployment figures
+// score such a run as zero instead of failing the sweep.
+var ErrBuild = errors.New("experiment: building")
+
 // Run executes one simulation and returns its measurements.
 func Run(cfg RunConfig) (Result, error) {
 	return RunContext(context.Background(), cfg)
@@ -453,7 +460,7 @@ func runObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) 
 		return Result{}, err
 	}
 	if err := sys.Build(); err != nil {
-		return Result{}, fmt.Errorf("experiment: building %s: %w", cfg.System, err)
+		return Result{}, fmt.Errorf("%w %s: %w", ErrBuild, cfg.System, err)
 	}
 	// Self-healing recovery: SystemREFERRecovery with a zero spec runs the
 	// defaults; any REFER variant honors an explicitly enabled spec. A zero

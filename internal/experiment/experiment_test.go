@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -155,7 +156,7 @@ func TestSweepStructure(t *testing.T) {
 		Systems:  []string{SystemREFER},
 		Sensors:  120,
 	}
-	fig, err := Fig7(o)
+	fig, err := BuildFigure(context.Background(), "7", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestSweepPropagatesErrors(t *testing.T) {
 		Duration: 10 * time.Second,
 		Systems:  []string{"not-a-system"},
 	}
-	if _, err := Fig4(o); err == nil {
+	if _, err := BuildFigure(context.Background(), "4", o); err == nil {
 		t.Fatal("sweep swallowed the error")
 	}
 }
@@ -207,14 +208,14 @@ func TestAblationFigures(t *testing.T) {
 		Duration: 40 * time.Second,
 		Sensors:  120,
 	}
-	fig, err := AblationFailover(o)
+	fig, err := BuildFigure(context.Background(), "A1", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fig.Series) != 2 || fig.ID != "A1" {
 		t.Fatalf("ablation figure: %+v", fig)
 	}
-	fig2, err := AblationMaintenance(o)
+	fig2, err := BuildFigure(context.Background(), "A2", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestExtDegreeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("400-sensor runs")
 	}
-	fig, err := ExtDegree(Options{
+	fig, err := BuildFigure(context.Background(), "E3", Options{
 		Seeds:    []int64{1},
 		Warmup:   20 * time.Second,
 		Duration: 30 * time.Second,

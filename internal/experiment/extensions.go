@@ -2,15 +2,11 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"refer/internal/core"
-	"refer/internal/metrics"
 	"refer/internal/scenario"
-	"refer/internal/trace"
 )
 
 // sparseXs sweeps sensor density downward; the paper's conclusion lists
@@ -18,51 +14,47 @@ import (
 // of REFER in a sparse WSAN").
 var sparseXs = []float64{60, 100, 140, 200}
 
-// ExtSparse studies the systems in increasingly sparse deployments: QoS
+// extSparse (E1) studies the systems in increasingly sparse deployments: QoS
 // throughput vs sensor population at the default mobility. REFER's
 // embedding needs roughly a dozen viable sensors per cell (Prop. 3.2's
 // density requirement); when a deployment is too sparse to form the cells,
 // the system scores zero for that run — the density threshold is the
 // finding, not an error.
-func ExtSparse(o Options) (Figure, error) {
-	return buildByID(context.Background(), "E1", o)
-}
-
 func extSparse(ctx context.Context, o Options) (Figure, error) {
-	fig, err := sparseSweep(ctx, o, func(r Result) float64 { return r.Throughput })
-	fig.XLabel, fig.YLabel = "sensors", "throughput (pkt/s)"
+	fig, err := densitySweep(ctx, o, func(r Result) float64 { return r.Throughput })
+	fig.YLabel = "throughput (pkt/s)"
 	return fig, err
 }
 
-// ExtSparseDeliveryRatio is the same sweep, measured as the fraction of
+// extSparseDeliveryRatio (E2) is the same sweep, measured as the fraction of
 // created packets that reach an actuator at all (no deadline).
-func ExtSparseDeliveryRatio(o Options) (Figure, error) {
-	return buildByID(context.Background(), "E2", o)
-}
-
 func extSparseDeliveryRatio(ctx context.Context, o Options) (Figure, error) {
-	fig, err := sparseSweep(ctx, o, func(r Result) float64 {
+	fig, err := densitySweep(ctx, o, func(r Result) float64 {
 		if r.Created == 0 {
 			return 0
 		}
 		return float64(r.Delivered) / float64(r.Created)
 	})
-	fig.XLabel, fig.YLabel = "sensors", "delivery ratio"
+	fig.YLabel = "delivery ratio"
 	return fig, err
+}
+
+// densitySweep runs the E1/E2 grid: the population sweep at sparse sizes,
+// with a run whose system cannot construct its topology (ErrBuild) scored as
+// zero.
+func densitySweep(ctx context.Context, o Options, pick func(Result) float64) (Figure, error) {
+	o.buildFailureIsZero = true
+	return populationSweep(ctx, o, sparseXs, pick)
 }
 
 // degreeXs sweeps the faulty-node count for the degree study.
 var degreeXs = []float64{2, 6, 10, 14, 18}
 
-// ExtDegree studies K(d,3) cells with d beyond the paper's 2 — its other
+// extDegree (E3) studies K(d,3) cells with d beyond the paper's 2 — its other
 // stated future work. K(3,3) gives every pair three disjoint paths instead
 // of two, so the failover survives heavier fault loads, at the price of a
 // larger embedding (33 overlay sensors per cell) and more maintenance.
 // The deployment uses 400 sensors so both variants can form cells.
-func ExtDegree(o Options) (Figure, error) {
-	return buildByID(context.Background(), "E3", o)
-}
-
 func extDegree(ctx context.Context, o Options) (Figure, error) {
 	o = o.withDefaults()
 	o.Systems = []string{SystemREFER, SystemREFERK33}
@@ -74,74 +66,6 @@ func extDegree(ctx context.Context, o Options) (Figure, error) {
 	}, func(r Result) float64 { return r.Throughput })
 	fig.XLabel, fig.YLabel = "faulty nodes", "throughput (pkt/s)"
 	return fig, err
-}
-
-// sparseSweep is like sweep but records a zero sample when a system cannot
-// construct its topology on a deployment (too sparse to operate). It runs
-// sequentially — construction failures are part of the measurement, so the
-// sweep never stops early on them — but honors cancellation and reports
-// progress like sweep.
-func sparseSweep(ctx context.Context, o Options, pick func(Result) float64) (Figure, error) {
-	o = o.withDefaults()
-	start := time.Now()
-	total := len(o.Systems) * len(sparseXs) * len(o.Seeds)
-	done := 0
-	var stats SweepStats
-	var fig Figure
-	for _, sys := range o.Systems {
-		series := Series{System: sys, Points: make([]Point, 0, len(sparseXs))}
-		for _, x := range sparseXs {
-			samples := make([]float64, 0, len(o.Seeds))
-			for _, seed := range o.Seeds {
-				if err := ctx.Err(); err != nil {
-					return Figure{}, err
-				}
-				cfg := RunConfig{
-					System:   sys,
-					Scenario: scenario.Params{Seed: seed, Sensors: int(x), MaxSpeed: 1.5},
-					Warmup:   o.Warmup,
-					Duration: o.Duration,
-				}
-				if o.PacketsPerSource > 0 {
-					cfg.PacketsPerSource = o.PacketsPerSource
-				}
-				if o.TraceSample > 0 {
-					cfg.Trace = trace.NewRecorder(o.TraceSample)
-				}
-				res, err := RunContext(ctx, cfg)
-				done++
-				switch {
-				case err == nil:
-					samples = append(samples, pick(res))
-					stats.accumulate(res.Stats)
-				case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-					return Figure{}, err
-				case strings.Contains(err.Error(), "building"):
-					samples = append(samples, 0) // cannot operate this sparse
-					err = nil
-				default:
-					return Figure{}, fmt.Errorf("experiment: %s seed=%d x=%g: %w", sys, seed, x, err)
-				}
-				if o.Progress != nil {
-					o.Progress(ProgressEvent{
-						FigureID: o.figureID,
-						Done:     done,
-						Total:    total,
-						System:   sys,
-						Seed:     seed,
-						X:        x,
-						Err:      err,
-						Elapsed:  time.Since(start),
-					})
-				}
-			}
-			series.Points = append(series.Points, Point{X: x, Y: metrics.Summarize(samples)})
-		}
-		fig.Series = append(fig.Series, series)
-	}
-	stats.finish(start)
-	fig.Stats = stats
-	return fig, nil
 }
 
 // InterCellResult summarizes the E4 inter-cell routing study: REFER's DHT

@@ -1,8 +1,16 @@
 package experiment
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
+
+	"refer/internal/chaos"
+	"refer/internal/energy"
+	"refer/internal/recovery"
 )
 
 func TestExtSparseHandlesInfeasibleDeployments(t *testing.T) {
@@ -12,7 +20,7 @@ func TestExtSparseHandlesInfeasibleDeployments(t *testing.T) {
 		Duration: 40 * time.Second,
 		Systems:  []string{SystemREFER},
 	}
-	fig, err := ExtSparse(o)
+	fig, err := BuildFigure(context.Background(), "E1", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +47,7 @@ func TestExtSparseDeliveryRatioBounded(t *testing.T) {
 		Duration: 40 * time.Second,
 		Systems:  []string{SystemDaTree},
 	}
-	fig, err := ExtSparseDeliveryRatio(o)
+	fig, err := BuildFigure(context.Background(), "E2", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +56,76 @@ func TestExtSparseDeliveryRatioBounded(t *testing.T) {
 			if p.Y.Mean < 0 || p.Y.Mean > 1 {
 				t.Fatalf("delivery ratio %f out of [0,1] at x=%g", p.Y.Mean, p.X)
 			}
+		}
+	}
+}
+
+// TestExtSparseHonorsSweepOptions pins that the sparse figures run through
+// sweep: every sweep-wide override in Options reaches each submitted run.
+func TestExtSparseHonorsSweepOptions(t *testing.T) {
+	var mu sync.Mutex
+	var cfgs []RunConfig
+	stubSweepRun(t, func(ctx context.Context, cfg RunConfig) (Result, error) {
+		mu.Lock()
+		cfgs = append(cfgs, cfg)
+		mu.Unlock()
+		return Result{System: cfg.System}, nil
+	})
+	o := Options{
+		Seeds:            []int64{1},
+		Systems:          []string{SystemREFER},
+		Chaos:            &chaos.Schedule{},
+		Energy:           energy.Spec{Model: energy.ModelRadio},
+		Recovery:         recovery.Spec{Enabled: true},
+		DrainParallelism: 3,
+	}
+	if _, err := BuildFigure(context.Background(), "E1", o); err != nil {
+		t.Fatal(err)
+	}
+	if len(cfgs) != len(sparseXs) {
+		t.Fatalf("submitted %d runs, want %d", len(cfgs), len(sparseXs))
+	}
+	for _, cfg := range cfgs {
+		if cfg.Chaos != o.Chaos || cfg.Energy != o.Energy || cfg.Recovery != o.Recovery || cfg.DrainParallelism != 3 {
+			t.Fatalf("sweep options dropped at %d sensors: chaos=%v energy=%+v recovery=%+v drain=%d",
+				cfg.Scenario.Sensors, cfg.Chaos != nil, cfg.Energy, cfg.Recovery, cfg.DrainParallelism)
+		}
+	}
+}
+
+// TestExtSparseZeroSampleNeedsErrBuild pins the build-failure contract: only
+// an error wrapping ErrBuild scores zero (with a nil ProgressEvent.Err); any
+// other error fails the sweep, whatever its text says.
+func TestExtSparseZeroSampleNeedsErrBuild(t *testing.T) {
+	o := Options{Seeds: []int64{1}, Systems: []string{SystemREFER}, Parallelism: 1}
+
+	stubSweepRun(t, func(ctx context.Context, cfg RunConfig) (Result, error) {
+		return Result{}, errors.New("disk full while building report")
+	})
+	if _, err := BuildFigure(context.Background(), "E1", o); err == nil {
+		t.Fatal("a non-ErrBuild error mentioning \"building\" was scored as a sample")
+	}
+
+	stubSweepRun(t, func(ctx context.Context, cfg RunConfig) (Result, error) {
+		return Result{}, fmt.Errorf("%w %s: too sparse", ErrBuild, cfg.System)
+	})
+	var events []ProgressEvent
+	o.Progress = func(ev ProgressEvent) { events = append(events, ev) }
+	fig, err := BuildFigure(context.Background(), "E1", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range fig.Series[0].Points {
+		if p.Y.Mean != 0 || len(p.Y.Samples) != 1 {
+			t.Fatalf("x=%g: summary %+v, want one zero sample", p.X, p.Y)
+		}
+	}
+	if len(events) != len(sparseXs) {
+		t.Fatalf("got %d progress events, want %d", len(events), len(sparseXs))
+	}
+	for _, ev := range events {
+		if ev.Err != nil || ev.Aborted {
+			t.Fatalf("build failure surfaced in progress: %+v", ev)
 		}
 	}
 }

@@ -75,6 +75,10 @@ type Options struct {
 	// figureID labels progress events with the owning registry entry; set
 	// by the registry wrapper, empty for direct sweep use.
 	figureID string
+	// buildFailureIsZero makes sweep score a run that fails with ErrBuild as
+	// a zero sample instead of failing the sweep; set by the sparse-deployment
+	// figures (E1, E2), where the density threshold is the finding.
+	buildFailureIsZero bool
 	// defaulted marks Options that already passed withDefaults, making a
 	// second application a no-op — defaults are derived exactly once, so a
 	// future non-idempotent default (e.g. per-sweep derived seeds) cannot
@@ -290,7 +294,9 @@ var sweepRun = RunContext
 // (system, x) cell to a summary of the metric selected by pick. Runs
 // execute in parallel; a failed run or a cancelled context stops further
 // jobs from being scheduled, and every run error — each wrapped with the
-// failing run's system, seed and x — is aggregated with errors.Join.
+// failing run's system, seed and x — is aggregated with errors.Join. The one
+// exception is Options.buildFailureIsZero, under which an ErrBuild run is a
+// zero sample, not a failure.
 func sweep(ctx context.Context, o Options, xs []float64, configure func(x float64, seed int64) RunConfig, pick func(Result) float64) (Figure, error) {
 	if err := validParallelism("Options.Parallelism", o.Parallelism); err != nil {
 		return Figure{}, err
@@ -395,13 +401,17 @@ func sweep(ctx context.Context, o Options, xs []float64, configure func(x float6
 			})
 			mu.Lock()
 			done++
-			if err != nil {
+			switch {
+			case err == nil:
+				samples[j.cell] = append(samples[j.cell], pick(res))
+				stats.accumulate(res.Stats)
+			case o.buildFailureIsZero && errors.Is(err, ErrBuild):
+				samples[j.cell] = append(samples[j.cell], 0) // cannot operate this sparse
+				err = nil
+			default:
 				failed = true
 				errs = append(errs, fmt.Errorf("experiment: %s seed=%d x=%g: %w",
 					j.cfg.System, j.cfg.Scenario.Seed, j.x, err))
-			} else {
-				samples[j.cell] = append(samples[j.cell], pick(res))
-				stats.accumulate(res.Stats)
 			}
 			aborted := failed || ctx.Err() != nil
 			tot := total
@@ -499,9 +509,10 @@ func faultSweep(ctx context.Context, o Options, pick func(Result) float64) (Figu
 	return fig, err
 }
 
-// scaleSweep runs the Figure 8–11 grid: network size at 1.5 m/s.
-func scaleSweep(ctx context.Context, o Options, pick func(Result) float64) (Figure, error) {
-	fig, err := sweep(ctx, o, scaleXs, func(x float64, seed int64) RunConfig {
+// populationSweep sweeps the sensor population over xs at 1.5 m/s: the
+// Figure 8–11 grid (scaleXs) and, at sparser sizes, the E1/E2 grid.
+func populationSweep(ctx context.Context, o Options, xs []float64, pick func(Result) float64) (Figure, error) {
+	fig, err := sweep(ctx, o, xs, func(x float64, seed int64) RunConfig {
 		return RunConfig{Scenario: scenario.Params{Seed: seed, Sensors: int(x), MaxSpeed: 1.5}}
 	}, pick)
 	fig.XLabel = "sensors"

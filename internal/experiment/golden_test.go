@@ -9,24 +9,29 @@ import (
 	"time"
 )
 
-// TestGoldenFigureCSV regenerates every committed figure CSV with the CI
-// quick-pass options (1 seed, 100 s warmup, 300 s window — exactly what
-// `refer-bench -seeds 1 -extras -csv` runs) and byte-compares against
-// testdata/figures/. Under the default paper cost model the energy redesign
-// must not move a single byte; the L-family baselines pin the radio-model
-// lifetime curves the same way. The full pass takes several minutes, so it
-// is gated behind REFER_GOLDEN_CSV=1; CI's scale-regression job performs
-// the same comparison on every push.
+// TestGoldenFigureCSV regenerates every committed figure CSV — testdata/figures/
+// and testdata/recovery/ — with the CI quick-pass options (1 seed, 100 s
+// warmup, 300 s window: what `refer-bench -seeds 1 -csv` runs) and
+// byte-compares. It is the one byte-compare site for committed CSVs: under
+// the default paper cost model no refactor may move a single byte; the
+// L-family baselines pin the radio-model lifetime curves and the R-family
+// the recovery campaigns the same way. The full pass takes tens of seconds,
+// so it is gated behind REFER_GOLDEN_CSV=1; CI sets it in the
+// scale-regression job on every push.
 func TestGoldenFigureCSV(t *testing.T) {
 	if os.Getenv("REFER_GOLDEN_CSV") == "" {
 		t.Skip("set REFER_GOLDEN_CSV=1 to regenerate and compare every committed figure CSV")
 	}
-	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "figures", "fig*.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 {
-		t.Fatal("no committed figure CSVs found")
+	var files []string
+	for _, dir := range []string{"figures", "recovery"} {
+		found, err := filepath.Glob(filepath.Join("..", "..", "testdata", dir, "fig*.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(found) == 0 {
+			t.Fatalf("no committed figure CSVs found in testdata/%s", dir)
+		}
+		files = append(files, found...)
 	}
 	opts := Options{
 		Seeds:    []int64{1},
@@ -37,7 +42,7 @@ func TestGoldenFigureCSV(t *testing.T) {
 		id := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "fig"), ".csv")
 		spec, ok := FigureByID(id)
 		if !ok {
-			t.Errorf("%s: no registered figure %q", filepath.Base(path), id)
+			t.Errorf("%s: no registered figure %q", path, id)
 			continue
 		}
 		want, err := os.ReadFile(path)

@@ -58,16 +58,6 @@ func censored(r Result, marker int64) float64 {
 	return float64(marker) / 1e9
 }
 
-// FigL1 builds the lifetime figure: time to first node death vs battery.
-func FigL1(o Options) (Figure, error) { return buildByID(context.Background(), "L1", o) }
-
-// FigL2 builds the lifetime figure: time to half nodes dead vs battery.
-func FigL2(o Options) (Figure, error) { return buildByID(context.Background(), "L2", o) }
-
-// FigL3 builds the lifetime figure: delivery ratio over the network's
-// lifetime vs battery.
-func FigL3(o Options) (Figure, error) { return buildByID(context.Background(), "L3", o) }
-
 func lifetimeFirstDeath(ctx context.Context, o Options) (Figure, error) {
 	fig, err := lifetimeSweep(ctx, o, func(r Result) float64 {
 		return censored(r, int64(r.Stats.FirstNodeDeath))

@@ -176,7 +176,7 @@ func TestSweepProgressCoversAllRuns(t *testing.T) {
 		TraceSample: 50,
 		Progress:    func(ev ProgressEvent) { events = append(events, ev) },
 	}
-	fig, err := Fig7(o)
+	fig, err := BuildFigure(context.Background(), "7", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestSweepErrorIncludesRunConfig(t *testing.T) {
 		Duration: 10 * time.Second,
 		Systems:  []string{"not-a-system"},
 	}
-	_, err := Fig4(o)
+	_, err := BuildFigure(context.Background(), "4", o)
 	if err == nil {
 		t.Fatal("sweep swallowed the error")
 	}

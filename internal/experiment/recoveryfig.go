@@ -69,14 +69,6 @@ func recoveryConfig(o Options) func(x float64, seed int64) RunConfig {
 	}
 }
 
-// FigR1 builds figure R1: delivery ratio vs fault intensity for REFER with
-// recovery enabled, REFER without, and the three baselines.
-func FigR1(o Options) (Figure, error) { return buildByID(context.Background(), "R1", o) }
-
-// FigR2 builds figure R2: mean detection→repair latency vs fault intensity
-// for REFER with recovery enabled.
-func FigR2(o Options) (Figure, error) { return buildByID(context.Background(), "R2", o) }
-
 func recoveryDelivery(ctx context.Context, o Options) (Figure, error) {
 	o = o.withDefaults()
 	// REFER/recovery leads the series list so the with/without contrast

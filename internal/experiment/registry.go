@@ -23,8 +23,8 @@ const (
 	// KindRecovery marks the self-healing study (R1–R2): actuator-kill
 	// campaigns comparing REFER with the recovery protocols against REFER
 	// without and the baselines. Excluded from the default and -extras CLI
-	// selections like KindScale — run explicitly via -fig or the
-	// recovery-conformance CI job.
+	// selections like KindScale — run explicitly via -fig; their committed
+	// CSVs are byte-compared by TestGoldenFigureCSV.
 	KindRecovery
 )
 
@@ -85,25 +85,25 @@ var registry = []FigureSpec{
 		}),
 	newSpec("8", "Transmission delay vs network size", KindPaper,
 		func(ctx context.Context, o Options) (Figure, error) {
-			fig, err := scaleSweep(ctx, o, func(r Result) float64 { return r.MeanQoSDelay.Seconds() * 1000 })
+			fig, err := populationSweep(ctx, o, scaleXs, func(r Result) float64 { return r.MeanQoSDelay.Seconds() * 1000 })
 			fig.YLabel = "delay (ms)"
 			return fig, err
 		}),
 	newSpec("9", "Energy consumed in communication vs network size", KindPaper,
 		func(ctx context.Context, o Options) (Figure, error) {
-			fig, err := scaleSweep(ctx, o, func(r Result) float64 { return r.CommEnergy })
+			fig, err := populationSweep(ctx, o, scaleXs, func(r Result) float64 { return r.CommEnergy })
 			fig.YLabel = "energy (J)"
 			return fig, err
 		}),
 	newSpec("10", "Energy consumed in topology construction vs network size", KindPaper,
 		func(ctx context.Context, o Options) (Figure, error) {
-			fig, err := scaleSweep(ctx, o, func(r Result) float64 { return r.ConstructionEnergy })
+			fig, err := populationSweep(ctx, o, scaleXs, func(r Result) float64 { return r.ConstructionEnergy })
 			fig.YLabel = "energy (J)"
 			return fig, err
 		}),
 	newSpec("11", "Total energy consumption vs network size", KindPaper,
 		func(ctx context.Context, o Options) (Figure, error) {
-			fig, err := scaleSweep(ctx, o, func(r Result) float64 { return r.TotalEnergy() })
+			fig, err := populationSweep(ctx, o, scaleXs, func(r Result) float64 { return r.TotalEnergy() })
 			fig.YLabel = "energy (J)"
 			return fig, err
 		}),
@@ -157,37 +157,11 @@ func FigureByID(id string) (FigureSpec, bool) {
 	return FigureSpec{}, false
 }
 
-// buildByID runs a registered figure's builder; the exported FigN-style
-// wrappers delegate here.
-func buildByID(ctx context.Context, id string, o Options) (Figure, error) {
+// BuildFigure runs the registered figure id's builder.
+func BuildFigure(ctx context.Context, id string, o Options) (Figure, error) {
 	spec, ok := FigureByID(id)
 	if !ok {
 		return Figure{}, fmt.Errorf("experiment: unknown figure %q", id)
 	}
 	return spec.Build(ctx, o)
 }
-
-// Fig4 reproduces Figure 4: QoS throughput vs node mobility.
-func Fig4(o Options) (Figure, error) { return buildByID(context.Background(), "4", o) }
-
-// Fig5 reproduces Figure 5: communication energy vs node mobility.
-func Fig5(o Options) (Figure, error) { return buildByID(context.Background(), "5", o) }
-
-// Fig6 reproduces Figure 6: transmission delay vs number of faulty nodes.
-func Fig6(o Options) (Figure, error) { return buildByID(context.Background(), "6", o) }
-
-// Fig7 reproduces Figure 7: QoS throughput vs number of faulty nodes.
-func Fig7(o Options) (Figure, error) { return buildByID(context.Background(), "7", o) }
-
-// Fig8 reproduces Figure 8: transmission delay vs network size.
-func Fig8(o Options) (Figure, error) { return buildByID(context.Background(), "8", o) }
-
-// Fig9 reproduces Figure 9: communication energy vs network size.
-func Fig9(o Options) (Figure, error) { return buildByID(context.Background(), "9", o) }
-
-// Fig10 reproduces Figure 10: topology-construction energy vs network size.
-func Fig10(o Options) (Figure, error) { return buildByID(context.Background(), "10", o) }
-
-// Fig11 reproduces Figure 11: total (construction + communication) energy
-// vs network size.
-func Fig11(o Options) (Figure, error) { return buildByID(context.Background(), "11", o) }

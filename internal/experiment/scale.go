@@ -98,7 +98,7 @@ var drainXs = []float64{20000, 50000}
 // completions into drainable windows. The plotted delivery ratio is
 // byte-identical at any DrainParallelism (the knob is excluded from
 // OptionsKey); whole-run wall-clock scaling across worker counts is
-// measured by refer-bench's drain_parallel macro instead.
+// not a figure — measure it with paired runs of `go run ./benchmark`.
 func drainConfig(x float64, seed int64) RunConfig {
 	return RunConfig{
 		// A burst every second from 64 sources — an order of magnitude
@@ -114,22 +114,6 @@ func drainConfig(x float64, seed int64) RunConfig {
 		},
 	}
 }
-
-// FigS1 builds the growth-study delivery-ratio figure.
-func FigS1(o Options) (Figure, error) { return buildByID(context.Background(), "S1", o) }
-
-// FigS2 builds the growth-study mean-delay figure.
-func FigS2(o Options) (Figure, error) { return buildByID(context.Background(), "S2", o) }
-
-// FigS3 builds the growth-study maintenance-cost figure.
-func FigS3(o Options) (Figure, error) { return buildByID(context.Background(), "S3", o) }
-
-// FigS4 builds the growth-frontier delivery figure (20k–100k sensors).
-func FigS4(o Options) (Figure, error) { return buildByID(context.Background(), "S4", o) }
-
-// FigS5 builds the heavy-traffic frontier delivery figure (batched-drain
-// workload).
-func FigS5(o Options) (Figure, error) { return buildByID(context.Background(), "S5", o) }
 
 func growthDelivery(ctx context.Context, o Options) (Figure, error) {
 	fig, err := growthSweep(ctx, o, func(r Result) float64 {

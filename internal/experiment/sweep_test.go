@@ -197,7 +197,7 @@ func TestParallelismValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			o := quick
 			o.Parallelism = tc.parallelism
-			_, err := Fig4(o)
+			_, err := BuildFigure(context.Background(), "4", o)
 			if err == nil || !strings.Contains(err.Error(), "Options.Parallelism") {
 				t.Fatalf("err = %v, want mention of Options.Parallelism", err)
 			}

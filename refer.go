@@ -12,7 +12,7 @@
 //	Kautz graph theory     — ID, Graph, Routes (Theorem 3.8), GreedyNext
 //	WSAN simulation        — World, ScenarioParams, BuildWorld
 //	Systems under test     — System, NewSystem, NewREFER, NewDaTree, …
-//	Evaluation             — RunConfig, Run, Options, Fig4 … Fig11
+//	Evaluation             — RunConfig, Run, Options, Figures, BuildFigure
 //
 // Quick start:
 //
@@ -249,33 +249,13 @@ const (
 func Figures() []FigureSpec { return experiment.Figures() }
 
 // FigureByID looks up a registered figure ("4"…"11", "A1"…"A3", "E1"…"E3",
-// "L1"…"L3", "S1"…"S4").
+// "L1"…"L3", "S1"…"S5", "R1"/"R2").
 func FigureByID(id string) (FigureSpec, bool) { return experiment.FigureByID(id) }
 
-// Figure generators for the paper's evaluation.
-var (
-	Fig4  = experiment.Fig4
-	Fig5  = experiment.Fig5
-	Fig6  = experiment.Fig6
-	Fig7  = experiment.Fig7
-	Fig8  = experiment.Fig8
-	Fig9  = experiment.Fig9
-	Fig10 = experiment.Fig10
-	Fig11 = experiment.Fig11
-
-	// Network-growth study (indexed vs linear-scan REFER at scale).
-	FigS1 = experiment.FigS1
-	FigS2 = experiment.FigS2
-	FigS3 = experiment.FigS3
-
-	// Growth frontier (20k–100k sensors, one giant single-seed run per point).
-	FigS4 = experiment.FigS4
-
-	// Self-healing recovery study (delivery ratio and repair latency under
-	// actuator-kill campaigns).
-	FigR1 = experiment.FigR1
-	FigR2 = experiment.FigR2
-)
+// BuildFigure builds the registered figure id with the given sweep options.
+func BuildFigure(ctx context.Context, id string, o Options) (Figure, error) {
+	return experiment.BuildFigure(ctx, id, o)
+}
 
 // MaxParallelism bounds both parallelism knobs (Options.Parallelism and
 // Options.DrainParallelism / RunConfig.DrainParallelism); out-of-range
@@ -334,13 +314,6 @@ func DefaultEnergyModel() PaperModel { return energy.DefaultModel() }
 // standard constants (50 nJ/bit electronics, 10 pJ/bit/m² free-space and
 // 0.0013 pJ/bit/m⁴ multipath amplifiers).
 func DefaultRadioModel() RadioModel { return energy.DefaultRadioModel() }
-
-// Lifetime figure generators (the energy-model extension study).
-var (
-	FigL1 = experiment.FigL1
-	FigL2 = experiment.FigL2
-	FigL3 = experiment.FigL3
-)
 
 // ---- Self-healing actuator recovery ----
 

@@ -1,6 +1,7 @@
 package refer
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -105,7 +106,7 @@ func TestPublicAPIFigureSmoke(t *testing.T) {
 	// A tiny Fig4 run through the facade: single seed, short window, two
 	// systems, two mobility points would still sweep all five — so use the
 	// smallest meaningful configuration and only sanity-check structure.
-	fig, err := Fig4(Options{
+	fig, err := BuildFigure(context.Background(), "4", Options{
 		Seeds:    []int64{1},
 		Warmup:   10 * time.Second,
 		Duration: 40 * time.Second,
