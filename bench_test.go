@@ -162,7 +162,7 @@ func BenchmarkRoutesDirect(b *testing.B) {
 }
 
 // BenchmarkRoutesTable measures the same lookups served by the shared
-// precomputed RouteTable (copy-on-read slice header copy per call).
+// precomputed RouteTable (a shared read-only view: no copy, no allocation).
 func BenchmarkRoutesTable(b *testing.B) {
 	table, err := kautz.TableFor(2, 3)
 	if err != nil {

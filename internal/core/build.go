@@ -465,19 +465,6 @@ func (s *System) assignKID(c *Cell, id world.NodeID, kid kautz.ID) {
 	}
 }
 
-// sensorRange returns the link range for sensor-involving links: overlay
-// neighbors must be mutually reachable, so the (smaller) sensor range
-// governs.
-func (s *System) sensorRange(ids ...world.NodeID) float64 {
-	r := s.w.Node(ids[0]).Range
-	for _, id := range ids[1:] {
-		if rr := s.w.Node(id).Range; rr < r {
-			r = rr
-		}
-	}
-	return r
-}
-
 // selectPathSensors runs a TTL-2 path query from from toward to (paying the
 // flood) and picks the two intermediate sensors with the highest
 // accumulated energy whose chain from→a→b→to is bidirectionally connected.
@@ -494,7 +481,7 @@ func (s *System) selectPathSensors(c *Cell, from, to world.NodeID) (a, b world.N
 	pFrom := s.w.Position(from)
 	for _, x := range candidates {
 		px := s.w.Position(x)
-		if px.Dist(pFrom) > s.sensorRange(from, x) {
+		if px.Dist(pFrom) > s.w.LinkRange(from, x) {
 			continue
 		}
 		for _, y := range candidates {
@@ -502,10 +489,10 @@ func (s *System) selectPathSensors(c *Cell, from, to world.NodeID) (a, b world.N
 				continue
 			}
 			py := s.w.Position(y)
-			if px.Dist(py) > s.sensorRange(x, y) {
+			if px.Dist(py) > s.w.LinkRange(x, y) {
 				continue
 			}
-			if py.Dist(pTo) > s.sensorRange(y, to) {
+			if py.Dist(pTo) > s.w.LinkRange(y, to) {
 				continue
 			}
 			score := s.w.Node(x).Meter.Fraction() + s.w.Node(y).Meter.Fraction()
@@ -530,7 +517,7 @@ func (s *System) selectCommonNeighbor(c *Cell, x, y world.NodeID) (world.NodeID,
 	px, py := s.w.Position(x), s.w.Position(y)
 	for _, cand := range s.candidatePool(c) {
 		p := s.w.Position(cand)
-		if p.Dist(px) > s.sensorRange(x, cand) || p.Dist(py) > s.sensorRange(y, cand) {
+		if p.Dist(px) > s.w.LinkRange(x, cand) || p.Dist(py) > s.w.LinkRange(y, cand) {
 			continue
 		}
 		if score := s.w.Node(cand).Meter.Fraction(); score > bestScore {
@@ -554,7 +541,7 @@ func (s *System) selectBestConnected(c *Cell, kid kautz.ID) (world.NodeID, error
 		p := s.w.Position(cand)
 		conn := 0
 		for _, partner := range partners {
-			if p.Dist(s.w.Position(partner)) <= s.sensorRange(cand, partner) {
+			if p.Dist(s.w.Position(partner)) <= s.w.LinkRange(cand, partner) {
 				conn++
 			}
 		}

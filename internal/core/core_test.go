@@ -9,7 +9,6 @@ import (
 	"refer/internal/geo"
 	"refer/internal/kautz"
 	"refer/internal/mobility"
-	"refer/internal/trace"
 	"refer/internal/world"
 )
 
@@ -633,6 +632,14 @@ func failoverCell(t *testing.T) (*world.World, *System, *Cell, world.NodeID, map
 	return w, s, c, src.ID, succs
 }
 
+// routeWithin starts a flight at overlay member src toward dstKID of the same
+// hand-built cell, skipping entry selection (which needs a built system).
+func routeWithin(s *System, c *Cell, src world.NodeID, dstKID kautz.ID, done func(ok bool)) {
+	f := s.newFlight(src, done)
+	f.cell, f.at, f.dstCell, f.dstKID = c, src, c, dstKID
+	f.enter()
+}
+
 // TestFailoverSwitchInvariant checks the FailoverSwitches accounting
 // invariant: every switch to an alternate disjoint path is counted exactly
 // once — whether the abandoned successor was known dead locally or failed
@@ -664,7 +671,7 @@ func TestFailoverSwitchInvariant(t *testing.T) {
 				w.SetFailed(succs[kid], true)
 			}
 			var got *bool
-			s.routeIntraCell(c, src, "120", s.cfg.HopBudget, trace.Packet{}, func(ok bool) { got = &ok })
+			routeWithin(s, c, src, "120", func(ok bool) { got = &ok })
 			w.Sched.Run()
 			if got == nil {
 				t.Fatal("done callback never fired")
@@ -686,7 +693,7 @@ func TestFailoverDisabledCountsNoSwitches(t *testing.T) {
 	s.cfg.DisableFailover = true
 	w.SetFailed(succs["212"], true)
 	var got *bool
-	s.routeIntraCell(c, src, "120", s.cfg.HopBudget, trace.Packet{}, func(ok bool) { got = &ok })
+	routeWithin(s, c, src, "120", func(ok bool) { got = &ok })
 	w.Sched.Run()
 	if got == nil || *got {
 		t.Fatal("expected a drop")

@@ -100,7 +100,7 @@ func (s *System) selectWavefrontSensor(c *Cell, kid kautz.ID) (world.NodeID, err
 		for i, partner := range partners {
 			d := p.Dist(positions[i])
 			tight += d
-			if d <= s.sensorRange(cand, partner) {
+			if d <= s.w.LinkRange(cand, partner) {
 				conn++
 			}
 		}

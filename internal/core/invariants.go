@@ -33,7 +33,7 @@ import (
 //     recovery action, not just at end of run.
 //
 // Overlay-link serviceability is deliberately not a hard invariant: the
-// embedding tolerates physically broken arcs by design (sendOverlayLink
+// embedding tolerates physically broken arcs by design (flight.sendLink
 // falls back to a relay, Theorem 3.8 failover routes around the rest), so
 // a blackout can legitimately leave arcs unserviceable until maintenance
 // replaces their endpoints. OverlayAudit quantifies that instead.
@@ -141,7 +141,7 @@ func (s *System) checkRouteSoundness() error {
 // virtual time: arcs counts every arc of every cell graph whose endpoint
 // KIDs are both held by alive, non-degraded nodes, and unserviceable
 // counts those with neither a direct radio link nor a one-relay physical
-// path (mirroring sendOverlayLink). Unserviceable arcs are routed around
+// path (mirroring flight.sendLink). Unserviceable arcs are routed around
 // by Theorem 3.8 failover and healed by maintenance; the audit makes the
 // decay visible to tests and chaos tooling without hard-failing on it.
 func (s *System) OverlayAudit() (arcs, unserviceable int) {
@@ -159,7 +159,7 @@ func (s *System) OverlayAudit() (arcs, unserviceable int) {
 					continue
 				}
 				arcs++
-				if s.w.Distance(from, to) <= s.sensorRange(from, to) {
+				if s.w.Distance(from, to) <= s.w.LinkRange(from, to) {
 					continue
 				}
 				if s.bestRelay(c, from, to) == world.NoNode {

@@ -39,8 +39,9 @@ func (s *System) scheduleMaintenance() {
 func (s *System) StopMaintenance() { s.maintenanceOn = false }
 
 // MaintainOnce runs one maintenance round synchronously — the hook the
-// maintain_once benchmark and the scale tests drive directly (the scheduled
-// tick calls the same routine every ProbeInterval).
+// benchmark's core.maintain_round_ns / core.maintain_round_allocs probes and
+// the scale tests drive directly (the scheduled tick calls the same routine
+// every ProbeInterval).
 func (s *System) MaintainOnce() { s.maintainOnce() }
 
 // maintainOnce performs one maintenance round: refresh cell membership
@@ -170,7 +171,7 @@ func (s *System) replace(c *Cell, kid kautz.ID, old world.NodeID) {
 		conn := 0
 		p := s.w.Position(cand)
 		for _, partner := range partners {
-			if p.Dist(s.w.Position(partner)) <= s.sensorRange(cand, partner) {
+			if p.Dist(s.w.Position(partner)) <= s.w.LinkRange(cand, partner) {
 				conn++
 			}
 		}

@@ -122,6 +122,9 @@ type System struct {
 	// poolBuf is the reused candidatePool buffer (single-threaded runs; the
 	// returned slice is borrowed until the next candidatePool call).
 	poolBuf []world.NodeID
+	// flightFree recycles packet flights (route.go); its high-water mark is
+	// the peak number of packets in flight.
+	flightFree []*flight
 
 	built         bool
 	maintenanceOn bool

@@ -2,81 +2,275 @@ package core
 
 import (
 	"refer/internal/energy"
+	"refer/internal/geo"
 	"refer/internal/kautz"
 	"refer/internal/trace"
 	"refer/internal/world"
+)
+
+// flight is one packet in the overlay: everything its forwarding decisions
+// carry from hop to hop, held in one record instead of a chain of closures.
+// Records are pooled on the System and their radio callbacks are method
+// values bound once at minting, so a relay decision — corner ranking, route
+// lookup, shuffle, failover, the two-stage physical link — allocates
+// nothing. A flight owns itself from Inject/SendTo until finish, which
+// recycles it before the caller's done runs.
+//
+// One state machine serves both sinks: dstCell == nil routes to any alive
+// corner of the cell, re-ranked at every relay (Inject); otherwise
+// corners[0] is the single KID being routed to (SendTo).
+type flight struct {
+	s    *System
+	p    trace.Packet
+	done func(ok bool)
+
+	cell   *Cell
+	at     world.NodeID // relay currently holding the packet
+	budget int          // overlay hops left in this cell
+
+	corners [3]kautz.ID // sink KIDs in trial order; corners[ci:nc] remain
+	nc, ci  int
+	routes  []kautz.Route // flight-owned copy of the route set toward corners[ci], shuffled in place
+	idx     int           // route being tried
+	next    world.NodeID  // its successor, the overlay hop on the air
+	relay   world.NodeID  // physical relay of a two-stage overlay link
+	stage   linkStage
+
+	// SendTo only: the destination, which for another cell is reached by an
+	// intra-cell leg to an exit corner, the CAN tier, and a second leg.
+	dstCell *Cell
+	dstKID  kautz.ID
+
+	onSend    func(world.Outcome)
+	onCrossed func(ok bool, entry world.NodeID)
+}
+
+// linkStage says which transmission a flight's pending Send is.
+type linkStage uint8
+
+const (
+	attaching linkStage = iota // plain sensor → overlay entry
+	relaying                   // overlay hop, first half via a physical relay
+	linking                    // overlay hop, direct or second half
 )
 
 // Inject routes one sensed-data packet from src to its nearby actuator —
 // the evaluation's traffic pattern. done fires exactly once: at the
 // actuator's reception time with ok=true, or when the packet is abandoned.
 func (s *System) Inject(src world.NodeID, done func(ok bool)) {
-	p := s.w.Tracer().PacketInject(s.w.Now(), int32(src))
-	finish := func(ok bool) {
-		if ok {
-			p.Deliver(s.w.Now())
-		} else {
-			p.Drop(s.w.Now())
-			s.stats.Drops++
-		}
-		if done != nil {
-			done(ok)
-		}
-	}
-	if !s.built || !s.w.Node(src).Alive() {
-		finish(false)
-		return
-	}
-	entry, cell := s.entryPoint(src)
-	if entry == world.NoNode {
-		finish(false)
-		return
-	}
-	deliver := func() {
-		s.routeToCorners(cell, entry, s.cfg.HopBudget, p, finish)
-	}
-	if entry == src {
-		deliver()
-		return
-	}
-	// One attachment hop from the plain sensor to the overlay member.
-	s.w.Send(src, entry, energy.Communication, func(o world.Outcome) {
-		if o != world.Delivered {
-			finish(false)
-			return
-		}
-		p.Hop(s.w.Now(), int32(src), int32(entry), 0)
-		deliver()
-	})
+	s.newFlight(src, done).launch(src, s.built && s.w.Node(src).Alive())
 }
 
-// routeToCorners routes a packet to any of the cell's actuators (the data
-// is for "a nearby actuator", so all three corners are valid sinks). Every
-// relay makes a purely local choice: corners ordered by Kautz distance from
-// its own KID, each tried through its Theorem 3.8 disjoint paths.
-func (s *System) routeToCorners(c *Cell, at world.NodeID, budget int, p trace.Packet, done func(ok bool)) {
-	atKID, ok := c.kidOfNode[at]
+// SendTo routes a packet from src to an arbitrary REFER address, using the
+// DHT tier when the destination lies in another cell. done fires once.
+func (s *System) SendTo(src world.NodeID, dst Address, done func(ok bool)) {
+	f := s.newFlight(src, done)
+	dstCell, ok := s.cellByCID[dst.CID]
+	if ok {
+		_, ok = dstCell.NodeByKID[dst.KID]
+	}
+	f.dstCell, f.dstKID = dstCell, dst.KID
+	f.launch(src, ok && s.built && s.w.Node(src).Alive())
+}
+
+// newFlight takes a flight from the free list (or mints one) and registers
+// the packet with the tracer.
+func (s *System) newFlight(src world.NodeID, done func(ok bool)) *flight {
+	var f *flight
+	if n := len(s.flightFree); n > 0 {
+		f, s.flightFree = s.flightFree[n-1], s.flightFree[:n-1]
+	} else {
+		f = &flight{s: s}
+		f.onSend, f.onCrossed = f.sent, f.crossed
+	}
+	f.p = s.w.Tracer().PacketInject(s.w.Now(), int32(src))
+	f.done, f.budget = done, s.cfg.HopBudget
+	return f
+}
+
+// finish resolves the packet. The flight returns to the free list first:
+// done may inject again.
+func (f *flight) finish(ok bool) {
+	s, p, done := f.s, f.p, f.done
+	f.done, f.cell, f.dstCell = nil, nil, nil
+	s.flightFree = append(s.flightFree, f)
+	if ok {
+		p.Deliver(s.w.Now())
+	} else {
+		p.Drop(s.w.Now())
+		s.stats.Drops++
+	}
+	if done != nil {
+		done(ok)
+	}
+}
+
+// launch finds the packet's overlay entry and, when src is a plain sensor,
+// pays the one attachment hop to it.
+func (f *flight) launch(src world.NodeID, ok bool) {
+	if ok {
+		f.at, f.cell = f.s.entryPoint(src)
+		ok = f.at != world.NoNode
+	}
+	switch {
+	case !ok:
+		f.finish(false)
+	case f.at == src:
+		f.enter()
+	default:
+		f.at, f.next, f.stage = src, f.at, attaching
+		f.s.w.Send(src, f.next, energy.Communication, f.onSend)
+	}
+}
+
+// enter starts overlay routing at the entry node. A SendTo flight fixes its
+// sink here: the destination KID, or for another cell the Kautz-nearest
+// corner actuator to leave through.
+func (f *flight) enter() {
+	if f.dstCell != nil {
+		f.corners[0], f.nc = f.dstKID, 1
+		if f.cell.CID != f.dstCell.CID {
+			f.s.stats.InterCell++
+			f.corners[0] = f.s.nearestCornerByKautz(f.cell, f.cell.kidOfNode[f.at])
+		}
+	}
+	f.step()
+}
+
+// step is one relay's decision (Section III-C-2), purely local: has the
+// packet arrived, and if not, which sinks to try in which order. For "a
+// nearby actuator" traffic all three corners are valid sinks, ranked by Kautz
+// distance from the relay's own KID.
+func (f *flight) step() {
+	atKID, ok := f.cell.kidOfNode[f.at]
+	switch {
+	case !ok:
+		f.finish(false)
+	case f.dstCell == nil && f.cell.IsActuatorKID(atKID), f.dstCell != nil && atKID == f.corners[0]:
+		f.arrive()
+	case f.budget <= 0:
+		f.finish(false)
+	default:
+		if f.dstCell == nil {
+			f.corners, f.nc = f.s.cornersByKautzDistance(f.cell, atKID)
+		}
+		f.ci = 0
+		f.loadRoutes()
+	}
+}
+
+// arrive ends an intra-cell leg at its sink. The exit corner of an
+// inter-cell SendTo hands the packet to the CAN tier; crossed resumes it in
+// the destination cell.
+func (f *flight) arrive() {
+	if f.dstCell == nil || f.cell.CID == f.dstCell.CID {
+		f.finish(true)
+		return
+	}
+	f.s.routeInterCell(f.cell, f.cell.NodeByKID[f.corners[0]], f.dstCell, f.p, f.onCrossed)
+}
+
+func (f *flight) crossed(ok bool, entry world.NodeID) {
 	if !ok {
-		done(false)
+		f.finish(false)
 		return
 	}
-	if c.IsActuatorKID(atKID) {
-		done(true)
+	f.cell, f.at, f.budget = f.dstCell, entry, f.s.cfg.HopBudget
+	f.corners[0] = f.dstKID
+	f.step()
+}
+
+// loadRoutes fetches the Theorem 3.8 route set toward the next untried sink
+// into the flight's own buffer — the table's entry is shared and read-only —
+// and randomizes among equal-length routes (the paper's tie-break rule). The
+// relay's KID is re-read for every sink: maintenance can demote the relay
+// while the packet waits on an ack timeout.
+func (f *flight) loadRoutes() {
+	for ; f.ci < f.nc; f.ci++ {
+		view, err := f.s.routesFor(f.cell.kidOfNode[f.at], f.corners[f.ci])
+		if err != nil {
+			continue
+		}
+		f.routes = append(f.routes[:0], view...)
+		f.s.shuffleEqualLength(f.routes)
+		f.idx = 0
+		f.tryNext()
 		return
 	}
-	if budget <= 0 {
-		done(false)
+	f.finish(false)
+}
+
+// tryNext attempts the ranked successors from routes[idx] on. A successor
+// that maintenance removed or that is known dead is skipped with no radio
+// cost. When every (permitted) disjoint path toward this sink has failed the
+// relay falls back to the next sink — unless failover is ablated, which
+// leaves the greedy shortest successor or nothing.
+func (f *flight) tryNext() {
+	s := f.s
+	for ; f.idx < len(f.routes) && !(s.cfg.DisableFailover && f.idx > 0); f.idx++ {
+		next, ok := f.cell.NodeByKID[f.routes[f.idx].Successor]
+		if ok && s.w.Node(next).Alive() {
+			f.sendLink(next)
+			return
+		}
+		s.countFailoverSwitch(f.p, f.at, f.routes, f.idx)
+	}
+	if s.cfg.DisableFailover {
+		f.finish(false)
 		return
 	}
-	corners, nc := s.cornersByKautzDistance(c, atKID)
-	s.tryCorners(c, at, corners, nc, 0, budget, p, done)
+	f.ci++
+	f.loadRoutes()
+}
+
+// sendLink transmits to the overlay neighbor next: directly when in range,
+// otherwise over a one-relay physical path chosen for lowest delay ("either
+// a multi-hop path or direct path", Section III-C-2).
+func (f *flight) sendLink(next world.NodeID) {
+	w := f.s.w
+	f.next, f.stage = next, linking
+	if w.Distance(f.at, next) > w.LinkRange(f.at, next) {
+		if relay := f.s.bestRelay(f.cell, f.at, next); relay != world.NoNode {
+			f.relay, f.stage = relay, relaying
+			w.Send(f.at, relay, energy.Communication, f.onSend)
+			return
+		}
+		// The link is physically broken: the direct attempt reports failure
+		// after the MAC timeout the sender pays trying.
+	}
+	w.Send(f.at, next, energy.Communication, f.onSend)
+}
+
+// sent is the completion of whichever transmission the flight had pending.
+func (f *flight) sent(o world.Outcome) {
+	s, ok := f.s, o == world.Delivered
+	switch {
+	case f.stage == attaching && !ok:
+		f.finish(false)
+	case f.stage == attaching:
+		f.p.Hop(s.w.Now(), int32(f.at), int32(f.next), 0)
+		f.at = f.next
+		f.enter()
+	case f.stage == relaying && ok:
+		f.stage = linking
+		s.w.Send(f.relay, f.next, energy.Communication, f.onSend)
+	case ok:
+		f.p.Hop(s.w.Now(), int32(f.at), int32(f.next), int8(f.routes[f.idx].Class))
+		f.at = f.next
+		f.budget--
+		f.step()
+	default:
+		// The relay switches to the next disjoint path without notifying
+		// the source.
+		s.countFailoverSwitch(f.p, f.at, f.routes, f.idx)
+		f.idx++
+		f.tryNext()
+	}
 }
 
 // cornersByKautzDistance returns the alive corner KIDs ordered by Kautz
-// distance from fromKID (ties by KID), as a by-value array plus count: the
-// ranking happens at every relay of every packet, and an array passed by
-// value keeps each relay's ranking private to its in-flight continuation
-// without allocating.
+// distance from fromKID (ties by KID), as a by-value array plus count that
+// the flight stores: the ranking is redone at every relay of every packet.
 func (s *System) cornersByKautzDistance(c *Cell, fromKID kautz.ID) ([3]kautz.ID, int) {
 	var corners [3]kautz.ID
 	n := 0
@@ -100,58 +294,9 @@ func (s *System) cornersByKautzDistance(c *Cell, fromKID kautz.ID) ([3]kautz.ID,
 	return corners, n
 }
 
-// tryCorners attempts the ranked corners; for each corner the Theorem 3.8
-// successor list is tried in order, and a successful hop re-enters
-// routeToCorners at the next relay.
-func (s *System) tryCorners(c *Cell, at world.NodeID, corners [3]kautz.ID, nc, ci, budget int, p trace.Packet, done func(ok bool)) {
-	if ci >= nc {
-		done(false)
-		return
-	}
-	atKID := c.kidOfNode[at]
-	routes, err := s.routesFor(atKID, corners[ci])
-	if err != nil {
-		s.tryCorners(c, at, corners, nc, ci+1, budget, p, done)
-		return
-	}
-	s.shuffleEqualLength(routes)
-	var try func(idx int)
-	try = func(idx int) {
-		if idx >= len(routes) || (s.cfg.DisableFailover && idx > 0) {
-			if s.cfg.DisableFailover {
-				// Ablated router: no Theorem 3.8 alternatives, no corner
-				// fallback — the greedy shortest successor or nothing.
-				done(false)
-				return
-			}
-			// All disjoint paths toward this corner failed here; fall back
-			// to the next corner (still a purely local decision).
-			s.tryCorners(c, at, corners, nc, ci+1, budget, p, done)
-			return
-		}
-		next, ok := c.NodeByKID[routes[idx].Successor]
-		if !ok || !s.w.Node(next).Alive() {
-			s.countFailoverSwitch(p, at, routes, idx)
-			try(idx + 1)
-			return
-		}
-		s.sendOverlayLink(c, at, next, func(delivered bool) {
-			if delivered {
-				p.Hop(s.w.Now(), int32(at), int32(next), int8(routes[idx].Class))
-				s.routeToCorners(c, next, budget-1, p, done)
-				return
-			}
-			s.countFailoverSwitch(p, at, routes, idx)
-			try(idx + 1)
-		})
-	}
-	try(0)
-}
-
-// routesFor returns the Theorem 3.8 route set for the ordered pair, served
-// from the shared precomputed table (copy-on-read, so callers may permute
-// the slice) with a fallback to the direct computation when the table is
-// disabled or does not cover the pair.
+// routesFor returns the Theorem 3.8 route set for the ordered pair: the
+// shared precomputed table's own read-only entry, with a fallback to the
+// direct computation when the table is disabled or does not cover the pair.
 func (s *System) routesFor(u, v kautz.ID) ([]kautz.Route, error) {
 	if s.routes != nil {
 		if routes, ok := s.routes.Routes(u, v); ok {
@@ -174,77 +319,6 @@ func (s *System) countFailoverSwitch(p trace.Packet, at world.NodeID, routes []k
 		s.stats.FailoverSwitches++
 		p.FailoverSwitch(s.w.Now(), int32(at), int8(routes[idx].Class))
 	}
-}
-
-// SendTo routes a packet from src to an arbitrary REFER address, using the
-// DHT tier when the destination lies in another cell. done fires once.
-func (s *System) SendTo(src world.NodeID, dst Address, done func(ok bool)) {
-	p := s.w.Tracer().PacketInject(s.w.Now(), int32(src))
-	finish := func(ok bool) {
-		if ok {
-			p.Deliver(s.w.Now())
-		} else {
-			p.Drop(s.w.Now())
-			s.stats.Drops++
-		}
-		if done != nil {
-			done(ok)
-		}
-	}
-	if !s.built || !s.w.Node(src).Alive() {
-		finish(false)
-		return
-	}
-	dstCell, ok := s.cellByCID[dst.CID]
-	if !ok {
-		finish(false)
-		return
-	}
-	if _, ok := dstCell.NodeByKID[dst.KID]; !ok {
-		finish(false)
-		return
-	}
-	entry, cell := s.entryPoint(src)
-	if entry == world.NoNode {
-		finish(false)
-		return
-	}
-	route := func(from world.NodeID) {
-		if cell.CID == dst.CID {
-			s.routeIntraCell(cell, from, dst.KID, s.cfg.HopBudget, p, finish)
-			return
-		}
-		// Inter-cell: intra-cell to the Kautz-nearest corner actuator,
-		// CAN-route across cells, then intra-cell to the destination KID.
-		s.stats.InterCell++
-		exitKID := s.nearestCornerByKautz(cell, cell.kidOfNode[from])
-		s.routeIntraCell(cell, from, exitKID, s.cfg.HopBudget, p, func(ok bool) {
-			if !ok {
-				finish(false)
-				return
-			}
-			exit := cell.NodeByKID[exitKID]
-			s.routeInterCell(cell, exit, dstCell, p, func(ok bool, entryActuator world.NodeID) {
-				if !ok {
-					finish(false)
-					return
-				}
-				s.routeIntraCell(dstCell, entryActuator, dst.KID, s.cfg.HopBudget, p, finish)
-			})
-		})
-	}
-	if entry == src {
-		route(src)
-		return
-	}
-	s.w.Send(src, entry, energy.Communication, func(o world.Outcome) {
-		if o != world.Delivered {
-			finish(false)
-			return
-		}
-		p.Hop(s.w.Now(), int32(src), int32(entry), 0)
-		route(entry)
-	})
 }
 
 // entryPoint returns the overlay node a packet from src enters the overlay
@@ -323,20 +397,6 @@ func (s *System) entryPointScan(src world.NodeID) (world.NodeID, *Cell) {
 	return best, bestCell
 }
 
-// nearestCornerKID returns the KID of the cell actuator physically nearest
-// to the node ("its nearby actuator").
-func (s *System) nearestCornerKID(c *Cell, near world.NodeID) kautz.ID {
-	p := s.w.Position(near)
-	best := c.kidOfNode[c.Corners[0]]
-	bestDist := p.Dist(s.w.Position(c.Corners[0]))
-	for _, corner := range c.Corners[1:] {
-		if d := p.Dist(s.w.Position(corner)); d < bestDist {
-			best, bestDist = c.kidOfNode[corner], d
-		}
-	}
-	return best
-}
-
 // nearestCornerByKautz returns the corner KID with the smallest Kautz
 // distance from fromKID (the cheapest overlay exit).
 func (s *System) nearestCornerByKautz(c *Cell, fromKID kautz.ID) kautz.ID {
@@ -349,35 +409,6 @@ func (s *System) nearestCornerByKautz(c *Cell, fromKID kautz.ID) kautz.ID {
 		}
 	}
 	return best
-}
-
-// routeIntraCell is the REFER intra-cell routing protocol (Section
-// III-C-2): greedy shortest Kautz forwarding with Theorem 3.8 failover.
-// Every relay recomputes the ranked successor list from IDs alone; on a
-// failed transmission it falls through to the next-shortest disjoint path
-// without notifying the source.
-func (s *System) routeIntraCell(c *Cell, at world.NodeID, dstKID kautz.ID, budget int, p trace.Packet, done func(ok bool)) {
-	atKID, ok := c.kidOfNode[at]
-	if !ok {
-		done(false)
-		return
-	}
-	if atKID == dstKID {
-		done(true)
-		return
-	}
-	if budget <= 0 {
-		done(false)
-		return
-	}
-	routes, err := s.routesFor(atKID, dstKID)
-	if err != nil {
-		done(false)
-		return
-	}
-	// Randomize among equal-length routes (the paper's tie-break rule).
-	s.shuffleEqualLength(routes)
-	s.tryRoutes(c, at, dstKID, routes, 0, budget, p, done)
 }
 
 // shuffleEqualLength randomly permutes runs of routes with equal concrete
@@ -398,62 +429,6 @@ func (s *System) shuffleEqualLength(routes []kautz.Route) {
 	}
 }
 
-// tryRoutes attempts the ranked successors in order.
-func (s *System) tryRoutes(c *Cell, at world.NodeID, dstKID kautz.ID, routes []kautz.Route, idx, budget int, p trace.Packet, done func(ok bool)) {
-	if idx >= len(routes) || (s.cfg.DisableFailover && idx > 0) {
-		done(false) // all (permitted) disjoint paths failed
-		return
-	}
-	succKID := routes[idx].Successor
-	next, ok := c.NodeByKID[succKID]
-	if !ok || !s.w.Node(next).Alive() {
-		// Locally known failure (maintenance removed the node): switch to
-		// the next disjoint path immediately, no radio cost.
-		s.countFailoverSwitch(p, at, routes, idx)
-		s.tryRoutes(c, at, dstKID, routes, idx+1, budget, p, done)
-		return
-	}
-	s.sendOverlayLink(c, at, next, func(delivered bool) {
-		if delivered {
-			p.Hop(s.w.Now(), int32(at), int32(next), int8(routes[idx].Class))
-			s.routeIntraCell(c, next, dstKID, budget-1, p, done)
-			return
-		}
-		s.countFailoverSwitch(p, at, routes, idx)
-		s.tryRoutes(c, at, dstKID, routes, idx+1, budget, p, done)
-	})
-}
-
-// sendOverlayLink transmits between two overlay neighbors: directly when in
-// range, otherwise over a one-relay physical path chosen for lowest delay
-// ("either a multi-hop path or direct path", Section III-C-2).
-func (s *System) sendOverlayLink(c *Cell, from, to world.NodeID, done func(delivered bool)) {
-	if s.w.Distance(from, to) <= s.sensorRange(from, to) {
-		s.w.Send(from, to, energy.Communication, func(o world.Outcome) {
-			done(o == world.Delivered)
-		})
-		return
-	}
-	relay := s.bestRelay(c, from, to)
-	if relay == world.NoNode {
-		// Link is physically broken; report failure after the MAC timeout
-		// the sender pays trying.
-		s.w.Send(from, to, energy.Communication, func(o world.Outcome) {
-			done(o == world.Delivered)
-		})
-		return
-	}
-	s.w.Send(from, relay, energy.Communication, func(o world.Outcome) {
-		if o != world.Delivered {
-			done(false)
-			return
-		}
-		s.w.Send(relay, to, energy.Communication, func(o world.Outcome) {
-			done(o == world.Delivered)
-		})
-	})
-}
-
 // bestRelay picks an alive cell node in range of both endpoints, minimizing
 // the two-hop distance. Candidates come from map iteration, so equal
 // distances break on the smaller node ID to keep seeded replay exact.
@@ -461,26 +436,36 @@ func (s *System) bestRelay(c *Cell, from, to world.NodeID) world.NodeID {
 	pf, pt := s.w.Position(from), s.w.Position(to)
 	best := world.NoNode
 	bestDist := 0.0
-	consider := func(id world.NodeID) {
-		if id == from || id == to || !s.w.Node(id).Alive() {
-			return
-		}
-		p := s.w.Position(id)
-		if p.Dist(pf) > s.sensorRange(from, id) || p.Dist(pt) > s.sensorRange(id, to) {
-			return
-		}
-		d := p.Dist(pf) + p.Dist(pt)
-		if best == world.NoNode || d < bestDist || (d == bestDist && id < best) {
+	for id := range c.kidOfNode {
+		if d, ok := s.relayVia(id, from, to, pf, pt); ok && (best == world.NoNode || d < bestDist || (d == bestDist && id < best)) {
 			best, bestDist = id, d
 		}
 	}
-	for id := range c.kidOfNode {
-		consider(id)
-	}
 	for id := range c.members {
-		consider(id)
+		if d, ok := s.relayVia(id, from, to, pf, pt); ok && (best == world.NoNode || d < bestDist || (d == bestDist && id < best)) {
+			best, bestDist = id, d
+		}
 	}
 	return best
+}
+
+// relayVia returns the two-hop distance from → id → to (pf and pt are the
+// endpoints' positions), or ok=false when id is an endpoint, dead, or beyond
+// either leg's link range.
+func (s *System) relayVia(id, from, to world.NodeID, pf, pt geo.Point) (float64, bool) {
+	if id == from || id == to || !s.w.Node(id).Alive() {
+		return 0, false
+	}
+	p := s.w.Position(id)
+	df := p.Dist(pf)
+	if df > s.w.LinkRange(from, id) {
+		return 0, false
+	}
+	dt := p.Dist(pt)
+	if dt > s.w.LinkRange(id, to) {
+		return 0, false
+	}
+	return df + dt, true
 }
 
 // routeInterCell forwards a packet between cells along the CAN route

@@ -182,8 +182,8 @@ func TestSpecValidate(t *testing.T) {
 }
 
 // TestMeterChargeAllocs guards the per-packet hot path: charging a meter
-// must not allocate under any built-in model. The refer-bench meter_charge
-// micro tracks the same property in the perf trajectory.
+// must not allocate under any built-in model. The benchmark's
+// energy.charge_paper_ns and energy.charge_radio_ns probes time the same calls.
 func TestMeterChargeAllocs(t *testing.T) {
 	models := map[string]CostModel{
 		"paper":               DefaultModel(),

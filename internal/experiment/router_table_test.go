@@ -1,0 +1,70 @@
+package experiment
+
+import (
+	"context"
+	"reflect"
+	"testing"
+	"time"
+
+	"refer/internal/kautz"
+	"refer/internal/scenario"
+)
+
+// TestRouterNeverMutatesTable guards the other half of the shared-view
+// contract (kautz's TestTableViewIsShared pins that RouteTable.Routes hands
+// out the table's own slices): no router may write through them. A fault
+// campaign on K(3,3) cells — three disjoint paths per pair, most pairs with
+// an equal-length run, so nearly every relay decision really permutes; K(2,3)
+// has no equal-length pair at all — plus the Kautz overlay walking its own
+// route sets, on four concurrent runs: the tables are process-wide, so under
+// -race a write through a view is a reported race, and afterwards every
+// entry of every table built must still equal a fresh Theorem 3.8
+// computation, order included.
+func TestRouterNeverMutatesTable(t *testing.T) {
+	o := Options{
+		Seeds:       []int64{1, 2, 3, 4},
+		Systems:     []string{SystemREFERK33, SystemKautzOverlay},
+		Warmup:      10 * time.Second,
+		Duration:    40 * time.Second,
+		Parallelism: 4,
+	}
+	fig, err := sweep(context.Background(), o, []float64{20}, func(x float64, seed int64) RunConfig {
+		return RunConfig{Scenario: scenario.Params{Seed: seed, Sensors: 400, MaxSpeed: 3}, FaultCount: int(x)}
+	}, func(r Result) float64 { return float64(r.Stats.FailoverSwitches) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fig.Stats.RouteTableHits == 0 || fig.Stats.FailoverSwitches == 0 {
+		t.Fatalf("campaign never exercised the table: %d hits, %d failover switches",
+			fig.Stats.RouteTableHits, fig.Stats.FailoverSwitches)
+	}
+	tables := kautz.AllTableCounters()
+	if len(tables) == 0 {
+		t.Fatal("no route table was built")
+	}
+	for _, tc := range tables {
+		table, err := kautz.TableFor(tc.Degree, tc.Diameter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := kautz.New(tc.Degree, tc.Diameter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range g.Nodes() {
+			for _, v := range g.Nodes() {
+				if u == v {
+					continue
+				}
+				fresh, err := kautz.Routes(tc.Degree, u, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tabled, _ := table.Routes(u, v); !reflect.DeepEqual(tabled, fresh) {
+					t.Fatalf("K(%d,%d) entry %s→%s was modified in place: table %v, fresh %v",
+						tc.Degree, tc.Diameter, u, v, tabled, fresh)
+				}
+			}
+		}
+	}
+}

@@ -1,0 +1,169 @@
+package experiment
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"hash"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"refer/internal/chaos"
+	"refer/internal/core"
+	"refer/internal/energy"
+	"refer/internal/scenario"
+	"refer/internal/trace"
+)
+
+// TestForwardingTraceGolden pins the forwarding path hop for hop. The figure
+// CSVs and the benchmark's sim_digest compare aggregates; this compares the
+// ordered event stream of every packet — timestamps included, so the order
+// of RNG draws (route shuffles, MAC backoffs) and of DES events is covered —
+// against digests recorded before the router and the radio completions were
+// moved onto pooled records. A refactor of Inject, SendTo, World.Send or
+// World.Flood that is behaviour-neutral leaves every digest untouched.
+func TestForwardingTraceGolden(t *testing.T) {
+	cases := []struct {
+		name   string
+		digest func(t *testing.T, h hash.Hash)
+	}{
+		{"refer_faults", func(t *testing.T, h hash.Hash) {
+			// The refer_faults benchmark shape, shortened: the static 3×3
+			// lattice under rotating sensor faults, churn and one permanent
+			// actuator kill with recovery attached.
+			hashRun(t, h, RunConfig{
+				System:   SystemREFERRecovery,
+				Scenario: scenario.Params{Seed: 2, Sensors: 400, ActuatorGrid: 3},
+				Warmup:   10 * time.Second, Duration: 50 * time.Second,
+				FaultCount: 20, Sources: 10,
+				Chaos: &chaos.Schedule{Seed: 5, Events: []chaos.Event{
+					{Kind: chaos.Churn, Rate: 0.3, Duration: chaos.Duration(24 * time.Hour), Downtime: chaos.Duration(30 * time.Second)},
+					{Kind: chaos.ActuatorKill, At: chaos.Duration(25 * time.Second), Node: 1},
+				}},
+			})
+		}},
+		{"refer_mobile", func(t *testing.T, h hash.Hash) {
+			hashRun(t, h, RunConfig{
+				System:   SystemREFER,
+				Scenario: scenario.Params{Seed: 3, Sensors: 200, MaxSpeed: 5},
+				Warmup:   10 * time.Second, Duration: 50 * time.Second,
+				FaultCount: 10,
+			})
+		}},
+		{"refer_k33", func(t *testing.T, h hash.Hash) {
+			// K(2,3) has no two equal-length routes between any pair, so the
+			// cases above never draw a shuffle; K(3,3) draws one at nearly
+			// every relay, which puts the shuffle's place in the RNG stream
+			// under the digest too.
+			hashRun(t, h, RunConfig{
+				System:   SystemREFERK33,
+				Scenario: scenario.Params{Seed: 1, Sensors: 400, MaxSpeed: 3},
+				Warmup:   10 * time.Second, Duration: 50 * time.Second,
+				FaultCount: 20,
+			})
+		}},
+		{"sendto", hashSendToCampaign},
+		{"baselines", func(t *testing.T, h hash.Hash) {
+			// The baselines' construction and repair floods, on one deployment.
+			for _, sys := range []string{SystemDaTree, SystemDDEAR, SystemKautzOverlay} {
+				hashRun(t, h, RunConfig{
+					System:   sys,
+					Scenario: scenario.Params{Seed: 4, Sensors: 200, MaxSpeed: 3},
+					Warmup:   10 * time.Second, Duration: 40 * time.Second,
+					FaultCount: 10,
+				})
+			}
+		}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			h := sha256.New()
+			tc.digest(t, h)
+			got := fmt.Sprintf("%x", h.Sum(nil))
+			path := filepath.Join("..", "..", "testdata", "trace", tc.name+".sha256")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("trace digest %s; no committed golden: %v", got, err)
+			}
+			if got != strings.TrimSpace(string(want)) {
+				t.Fatalf("trace digest %s, committed %s: the forwarding sequence changed", got, strings.TrimSpace(string(want)))
+			}
+		})
+	}
+}
+
+// hashTrace feeds a recorder's ordered event stream and exact counters to h.
+func hashTrace(h hash.Hash, rec *trace.Recorder) {
+	for _, e := range rec.Events() {
+		fmt.Fprintf(h, "%d %d %d %d %d %d\n", e.At, e.Packet, e.Node, e.Peer, e.Kind, e.Class)
+	}
+	fmt.Fprintf(h, "%+v\n", rec.Counts())
+}
+
+// hashRun executes cfg with every packet traced and feeds h the trace plus
+// the run's deterministic totals (floods move no packet event of their own;
+// they are pinned through the broadcast counter, the two energy ledgers, the
+// delays and the DES event count).
+func hashRun(t *testing.T, h hash.Hash, cfg RunConfig) {
+	t.Helper()
+	rec := trace.NewRecorder(1)
+	cfg.Trace = rec
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", cfg.System, err)
+	}
+	if res.Delivered == 0 {
+		t.Fatalf("%s delivered nothing: the golden would pin an idle run", cfg.System)
+	}
+	hashTrace(h, rec)
+	fmt.Fprintf(h, "%d %d %d %d %d %d %x %x %d\n", res.Created, res.Delivered, res.QoS, res.Dropped,
+		res.MeanDelay, res.MeanQoSDelay, math.Float64bits(res.CommEnergy), math.Float64bits(res.ConstructionEnergy),
+		res.Stats.DESEvents)
+}
+
+// hashSendToCampaign drives core.System.SendTo directly: 300 packets between
+// random sensors and random REFER addresses, most of them in another cell, with
+// a tenth of the sensors failed so relays fail over and links take the
+// one-relay detour.
+func hashSendToCampaign(t *testing.T, h hash.Hash) {
+	w := scenario.Build(scenario.Params{Seed: 12, Sensors: 200})
+	rec := trace.NewRecorder(1)
+	w.SetTracer(rec)
+	s := core.New(w, core.DefaultConfig())
+	if err := s.Build(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(99))
+	sensors := scenario.SensorIDs(w)
+	for i := 0; i < len(sensors)/10; i++ {
+		w.SetFailed(sensors[rng.Intn(len(sensors))], true)
+	}
+	kids := s.Graph().Nodes()
+	delivered := 0
+	for i := 0; i < 300; i++ {
+		src := sensors[rng.Intn(len(sensors))]
+		dst := core.Address{CID: s.Cells()[rng.Intn(len(s.Cells()))].CID, KID: kids[rng.Intn(len(kids))]}
+		if _, err := w.Sched.At(w.Now()+time.Duration(i)*30*time.Millisecond, func() {
+			s.SendTo(src, dst, func(ok bool) {
+				if ok {
+					delivered++
+				}
+			})
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Sched.RunUntil(w.Now() + 20*time.Second)
+	st := s.Stats()
+	if delivered == 0 || st.InterCell == 0 || st.FailoverSwitches == 0 {
+		t.Fatalf("campaign too tame to pin anything: delivered %d, inter-cell %d, failover switches %d",
+			delivered, st.InterCell, st.FailoverSwitches)
+	}
+	hashTrace(h, rec)
+	fmt.Fprintf(h, "%d %+v %x %d\n", delivered, st, math.Float64bits(w.TotalEnergy(energy.Communication)), w.Sched.Fired())
+}

@@ -127,10 +127,11 @@ func (t *RouteTable) Size() int { return len(t.entries) }
 
 // Routes returns the Theorem 3.8 route set for the ordered pair (u, v) and
 // whether the table covers the pair (u == v and foreign IDs report false).
-// The returned slice is a fresh copy — callers such as shuffleEqualLength
-// may reorder it freely without corrupting the shared cache. The Route
-// structs still share their Path slices with the table; treat Path contents
-// as read-only.
+// The returned slice is the table's own entry, shared by every caller in the
+// process: it and the Path slices inside it are read-only. A caller that
+// reorders routes — the router's equal-length shuffle — copies them into a
+// buffer it owns first. Capacity is clipped so an append cannot write into
+// the table either.
 func (t *RouteTable) Routes(u, v ID) ([]Route, bool) {
 	routes, ok := t.entries[pairKey{u: u, v: v}]
 	if !ok {
@@ -138,9 +139,7 @@ func (t *RouteTable) Routes(u, v ID) ([]Route, bool) {
 		return nil, false
 	}
 	t.hits.Add(1)
-	out := make([]Route, len(routes))
-	copy(out, routes)
-	return out, true
+	return routes[:len(routes):len(routes)], true
 }
 
 // TableCounters is a snapshot of one shared table's effectiveness counters.

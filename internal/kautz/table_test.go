@@ -45,30 +45,30 @@ func TestTableEquivalence(t *testing.T) {
 	}
 }
 
-// TestTableCopyOnRead checks that permuting a returned route slice (what
-// shuffleEqualLength does on every relay decision) does not corrupt the
-// shared cache.
-func TestTableCopyOnRead(t *testing.T) {
+// TestTableViewIsShared pins the read-only-view contract: a lookup hands out
+// the table's own entry — the same backing array every time, clipped so an
+// append reallocates instead of writing into the table — and allocates
+// nothing. (That no router ever writes through the view is checked where
+// the routers live: core's TestRouterNeverMutatesTable.)
+func TestTableViewIsShared(t *testing.T) {
 	table, err := TableFor(2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	u, v := ID("021"), ID("201")
 	first, ok := table.Routes(u, v)
-	if !ok {
+	second, ok2 := table.Routes(u, v)
+	if !ok || !ok2 || len(first) == 0 {
 		t.Fatalf("pair %s→%s not in table", u, v)
 	}
-	want := append([]Route(nil), first...)
-	// Reverse the caller's copy in place.
-	for i, j := 0, len(first)-1; i < j; i, j = i+1, j-1 {
-		first[i], first[j] = first[j], first[i]
+	if &first[0] != &second[0] {
+		t.Fatal("two lookups of one pair returned different backing arrays: Routes copies on read again")
 	}
-	second, ok := table.Routes(u, v)
-	if !ok {
-		t.Fatalf("pair %s→%s vanished", u, v)
+	if cap(first) != len(first) {
+		t.Fatalf("view has spare capacity (len %d, cap %d): an append would write into the table", len(first), cap(first))
 	}
-	if !reflect.DeepEqual(second, want) {
-		t.Fatalf("cache corrupted by caller permutation: %v != %v", second, want)
+	if allocs := testing.AllocsPerRun(100, func() { table.Routes(u, v) }); allocs != 0 {
+		t.Fatalf("Routes allocates %.0f times per lookup, want 0", allocs)
 	}
 }
 
@@ -168,8 +168,6 @@ func TestTableConcurrentAccess(t *testing.T) {
 						t.Errorf("%s→%s: ok=%v routes=%d", u, v, ok, len(routes))
 						return
 					}
-					// Permute the private copy, as relays do.
-					routes[0], routes[1] = routes[1], routes[0]
 				}
 			}
 			_ = AllTableCounters()

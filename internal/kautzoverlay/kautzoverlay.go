@@ -297,9 +297,10 @@ func (s *System) route(at world.NodeID, dstKID kautz.ID, budget int, p trace.Pac
 	s.tryRoutes(at, dstKID, routes, 0, budget, p, done)
 }
 
-// routesFor returns the Theorem 3.8 route set for the ordered pair, served
-// from the shared precomputed table (copy-on-read) with a fallback to the
-// direct computation when the overlay graph was too large to tabulate.
+// routesFor returns the Theorem 3.8 route set for the ordered pair: the
+// shared precomputed table's own entry, which is read-only (the overlay only
+// walks it), with a fallback to the direct computation when the overlay
+// graph was too large to tabulate.
 func (s *System) routesFor(u, v kautz.ID) ([]kautz.Route, error) {
 	if s.routes != nil {
 		if routes, ok := s.routes.Routes(u, v); ok {

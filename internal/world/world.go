@@ -235,6 +235,15 @@ type World struct {
 	warmScratch [][]int
 	drainWarms  atomic.Uint64
 
+	// Free lists of the radio's continuation records (Send completions,
+	// floods and their per-copy hops) and the scratch a flood's reverse path
+	// is materialised into for the duration of one visit. Touched only on
+	// the commit goroutine, where every callback runs.
+	sendFree  []*sendOp
+	floodFree []*flood
+	hopFree   []*floodHop
+	floodPath []NodeID
+
 	stats Stats
 }
 
@@ -820,6 +829,56 @@ func (w *World) acquireRadio(n *Node, txTime time.Duration) time.Duration {
 	return end
 }
 
+// sendOp is one pending unicast completion. Records are pooled on the world
+// and carry a fire callback bound once at minting, so scheduling a
+// completion allocates nothing in steady state.
+type sendOp struct {
+	w       *World
+	onDone  func(Outcome)
+	outcome Outcome
+	fire    func() // op.run
+}
+
+// run returns the record to the pool before invoking the user callback:
+// onDone typically forwards the packet with another Send.
+func (op *sendOp) run() {
+	w, onDone, o := op.w, op.onDone, op.outcome
+	op.onDone = nil
+	w.sendFree = append(w.sendFree, op)
+	onDone(o)
+}
+
+// completeSend schedules onDone(o) at virtual time at; a nil onDone schedules
+// nothing.
+func (w *World) completeSend(from, to NodeID, onDone func(Outcome), o Outcome, at time.Duration) {
+	if onDone == nil {
+		return
+	}
+	var op *sendOp
+	if n := len(w.sendFree); n > 0 {
+		op, w.sendFree = w.sendFree[n-1], w.sendFree[:n-1]
+	} else {
+		op = &sendOp{w: w}
+		op.fire = op.run
+	}
+	op.onDone, op.outcome = onDone, o
+	if w.drainTag {
+		// Tag the completion with both endpoints' claim tiles: the
+		// continuation typically forwards from one of them, so the
+		// drain prepare warms both neighbor caches.
+		if claims, ok := w.sendClaims(from, to, at); ok {
+			if _, err := w.Sched.AtTagged(at, claims, w.prepFn, int32(from), int32(to), op.fire); err != nil {
+				panic(fmt.Sprintf("world: send completion: %v", err))
+			}
+			return
+		}
+	}
+	if _, err := w.Sched.At(at, op.fire); err != nil {
+		// Scheduling in the past cannot happen: at >= now by construction.
+		panic(fmt.Sprintf("world: send completion: %v", err))
+	}
+}
+
 // Send transmits one packet from from to to. onDone is invoked exactly once
 // with the outcome; for Delivered it runs at the reception time, for
 // failures after the ack timeout (the sender pays the detection latency).
@@ -827,30 +886,9 @@ func (w *World) acquireRadio(n *Node, txTime time.Duration) time.Duration {
 // attempt, Rx on the receiver only on delivery. A nil onDone is allowed.
 func (w *World) Send(from, to NodeID, ledger energy.Ledger, onDone func(Outcome)) {
 	sender := w.nodes[from]
-	done := func(o Outcome, at time.Duration) {
-		if onDone == nil {
-			return
-		}
-		fn := func() { onDone(o) }
-		if w.drainTag {
-			// Tag the completion with both endpoints' claim tiles: the
-			// continuation typically forwards from one of them, so the
-			// drain prepare warms both neighbor caches.
-			if claims, ok := w.sendClaims(from, to, at); ok {
-				if _, err := w.Sched.AtTagged(at, claims, w.prepFn, int32(from), int32(to), fn); err != nil {
-					panic(fmt.Sprintf("world: send completion: %v", err))
-				}
-				return
-			}
-		}
-		if _, err := w.Sched.At(at, fn); err != nil {
-			// Scheduling in the past cannot happen: at >= now by construction.
-			panic(fmt.Sprintf("world: send completion: %v", err))
-		}
-	}
 	if !sender.Alive() {
 		w.tracer.RadioSend(false)
-		done(SenderFailed, w.Sched.Now())
+		w.completeSend(from, to, onDone, SenderFailed, w.Sched.Now())
 		return
 	}
 	end := w.acquireRadio(sender, w.txDelay())
@@ -867,20 +905,20 @@ func (w *World) Send(from, to NodeID, ledger energy.Ledger, onDone func(Outcome)
 	switch {
 	case dist > w.LinkRange(from, to):
 		w.tracer.RadioSend(false)
-		done(OutOfRange, end+w.cfg.AckTimeout)
+		w.completeSend(from, to, onDone, OutOfRange, end+w.cfg.AckTimeout)
 	case !receiver.Alive():
 		w.tracer.RadioSend(false)
-		done(ReceiverFailed, end+w.cfg.AckTimeout)
+		w.completeSend(from, to, onDone, ReceiverFailed, end+w.cfg.AckTimeout)
 	case w.linkLoss > 0 && w.rng.Float64() < w.linkLoss:
 		// Guarded on linkLoss > 0 so the zero-loss path draws no RNG and
 		// replays of non-chaos runs stay byte-identical.
 		w.stats.LostSends++
 		w.tracer.RadioSend(false)
-		done(Lost, end+w.cfg.AckTimeout)
+		w.completeSend(from, to, onDone, Lost, end+w.cfg.AckTimeout)
 	default:
 		w.tracer.RadioSend(true)
 		w.chargeRx(receiver, ledger)
-		done(Delivered, end)
+		w.completeSend(from, to, onDone, Delivered, end)
 	}
 }
 
@@ -903,16 +941,7 @@ func (w *World) Broadcast(from NodeID, ledger energy.Ledger, deliver func(to Nod
 		if deliver == nil {
 			continue
 		}
-		fn := func() { deliver(id) }
-		if w.drainTag {
-			if claims, ok := w.nodeClaims(id, end); ok {
-				if _, err := w.Sched.AtTagged(end, claims, w.prepFn, int32(id), -1, fn); err != nil {
-					panic(fmt.Sprintf("world: broadcast delivery: %v", err))
-				}
-				continue
-			}
-		}
-		if _, err := w.Sched.At(end, fn); err != nil {
+		if _, err := w.AfterNode(end-w.Sched.Now(), id, func() { deliver(id) }); err != nil {
 			panic(fmt.Sprintf("world: broadcast delivery: %v", err))
 		}
 	}
@@ -921,8 +950,34 @@ func (w *World) Broadcast(from NodeID, ledger energy.Ledger, deliver func(to Nod
 
 // FloodVisit is called once per node reached by a flood, with the hop count
 // and the reverse path (origin first, visited node last). Returning false
-// stops the flood from rebroadcasting at that node.
+// stops the flood from rebroadcasting at that node. The path is borrowed: it
+// lives in world-owned scratch that the next visit overwrites, so a visitor
+// that keeps any of it must copy before returning (EnableBorrowChecks
+// poisons it with NoNode on return, so a retained path cannot go unnoticed).
 type FloodVisit func(at NodeID, hops int, path []NodeID) bool
+
+// flood is the shared state of one in-progress Flood and floodHop one copy
+// of its packet on the air. Both are pooled on the world with their event
+// callbacks bound once at minting, so a flood allocates nothing in steady
+// state. parent records who first reached each node — the dedup set and,
+// walked backwards, every reverse path.
+type flood struct {
+	w           *World
+	ttl         int
+	ledger      energy.Ledger
+	visit       FloodVisit
+	onDone      func()
+	parent      map[NodeID]NodeID
+	outstanding int
+	quiesce     func() // fl.finish
+}
+
+type floodHop struct {
+	fl   *flood
+	at   NodeID
+	hops int
+	fire func() // h.run
+}
 
 // Flood performs a TTL-bounded broadcast flood from origin — the route
 // discovery / repair primitive of the baseline systems ("topological
@@ -934,72 +989,101 @@ type FloodVisit func(at NodeID, hops int, path []NodeID) bool
 // and one Rx per copy received — including duplicate copies, which real
 // radios cannot avoid hearing.
 func (w *World) Flood(origin NodeID, ttl int, ledger energy.Ledger, visit FloodVisit, onDone func()) {
-	seen := make(map[NodeID]bool, 64)
-	outstanding := 0
-	finish := func() {
-		if onDone != nil {
-			onDone()
-		}
+	var fl *flood
+	if n := len(w.floodFree); n > 0 {
+		fl, w.floodFree = w.floodFree[n-1], w.floodFree[:n-1]
+	} else {
+		fl = &flood{w: w, parent: make(map[NodeID]NodeID, 64)}
+		fl.quiesce = fl.finish
 	}
-	var rebroadcast func(at NodeID, hops int, path []NodeID)
-	rebroadcast = func(at NodeID, hops int, path []NodeID) {
-		node := w.nodes[at]
-		if !node.Alive() {
-			return
-		}
-		w.tracer.RadioBroadcast()
-		end := w.acquireRadio(node, w.txDelay())
-		w.chargeTx(node, ledger, node.Range)
-		for _, nb := range w.AliveNeighbors(nil, at) {
-			nb := nb
-			w.chargeRx(w.nodes[nb], ledger) // every copy is heard
-			if seen[nb] {
-				continue
-			}
-			seen[nb] = true
-			nbPath := make([]NodeID, len(path)+1)
-			copy(nbPath, path)
-			nbPath[len(path)] = nb
-			outstanding++
-			fn := func() {
-				outstanding--
-				cont := true
-				if visit != nil {
-					cont = visit(nb, hops+1, nbPath)
-				}
-				if cont && hops+1 < ttl && w.nodes[nb].Alive() {
-					rebroadcast(nb, hops+1, nbPath)
-				}
-				if outstanding == 0 {
-					finish()
-				}
-			}
-			scheduled := false
-			if w.drainTag {
-				// The visit and any rebroadcast read nb's neighborhood;
-				// the shared flood state (seen, outstanding) is only
-				// touched at commit, so tagging stays safe.
-				if claims, ok := w.nodeClaims(nb, end); ok {
-					if _, err := w.Sched.AtTagged(end, claims, w.prepFn, int32(nb), -1, fn); err != nil {
-						panic(fmt.Sprintf("world: flood delivery: %v", err))
-					}
-					scheduled = true
-				}
-			}
-			if !scheduled {
-				if _, err := w.Sched.At(end, fn); err != nil {
-					panic(fmt.Sprintf("world: flood delivery: %v", err))
-				}
-			}
-		}
-	}
-	seen[origin] = true
-	rebroadcast(origin, 0, []NodeID{origin})
-	if outstanding == 0 {
+	fl.ttl, fl.ledger, fl.visit, fl.onDone = ttl, ledger, visit, onDone
+	fl.parent[origin] = NoNode
+	fl.rebroadcast(origin, 0)
+	if fl.outstanding == 0 {
 		// Nobody in range: quiesce immediately (next tick).
-		if _, err := w.Sched.After(0, finish); err != nil {
+		if _, err := w.Sched.After(0, fl.quiesce); err != nil {
 			panic(fmt.Sprintf("world: flood quiesce: %v", err))
 		}
+	}
+}
+
+// rebroadcast transmits the flood packet from at, which received it after
+// hops hops, and schedules one reception per neighbor not reached before.
+func (fl *flood) rebroadcast(at NodeID, hops int) {
+	w := fl.w
+	node := w.nodes[at]
+	if !node.Alive() {
+		return
+	}
+	w.tracer.RadioBroadcast()
+	end := w.acquireRadio(node, w.txDelay())
+	w.chargeTx(node, fl.ledger, node.Range)
+	for _, nb := range w.AliveNeighbors(nil, at) {
+		w.chargeRx(w.nodes[nb], fl.ledger) // every copy is heard
+		if _, seen := fl.parent[nb]; seen {
+			continue
+		}
+		fl.parent[nb] = at
+		fl.outstanding++
+		var h *floodHop
+		if n := len(w.hopFree); n > 0 {
+			h, w.hopFree = w.hopFree[n-1], w.hopFree[:n-1]
+		} else {
+			h = &floodHop{}
+			h.fire = h.run
+		}
+		h.fl, h.at, h.hops = fl, nb, hops+1
+		// The visit and any rebroadcast read nb's neighborhood; the shared
+		// flood state is only touched at commit, so drain tagging stays safe.
+		if _, err := w.AfterNode(end-w.Sched.Now(), nb, h.fire); err != nil {
+			panic(fmt.Sprintf("world: flood delivery: %v", err))
+		}
+	}
+}
+
+// run is one reception: visit, maybe rebroadcast, and quiesce the flood when
+// this was its last copy on the air. The hop record is recycled first — the
+// visitor may start floods of its own.
+func (h *floodHop) run() {
+	fl, at, hops := h.fl, h.at, h.hops
+	w := fl.w
+	h.fl = nil
+	w.hopFree = append(w.hopFree, h)
+	fl.outstanding--
+	cont := true
+	if fl.visit != nil {
+		if cap(w.floodPath) <= hops {
+			w.floodPath = make([]NodeID, 2*(hops+1))
+		}
+		path := w.floodPath[:hops+1]
+		for i, id := hops, at; i >= 0; i, id = i-1, fl.parent[id] {
+			path[i] = id
+		}
+		cont = fl.visit(at, hops, path)
+		if w.borrowShadows != nil {
+			// Poison the scratch so a visitor that retained the borrowed
+			// path reads NoNode instead of plausible stale IDs.
+			for i := range path {
+				path[i] = NoNode
+			}
+		}
+	}
+	if cont && hops < fl.ttl && w.nodes[at].Alive() {
+		fl.rebroadcast(at, hops)
+	}
+	if fl.outstanding == 0 {
+		fl.finish()
+	}
+}
+
+// finish recycles the flood before running onDone, which may flood again.
+func (fl *flood) finish() {
+	onDone := fl.onDone
+	fl.visit, fl.onDone = nil, nil
+	clear(fl.parent)
+	fl.w.floodFree = append(fl.w.floodFree, fl)
+	if onDone != nil {
+		onDone()
 	}
 }
 
