@@ -12,7 +12,6 @@
 //	refer-bench -energy radio   # price packets with the first-order radio model
 //	refer-bench -recovery       # enable self-healing recovery on every REFER run
 //	refer-bench -parallel 4     # bound sweep concurrency (figure output is identical)
-//	refer-bench -drain-parallel 4 # batch the DES drain's event prepares across cores
 //
 // A live progress line is written to stderr while sweeps run (suppress with
 // -quiet); Ctrl-C cancels the remaining runs cleanly. -cpuprofile and
@@ -53,35 +52,31 @@ func fatal(err error) {
 
 func main() {
 	var (
-		full          = flag.Bool("full", false, "paper-scale runs (5 seeds, 1000 s windows)")
-		seeds         = flag.Int("seeds", 0, "override the number of seeds")
-		extras        = flag.Bool("extras", false, "also run the ablation (A1, A2) and extension (E1–E3) studies")
-		csvDir        = flag.String("csv", "", "also write each figure as <dir>/fig<ID>.csv")
-		jsonOut       = flag.Bool("json", false, "emit the figures as JSON on stdout instead of text tables")
-		traceN        = flag.Int("trace", 0, "attach packet tracing to every run, keeping every Nth packet's event stream (0 = off)")
-		chaosPath     = flag.String("chaos", "", "attach the fault-injection schedule in this JSON file to every run (see EXPERIMENTS.md)")
-		energyName    = flag.String("energy", "", "per-packet cost model for every run: paper, radio or harvesting (default: each figure's own default — paper constants, except the L* lifetime figures which default to radio)")
-		recoveryOn    = flag.Bool("recovery", false, "enable the self-healing recovery protocols (corner re-election, cell merge, CAN takeover) on every REFER run")
-		parallel      = flag.Int("parallel", 0, "concurrent simulation runs per sweep (0 = GOMAXPROCS); figure output is identical at any setting")
-		drainParallel = flag.Int("drain-parallel", 0, "DES drain workers inside each run (0/1 = serial); figure output is identical at any setting")
-		quiet         = flag.Bool("quiet", false, "suppress the live progress line on stderr")
-		warmup        = flag.Duration("warmup", 0, "override the warmup window (e.g. 5s; mainly for quick -fig S* passes)")
-		duration      = flag.Duration("duration", 0, "override the measurement window (e.g. 20s)")
-		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile    = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		figs          figList
+		full       = flag.Bool("full", false, "paper-scale runs (5 seeds, 1000 s windows)")
+		seeds      = flag.Int("seeds", 0, "override the number of seeds")
+		extras     = flag.Bool("extras", false, "also run the ablation (A1, A2) and extension (E1–E3) studies")
+		csvDir     = flag.String("csv", "", "also write each figure as <dir>/fig<ID>.csv")
+		jsonOut    = flag.Bool("json", false, "emit the figures as JSON on stdout instead of text tables")
+		traceN     = flag.Int("trace", 0, "attach packet tracing to every run, keeping every Nth packet's event stream (0 = off)")
+		chaosPath  = flag.String("chaos", "", "attach the fault-injection schedule in this JSON file to every run (see EXPERIMENTS.md)")
+		energyName = flag.String("energy", "", "per-packet cost model for every run: paper, radio or harvesting (default: each figure's own default — paper constants, except the L* lifetime figures which default to radio)")
+		recoveryOn = flag.Bool("recovery", false, "enable the self-healing recovery protocols (corner re-election, cell merge, CAN takeover) on every REFER run")
+		parallel   = flag.Int("parallel", 0, "concurrent simulation runs per sweep (0 = GOMAXPROCS); figure output is identical at any setting")
+		quiet      = flag.Bool("quiet", false, "suppress the live progress line on stderr")
+		warmup     = flag.Duration("warmup", 0, "override the warmup window (e.g. 5s; mainly for quick -fig S* passes)")
+		duration   = flag.Duration("duration", 0, "override the measurement window (e.g. 20s)")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		figs       figList
 	)
 	flag.Var(&figs, "fig", "figure to regenerate by registry ID (repeatable; default all)")
 	flag.Parse()
 
-	// Parallelism knobs are validated here at the edge (and again by the
+	// The parallelism knob is validated here at the edge (and again by the
 	// experiment layer) so a typo'd flag is a clear config error up front,
 	// not a silent GOMAXPROCS fallback three sweeps in.
 	if *parallel < 0 || *parallel > refer.MaxParallelism {
 		fatal(fmt.Errorf("-parallel must be in [0, %d], got %d", refer.MaxParallelism, *parallel))
-	}
-	if *drainParallel < 0 || *drainParallel > refer.MaxParallelism {
-		fatal(fmt.Errorf("-drain-parallel must be in [0, %d], got %d", refer.MaxParallelism, *drainParallel))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -99,12 +94,11 @@ func main() {
 	}
 
 	opts := refer.Options{
-		Seeds:            []int64{1, 2, 3},
-		Warmup:           100 * time.Second,
-		Duration:         300 * time.Second,
-		TraceSample:      *traceN,
-		Parallelism:      *parallel,
-		DrainParallelism: *drainParallel,
+		Seeds:       []int64{1, 2, 3},
+		Warmup:      100 * time.Second,
+		Duration:    300 * time.Second,
+		TraceSample: *traceN,
+		Parallelism: *parallel,
 	}
 	if *full {
 		opts.Seeds = []int64{1, 2, 3, 4, 5}

@@ -257,9 +257,6 @@ func Attach(w *world.World, s *Schedule) (*Injector, error) {
 			inj.sensors = append(inj.sensors, n.ID)
 		}
 	}
-	// Chaos events are untagged (Sched.At): fault flips touch global alive
-	// state, so they must serial-step through the batched drain and bump the
-	// read generation (world.SetFailed → InvalidateReads) for staged events.
 	for _, ev := range s.Events {
 		ev := ev
 		if _, err := w.Sched.At(ev.At.D(), func() { inj.apply(ev) }); err != nil {
@@ -420,10 +417,8 @@ func (inj *Injector) delayedRecovery(ids []world.NodeID, d Duration) {
 	})
 }
 
-// mustAfter schedules on the world's queue, untagged — chaos follow-ups
-// (recoveries, brownout releases) mutate global state, so they drain
-// serially. A failure here is a programming error (negative delays are
-// coerced by the scheduler).
+// mustAfter schedules on the world's queue. A failure here is a programming
+// error (negative delays are coerced by the scheduler).
 func (inj *Injector) mustAfter(d time.Duration, fn func()) {
 	if _, err := inj.w.Sched.After(d, fn); err != nil {
 		panic(err)

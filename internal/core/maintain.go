@@ -12,10 +12,6 @@ import (
 const lowBatteryFraction = 0.15
 
 // scheduleMaintenance starts the periodic awake/wait/sleep maintenance tick.
-// The tick is deliberately scheduled untagged (Sched.After, not AfterNode):
-// one maintenance pass reads and mutates cell state across the whole overlay,
-// so its conflict domain is global and it must never join a parallel drain
-// batch — the batched drain serial-steps untagged events (see des/drain.go).
 func (s *System) scheduleMaintenance() {
 	var tick func()
 	tick = func() {

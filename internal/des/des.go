@@ -9,18 +9,15 @@
 // sequence) order. Same-timestamp events run in insertion order — the
 // sequence number is assigned at scheduling time and never reused — so a
 // producer that schedules A then B at the same instant always observes A
-// before B. This is a load-bearing guarantee: the batched drain
-// (drain.go) stages events by popping the heap and commits them in exactly
-// that canonical order, and FuzzDESOrdering pins the heap's pop order
-// against a reference sort.
+// before B. This is a load-bearing guarantee, and FuzzDESOrdering pins the
+// heap's pop order against a reference sort.
 //
 // The queue is a concrete 4-ary min-heap over pooled event structs rather
 // than container/heap over an interface: no per-event boxing, no interface
 // method dispatch in the sift loops, and fired or cancelled events return
 // to a free list, so the steady-state schedule/fire cycle allocates
 // nothing. Execution order is a pure function of (timestamp, sequence) —
-// the heap arity, the pooling and the batched drain are invisible to
-// replay.
+// the heap arity and the pooling are invisible to replay.
 package des
 
 import (
@@ -36,17 +33,7 @@ type event struct {
 	seq uint64
 	fn  func()
 	gen uint32
-	idx int32 // position in the heap; -1 when not queued, stagedIdx when staged
-
-	// Batched-drain tagging (drain.go). claims is the event's conflict-
-	// domain set, prep its parallel prepare callback with two packed
-	// arguments — a shared func value plus scalars, so tagging allocates
-	// nothing. prepped records that prep ran under the current batch's read
-	// snapshot.
-	claims  Claims
-	prep    PrepFunc
-	p0, p1  int32
-	prepped bool
+	idx int32 // position in the heap; -1 when not queued
 }
 
 // Handle lets a scheduled event be cancelled before it fires. The handle
@@ -68,21 +55,8 @@ func (h Handle) Cancel() bool {
 	if h.s == nil || h.ev == nil || h.ev.gen != h.gen {
 		return false
 	}
-	ev := h.ev
-	if ev.idx == stagedIdx {
-		// Staged in a drain batch: not in the heap, so it cannot be removed
-		// here. Nil the callback instead; the commit loop releases it
-		// without firing, exactly like a cancelled heap event.
-		if ev.fn == nil {
-			return false
-		}
-		ev.fn = nil
-		ev.prep = nil
-		h.s.stagedLive--
-		return true
-	}
-	h.s.remove(int(ev.idx))
-	h.s.release(ev)
+	h.s.remove(int(h.ev.idx))
+	h.s.release(h.ev)
 	return true
 }
 
@@ -96,22 +70,6 @@ type Scheduler struct {
 	free   []*event
 	fired  uint64
 	halted bool
-
-	// Batched-drain state (drain.go). workers < 2 selects the classic
-	// serial loop; staged holds the current batch (stagedNext is the commit
-	// cursor, stagedLive the count of uncommitted, uncancelled entries so
-	// Pending stays exact mid-batch); deferred is formation's scratch for
-	// passed-over events (always drained back to the heap before a batch
-	// prepares); claimed is the reused conflict set; readGen is the
-	// InvalidateReads generation the snapshot guard checks.
-	workers    int
-	staged     []*event
-	stagedNext int
-	stagedLive int
-	deferred   []*event
-	claimed    map[Domain]struct{}
-	readGen    uint64
-	dstats     DrainStats
 }
 
 // Now returns the current virtual time.
@@ -120,25 +78,19 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 // Fired returns the number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// Pending returns the number of events still queued, including events
-// staged in an in-flight drain batch but not yet committed — so callbacks
-// observing the queue mid-batch see exactly the serial loop's count.
-// Cancelled events are removed eagerly, so they never inflate the count.
-func (s *Scheduler) Pending() int { return len(s.heap) + s.stagedLive }
+// Pending returns the number of events still queued. Cancelled events are
+// removed eagerly, so they never inflate the count.
+func (s *Scheduler) Pending() int { return len(s.heap) }
 
 // NextAt peeks at the earliest pending event's timestamp without executing
-// it, considering both the heap and any in-flight drain batch. ok is false
-// when nothing is pending. Fault-injection and conformance tooling use it
-// to tell self-rescheduling protocol timers (the queue never drains) apart
-// from genuinely outstanding work within a window.
+// it. ok is false when nothing is pending. It tells self-rescheduling
+// protocol timers (the queue never drains) apart from genuinely outstanding
+// work within a window.
 func (s *Scheduler) NextAt() (at time.Duration, ok bool) {
-	if len(s.heap) > 0 {
-		at, ok = s.heap[0].at, true
+	if len(s.heap) == 0 {
+		return 0, false
 	}
-	if st, sok := s.stagedPendingAt(); sok && (!ok || st < at) {
-		at, ok = st, true
-	}
-	return at, ok
+	return s.heap[0].at, true
 }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the
@@ -205,14 +157,7 @@ func (s *Scheduler) RunUntil(deadline time.Duration) {
 // cancellation checks; looping until it returns false is exactly
 // RunUntil(deadline), including advancing the clock to the deadline once the
 // window's events are exhausted.
-//
-// With SetDrainParallelism at 2 or more workers it dispatches to the
-// batched drain (drain.go), which executes the same events in the same
-// canonical order with identical observable results.
 func (s *Scheduler) RunUntilLimit(deadline time.Duration, limit int) bool {
-	if s.workers >= 2 {
-		return s.drainUntilLimit(deadline, limit)
-	}
 	s.halted = false
 	executed := 0
 	for !s.halted && (limit <= 0 || executed < limit) {
@@ -255,17 +200,11 @@ func (s *Scheduler) alloc() *event {
 }
 
 // release returns a fired or cancelled event to the pool. Bumping the
-// generation invalidates every outstanding Handle to it. Drain tagging is
-// cleared here so a recycled struct never carries stale claims into an
-// untagged At.
+// generation invalidates every outstanding Handle to it.
 func (s *Scheduler) release(ev *event) {
 	ev.fn = nil
 	ev.gen++
 	ev.idx = -1
-	ev.claims = Claims{}
-	ev.prep = nil
-	ev.p0, ev.p1 = 0, 0
-	ev.prepped = false
 	s.free = append(s.free, ev)
 }
 
@@ -355,4 +294,24 @@ func (s *Scheduler) siftDown(i int) bool {
 	s.heap[i] = ev
 	ev.idx = int32(i)
 	return moved
+}
+
+// ---- benchmark/ compatibility block ----
+//
+// What is left of the deleted batched drain's scheduling surface, kept only
+// because benchmark/probes.go compiles against it and benchmark/ changes in
+// benchmark-only PRs. No caller outside benchmark/. Delete with the
+// des.tagged_fire_ns probe in the next benchmark-only PR.
+type (
+	Domain   uint64
+	Claims   [4]Domain
+	PrepFunc func(worker int, at time.Duration, claims Claims, arg0, arg1 int32)
+)
+
+// SetDrainParallelism is a no-op: the serial loop is the only scheduler path.
+func (s *Scheduler) SetDrainParallelism(int) {}
+
+// AtTagged is At; the tags are ignored.
+func (s *Scheduler) AtTagged(at time.Duration, _ Claims, _ PrepFunc, _, _ int32, fn func()) (Handle, error) {
+	return s.At(at, fn)
 }

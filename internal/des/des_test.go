@@ -285,6 +285,9 @@ func TestCancelRemovesFromQueue(t *testing.T) {
 	if s.Pending() != 94 {
 		t.Fatalf("Pending after cancels = %d, want 94", s.Pending())
 	}
+	if at, ok := s.NextAt(); !ok || at != 3*time.Second {
+		t.Fatalf("NextAt after cancelling the head = %v, %v, want 3s", at, ok)
+	}
 	// Double cancel stays a no-op and does not disturb the queue.
 	if handles[50].Cancel() {
 		t.Fatal("second Cancel should report not pending")
@@ -298,6 +301,9 @@ func TestCancelRemovesFromQueue(t *testing.T) {
 	}
 	if s.Now() != 98*time.Second {
 		t.Fatalf("Now = %v, want 98s (last live event)", s.Now())
+	}
+	if at, ok := s.NextAt(); ok {
+		t.Fatalf("NextAt on a drained queue = %v, true", at)
 	}
 }
 
@@ -542,4 +548,76 @@ func TestSchedulerChurnAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("schedule/cancel/fire churn allocates %.1f objects per op, want 0", allocs)
 	}
+	// The windowed loop every run drains through must be as free as Step.
+	allocs = testing.AllocsPerRun(200, func() {
+		if _, err := s.At(s.Now()+time.Duration(i%7)*time.Microsecond, fn); err != nil {
+			t.Fatal(err)
+		}
+		s.RunUntilLimit(s.Now()+10*time.Microsecond, 4)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("RunUntilLimit churn allocates %.1f objects per op, want 0", allocs)
+	}
+}
+
+// FuzzDESOrdering pins the heap's pop order against a reference sort: for
+// any fuzzed schedule, events pop in strictly ascending (timestamp,
+// sequence) order and same-timestamp events preserve insertion order.
+func FuzzDESOrdering(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(3))
+	f.Add([]byte{255, 1, 255, 1, 128, 7, 9}, uint8(5))
+	f.Fuzz(func(t *testing.T, ats []byte, cancelMask uint8) {
+		if len(ats) > 256 {
+			ats = ats[:256]
+		}
+		var s Scheduler
+		type rec struct {
+			at  time.Duration
+			seq int
+		}
+		var want []rec
+		var got []rec
+		var handles []Handle
+		for i, b := range ats {
+			i, at := i, time.Duration(b)*time.Millisecond
+			h, err := s.At(at, func() { got = append(got, rec{at: at, seq: i}) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			handles = append(handles, h)
+			want = append(want, rec{at: at, seq: i})
+		}
+		// Cancel a mask-selected subset to fuzz heap removals too.
+		cancelled := make(map[int]bool)
+		for i := range handles {
+			if cancelMask&(1<<(i%8)) != 0 && i%3 == 0 {
+				cancelled[i] = true
+				handles[i].Cancel()
+			}
+		}
+		// Reference: stable sort by timestamp keeps insertion (seq) order
+		// within ties.
+		kept := want[:0]
+		for _, r := range want {
+			if !cancelled[r.seq] {
+				kept = append(kept, r)
+			}
+		}
+		for i := 1; i < len(kept); i++ {
+			for j := i; j > 0 && kept[j].at < kept[j-1].at; j-- {
+				kept[j], kept[j-1] = kept[j-1], kept[j]
+			}
+		}
+		s.Run()
+		if len(got) != len(kept) {
+			t.Fatalf("popped %d events, want %d", len(got), len(kept))
+		}
+		for i := range kept {
+			if got[i] != kept[i] {
+				t.Fatalf("pop[%d] = %+v, want %+v (heap order must match the reference sort)", i, got[i], kept[i])
+			}
+		}
+	})
 }

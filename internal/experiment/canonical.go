@@ -25,11 +25,7 @@ import (
 // order is fixed by the struct definition, so the JSON encoding is
 // deterministic. The Trace recorder pointer is reduced to its presence —
 // attaching a recorder changes Stats.Trace counts in the Result, so traced
-// and untraced runs must not share a cache entry. DrainParallelism is
-// deliberately excluded, exactly like the sweep-level Parallelism in
-// canonicalFigure: results are byte-identical modulo StripWallClock at any
-// drain worker count (pinned by TestDrainParallelismInvariance), so
-// batched-drain and serial runs of one config share a cache entry.
+// and untraced runs must not share a cache entry.
 type canonicalRun struct {
 	System           string          `json:"system"`
 	Scenario         scenario.Params `json:"scenario"`
@@ -101,12 +97,10 @@ func ConfigKey(cfg RunConfig) (string, error) {
 	return hashJSON(c)
 }
 
-// canonicalFigure is the serialized form OptionsKey hashes. Parallelism,
-// DrainParallelism and Progress are deliberately excluded: figure output is
-// byte-identical at any sweep worker count (pinned by
-// TestParallelismInvariance) and any DES drain worker count (pinned by
-// TestDrainFigureInvariance), and a progress callback observes a build
-// without changing it.
+// canonicalFigure is the serialized form OptionsKey hashes. Parallelism and
+// Progress are deliberately excluded: figure output is byte-identical at any
+// sweep worker count (pinned by TestParallelismInvariance), and a progress
+// callback observes a build without changing it.
 type canonicalFigure struct {
 	Figure           string          `json:"figure"`
 	Seeds            []int64         `json:"seeds"`

@@ -187,15 +187,6 @@ type RunConfig struct {
 	// pre-existing ConfigKeys are unchanged. Ignored when
 	// Scenario.Energy carries an explicit model.
 	Energy energy.Spec
-	// DrainParallelism sets the DES batched-drain worker count for the run
-	// (world.SetDrainParallelism): conflict-free radio completions are
-	// batched and their neighbor caches warmed in parallel, while every
-	// decision still commits serially in canonical order. 0 or 1 keeps the
-	// classic serial drain. Results are byte-identical at every setting, so
-	// — exactly like the sweep-level Options.Parallelism — the knob is
-	// excluded from ConfigKey.
-	// Values outside [0, MaxParallelism] are a config error.
-	DrainParallelism int
 	// Recovery configures the self-healing actuator-recovery protocols
 	// (see recovery.Spec): corner re-election, cell merge and CAN zone
 	// takeover, driven by a periodic detection sweep on the DES. The zero
@@ -328,20 +319,6 @@ type RunStats struct {
 	// variants should strip it alongside the wall-clock fields.
 	MaintainChecks int `json:"maintain_checks"`
 	Rehomes        int `json:"rehomes"`
-	// Batched-drain observability (RunConfig.DrainParallelism > 1; all zero
-	// on the serial path): batches formed, events committed through them vs
-	// serial-stepped, prepares re-executed after a read-set invalidation,
-	// host nanoseconds spent in parallel prepare phases, and the neighbor
-	// cache warms performed/consumed. These intentionally differ across
-	// DrainParallelism settings of the same config, so StripWallClock zeroes
-	// all seven and replay comparisons across drain settings stay bitwise.
-	DrainBatches       uint64 `json:"drain_batches"`
-	DrainBatchedEvents uint64 `json:"drain_batched_events"`
-	DrainSerialEvents  uint64 `json:"drain_serial_events"`
-	DrainReexecs       uint64 `json:"drain_reexecs"`
-	DrainPrepNs        int64  `json:"drain_prep_ns"`
-	DrainWarms         uint64 `json:"drain_warms"`
-	DrainWarmHits      uint64 `json:"drain_warm_hits"`
 	// Recovery holds the self-healing counters when a recovery manager was
 	// attached (detection sweeps, re-elections, merges, takeovers and the
 	// accumulated virtual detection→repair latency); zero otherwise. All
@@ -350,20 +327,12 @@ type RunStats struct {
 	Recovery recovery.Stats `json:"recovery"`
 }
 
-// StripWallClock returns the stats with the host-timing and host-execution
-// fields zeroed — everything left is a deterministic function of the
-// RunConfig (independent even of DrainParallelism), so replay tests can
-// compare Results for bitwise equality.
+// StripWallClock returns the stats with the host-timing fields zeroed —
+// everything left is a deterministic function of the RunConfig, so replay
+// tests can compare Results for bitwise equality.
 func (s RunStats) StripWallClock() RunStats {
 	s.WallClock = 0
 	s.EventsPerSec = 0
-	s.DrainBatches = 0
-	s.DrainBatchedEvents = 0
-	s.DrainSerialEvents = 0
-	s.DrainReexecs = 0
-	s.DrainPrepNs = 0
-	s.DrainWarms = 0
-	s.DrainWarmHits = 0
 	return s
 }
 
@@ -383,21 +352,11 @@ func Run(cfg RunConfig) (Result, error) {
 // that cancellation lands within microseconds of host time.
 const desBatch = 8192
 
-// MaxParallelism bounds every parallelism knob (Options.Parallelism,
-// Options.DrainParallelism, RunConfig.DrainParallelism and the simd wire
-// fields): values above it are configuration mistakes, not machines, and
-// are rejected at the edge instead of silently spawning that many
-// goroutines or falling back to GOMAXPROCS.
+// MaxParallelism bounds the parallelism knob (Options.Parallelism and the
+// simd wire field): values above it are configuration mistakes, not
+// machines, and are rejected at the edge instead of silently spawning that
+// many goroutines or falling back to GOMAXPROCS.
 const MaxParallelism = 1024
-
-// validParallelism rejects out-of-range parallelism knob values with a
-// uniform error naming the offending knob.
-func validParallelism(name string, v int) error {
-	if v < 0 || v > MaxParallelism {
-		return fmt.Errorf("experiment: %s must be in [0, %d], got %d", name, MaxParallelism, v)
-	}
-	return nil
-}
 
 // RunContext is Run with cancellation: the DES drive loop executes events
 // in batches and checks ctx between batches, so a cancelled or expired
@@ -436,9 +395,6 @@ func (p RunProgress) Fraction() float64 {
 // invoked serially from the run's goroutine after every DES batch.
 func runObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) (Result, error) {
 	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	if err := validParallelism("RunConfig.DrainParallelism", cfg.DrainParallelism); err != nil {
 		return Result{}, err
 	}
 	start := time.Now()
@@ -514,10 +470,7 @@ func runObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) 
 			for p := 0; p < cfg.PacketsPerSource; p++ {
 				delay := time.Duration(p) * cfg.PacketSpacing
 				src := src
-				// AfterNode declares the injection single-node so the
-				// batched drain can pre-warm the source's neighborhood;
-				// the injection itself still commits serially.
-				if _, err := w.AfterNode(delay, src, func() {
+				if _, err := w.Sched.After(delay, func() {
 					created := w.Now()
 					collector.Created(created)
 					sys.Inject(src, func(ok bool) {
@@ -575,11 +528,6 @@ func runObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) 
 		}
 	}
 
-	// Enable the batched drain last, after every AddNode (the scenario
-	// build and the overlay construction above): a later AddNode would
-	// invalidate the claim-tile geometry and silently turn tagging off.
-	w.SetDrainParallelism(cfg.DrainParallelism)
-
 	// Grace period lets in-flight packets from the window's tail arrive.
 	// Batched so cancellation is honored mid-simulation.
 	simEnd := end + 2*time.Second
@@ -621,14 +569,6 @@ func runObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) 
 	if secs := stats.WallClock.Seconds(); secs > 0 {
 		stats.EventsPerSec = float64(stats.DESEvents) / secs
 	}
-	ds := w.Sched.DrainStats()
-	stats.DrainBatches = ds.Batches
-	stats.DrainBatchedEvents = ds.BatchedEvents
-	stats.DrainSerialEvents = ds.SerialEvents
-	stats.DrainReexecs = ds.Reexecs
-	stats.DrainPrepNs = ds.PrepNs
-	stats.DrainWarms = ws.DrainWarms
-	stats.DrainWarmHits = ws.DrainWarmHits
 	if recMgr != nil {
 		stats.Recovery = recMgr.Stats()
 	}

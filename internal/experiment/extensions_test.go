@@ -72,12 +72,11 @@ func TestExtSparseHonorsSweepOptions(t *testing.T) {
 		return Result{System: cfg.System}, nil
 	})
 	o := Options{
-		Seeds:            []int64{1},
-		Systems:          []string{SystemREFER},
-		Chaos:            &chaos.Schedule{},
-		Energy:           energy.Spec{Model: energy.ModelRadio},
-		Recovery:         recovery.Spec{Enabled: true},
-		DrainParallelism: 3,
+		Seeds:    []int64{1},
+		Systems:  []string{SystemREFER},
+		Chaos:    &chaos.Schedule{},
+		Energy:   energy.Spec{Model: energy.ModelRadio},
+		Recovery: recovery.Spec{Enabled: true},
 	}
 	if _, err := BuildFigure(context.Background(), "E1", o); err != nil {
 		t.Fatal(err)
@@ -86,9 +85,9 @@ func TestExtSparseHonorsSweepOptions(t *testing.T) {
 		t.Fatalf("submitted %d runs, want %d", len(cfgs), len(sparseXs))
 	}
 	for _, cfg := range cfgs {
-		if cfg.Chaos != o.Chaos || cfg.Energy != o.Energy || cfg.Recovery != o.Recovery || cfg.DrainParallelism != 3 {
-			t.Fatalf("sweep options dropped at %d sensors: chaos=%v energy=%+v recovery=%+v drain=%d",
-				cfg.Scenario.Sensors, cfg.Chaos != nil, cfg.Energy, cfg.Recovery, cfg.DrainParallelism)
+		if cfg.Chaos != o.Chaos || cfg.Energy != o.Energy || cfg.Recovery != o.Recovery {
+			t.Fatalf("sweep options dropped at %d sensors: chaos=%v energy=%+v recovery=%+v",
+				cfg.Scenario.Sensors, cfg.Chaos != nil, cfg.Energy, cfg.Recovery)
 		}
 	}
 }

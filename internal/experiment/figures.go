@@ -37,14 +37,6 @@ type Options struct {
 	// Parallelism bounds concurrent simulation runs (0 = GOMAXPROCS).
 	// Values outside [0, MaxParallelism] are a config error.
 	Parallelism int
-	// DrainParallelism sets the DES batched-drain worker count inside each
-	// run (RunConfig.DrainParallelism): the intra-run layer below
-	// Parallelism (across runs) — it overlaps the event queue's own
-	// conflict-free work. 0 keeps the serial drain for every figure.
-	// Results are byte-identical at every setting, so the knob is excluded
-	// from OptionsKey exactly like Parallelism. Values outside
-	// [0, MaxParallelism] are a config error.
-	DrainParallelism int
 	// Progress, when non-nil, receives one event after every completed
 	// simulation run of a sweep. Calls are serialized (never concurrent)
 	// and delivered in completion order on a dedicated goroutine, so a
@@ -135,20 +127,20 @@ type SweepStats struct {
 	// Chaos sums the runs' applied-fault counters; zero unless a schedule
 	// was attached.
 	Chaos chaos.Stats `json:"chaos"`
-	// Batched-drain totals summed across runs (zero unless
-	// DrainParallelism > 1). Host-execution detail like the wall-clock
-	// pair: cached-figure comparisons zero them alongside WallClock.
-	DrainBatches       uint64 `json:"drain_batches"`
-	DrainBatchedEvents uint64 `json:"drain_batched_events"`
-	DrainSerialEvents  uint64 `json:"drain_serial_events"`
-	DrainReexecs       uint64 `json:"drain_reexecs"`
-	DrainPrepNs        int64  `json:"drain_prep_ns"`
-	DrainWarms         uint64 `json:"drain_warms"`
-	DrainWarmHits      uint64 `json:"drain_warm_hits"`
 	// Recovery sums the runs' self-healing counters; zero unless a recovery
 	// manager was attached. Deterministic per Options (virtual-time
-	// latencies), unlike the drain counters above.
+	// latencies).
 	Recovery recovery.Stats `json:"recovery"`
+}
+
+// StripWallClock returns the stats with the host-timing fields zeroed —
+// everything left is a deterministic function of the Options, so cached and
+// replayed figures can be compared for bitwise equality.
+func (s SweepStats) StripWallClock() SweepStats {
+	s.WallClock = 0
+	s.RunWallClock = 0
+	s.EventsPerSec = 0
+	return s
 }
 
 // accumulate folds one run's stats into the sweep totals.
@@ -161,13 +153,6 @@ func (s *SweepStats) accumulate(r RunStats) {
 	s.FailoverSwitches += uint64(r.FailoverSwitches)
 	s.Trace.Add(r.Trace)
 	s.Chaos.Add(r.Chaos)
-	s.DrainBatches += r.DrainBatches
-	s.DrainBatchedEvents += r.DrainBatchedEvents
-	s.DrainSerialEvents += r.DrainSerialEvents
-	s.DrainReexecs += r.DrainReexecs
-	s.DrainPrepNs += r.DrainPrepNs
-	s.DrainWarms += r.DrainWarms
-	s.DrainWarmHits += r.DrainWarmHits
 	s.Recovery.Add(r.Recovery)
 }
 
@@ -298,11 +283,8 @@ var sweepRun = RunContext
 // exception is Options.buildFailureIsZero, under which an ErrBuild run is a
 // zero sample, not a failure.
 func sweep(ctx context.Context, o Options, xs []float64, configure func(x float64, seed int64) RunConfig, pick func(Result) float64) (Figure, error) {
-	if err := validParallelism("Options.Parallelism", o.Parallelism); err != nil {
-		return Figure{}, err
-	}
-	if err := validParallelism("Options.DrainParallelism", o.DrainParallelism); err != nil {
-		return Figure{}, err
+	if o.Parallelism < 0 || o.Parallelism > MaxParallelism {
+		return Figure{}, fmt.Errorf("experiment: Options.Parallelism must be in [0, %d], got %d", MaxParallelism, o.Parallelism)
 	}
 	o = o.withDefaults()
 	type cell struct {
@@ -337,9 +319,6 @@ func sweep(ctx context.Context, o Options, xs []float64, configure func(x float6
 				}
 				if cfg.Recovery.IsZero() {
 					cfg.Recovery = o.Recovery
-				}
-				if cfg.DrainParallelism == 0 {
-					cfg.DrainParallelism = o.DrainParallelism
 				}
 				jobs = append(jobs, job{cfg: cfg, cell: cell{sys: sys, x: xi}, x: x})
 			}

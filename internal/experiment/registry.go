@@ -120,7 +120,7 @@ var registry = []FigureSpec{
 	newSpec("S2", "Scale: transmission delay vs network growth", KindScale, growthDelay),
 	newSpec("S3", "Scale: membership-maintenance cost vs network growth", KindScale, growthMaintainCost),
 	newSpec("S4", "Scale: delivery ratio at the 100k-sensor frontier", KindScale, frontierDelivery),
-	newSpec("S5", "Scale: delivery ratio under heavy mobile traffic", KindScale, drainDelivery),
+	newSpec("S5", "Scale: delivery ratio under heavy mobile traffic", KindScale, heavyDelivery),
 	newSpec("R1", "Recovery: delivery ratio vs fault intensity", KindRecovery, recoveryDelivery),
 	newSpec("R2", "Recovery: repair latency vs fault intensity", KindRecovery, recoveryLatency),
 }

@@ -85,21 +85,15 @@ func sensorSweep(ctx context.Context, o Options, xs []float64, configure func(x 
 	return fig, err
 }
 
-// drainXs are the heavy-traffic frontier sizes of the S5 study: large
+// heavyXs are the heavy-traffic frontier sizes of the S5 study: large
 // enough that per-hop neighbor-cache rebuilds dominate the run, small
 // enough to finish without the 100k point's hours.
-var drainXs = []float64{20000, 50000}
+var heavyXs = []float64{20000, 50000}
 
-// drainConfig is the S5 run shape: mobile heavy-traffic frontier deployments
-// — the workload the DES batched drain targets (opt-in: an unset
-// DrainParallelism keeps the serial drain here as everywhere). MaxSpeed 5
-// (the paper's cap) keeps neighbor caches churning so per-hop rebuilds
-// dominate, and the dense burst traffic piles conflict-free radio
-// completions into drainable windows. The plotted delivery ratio is
-// byte-identical at any DrainParallelism (the knob is excluded from
-// OptionsKey); whole-run wall-clock scaling across worker counts is
-// not a figure — measure it with paired runs of `go run ./benchmark`.
-func drainConfig(x float64, seed int64) RunConfig {
+// heavyConfig is the S5 run shape: mobile heavy-traffic frontier
+// deployments. MaxSpeed 5 (the paper's cap) keeps neighbor caches churning
+// so per-hop rebuilds dominate the run.
+func heavyConfig(x float64, seed int64) RunConfig {
 	return RunConfig{
 		// A burst every second from 64 sources — an order of magnitude
 		// above the paper's offered load — so forwarding, not protocol
@@ -149,8 +143,8 @@ func frontierDelivery(ctx context.Context, o Options) (Figure, error) {
 	return fig, err
 }
 
-func drainDelivery(ctx context.Context, o Options) (Figure, error) {
-	fig, err := frontierSweep(ctx, o, drainXs, drainConfig, func(r Result) float64 {
+func heavyDelivery(ctx context.Context, o Options) (Figure, error) {
+	fig, err := frontierSweep(ctx, o, heavyXs, heavyConfig, func(r Result) float64 {
 		if r.Created == 0 {
 			return 0
 		}

@@ -205,10 +205,14 @@ func TestParallelismValidation(t *testing.T) {
 	}
 
 	// In-range values at the boundary are accepted.
-	if err := validParallelism("x", MaxParallelism); err != nil {
-		t.Fatalf("MaxParallelism rejected: %v", err)
-	}
-	if err := validParallelism("x", 0); err != nil {
-		t.Fatalf("0 rejected: %v", err)
+	stubSweepRun(t, func(ctx context.Context, cfg RunConfig) (Result, error) {
+		return Result{System: cfg.System}, nil
+	})
+	for _, p := range []int{0, MaxParallelism} {
+		o := quick
+		o.Parallelism = p
+		if _, err := BuildFigure(context.Background(), "4", o); err != nil {
+			t.Fatalf("Parallelism %d rejected: %v", p, err)
+		}
 	}
 }

@@ -230,11 +230,6 @@ func (s *System) Inject(src world.NodeID, done func(ok bool)) {
 		finish(false)
 		return
 	}
-	// Every hop below goes through world.Send, so the overlay inherits the
-	// batched drain's conflict tagging for free: per-hop completions carry
-	// both endpoints' claim tiles and their neighbor caches are warmed in
-	// parallel, while the routing decisions themselves stay on the serial
-	// commit path (they draw RNG and charge energy).
 	entry := src
 	if _, member := s.kidOf[src]; !member {
 		entry = s.nearestMember(src)

@@ -17,21 +17,11 @@ import (
 
 // Model yields a node's position at any virtual time.
 type Model interface {
-	// At returns the node's position at time t. The clock may advance
-	// freely and step backwards by a bounded amount: after a call At(t),
-	// later calls must satisfy t' >= t - RetentionHorizon. The
-	// random-waypoint model lazily extends its itinerary as the clock
-	// advances and retains at least that much history. The batched DES
-	// drain relies on the backtracking allowance — prepares sample
-	// positions up to its lookahead window (a few milliseconds) ahead of
-	// events the commit loop then executes at the earlier present.
+	// At returns the node's position at time t. Calls must use
+	// non-decreasing t across the life of the model; the random-waypoint
+	// model lazily extends its itinerary as the clock advances.
 	At(t time.Duration) geo.Point
 }
-
-// RetentionHorizon is how far behind the latest sampled time a Model must
-// keep answering At exactly. It is orders of magnitude larger than the DES
-// drain's lookahead window, the only source of backwards time steps.
-const RetentionHorizon = time.Second
 
 // SpeedBounded is implemented by models that can bound how fast they move.
 // The simulator uses the bound to quantize spatial-index rebuilds: a world
@@ -142,13 +132,11 @@ func (w *Waypoint) extend() {
 		dur = time.Millisecond
 	}
 	w.legs = append(w.legs, leg{start: begin, from: at, to: dest, duration: dur})
-	// Bound memory for very long runs, but honor the Model contract's
-	// bounded backtracking: only drop legs that ended more than
-	// RetentionHorizon before the itinerary head, so At stays exact for
-	// any t the DES drain's lookahead can revisit.
+	// Bound memory for very long runs: drop legs that ended before the new
+	// leg begins (the clock never steps back behind it).
 	if len(w.legs) > 64 {
 		cut := 0
-		for cut < len(w.legs)-1 && w.legs[cut].start+w.legs[cut].duration+RetentionHorizon < begin {
+		for cut < len(w.legs)-1 && w.legs[cut].start+w.legs[cut].duration < begin {
 			cut++
 		}
 		if cut > 0 {

@@ -145,25 +145,3 @@ func TestWaypointNearZeroSpeedDwells(t *testing.T) {
 		}
 	}
 }
-
-func TestWaypointBoundedBacktracking(t *testing.T) {
-	// The Model contract allows the clock to step backwards by up to
-	// RetentionHorizon (the DES drain's prepares sample slightly ahead of
-	// the commit loop). Positions re-queried inside that window must match
-	// a forward-only replay exactly, even across itinerary trimming.
-	region := geo.Square(500)
-	ref := NewWaypoint(region, geo.Point{X: 250, Y: 250}, 5, rand.New(rand.NewSource(9)))
-	bt := NewWaypoint(region, geo.Point{X: 250, Y: 250}, 5, rand.New(rand.NewSource(9)))
-	for s := 0; s < 50000; s += 5 {
-		now := time.Duration(s) * time.Second
-		want := ref.At(now)
-		// Jump ahead (a prepare's lookahead), then back to the present.
-		bt.At(now + 800*time.Millisecond)
-		if got := bt.At(now); got != want {
-			t.Fatalf("t=%v: backtracked position %v, forward-only %v", now, got, want)
-		}
-	}
-	if len(bt.legs) > 256 {
-		t.Fatalf("itinerary not trimmed: %d legs retained", len(bt.legs))
-	}
-}

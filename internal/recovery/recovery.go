@@ -195,9 +195,7 @@ func (m *Manager) SetObserver(fn func(Action)) { m.observer = fn }
 // Stats returns a snapshot of the accumulated counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// schedule arms the next conformance check. Untagged on purpose: a check
-// sweeps every cell's invariants and may trigger overlay-wide repair, so
-// its conflict domain is global and the batched drain must serial-step it.
+// schedule arms the next conformance check.
 func (m *Manager) schedule() {
 	if _, err := m.w.Sched.After(m.spec.CheckInterval(), m.tick); err != nil {
 		// Scheduling after "now" can only fail on a programming error.

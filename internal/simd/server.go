@@ -157,21 +157,9 @@ type Server struct {
 	misses    atomic.Uint64
 	desEvents atomic.Uint64
 	busyNanos atomic.Int64
-	// Batched-drain counters accumulated from every executed run before
-	// result stripping (StripWallClock zeroes them in the stored/cached
-	// stats, so the /metrics endpoint is the only place the server-side
-	// totals live).
-	drainBatches       atomic.Uint64
-	drainBatchedEvents atomic.Uint64
-	drainSerialEvents  atomic.Uint64
-	drainReexecs       atomic.Uint64
-	drainPrepNs        atomic.Int64
-	drainWarms         atomic.Uint64
-	drainWarmHits      atomic.Uint64
-	// Recovery counters accumulated from every executed run. Unlike the
-	// drain counters these are deterministic virtual-time results, so they
-	// survive result stripping; /metrics still aggregates them for fleet
-	// visibility.
+	// Recovery counters accumulated from every executed run. They are
+	// deterministic virtual-time results, so they survive result stripping;
+	// /metrics still aggregates them for fleet visibility.
 	recoveryReelections atomic.Uint64
 	recoveryMerges      atomic.Uint64
 	recoveryTakeovers   atomic.Uint64
@@ -511,16 +499,6 @@ func (s *Server) execute(r *run) {
 	r.mu.Unlock()
 	switch {
 	case err == nil && r.kind == KindRun:
-		// Fold the drain counters into /metrics before stripping: the strip
-		// zeroes them (host-execution detail, and they differ across
-		// drain_parallelism settings of one cache key).
-		s.drainBatches.Add(res.Stats.DrainBatches)
-		s.drainBatchedEvents.Add(res.Stats.DrainBatchedEvents)
-		s.drainSerialEvents.Add(res.Stats.DrainSerialEvents)
-		s.drainReexecs.Add(res.Stats.DrainReexecs)
-		s.drainPrepNs.Add(res.Stats.DrainPrepNs)
-		s.drainWarms.Add(res.Stats.DrainWarms)
-		s.drainWarmHits.Add(res.Stats.DrainWarmHits)
 		s.recoveryReelections.Add(uint64(res.Stats.Recovery.Reelections))
 		s.recoveryMerges.Add(uint64(res.Stats.Recovery.Merges))
 		s.recoveryTakeovers.Add(uint64(res.Stats.Recovery.Takeovers))
@@ -530,29 +508,11 @@ func (s *Server) execute(r *run) {
 		s.desEvents.Add(res.Stats.DESEvents)
 		s.finish(r, StateDone, &res, nil, nil)
 	case err == nil:
-		s.drainBatches.Add(fig.Stats.DrainBatches)
-		s.drainBatchedEvents.Add(fig.Stats.DrainBatchedEvents)
-		s.drainSerialEvents.Add(fig.Stats.DrainSerialEvents)
-		s.drainReexecs.Add(fig.Stats.DrainReexecs)
-		s.drainPrepNs.Add(fig.Stats.DrainPrepNs)
-		s.drainWarms.Add(fig.Stats.DrainWarms)
-		s.drainWarmHits.Add(fig.Stats.DrainWarmHits)
 		s.recoveryReelections.Add(uint64(fig.Stats.Recovery.Reelections))
 		s.recoveryMerges.Add(uint64(fig.Stats.Recovery.Merges))
 		s.recoveryTakeovers.Add(uint64(fig.Stats.Recovery.Takeovers))
 		s.recoveryLatencyNs.Add(fig.Stats.Recovery.LatencyNs)
-		fig.Stats.WallClock = 0
-		fig.Stats.RunWallClock = 0
-		fig.Stats.EventsPerSec = 0
-		// The drain totals differ across drain_parallelism settings of one
-		// figure cache key, so they are stripped like the wall-clock fields.
-		fig.Stats.DrainBatches = 0
-		fig.Stats.DrainBatchedEvents = 0
-		fig.Stats.DrainSerialEvents = 0
-		fig.Stats.DrainReexecs = 0
-		fig.Stats.DrainPrepNs = 0
-		fig.Stats.DrainWarms = 0
-		fig.Stats.DrainWarmHits = 0
+		fig.Stats = fig.Stats.StripWallClock()
 		s.desEvents.Add(fig.Stats.DESEvents)
 		s.finish(r, StateDone, nil, &fig, nil)
 	case cancelled || errors.Is(err, context.Canceled):
@@ -941,13 +901,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 		DESEvents:     s.desEvents.Load(),
 		RunsTracked:   tracked,
 
-		DrainBatches:        s.drainBatches.Load(),
-		DrainBatchedEvents:  s.drainBatchedEvents.Load(),
-		DrainSerialEvents:   s.drainSerialEvents.Load(),
-		DrainReexecs:        s.drainReexecs.Load(),
-		DrainPrepNs:         s.drainPrepNs.Load(),
-		DrainWarms:          s.drainWarms.Load(),
-		DrainWarmHits:       s.drainWarmHits.Load(),
 		RecoveryReelections: s.recoveryReelections.Load(),
 		RecoveryMerges:      s.recoveryMerges.Load(),
 		RecoveryTakeovers:   s.recoveryTakeovers.Load(),

@@ -255,13 +255,15 @@ func TestServerCacheByteIdentical(t *testing.T) {
 		t.Fatal("cached result is not byte-identical to the fresh run's result")
 	}
 
-	// A body from an older client still carrying the removed run-sharding
-	// field is accepted (the decoder ignores unknown fields) and addresses
-	// the same cache entry.
+	// A body from an older client still carrying the removed intra-run
+	// parallelism fields is accepted (the decoder ignores unknown fields —
+	// even an out-of-range drain_parallelism, a 400 while the knob existed)
+	// and addresses the same cache entry.
 	legacy := struct {
 		RunRequest
-		RunWorkers int `json:"run_parallelism"`
-	}{req, 4}
+		RunWorkers   int `json:"run_parallelism"`
+		DrainWorkers int `json:"drain_parallelism"`
+	}{req, 4, 1 << 20}
 	resp, data = postJSON(t, client, ts.URL+"/runs", legacy)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("legacy-field submission: %d %s", resp.StatusCode, data)
@@ -276,6 +278,49 @@ func TestServerCacheByteIdentical(t *testing.T) {
 	_, legacyBody := getBody(t, client, ts.URL+"/runs/"+third.ID+"/result")
 	if !bytes.Equal(freshBody, legacyBody) {
 		t.Fatal("legacy-field body's result is not byte-identical to the fresh run's")
+	}
+
+	// The figure route honours the same contract.
+	figReq := FigureRequest{
+		Seeds:            []int64{1},
+		WarmupS:          1,
+		DurationS:        3,
+		Sensors:          140,
+		Systems:          []string{experiment.SystemREFER},
+		PacketsPerSource: 2,
+	}
+	resp, data = postJSON(t, client, ts.URL+"/figures/4/runs", figReq)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("figure submission: %d %s", resp.StatusCode, data)
+	}
+	var fig SubmitResponse
+	if err := json.Unmarshal(data, &fig); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, client, ts.URL, fig.ID); st.State != StateDone {
+		t.Fatalf("figure run finished %s: %s", st.State, st.Error)
+	}
+	legacyFig := struct {
+		FigureRequest
+		DrainWorkers int `json:"drain_parallelism"`
+	}{figReq, 1 << 20}
+	resp, data = postJSON(t, client, ts.URL+"/figures/4/runs", legacyFig)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("legacy-field figure submission: %d %s", resp.StatusCode, data)
+	}
+	var figAgain SubmitResponse
+	if err := json.Unmarshal(data, &figAgain); err != nil {
+		t.Fatal(err)
+	}
+	if !figAgain.Cached || figAgain.Key != fig.Key {
+		t.Fatalf("legacy-field figure body missed the cache: %+v vs key %s", figAgain, fig.Key)
+	}
+	for _, part := range []string{"/csv", "/stats"} {
+		_, fresh := getBody(t, client, ts.URL+"/runs/"+fig.ID+part)
+		_, cached := getBody(t, client, ts.URL+"/runs/"+figAgain.ID+part)
+		if len(fresh) == 0 || !bytes.Equal(fresh, cached) {
+			t.Fatalf("legacy-field figure body's %s is not byte-identical to the fresh build's", part)
+		}
 	}
 
 	// The served bytes equal a local replay of the same config.
@@ -551,14 +596,6 @@ func TestServerValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative warmup returned %d, want 400: %s", resp.StatusCode, data)
 	}
-	resp, data = postJSON(t, client, ts.URL+"/runs", RunRequest{DrainParallelism: -1})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative drain_parallelism returned %d, want 400: %s", resp.StatusCode, data)
-	}
-	resp, data = postJSON(t, client, ts.URL+"/figures/4/runs", FigureRequest{DrainParallelism: 1 << 20})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("absurd figure drain_parallelism returned %d, want 400: %s", resp.StatusCode, data)
-	}
 	resp, data = postJSON(t, client, ts.URL+"/figures/4/runs", FigureRequest{Parallelism: 1 << 20})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("absurd figure parallelism returned %d, want 400: %s", resp.StatusCode, data)
@@ -621,77 +658,9 @@ func TestRunRequestConfigKey(t *testing.T) {
 	}
 }
 
-// TestDrainParallelismCacheAndMetrics pins the batched-drain contract at
-// the serving layer: drain_parallelism does not enter the cache key (a
-// batched run's result serves a serial resubmission), the stored result is
-// stripped of drain bookkeeping, and the server-side totals surface in
-// /metrics instead.
-func TestDrainParallelismCacheAndMetrics(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	client := ts.Client()
-
-	// A mobile bursty workload dense enough for the drain to actually form
-	// batches (the same shape TestDrainBatchedWorkloadInvariance pins).
-	batched := RunRequest{
-		Seed:           7,
-		Sensors:        2500,
-		MaxSpeed:       5,
-		ActuatorGrid:   6,
-		WarmupS:        2,
-		DurationS:      4,
-		Sources:        32,
-		BurstIntervalS: 0.5,
-	}
-	serial := batched
-	batched.DrainParallelism = 4
-	resp, data := postJSON(t, client, ts.URL+"/runs", batched)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit batched: %d: %s", resp.StatusCode, data)
-	}
-	var sub SubmitResponse
-	if err := json.Unmarshal(data, &sub); err != nil {
-		t.Fatal(err)
-	}
-	if st := waitTerminal(t, client, ts.URL, sub.ID); st.State != StateDone {
-		t.Fatalf("batched run ended %s", st.State)
-	}
-
-	// The cached stats must be stripped: byte-identical to a serial replay
-	// of the same key.
-	_, body := getBody(t, client, ts.URL+"/runs/"+sub.ID+"/result")
-	var res experiment.Result
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.DrainBatches != 0 || res.Stats.DrainWarms != 0 || res.Stats.DrainPrepNs != 0 {
-		t.Fatalf("stored result kept drain bookkeeping: %+v", res.Stats)
-	}
-
-	// Same submission without the drain knob hits the cache.
-	resp, data = postJSON(t, client, ts.URL+"/runs", serial)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("resubmit: %d: %s", resp.StatusCode, data)
-	}
-	var again SubmitResponse
-	if err := json.Unmarshal(data, &again); err != nil {
-		t.Fatal(err)
-	}
-	if !again.Cached || again.Key != sub.Key {
-		t.Fatalf("serial resubmission missed the cache: %+v vs key %s", again, sub.Key)
-	}
-
-	m := s.MetricsSnapshot()
-	if m.DrainBatches == 0 || m.DrainBatchedEvents == 0 {
-		t.Fatalf("metrics drain counters not accumulated after a batched run: %+v", m)
-	}
-	if m.DrainWarms == 0 || m.DrainPrepNs <= 0 {
-		t.Fatalf("metrics drain warm/prep gauges not accumulated: %+v", m)
-	}
-}
-
 // TestRecoveryWireCacheAndMetrics pins the serving-layer contract of the
-// recovery field: an enabled spec is part of the content address (unlike
-// drain_parallelism it changes the result), the stored result keeps its
+// recovery field: an enabled spec is part of the content address (it
+// changes the result), the stored result keeps its
 // recovery counters (virtual-time deterministic, so they survive
 // stripping), and the server-side totals accumulate on /metrics.
 func TestRecoveryWireCacheAndMetrics(t *testing.T) {

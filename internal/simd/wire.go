@@ -61,13 +61,6 @@ type RunRequest struct {
 	// schema as RunConfig.Recovery; see EXPERIMENTS.md). Absent keeps
 	// recovery off and the run's cache key unchanged.
 	Recovery *recovery.Spec `json:"recovery,omitempty"`
-	// DrainParallelism sets the run's DES batched-drain worker count
-	// (RunConfig.DrainParallelism): conflict-free radio events prepare in
-	// parallel while every decision commits serially in canonical order.
-	// Byte-identical output at any setting, so the field is excluded from
-	// the cache key — a latency knob, not a result knob. Must lie in
-	// [0, MaxParallelism].
-	DrainParallelism int `json:"drain_parallelism,omitempty"`
 }
 
 // secs converts a seconds field, rejecting negatives.
@@ -94,10 +87,6 @@ func (r RunRequest) Config() (experiment.RunConfig, error) {
 	if r.SensorBatteryJ < 0 {
 		return experiment.RunConfig{}, fmt.Errorf("sensor_battery_j must be >= 0, got %g", r.SensorBatteryJ)
 	}
-	if r.DrainParallelism < 0 || r.DrainParallelism > experiment.MaxParallelism {
-		return experiment.RunConfig{}, fmt.Errorf("drain_parallelism must be in [0, %d], got %d",
-			experiment.MaxParallelism, r.DrainParallelism)
-	}
 	cfg := experiment.RunConfig{
 		System: r.System,
 		Scenario: scenario.Params{
@@ -115,7 +104,6 @@ func (r RunRequest) Config() (experiment.RunConfig, error) {
 		Sources:          r.Sources,
 		PacketsPerSource: r.PacketsPerSource,
 		FaultCount:       r.FaultCount,
-		DrainParallelism: r.DrainParallelism,
 	}
 	var err error
 	if cfg.Warmup, err = secs("warmup_s", r.WarmupS); err != nil {
@@ -170,13 +158,8 @@ type FigureRequest struct {
 	// Parallelism bounds the sweep's concurrent runs; zero uses the
 	// server's figure-parallelism setting. Figure output is byte-identical
 	// at any worker count, so this is a latency knob, not a result knob.
-	Parallelism int `json:"parallelism,omitempty"`
-	// DrainParallelism sets the DES batched-drain worker count inside each
-	// run of the sweep (Options.DrainParallelism). Byte-identical output at
-	// any setting; excluded from the cache key like Parallelism. Must lie
-	// in [0, MaxParallelism].
-	DrainParallelism int             `json:"drain_parallelism,omitempty"`
-	Chaos            *chaos.Schedule `json:"chaos,omitempty"`
+	Parallelism int             `json:"parallelism,omitempty"`
+	Chaos       *chaos.Schedule `json:"chaos,omitempty"`
 	// Energy optionally prices every run of the sweep with a cost model
 	// (same schema as RunConfig.Energy; see EXPERIMENTS.md).
 	Energy *energy.Spec `json:"energy,omitempty"`
@@ -200,17 +183,12 @@ func (r FigureRequest) Options() (experiment.Options, error) {
 		return experiment.Options{}, fmt.Errorf("parallelism must be in [0, %d], got %d",
 			experiment.MaxParallelism, r.Parallelism)
 	}
-	if r.DrainParallelism < 0 || r.DrainParallelism > experiment.MaxParallelism {
-		return experiment.Options{}, fmt.Errorf("drain_parallelism must be in [0, %d], got %d",
-			experiment.MaxParallelism, r.DrainParallelism)
-	}
 	o := experiment.Options{
 		Seeds:            r.Seeds,
 		Sensors:          r.Sensors,
 		Systems:          r.Systems,
 		PacketsPerSource: r.PacketsPerSource,
 		Parallelism:      r.Parallelism,
-		DrainParallelism: r.DrainParallelism,
 	}
 	var err error
 	if o.Warmup, err = secs("warmup_s", r.WarmupS); err != nil {
@@ -317,19 +295,6 @@ type Metrics struct {
 	DESEvents       uint64  `json:"des_events"`
 	DESEventsPerSec float64 `json:"des_events_per_sec"`
 	RunsTracked     int     `json:"runs_tracked"`
-	// Batched-drain counters, accumulated across every executed run (before
-	// result stripping): prepared batches, events prepared in them, events
-	// the drain committed serially, prepares re-executed by the snapshot
-	// guard, cumulative host nanoseconds in parallel prepare phases, and
-	// neighbor-cache warms performed/consumed. All zero unless submissions
-	// set drain_parallelism > 1.
-	DrainBatches       uint64 `json:"drain_batches"`
-	DrainBatchedEvents uint64 `json:"drain_batched_events"`
-	DrainSerialEvents  uint64 `json:"drain_serial_events"`
-	DrainReexecs       uint64 `json:"drain_reexecs"`
-	DrainPrepNs        int64  `json:"drain_prep_ns"`
-	DrainWarms         uint64 `json:"drain_warms"`
-	DrainWarmHits      uint64 `json:"drain_warm_hits"`
 	// Recovery counters, accumulated across every executed run: completed
 	// corner re-elections, cell merges and CAN zone takeovers, plus the
 	// cumulative virtual detection→repair latency. All zero unless

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"refer/internal/des"
@@ -224,21 +223,9 @@ type World struct {
 	// one; the periodic credit/sleep cycle is scheduled iff non-nil.
 	harvest *energy.HarvestingModel
 
-	// Batched-drain state (drain.go): drainTag gates conflict tagging of
-	// radio events, tileSize is the claim tile geometry, prepFn the shared
-	// prepare callback, warmScratch the per-worker Within scratch, and
-	// drainWarms the warm counter — atomic because prepare workers bump it
-	// off the commit goroutine (the only such counter in the world).
-	drainTag    bool
-	tileSize    float64
-	prepFn      des.PrepFunc
-	warmScratch [][]int
-	drainWarms  atomic.Uint64
-
 	// Free lists of the radio's continuation records (Send completions,
 	// floods and their per-copy hops) and the scratch a flood's reverse path
-	// is materialised into for the duration of one visit. Touched only on
-	// the commit goroutine, where every callback runs.
+	// is materialised into for the duration of one visit.
 	sendFree  []*sendOp
 	floodFree []*flood
 	hopFree   []*floodHop
@@ -265,12 +252,6 @@ type nodeCache struct {
 	alive      []NodeID
 	aliveGen   uint64
 	aliveValid bool
-	// warmed marks content precomputed by a drain prepare for exactly
-	// virtual time warmAt (drain.go); the commit-time query consumes it in
-	// place of a rebuild when the times match, and any rebuild or consume
-	// clears the mark so stale warm content can never be served.
-	warmed bool
-	warmAt time.Duration
 }
 
 // Stats counts the world's spatial-index work for observability: how often
@@ -302,22 +283,10 @@ type Stats struct {
 	// once; -1 means the event never happened.
 	FirstDeathAt time.Duration
 	HalfDeadAt   time.Duration
-	// DrainWarms and DrainWarmHits count the batched drain's cache
-	// prepares and how many were consumed by commit-time queries. Unlike
-	// every other counter they depend on the drain parallelism and batch
-	// geometry — observability only, stripped from anything byte-compared
-	// across parallelism levels (every other counter above stays
-	// deterministic per seed at any setting).
-	DrainWarms    uint64
-	DrainWarmHits uint64
 }
 
 // Stats returns a snapshot of the world's spatial-index counters.
-func (w *World) Stats() Stats {
-	st := w.stats
-	st.DrainWarms = w.drainWarms.Load()
-	return st
-}
+func (w *World) Stats() Stats { return w.stats }
 
 // gridStaleTol is the position-staleness tolerance in meters: the spatial
 // index is rebuilt only once any node can have moved this far since the
@@ -385,7 +354,7 @@ func (w *World) scheduleEnergyCycle() {
 				w.stats.EnergyHarvested += banked
 				if n.drained && !n.Meter.Depleted() {
 					n.drained = false
-					w.bumpAliveGen()
+					w.aliveGen++
 					w.depletedNow--
 					w.stats.NodeRevivals++
 				}
@@ -410,21 +379,13 @@ func (w *World) mustAt(at time.Duration, fn func()) {
 	}
 }
 
-// bumpAliveGen records that some node's Alive() can have flipped. Every
-// liveness transition funnels through here so the batched drain's snapshot
-// guard (des.InvalidateReads) sees exactly the aliveGen epochs.
-func (w *World) bumpAliveGen() {
-	w.aliveGen++
-	w.Sched.InvalidateReads()
-}
-
 // setAsleep flips a node's duty-cycle sleep state, folding the Alive
 // transition into aliveGen so cached alive subsets notice it.
 func (w *World) setAsleep(id NodeID, asleep bool) {
 	n := w.nodes[id]
 	if n.asleep != asleep {
 		n.asleep = asleep
-		w.bumpAliveGen()
+		w.aliveGen++
 	}
 }
 
@@ -478,11 +439,6 @@ func (w *World) AddNode(kind Kind, mob mobility.Model, radioRange, battery float
 	}
 	w.topoGen++
 	w.gridOK = false
-	// Claim tile geometry is derived from the maximum radio range at
-	// SetDrainParallelism time; a later AddNode invalidates it, so tagging
-	// turns off until the caller re-enables it (already-tagged events keep
-	// their mutually consistent claims).
-	w.drainTag = false
 	return n
 }
 
@@ -533,7 +489,7 @@ func (w *World) SetFailed(id NodeID, failed bool) {
 	n := w.nodes[id]
 	if n.failed != failed {
 		n.failed = failed
-		w.bumpAliveGen()
+		w.aliveGen++
 		if failed {
 			w.stats.FaultInjections++
 		} else {
@@ -582,7 +538,7 @@ func (w *World) DrainBattery(id NodeID, fraction float64) float64 {
 func (w *World) noteDepletion(n *Node) {
 	if !n.drained && n.Meter.Depleted() {
 		n.drained = true
-		w.bumpAliveGen()
+		w.aliveGen++
 		w.depletedNow++
 		w.stats.NodeDeaths++
 		now := w.Sched.Now()
@@ -675,19 +631,6 @@ func (w *World) neighborCache(from NodeID) *nodeCache {
 		w.stats.NeighborHits++
 		return c
 	}
-	if c.warmed && c.gen == w.topoGen && c.warmAt == now {
-		// A drain prepare computed exactly this entry (warm content is a
-		// pure function of time and topology, identical to the rebuild
-		// below). Consuming it counts as the rebuild the serial run would
-		// perform here, so the counters stay byte-identical.
-		c.warmed = false
-		c.at = now
-		c.valid = true
-		w.stats.NeighborRebuilds++
-		w.stats.DrainWarmHits++
-		return c
-	}
-	c.warmed = false
 	w.stats.NeighborRebuilds++
 	if w.borrowShadows != nil {
 		w.verifyBorrowedNeighbors(from, c)
@@ -850,7 +793,7 @@ func (op *sendOp) run() {
 
 // completeSend schedules onDone(o) at virtual time at; a nil onDone schedules
 // nothing.
-func (w *World) completeSend(from, to NodeID, onDone func(Outcome), o Outcome, at time.Duration) {
+func (w *World) completeSend(onDone func(Outcome), o Outcome, at time.Duration) {
 	if onDone == nil {
 		return
 	}
@@ -862,17 +805,6 @@ func (w *World) completeSend(from, to NodeID, onDone func(Outcome), o Outcome, a
 		op.fire = op.run
 	}
 	op.onDone, op.outcome = onDone, o
-	if w.drainTag {
-		// Tag the completion with both endpoints' claim tiles: the
-		// continuation typically forwards from one of them, so the
-		// drain prepare warms both neighbor caches.
-		if claims, ok := w.sendClaims(from, to, at); ok {
-			if _, err := w.Sched.AtTagged(at, claims, w.prepFn, int32(from), int32(to), op.fire); err != nil {
-				panic(fmt.Sprintf("world: send completion: %v", err))
-			}
-			return
-		}
-	}
 	if _, err := w.Sched.At(at, op.fire); err != nil {
 		// Scheduling in the past cannot happen: at >= now by construction.
 		panic(fmt.Sprintf("world: send completion: %v", err))
@@ -888,7 +820,7 @@ func (w *World) Send(from, to NodeID, ledger energy.Ledger, onDone func(Outcome)
 	sender := w.nodes[from]
 	if !sender.Alive() {
 		w.tracer.RadioSend(false)
-		w.completeSend(from, to, onDone, SenderFailed, w.Sched.Now())
+		w.completeSend(onDone, SenderFailed, w.Sched.Now())
 		return
 	}
 	end := w.acquireRadio(sender, w.txDelay())
@@ -905,20 +837,20 @@ func (w *World) Send(from, to NodeID, ledger energy.Ledger, onDone func(Outcome)
 	switch {
 	case dist > w.LinkRange(from, to):
 		w.tracer.RadioSend(false)
-		w.completeSend(from, to, onDone, OutOfRange, end+w.cfg.AckTimeout)
+		w.completeSend(onDone, OutOfRange, end+w.cfg.AckTimeout)
 	case !receiver.Alive():
 		w.tracer.RadioSend(false)
-		w.completeSend(from, to, onDone, ReceiverFailed, end+w.cfg.AckTimeout)
+		w.completeSend(onDone, ReceiverFailed, end+w.cfg.AckTimeout)
 	case w.linkLoss > 0 && w.rng.Float64() < w.linkLoss:
 		// Guarded on linkLoss > 0 so the zero-loss path draws no RNG and
 		// replays of non-chaos runs stay byte-identical.
 		w.stats.LostSends++
 		w.tracer.RadioSend(false)
-		w.completeSend(from, to, onDone, Lost, end+w.cfg.AckTimeout)
+		w.completeSend(onDone, Lost, end+w.cfg.AckTimeout)
 	default:
 		w.tracer.RadioSend(true)
 		w.chargeRx(receiver, ledger)
-		w.completeSend(from, to, onDone, Delivered, end)
+		w.completeSend(onDone, Delivered, end)
 	}
 }
 
@@ -941,7 +873,7 @@ func (w *World) Broadcast(from NodeID, ledger energy.Ledger, deliver func(to Nod
 		if deliver == nil {
 			continue
 		}
-		if _, err := w.AfterNode(end-w.Sched.Now(), id, func() { deliver(id) }); err != nil {
+		if _, err := w.Sched.At(end, func() { deliver(id) }); err != nil {
 			panic(fmt.Sprintf("world: broadcast delivery: %v", err))
 		}
 	}
@@ -1033,9 +965,7 @@ func (fl *flood) rebroadcast(at NodeID, hops int) {
 			h.fire = h.run
 		}
 		h.fl, h.at, h.hops = fl, nb, hops+1
-		// The visit and any rebroadcast read nb's neighborhood; the shared
-		// flood state is only touched at commit, so drain tagging stays safe.
-		if _, err := w.AfterNode(end-w.Sched.Now(), nb, h.fire); err != nil {
+		if _, err := w.Sched.At(end, h.fire); err != nil {
 			panic(fmt.Sprintf("world: flood delivery: %v", err))
 		}
 	}
@@ -1094,4 +1024,12 @@ func (w *World) TotalEnergy(l energy.Ledger) float64 {
 		sum += n.Meter.SpentOn(l)
 	}
 	return sum
+}
+
+// AfterNode is Sched.After; the node is ignored. benchmark/ compatibility
+// only (benchmark/driver.go compiles against it and benchmark/ changes in
+// benchmark-only PRs): no caller outside benchmark/. Delete with the
+// des.tagged_fire_ns probe in the next benchmark-only PR.
+func (w *World) AfterNode(delay time.Duration, _ NodeID, fn func()) (des.Handle, error) {
+	return w.Sched.After(delay, fn)
 }

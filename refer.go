@@ -257,9 +257,8 @@ func BuildFigure(ctx context.Context, id string, o Options) (Figure, error) {
 	return experiment.BuildFigure(ctx, id, o)
 }
 
-// MaxParallelism bounds both parallelism knobs (Options.Parallelism and
-// Options.DrainParallelism / RunConfig.DrainParallelism); out-of-range
-// values are configuration errors, never silent fallbacks.
+// MaxParallelism bounds Options.Parallelism; out-of-range values are
+// configuration errors, never silent fallbacks.
 const MaxParallelism = experiment.MaxParallelism
 
 // AllFigures regenerates every evaluation figure.
