@@ -1,7 +1,8 @@
 // Command refer-simd serves the REFER simulation stack as a long-lived
 // HTTP/JSON daemon: clients submit run configurations (or registered figure
 // builds), poll or stream status, fetch results and cancel runs. See
-// EXPERIMENTS.md for the API schema and DESIGN.md §9 for the architecture.
+// EXPERIMENTS.md for the API schema and DESIGN.md "Simulation-as-a-service"
+// for the architecture.
 //
 // Usage:
 //

@@ -10,8 +10,8 @@ import (
 )
 
 // This file implements recovery.Repairer for REFER: the self-healing
-// protocols that repair permanent actuator failures (ROADMAP item 4,
-// DESIGN.md §12). Theorem 3.8 failover and topology maintenance tolerate
+// protocols that repair permanent actuator failures (DESIGN.md
+// "Self-healing actuator recovery"). Theorem 3.8 failover and topology maintenance tolerate
 // sensor churn, but a dead cell *corner* is structural damage neither can
 // touch — sensors cannot replace actuators. Three escalating repairs:
 //

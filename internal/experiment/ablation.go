@@ -58,12 +58,7 @@ func ablationChurn(ctx context.Context, o Options) (Figure, error) {
 				}},
 			},
 		}
-	}, func(r Result) float64 {
-		if r.Created == 0 {
-			return 0
-		}
-		return float64(r.Delivered) / float64(r.Created)
-	})
+	}, deliveryRatio)
 	fig.XLabel = "churn rate (crashes/s)"
 	fig.YLabel = "delivery ratio"
 	return fig, err

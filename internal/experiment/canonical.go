@@ -56,17 +56,17 @@ type canonicalRun struct {
 // out versus omitted — map to the same key.
 func ConfigKey(cfg RunConfig) (string, error) {
 	cfg = cfg.withDefaults()
-	if !KnownSystem(cfg.System) {
-		return "", fmt.Errorf("experiment: unknown system %q", cfg.System)
+	if err := cfg.validate(); err != nil {
+		return "", err
 	}
+	// The two scenario fields excluded from serialization change the energy
+	// ledgers, so a key that ignored them would collide across different
+	// results. Both have a canonical spelling in RunConfig.Energy.
 	if cfg.Scenario.Energy != nil {
-		// An arbitrary CostModel value has no canonical serialization, so a
-		// key would collide across different models. Describe the model with
-		// RunConfig.Energy (an energy.Spec) instead.
 		return "", fmt.Errorf("experiment: Scenario.Energy carries a custom cost model with no canonical form; use RunConfig.Energy")
 	}
-	if err := cfg.Energy.Validate(); err != nil {
-		return "", err
+	if cfg.Scenario.PacketBits > 0 {
+		return "", fmt.Errorf("experiment: Scenario.PacketBits has no canonical form; use RunConfig.Energy.PacketBits")
 	}
 	c := canonicalRun{
 		System:           cfg.System,
@@ -88,9 +88,6 @@ func ConfigKey(cfg RunConfig) (string, error) {
 		c.Energy = &spec
 	}
 	if !cfg.Recovery.IsZero() {
-		if err := cfg.Recovery.Validate(); err != nil {
-			return "", err
-		}
 		spec := cfg.Recovery
 		c.Recovery = &spec
 	}
@@ -121,6 +118,9 @@ func OptionsKey(figureID string, o Options) (string, error) {
 	if _, ok := FigureByID(figureID); !ok {
 		return "", fmt.Errorf("experiment: unknown figure %q", figureID)
 	}
+	if err := o.validate(); err != nil {
+		return "", err
+	}
 	o = o.withDefaults()
 	c := canonicalFigure{
 		Figure:           figureID,
@@ -134,16 +134,10 @@ func OptionsKey(figureID string, o Options) (string, error) {
 		Chaos:            o.Chaos,
 	}
 	if !o.Energy.IsZero() {
-		if err := o.Energy.Validate(); err != nil {
-			return "", err
-		}
 		spec := o.Energy
 		c.Energy = &spec
 	}
 	if !o.Recovery.IsZero() {
-		if err := o.Recovery.Validate(); err != nil {
-			return "", err
-		}
 		spec := o.Recovery
 		c.Recovery = &spec
 	}

@@ -3,10 +3,12 @@ package experiment
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"refer/internal/chaos"
+	"refer/internal/energy"
 	"refer/internal/scenario"
 	"refer/internal/trace"
 )
@@ -46,26 +48,63 @@ func TestConfigKeyCanonicalization(t *testing.T) {
 		t.Fatalf("key %q is not hex SHA-256", k1)
 	}
 
-	perturb := map[string]RunConfig{
-		"seed":    {Scenario: scenario.Params{Seed: 8}},
-		"system":  {System: SystemDaTree, Scenario: scenario.Params{Seed: 7}},
-		"sensors": {Scenario: scenario.Params{Seed: 7, Sensors: 100}},
-		"faults":  {Scenario: scenario.Params{Seed: 7}, FaultCount: 4},
-		"window":  {Scenario: scenario.Params{Seed: 7}, Duration: 500 * time.Second},
-		"trace":   {Scenario: scenario.Params{Seed: 7}, Trace: trace.NewRecorder(1)},
-		"chaos": {Scenario: scenario.Params{Seed: 7}, Chaos: &chaos.Schedule{
-			Seed:   1,
-			Events: []chaos.Event{{Kind: chaos.Crash, At: chaos.Duration(time.Second)}},
-		}},
+	// Every leaf of RunConfig either moves the key or is refused outright:
+	// there is no input that changes a run and shares a content address.
+	eachLeafPerturbed(t, base, func(path string, cfg RunConfig) {
+		if k, err := ConfigKey(cfg); err == nil && k == k1 {
+			t.Errorf("perturbing RunConfig%s changed neither the key nor its validity", path)
+		}
+	})
+}
+
+// leafStandIns are the non-zero values eachLeafPerturbed gives the leaves
+// fillLeaves cannot invent: reference types, perturbed as nil versus set.
+var leafStandIns = map[reflect.Type]any{
+	reflect.TypeOf((*trace.Recorder)(nil)): trace.NewRecorder(1),
+	reflect.TypeOf((*chaos.Schedule)(nil)): &chaos.Schedule{
+		Seed:   1,
+		Events: []chaos.Event{{Kind: chaos.Crash, At: chaos.Duration(time.Second)}},
+	},
+	reflect.TypeOf((*energy.CostModel)(nil)).Elem(): energy.DefaultRadioModel(),
+	reflect.TypeOf([]int64(nil)):                    []int64{9},
+	reflect.TypeOf([]string(nil)):                   []string{SystemDaTree},
+	reflect.TypeOf((func(ProgressEvent))(nil)):      func(ProgressEvent) {},
+}
+
+// eachLeafPerturbed calls check once per exported leaf field under T, with a
+// copy of base in which that one leaf was made non-zero.
+func eachLeafPerturbed[T any](t *testing.T, base T, check func(path string, v T)) {
+	t.Helper()
+	var walk func(v reflect.Value, path string, visit func(string, reflect.Value))
+	walk = func(v reflect.Value, path string, visit func(string, reflect.Value)) {
+		if v.Kind() != reflect.Struct {
+			visit(path, v)
+			return
+		}
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Type().Field(i); f.IsExported() {
+				walk(v.Field(i), path+"."+f.Name, visit)
+			}
+		}
 	}
-	for name, cfg := range perturb {
-		k, err := ConfigKey(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	var paths []string
+	walk(reflect.ValueOf(&base).Elem(), "", func(path string, _ reflect.Value) { paths = append(paths, path) })
+	for _, target := range paths {
+		v := base
+		walk(reflect.ValueOf(&v).Elem(), "", func(path string, leaf reflect.Value) {
+			if path != target {
+				return
+			}
+			if standIn, ok := leafStandIns[leaf.Type()]; ok {
+				leaf.Set(reflect.ValueOf(standIn))
+			} else {
+				fillLeaves(t, leaf, path)
+			}
+		})
+		if reflect.DeepEqual(v, base) {
+			t.Fatalf("perturbing %s left the value unchanged", target)
 		}
-		if k == k1 {
-			t.Errorf("perturbing %s did not change the key", name)
-		}
+		check(target, v)
 	}
 }
 
@@ -101,13 +140,20 @@ func TestOptionsKey(t *testing.T) {
 	if k3 == k1 {
 		t.Fatal("figure ID not part of the key")
 	}
-	k4, err := OptionsKey("4", Options{Seeds: []int64{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k4 == k1 {
-		t.Fatal("seed set not part of the key")
-	}
+	// Every leaf of Options moves the key or is refused, except the
+	// execution-only fields, which must not: they cannot change the output.
+	execOnly := map[string]bool{".Parallelism": true, ".Progress": true}
+	eachLeafPerturbed(t, Options{}, func(path string, o Options) {
+		k, err := OptionsKey("4", o)
+		switch {
+		case execOnly[path]:
+			if err != nil || k != k1 {
+				t.Errorf("execution-only Options%s moved the key (err %v)", path, err)
+			}
+		case err == nil && k == k1:
+			t.Errorf("perturbing Options%s changed neither the key nor its validity", path)
+		}
+	})
 	if _, err := OptionsKey("nope", Options{}); err == nil {
 		t.Fatal("no error for unknown figure")
 	}
@@ -138,18 +184,17 @@ func TestKnownSystems(t *testing.T) {
 	}
 }
 
-// TestStartRunHandle exercises the run-handle plumbing: progress snapshots
-// advance, the result matches a plain RunContext of the same config, and
-// cancellation aborts promptly with the context error.
-func TestStartRunHandle(t *testing.T) {
+// TestRunObservedProgress exercises the observer plumbing: progress
+// snapshots advance to the run's end and the result matches a plain
+// RunContext of the same config.
+func TestRunObservedProgress(t *testing.T) {
 	cfg := RunConfig{
 		Scenario: scenario.Params{Seed: 1, Sensors: 120},
 		Warmup:   5 * time.Second,
 		Duration: 10 * time.Second,
 	}
 	var snaps []RunProgress
-	h := StartRun(context.Background(), cfg, func(p RunProgress) { snaps = append(snaps, p) })
-	res, err := h.Result()
+	res, err := RunObserved(context.Background(), cfg, func(p RunProgress) { snaps = append(snaps, p) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,16 +202,13 @@ func TestStartRunHandle(t *testing.T) {
 		t.Fatal("no progress snapshots")
 	}
 	last := snaps[len(snaps)-1]
-	if last.SimTime <= 0 || last.DESEvents == 0 || last.SimEnd != 17*time.Second {
+	if last.SimTime <= 0 || last.DESEvents != res.Stats.DESEvents || last.SimEnd != 17*time.Second {
 		t.Fatalf("final snapshot: %+v", last)
 	}
 	if f := last.Fraction(); f <= 0 || f > 1 {
 		t.Fatalf("fraction = %v", f)
 	}
-	if got := h.Progress(); got != last {
-		t.Fatalf("Progress() = %+v, want last snapshot %+v", got, last)
-	}
-	// Replay determinism: the handle's result matches a direct run.
+	// Replay determinism: observing a run does not change it.
 	direct, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -174,32 +216,29 @@ func TestStartRunHandle(t *testing.T) {
 	res.Stats = res.Stats.StripWallClock()
 	direct.Stats = direct.Stats.StripWallClock()
 	if res != direct {
-		t.Fatalf("handle result diverged from direct run:\n%+v\n%+v", res, direct)
+		t.Fatalf("observed result diverged from direct run:\n%+v\n%+v", res, direct)
 	}
 }
 
-func TestStartRunCancel(t *testing.T) {
+// TestRunObservedCancel cancels from inside the first progress callback: the
+// run stops within one DES batch and reports the context's error.
+func TestRunObservedCancel(t *testing.T) {
 	cfg := RunConfig{
 		Scenario: scenario.Params{Seed: 1, Sensors: 200},
 		Warmup:   500 * time.Second,
 		Duration: 5000 * time.Second,
 	}
-	started := make(chan struct{})
-	var once bool
-	h := StartRun(context.Background(), cfg, func(RunProgress) {
-		if !once {
-			once = true
-			close(started)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	batches := 0
+	_, err := RunObserved(ctx, cfg, func(RunProgress) {
+		batches++
+		cancel()
 	})
-	<-started
-	h.Cancel()
-	select {
-	case <-h.Done():
-	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled run did not finish")
-	}
-	if _, err := h.Result(); !errors.Is(err, context.Canceled) {
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if batches != 1 {
+		t.Fatalf("run executed %d batches after cancellation, want it to stop after the first", batches)
 	}
 }

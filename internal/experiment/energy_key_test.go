@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -85,6 +86,14 @@ func TestConfigKeyEnergyPerturbation(t *testing.T) {
 		Scenario: scenario.Params{Seed: 7, Energy: energy.DefaultRadioModel()},
 	}); err == nil {
 		t.Error("custom Scenario.Energy produced a key")
+	}
+	// Its sibling has none either: under the radio model it scales every
+	// charge, so dropping it silently would collide two different results.
+	if _, err := ConfigKey(RunConfig{
+		Scenario: scenario.Params{Seed: 7, PacketBits: 16384},
+		Energy:   energy.Spec{Model: energy.ModelRadio},
+	}); err == nil || !strings.Contains(err.Error(), "RunConfig.Energy.PacketBits") {
+		t.Errorf("Scenario.PacketBits: err = %v, want a refusal pointing at RunConfig.Energy.PacketBits", err)
 	}
 
 	ko, err := OptionsKey("4", Options{Energy: energy.Spec{Model: energy.ModelRadio}})

@@ -108,7 +108,7 @@ var systemBuilders = map[string]func(w *world.World) System{
 		return core.New(w, cfg)
 	},
 	// The recovery variant builds a stock REFER system; the recovery manager
-	// itself is attached by runObserved after Build (it needs the run's
+	// itself is attached by RunObserved after Build (it needs the run's
 	// effective spec, not just the system name).
 	SystemREFERRecovery: func(w *world.World) System { return core.New(w, core.DefaultConfig()) },
 	SystemDaTree:        func(w *world.World) System { return datree.New(w, datree.DefaultConfig()) },
@@ -120,9 +120,13 @@ var systemBuilders = map[string]func(w *world.World) System{
 func NewSystem(name string, w *world.World) (System, error) {
 	build, ok := systemBuilders[name]
 	if !ok {
-		return nil, fmt.Errorf("experiment: unknown system %q", name)
+		return nil, errUnknownSystem(name)
 	}
 	return build(w), nil
+}
+
+func errUnknownSystem(name string) error {
+	return fmt.Errorf("experiment: unknown system %q (known: %v)", name, KnownSystems())
 }
 
 // KnownSystem reports whether name is accepted by NewSystem — every
@@ -231,6 +235,50 @@ func (c RunConfig) withDefaults() RunConfig {
 	return c
 }
 
+// validate rejects a defaulted config no simulation can mean anything for:
+// an unknown system, a negative window, count, speed or battery, windows that
+// overflow the virtual clock, or a malformed spec. RunObserved and ConfigKey
+// both call it, so library, CLI and wire callers meet the same checks.
+func (c RunConfig) validate() error {
+	if !KnownSystem(c.System) {
+		return errUnknownSystem(c.System)
+	}
+	for _, f := range []struct {
+		name string
+		neg  bool
+	}{
+		{"Warmup", c.Warmup < 0}, {"Duration", c.Duration < 0},
+		{"BurstInterval", c.BurstInterval < 0}, {"PacketSpacing", c.PacketSpacing < 0},
+		{"FaultRotation", c.FaultRotation < 0}, {"QoSDeadline", c.QoSDeadline < 0},
+		{"Sources", c.Sources < 0}, {"PacketsPerSource", c.PacketsPerSource < 0},
+		{"FaultCount", c.FaultCount < 0}, {"Scenario.Sensors", c.Scenario.Sensors < 0},
+		{"Scenario.MaxSpeed", c.Scenario.MaxSpeed < 0},
+		{"Scenario.SensorBattery", c.Scenario.SensorBattery < 0},
+	} {
+		if f.neg {
+			return fmt.Errorf("experiment: %s must be >= 0", f.name)
+		}
+	}
+	if c.Warmup+c.Duration+drainGrace < 0 {
+		return fmt.Errorf("experiment: Warmup + Duration overflow the virtual clock")
+	}
+	return validateSpecs(c.Chaos, c.Energy, c.Recovery)
+}
+
+// validateSpecs checks the three attachable subsystems' configurations, which
+// RunConfig and Options carry alike.
+func validateSpecs(sched *chaos.Schedule, e energy.Spec, r recovery.Spec) error {
+	if sched != nil {
+		if err := sched.Validate(); err != nil {
+			return err
+		}
+	}
+	if err := e.Validate(); err != nil {
+		return err
+	}
+	return r.Validate()
+}
+
 // Result holds one run's measurements.
 type Result struct {
 	System string
@@ -254,14 +302,29 @@ type Result struct {
 func (r Result) TotalEnergy() float64 { return r.CommEnergy + r.ConstructionEnergy }
 
 // RunStats is the per-run observability block: how the simulation ran, as
-// opposed to what it measured. Every field except the host-timing pair
-// (WallClock, EventsPerSec) is deterministic per seed; replay comparisons
-// strip those two with StripWallClock.
+// opposed to what it measured. The split is by type: HostStats depends on
+// the machine and the moment, SimStats is a pure function of the RunConfig.
+// Both halves are embedded, host first, so field access and the JSON
+// encoding are those of one flat struct. A new field belongs to exactly one
+// half (TestStripWallClockZeroesOnlyHostTiming rejects any other placement).
 type RunStats struct {
+	HostStats
+	SimStats
+}
+
+// HostStats is the host-dependent half of RunStats: it varies between
+// replays of the same seed and must never reach a content address.
+type HostStats struct {
 	// WallClock is the host time the run took; EventsPerSec is the DES
-	// event rate over it. Both vary between replays of the same seed.
+	// event rate over it.
 	WallClock    time.Duration `json:"wall_clock_ns"`
 	EventsPerSec float64       `json:"events_per_sec"`
+}
+
+// SimStats is the deterministic half of RunStats: virtual-time results and
+// counters that replay bit for bit, at any sweep parallelism — the only
+// stats a cache may store or a replay comparison may look at.
+type SimStats struct {
 	// SimTime is the final virtual clock (warmup + duration + grace).
 	SimTime time.Duration `json:"sim_time_ns"`
 	// DESEvents is the number of discrete events the scheduler executed.
@@ -275,8 +338,7 @@ type RunStats struct {
 	FailoverSwitches int `json:"failover_switches"`
 	// GridRebuilds counts full spatial-index rebuilds; NeighborRebuilds and
 	// NeighborHits count per-node neighborhood recomputations vs queries
-	// served from the epoch cache. All three are deterministic per seed and
-	// tell a perf reader how hard the world's spatial layer worked.
+	// served from the epoch cache: how hard the world's spatial layer worked.
 	GridRebuilds     uint64 `json:"grid_rebuilds"`
 	NeighborRebuilds uint64 `json:"neighbor_rebuilds"`
 	NeighborHits     uint64 `json:"neighbor_hits"`
@@ -313,26 +375,21 @@ type RunStats struct {
 	// MaintainChecks counts cell containment/distance predicate evaluations
 	// spent homing sensors (REFER runs; zero otherwise) — the membership
 	// maintenance cost the scale figure plots. Rehomes counts sensors whose
-	// cell actually changed. Both are deterministic per seed, but
-	// MaintainChecks intentionally differs between the indexed and
-	// linear-scan REFER variants — replay comparisons across those two
-	// variants should strip it alongside the wall-clock fields.
+	// cell actually changed. MaintainChecks intentionally differs between
+	// the indexed and linear-scan REFER variants (different Systems, so
+	// different ConfigKeys) — comparisons across those two zero it.
 	MaintainChecks int `json:"maintain_checks"`
 	Rehomes        int `json:"rehomes"`
 	// Recovery holds the self-healing counters when a recovery manager was
 	// attached (detection sweeps, re-elections, merges, takeovers and the
-	// accumulated virtual detection→repair latency); zero otherwise. All
-	// fields are deterministic per seed — latency is virtual time — so
-	// StripWallClock leaves them alone and replay comparisons include them.
+	// accumulated virtual detection→repair latency); zero otherwise.
 	Recovery recovery.Stats `json:"recovery"`
 }
 
-// StripWallClock returns the stats with the host-timing fields zeroed —
-// everything left is a deterministic function of the RunConfig, so replay
-// tests can compare Results for bitwise equality.
+// StripWallClock returns the stats without their host half — what is left
+// is a deterministic function of the RunConfig, so replays compare bitwise.
 func (s RunStats) StripWallClock() RunStats {
-	s.WallClock = 0
-	s.EventsPerSec = 0
+	s.HostStats = HostStats{}
 	return s
 }
 
@@ -358,15 +415,19 @@ const desBatch = 8192
 // many goroutines or falling back to GOMAXPROCS.
 const MaxParallelism = 1024
 
+// drainGrace follows the measurement window so in-flight packets from its
+// tail can still arrive.
+const drainGrace = 2 * time.Second
+
 // RunContext is Run with cancellation: the DES drive loop executes events
 // in batches and checks ctx between batches, so a cancelled or expired
 // context aborts the run promptly with ctx.Err().
 func RunContext(ctx context.Context, cfg RunConfig) (Result, error) {
-	return runObserved(ctx, cfg, nil)
+	return RunObserved(ctx, cfg, nil)
 }
 
 // RunProgress snapshots an in-flight run's virtual-clock advance; observers
-// receive one after every executed DES batch (see StartRun).
+// receive one after every executed DES batch (see RunObserved).
 type RunProgress struct {
 	// SimTime is the run's virtual clock; SimEnd is the clock value at
 	// which the run completes (warmup + duration + drain grace).
@@ -391,14 +452,20 @@ func (p RunProgress) Fraction() float64 {
 	return f
 }
 
-// runObserved is RunContext with an optional per-batch progress observer,
-// invoked serially from the run's goroutine after every DES batch.
-func runObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) (Result, error) {
+// RunObserved is RunContext with an optional per-batch progress observer,
+// invoked serially on the calling goroutine after every DES batch (thousands
+// of times per second of wall clock for a busy run — throttle in the
+// callback if relaying). It is the serving layer's unit of work: the caller
+// owns the goroutine and cancels through ctx.
+func RunObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
 	start := time.Now()
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return Result{}, err
+	}
 	model, err := cfg.Energy.Build()
 	if err != nil {
 		return Result{}, err
@@ -425,9 +492,6 @@ func runObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) 
 	recSpec := cfg.Recovery
 	if recSpec.IsZero() && cfg.System == SystemREFERRecovery {
 		recSpec = recovery.Spec{Enabled: true}
-	}
-	if err := recSpec.Validate(); err != nil {
-		return Result{}, err
 	}
 	var recMgr *recovery.Manager
 	if recSpec.Enabled {
@@ -528,9 +592,8 @@ func runObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) 
 		}
 	}
 
-	// Grace period lets in-flight packets from the window's tail arrive.
 	// Batched so cancellation is honored mid-simulation.
-	simEnd := end + 2*time.Second
+	simEnd := end + drainGrace
 	for {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
@@ -545,8 +608,7 @@ func runObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) 
 	}
 
 	ws := w.Stats()
-	stats := RunStats{
-		WallClock:          time.Since(start),
+	stats := RunStats{SimStats: SimStats{
 		SimTime:            w.Now(),
 		DESEvents:          w.Sched.Fired(),
 		GridRebuilds:       ws.GridRebuilds,
@@ -565,7 +627,8 @@ func runObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) 
 		NodeDeaths:         ws.NodeDeaths,
 		NodeRevivals:       ws.NodeRevivals,
 		EnergyHarvested:    ws.EnergyHarvested,
-	}
+	}}
+	stats.WallClock = time.Since(start)
 	if secs := stats.WallClock.Seconds(); secs > 0 {
 		stats.EventsPerSec = float64(stats.DESEvents) / secs
 	}

@@ -29,12 +29,7 @@ func extSparse(ctx context.Context, o Options) (Figure, error) {
 // extSparseDeliveryRatio (E2) is the same sweep, measured as the fraction of
 // created packets that reach an actuator at all (no deadline).
 func extSparseDeliveryRatio(ctx context.Context, o Options) (Figure, error) {
-	fig, err := densitySweep(ctx, o, func(r Result) float64 {
-		if r.Created == 0 {
-			return 0
-		}
-		return float64(r.Delivered) / float64(r.Created)
-	})
+	fig, err := densitySweep(ctx, o, deliveryRatio)
 	fig.YLabel = "delivery ratio"
 	return fig, err
 }

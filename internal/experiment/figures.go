@@ -71,12 +71,6 @@ type Options struct {
 	// a zero sample instead of failing the sweep; set by the sparse-deployment
 	// figures (E1, E2), where the density threshold is the finding.
 	buildFailureIsZero bool
-	// defaulted marks Options that already passed withDefaults, making a
-	// second application a no-op — defaults are derived exactly once, so a
-	// future non-idempotent default (e.g. per-sweep derived seeds) cannot
-	// silently diverge between the figure builders (which need the
-	// defaults early) and sweep (which guards direct callers).
-	defaulted bool
 }
 
 // ProgressEvent reports one finished simulation run of a sweep.
@@ -105,19 +99,28 @@ type ProgressEvent struct {
 }
 
 // SweepStats aggregates the per-run observability blocks of a figure's
-// sweep. Host-timing fields depend on machine load; everything else is
-// deterministic per Options.
+// sweep, split by type exactly as RunStats is: the host half depends on
+// machine load, the sim half is deterministic per Options.
 type SweepStats struct {
+	SweepHostStats
+	SweepSimStats
+}
+
+// SweepHostStats is the host-dependent half of SweepStats. The embedded
+// WallClock is the sweep's host time end to end and EventsPerSec the sweep's
+// DESEvents over it; RunWallClock is the sum of the individual runs' wall
+// clocks (> WallClock when parallel).
+type SweepHostStats struct {
+	HostStats
+	RunWallClock time.Duration `json:"run_wall_clock_ns"`
+}
+
+// SweepSimStats is the deterministic half of SweepStats.
+type SweepSimStats struct {
 	// Runs is the number of simulation runs that finished (successfully).
 	Runs int `json:"runs"`
-	// WallClock is the sweep's host time end to end; RunWallClock is the
-	// sum of the individual runs' wall clocks (> WallClock when parallel).
-	WallClock    time.Duration `json:"wall_clock_ns"`
-	RunWallClock time.Duration `json:"run_wall_clock_ns"`
-	// DESEvents totals scheduler events across runs; EventsPerSec is that
-	// total over WallClock.
-	DESEvents    uint64  `json:"des_events"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	// DESEvents totals scheduler events across runs.
+	DESEvents uint64 `json:"des_events"`
 	// Protocol counters summed across runs.
 	RouteTableHits   uint64 `json:"route_table_hits"`
 	RouteTableMisses uint64 `json:"route_table_misses"`
@@ -127,19 +130,16 @@ type SweepStats struct {
 	// Chaos sums the runs' applied-fault counters; zero unless a schedule
 	// was attached.
 	Chaos chaos.Stats `json:"chaos"`
-	// Recovery sums the runs' self-healing counters; zero unless a recovery
-	// manager was attached. Deterministic per Options (virtual-time
-	// latencies).
+	// Recovery sums the runs' self-healing counters (virtual-time
+	// latencies); zero unless a recovery manager was attached.
 	Recovery recovery.Stats `json:"recovery"`
 }
 
-// StripWallClock returns the stats with the host-timing fields zeroed —
-// everything left is a deterministic function of the Options, so cached and
-// replayed figures can be compared for bitwise equality.
+// StripWallClock returns the stats without their host half — what is left
+// is a deterministic function of the Options, so cached and replayed figures
+// compare bitwise.
 func (s SweepStats) StripWallClock() SweepStats {
-	s.WallClock = 0
-	s.RunWallClock = 0
-	s.EventsPerSec = 0
+	s.SweepHostStats = SweepHostStats{}
 	return s
 }
 
@@ -164,10 +164,24 @@ func (s *SweepStats) finish(start time.Time) {
 	}
 }
 
-func (o Options) withDefaults() Options {
-	if o.defaulted {
-		return o
+// validate rejects options no sweep can honour; sweep and OptionsKey both
+// call it, so library, CLI and wire callers meet the same checks.
+func (o Options) validate() error {
+	if o.Parallelism < 0 || o.Parallelism > MaxParallelism {
+		return fmt.Errorf("experiment: Options.Parallelism must be in [0, %d], got %d", MaxParallelism, o.Parallelism)
 	}
+	if o.Warmup < 0 || o.Duration < 0 || o.Sensors < 0 || o.PacketsPerSource < 0 || o.TraceSample < 0 {
+		return fmt.Errorf("experiment: Options windows and counts must be >= 0")
+	}
+	for _, sys := range o.Systems {
+		if !KnownSystem(sys) {
+			return errUnknownSystem(sys)
+		}
+	}
+	return validateSpecs(o.Chaos, o.Energy, o.Recovery)
+}
+
+func (o Options) withDefaults() Options {
 	if len(o.Seeds) == 0 {
 		o.Seeds = []int64{1, 2, 3, 4, 5}
 	}
@@ -177,7 +191,6 @@ func (o Options) withDefaults() Options {
 	if o.Sensors == 0 {
 		o.Sensors = 200
 	}
-	o.defaulted = true
 	return o
 }
 
@@ -283,8 +296,8 @@ var sweepRun = RunContext
 // exception is Options.buildFailureIsZero, under which an ErrBuild run is a
 // zero sample, not a failure.
 func sweep(ctx context.Context, o Options, xs []float64, configure func(x float64, seed int64) RunConfig, pick func(Result) float64) (Figure, error) {
-	if o.Parallelism < 0 || o.Parallelism > MaxParallelism {
-		return Figure{}, fmt.Errorf("experiment: Options.Parallelism must be in [0, %d], got %d", MaxParallelism, o.Parallelism)
+	if err := o.validate(); err != nil {
+		return Figure{}, err
 	}
 	o = o.withDefaults()
 	type cell struct {
@@ -326,8 +339,8 @@ func sweep(ctx context.Context, o Options, xs []float64, configure func(x float6
 	}
 
 	parallelism := o.Parallelism
-	if parallelism <= 0 {
-		parallelism = defaultParallelism()
+	if parallelism == 0 {
+		parallelism = runtime.GOMAXPROCS(0)
 	}
 	start := time.Now()
 	var (
@@ -447,12 +460,13 @@ func sweep(ctx context.Context, o Options, xs []float64, configure func(x float6
 	return fig, nil
 }
 
-func defaultParallelism() int {
-	n := numCPU()
-	if n < 1 {
-		return 1
+// deliveryRatio is the fraction of created packets that reached an actuator
+// at all (no deadline) — the y value of every "delivery ratio" figure.
+func deliveryRatio(r Result) float64 {
+	if r.Created == 0 {
+		return 0
 	}
-	return n
+	return float64(r.Delivered) / float64(r.Created)
 }
 
 // mobilityXs are the paper's mobility sweep positions: node speed drawn
@@ -591,8 +605,3 @@ func (s Series) Means() []float64 {
 	}
 	return out
 }
-
-// numCPU is indirected for tests.
-var numCPU = runtimeNumCPU
-
-func runtimeNumCPU() int { return runtime.NumCPU() }

@@ -75,12 +75,7 @@ func lifetimeHalfDead(ctx context.Context, o Options) (Figure, error) {
 }
 
 func lifetimeDelivery(ctx context.Context, o Options) (Figure, error) {
-	fig, err := lifetimeSweep(ctx, o, func(r Result) float64 {
-		if r.Created == 0 {
-			return 0
-		}
-		return float64(r.Delivered) / float64(r.Created)
-	})
+	fig, err := lifetimeSweep(ctx, o, deliveryRatio)
 	fig.YLabel = "delivery ratio"
 	return fig, err
 }

@@ -216,14 +216,15 @@ func TestSweepErrorIncludesRunConfig(t *testing.T) {
 		Seeds:    []int64{9},
 		Warmup:   10 * time.Second,
 		Duration: 10 * time.Second,
-		Systems:  []string{"not-a-system"},
+		Sensors:  20, // too sparse to embed a REFER cell: every run fails in Build
+		Systems:  []string{SystemREFER},
 	}
 	_, err := BuildFigure(context.Background(), "4", o)
-	if err == nil {
-		t.Fatal("sweep swallowed the error")
+	if !errors.Is(err, ErrBuild) {
+		t.Fatalf("err = %v, want ErrBuild", err)
 	}
 	msg := err.Error()
-	for _, want := range []string{"not-a-system", "seed=9", "x="} {
+	for _, want := range []string{SystemREFER, "seed=9", "x="} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("error %q missing %q", msg, want)
 		}

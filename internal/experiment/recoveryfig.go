@@ -9,8 +9,8 @@ import (
 )
 
 // The R figure family evaluates the self-healing recovery subsystem
-// (internal/recovery, DESIGN.md §12) under actuator-kill campaigns: the A3
-// churn workload plus an escalating set of *permanent* actuator kills —
+// (internal/recovery, DESIGN.md "Self-healing actuator recovery") under
+// actuator-kill campaigns: the A3 churn workload plus an escalating set of *permanent* actuator kills —
 // structural damage only the recovery protocols can repair. The deployment
 // uses a 3×3 actuator lattice (eight cells, nine actuators) so killed
 // corners have surviving peers to promote and neighboring cells to merge
@@ -74,12 +74,7 @@ func recoveryDelivery(ctx context.Context, o Options) (Figure, error) {
 	// REFER/recovery leads the series list so the with/without contrast
 	// reads straight off adjacent CSV columns.
 	o.Systems = []string{SystemREFERRecovery, SystemREFER, SystemDaTree, SystemDDEAR, SystemKautzOverlay}
-	fig, err := sweep(ctx, o, recoveryXs, recoveryConfig(o), func(r Result) float64 {
-		if r.Created == 0 {
-			return 0
-		}
-		return float64(r.Delivered) / float64(r.Created)
-	})
+	fig, err := sweep(ctx, o, recoveryXs, recoveryConfig(o), deliveryRatio)
 	fig.XLabel = "fault intensity (churn rate, crashes/s; +1+10x permanent actuator kills)"
 	fig.YLabel = "delivery ratio"
 	return fig, err

@@ -110,12 +110,7 @@ func heavyConfig(x float64, seed int64) RunConfig {
 }
 
 func growthDelivery(ctx context.Context, o Options) (Figure, error) {
-	fig, err := growthSweep(ctx, o, func(r Result) float64 {
-		if r.Created == 0 {
-			return 0
-		}
-		return float64(r.Delivered) / float64(r.Created)
-	})
+	fig, err := growthSweep(ctx, o, deliveryRatio)
 	fig.YLabel = "delivery ratio"
 	return fig, err
 }
@@ -133,23 +128,13 @@ func growthMaintainCost(ctx context.Context, o Options) (Figure, error) {
 }
 
 func frontierDelivery(ctx context.Context, o Options) (Figure, error) {
-	fig, err := frontierSweep(ctx, o, frontierXs, growthConfig, func(r Result) float64 {
-		if r.Created == 0 {
-			return 0
-		}
-		return float64(r.Delivered) / float64(r.Created)
-	})
+	fig, err := frontierSweep(ctx, o, frontierXs, growthConfig, deliveryRatio)
 	fig.YLabel = "delivery ratio"
 	return fig, err
 }
 
 func heavyDelivery(ctx context.Context, o Options) (Figure, error) {
-	fig, err := frontierSweep(ctx, o, heavyXs, heavyConfig, func(r Result) float64 {
-		if r.Created == 0 {
-			return 0
-		}
-		return float64(r.Delivered) / float64(r.Created)
-	})
+	fig, err := frontierSweep(ctx, o, heavyXs, heavyConfig, deliveryRatio)
 	fig.YLabel = "delivery ratio"
 	return fig, err
 }

@@ -3,7 +3,7 @@ package experiment
 import (
 	"context"
 	"reflect"
-	"sort"
+	"strings"
 	"testing"
 )
 
@@ -44,69 +44,78 @@ func zeroLeaves(v reflect.Value, path string, out []string) []string {
 	return out
 }
 
-// strippedFields fills a T completely, strips it and returns the sorted paths
-// of the fields the strip zeroed.
-func strippedFields[T any](t *testing.T, strip func(T) T) []string {
+// checkHalves pins the determinism-by-type contract on one stats type: T is
+// exactly an embedded host half followed by an embedded sim half, and strip
+// zeroes every leaf of the host half — the set is read off the type, so a new
+// host-dependent field needs no list anywhere — and no leaf of the sim half.
+func checkHalves[T any](t *testing.T, strip func(T) T) {
 	t.Helper()
+	typ := reflect.TypeOf((*T)(nil)).Elem()
+	if typ.NumField() != 2 {
+		t.Fatalf("%s has %d fields, want exactly a host half and a sim half", typ.Name(), typ.NumField())
+	}
+	host, sim := typ.Field(0), typ.Field(1)
+	if !host.Anonymous || !strings.HasSuffix(host.Name, "HostStats") || !sim.Anonymous || !strings.HasSuffix(sim.Name, "SimStats") {
+		t.Fatalf("%s is {%s; %s}, want an embedded …HostStats then an embedded …SimStats", typ.Name(), host.Name, sim.Name)
+	}
 	var full T
 	fillLeaves(t, reflect.ValueOf(&full).Elem(), "")
 	if z := zeroLeaves(reflect.ValueOf(full), "", nil); len(z) != 0 {
 		t.Fatalf("fillLeaves left %v zero", z)
 	}
-	got := zeroLeaves(reflect.ValueOf(strip(full)), "", nil)
-	sort.Strings(got)
-	return got
+	stripped := reflect.ValueOf(strip(full))
+	if !stripped.Field(0).IsZero() {
+		t.Errorf("%s.StripWallClock left host fields set: %+v", typ.Name(), stripped.Field(0))
+	}
+	if z := zeroLeaves(stripped.Field(1), "", nil); len(z) != 0 {
+		t.Errorf("%s.StripWallClock zeroed deterministic fields %v", typ.Name(), z)
+	}
 }
 
-// TestStripWallClockZeroesOnlyHostTiming pins the one hand-maintained list
-// between a run and a content-addressed cache from both sides: the strips
-// zero exactly the host-timing fields and nothing else, and a run's stats
-// minus those fields do not depend on the host — so a host-dependent field
-// added without being stripped fails here, not in a cache.
+// TestStripWallClockZeroesOnlyHostTiming pins the line between a run and a
+// content-addressed cache from both sides. By type: each stats block is a
+// host half plus a sim half and the strips drop exactly the former. By
+// behaviour: the sim half does not depend on the host — a mobile REFER run
+// under chaos and recovery yields the same SimStats replayed serially and
+// four at a time, and the sweeps' own sim halves agree at parallelism 1 and
+// 4 — so a host-dependent field placed in the wrong half fails here, not in
+// a cache.
 func TestStripWallClockZeroesOnlyHostTiming(t *testing.T) {
-	if got, want := strippedFields(t, RunStats.StripWallClock), []string{".EventsPerSec", ".WallClock"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("RunStats.StripWallClock zeroes %v, want exactly %v", got, want)
-	}
-	if got, want := strippedFields(t, SweepStats.StripWallClock), []string{".EventsPerSec", ".RunWallClock", ".WallClock"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("SweepStats.StripWallClock zeroes %v, want exactly %v", got, want)
-	}
+	checkHalves(t, RunStats.StripWallClock)
+	checkHalves(t, SweepStats.StripWallClock)
 
-	// A mobile REFER run under chaos and recovery, replayed serially and then
-	// four at a time through a sweep: every stripped RunStats is the same.
 	cfg := latticeCampaign(3, 30, 45)
-	var ref RunStats
-	for i := 0; i < 2; i++ {
-		res, err := Run(cfg)
+	// campaign runs cfg four times over (the sweep's seeds only count the
+	// repetitions) and returns every run's sim half and the sweep's own.
+	campaign := func(parallelism int) ([]SimStats, SweepSimStats) {
+		o := Options{Seeds: []int64{1, 2, 3, 4}, Systems: []string{cfg.System}, Parallelism: parallelism}
+		var runs []SimStats
+		fig, err := sweep(context.Background(), o, []float64{0},
+			func(float64, int64) RunConfig { return cfg },
+			func(r Result) float64 {
+				runs = append(runs, r.Stats.SimStats) // pick runs under the sweep's lock
+				return 0
+			})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := res.Stats.StripWallClock()
-		if i == 0 {
-			ref = got
-		} else if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("replay's stripped stats diverged:\n%+v\nvs\n%+v", got, ref)
+		if len(runs) != len(o.Seeds) || fig.Stats.WallClock <= 0 || fig.Stats.RunWallClock <= 0 {
+			t.Fatalf("parallelism %d: %d runs, host stats %+v", parallelism, len(runs), fig.Stats.SweepHostStats)
 		}
+		return runs, fig.Stats.SweepSimStats
 	}
+	serial, serialSweep := campaign(1)
+	parallel, parallelSweep := campaign(4)
+	ref := serial[0]
 	if ref.DESEvents == 0 || ref.Chaos.Events == 0 || ref.Recovery.Repairs() == 0 {
 		t.Fatalf("degenerate run: %+v", ref)
 	}
-	o := Options{Seeds: []int64{1, 2, 3, 4}, Systems: []string{cfg.System}, Parallelism: 4}
-	var swept []RunStats
-	_, err := sweep(context.Background(), o, []float64{0},
-		func(float64, int64) RunConfig { return cfg }, // the same run, four times over
-		func(r Result) float64 {
-			swept = append(swept, r.Stats.StripWallClock()) // pick runs under the sweep's lock
-			return 0
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(swept) != len(o.Seeds) {
-		t.Fatalf("sweep produced %d runs, want %d", len(swept), len(o.Seeds))
-	}
-	for i, got := range swept {
+	for i, got := range append(serial, parallel...) {
 		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("sweep run %d: stripped stats diverged from the serial run:\n%+v\nvs\n%+v", i, got, ref)
+			t.Fatalf("run %d: sim stats diverged from the first replay:\n%+v\nvs\n%+v", i, got, ref)
 		}
+	}
+	if !reflect.DeepEqual(serialSweep, parallelSweep) {
+		t.Fatalf("sweep sim stats differ between parallelism 1 and 4:\n%+v\nvs\n%+v", serialSweep, parallelSweep)
 	}
 }

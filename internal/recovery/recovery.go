@@ -187,9 +187,11 @@ func Attach(w *world.World, rep Repairer, spec Spec) (*Manager, error) {
 	return m, nil
 }
 
-// SetObserver installs fn to run after every completed recovery action, in
-// action order, before the sweep's stats are visible. The conformance
-// harness uses it to probe CheckInvariants after each individual action.
+// SetObserver installs fn to run once after every completed recovery action,
+// in action order. Stats, read from inside fn, already counts the running
+// sweep and every action up to and including fn's own, but none of the
+// sweep's later ones (pinned by TestManagerCountsAndObserves). The
+// conformance harness uses it to probe CheckInvariants after each action.
 func (m *Manager) SetObserver(fn func(Action)) { m.observer = fn }
 
 // Stats returns a snapshot of the accumulated counters.

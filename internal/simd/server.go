@@ -30,11 +30,11 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"refer/internal/experiment"
 	"refer/internal/kautz"
+	"refer/internal/recovery"
 )
 
 // Run states.
@@ -115,6 +115,7 @@ type run struct {
 	figure      *experiment.Figure
 	errMsg      string
 	submitted   time.Time
+	started     time.Time // zero until a worker picks the run up
 	finished    time.Time
 	lastPush    time.Time
 	subs        map[chan []byte]struct{}
@@ -143,27 +144,12 @@ type Server struct {
 	runs     map[string]*run
 	order    []string        // submission order, for listing and pruning
 	inflight map[string]*run // canonical key → queued/running run
-
-	cache *resultCache
-
-	inFlight  atomic.Int64
-	submitted atomic.Uint64
-	completed atomic.Uint64
-	failed    atomic.Uint64
-	cancelled atomic.Uint64
-	rejected  atomic.Uint64
-	deduped   atomic.Uint64
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	desEvents atomic.Uint64
-	busyNanos atomic.Int64
-	// Recovery counters accumulated from every executed run. They are
-	// deterministic virtual-time results, so they survive result stripping;
-	// /metrics still aggregates them for fleet visibility.
-	recoveryReelections atomic.Uint64
-	recoveryMerges      atomic.Uint64
-	recoveryTakeovers   atomic.Uint64
-	recoveryLatencyNs   atomic.Int64
+	cache    *resultCache
+	// metrics holds every counter /metrics reports, stepped under mu in the
+	// same critical sections that move runs between states; MetricsSnapshot
+	// adds the gauges and rates. busy sums the wall time of executed runs.
+	metrics Metrics
+	busy    time.Duration
 
 	// runSingle executes one simulation; indirected so tests can install
 	// deterministic blocking or failing runs.
@@ -186,9 +172,7 @@ func New(cfg Config) *Server {
 		runs:      make(map[string]*run),
 		inflight:  make(map[string]*run),
 		cache:     newResultCache(cfg.CacheSize),
-		runSingle: func(ctx context.Context, cfg experiment.RunConfig, onProgress func(experiment.RunProgress)) (experiment.Result, error) {
-			return experiment.StartRun(ctx, cfg, onProgress).Result()
-		},
+		runSingle: experiment.RunObserved,
 		buildFigure: func(ctx context.Context, id string, o experiment.Options) (experiment.Figure, error) {
 			spec, ok := experiment.FigureByID(id)
 			if !ok {
@@ -280,10 +264,32 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // ---- submission ----
 
+// maxBodyBytes caps a submission body; the largest legitimate one is a chaos
+// schedule of a few hundred events.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a capped JSON submission into v and answers the request
+// itself when it cannot. Unknown fields are refused: ignoring a misspelt name
+// would run, and cache, the default config under the caller's intent.
+func decodeBody(w http.ResponseWriter, req *http.Request, v any, emptyOK bool) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil || emptyOK && errors.Is(err, io.EOF) {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, "decoding request: %v", err)
+	return false
+}
+
 func (s *Server) handleSubmitRun(w http.ResponseWriter, req *http.Request) {
 	var rr RunRequest
-	if err := json.NewDecoder(req.Body).Decode(&rr); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding run request: %v", err)
+	if !decodeBody(w, req, &rr, false) {
 		return
 	}
 	cfg, err := rr.Config()
@@ -293,7 +299,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, req *http.Request) {
 	}
 	key, err := experiment.ConfigKey(cfg)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "canonicalizing config: %v", err)
+		writeError(w, http.StatusBadRequest, "invalid run request: %v", err)
 		return
 	}
 	s.submit(w, &run{kind: KindRun, key: key, cfg: cfg})
@@ -307,8 +313,7 @@ func (s *Server) handleSubmitFigure(w http.ResponseWriter, req *http.Request) {
 	}
 	var fr FigureRequest
 	// An empty body is a valid figure submission (all fields defaulted).
-	if err := json.NewDecoder(req.Body).Decode(&fr); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, "decoding figure request: %v", err)
+	if !decodeBody(w, req, &fr, true) {
 		return
 	}
 	opts, err := fr.Options()
@@ -316,12 +321,12 @@ func (s *Server) handleSubmitFigure(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid figure request: %v", err)
 		return
 	}
-	if opts.Parallelism <= 0 {
+	if opts.Parallelism == 0 {
 		opts.Parallelism = s.cfg.FigureParallelism
 	}
 	key, err := experiment.OptionsKey(figID, opts)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "canonicalizing options: %v", err)
+		writeError(w, http.StatusBadRequest, "invalid figure request: %v", err)
 		return
 	}
 	s.submit(w, &run{kind: KindFigure, key: key, figureID: figID, figOpts: opts})
@@ -330,15 +335,15 @@ func (s *Server) handleSubmitFigure(w http.ResponseWriter, req *http.Request) {
 // submit routes one run: cache hit → immediate done record; identical
 // in-flight submission → join it; otherwise a queue slot or 429.
 func (s *Server) submit(w http.ResponseWriter, r *run) {
-	s.submitted.Add(1)
 	s.mu.Lock()
+	s.metrics.Submitted++
 	if s.closed {
 		s.mu.Unlock()
 		writeError(w, http.StatusServiceUnavailable, "server shutting down")
 		return
 	}
 	if ent, ok := s.cache.get(r.key); ok {
-		s.hits.Add(1)
+		s.metrics.CacheHits++
 		r.mu.Lock()
 		r.id = s.registerLocked(r)
 		r.state = StateDone
@@ -354,7 +359,7 @@ func (s *Server) submit(w http.ResponseWriter, r *run) {
 		return
 	}
 	if ex, ok := s.inflight[r.key]; ok {
-		s.deduped.Add(1)
+		s.metrics.Deduped++
 		ex.mu.Lock()
 		state := ex.state
 		ex.mu.Unlock()
@@ -367,7 +372,7 @@ func (s *Server) submit(w http.ResponseWriter, r *run) {
 	r.mu.Lock()
 	select {
 	case s.queue <- r:
-		s.misses.Add(1)
+		s.metrics.CacheMisses++
 		r.id = s.registerLocked(r)
 		r.state = StateQueued
 		r.submitted = time.Now()
@@ -378,7 +383,7 @@ func (s *Server) submit(w http.ResponseWriter, r *run) {
 		writeJSON(w, http.StatusAccepted, SubmitResponse{ID: r.id, Key: r.key, State: StateQueued})
 	default:
 		r.mu.Unlock()
-		s.rejected.Add(1)
+		s.metrics.Rejected++
 		retry := s.retryAfterLocked()
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
@@ -420,10 +425,9 @@ func (s *Server) registerLocked(r *run) string {
 // retryAfterLocked estimates seconds until a queue slot frees: pending work
 // over worker throughput, from the observed mean run time.
 func (s *Server) retryAfterLocked() int {
-	completed := s.completed.Load()
 	avg := 2.0 // optimistic default before any completion
-	if completed > 0 {
-		avg = time.Duration(s.busyNanos.Load() / int64(completed)).Seconds()
+	if n := s.metrics.Completed; n > 0 {
+		avg = s.busy.Seconds() / float64(n)
 	}
 	est := avg * float64(len(s.queue)+1) / float64(s.cfg.Workers)
 	switch {
@@ -458,10 +462,12 @@ func (s *Server) worker() {
 }
 
 func (s *Server) execute(r *run) {
+	s.mu.Lock()
 	r.mu.Lock()
 	if r.cancelled || r.terminalLocked() {
 		terminal := r.terminalLocked()
 		r.mu.Unlock()
+		s.mu.Unlock()
 		if !terminal {
 			s.finish(r, StateCancelled, nil, nil, context.Canceled)
 		}
@@ -470,15 +476,11 @@ func (s *Server) execute(r *run) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	r.cancel = cancel
 	r.state = StateRunning
+	r.started = time.Now()
+	s.metrics.RunsInFlight++
 	r.mu.Unlock()
+	s.mu.Unlock()
 	defer cancel()
-
-	s.inFlight.Add(1)
-	started := time.Now()
-	defer func() {
-		s.inFlight.Add(-1)
-		s.busyNanos.Add(int64(time.Since(started)))
-	}()
 
 	var (
 		res experiment.Result
@@ -499,21 +501,8 @@ func (s *Server) execute(r *run) {
 	r.mu.Unlock()
 	switch {
 	case err == nil && r.kind == KindRun:
-		s.recoveryReelections.Add(uint64(res.Stats.Recovery.Reelections))
-		s.recoveryMerges.Add(uint64(res.Stats.Recovery.Merges))
-		s.recoveryTakeovers.Add(uint64(res.Stats.Recovery.Takeovers))
-		s.recoveryLatencyNs.Add(res.Stats.Recovery.LatencyNs)
-		// Strip host timing so the cached bytes equal any replay's bytes.
-		res.Stats = res.Stats.StripWallClock()
-		s.desEvents.Add(res.Stats.DESEvents)
 		s.finish(r, StateDone, &res, nil, nil)
 	case err == nil:
-		s.recoveryReelections.Add(uint64(fig.Stats.Recovery.Reelections))
-		s.recoveryMerges.Add(uint64(fig.Stats.Recovery.Merges))
-		s.recoveryTakeovers.Add(uint64(fig.Stats.Recovery.Takeovers))
-		s.recoveryLatencyNs.Add(fig.Stats.Recovery.LatencyNs)
-		fig.Stats = fig.Stats.StripWallClock()
-		s.desEvents.Add(fig.Stats.DESEvents)
 		s.finish(r, StateDone, nil, &fig, nil)
 	case cancelled || errors.Is(err, context.Canceled):
 		s.finish(r, StateCancelled, nil, nil, err)
@@ -522,10 +511,10 @@ func (s *Server) execute(r *run) {
 	}
 }
 
-// finish moves a run to a terminal state, updates the cache and inflight
-// index, publishes the terminal event and releases subscribers. Idempotent:
-// the first caller wins. Lock order is s.mu → r.mu throughout the server;
-// callers must hold neither.
+// finish moves a run to a terminal state, updates the counters, the cache and
+// the inflight index in one critical section, then publishes the terminal
+// event and releases subscribers. Idempotent: the first caller wins. Lock
+// order is s.mu → r.mu throughout the server; callers must hold neither.
 func (s *Server) finish(r *run, state string, res *experiment.Result, fig *experiment.Figure, err error) {
 	s.mu.Lock()
 	r.mu.Lock()
@@ -535,16 +524,37 @@ func (s *Server) finish(r *run, state string, res *experiment.Result, fig *exper
 		return
 	}
 	r.state = state
-	r.result, r.figure = res, fig
 	r.finished = time.Now()
+	if !r.started.IsZero() {
+		s.metrics.RunsInFlight--
+		s.busy += r.finished.Sub(r.started)
+	}
 	if err != nil {
 		r.errMsg = err.Error()
 	}
 	if s.inflight[r.key] == r {
 		delete(s.inflight, r.key)
 	}
-	if state == StateDone {
+	switch state {
+	case StateDone:
+		// The one place an outcome becomes terminal and cached: its host half
+		// is dropped, so the stored bytes equal any replay's, and its sim half
+		// is folded into /metrics before anyone can see the run as done.
+		switch {
+		case res != nil:
+			res.Stats = res.Stats.StripWallClock()
+			s.metrics.fold(res.Stats.DESEvents, res.Stats.Recovery)
+		case fig != nil:
+			fig.Stats = fig.Stats.StripWallClock()
+			s.metrics.fold(fig.Stats.DESEvents, fig.Stats.Recovery)
+		}
+		r.result, r.figure = res, fig
 		s.cache.put(&cacheEntry{key: r.key, result: res, figure: fig})
+		s.metrics.Completed++
+	case StateFailed:
+		s.metrics.Failed++
+	case StateCancelled:
+		s.metrics.Cancelled++
 	}
 	line, lineErr := json.Marshal(r.statusLocked())
 	subs := r.subs
@@ -553,14 +563,6 @@ func (s *Server) finish(r *run, state string, res *experiment.Result, fig *exper
 	r.mu.Unlock()
 	s.mu.Unlock()
 
-	switch state {
-	case StateDone:
-		s.completed.Add(1)
-	case StateFailed:
-		s.failed.Add(1)
-	case StateCancelled:
-		s.cancelled.Add(1)
-	}
 	for ch := range subs {
 		if lineErr == nil {
 			// Best effort: a gone subscriber re-reads the final status after
@@ -876,41 +878,32 @@ func (s *Server) handleFigureList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// MetricsSnapshot assembles the current serving metrics.
+// fold adds one executed outcome's deterministic counters to the totals.
+func (m *Metrics) fold(desEvents uint64, rec recovery.Stats) {
+	m.DESEvents += desEvents
+	m.RecoveryReelections += uint64(rec.Reelections)
+	m.RecoveryMerges += uint64(rec.Merges)
+	m.RecoveryTakeovers += uint64(rec.Takeovers)
+	m.RecoveryLatencyNs += rec.LatencyNs
+}
+
+// MetricsSnapshot assembles the current serving metrics: the counters as of
+// one instant, plus gauges, rates and the shared route tables.
 func (s *Server) MetricsSnapshot() Metrics {
 	s.mu.Lock()
-	entries := s.cache.len()
-	tracked := len(s.runs)
+	m := s.metrics
+	m.CacheEntries = s.cache.len()
+	m.RunsTracked = len(s.runs)
 	s.mu.Unlock()
-	up := time.Since(s.start).Seconds()
-	m := Metrics{
-		UptimeSeconds: up,
-		Workers:       s.cfg.Workers,
-		QueueDepth:    len(s.queue),
-		QueueCapacity: s.cfg.QueueDepth,
-		RunsInFlight:  int(s.inFlight.Load()),
-		Submitted:     s.submitted.Load(),
-		Completed:     s.completed.Load(),
-		Failed:        s.failed.Load(),
-		Cancelled:     s.cancelled.Load(),
-		Rejected:      s.rejected.Load(),
-		Deduped:       s.deduped.Load(),
-		CacheEntries:  entries,
-		CacheHits:     s.hits.Load(),
-		CacheMisses:   s.misses.Load(),
-		DESEvents:     s.desEvents.Load(),
-		RunsTracked:   tracked,
-
-		RecoveryReelections: s.recoveryReelections.Load(),
-		RecoveryMerges:      s.recoveryMerges.Load(),
-		RecoveryTakeovers:   s.recoveryTakeovers.Load(),
-		RecoveryLatencyNs:   s.recoveryLatencyNs.Load(),
-	}
+	m.UptimeSeconds = time.Since(s.start).Seconds()
+	m.Workers = s.cfg.Workers
+	m.QueueDepth = len(s.queue)
+	m.QueueCapacity = s.cfg.QueueDepth
 	if total := m.CacheHits + m.CacheMisses; total > 0 {
 		m.CacheHitRate = float64(m.CacheHits) / float64(total)
 	}
-	if up > 0 {
-		m.DESEventsPerSec = float64(m.DESEvents) / up
+	if m.UptimeSeconds > 0 {
+		m.DESEventsPerSec = float64(m.DESEvents) / m.UptimeSeconds
 	}
 	counters := kautz.AllTableCounters()
 	sort.Slice(counters, func(i, j int) bool {

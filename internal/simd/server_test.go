@@ -219,7 +219,7 @@ func TestServerLoadSmoke(t *testing.T) {
 // response is byte-identical both to the fresh run's response and to an
 // in-process RunContext of the same config with host timing stripped.
 func TestServerCacheByteIdentical(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
+	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
 	client := ts.Client()
 	req := smallRun(3)
 
@@ -255,31 +255,6 @@ func TestServerCacheByteIdentical(t *testing.T) {
 		t.Fatal("cached result is not byte-identical to the fresh run's result")
 	}
 
-	// A body from an older client still carrying the removed intra-run
-	// parallelism fields is accepted (the decoder ignores unknown fields —
-	// even an out-of-range drain_parallelism, a 400 while the knob existed)
-	// and addresses the same cache entry.
-	legacy := struct {
-		RunRequest
-		RunWorkers   int `json:"run_parallelism"`
-		DrainWorkers int `json:"drain_parallelism"`
-	}{req, 4, 1 << 20}
-	resp, data = postJSON(t, client, ts.URL+"/runs", legacy)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy-field submission: %d %s", resp.StatusCode, data)
-	}
-	var third SubmitResponse
-	if err := json.Unmarshal(data, &third); err != nil {
-		t.Fatal(err)
-	}
-	if !third.Cached || third.Key != first.Key {
-		t.Fatalf("legacy-field body missed the cache: %+v vs key %s", third, first.Key)
-	}
-	_, legacyBody := getBody(t, client, ts.URL+"/runs/"+third.ID+"/result")
-	if !bytes.Equal(freshBody, legacyBody) {
-		t.Fatal("legacy-field body's result is not byte-identical to the fresh run's")
-	}
-
 	// The figure route honours the same contract.
 	figReq := FigureRequest{
 		Seeds:            []int64{1},
@@ -300,27 +275,36 @@ func TestServerCacheByteIdentical(t *testing.T) {
 	if st := waitTerminal(t, client, ts.URL, fig.ID); st.State != StateDone {
 		t.Fatalf("figure run finished %s: %s", st.State, st.Error)
 	}
-	legacyFig := struct {
-		FigureRequest
-		DrainWorkers int `json:"drain_parallelism"`
-	}{figReq, 1 << 20}
-	resp, data = postJSON(t, client, ts.URL+"/figures/4/runs", legacyFig)
+	resp, data = postJSON(t, client, ts.URL+"/figures/4/runs", figReq)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy-field figure submission: %d %s", resp.StatusCode, data)
+		t.Fatalf("second figure submission: %d %s", resp.StatusCode, data)
 	}
 	var figAgain SubmitResponse
 	if err := json.Unmarshal(data, &figAgain); err != nil {
 		t.Fatal(err)
 	}
 	if !figAgain.Cached || figAgain.Key != fig.Key {
-		t.Fatalf("legacy-field figure body missed the cache: %+v vs key %s", figAgain, fig.Key)
+		t.Fatalf("second figure submission missed the cache: %+v vs key %s", figAgain, fig.Key)
 	}
 	for _, part := range []string{"/csv", "/stats"} {
 		_, fresh := getBody(t, client, ts.URL+"/runs/"+fig.ID+part)
 		_, cached := getBody(t, client, ts.URL+"/runs/"+figAgain.ID+part)
 		if len(fresh) == 0 || !bytes.Equal(fresh, cached) {
-			t.Fatalf("legacy-field figure body's %s is not byte-identical to the fresh build's", part)
+			t.Fatalf("cached figure's %s is not byte-identical to the fresh build's", part)
 		}
+	}
+
+	// What the cache holds has no host half at all, whatever fields that
+	// half has: the emptiness is checked on the type, not on a name list.
+	s.mu.Lock()
+	runEnt, _ := s.cache.get(first.Key)
+	figEnt, _ := s.cache.get(fig.Key)
+	s.mu.Unlock()
+	if runEnt == nil || runEnt.result.Stats.DESEvents == 0 || runEnt.result.Stats.HostStats != (experiment.HostStats{}) {
+		t.Fatalf("cached run entry: %+v", runEnt)
+	}
+	if figEnt == nil || figEnt.figure.Stats.Runs == 0 || figEnt.figure.Stats.SweepHostStats != (experiment.SweepHostStats{}) {
+		t.Fatalf("cached figure entry: %+v", figEnt)
 	}
 
 	// The served bytes equal a local replay of the same config.
@@ -331,6 +315,9 @@ func TestServerCacheByteIdentical(t *testing.T) {
 	local, err := experiment.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if local.Stats.WallClock <= 0 || local.Stats.SimStats != runEnt.result.Stats.SimStats {
+		t.Fatalf("cached sim stats diverge from a fresh local run's:\n%+v\nvs\n%+v", runEnt.result.Stats, local.Stats)
 	}
 	local.Stats = local.Stats.StripWallClock()
 	want, err := json.MarshalIndent(local, "", "  ")
@@ -585,22 +572,49 @@ func TestServerEventsStream(t *testing.T) {
 
 // TestServerValidation covers the 4xx surface.
 func TestServerValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	client := ts.Client()
 
-	resp, data := postJSON(t, client, ts.URL+"/runs", RunRequest{System: "not-a-system"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown system returned %d, want 400: %s", resp.StatusCode, data)
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"unknown system", "/runs", `{"system":"not-a-system"}`, 400},
+		{"negative warmup", "/runs", `{"warmup_s":-1}`, 400},
+		{"negative count", "/runs", `{"sources":-1}`, 400},
+		{"negative speed", "/runs", `{"max_speed":-1}`, 400},
+		{"negative battery", "/runs", `{"sensor_battery_j":-1}`, 400},
+		// 1e10 s used to wrap to −2562047 h, pass the sign check, "complete"
+		// with 0 events and be cached as done.
+		{"duration overflowing time.Duration", "/runs", `{"duration_s":1e10}`, 400},
+		{"windows overflowing the virtual clock", "/runs", `{"warmup_s":9e9,"duration_s":9e9}`, 400},
+		{"malformed chaos schedule", "/runs", `{"chaos":{"events":[{"kind":"blackout","at":"1s"}]}}`, 400},
+		{"malformed energy spec", "/runs", `{"energy":{"model":"nope"}}`, 400},
+		// A misspelt or retired field would otherwise run, and cache, the
+		// default config under the caller's intent.
+		{"misspelt field", "/runs", `{"seed":1,"sensor":50}`, 400},
+		{"retired field", "/runs", `{"seed":1,"drain_parallelism":4}`, 400},
+		{"oversized body", "/runs", `{"system":"` + strings.Repeat("x", maxBodyBytes) + `"}`, 413},
+		{"absurd figure parallelism", "/figures/4/runs", `{"parallelism":1048576}`, 400},
+		{"negative figure parallelism", "/figures/4/runs", `{"parallelism":-1}`, 400},
+		{"figure duration overflowing time.Duration", "/figures/4/runs", `{"duration_s":1e10}`, 400},
+		{"figure unknown system", "/figures/4/runs", `{"systems":["not-a-system"]}`, 400},
+		{"figure misspelt field", "/figures/4/runs", `{"seed":[1]}`, 400},
+	} {
+		resp, err := client.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s returned %d, want %d: %s", tc.name, resp.StatusCode, tc.want, data)
+		}
 	}
-	resp, data = postJSON(t, client, ts.URL+"/runs", RunRequest{WarmupS: -1})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative warmup returned %d, want 400: %s", resp.StatusCode, data)
+	if m := s.MetricsSnapshot(); m.Submitted != 0 || m.CacheEntries != 0 {
+		t.Errorf("a rejected body reached the queue or the cache: %+v", m)
 	}
-	resp, data = postJSON(t, client, ts.URL+"/figures/4/runs", FigureRequest{Parallelism: 1 << 20})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("absurd figure parallelism returned %d, want 400: %s", resp.StatusCode, data)
-	}
-	resp, _ = getBody(t, client, ts.URL+"/runs/r-999999")
+	resp, _ := getBody(t, client, ts.URL+"/runs/r-999999")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown run returned %d, want 404", resp.StatusCode)
 	}
@@ -610,7 +624,7 @@ func TestServerValidation(t *testing.T) {
 	}
 
 	// Sanity of discovery endpoints.
-	resp, data = getBody(t, client, ts.URL+"/systems")
+	resp, data := getBody(t, client, ts.URL+"/systems")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /systems: %d", resp.StatusCode)
 	}

@@ -2,6 +2,7 @@ package simd
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"refer/internal/chaos"
@@ -15,6 +16,8 @@ import (
 // Durations travel as seconds so clients never deal in nanosecond integers;
 // zero fields take the experiment package's paper defaults, and the
 // canonicalized (fully defaulted) config is what the result cache hashes.
+// This file only converts: what a config may contain is decided once, by the
+// validation experiment.ConfigKey and OptionsKey run before a key exists.
 
 // RunRequest is the JSON body of POST /runs: one simulation run. Every
 // field is optional except that a meaningful submission names at least a
@@ -63,30 +66,18 @@ type RunRequest struct {
 	Recovery *recovery.Spec `json:"recovery,omitempty"`
 }
 
-// secs converts a seconds field, rejecting negatives.
+// secs converts a seconds field, rejecting values a time.Duration cannot
+// hold (the conversion would wrap, e.g. 1e10 s to −2562047 h).
 func secs(name string, v float64) (time.Duration, error) {
-	if v < 0 {
-		return 0, fmt.Errorf("%s must be >= 0, got %g", name, v)
+	ns := v * float64(time.Second)
+	if !(math.Abs(ns) < math.MaxInt64) {
+		return 0, fmt.Errorf("%s = %g does not fit a duration", name, v)
 	}
-	return time.Duration(v * float64(time.Second)), nil
+	return time.Duration(ns), nil
 }
 
-// Config converts the wire request into an experiment.RunConfig, validating
-// the system name, durations and chaos schedule.
+// Config converts the wire request into an experiment.RunConfig.
 func (r RunRequest) Config() (experiment.RunConfig, error) {
-	if r.System != "" && !experiment.KnownSystem(r.System) {
-		return experiment.RunConfig{}, fmt.Errorf("unknown system %q (known: %v)",
-			r.System, experiment.KnownSystems())
-	}
-	if r.Sensors < 0 || r.Sources < 0 || r.PacketsPerSource < 0 || r.FaultCount < 0 {
-		return experiment.RunConfig{}, fmt.Errorf("counts must be >= 0")
-	}
-	if r.MaxSpeed < 0 {
-		return experiment.RunConfig{}, fmt.Errorf("max_speed must be >= 0, got %g", r.MaxSpeed)
-	}
-	if r.SensorBatteryJ < 0 {
-		return experiment.RunConfig{}, fmt.Errorf("sensor_battery_j must be >= 0, got %g", r.SensorBatteryJ)
-	}
 	cfg := experiment.RunConfig{
 		System: r.System,
 		Scenario: scenario.Params{
@@ -104,43 +95,30 @@ func (r RunRequest) Config() (experiment.RunConfig, error) {
 		Sources:          r.Sources,
 		PacketsPerSource: r.PacketsPerSource,
 		FaultCount:       r.FaultCount,
-	}
-	var err error
-	if cfg.Warmup, err = secs("warmup_s", r.WarmupS); err != nil {
-		return experiment.RunConfig{}, err
-	}
-	if cfg.Duration, err = secs("duration_s", r.DurationS); err != nil {
-		return experiment.RunConfig{}, err
-	}
-	if cfg.BurstInterval, err = secs("burst_interval_s", r.BurstIntervalS); err != nil {
-		return experiment.RunConfig{}, err
-	}
-	if cfg.PacketSpacing, err = secs("packet_spacing_s", r.PacketSpacingS); err != nil {
-		return experiment.RunConfig{}, err
-	}
-	if cfg.FaultRotation, err = secs("fault_rotation_s", r.FaultRotationS); err != nil {
-		return experiment.RunConfig{}, err
-	}
-	if cfg.QoSDeadline, err = secs("qos_deadline_s", r.QoSDeadlineS); err != nil {
-		return experiment.RunConfig{}, err
-	}
-	if r.Chaos != nil {
-		if err := r.Chaos.Validate(); err != nil {
-			return experiment.RunConfig{}, fmt.Errorf("chaos schedule: %w", err)
-		}
-		cfg.Chaos = r.Chaos
+		Chaos:            r.Chaos,
 	}
 	if r.Energy != nil {
-		if err := r.Energy.Validate(); err != nil {
-			return experiment.RunConfig{}, fmt.Errorf("energy spec: %w", err)
-		}
 		cfg.Energy = *r.Energy
 	}
 	if r.Recovery != nil {
-		if err := r.Recovery.Validate(); err != nil {
-			return experiment.RunConfig{}, fmt.Errorf("recovery spec: %w", err)
-		}
 		cfg.Recovery = *r.Recovery
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+		dst  *time.Duration
+	}{
+		{"warmup_s", r.WarmupS, &cfg.Warmup},
+		{"duration_s", r.DurationS, &cfg.Duration},
+		{"burst_interval_s", r.BurstIntervalS, &cfg.BurstInterval},
+		{"packet_spacing_s", r.PacketSpacingS, &cfg.PacketSpacing},
+		{"fault_rotation_s", r.FaultRotationS, &cfg.FaultRotation},
+		{"qos_deadline_s", r.QoSDeadlineS, &cfg.QoSDeadline},
+	} {
+		var err error
+		if *f.dst, err = secs(f.name, f.v); err != nil {
+			return experiment.RunConfig{}, err
+		}
 	}
 	return cfg, nil
 }
@@ -170,25 +148,19 @@ type FigureRequest struct {
 
 // Options converts the wire request into sweep options.
 func (r FigureRequest) Options() (experiment.Options, error) {
-	for _, sys := range r.Systems {
-		if !experiment.KnownSystem(sys) {
-			return experiment.Options{}, fmt.Errorf("unknown system %q (known: %v)",
-				sys, experiment.KnownSystems())
-		}
-	}
-	if r.Sensors < 0 || r.PacketsPerSource < 0 || r.Parallelism < 0 {
-		return experiment.Options{}, fmt.Errorf("counts must be >= 0")
-	}
-	if r.Parallelism > experiment.MaxParallelism {
-		return experiment.Options{}, fmt.Errorf("parallelism must be in [0, %d], got %d",
-			experiment.MaxParallelism, r.Parallelism)
-	}
 	o := experiment.Options{
 		Seeds:            r.Seeds,
 		Sensors:          r.Sensors,
 		Systems:          r.Systems,
 		PacketsPerSource: r.PacketsPerSource,
 		Parallelism:      r.Parallelism,
+		Chaos:            r.Chaos,
+	}
+	if r.Energy != nil {
+		o.Energy = *r.Energy
+	}
+	if r.Recovery != nil {
+		o.Recovery = *r.Recovery
 	}
 	var err error
 	if o.Warmup, err = secs("warmup_s", r.WarmupS); err != nil {
@@ -196,24 +168,6 @@ func (r FigureRequest) Options() (experiment.Options, error) {
 	}
 	if o.Duration, err = secs("duration_s", r.DurationS); err != nil {
 		return experiment.Options{}, err
-	}
-	if r.Chaos != nil {
-		if err := r.Chaos.Validate(); err != nil {
-			return experiment.Options{}, fmt.Errorf("chaos schedule: %w", err)
-		}
-		o.Chaos = r.Chaos
-	}
-	if r.Energy != nil {
-		if err := r.Energy.Validate(); err != nil {
-			return experiment.Options{}, fmt.Errorf("energy spec: %w", err)
-		}
-		o.Energy = *r.Energy
-	}
-	if r.Recovery != nil {
-		if err := r.Recovery.Validate(); err != nil {
-			return experiment.Options{}, fmt.Errorf("recovery spec: %w", err)
-		}
-		o.Recovery = *r.Recovery
 	}
 	return o, nil
 }

@@ -189,18 +189,14 @@ func KnownSystem(name string) bool { return experiment.KnownSystem(name) }
 // KnownSystems lists every constructible system name, sorted.
 func KnownSystems() []string { return experiment.KnownSystems() }
 
-// RunHandle is a simulation started with StartRun: cancellable, with live
-// progress snapshots and a blocking Result accessor.
-type RunHandle = experiment.RunHandle
-
 // RunProgress is a virtual-clock progress snapshot of a running simulation.
 type RunProgress = experiment.RunProgress
 
-// StartRun launches a simulation asynchronously, invoking onProgress (when
-// non-nil) after every DES event batch. This is the primitive the
+// RunObserved is RunContext that also invokes observe (when non-nil) on the
+// calling goroutine after every DES event batch. This is the primitive the
 // refer-simd daemon serves runs with.
-func StartRun(ctx context.Context, cfg RunConfig, onProgress func(RunProgress)) *RunHandle {
-	return experiment.StartRun(ctx, cfg, onProgress)
+func RunObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) (Result, error) {
+	return experiment.RunObserved(ctx, cfg, observe)
 }
 
 // ConfigKey returns the content address of a run configuration: the hex
