@@ -24,52 +24,37 @@ func quickOpts() Options {
 	}
 }
 
-func benchFigure(b *testing.B, id string) {
+// benchFigure regenerates the named figures, which share one grid and so one
+// sweep per iteration.
+func benchFigure(b *testing.B, ids ...string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		fig, err := BuildFigure(context.Background(), id, quickOpts())
+		err := BuildFigures(context.Background(), ids, quickOpts(), func(fig Figure) error {
+			if len(fig.Series) == 0 {
+				b.Fatal("empty figure")
+			}
+			return nil
+		})
 		if err != nil {
 			b.Fatal(err)
-		}
-		if len(fig.Series) == 0 {
-			b.Fatal("empty figure")
 		}
 	}
 }
 
-// ---- One benchmark per evaluation figure (Section IV) ----
+// ---- One benchmark per paper experiment (Section IV): the figures of a
+// grid are different metrics of the same runs ----
 
-// BenchmarkFig4MobilityThroughput regenerates Figure 4: QoS throughput vs
-// node mobility for all four systems.
-func BenchmarkFig4MobilityThroughput(b *testing.B) { benchFigure(b, "4") }
+// BenchmarkGridMobility regenerates Figures 4 and 5: QoS throughput and
+// communication energy vs node mobility for all four systems.
+func BenchmarkGridMobility(b *testing.B) { benchFigure(b, "4", "5") }
 
-// BenchmarkFig5MobilityEnergy regenerates Figure 5: communication energy vs
-// node mobility.
-func BenchmarkFig5MobilityEnergy(b *testing.B) { benchFigure(b, "5") }
+// BenchmarkGridFaults regenerates Figures 6 and 7: transmission delay and QoS
+// throughput vs number of faulty nodes.
+func BenchmarkGridFaults(b *testing.B) { benchFigure(b, "6", "7") }
 
-// BenchmarkFig6FaultDelay regenerates Figure 6: transmission delay vs
-// number of faulty nodes.
-func BenchmarkFig6FaultDelay(b *testing.B) { benchFigure(b, "6") }
-
-// BenchmarkFig7FaultThroughput regenerates Figure 7: QoS throughput vs
-// number of faulty nodes.
-func BenchmarkFig7FaultThroughput(b *testing.B) { benchFigure(b, "7") }
-
-// BenchmarkFig8ScaleDelay regenerates Figure 8: transmission delay vs
-// network size.
-func BenchmarkFig8ScaleDelay(b *testing.B) { benchFigure(b, "8") }
-
-// BenchmarkFig9ScaleEnergy regenerates Figure 9: communication energy vs
-// network size.
-func BenchmarkFig9ScaleEnergy(b *testing.B) { benchFigure(b, "9") }
-
-// BenchmarkFig10ConstructionEnergy regenerates Figure 10: topology
-// construction energy vs network size.
-func BenchmarkFig10ConstructionEnergy(b *testing.B) { benchFigure(b, "10") }
-
-// BenchmarkFig11TotalEnergy regenerates Figure 11: total energy vs network
-// size.
-func BenchmarkFig11TotalEnergy(b *testing.B) { benchFigure(b, "11") }
+// BenchmarkGridPopulation regenerates Figures 8–11: transmission delay and
+// the communication, construction and total energy vs network size.
+func BenchmarkGridPopulation(b *testing.B) { benchFigure(b, "8", "9", "10", "11") }
 
 // ---- Ablation benches (design-choice studies from DESIGN.md) ----
 

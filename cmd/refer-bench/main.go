@@ -1,11 +1,14 @@
 // Command refer-bench regenerates the paper's evaluation figures (4–11) as
-// text tables: each cell is mean ± 95 % CI over the seed set.
+// text tables: each cell is mean ± 95 % CI over the seed set. Figures that
+// plot different metrics of the same experiment (4–5, 6–7, 8–11, E1–E2,
+// L1–L3, S1–S3) share one sweep: each grid runs once per invocation.
 //
 // Usage:
 //
 //	refer-bench                 # quick pass: 3 seeds, 300 s windows
 //	refer-bench -full           # paper-scale: 5 seeds, 1000 s windows
 //	refer-bench -fig 4 -fig 5   # only selected figures
+//	refer-bench -extras         # also the ablation (A1–A3), extension (E1–E3) and lifetime (L1–L3) studies
 //	refer-bench -json           # machine-readable output on stdout
 //	refer-bench -trace 100      # packet tracing, sampling every 100th packet
 //	refer-bench -chaos f.json   # attach a fault-injection schedule to every run
@@ -54,7 +57,7 @@ func main() {
 	var (
 		full       = flag.Bool("full", false, "paper-scale runs (5 seeds, 1000 s windows)")
 		seeds      = flag.Int("seeds", 0, "override the number of seeds")
-		extras     = flag.Bool("extras", false, "also run the ablation (A1, A2) and extension (E1–E3) studies")
+		extras     = flag.Bool("extras", false, "also run the ablation (A1–A3), extension (E1–E3) and lifetime (L1–L3) studies")
 		csvDir     = flag.String("csv", "", "also write each figure as <dir>/fig<ID>.csv")
 		jsonOut    = flag.Bool("json", false, "emit the figures as JSON on stdout instead of text tables")
 		traceN     = flag.Int("trace", 0, "attach packet tracing to every run, keeping every Nth packet's event stream (0 = off)")
@@ -148,8 +151,8 @@ func main() {
 	// Select figures from the registry: the paper set by default, every
 	// kind except the network-growth and recovery studies with -extras (the
 	// 10,000-node scale points dwarf everything else, and the recovery
-	// campaigns have their own CI job; ask for S*/R* explicitly with -fig),
-	// or exactly the ones named with -fig.
+	// campaigns are regenerated by TestGoldenFigureCSV; ask for S*/R*
+	// explicitly with -fig), or exactly the ones named with -fig.
 	var selected []refer.FigureSpec
 	if len(figs) > 0 {
 		for _, id := range figs {
@@ -173,20 +176,24 @@ func main() {
 		}
 	}
 
+	// figsOf[grid] lists the selected figures that share the grid's sweep,
+	// for the completion line printed once per grid.
+	ids := make([]string, len(selected))
+	figsOf := make(map[string][]string)
+	for i, spec := range selected {
+		ids[i] = spec.ID
+		figsOf[spec.Grid] = append(figsOf[spec.Grid], spec.ID)
+	}
+
 	start := time.Now()
 	var results []refer.Figure
-	for _, spec := range selected {
-		fig, err := spec.Build(ctx, opts)
-		if err != nil {
-			if !*quiet {
-				fmt.Fprintln(os.Stderr)
-			}
-			fatal(err)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "\rfig %-3s %d runs in %v (%.0f events/s)%s\n",
-				spec.ID, fig.Stats.Runs, fig.Stats.WallClock.Round(time.Millisecond),
+	err := refer.BuildFigures(ctx, ids, opts, func(fig refer.Figure) error {
+		spec := selected[len(results)]
+		if shared := figsOf[spec.Grid]; !*quiet && shared != nil {
+			fmt.Fprintf(os.Stderr, "\rfigs %s  %d runs in %v (%.0f events/s)%s\n",
+				strings.Join(shared, ","), fig.Stats.Runs, fig.Stats.WallClock.Round(time.Millisecond),
 				fig.Stats.EventsPerSec, strings.Repeat(" ", 12))
+			delete(figsOf, spec.Grid)
 		}
 		results = append(results, fig)
 		if !*jsonOut {
@@ -195,9 +202,16 @@ func main() {
 		if *csvDir != "" {
 			path := filepath.Join(*csvDir, "fig"+spec.ID+".csv")
 			if err := os.WriteFile(path, []byte(fig.CSV()), 0o644); err != nil {
-				fatal(err)
+				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		if !*quiet {
+			fmt.Fprintln(os.Stderr)
+		}
+		fatal(err)
 	}
 
 	if *jsonOut {

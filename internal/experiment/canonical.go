@@ -94,7 +94,8 @@ func ConfigKey(cfg RunConfig) (string, error) {
 	return hashJSON(c)
 }
 
-// canonicalFigure is the serialized form OptionsKey hashes. Parallelism and
+// canonicalFigure is the serialized form OptionsKey and TableKey hash: a
+// label plus the options the grid resolves the caller's to. Parallelism and
 // Progress are deliberately excluded: figure output is byte-identical at any
 // sweep worker count (pinned by TestParallelismInvariance), and a progress
 // callback observes a build without changing it.
@@ -113,17 +114,33 @@ type canonicalFigure struct {
 }
 
 // OptionsKey returns the content address of a figure build: the hex SHA-256
-// of the registry ID plus the canonicalized sweep options.
+// of the registry ID plus the canonicalized options its sweep will run.
 func OptionsKey(figureID string, o Options) (string, error) {
-	if _, ok := FigureByID(figureID); !ok {
-		return "", fmt.Errorf("experiment: unknown figure %q", figureID)
+	spec, err := figureSpec(figureID)
+	if err != nil {
+		return "", err
 	}
+	return figureKey(spec.ID, grids[spec.Grid], o)
+}
+
+// TableKey returns the content address of the Table behind a figure build:
+// OptionsKey's canonical form under the grid's name instead of the figure's,
+// so the figures of one grid share it.
+func TableKey(figureID string, o Options) (string, error) {
+	spec, err := figureSpec(figureID)
+	if err != nil {
+		return "", err
+	}
+	return figureKey(spec.Grid, grids[spec.Grid], o)
+}
+
+func figureKey(label string, g grid, o Options) (string, error) {
 	if err := o.validate(); err != nil {
 		return "", err
 	}
-	o = o.withDefaults()
+	o = g.resolve(o)
 	c := canonicalFigure{
-		Figure:           figureID,
+		Figure:           label,
 		Seeds:            o.Seeds,
 		Warmup:           o.Warmup,
 		Duration:         o.Duration,
@@ -134,12 +151,10 @@ func OptionsKey(figureID string, o Options) (string, error) {
 		Chaos:            o.Chaos,
 	}
 	if !o.Energy.IsZero() {
-		spec := o.Energy
-		c.Energy = &spec
+		c.Energy = &o.Energy
 	}
 	if !o.Recovery.IsZero() {
-		spec := o.Recovery
-		c.Recovery = &spec
+		c.Recovery = &o.Recovery
 	}
 	return hashJSON(c)
 }

@@ -140,22 +140,129 @@ func TestOptionsKey(t *testing.T) {
 	if k3 == k1 {
 		t.Fatal("figure ID not part of the key")
 	}
-	// Every leaf of Options moves the key or is refused, except the
-	// execution-only fields, which must not: they cannot change the output.
+	// Every leaf of Options moves the key or is refused, on one figure per
+	// grid, except the execution-only fields, which must not: they cannot
+	// change the output. A leaf the grid forces (A1's Systems) may leave the
+	// key alone only because it leaves the scheduled runs alone too.
 	execOnly := map[string]bool{".Parallelism": true, ".Progress": true}
-	eachLeafPerturbed(t, Options{}, func(path string, o Options) {
-		k, err := OptionsKey("4", o)
-		switch {
-		case execOnly[path]:
-			if err != nil || k != k1 {
-				t.Errorf("execution-only Options%s moved the key (err %v)", path, err)
-			}
-		case err == nil && k == k1:
-			t.Errorf("perturbing Options%s changed neither the key nor its validity", path)
+	scheduleOf := recordSchedules(t)
+	walked := map[string]bool{}
+	for _, spec := range Figures() {
+		if walked[spec.Grid] {
+			continue
 		}
-	})
+		walked[spec.Grid] = true
+		id := spec.ID
+		base, err := OptionsKey(id, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eachLeafPerturbed(t, Options{}, func(path string, o Options) {
+			k, err := OptionsKey(id, o)
+			switch {
+			case execOnly[path]:
+				if err != nil || k != base {
+					t.Errorf("figure %s: execution-only Options%s moved the key (err %v)", id, path, err)
+				}
+			case err == nil && k == base && !reflect.DeepEqual(scheduleOf(id, o), scheduleOf(id, Options{})):
+				t.Errorf("figure %s: perturbing Options%s changed the runs but neither the key nor its validity", id, path)
+			}
+		})
+	}
 	if _, err := OptionsKey("nope", Options{}); err == nil {
 		t.Fatal("no error for unknown figure")
+	}
+}
+
+// recordSchedules stubs run execution for the rest of the test and returns a
+// function reporting the ordered ConfigKeys of the runs figure id's sweep
+// schedules under o.
+func recordSchedules(t *testing.T) func(id string, o Options) []string {
+	t.Helper()
+	var keys []string
+	stubSweepRun(t, func(_ context.Context, cfg RunConfig) (Result, error) {
+		k, err := ConfigKey(cfg)
+		if err != nil {
+			t.Errorf("a sweep scheduled a run without a key: %v", err)
+		}
+		keys = append(keys, k)
+		return Result{}, nil
+	})
+	return func(id string, o Options) []string {
+		t.Helper()
+		keys = nil
+		o.Parallelism = 1 // runs start, and so record, in schedule order
+		o.Progress = nil
+		if _, err := BuildTable(context.Background(), id, o); err != nil {
+			t.Fatalf("figure %s: %v", id, err)
+		}
+		return keys
+	}
+}
+
+// TestKeysAddressTheSchedule pins key soundness as a property: two Options
+// with equal OptionsKey — or equal TableKey, across the figures of a grid too
+// — schedule the same ordered list of runs, so a cache hit can never serve a
+// different experiment's figure. Each grid's own defaults (S-family arms,
+// seeds and windows, L-family radio model, forced ablation arms) are resolved
+// before hashing; when the builders applied them after the key was taken,
+// S1–S5 collided on Systems and Seeds.
+func TestKeysAddressTheSchedule(t *testing.T) {
+	variants := []Options{
+		{},
+		{Systems: AllSystems()},
+		{Seeds: []int64{1}},
+		{Seeds: []int64{1, 2, 3, 4, 5}},
+		{Warmup: 20 * time.Second, Duration: 60 * time.Second},
+		{Energy: energy.Spec{Model: energy.ModelRadio}},
+	}
+	// keyOf turns a key function into one that cannot fail on these inputs.
+	keyOf := func(f func(string, Options) (string, error)) func(string, Options) string {
+		return func(id string, o Options) string {
+			k, err := f(id, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return k
+		}
+	}
+	optionsKey, tableKey := keyOf(OptionsKey), keyOf(TableKey)
+	scheduleOf := recordSchedules(t)
+	byKey := map[string][]string{}
+	for _, spec := range Figures() {
+		for _, o := range variants {
+			schedule := scheduleOf(spec.ID, o)
+			for _, key := range []string{optionsKey(spec.ID, o), tableKey(spec.ID, o)} {
+				if prev, ok := byKey[key]; ok && !reflect.DeepEqual(prev, schedule) {
+					t.Errorf("figure %s: key %s addresses two different schedules (%d vs %d runs)",
+						spec.ID, key[:12], len(prev), len(schedule))
+				}
+				byKey[key] = schedule
+			}
+		}
+	}
+
+	// The two collisions reproduced before the fix: 8·S runs in 2 series vs
+	// 16·S in 4, and 3 runs vs 15.
+	if optionsKey("S1", Options{}) == optionsKey("S1", Options{Systems: AllSystems()}) {
+		t.Error("S1: the default arms and all four systems share an OptionsKey")
+	}
+	if optionsKey("S4", Options{}) == optionsKey("S4", Options{Seeds: []int64{1, 2, 3, 4, 5}}) {
+		t.Error("S4: the default single seed and five seeds share an OptionsKey")
+	}
+	// And a grid's defaults spelled out are still the same address.
+	if optionsKey("S4", Options{}) != optionsKey("S4", Options{Seeds: []int64{1}, Systems: []string{SystemREFER},
+		Warmup: 20 * time.Second, Duration: 60 * time.Second}) {
+		t.Error("S4: defaulted and explicit options hash differently")
+	}
+	if optionsKey("L1", Options{}) != optionsKey("L1", Options{Energy: energy.Spec{Model: energy.ModelRadio}}) {
+		t.Error("L1: the default radio model spelled out hashes differently")
+	}
+	// Figures of one grid share the table's address, not the figure's.
+	if tableKey("4", Options{}) == optionsKey("4", Options{}) ||
+		tableKey("4", Options{}) != tableKey("5", Options{}) ||
+		tableKey("4", Options{}) == tableKey("6", Options{}) {
+		t.Error("TableKey must differ from figure 4's OptionsKey, be shared by figures 4 and 5, and not by 6")
 	}
 }
 

@@ -233,14 +233,19 @@ func TestResultTotalEnergy(t *testing.T) {
 
 func TestAllFiguresSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("8 figure sweeps")
+		t.Skip("3 grid sweeps")
 	}
-	figs, err := AllFigures(Options{
+	wantIDs := []string{"4", "5", "6", "7", "8", "9", "10", "11"}
+	var figs []Figure
+	err := BuildFigures(context.Background(), wantIDs, Options{
 		Seeds:    []int64{1},
 		Warmup:   15 * time.Second,
 		Duration: 30 * time.Second,
 		Systems:  []string{SystemREFER, SystemDDEAR},
 		Sensors:  120,
+	}, func(fig Figure) error {
+		figs = append(figs, fig)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +253,6 @@ func TestAllFiguresSmoke(t *testing.T) {
 	if len(figs) != 8 {
 		t.Fatalf("figures = %d", len(figs))
 	}
-	wantIDs := []string{"4", "5", "6", "7", "8", "9", "10", "11"}
 	for i, fig := range figs {
 		if fig.ID != wantIDs[i] {
 			t.Fatalf("figure %d has ID %s", i, fig.ID)

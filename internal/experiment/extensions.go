@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -9,58 +8,17 @@ import (
 	"refer/internal/scenario"
 )
 
-// sparseXs sweeps sensor density downward; the paper's conclusion lists
-// sparse WSANs as future work ("we will also investigate the performance
-// of REFER in a sparse WSAN").
-var sparseXs = []float64{60, 100, 140, 200}
-
-// extSparse (E1) studies the systems in increasingly sparse deployments: QoS
-// throughput vs sensor population at the default mobility. REFER's
-// embedding needs roughly a dozen viable sensors per cell (Prop. 3.2's
-// density requirement); when a deployment is too sparse to form the cells,
-// the system scores zero for that run — the density threshold is the
-// finding, not an error.
-func extSparse(ctx context.Context, o Options) (Figure, error) {
-	fig, err := densitySweep(ctx, o, func(r Result) float64 { return r.Throughput })
-	fig.YLabel = "throughput (pkt/s)"
-	return fig, err
-}
-
-// extSparseDeliveryRatio (E2) is the same sweep, measured as the fraction of
-// created packets that reach an actuator at all (no deadline).
-func extSparseDeliveryRatio(ctx context.Context, o Options) (Figure, error) {
-	fig, err := densitySweep(ctx, o, deliveryRatio)
-	fig.YLabel = "delivery ratio"
-	return fig, err
-}
-
-// densitySweep runs the E1/E2 grid: the population sweep at sparse sizes,
-// with a run whose system cannot construct its topology (ErrBuild) scored as
-// zero.
-func densitySweep(ctx context.Context, o Options, pick func(Result) float64) (Figure, error) {
-	o.buildFailureIsZero = true
-	return populationSweep(ctx, o, sparseXs, pick)
-}
-
-// degreeXs sweeps the faulty-node count for the degree study.
-var degreeXs = []float64{2, 6, 10, 14, 18}
-
-// extDegree (E3) studies K(d,3) cells with d beyond the paper's 2 — its other
-// stated future work. K(3,3) gives every pair three disjoint paths instead
-// of two, so the failover survives heavier fault loads, at the price of a
-// larger embedding (33 overlay sensors per cell) and more maintenance.
-// The deployment uses 400 sensors so both variants can form cells.
-func extDegree(ctx context.Context, o Options) (Figure, error) {
-	o = o.withDefaults()
-	o.Systems = []string{SystemREFER, SystemREFERK33}
-	fig, err := sweep(ctx, o, degreeXs, func(x float64, seed int64) RunConfig {
-		return RunConfig{
-			Scenario:   scenario.Params{Seed: seed, Sensors: 400, MaxSpeed: 1},
-			FaultCount: int(x),
-		}
-	}, func(r Result) float64 { return r.Throughput })
-	fig.XLabel, fig.YLabel = "faulty nodes", "throughput (pkt/s)"
-	return fig, err
+// degreeConfig is the E3 run: K(d,3) cells with d beyond the paper's 2 — its
+// other stated future work — under x faulty sensors. K(3,3) gives every pair
+// three disjoint paths instead of two, so the failover survives heavier fault
+// loads, at the price of a larger embedding (33 overlay sensors per cell) and
+// more maintenance. The deployment uses 400 sensors so both variants can form
+// cells.
+func degreeConfig(_ Options, x float64, seed int64) RunConfig {
+	return RunConfig{
+		Scenario:   scenario.Params{Seed: seed, Sensors: 400, MaxSpeed: 1},
+		FaultCount: int(x),
+	}
 }
 
 // InterCellResult summarizes the E4 inter-cell routing study: REFER's DHT
@@ -98,7 +56,7 @@ func ExtInterCell(o Options) (InterCellResult, error) {
 					continue
 				}
 				src, okSrc := from.Node("021")
-				dst, okDst := to.Node("010")
+				_, okDst := to.Node("010")
 				if !okSrc || !okDst {
 					continue
 				}
@@ -114,7 +72,6 @@ func ExtInterCell(o Options) (InterCellResult, error) {
 					totalCellHops += len(route) - 1
 				})
 				w.Sched.RunUntil(w.Now() + 5*time.Second)
-				_ = dst
 			}
 		}
 	}

@@ -13,6 +13,9 @@ import (
 	"refer/internal/recovery"
 )
 
+// sparseXs are the E1/E2 sweep positions.
+var sparseXs = grids["density"].xs
+
 func TestExtSparseHandlesInfeasibleDeployments(t *testing.T) {
 	o := Options{
 		Seeds:    []int64{1, 2},

@@ -15,7 +15,6 @@ import (
 	"refer/internal/energy"
 	"refer/internal/metrics"
 	"refer/internal/recovery"
-	"refer/internal/scenario"
 	"refer/internal/trace"
 )
 
@@ -63,20 +62,14 @@ type Options struct {
 	// value attaches nothing (SystemREFERRecovery still self-enables its
 	// defaults), leaving every pre-existing figure CSV byte-identical.
 	Recovery recovery.Spec
-
-	// figureID labels progress events with the owning registry entry; set
-	// by the registry wrapper, empty for direct sweep use.
-	figureID string
-	// buildFailureIsZero makes sweep score a run that fails with ErrBuild as
-	// a zero sample instead of failing the sweep; set by the sparse-deployment
-	// figures (E1, E2), where the density threshold is the finding.
-	buildFailureIsZero bool
 }
 
 // ProgressEvent reports one finished simulation run of a sweep.
 type ProgressEvent struct {
-	// FigureID is the registry ID of the figure being built ("" when the
-	// sweep was invoked outside the registry).
+	// FigureID is the registry ID the sweep was requested under: the first
+	// requested figure of the grid being built. Later figures of the same
+	// request that share the grid are projected from its table and emit no
+	// events of their own.
 	FigureID string
 	// Done runs out of Total have finished (including this one).
 	Done, Total int
@@ -288,32 +281,77 @@ func (p *progressPump) close() {
 // substitute instant or failing runs.
 var sweepRun = RunContext
 
-// sweep runs the cross product systems × xs × seeds and reduces each
-// (system, x) cell to a summary of the metric selected by pick. Runs
-// execute in parallel; a failed run or a cancelled context stops further
-// jobs from being scheduled, and every run error — each wrapped with the
-// failing run's system, seed and x — is aggregated with errors.Join. The one
-// exception is Options.buildFailureIsZero, under which an ErrBuild run is a
-// zero sample, not a failure.
-func sweep(ctx context.Context, o Options, xs []float64, configure func(x float64, seed int64) RunConfig, pick func(Result) float64) (Figure, error) {
+// Table is one executed grid: every run's Result, from which each figure of
+// the grid is a projection (Table.Figure). Cells[s][x] holds the runs of
+// Systems[s] at Xs[x], one per seed in seed order, so a table is the same
+// value at any sweep parallelism once its host half is stripped.
+type Table struct {
+	XLabel  string
+	Systems []string
+	Xs      []float64
+	Cells   [][][]Result
+	Stats   SweepStats
+}
+
+// StripWallClock drops the host half of the sweep's stats and of every
+// cell's, in place — what is left is a deterministic function of the Options.
+func (t *Table) StripWallClock() {
+	t.Stats = t.Stats.StripWallClock()
+	for _, row := range t.Cells {
+		for _, cell := range row {
+			for i := range cell {
+				cell[i].Stats = cell[i].Stats.StripWallClock()
+			}
+		}
+	}
+}
+
+// Figure projects the table onto spec's column: each (system, x) cell becomes
+// the summary of its runs' column values.
+func (t Table) Figure(spec FigureSpec) Figure {
+	col := columns[spec.Column]
+	fig := Figure{ID: spec.ID, Title: spec.Title, XLabel: t.XLabel, YLabel: col.yLabel, Stats: t.Stats}
+	for si, sys := range t.Systems {
+		series := Series{System: sys, Points: make([]Point, 0, len(t.Xs))}
+		for xi, x := range t.Xs {
+			vals := make([]float64, 0, len(t.Cells[si][xi]))
+			for _, r := range t.Cells[si][xi] {
+				vals = append(vals, col.value(r))
+			}
+			sort.Float64s(vals)
+			series.Points = append(series.Points, Point{X: x, Y: metrics.Summarize(vals)})
+		}
+		fig.Series = append(fig.Series, series)
+	}
+	return fig
+}
+
+// sweep runs g's cross product systems × xs × seeds under the options g
+// resolves o to and returns every run's Result as a Table. label names the
+// request in progress events and CPU-profile samples. Runs execute in
+// parallel; a failed run or a cancelled context stops further jobs from being
+// scheduled, and every run error — each wrapped with the failing run's
+// system, seed and x — is aggregated with errors.Join. The one exception is
+// grid.buildFailureIsZero, under which the zero Result stands in for an
+// ErrBuild run (and is not counted in SweepStats.Runs).
+func sweep(ctx context.Context, label string, g grid, o Options) (Table, error) {
 	if err := o.validate(); err != nil {
-		return Figure{}, err
+		return Table{}, err
 	}
-	o = o.withDefaults()
-	type cell struct {
-		sys string
-		x   int
-	}
+	o = g.resolve(o)
 	type job struct {
-		cfg  RunConfig
-		cell cell
-		x    float64
+		cfg RunConfig
+		out *Result
+		x   float64
 	}
 	var jobs []job
-	for _, sys := range o.Systems {
-		for xi, x := range xs {
-			for _, seed := range o.Seeds {
-				cfg := configure(x, seed)
+	cells := make([][][]Result, len(o.Systems))
+	for si, sys := range o.Systems {
+		cells[si] = make([][]Result, len(g.xs))
+		for xi, x := range g.xs {
+			cells[si][xi] = make([]Result, len(o.Seeds))
+			for ki, seed := range o.Seeds {
+				cfg := g.configure(o, x, seed)
 				cfg.System = sys
 				if o.Warmup > 0 {
 					cfg.Warmup = o.Warmup
@@ -333,7 +371,7 @@ func sweep(ctx context.Context, o Options, xs []float64, configure func(x float6
 				if cfg.Recovery.IsZero() {
 					cfg.Recovery = o.Recovery
 				}
-				jobs = append(jobs, job{cfg: cfg, cell: cell{sys: sys, x: xi}, x: x})
+				jobs = append(jobs, job{cfg: cfg, out: &cells[si][xi][ki], x: x})
 			}
 		}
 	}
@@ -345,7 +383,6 @@ func sweep(ctx context.Context, o Options, xs []float64, configure func(x float6
 	start := time.Now()
 	var (
 		mu        sync.Mutex
-		samples   = make(map[cell][]float64)
 		errs      []error
 		failed    bool
 		done      int
@@ -382,24 +419,18 @@ func sweep(ctx context.Context, o Options, xs []float64, configure func(x float6
 			var res Result
 			var err error
 			// The figure label attributes this worker's CPU samples to the
-			// sweep it serves ("sweep" for direct callers outside the
-			// registry).
-			figLabel := o.figureID
-			if figLabel == "" {
-				figLabel = "sweep"
-			}
-			pprof.Do(ctx, pprof.Labels("figure", figLabel), func(ctx context.Context) {
+			// request it serves.
+			pprof.Do(ctx, pprof.Labels("figure", label), func(ctx context.Context) {
 				res, err = sweepRun(ctx, cfg)
 			})
 			mu.Lock()
 			done++
 			switch {
 			case err == nil:
-				samples[j.cell] = append(samples[j.cell], pick(res))
+				*j.out = res
 				stats.accumulate(res.Stats)
-			case o.buildFailureIsZero && errors.Is(err, ErrBuild):
-				samples[j.cell] = append(samples[j.cell], 0) // cannot operate this sparse
-				err = nil
+			case g.buildFailureIsZero && errors.Is(err, ErrBuild):
+				err = nil // cannot operate this sparse: the cell keeps its zero Result
 			default:
 				failed = true
 				errs = append(errs, fmt.Errorf("experiment: %s seed=%d x=%g: %w",
@@ -411,7 +442,7 @@ func sweep(ctx context.Context, o Options, xs []float64, configure func(x float6
 				tot = scheduled // no further runs will start
 			}
 			pump.emit(ProgressEvent{
-				FigureID: o.figureID,
+				FigureID: label,
 				Done:     done,
 				Total:    tot,
 				System:   j.cfg.System,
@@ -430,7 +461,7 @@ func sweep(ctx context.Context, o Options, xs []float64, configure func(x float6
 	mu.Lock()
 	if (failed || ctx.Err() != nil) && done == 0 {
 		pump.emit(ProgressEvent{
-			FigureID: o.figureID,
+			FigureID: label,
 			Aborted:  true,
 			Err:      ctx.Err(),
 			Elapsed:  time.Since(start),
@@ -442,96 +473,10 @@ func sweep(ctx context.Context, o Options, xs []float64, configure func(x float6
 		errs = append(errs, err)
 	}
 	if len(errs) > 0 {
-		return Figure{}, errors.Join(errs...)
-	}
-
-	var fig Figure
-	for _, sys := range o.Systems {
-		series := Series{System: sys, Points: make([]Point, 0, len(xs))}
-		for xi, x := range xs {
-			vals := samples[cell{sys: sys, x: xi}]
-			sort.Float64s(vals)
-			series.Points = append(series.Points, Point{X: x, Y: metrics.Summarize(vals)})
-		}
-		fig.Series = append(fig.Series, series)
+		return Table{}, errors.Join(errs...)
 	}
 	stats.finish(start)
-	fig.Stats = stats
-	return fig, nil
-}
-
-// deliveryRatio is the fraction of created packets that reached an actuator
-// at all (no deadline) — the y value of every "delivery ratio" figure.
-func deliveryRatio(r Result) float64 {
-	if r.Created == 0 {
-		return 0
-	}
-	return float64(r.Delivered) / float64(r.Created)
-}
-
-// mobilityXs are the paper's mobility sweep positions: node speed drawn
-// from [0, x] m/s for x = 1..5, plotted at the mean speed x/2.
-var mobilityXs = []float64{0.5, 1.0, 1.5, 2.0, 2.5}
-
-// faultXs are the paper's faulty-node counts 2x, x ∈ [1,5].
-var faultXs = []float64{2, 4, 6, 8, 10}
-
-// scaleXs are the paper's network sizes (number of sensors).
-var scaleXs = []float64{100, 200, 300, 400}
-
-// mobilitySweep runs the Figure 4/5 grid: speed drawn from [0, 2x] m/s.
-func mobilitySweep(ctx context.Context, o Options, pick func(Result) float64) (Figure, error) {
-	o = o.withDefaults()
-	fig, err := sweep(ctx, o, mobilityXs, func(x float64, seed int64) RunConfig {
-		return RunConfig{Scenario: scenario.Params{Seed: seed, Sensors: o.Sensors, MaxSpeed: 2 * x}}
-	}, pick)
-	fig.XLabel = "mean speed (m/s)"
-	return fig, err
-}
-
-// faultSweep runs the Figure 6/7 grid: x faulty sensors at 1 m/s.
-func faultSweep(ctx context.Context, o Options, pick func(Result) float64) (Figure, error) {
-	o = o.withDefaults()
-	fig, err := sweep(ctx, o, faultXs, func(x float64, seed int64) RunConfig {
-		return RunConfig{
-			Scenario:   scenario.Params{Seed: seed, Sensors: o.Sensors, MaxSpeed: 1},
-			FaultCount: int(x),
-		}
-	}, pick)
-	fig.XLabel = "faulty nodes"
-	return fig, err
-}
-
-// populationSweep sweeps the sensor population over xs at 1.5 m/s: the
-// Figure 8–11 grid (scaleXs) and, at sparser sizes, the E1/E2 grid.
-func populationSweep(ctx context.Context, o Options, xs []float64, pick func(Result) float64) (Figure, error) {
-	fig, err := sweep(ctx, o, xs, func(x float64, seed int64) RunConfig {
-		return RunConfig{Scenario: scenario.Params{Seed: seed, Sensors: int(x), MaxSpeed: 1.5}}
-	}, pick)
-	fig.XLabel = "sensors"
-	return fig, err
-}
-
-// AllFigures regenerates every paper evaluation figure (4–11).
-func AllFigures(o Options) ([]Figure, error) {
-	return AllFiguresContext(context.Background(), o)
-}
-
-// AllFiguresContext regenerates every paper figure in registry order,
-// stopping at the first failed or cancelled sweep.
-func AllFiguresContext(ctx context.Context, o Options) ([]Figure, error) {
-	var figs []Figure
-	for _, spec := range Figures() {
-		if spec.Kind != KindPaper {
-			continue
-		}
-		fig, err := spec.Build(ctx, o)
-		if err != nil {
-			return nil, err
-		}
-		figs = append(figs, fig)
-	}
-	return figs, nil
+	return Table{XLabel: g.xLabel, Systems: o.Systems, Xs: g.xs, Cells: cells, Stats: stats}, nil
 }
 
 // Table renders the figure as an aligned text table (one row per x value,

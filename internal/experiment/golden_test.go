@@ -12,7 +12,8 @@ import (
 // TestGoldenFigureCSV regenerates every committed figure CSV — testdata/figures/
 // and testdata/recovery/ — with the CI quick-pass options (1 seed, 100 s
 // warmup, 300 s window: what `refer-bench -seeds 1 -csv` runs) and
-// byte-compares. It is the one byte-compare site for committed CSVs: under
+// byte-compares, each grid built once for all its figures (BuildFigures). It
+// is the one byte-compare site for committed CSVs: under
 // the default paper cost model no refactor may move a single byte; the
 // L-family baselines pin the radio-model lifetime curves and the R-family
 // the recovery campaigns the same way. The full pass takes tens of seconds,
@@ -38,25 +39,25 @@ func TestGoldenFigureCSV(t *testing.T) {
 		Warmup:   100 * time.Second,
 		Duration: 300 * time.Second,
 	}
+	var ids []string
+	want := make(map[string]string)
 	for _, path := range files {
 		id := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "fig"), ".csv")
-		spec, ok := FigureByID(id)
-		if !ok {
-			t.Errorf("%s: no registered figure %q", path, id)
-			continue
-		}
-		want, err := os.ReadFile(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fig, err := spec.Build(context.Background(), opts)
-		if err != nil {
-			t.Errorf("fig %s: %v", id, err)
-			continue
-		}
-		if got := fig.CSV(); got != string(want) {
+		ids = append(ids, id)
+		want[id] = string(data)
+	}
+	err := BuildFigures(context.Background(), ids, opts, func(fig Figure) error {
+		if got := fig.CSV(); got != want[fig.ID] {
 			t.Errorf("fig %s diverged from committed baseline (%d vs %d bytes)",
-				id, len(got), len(want))
+				fig.ID, len(got), len(want[fig.ID]))
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,9 +1,8 @@
 package experiment
 
 import (
-	"context"
+	"time"
 
-	"refer/internal/energy"
 	"refer/internal/scenario"
 )
 
@@ -26,56 +25,24 @@ import (
 // a quick pass (REFER stops dying at all from 0.2 J).
 var lifetimeXs = []float64{0.05, 0.1, 0.2, 0.4, 0.8}
 
-// lifetimeSweep runs the L1–L3 grid: the four systems at 1 m/s with the
-// sensor battery budget on the x axis. The cost model defaults to the
-// first-order radio model; Options.Energy (the -energy flag) overrides it.
-func lifetimeSweep(ctx context.Context, o Options, pick func(Result) float64) (Figure, error) {
-	if o.Energy.IsZero() {
-		o.Energy = energy.Spec{Model: energy.ModelRadio}
+// lifetimeConfig is the L1–L3 run: 1 m/s with a sensor battery budget of x
+// Joules.
+func lifetimeConfig(o Options, x float64, seed int64) RunConfig {
+	return RunConfig{
+		Scenario: scenario.Params{
+			Seed:          seed,
+			Sensors:       o.Sensors,
+			MaxSpeed:      1,
+			SensorBattery: x,
+		},
 	}
-	o = o.withDefaults()
-	fig, err := sweep(ctx, o, lifetimeXs, func(x float64, seed int64) RunConfig {
-		return RunConfig{
-			Scenario: scenario.Params{
-				Seed:          seed,
-				Sensors:       o.Sensors,
-				MaxSpeed:      1,
-				SensorBattery: x,
-			},
-		}
-	}, pick)
-	fig.XLabel = "sensor battery (J)"
-	return fig, err
 }
 
 // censored maps a lifetime marker to seconds, censoring "never" (-1) at
 // the end of the simulated window.
-func censored(r Result, marker int64) float64 {
+func censored(r Result, marker time.Duration) float64 {
 	if marker < 0 {
 		return r.Stats.SimTime.Seconds()
 	}
-	// marker is a time.Duration in nanoseconds.
 	return float64(marker) / 1e9
-}
-
-func lifetimeFirstDeath(ctx context.Context, o Options) (Figure, error) {
-	fig, err := lifetimeSweep(ctx, o, func(r Result) float64 {
-		return censored(r, int64(r.Stats.FirstNodeDeath))
-	})
-	fig.YLabel = "first node death (s)"
-	return fig, err
-}
-
-func lifetimeHalfDead(ctx context.Context, o Options) (Figure, error) {
-	fig, err := lifetimeSweep(ctx, o, func(r Result) float64 {
-		return censored(r, int64(r.Stats.HalfNodesDead))
-	})
-	fig.YLabel = "half nodes dead (s)"
-	return fig, err
-}
-
-func lifetimeDelivery(ctx context.Context, o Options) (Figure, error) {
-	fig, err := lifetimeSweep(ctx, o, deliveryRatio)
-	fig.YLabel = "delivery ratio"
-	return fig, err
 }

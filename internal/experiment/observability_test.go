@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -245,11 +246,7 @@ func TestSweepCancelledReturnsCtxErr(t *testing.T) {
 		Systems:  []string{SystemREFER},
 		Progress: func(ev ProgressEvent) { events = append(events, ev) },
 	}
-	spec, ok := FigureByID("4")
-	if !ok {
-		t.Fatal("figure 4 not registered")
-	}
-	if _, err := spec.Build(ctx, o); !errors.Is(err, context.Canceled) {
+	if _, err := BuildFigure(ctx, "4", o); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	for _, ev := range events {
@@ -262,8 +259,9 @@ func TestSweepCancelledReturnsCtxErr(t *testing.T) {
 	}
 }
 
-// TestRegistryContents pins the registry: stable IDs, unique, correctly
-// classified, and resolvable via FigureByID.
+// TestRegistryContents pins the three row tables: figure IDs stable, unique,
+// correctly classified, resolvable via FigureByID and naming an existing grid
+// and column; no code in a figure row; every column zero on the zero Result.
 func TestRegistryContents(t *testing.T) {
 	specs := Figures()
 	wantKinds := map[string]FigureKind{
@@ -292,8 +290,14 @@ func TestRegistryContents(t *testing.T) {
 		if spec.Kind != kind {
 			t.Fatalf("figure %q kind = %v, want %v", spec.ID, spec.Kind, kind)
 		}
-		if spec.Title == "" || spec.Build == nil {
+		if spec.Title == "" {
 			t.Fatalf("figure %q incomplete: %+v", spec.ID, spec)
+		}
+		if _, ok := grids[spec.Grid]; !ok {
+			t.Fatalf("figure %q names unknown grid %q", spec.ID, spec.Grid)
+		}
+		if _, ok := columns[spec.Column]; !ok {
+			t.Fatalf("figure %q names unknown column %q", spec.ID, spec.Column)
 		}
 		byID, ok := FigureByID(spec.ID)
 		if !ok || byID.ID != spec.ID {
@@ -303,17 +307,36 @@ func TestRegistryContents(t *testing.T) {
 	if _, ok := FigureByID("999"); ok {
 		t.Fatal("FigureByID invented a figure")
 	}
+	// The figure definitions are data: no row carries code.
+	for typ, i := reflect.TypeOf(FigureSpec{}), 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() == reflect.Func {
+			t.Errorf("FigureSpec.%s is func-typed", f.Name)
+		}
+	}
+	// E1/E2 stand the zero Result in for a run that could not build and plot
+	// it as zero, whatever the column.
+	for name, col := range columns {
+		if y := col.value(Result{}); y != 0 {
+			t.Errorf("column %q maps the zero Result to %g, want 0", name, y)
+		}
+		if col.yLabel == "" {
+			t.Errorf("column %q has no y label", name)
+		}
+	}
+	if len(grids) != 14 || len(columns) != 11 {
+		t.Errorf("%d grids and %d columns, want 14 and 11", len(grids), len(columns))
+	}
 	if KindPaper.String() != "paper" || KindAblation.String() != "ablation" ||
 		KindExtension.String() != "extension" || KindScale.String() != "scale" {
 		t.Fatal("FigureKind.String")
 	}
 }
 
-// TestRegistryStampsFigure checks the registry wrapper stamps ID and Title
-// onto the built figure.
+// TestRegistryStampsFigure checks a built figure carries its registry row's
+// ID and Title.
 func TestRegistryStampsFigure(t *testing.T) {
 	spec, _ := FigureByID("A1")
-	fig, err := spec.Build(context.Background(), Options{
+	fig, err := BuildFigure(context.Background(), spec.ID, Options{
 		Seeds:    []int64{1},
 		Warmup:   15 * time.Second,
 		Duration: 30 * time.Second,

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"time"
 
 	"refer/internal/chaos"
@@ -26,15 +25,7 @@ var recoveryXs = churnXs
 // lattice corner — is spared so the deployment never loses its first cell's
 // whole corner set at once), staggered 10 s apart from t=20 s.
 func recoveryCampaign(x float64, seed int64) *chaos.Schedule {
-	s := &chaos.Schedule{
-		Seed: seed,
-		Events: []chaos.Event{{
-			Kind:     chaos.Churn,
-			Rate:     x,
-			Duration: chaos.Duration(24 * time.Hour),
-			Downtime: chaos.Duration(30 * time.Second),
-		}},
-	}
+	s := churnSchedule(x, seed)
 	kills := 1 + int(x*10)
 	for i := 0; i < kills; i++ {
 		s.Events = append(s.Events, chaos.Event{
@@ -56,37 +47,13 @@ func recoveryCampaign(x float64, seed int64) *chaos.Schedule {
 // with small Sensors overrides (the parallelism-invariance suites run at
 // 140) still get a constructible deployment. The default (2 × 200 = 400)
 // sits exactly at the floor, leaving the committed R CSVs unchanged.
-func recoveryConfig(o Options) func(x float64, seed int64) RunConfig {
+func recoveryConfig(o Options, x float64, seed int64) RunConfig {
 	sensors := 2 * o.Sensors
 	if sensors < 400 {
 		sensors = 400
 	}
-	return func(x float64, seed int64) RunConfig {
-		return RunConfig{
-			Scenario: scenario.Params{Seed: seed, Sensors: sensors, MaxSpeed: 1, ActuatorGrid: 3},
-			Chaos:    recoveryCampaign(x, seed),
-		}
+	return RunConfig{
+		Scenario: scenario.Params{Seed: seed, Sensors: sensors, MaxSpeed: 1, ActuatorGrid: 3},
+		Chaos:    recoveryCampaign(x, seed),
 	}
-}
-
-func recoveryDelivery(ctx context.Context, o Options) (Figure, error) {
-	o = o.withDefaults()
-	// REFER/recovery leads the series list so the with/without contrast
-	// reads straight off adjacent CSV columns.
-	o.Systems = []string{SystemREFERRecovery, SystemREFER, SystemDaTree, SystemDDEAR, SystemKautzOverlay}
-	fig, err := sweep(ctx, o, recoveryXs, recoveryConfig(o), deliveryRatio)
-	fig.XLabel = "fault intensity (churn rate, crashes/s; +1+10x permanent actuator kills)"
-	fig.YLabel = "delivery ratio"
-	return fig, err
-}
-
-func recoveryLatency(ctx context.Context, o Options) (Figure, error) {
-	o = o.withDefaults()
-	o.Systems = []string{SystemREFERRecovery}
-	fig, err := sweep(ctx, o, recoveryXs, recoveryConfig(o), func(r Result) float64 {
-		return r.Stats.Recovery.MeanLatency().Seconds() * 1000
-	})
-	fig.XLabel = "fault intensity (churn rate, crashes/s; +1+10x permanent actuator kills)"
-	fig.YLabel = "mean repair latency (ms)"
-	return fig, err
 }

@@ -28,15 +28,15 @@ func TestRouterNeverMutatesTable(t *testing.T) {
 		Duration:    40 * time.Second,
 		Parallelism: 4,
 	}
-	fig, err := sweep(context.Background(), o, []float64{20}, func(x float64, seed int64) RunConfig {
+	table, err := sweep(context.Background(), "", grid{xs: []float64{20}, configure: func(_ Options, x float64, seed int64) RunConfig {
 		return RunConfig{Scenario: scenario.Params{Seed: seed, Sensors: 400, MaxSpeed: 3}, FaultCount: int(x)}
-	}, func(r Result) float64 { return float64(r.Stats.FailoverSwitches) })
+	}}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fig.Stats.RouteTableHits == 0 || fig.Stats.FailoverSwitches == 0 {
+	if table.Stats.RouteTableHits == 0 || table.Stats.FailoverSwitches == 0 {
 		t.Fatalf("campaign never exercised the table: %d hits, %d failover switches",
-			fig.Stats.RouteTableHits, fig.Stats.FailoverSwitches)
+			table.Stats.RouteTableHits, table.Stats.FailoverSwitches)
 	}
 	tables := kautz.AllTableCounters()
 	if len(tables) == 0 {

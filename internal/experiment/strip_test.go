@@ -89,20 +89,29 @@ func TestStripWallClockZeroesOnlyHostTiming(t *testing.T) {
 	// repetitions) and returns every run's sim half and the sweep's own.
 	campaign := func(parallelism int) ([]SimStats, SweepSimStats) {
 		o := Options{Seeds: []int64{1, 2, 3, 4}, Systems: []string{cfg.System}, Parallelism: parallelism}
-		var runs []SimStats
-		fig, err := sweep(context.Background(), o, []float64{0},
-			func(float64, int64) RunConfig { return cfg },
-			func(r Result) float64 {
-				runs = append(runs, r.Stats.SimStats) // pick runs under the sweep's lock
-				return 0
-			})
+		table, err := sweep(context.Background(), "", grid{xs: []float64{0},
+			configure: func(Options, float64, int64) RunConfig { return cfg }}, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(runs) != len(o.Seeds) || fig.Stats.WallClock <= 0 || fig.Stats.RunWallClock <= 0 {
-			t.Fatalf("parallelism %d: %d runs, host stats %+v", parallelism, len(runs), fig.Stats.SweepHostStats)
+		var runs []SimStats
+		for _, r := range table.Cells[0][0] {
+			runs = append(runs, r.Stats.SimStats)
 		}
-		return runs, fig.Stats.SweepSimStats
+		if len(runs) != len(o.Seeds) || table.Stats.WallClock <= 0 || table.Stats.RunWallClock <= 0 {
+			t.Fatalf("parallelism %d: %d runs, host stats %+v", parallelism, len(runs), table.Stats.SweepHostStats)
+		}
+		// The table's own strip reaches every cell and nothing deterministic.
+		table.StripWallClock()
+		for i, r := range table.Cells[0][0] {
+			if r.Stats.HostStats != (HostStats{}) || !reflect.DeepEqual(r.Stats.SimStats, runs[i]) {
+				t.Fatalf("Table.StripWallClock left run %d as %+v", i, r.Stats)
+			}
+		}
+		if table.Stats.SweepHostStats != (SweepHostStats{}) {
+			t.Fatalf("Table.StripWallClock left sweep host stats %+v", table.Stats.SweepHostStats)
+		}
+		return runs, table.Stats.SweepSimStats
 	}
 	serial, serialSweep := campaign(1)
 	parallel, parallelSweep := campaign(4)

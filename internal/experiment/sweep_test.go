@@ -21,6 +21,10 @@ func stubSweepRun(t *testing.T, fn func(ctx context.Context, cfg RunConfig) (Res
 	t.Cleanup(func() { sweepRun = orig })
 }
 
+// unitGrid is a one-position grid of default runs, for tests of the sweep
+// machinery that stub the runs out.
+var unitGrid = grid{xs: []float64{1}, configure: func(Options, float64, int64) RunConfig { return RunConfig{} }}
+
 // TestSweepAbortClampsTotal pins the early-stop contract: when a run fails,
 // the sweep stops scheduling, the remaining events carry Aborted, and the
 // final event reports Done == Total (clamped to the runs actually started)
@@ -42,9 +46,9 @@ func TestSweepAbortClampsTotal(t *testing.T) {
 		Parallelism: 1, // deterministic scheduling order
 		Progress:    func(ev ProgressEvent) { events = append(events, ev) },
 	}
-	_, err := sweep(context.Background(), o, []float64{1, 2}, func(x float64, seed int64) RunConfig {
+	_, err := sweep(context.Background(), "", grid{xs: []float64{1, 2}, configure: func(_ Options, _ float64, seed int64) RunConfig {
 		return RunConfig{Scenario: scenario.Params{Seed: seed}}
-	}, func(r Result) float64 { return 1 })
+	}}, o)
 	if !errors.Is(err, boom) {
 		t.Fatalf("sweep error = %v, want %v", err, boom)
 	}
@@ -82,9 +86,7 @@ func TestSweepCancelBeforeStartEmitsAbort(t *testing.T) {
 		Systems:  []string{SystemREFER},
 		Progress: func(ev ProgressEvent) { events = append(events, ev) },
 	}
-	_, err := sweep(ctx, o, []float64{1}, func(x float64, seed int64) RunConfig {
-		return RunConfig{}
-	}, func(r Result) float64 { return 1 })
+	_, err := sweep(ctx, "", unitGrid, o)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("sweep error = %v, want context.Canceled", err)
 	}
@@ -124,9 +126,7 @@ func TestSweepBlockingProgressCallback(t *testing.T) {
 	}
 	sweepDone := make(chan error, 1)
 	go func() {
-		_, err := sweep(context.Background(), o, []float64{1}, func(x float64, seed int64) RunConfig {
-			return RunConfig{}
-		}, func(r Result) float64 { return 1 })
+		_, err := sweep(context.Background(), "", unitGrid, o)
 		sweepDone <- err
 	}()
 
@@ -160,10 +160,9 @@ func TestSweepBlockingProgressCallback(t *testing.T) {
 	}
 }
 
-// TestWithDefaultsAppliedOnce pins that Options defaulting is idempotent: the
-// figure builders apply defaults early (they need Sensors) and sweep applies
-// them again for direct callers, so a second application must be a no-op —
-// down to the seed/system slices keeping their backing arrays.
+// TestWithDefaultsAppliedOnce pins that Options defaulting is idempotent: a
+// second application must be a no-op — down to the seed/system slices keeping
+// their backing arrays.
 func TestWithDefaultsAppliedOnce(t *testing.T) {
 	once := Options{}.withDefaults()
 	twice := once.withDefaults()
@@ -209,5 +208,74 @@ func TestParallelismValidation(t *testing.T) {
 		if _, err := BuildFigure(context.Background(), "4", o); err != nil {
 			t.Fatalf("Parallelism %d rejected: %v", p, err)
 		}
+	}
+}
+
+// TestFiguresShareGrid pins that a grid runs once however many of its figures
+// a request names: the paper's eight figures are three sweeps and 56 runs per
+// seed (they were eight and 144), the -extras selection nine sweeps (was 17),
+// every shared figure equals the one BuildFigure builds alone, and figures
+// arrive in request order even when a grid's figures are not adjacent.
+func TestFiguresShareGrid(t *testing.T) {
+	stubSweepRun(t, func(_ context.Context, cfg RunConfig) (Result, error) {
+		// Distinct per cell and per column, so a projection of the wrong cell
+		// or the wrong column cannot pass for the right one.
+		f := float64(cfg.Scenario.Seed)*1000 + float64(cfg.Scenario.Sensors) + 10*cfg.Scenario.MaxSpeed + float64(cfg.FaultCount)
+		return Result{
+			System: cfg.System, Throughput: f, CommEnergy: 2 * f, ConstructionEnergy: 3 * f,
+			MeanQoSDelay: time.Duration(f) * time.Millisecond, Created: 100000, Delivered: int(f),
+			Stats: RunStats{SimStats: SimStats{DESEvents: 1}},
+		}, nil
+	})
+	const seeds = 3
+	var paper, extras []string
+	for _, spec := range Figures() {
+		if spec.Kind == KindPaper {
+			paper = append(paper, spec.ID)
+		}
+		if spec.Kind != KindScale && spec.Kind != KindRecovery {
+			extras = append(extras, spec.ID)
+		}
+	}
+	for _, tc := range []struct {
+		name         string
+		ids          []string
+		sweeps, runs int
+	}{
+		{"paper", paper, 3, 56 * seeds},
+		{"extras", extras, 9, 138 * seeds},
+		{"non-adjacent", []string{"4", "6", "5"}, 2, 40 * seeds},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sweeps, runs int
+			o := Options{Seeds: []int64{1, 2, 3}, Progress: func(ev ProgressEvent) {
+				runs++
+				if ev.Done == 1 {
+					sweeps++
+				}
+			}}
+			var got []string
+			err := BuildFigures(context.Background(), tc.ids, o, func(fig Figure) error {
+				got = append(got, fig.ID)
+				alone, err := BuildFigure(context.Background(), fig.ID, Options{Seeds: o.Seeds})
+				if err != nil {
+					return err
+				}
+				fig.Stats, alone.Stats = fig.Stats.StripWallClock(), alone.Stats.StripWallClock()
+				if !reflect.DeepEqual(fig, alone) {
+					t.Errorf("figure %s built with its grid's siblings differs from the figure built alone:\n%+v\nvs\n%+v", fig.ID, fig, alone)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.ids) {
+				t.Errorf("figures arrived as %v, requested %v", got, tc.ids)
+			}
+			if sweeps != tc.sweeps || runs != tc.runs {
+				t.Errorf("%d sweeps and %d runs, want %d and %d", sweeps, runs, tc.sweeps, tc.runs)
+			}
+		})
 	}
 }

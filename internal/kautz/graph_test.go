@@ -240,7 +240,7 @@ func TestMinVertexCutEqualsDegree(t *testing.T) {
 	// Lemma 3.1 / the d-disjoint-paths property [31]: between any two
 	// distinct vertices of K(d, k) there are exactly d internally
 	// vertex-disjoint paths, so the minimum vertex cut is d.
-	for _, cfg := range []struct{ d, k int }{{2, 2}, {2, 3}, {3, 2}} {
+	for _, cfg := range []struct{ d, k int }{{2, 2}, {2, 3}, {3, 2}, {3, 3}} {
 		g, err := New(cfg.d, cfg.k)
 		if err != nil {
 			t.Fatal(err)

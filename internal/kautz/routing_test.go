@@ -208,7 +208,7 @@ func TestNextHops(t *testing.T) {
 //   - concrete lengths never exceed the nominal Theorem 3.8 lengths and the
 //     non-shortest ones are ≤ k+2.
 func TestRoutesExhaustive(t *testing.T) {
-	configs := []struct{ d, k int }{{2, 2}, {2, 3}, {3, 3}, {4, 4}, {2, 4}, {3, 4}}
+	configs := []struct{ d, k int }{{2, 2}, {2, 3}, {3, 3}, {3, 2}, {4, 2}, {4, 3}, {4, 4}, {2, 4}, {3, 4}}
 	if testing.Short() {
 		configs = configs[:3]
 	}

@@ -6,14 +6,16 @@ import (
 	"refer/internal/experiment"
 )
 
-// cacheEntry is one cached outcome: a run's Result or a figure build. The
-// stored stats are wall-clock-stripped at insertion, so a cached entry is
-// byte-identical to what a fresh run of the same canonical config would
-// serve (replay determinism makes everything else a function of the key).
+// cacheEntry is one cached outcome: a run's Result, or the Table of a grid —
+// what a figure build computed, not the one column that was asked for, so
+// its sibling figures are hits. The stored stats are wall-clock-stripped at
+// insertion, so a cached entry is byte-identical to what a fresh run of the
+// same canonical config would serve (replay determinism makes everything
+// else a function of the key).
 type cacheEntry struct {
 	key    string
 	result *experiment.Result
-	figure *experiment.Figure
+	table  *experiment.Table
 }
 
 // resultCache is a bounded LRU over canonical config keys. It is not

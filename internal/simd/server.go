@@ -10,7 +10,9 @@
 //   - a content-addressed LRU cache keyed on the canonicalized config+seed
 //     (experiment.ConfigKey) serves identical submissions without re-running
 //     — replay determinism makes the cached Result byte-identical to a
-//     fresh run once host timing is stripped;
+//     fresh run once host timing is stripped; a figure build is cached as
+//     the Table it was projected from (experiment.TableKey), so every
+//     figure of the same grid and options is served from one entry;
 //   - identical in-flight submissions are coalesced onto one execution;
 //   - all concurrent runs share the process-wide immutable Kautz route
 //     tables (kautz.TableFor), prewarmed at startup;
@@ -92,11 +94,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// run is one tracked submission.
+// run is one tracked submission. key is its public content address and
+// in-flight identity; cacheKey addresses what executing it computes — the
+// same key for a single run, the TableKey of the figure's grid for a figure.
 type run struct {
 	id       string
 	kind     string
 	key      string
+	cacheKey string
 	figureID string
 
 	cfg     experiment.RunConfig
@@ -112,7 +117,7 @@ type run struct {
 	sweep       experiment.ProgressEvent
 	hasSweep    bool
 	result      *experiment.Result
-	figure      *experiment.Figure
+	table       *experiment.Table // figure runs: projected through figureID at read time
 	errMsg      string
 	submitted   time.Time
 	started     time.Time // zero until a worker picks the run up
@@ -154,8 +159,9 @@ type Server struct {
 	// runSingle executes one simulation; indirected so tests can install
 	// deterministic blocking or failing runs.
 	runSingle func(ctx context.Context, cfg experiment.RunConfig, onProgress func(experiment.RunProgress)) (experiment.Result, error)
-	// buildFigure builds one registered figure; indirected for tests.
-	buildFigure func(ctx context.Context, id string, o experiment.Options) (experiment.Figure, error)
+	// buildTable runs the sweep behind one registered figure; indirected for
+	// tests.
+	buildTable func(ctx context.Context, figureID string, o experiment.Options) (experiment.Table, error)
 }
 
 // New starts a server: Config.Workers executor goroutines draining the
@@ -164,22 +170,16 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:       cfg,
-		start:     time.Now(),
-		ctx:       ctx,
-		cancelAll: cancel,
-		queue:     make(chan *run, cfg.QueueDepth),
-		runs:      make(map[string]*run),
-		inflight:  make(map[string]*run),
-		cache:     newResultCache(cfg.CacheSize),
-		runSingle: experiment.RunObserved,
-		buildFigure: func(ctx context.Context, id string, o experiment.Options) (experiment.Figure, error) {
-			spec, ok := experiment.FigureByID(id)
-			if !ok {
-				return experiment.Figure{}, fmt.Errorf("unknown figure %q", id)
-			}
-			return spec.Build(ctx, o)
-		},
+		cfg:        cfg,
+		start:      time.Now(),
+		ctx:        ctx,
+		cancelAll:  cancel,
+		queue:      make(chan *run, cfg.QueueDepth),
+		runs:       make(map[string]*run),
+		inflight:   make(map[string]*run),
+		cache:      newResultCache(cfg.CacheSize),
+		runSingle:  experiment.RunObserved,
+		buildTable: experiment.BuildTable,
 	}
 	s.routes()
 	// Prewarm the shared immutable route tables so the first wave of
@@ -302,7 +302,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid run request: %v", err)
 		return
 	}
-	s.submit(w, &run{kind: KindRun, key: key, cfg: cfg})
+	s.submit(w, &run{kind: KindRun, key: key, cacheKey: key, cfg: cfg})
 }
 
 func (s *Server) handleSubmitFigure(w http.ResponseWriter, req *http.Request) {
@@ -329,11 +329,15 @@ func (s *Server) handleSubmitFigure(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid figure request: %v", err)
 		return
 	}
-	s.submit(w, &run{kind: KindFigure, key: key, figureID: figID, figOpts: opts})
+	// OptionsKey accepted the options, so TableKey — the same canonical form
+	// under the grid's name — does too.
+	tableKey, _ := experiment.TableKey(figID, opts)
+	s.submit(w, &run{kind: KindFigure, key: key, cacheKey: tableKey, figureID: figID, figOpts: opts})
 }
 
-// submit routes one run: cache hit → immediate done record; identical
-// in-flight submission → join it; otherwise a queue slot or 429.
+// submit routes one run: cache hit → immediate done record (for a figure,
+// whichever figure of its grid computed the table); identical in-flight
+// submission → join it; otherwise a queue slot or 429.
 func (s *Server) submit(w http.ResponseWriter, r *run) {
 	s.mu.Lock()
 	s.metrics.Submitted++
@@ -342,13 +346,13 @@ func (s *Server) submit(w http.ResponseWriter, r *run) {
 		writeError(w, http.StatusServiceUnavailable, "server shutting down")
 		return
 	}
-	if ent, ok := s.cache.get(r.key); ok {
+	if ent, ok := s.cache.get(r.cacheKey); ok {
 		s.metrics.CacheHits++
 		r.mu.Lock()
 		r.id = s.registerLocked(r)
 		r.state = StateDone
 		r.cached = true
-		r.result, r.figure = ent.result, ent.figure
+		r.result, r.table = ent.result, ent.table
 		r.submitted = time.Now()
 		r.finished = r.submitted
 		r.done = closedChan
@@ -484,7 +488,7 @@ func (s *Server) execute(r *run) {
 
 	var (
 		res experiment.Result
-		fig experiment.Figure
+		tab experiment.Table
 		err error
 	)
 	switch r.kind {
@@ -493,7 +497,7 @@ func (s *Server) execute(r *run) {
 	case KindFigure:
 		opts := r.figOpts
 		opts.Progress = func(ev experiment.ProgressEvent) { s.noteSweep(r, ev) }
-		fig, err = s.buildFigure(ctx, r.figureID, opts)
+		tab, err = s.buildTable(ctx, r.figureID, opts)
 	}
 
 	r.mu.Lock()
@@ -503,7 +507,7 @@ func (s *Server) execute(r *run) {
 	case err == nil && r.kind == KindRun:
 		s.finish(r, StateDone, &res, nil, nil)
 	case err == nil:
-		s.finish(r, StateDone, nil, &fig, nil)
+		s.finish(r, StateDone, nil, &tab, nil)
 	case cancelled || errors.Is(err, context.Canceled):
 		s.finish(r, StateCancelled, nil, nil, err)
 	default:
@@ -515,7 +519,7 @@ func (s *Server) execute(r *run) {
 // the inflight index in one critical section, then publishes the terminal
 // event and releases subscribers. Idempotent: the first caller wins. Lock
 // order is s.mu → r.mu throughout the server; callers must hold neither.
-func (s *Server) finish(r *run, state string, res *experiment.Result, fig *experiment.Figure, err error) {
+func (s *Server) finish(r *run, state string, res *experiment.Result, tab *experiment.Table, err error) {
 	s.mu.Lock()
 	r.mu.Lock()
 	if r.terminalLocked() {
@@ -544,12 +548,12 @@ func (s *Server) finish(r *run, state string, res *experiment.Result, fig *exper
 		case res != nil:
 			res.Stats = res.Stats.StripWallClock()
 			s.metrics.fold(res.Stats.DESEvents, res.Stats.Recovery)
-		case fig != nil:
-			fig.Stats = fig.Stats.StripWallClock()
-			s.metrics.fold(fig.Stats.DESEvents, fig.Stats.Recovery)
+		case tab != nil:
+			tab.StripWallClock()
+			s.metrics.fold(tab.Stats.DESEvents, tab.Stats.Recovery)
 		}
-		r.result, r.figure = res, fig
-		s.cache.put(&cacheEntry{key: r.key, result: res, figure: fig})
+		r.result, r.table = res, tab
+		s.cache.put(&cacheEntry{key: r.cacheKey, result: res, table: tab})
 		s.metrics.Completed++
 	case StateFailed:
 		s.metrics.Failed++
@@ -779,8 +783,8 @@ func (s *Server) handleRunStats(w http.ResponseWriter, req *http.Request) {
 	switch {
 	case r.result != nil:
 		writeJSON(w, http.StatusOK, r.result.Stats)
-	case r.figure != nil:
-		writeJSON(w, http.StatusOK, r.figure.Stats)
+	case r.table != nil:
+		writeJSON(w, http.StatusOK, r.table.Stats)
 	}
 }
 
@@ -790,15 +794,16 @@ func (s *Server) handleRunCSV(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.mu.Lock()
-	fig := r.figure
+	tab := r.table
 	r.mu.Unlock()
-	if fig == nil {
+	if tab == nil {
 		writeError(w, http.StatusConflict, "run %s is a single run; fetch /runs/%s/result", r.id, r.id)
 		return
 	}
+	spec, _ := experiment.FigureByID(r.figureID) // registered: checked at submission
 	w.Header().Set("Content-Type", "text/csv")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte(fig.CSV()))
+	_, _ = w.Write([]byte(tab.Figure(spec).CSV()))
 }
 
 func (s *Server) handleRunEvents(w http.ResponseWriter, req *http.Request) {

@@ -296,15 +296,32 @@ func TestServerCacheByteIdentical(t *testing.T) {
 
 	// What the cache holds has no host half at all, whatever fields that
 	// half has: the emptiness is checked on the type, not on a name list.
+	opts, err := figReq.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tableKey, err := experiment.TableKey("4", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.mu.Lock()
 	runEnt, _ := s.cache.get(first.Key)
-	figEnt, _ := s.cache.get(fig.Key)
+	figEnt, _ := s.cache.get(tableKey)
 	s.mu.Unlock()
 	if runEnt == nil || runEnt.result.Stats.DESEvents == 0 || runEnt.result.Stats.HostStats != (experiment.HostStats{}) {
 		t.Fatalf("cached run entry: %+v", runEnt)
 	}
-	if figEnt == nil || figEnt.figure.Stats.Runs == 0 || figEnt.figure.Stats.SweepHostStats != (experiment.SweepHostStats{}) {
+	if figEnt == nil || figEnt.table.Stats.Runs == 0 || figEnt.table.Stats.SweepHostStats != (experiment.SweepHostStats{}) {
 		t.Fatalf("cached figure entry: %+v", figEnt)
+	}
+	for _, row := range figEnt.table.Cells {
+		for _, cell := range row {
+			for _, r := range cell {
+				if r.Stats.DESEvents == 0 || r.Stats.HostStats != (experiment.HostStats{}) {
+					t.Fatalf("cached table cell: %+v", r.Stats)
+				}
+			}
+		}
 	}
 
 	// The served bytes equal a local replay of the same config.
@@ -495,11 +512,7 @@ func TestServerFigure(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Parallelism = 1
-	spec, ok := experiment.FigureByID("4")
-	if !ok {
-		t.Fatal("figure 4 not registered")
-	}
-	fig, err := spec.Build(context.Background(), opts)
+	fig, err := experiment.BuildFigure(context.Background(), "4", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -759,5 +772,86 @@ func TestRecoveryWireCacheAndMetrics(t *testing.T) {
 	}
 	if got := res.Stats.Recovery.Reelections; uint64(got) != m.RecoveryReelections {
 		t.Fatalf("metrics (%d) disagree with the run's counters (%d)", m.RecoveryReelections, got)
+	}
+}
+
+// TestServerFigureSharesGrid pins that the cache holds what was computed, not
+// what was asked: figure 5 after figure 4 with the same options is a cache
+// hit on the mobility grid's table — nothing queued, executed or stored anew —
+// and both figures' bytes equal a local build's. The second half pins the
+// other direction on a stubbed builder: S1 with its default arms and S1 with
+// all four systems are different sweeps and must not share an entry.
+func TestServerFigureSharesGrid(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	client := ts.Client()
+	req := FigureRequest{
+		Seeds:            []int64{1},
+		WarmupS:          1,
+		DurationS:        3,
+		Sensors:          140,
+		Systems:          []string{experiment.SystemREFER},
+		PacketsPerSource: 2,
+	}
+	submit := func(url string, body any, wantStatus int) SubmitResponse {
+		t.Helper()
+		resp, data := postJSON(t, client, url, body)
+		if resp.StatusCode != wantStatus {
+			t.Fatalf("POST %s: %d, want %d: %s", url, resp.StatusCode, wantStatus, data)
+		}
+		var sub SubmitResponse
+		if err := json.Unmarshal(data, &sub); err != nil {
+			t.Fatal(err)
+		}
+		return sub
+	}
+	four := submit(ts.URL+"/figures/4/runs", req, http.StatusAccepted)
+	if st := waitTerminal(t, client, ts.URL, four.ID); st.State != StateDone {
+		t.Fatalf("figure 4 finished %s: %s", st.State, st.Error)
+	}
+	before := s.MetricsSnapshot()
+	five := submit(ts.URL+"/figures/5/runs", req, http.StatusOK)
+	if !five.Cached || five.State != StateDone || five.Key == four.Key {
+		t.Fatalf("figure 5 after figure 4: %+v (figure 4's key %s)", five, four.Key)
+	}
+	after := s.MetricsSnapshot()
+	if after.Completed != before.Completed || after.CacheMisses != before.CacheMisses ||
+		after.DESEvents != before.DESEvents || after.DESEvents == 0 ||
+		after.CacheEntries != 1 || after.CacheHits != before.CacheHits+1 {
+		t.Fatalf("serving figure 5 from figure 4's table moved the wrong counters:\nbefore %+v\nafter  %+v", before, after)
+	}
+
+	opts, err := req.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []struct{ fig, id string }{{"4", four.ID}, {"5", five.ID}} {
+		local, err := experiment.BuildFigure(context.Background(), sub.fig, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, csv := getBody(t, client, ts.URL+"/runs/"+sub.id+"/csv"); string(csv) != local.CSV() {
+			t.Errorf("figure %s: served CSV diverges from a local build:\n%s\nvs\n%s", sub.fig, csv, local.CSV())
+		}
+		_, data := getBody(t, client, ts.URL+"/runs/"+sub.id+"/stats")
+		var stats experiment.SweepStats
+		if err := json.Unmarshal(data, &stats); err != nil {
+			t.Fatal(err)
+		}
+		if stats.Runs != local.Stats.Runs || stats.SweepHostStats != (experiment.SweepHostStats{}) {
+			t.Errorf("figure %s: served stats %+v", sub.fig, stats)
+		}
+	}
+
+	s2, ts2 := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	s2.buildTable = func(context.Context, string, experiment.Options) (experiment.Table, error) {
+		return experiment.Table{}, nil
+	}
+	arms := submit(ts2.URL+"/figures/S1/runs", FigureRequest{}, http.StatusAccepted)
+	if st := waitTerminal(t, client, ts2.URL, arms.ID); st.State != StateDone {
+		t.Fatalf("stubbed S1 finished %s: %s", st.State, st.Error)
+	}
+	all := submit(ts2.URL+"/figures/S1/runs", FigureRequest{Systems: experiment.AllSystems()}, http.StatusAccepted)
+	if all.Cached || all.Key == arms.Key {
+		t.Fatalf("S1 over all four systems was served S1's default two arms: %+v", all)
 	}
 }

@@ -12,7 +12,7 @@
 //	Kautz graph theory     — ID, Graph, Routes (Theorem 3.8), GreedyNext
 //	WSAN simulation        — World, ScenarioParams, BuildWorld
 //	Systems under test     — System, NewSystem, NewREFER, NewDaTree, …
-//	Evaluation             — RunConfig, Run, Options, Figures, BuildFigure
+//	Evaluation             — RunConfig, Run, Options, Figures, BuildFigures
 //
 // Quick start:
 //
@@ -205,8 +205,8 @@ func RunObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) 
 func ConfigKey(cfg RunConfig) (string, error) { return experiment.ConfigKey(cfg) }
 
 // OptionsKey is ConfigKey for a figure build: the content address of
-// (figure ID, sweep options), excluding fields that cannot change the
-// output (parallelism, progress callbacks).
+// (figure ID, the options its sweep resolves to), excluding fields that
+// cannot change the output (parallelism, progress callbacks).
 func OptionsKey(figureID string, o Options) (string, error) {
 	return experiment.OptionsKey(figureID, o)
 }
@@ -225,8 +225,8 @@ type Figure = experiment.Figure
 // SweepStats aggregates the per-run stats of a figure's sweep.
 type SweepStats = experiment.SweepStats
 
-// FigureSpec is a registered figure: ID, title, kind and a context-aware
-// builder.
+// FigureSpec is a registered figure as data: ID, title, kind, and the grid
+// and column it plots. Figures naming the same Grid share one sweep.
 type FigureSpec = experiment.FigureSpec
 
 // FigureKind classifies registry entries.
@@ -253,17 +253,17 @@ func BuildFigure(ctx context.Context, id string, o Options) (Figure, error) {
 	return experiment.BuildFigure(ctx, id, o)
 }
 
+// BuildFigures builds several registered figures with one set of options,
+// running each grid once however many of its figures were asked for — the
+// paper's eight figures are three sweeps — and hands every figure to each in
+// request order as soon as its grid is done.
+func BuildFigures(ctx context.Context, ids []string, o Options, each func(Figure) error) error {
+	return experiment.BuildFigures(ctx, ids, o, each)
+}
+
 // MaxParallelism bounds Options.Parallelism; out-of-range values are
 // configuration errors, never silent fallbacks.
 const MaxParallelism = experiment.MaxParallelism
-
-// AllFigures regenerates every evaluation figure.
-func AllFigures(o Options) ([]Figure, error) { return experiment.AllFigures(o) }
-
-// AllFiguresContext is AllFigures with cancellation.
-func AllFiguresContext(ctx context.Context, o Options) ([]Figure, error) {
-	return experiment.AllFiguresContext(ctx, o)
-}
 
 // ---- Pluggable energy models ----
 
