@@ -7,7 +7,6 @@ import (
 
 	"refer/internal/des"
 	"refer/internal/energy"
-	"refer/internal/experiment"
 	"refer/internal/kautz"
 	"refer/internal/world"
 )
@@ -170,38 +169,6 @@ func BenchmarkRoutesTable(b *testing.B) {
 			b.Fatalf("table miss for %s -> %s", u, v)
 		}
 	}
-}
-
-// ---- End-to-end route-table delta (Fig. 4 under both route sources) ----
-
-// benchFig4RouteSource regenerates Figure 4 restricted to one REFER variant,
-// so `go test -bench 'Fig4Route'` reports the end-to-end saving of the
-// precomputed route table against recomputing routes on every decision.
-func benchFig4RouteSource(b *testing.B, system string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		opts := quickOpts()
-		opts.Systems = []string{system}
-		fig, err := BuildFigure(context.Background(), "4", opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(fig.Series) == 0 {
-			b.Fatal("empty figure")
-		}
-	}
-}
-
-// BenchmarkFig4RouteTable runs the Figure 4 sweep with the precomputed
-// route table (the default REFER configuration).
-func BenchmarkFig4RouteTable(b *testing.B) {
-	benchFig4RouteSource(b, SystemREFER)
-}
-
-// BenchmarkFig4RouteDirect runs the same sweep recomputing every route set
-// from the IDs (the REFER/direct-routes ablation).
-func BenchmarkFig4RouteDirect(b *testing.B) {
-	benchFig4RouteSource(b, experiment.SystemREFERDirectRoutes)
 }
 
 // BenchmarkGreedyNext measures one greedy shortest-protocol hop decision.

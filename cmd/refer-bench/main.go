@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"refer"
-	"refer/internal/kautz"
 )
 
 type figList []string
@@ -226,18 +225,10 @@ func main() {
 		}
 	}
 
-	// Route-table effectiveness: every forwarding decision either hit the
-	// shared precomputed Theorem 3.8 table or recomputed routes directly.
 	// Diagnostics go to stderr so -json keeps stdout parseable.
 	diag := os.Stdout
 	if *jsonOut {
 		diag = os.Stderr
-	}
-	if counters := kautz.AllTableCounters(); len(counters) > 0 {
-		fmt.Fprintln(diag, "route-table cache:")
-		for _, c := range counters {
-			fmt.Fprintln(diag, "  "+c.String())
-		}
 	}
 	fmt.Fprintf(diag, "total wall time: %v\n", time.Since(start).Round(time.Second))
 

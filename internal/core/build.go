@@ -35,12 +35,8 @@ func (s *System) Build() error {
 	// Share the process-wide precomputed route table for the cell graph; a
 	// K(d,3) cell is small enough that every (u, v) route set is tabulated
 	// once per process instead of on every forwarding decision.
-	if !s.cfg.DisableRouteTable {
-		table, err := kautz.TableFor(s.cfg.Degree, s.cfg.Diameter)
-		if err != nil {
-			return fmt.Errorf("core: route table: %w", err)
-		}
-		s.routes = table
+	if s.routes, err = kautz.TableFor(s.cfg.Degree, s.cfg.Diameter); err != nil {
+		return fmt.Errorf("core: route table: %w", err)
 	}
 
 	for _, n := range s.w.Nodes() {
@@ -91,16 +87,13 @@ func (s *System) Build() error {
 	// The cell spatial index: triangles are fixed for the system's lifetime,
 	// so it is built once here and every position→cell lookup (sensor homing,
 	// DHT adjacency) runs against it instead of scanning s.cells.
-	if !s.cfg.DisableCellIndex {
-		tris := make([][3]geo.Point, len(s.cells))
-		for i, c := range s.cells {
-			tris[i] = c.Vertices
-		}
-		s.cellIndex = geo.NewTriIndex(tris)
+	tris := make([][3]geo.Point, len(s.cells))
+	for i, c := range s.cells {
+		tris[i] = c.Vertices
 	}
+	s.cellIndex = geo.NewTriIndex(tris)
 	// Corner actuators enter the member→cell map in s.cells order, so an
-	// actuator shared by several cells resolves to its first cell — the
-	// tie-break the entry-selection scan used.
+	// actuator shared by several cells resolves to its first cell.
 	for _, c := range s.cells {
 		for _, corner := range c.Corners {
 			if _, ok := s.memberCell[corner]; !ok {
@@ -309,55 +302,36 @@ func (s *System) assignCellSensors() {
 			continue
 		}
 		p := s.w.Position(n.ID)
-		if s.cellIndex != nil {
-			s.notePosition(n.ID, p)
-		}
+		s.notePosition(n.ID, p)
 		owner := s.homeCell(p)
 		if owner != nil {
 			owner.members[n.ID] = true
 			s.sensorCell[n.ID] = owner
 		}
 	}
+	s.homedLen = s.w.Len()
 }
 
 // homeCell returns the cell a sensor at p belongs to: the first cell (in
 // s.cells order) whose triangle contains p, else the nearest cell within
-// CellMargin, else nil. The indexed and linear paths give byte-identical
-// answers (TriIndex preserves the scans' first-hit and last-equal-distance
-// tie-breaks); the linear path remains as the DisableCellIndex ablation and
-// the property-test reference. Both paths decide ownership over the full
-// fixed triangle set — including cells since retired by a recovery merge —
-// and then resolve the owner through the absorber chain, so the indexed
-// and linear paths keep agreeing after merges.
+// CellMargin (the last of equally near cells), else nil. Ownership is
+// decided over the full fixed triangle set — including cells since retired
+// by a recovery merge — and then resolved through the absorber chain.
+// TestIndexedEquivalenceUnderMobilityAndChurn checks the answer against a
+// linear scan of s.cells.
 func (s *System) homeCell(p geo.Point) *Cell {
-	if s.cellIndex != nil {
-		if ti := s.cellIndex.Containing(p); ti >= 0 {
-			return s.activeCell(s.cells[ti])
-		}
-		if ti := s.cellIndex.NearestWithin(p, s.cfg.CellMargin); ti >= 0 {
-			return s.activeCell(s.cells[ti])
-		}
+	ti := s.cellIndex.Containing(p)
+	if ti < 0 {
+		ti = s.cellIndex.NearestWithin(p, s.cfg.CellMargin)
+	}
+	if ti < 0 {
 		return nil
 	}
-	for _, c := range s.cells {
-		s.stats.MaintainChecks++
-		if c.contains(p, 0) {
-			return s.activeCell(c)
-		}
-	}
-	var owner *Cell
-	bestDist := s.cfg.CellMargin
-	for _, c := range s.cells {
-		s.stats.MaintainChecks++
-		if d := c.distance(p); d <= bestDist {
-			owner, bestDist = c, d
-		}
-	}
-	return s.activeCell(owner)
+	return s.activeCell(s.cells[ti])
 }
 
 // notePosition memoizes the position a sensor was last homed at (growing
-// the memo to cover the world's node count on first use).
+// the memo to cover the sensor on first use).
 func (s *System) notePosition(id world.NodeID, p geo.Point) {
 	for len(s.homePos) <= int(id) {
 		s.homePos = append(s.homePos, geo.Point{})
@@ -456,7 +430,7 @@ func (s *System) embedCell(c *Cell) error {
 
 // assignKID records a sensor's KID in its cell and registers the sensor as
 // an overlay member for entry selection (a sensor serves at most one cell's
-// overlay, so first registration wins — matching the cells-order scan).
+// overlay, so first registration wins).
 func (s *System) assignKID(c *Cell, id world.NodeID, kid kautz.ID) {
 	c.NodeByKID[kid] = id
 	c.kidOfNode[id] = kid
@@ -590,23 +564,7 @@ func (s *System) buildDHT() error {
 	for _, c := range s.cells {
 		zones = append(zones, can.Zone{CID: c.CID, Coord: c.Centroid})
 	}
-	var adjacency map[int][]int
-	if s.cellIndex != nil {
-		adjacency = s.cellAdjacencyIndexed()
-	} else {
-		adjacency = make(map[int][]int, len(s.cells))
-		for i, a := range s.cells {
-			for j, b := range s.cells {
-				if i == j {
-					continue
-				}
-				if cellsAdjacent(s.w, a, b) {
-					adjacency[a.CID] = append(adjacency[a.CID], b.CID)
-				}
-			}
-		}
-	}
-	table, err := can.New(zones, adjacency)
+	table, err := can.New(zones, s.cellAdjacency())
 	if err != nil {
 		return err
 	}
@@ -614,15 +572,14 @@ func (s *System) buildDHT() error {
 	return nil
 }
 
-// cellAdjacencyIndexed derives the same cell adjacency as the O(cells²)
-// cellsAdjacent pair loop, but from the actuator side: two cells are
+// cellAdjacency lists, per CID in ascending order, the cells for which
+// cellsAdjacent holds, derived from the actuator side: two cells are
 // adjacent exactly when some corner pair is the same actuator or a pair in
 // mutual radio range, so it suffices to enumerate qualifying actuator pairs
 // — found through a spatial grid over actuator positions instead of cell
 // pairs — and connect the cells cornered on them. Pairs reached through
-// several corner combinations are deduplicated (the pair loop emitted each
-// ordered cell pair at most once).
-func (s *System) cellAdjacencyIndexed() map[int][]int {
+// several corner combinations are deduplicated.
+func (s *System) cellAdjacency() map[int][]int {
 	// cellsOf[i] lists the cells cornered on actuator index i, in cell order.
 	positions := make([]geo.Point, len(s.actuators))
 	actIndex := make(map[world.NodeID]int, len(s.actuators))

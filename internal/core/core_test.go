@@ -619,6 +619,9 @@ func failoverCell(t *testing.T) (*world.World, *System, *Cell, world.NodeID, map
 		t.Fatal(err)
 	}
 	s.graph = g
+	if s.routes, err = kautz.TableFor(2, 3); err != nil {
+		t.Fatal(err)
+	}
 	c := &Cell{
 		NodeByKID: map[kautz.ID]world.NodeID{
 			"021": src.ID, "210": n210.ID, "212": n212.ID, "120": dst.ID,

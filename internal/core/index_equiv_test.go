@@ -1,108 +1,139 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"refer/internal/geo"
+	"refer/internal/mobility"
+	"refer/internal/recovery"
 	"refer/internal/scenario"
 	"refer/internal/world"
 )
 
-// Equivalence suite for the cell index: REFER built with the spatial index
-// must be state-identical to REFER built with DisableCellIndex on the same
-// seeded world, through construction, mobility, maintenance and churn. The
-// only permitted divergence is the MaintainChecks work counter (the index's
-// whole point is doing fewer predicate evaluations).
+// Oracle suite for the cell index. The linear scans below are the pre-index
+// forms of homeCell, entryPoint and the DHT adjacency, moved here verbatim
+// when their production arm (a Config knob and a second System) was removed:
+// they share no code with the index, the member→cell map or the homing memo,
+// and the one production path is checked against them function by function.
 
-// buildPair builds the indexed and linear-scan systems on two identically
-// seeded worlds (systems share nothing; the worlds evolve in lockstep
-// because every draw and event is replayed from the same seed).
-func buildPair(t *testing.T, p scenario.Params) (wi, wl *world.World, si, sl *System) {
-	t.Helper()
-	wi, wl = scenario.Build(p), scenario.Build(p)
-	cfgIdx := DefaultConfig()
-	cfgIdx.DisableMaintenance = true // rounds driven manually below
-	cfgLin := cfgIdx
-	cfgLin.DisableCellIndex = true
-	si, sl = New(wi, cfgIdx), New(wl, cfgLin)
-	if err := si.Build(); err != nil {
-		t.Fatalf("indexed Build: %v", err)
+// homeCellScan is homeCell as two passes over s.cells: the first cell whose
+// triangle contains p, else the last of the nearest cells within CellMargin.
+func (s *System) homeCellScan(p geo.Point) *Cell {
+	for _, c := range s.cells {
+		if c.contains(p, 0) {
+			return s.activeCell(c)
+		}
 	}
-	if err := sl.Build(); err != nil {
-		t.Fatalf("linear Build: %v", err)
+	var owner *Cell
+	bestDist := s.cfg.CellMargin
+	for _, c := range s.cells {
+		if d := c.distance(p); d <= bestDist {
+			owner, bestDist = c, d
+		}
 	}
-	return wi, wl, si, sl
+	return s.activeCell(owner)
 }
 
-// requireSameState compares every piece of membership state the index
-// touches: cell populations, KID assignments, sensor homes, and the
-// member→cell map against the linear system's equivalent lookups.
-func requireSameState(t *testing.T, si, sl *System) {
-	t.Helper()
-	if len(si.cells) != len(sl.cells) {
-		t.Fatalf("cells: %d vs %d", len(si.cells), len(sl.cells))
+// entryPointScan is entryPoint with per-candidate linear scans over s.cells
+// in place of the member→cell map.
+func (s *System) entryPointScan(src world.NodeID) (world.NodeID, *Cell) {
+	if c, ok := s.sensorCell[src]; ok {
+		if _, isMember := c.kidOfNode[src]; isMember {
+			return src, c
+		}
 	}
-	for i, ci := range si.cells {
-		cl := sl.cells[i]
-		if ci.CID != cl.CID {
-			t.Fatalf("cell %d CID %d vs %d", i, ci.CID, cl.CID)
+	// Actuators are always overlay members of some cell.
+	for _, c := range s.cells {
+		if _, ok := c.kidOfNode[src]; ok {
+			return src, c
 		}
-		if len(ci.NodeByKID) != len(cl.NodeByKID) {
-			t.Fatalf("cell %d overlay size %d vs %d", i, len(ci.NodeByKID), len(cl.NodeByKID))
+	}
+	best := world.NoNode
+	var bestCell *Cell
+	bestDist := 0.0
+	p := s.w.Position(src)
+	for _, id := range s.w.AliveNeighbors(nil, src) {
+		d := p.Dist(s.w.Position(id))
+		if best != world.NoNode && (d > bestDist || (d == bestDist && id > best)) {
+			continue
 		}
-		for kid, id := range ci.NodeByKID {
-			if cl.NodeByKID[kid] != id {
-				t.Fatalf("cell %d KID %s: node %d vs %d", i, kid, id, cl.NodeByKID[kid])
+		var cell *Cell
+		for _, c := range s.cells {
+			if _, ok := c.kidOfNode[id]; ok {
+				cell = c
+				break
 			}
 		}
-		if len(ci.members) != len(cl.members) {
-			t.Fatalf("cell %d members %d vs %d", i, len(ci.members), len(cl.members))
+		if cell == nil {
+			continue
 		}
-		for id := range ci.members {
-			if !cl.members[id] {
-				t.Fatalf("cell %d member %d missing from linear system", i, id)
+		best, bestCell, bestDist = id, cell, d
+	}
+	return best, bestCell
+}
+
+// cellAdjacencyScan is cellAdjacency as the O(cells²) cellsAdjacent pair loop.
+func (s *System) cellAdjacencyScan() map[int][]int {
+	adjacency := make(map[int][]int, len(s.cells))
+	for i, a := range s.cells {
+		for j, b := range s.cells {
+			if i == j {
+				continue
+			}
+			if cellsAdjacent(s.w, a, b) {
+				adjacency[a.CID] = append(adjacency[a.CID], b.CID)
 			}
 		}
 	}
-	if len(si.sensorCell) != len(sl.sensorCell) {
-		t.Fatalf("sensorCell size %d vs %d", len(si.sensorCell), len(sl.sensorCell))
+	return adjacency
+}
+
+// cidOf names a cell in a failure message (-1: no cell).
+func cidOf(c *Cell) int {
+	if c == nil {
+		return -1
 	}
-	for id, ci := range si.sensorCell {
-		cl, ok := sl.sensorCell[id]
-		if !ok || ci.CID != cl.CID {
-			t.Fatalf("sensor %d homed to CID %d, linear disagrees (%v)", id, ci.CID, cl)
+	return c.CID
+}
+
+// requireHomes checks every plain sensor's cell against a scan of its current
+// position. The scan knows nothing of the homing memo, so a sensor wrongly
+// skipped as unmoved — or a whole round wrongly skipped as static — shows up
+// as a stale home.
+func requireHomes(t *testing.T, s *System, step string) {
+	t.Helper()
+	for _, n := range s.w.Nodes() {
+		if n.Kind != world.Sensor {
+			continue
 		}
-	}
-	stI, stL := si.Stats(), sl.Stats()
-	stI.MaintainChecks, stL.MaintainChecks = 0, 0
-	if stI != stL {
-		t.Fatalf("stats diverged:\nindexed: %+v\nlinear:  %+v", stI, stL)
+		cur := s.sensorCell[n.ID]
+		if cur != nil {
+			if _, overlay := cur.kidOfNode[n.ID]; overlay {
+				continue // overlay members keep their cell until replaced
+			}
+		}
+		if want := s.homeCellScan(s.w.Position(n.ID)); cur != want {
+			t.Fatalf("%s: sensor %d homed to cell %d, scan says %d", step, n.ID, cidOf(cur), cidOf(want))
+		}
 	}
 }
 
-// requireSameEntry compares entryPoint for every node of the pair.
-func requireSameEntry(t *testing.T, wi *world.World, si, sl *System) {
+// requireEntriesAndAdjacency checks entryPoint for every node and the cell
+// adjacency against their scans.
+func requireEntriesAndAdjacency(t *testing.T, s *System, step string) {
 	t.Helper()
-	for _, n := range wi.Nodes() {
-		ni, ci := si.entryPoint(n.ID)
-		nl, cl := sl.entryPoint(n.ID)
-		if ni != nl {
-			t.Fatalf("entryPoint(%d): node %d vs %d", n.ID, ni, nl)
-		}
-		if (ci == nil) != (cl == nil) || (ci != nil && ci.CID != cl.CID) {
-			t.Fatalf("entryPoint(%d): cell %v vs %v", n.ID, ci, cl)
+	for _, n := range s.w.Nodes() {
+		got, gotCell := s.entryPoint(n.ID)
+		want, wantCell := s.entryPointScan(n.ID)
+		if got != want || gotCell != wantCell {
+			t.Fatalf("%s: entryPoint(%d) = node %d in cell %d, scan says node %d in cell %d",
+				step, n.ID, got, cidOf(gotCell), want, cidOf(wantCell))
 		}
 	}
-}
-
-// step advances both worlds' virtual clocks by d through a no-op event.
-func step(t *testing.T, wi, wl *world.World, d time.Duration) {
-	t.Helper()
-	for _, w := range []*world.World{wi, wl} {
-		if _, err := w.Sched.After(d, func() {}); err != nil {
-			t.Fatal(err)
-		}
-		w.Sched.Step()
+	if got, want := s.cellAdjacency(), s.cellAdjacencyScan(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: cell adjacency %v, pair loop says %v", step, got, want)
 	}
 }
 
@@ -116,32 +147,100 @@ func TestIndexedEquivalenceUnderMobilityAndChurn(t *testing.T) {
 		{"static", scenario.Params{Seed: 7, Sensors: 250}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			wi, wl, si, sl := buildPair(t, tc.p)
-			requireSameState(t, si, sl)
-			requireSameEntry(t, wi, si, sl)
-			sensors := scenario.SensorIDs(wi)
-			for round := 0; round < 12; round++ {
-				step(t, wi, wl, 5*time.Second)
-				// Churn: fail a rotating slice of sensors, recover the
-				// previous slice — identical on both worlds.
-				lo := (round * 13) % len(sensors)
-				for i := lo; i < lo+9 && i < len(sensors); i++ {
-					wi.SetFailed(sensors[i], round%2 == 0)
-					wl.SetFailed(sensors[i], round%2 == 0)
+			w := scenario.Build(tc.p)
+			cfg := DefaultConfig()
+			cfg.DisableMaintenance = true // rounds driven manually below
+			s := New(w, cfg)
+			if err := s.Build(); err != nil {
+				t.Fatalf("Build: %v", err)
+			}
+			requireHomes(t, s, "build")
+			requireEntriesAndAdjacency(t, s, "build")
+			scan := s.cellAdjacencyScan()
+			for _, c := range s.cells {
+				if got, want := s.dht.table.Neighbors(c.CID), scan[c.CID]; !reflect.DeepEqual(got, want) {
+					t.Fatalf("CAN table lists %v next to cell %d, pair loop says %v", got, c.CID, want)
 				}
-				si.MaintainOnce()
-				sl.MaintainOnce()
-				requireSameState(t, si, sl)
-				requireSameEntry(t, wi, si, sl)
 			}
-			if si.Stats().Rehomes != sl.Stats().Rehomes {
-				t.Fatalf("Rehomes %d vs %d", si.Stats().Rehomes, sl.Stats().Rehomes)
+
+			sensors := scenario.SensorIDs(w)
+			// round advances the clock, fails a rotating slice of sensors (or
+			// recovers the previous one) and runs a maintenance round. Homes
+			// are checked between the round's two halves: a replacement demotes
+			// an overlay sensor where it stands, to be re-homed a round later.
+			round := func(i int) {
+				w.Sched.RunUntil(w.Now() + 5*time.Second)
+				lo := (i * 13) % len(sensors)
+				for j := lo; j < lo+9 && j < len(sensors); j++ {
+					w.SetFailed(sensors[j], i%2 == 0)
+				}
+				s.refreshMembership()
+				requireHomes(t, s, "round")
+				s.MaintainOnce()
+				requireEntriesAndAdjacency(t, s, "round")
 			}
-			if tc.p.MaxSpeed > 0 && si.Stats().MaintainChecks >= sl.Stats().MaintainChecks {
-				t.Fatalf("index did not reduce work: %d vs %d checks",
-					si.Stats().MaintainChecks, sl.Stats().MaintainChecks)
+			for i := 0; i < 12; i++ {
+				round(i)
 			}
+			if tc.p.MaxSpeed > 0 && s.Stats().Rehomes == 0 {
+				t.Fatal("no sensor changed cell in 12 mobile rounds: the homing check was vacuous")
+			}
+
+			// A recovery merge: keep killing the first cell's corners — each
+			// sweep re-elects survivors into the vacancies — until no successor
+			// is left and the cell retires into a neighbor.
+			merges := 0
+			for try := 0; merges == 0 && try < len(s.actuators); try++ {
+				for _, corner := range s.cells[0].Corners {
+					w.SetFailed(corner, true)
+				}
+				for _, a := range s.RecoverSweep(0) {
+					if a.Kind == recovery.Merge {
+						merges++
+					}
+				}
+				requireEntriesAndAdjacency(t, s, "sweep")
+			}
+			if merges == 0 {
+				t.Fatal("killing the first cell's corners never merged it")
+			}
+			round(12)
+			round(13)
 		})
+	}
+}
+
+// TestStaticSkipWithActuatorLast pins the static-world short-circuit on a
+// hand-built world whose highest NodeID is an actuator: after Build every
+// sensor is homed, so a membership refresh evaluates no position and no cell
+// predicate. (The skip used to compare the memo's length — the largest sensor
+// ID + 1 — against the node count, and never fired on such a world.)
+func TestStaticSkipWithActuatorLast(t *testing.T) {
+	ref := buildWorld(t, 6, 200, 0)
+	w := world.New(ref.Config())
+	for _, kind := range []world.Kind{world.Sensor, world.Actuator} {
+		for _, n := range ref.Nodes() {
+			if n.Kind == kind {
+				w.AddNode(kind, mobility.Static{P: ref.Position(n.ID)}, n.Range, 0)
+			}
+		}
+	}
+	if last := w.Nodes()[w.Len()-1]; last.Kind != world.Actuator {
+		t.Fatalf("last node is a %v, want an actuator", last.Kind)
+	}
+	cfg := DefaultConfig()
+	cfg.DisableMaintenance = true
+	s := New(w, cfg)
+	if err := s.Build(); err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	evals, checks := w.Stats().MobilityEvals, s.Stats().MaintainChecks
+	s.refreshMembership()
+	if got := w.Stats().MobilityEvals; got != evals {
+		t.Errorf("refreshMembership on a static world made %d mobility evaluations, want 0", got-evals)
+	}
+	if got := s.Stats().MaintainChecks; got != checks {
+		t.Errorf("refreshMembership on a static world made %d cell checks, want 0", got-checks)
 	}
 }
 

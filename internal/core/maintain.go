@@ -89,14 +89,13 @@ func (s *System) maintainOnce() {
 // until replaced.
 //
 // Cell ownership is a pure function of position (triangles are fixed at
-// build time), so the indexed path is incremental two ways: a fully static
-// world (the world's speed bound is zero) skips the loop outright, and a
-// sensor whose position equals the one it was last homed at skips its
-// lookup. Both skips are exact — recomputation could not change the answer
-// — and the linear-scan ablation takes neither, reproducing the pre-index
-// per-round cost.
+// build time), so the refresh is incremental two ways: a fully static world
+// (the world's speed bound is zero) whose every sensor has been homed skips
+// the loop outright, and a sensor whose position equals the one it was last
+// homed at skips its lookup. Both skips are exact: recomputation could not
+// change the answer.
 func (s *System) refreshMembership() {
-	if s.cellIndex != nil && s.w.MaxSpeed() == 0 && len(s.homeValid) >= s.w.Len() {
+	if s.w.MaxSpeed() == 0 && s.homedLen == s.w.Len() {
 		return
 	}
 	for _, n := range s.w.Nodes() {
@@ -110,12 +109,10 @@ func (s *System) refreshMembership() {
 			}
 		}
 		p := s.w.Position(n.ID)
-		if s.cellIndex != nil {
-			if int(n.ID) < len(s.homeValid) && s.homeValid[n.ID] && s.homePos[n.ID] == p {
-				continue
-			}
-			s.notePosition(n.ID, p)
+		if int(n.ID) < len(s.homeValid) && s.homeValid[n.ID] && s.homePos[n.ID] == p {
+			continue
 		}
+		s.notePosition(n.ID, p)
 		owner := s.homeCell(p)
 		if owner == cur {
 			continue
@@ -130,6 +127,7 @@ func (s *System) refreshMembership() {
 			s.sensorCell[n.ID] = owner
 		}
 	}
+	s.homedLen = s.w.Len()
 }
 
 // pickProber returns an alive sleep-state sensor of the cell (round-robin

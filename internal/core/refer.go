@@ -56,20 +56,6 @@ type Config struct {
 	// (Section III-B-4). Ablation knob: under mobility the embedding then
 	// decays and routing must work around dead or displaced overlay nodes.
 	DisableMaintenance bool
-	// DisableRouteTable turns off the process-wide precomputed Theorem 3.8
-	// route table and recomputes every route set from the IDs on each
-	// forwarding decision. Benchmark/ablation knob for quantifying the
-	// table's saving; routing behavior is identical either way.
-	DisableRouteTable bool
-	// DisableCellIndex reverts every cell lookup to the pre-index linear
-	// scans — O(sensors × cells) membership re-homing each probe round,
-	// per-candidate cell scans in entry selection, and the O(cells²)
-	// DHT-adjacency pair loop — and turns off the incremental position memo
-	// that skips unmoved sensors. Benchmark/ablation knob for the scale
-	// study: results are identical either way (the index preserves the
-	// scans' first-cell and smaller-ID tie-breaks exactly); only the work
-	// per maintenance round changes.
-	DisableCellIndex bool
 }
 
 // DefaultConfig returns the paper's cell configuration.
@@ -97,7 +83,7 @@ type System struct {
 	cfg Config
 
 	graph     *kautz.Graph
-	routes    *kautz.RouteTable // shared precomputed Theorem 3.8 routes; nil = compute directly
+	routes    *kautz.RouteTable // the process-wide precomputed Theorem 3.8 routes of K(d,k)
 	cells     []*Cell
 	cellByCID map[int]*Cell
 	dht       *dhtTier
@@ -108,17 +94,20 @@ type System struct {
 	sensorCell map[world.NodeID]*Cell
 	actuators  []world.NodeID
 
-	// cellIndex locates cells by position (nil under DisableCellIndex);
-	// memberCell maps every overlay member to its first cell in s.cells
-	// order, replacing the per-candidate cell scans of entry selection.
+	// cellIndex locates cells by position; memberCell maps every overlay
+	// member to its first cell in s.cells order, which is the cell entry
+	// selection attaches through.
 	cellIndex  *geo.TriIndex
 	memberCell map[world.NodeID]*Cell
 	// homePos/homeValid memoize each sensor's position at its last homing
 	// decision: cell triangles are fixed at build time, so ownership is a
 	// pure function of position and an unmoved sensor can skip re-homing
-	// exactly. Indexed by NodeID; unused under DisableCellIndex.
+	// exactly. Indexed by NodeID. homedLen is the world's node count when the
+	// last full homing pass ended: while it still equals w.Len(), every sensor
+	// has a memoized home.
 	homePos   []geo.Point
 	homeValid []bool
+	homedLen  int
 	// poolBuf is the reused candidatePool buffer (single-threaded runs; the
 	// returned slice is borrowed until the next candidatePool call).
 	poolBuf []world.NodeID
@@ -147,18 +136,19 @@ type Stats struct {
 	Drops int
 	// InterCell counts packets that crossed cells via the DHT tier.
 	InterCell int
-	// RouteCacheHits and RouteCacheMisses count forwarding decisions whose
-	// Theorem 3.8 route set was served from the precomputed route table vs
-	// computed directly from the IDs.
-	RouteCacheHits   int
-	RouteCacheMisses int
+	// RouteCacheHits counts forwarding decisions, each of which reads one
+	// Theorem 3.8 route set from the precomputed route table.
+	RouteCacheHits int
 	// MaintainChecks counts cell containment/distance predicate evaluations
 	// spent homing sensors (construction assignment plus every maintenance
-	// round) — the membership-maintenance cost the cell index attacks. The
-	// counter is deterministic per seed, so the scale figure can plot it.
+	// round). The counter is deterministic per seed, so the scale figure can
+	// plot it.
 	MaintainChecks int
 	// Rehomes counts sensors whose cell actually changed during maintenance.
 	Rehomes int
+	// RelayScans counts the cell nodes bestRelay examined looking for a
+	// physical relay of an out-of-range overlay link.
+	RelayScans uint64
 }
 
 // New creates an unbuilt REFER system on w.
@@ -191,14 +181,13 @@ func New(w *world.World, cfg Config) *System {
 // Name implements the System interface.
 func (s *System) Name() string { return "REFER" }
 
-// Stats returns a snapshot of the protocol counters. The homing predicate
-// evaluations the cell index performed internally are folded into
-// MaintainChecks here, so the counter is comparable across the indexed and
-// linear-scan configurations without the indexed hot path touching stats.
+// Stats returns a snapshot of the protocol counters. MaintainChecks is read
+// off the cell index, which counts its own predicate evaluations (zero
+// before Build).
 func (s *System) Stats() Stats {
 	st := s.stats
 	if s.cellIndex != nil {
-		st.MaintainChecks += int(s.cellIndex.Checks())
+		st.MaintainChecks = int(s.cellIndex.Checks())
 	}
 	return st
 }

@@ -187,8 +187,8 @@ func (f *flight) crossed(ok bool, entry world.NodeID) {
 // while the packet waits on an ack timeout.
 func (f *flight) loadRoutes() {
 	for ; f.ci < f.nc; f.ci++ {
-		view, err := f.s.routesFor(f.cell.kidOfNode[f.at], f.corners[f.ci])
-		if err != nil {
+		view, ok := f.s.routesFor(f.cell.kidOfNode[f.at], f.corners[f.ci])
+		if !ok {
 			continue
 		}
 		f.routes = append(f.routes[:0], view...)
@@ -295,17 +295,15 @@ func (s *System) cornersByKautzDistance(c *Cell, fromKID kautz.ID) ([3]kautz.ID,
 }
 
 // routesFor returns the Theorem 3.8 route set for the ordered pair: the
-// shared precomputed table's own read-only entry, with a fallback to the
-// direct computation when the table is disabled or does not cover the pair.
-func (s *System) routesFor(u, v kautz.ID) ([]kautz.Route, error) {
-	if s.routes != nil {
-		if routes, ok := s.routes.Routes(u, v); ok {
-			s.stats.RouteCacheHits++
-			return routes, nil
-		}
+// shared precomputed table's own read-only entry. The table holds every
+// ordered pair of the cell graph, so ok is false only when u is no KID at
+// all — a relay demoted by maintenance — and no route exists.
+func (s *System) routesFor(u, v kautz.ID) ([]kautz.Route, bool) {
+	routes, ok := s.routes.Routes(u, v)
+	if ok {
+		s.stats.RouteCacheHits++
 	}
-	s.stats.RouteCacheMisses++
-	return kautz.Routes(s.cfg.Degree, u, v)
+	return routes, ok
 }
 
 // countFailoverSwitch records one Theorem 3.8 failover decision: the relay
@@ -326,21 +324,16 @@ func (s *System) countFailoverSwitch(p trace.Packet, at world.NodeID, routes []k
 // own entry. Otherwise the nearest alive overlay member within radio range
 // is chosen.
 func (s *System) entryPoint(src world.NodeID) (world.NodeID, *Cell) {
-	if s.cfg.DisableCellIndex {
-		return s.entryPointScan(src)
-	}
 	// memberCell maps every overlay member — actuator or sensor — to its
-	// first cell in s.cells order, so both "src is already a member" branches
-	// of the scan collapse into one map hit.
+	// first cell in s.cells order.
 	if c := s.memberCell[src]; c != nil {
 		return src, c
 	}
 	// Plain sensor: attach to the nearest alive overlay member in range.
 	// Candidates come from the world's cached alive-neighbor set — the
-	// packet's own radio neighborhood — instead of a scan over every overlay
-	// member of every cell. Ties on distance break on the smaller node ID; a
-	// member sitting in several cells (a shared-corner actuator) resolves to
-	// its first cell in s.cells order, both exactly as the old full scan did.
+	// packet's own radio neighborhood. Ties on distance break on the smaller
+	// node ID; a member sitting in several cells (a shared-corner actuator)
+	// resolves to its first cell in s.cells order.
 	best := world.NoNode
 	var bestCell *Cell
 	bestDist := 0.0
@@ -353,44 +346,6 @@ func (s *System) entryPoint(src world.NodeID) (world.NodeID, *Cell) {
 		cell := s.memberCell[id]
 		if cell == nil {
 			continue // in range and alive, but not an overlay member
-		}
-		best, bestCell, bestDist = id, cell, d
-	}
-	return best, bestCell
-}
-
-// entryPointScan is entryPoint's pre-index form, kept verbatim for the
-// DisableCellIndex ablation: per-candidate linear scans over s.cells.
-func (s *System) entryPointScan(src world.NodeID) (world.NodeID, *Cell) {
-	if c, ok := s.sensorCell[src]; ok {
-		if _, isMember := c.kidOfNode[src]; isMember {
-			return src, c
-		}
-	}
-	// Actuators are always overlay members of some cell.
-	for _, c := range s.cells {
-		if _, ok := c.kidOfNode[src]; ok {
-			return src, c
-		}
-	}
-	best := world.NoNode
-	var bestCell *Cell
-	bestDist := 0.0
-	p := s.w.Position(src)
-	for _, id := range s.w.AliveNeighbors(nil, src) {
-		d := p.Dist(s.w.Position(id))
-		if best != world.NoNode && (d > bestDist || (d == bestDist && id > best)) {
-			continue
-		}
-		var cell *Cell
-		for _, c := range s.cells {
-			if _, ok := c.kidOfNode[id]; ok {
-				cell = c
-				break
-			}
-		}
-		if cell == nil {
-			continue
 		}
 		best, bestCell, bestDist = id, cell, d
 	}
@@ -446,6 +401,7 @@ func (s *System) bestRelay(c *Cell, from, to world.NodeID) world.NodeID {
 			best, bestDist = id, d
 		}
 	}
+	s.stats.RelayScans += uint64(len(c.kidOfNode) + len(c.members))
 	return best
 }
 

@@ -281,8 +281,15 @@ func TestKnownSystems(t *testing.T) {
 			t.Errorf("NewSystem(%q): %v", name, err)
 		}
 	}
-	if KnownSystem("not-a-system") {
-		t.Error(`KnownSystem("not-a-system") = true`)
+	// The removed names are the two same-output REFER arms: a route table and
+	// a cell index are how REFER is computed, not systems to select.
+	for _, name := range []string{"not-a-system", "REFER/linear-scan", "REFER/direct-routes"} {
+		if KnownSystem(name) {
+			t.Errorf("KnownSystem(%q) = true", name)
+		}
+	}
+	if len(names) != 8 {
+		t.Errorf("%d known systems, want 8: %v", len(names), names)
 	}
 	for _, name := range AllSystems() {
 		if !KnownSystem(name) {

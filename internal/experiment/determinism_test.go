@@ -188,80 +188,3 @@ func TestChaosOffMatchesBaseline(t *testing.T) {
 		t.Fatalf("empty chaos schedule perturbed the run:\n plain = %+v\nattached = %+v", plain, attached)
 	}
 }
-
-// TestReplayTableMatchesDirect checks the route table is a pure cache:
-// the same seeded run with and without the table yields identical results
-// apart from the System label and the stats block's cache counters (hits
-// become misses) and host timing.
-func TestReplayTableMatchesDirect(t *testing.T) {
-	cached, err := Run(replayConfig(SystemREFER))
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := Run(replayConfig(SystemREFERDirectRoutes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached.Stats.RouteTableHits == 0 || direct.Stats.RouteTableMisses == 0 {
-		t.Fatalf("cache counters not exercised: cached hits=%d direct misses=%d",
-			cached.Stats.RouteTableHits, direct.Stats.RouteTableMisses)
-	}
-	if cached.Stats.RouteTableHits+cached.Stats.RouteTableMisses !=
-		direct.Stats.RouteTableHits+direct.Stats.RouteTableMisses {
-		t.Fatalf("route-set lookups differ: cached %d+%d vs direct %d+%d",
-			cached.Stats.RouteTableHits, cached.Stats.RouteTableMisses,
-			direct.Stats.RouteTableHits, direct.Stats.RouteTableMisses)
-	}
-	direct.System = cached.System
-	cached.Stats = cached.Stats.StripWallClock()
-	direct.Stats = direct.Stats.StripWallClock()
-	direct.Stats.RouteTableHits, direct.Stats.RouteTableMisses =
-		cached.Stats.RouteTableHits, cached.Stats.RouteTableMisses
-	if cached != direct {
-		t.Fatalf("route table changed routing behavior:\ncached = %+v\ndirect = %+v", cached, direct)
-	}
-}
-
-// TestReplayLinearScanMatchesIndexed checks the cell index is a pure
-// accelerator: the same seeded run with and without it yields identical
-// results apart from the System label, the MaintainChecks work counter
-// (fewer predicate evaluations is the index's entire effect) and host
-// timing. Uses a lattice deployment so the index has many cells to get
-// wrong.
-func TestReplayLinearScanMatchesIndexed(t *testing.T) {
-	cfg := RunConfig{
-		Scenario: scenario.Params{
-			Seed:         7,
-			Sensors:      900,
-			MaxSpeed:     2,
-			ActuatorGrid: 4,
-		},
-		Warmup:     50 * time.Second,
-		Duration:   150 * time.Second,
-		FaultCount: 4,
-	}
-	cfg.System = SystemREFER
-	indexed, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.System = SystemREFERLinearScan
-	linear, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if indexed.Stats.MaintainChecks >= linear.Stats.MaintainChecks {
-		t.Fatalf("index did not reduce maintenance work: %d vs %d checks",
-			indexed.Stats.MaintainChecks, linear.Stats.MaintainChecks)
-	}
-	if indexed.Stats.Rehomes != linear.Stats.Rehomes {
-		t.Fatalf("Rehomes diverged: %d vs %d", indexed.Stats.Rehomes, linear.Stats.Rehomes)
-	}
-	linear.System = indexed.System
-	indexed.Stats = indexed.Stats.StripWallClock()
-	linear.Stats = linear.Stats.StripWallClock()
-	linear.Stats.MaintainChecks = indexed.Stats.MaintainChecks
-	if indexed != linear {
-		t.Fatalf("cell index changed behavior:\nindexed = %+v\nlinear  = %+v", indexed, linear)
-	}
-}

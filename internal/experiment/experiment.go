@@ -48,16 +48,6 @@ const (
 	// Ablated REFER variants (see the ablation study in EXPERIMENTS.md).
 	SystemREFERNoFailover    = "REFER/no-failover"
 	SystemREFERNoMaintenance = "REFER/no-maintenance"
-	// SystemREFERDirectRoutes recomputes every Theorem 3.8 route set from
-	// the IDs instead of serving it from the shared precomputed route
-	// table. Routing behavior is identical to SystemREFER; benchmark knob
-	// for quantifying the table's end-to-end saving.
-	SystemREFERDirectRoutes = "REFER/direct-routes"
-	// SystemREFERLinearScan reverts every cell lookup to the pre-index
-	// linear scans (core.Config.DisableCellIndex): the ablation arm of the
-	// scale study. Results are identical to SystemREFER; only the
-	// maintenance work counters and wall clock differ.
-	SystemREFERLinearScan = "REFER/linear-scan"
 
 	// SystemREFERK33 uses K(3,3) cells (d = 3: three disjoint paths per
 	// pair) via the generalized embedding — the paper's future work.
@@ -90,16 +80,6 @@ var systemBuilders = map[string]func(w *world.World) System{
 	SystemREFERNoMaintenance: func(w *world.World) System {
 		cfg := core.DefaultConfig()
 		cfg.DisableMaintenance = true
-		return core.New(w, cfg)
-	},
-	SystemREFERDirectRoutes: func(w *world.World) System {
-		cfg := core.DefaultConfig()
-		cfg.DisableRouteTable = true
-		return core.New(w, cfg)
-	},
-	SystemREFERLinearScan: func(w *world.World) System {
-		cfg := core.DefaultConfig()
-		cfg.DisableCellIndex = true
 		return core.New(w, cfg)
 	},
 	SystemREFERK33: func(w *world.World) System {
@@ -302,13 +282,17 @@ type Result struct {
 func (r Result) TotalEnergy() float64 { return r.CommEnergy + r.ConstructionEnergy }
 
 // RunStats is the per-run observability block: how the simulation ran, as
-// opposed to what it measured. The split is by type: HostStats depends on
-// the machine and the moment, SimStats is a pure function of the RunConfig.
-// Both halves are embedded, host first, so field access and the JSON
-// encoding are those of one flat struct. A new field belongs to exactly one
-// half (TestStripWallClockZeroesOnlyHostTiming rejects any other placement).
+// opposed to what it measured. The split is by type. HostStats depends on
+// the machine and the moment. WorkStats and SimStats are both pure functions
+// of the RunConfig for one binary, but WorkStats says how hard the
+// implementation worked — what an optimisation is supposed to change — and
+// SimStats what the model did, which no optimisation may move. The three
+// halves are embedded in that order, so field access and the JSON encoding
+// are those of one flat struct. A new field belongs to exactly one half
+// (TestStripWallClockZeroesOnlyHostTiming rejects any other placement).
 type RunStats struct {
 	HostStats
+	WorkStats
 	SimStats
 }
 
@@ -321,27 +305,46 @@ type HostStats struct {
 	EventsPerSec float64       `json:"events_per_sec"`
 }
 
-// SimStats is the deterministic half of RunStats: virtual-time results and
-// counters that replay bit for bit, at any sweep parallelism — the only
-// stats a cache may store or a replay comparison may look at.
-type SimStats struct {
-	// SimTime is the final virtual clock (warmup + duration + grace).
-	SimTime time.Duration `json:"sim_time_ns"`
+// WorkStats is the implementation-effort half of RunStats: counters that
+// replay bit for bit on one binary, at any sweep parallelism, and that a
+// faster implementation of the same model is free to lower. Comparisons
+// across two code paths look at SimStats and leave these alone.
+type WorkStats struct {
 	// DESEvents is the number of discrete events the scheduler executed.
 	DESEvents uint64 `json:"des_events"`
-	// RouteTableHits and RouteTableMisses count forwarding decisions whose
-	// Theorem 3.8 route set was served from the precomputed route table vs
-	// computed directly (REFER and Kautz-overlay runs; zero otherwise).
-	RouteTableHits   int `json:"route_table_hits"`
-	RouteTableMisses int `json:"route_table_misses"`
-	// FailoverSwitches counts Theorem 3.8 alternate-path decisions.
-	FailoverSwitches int `json:"failover_switches"`
 	// GridRebuilds counts full spatial-index rebuilds; NeighborRebuilds and
 	// NeighborHits count per-node neighborhood recomputations vs queries
 	// served from the epoch cache: how hard the world's spatial layer worked.
 	GridRebuilds     uint64 `json:"grid_rebuilds"`
 	NeighborRebuilds uint64 `json:"neighbor_rebuilds"`
 	NeighborHits     uint64 `json:"neighbor_hits"`
+	// RouteTableHits counts forwarding decisions whose Theorem 3.8 route set
+	// was read from the precomputed route table (REFER and Kautz-overlay
+	// runs; zero otherwise). RouteTableMisses counts those computed from the
+	// IDs instead: only the Kautz overlay, whose graph can outgrow the table.
+	RouteTableHits   int `json:"route_table_hits"`
+	RouteTableMisses int `json:"route_table_misses"`
+	// MaintainChecks counts cell containment/distance predicate evaluations
+	// spent homing sensors (REFER runs; zero otherwise) — the membership
+	// maintenance cost the scale figure plots.
+	MaintainChecks int `json:"maintain_checks"`
+	// MobilityEvals counts the mobility-model evaluations the world made,
+	// NeighborCandidates the grid candidates its neighborhood recomputations
+	// examined, RelayScans the cell nodes REFER examined picking physical
+	// relays for out-of-range overlay links.
+	MobilityEvals      uint64 `json:"mobility_evals"`
+	NeighborCandidates uint64 `json:"neighbor_candidates"`
+	RelayScans         uint64 `json:"relay_scans"`
+}
+
+// SimStats is the model half of RunStats: virtual-time results and protocol
+// counters that follow from the RunConfig alone, whatever the implementation
+// did to compute them.
+type SimStats struct {
+	// SimTime is the final virtual clock (warmup + duration + grace).
+	SimTime time.Duration `json:"sim_time_ns"`
+	// FailoverSwitches counts Theorem 3.8 alternate-path decisions.
+	FailoverSwitches int `json:"failover_switches"`
 	// CommEnergy and ConstructionEnergy repeat the Result ledgers (Joules)
 	// so the stats block is self-contained for machine consumers.
 	CommEnergy         float64 `json:"comm_energy_j"`
@@ -372,14 +375,9 @@ type SimStats struct {
 	NodeDeaths      uint64        `json:"node_deaths"`
 	NodeRevivals    uint64        `json:"node_revivals"`
 	EnergyHarvested float64       `json:"energy_harvested_j"`
-	// MaintainChecks counts cell containment/distance predicate evaluations
-	// spent homing sensors (REFER runs; zero otherwise) — the membership
-	// maintenance cost the scale figure plots. Rehomes counts sensors whose
-	// cell actually changed. MaintainChecks intentionally differs between
-	// the indexed and linear-scan REFER variants (different Systems, so
-	// different ConfigKeys) — comparisons across those two zero it.
-	MaintainChecks int `json:"maintain_checks"`
-	Rehomes        int `json:"rehomes"`
+	// Rehomes counts sensors whose cell changed during maintenance (REFER
+	// runs; zero otherwise).
+	Rehomes int `json:"rehomes"`
 	// Recovery holds the self-healing counters when a recovery manager was
 	// attached (detection sweeps, re-elections, merges, takeovers and the
 	// accumulated virtual detection→repair latency); zero otherwise.
@@ -387,7 +385,8 @@ type SimStats struct {
 }
 
 // StripWallClock returns the stats without their host half — what is left
-// is a deterministic function of the RunConfig, so replays compare bitwise.
+// is a deterministic function of the RunConfig and the binary, so replays
+// compare bitwise.
 func (s RunStats) StripWallClock() RunStats {
 	s.HostStats = HostStats{}
 	return s
@@ -608,26 +607,32 @@ func RunObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) 
 	}
 
 	ws := w.Stats()
-	stats := RunStats{SimStats: SimStats{
-		SimTime:            w.Now(),
-		DESEvents:          w.Sched.Fired(),
-		GridRebuilds:       ws.GridRebuilds,
-		NeighborRebuilds:   ws.NeighborRebuilds,
-		NeighborHits:       ws.NeighborHits,
-		CommEnergy:         w.TotalEnergy(energy.Communication),
-		ConstructionEnergy: w.TotalEnergy(energy.Construction),
-		Trace:              cfg.Trace.Counts(),
-		Chaos:              injector.Stats(),
-		FaultInjections:    ws.FaultInjections,
-		FaultRecoveries:    ws.FaultRecoveries,
-		LostSends:          ws.LostSends,
-		EnergyDrained:      ws.EnergyDrained,
-		FirstNodeDeath:     ws.FirstDeathAt,
-		HalfNodesDead:      ws.HalfDeadAt,
-		NodeDeaths:         ws.NodeDeaths,
-		NodeRevivals:       ws.NodeRevivals,
-		EnergyHarvested:    ws.EnergyHarvested,
-	}}
+	stats := RunStats{
+		WorkStats: WorkStats{
+			DESEvents:          w.Sched.Fired(),
+			GridRebuilds:       ws.GridRebuilds,
+			NeighborRebuilds:   ws.NeighborRebuilds,
+			NeighborHits:       ws.NeighborHits,
+			MobilityEvals:      ws.MobilityEvals,
+			NeighborCandidates: ws.NeighborCandidates,
+		},
+		SimStats: SimStats{
+			SimTime:            w.Now(),
+			CommEnergy:         w.TotalEnergy(energy.Communication),
+			ConstructionEnergy: w.TotalEnergy(energy.Construction),
+			Trace:              cfg.Trace.Counts(),
+			Chaos:              injector.Stats(),
+			FaultInjections:    ws.FaultInjections,
+			FaultRecoveries:    ws.FaultRecoveries,
+			LostSends:          ws.LostSends,
+			EnergyDrained:      ws.EnergyDrained,
+			FirstNodeDeath:     ws.FirstDeathAt,
+			HalfNodesDead:      ws.HalfDeadAt,
+			NodeDeaths:         ws.NodeDeaths,
+			NodeRevivals:       ws.NodeRevivals,
+			EnergyHarvested:    ws.EnergyHarvested,
+		},
+	}
 	stats.WallClock = time.Since(start)
 	if secs := stats.WallClock.Seconds(); secs > 0 {
 		stats.EventsPerSec = float64(stats.DESEvents) / secs
@@ -639,10 +644,10 @@ func RunObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) 
 	case *core.System:
 		st := impl.Stats()
 		stats.RouteTableHits = st.RouteCacheHits
-		stats.RouteTableMisses = st.RouteCacheMisses
 		stats.FailoverSwitches = st.FailoverSwitches
 		stats.MaintainChecks = st.MaintainChecks
 		stats.Rehomes = st.Rehomes
+		stats.RelayScans = st.RelayScans
 	case *kautzoverlay.System:
 		st := impl.Stats()
 		stats.RouteTableHits = st.RouteCacheHits

@@ -93,9 +93,11 @@ type ProgressEvent struct {
 
 // SweepStats aggregates the per-run observability blocks of a figure's
 // sweep, split by type exactly as RunStats is: the host half depends on
-// machine load, the sim half is deterministic per Options.
+// machine load, the work half on the binary, the sim half on the Options
+// alone.
 type SweepStats struct {
 	SweepHostStats
+	SweepWorkStats
 	SweepSimStats
 }
 
@@ -108,15 +110,22 @@ type SweepHostStats struct {
 	RunWallClock time.Duration `json:"run_wall_clock_ns"`
 }
 
-// SweepSimStats is the deterministic half of SweepStats.
+// SweepWorkStats is the implementation-effort half of SweepStats: the runs'
+// WorkStats counters a sweep reports, summed.
+type SweepWorkStats struct {
+	DESEvents          uint64 `json:"des_events"`
+	RouteTableHits     uint64 `json:"route_table_hits"`
+	RouteTableMisses   uint64 `json:"route_table_misses"`
+	MobilityEvals      uint64 `json:"mobility_evals"`
+	NeighborCandidates uint64 `json:"neighbor_candidates"`
+	RelayScans         uint64 `json:"relay_scans"`
+}
+
+// SweepSimStats is the model half of SweepStats.
 type SweepSimStats struct {
 	// Runs is the number of simulation runs that finished (successfully).
 	Runs int `json:"runs"`
-	// DESEvents totals scheduler events across runs.
-	DESEvents uint64 `json:"des_events"`
-	// Protocol counters summed across runs.
-	RouteTableHits   uint64 `json:"route_table_hits"`
-	RouteTableMisses uint64 `json:"route_table_misses"`
+	// FailoverSwitches sums the runs' Theorem 3.8 alternate-path decisions.
 	FailoverSwitches uint64 `json:"failover_switches"`
 	// Trace sums the runs' trace counters; zero unless TraceSample > 0.
 	Trace trace.Counts `json:"trace"`
@@ -129,8 +138,8 @@ type SweepSimStats struct {
 }
 
 // StripWallClock returns the stats without their host half — what is left
-// is a deterministic function of the Options, so cached and replayed figures
-// compare bitwise.
+// is a deterministic function of the Options and the binary, so cached and
+// replayed figures compare bitwise.
 func (s SweepStats) StripWallClock() SweepStats {
 	s.SweepHostStats = SweepHostStats{}
 	return s
@@ -143,6 +152,9 @@ func (s *SweepStats) accumulate(r RunStats) {
 	s.DESEvents += r.DESEvents
 	s.RouteTableHits += uint64(r.RouteTableHits)
 	s.RouteTableMisses += uint64(r.RouteTableMisses)
+	s.MobilityEvals += r.MobilityEvals
+	s.NeighborCandidates += r.NeighborCandidates
+	s.RelayScans += r.RelayScans
 	s.FailoverSwitches += uint64(r.FailoverSwitches)
 	s.Trace.Add(r.Trace)
 	s.Chaos.Add(r.Chaos)

@@ -20,10 +20,10 @@ const (
 	// KindExtension marks the future-work extension studies (E1–E3) and the
 	// network-lifetime study (L1–L3).
 	KindExtension
-	// KindScale marks the network-growth study (S1–S5): multi-thousand-node
-	// deployments comparing indexed vs linear-scan cell lookups. Excluded
-	// from the default and -extras CLI selections — the 10,000-node points
-	// dwarf every other figure's cost — and run explicitly via -fig.
+	// KindScale marks the network-growth study (S1–S5): REFER on
+	// multi-thousand-node deployments. Excluded from the default and -extras
+	// CLI selections — the 10,000-node points dwarf every other figure's
+	// cost — and run explicitly via -fig.
 	KindScale
 	// KindRecovery marks the self-healing study (R1–R2): actuator-kill
 	// campaigns comparing REFER with the recovery protocols against REFER
@@ -215,13 +215,11 @@ var grids = map[string]grid{
 	// first-order radio model unless Options.Energy (-energy) names another.
 	"lifetime": {xLabel: "sensor battery (J)", xs: lifetimeXs, configure: lifetimeConfig,
 		energy: energy.Spec{Model: energy.ModelRadio}},
-	// REFER vs its linear-scan ablation over growing deployments.
+	// REFER over growing deployments (Options.Systems adds other arms).
 	"growth": {xLabel: "sensors", xs: []float64{1000, 2000, 5000, 10000}, configure: growthConfig,
-		systems: []string{SystemREFER, SystemREFERLinearScan}, warmup: scaleWarmup, duration: scaleDuration},
-	// The frontier grids: REFER alone (the linear-scan arm is quadratic in
-	// this regime and was already shown identical on S1/S2), one seed, because
-	// each point is a single giant run — serial inside, with sweep-level
-	// parallelism across the points.
+		systems: []string{SystemREFER}, warmup: scaleWarmup, duration: scaleDuration},
+	// The frontier grids: one seed, because each point is a single giant run
+	// — serial inside, with sweep-level parallelism across the points.
 	"S4": {xLabel: "sensors", xs: []float64{20000, 50000, 100000}, configure: growthConfig,
 		systems: []string{SystemREFER}, seeds: []int64{1}, warmup: scaleWarmup, duration: scaleDuration},
 	// Large enough that per-hop neighbor-cache rebuilds dominate the run,

@@ -38,16 +38,13 @@ func TestRouterNeverMutatesTable(t *testing.T) {
 		t.Fatalf("campaign never exercised the table: %d hits, %d failover switches",
 			table.Stats.RouteTableHits, table.Stats.FailoverSwitches)
 	}
-	tables := kautz.AllTableCounters()
+	tables := kautz.Tables()
 	if len(tables) == 0 {
 		t.Fatal("no route table was built")
 	}
-	for _, tc := range tables {
-		table, err := kautz.TableFor(tc.Degree, tc.Diameter)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := kautz.New(tc.Degree, tc.Diameter)
+	for _, rt := range tables {
+		d, k := rt.Degree(), rt.Diameter()
+		g, err := kautz.New(d, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,13 +53,13 @@ func TestRouterNeverMutatesTable(t *testing.T) {
 				if u == v {
 					continue
 				}
-				fresh, err := kautz.Routes(tc.Degree, u, v)
+				fresh, err := kautz.Routes(d, u, v)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tabled, _ := table.Routes(u, v); !reflect.DeepEqual(tabled, fresh) {
+				if tabled, _ := rt.Routes(u, v); !reflect.DeepEqual(tabled, fresh) {
 					t.Fatalf("K(%d,%d) entry %s→%s was modified in place: table %v, fresh %v",
-						tc.Degree, tc.Diameter, u, v, tabled, fresh)
+						d, k, u, v, tabled, fresh)
 				}
 			}
 		}

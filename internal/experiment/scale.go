@@ -9,12 +9,10 @@ import (
 
 // The network-growth study (Figures S1–S3) pushes REFER far past the
 // paper's 400-sensor evaluation ceiling: thousands of sensors over an
-// actuator lattice whose triangulation yields hundreds of cells, comparing
-// the indexed cell lookups against the pre-index linear scans
-// (SystemREFERLinearScan). The two arms produce identical delivery and
-// delay curves by construction — the index preserves every tie-break — so
-// S1/S2 double as a conformance check, while S3 plots the maintenance work
-// (cell predicate evaluations) the index removes.
+// actuator lattice whose triangulation yields hundreds of cells. S1/S2 plot
+// delivery and delay as the deployment grows; S3 plots the maintenance work
+// (cell predicate evaluations, WorkStats.MaintainChecks) the cell index
+// spends keeping membership current.
 
 // gridFor returns the actuator lattice side n for a sensor population,
 // keeping the density near the paper's 200 sensors / 4 cells: n×n actuators

@@ -224,7 +224,7 @@ func TestFiguresShareGrid(t *testing.T) {
 		return Result{
 			System: cfg.System, Throughput: f, CommEnergy: 2 * f, ConstructionEnergy: 3 * f,
 			MeanQoSDelay: time.Duration(f) * time.Millisecond, Created: 100000, Delivered: int(f),
-			Stats: RunStats{SimStats: SimStats{DESEvents: 1}},
+			Stats: RunStats{WorkStats: WorkStats{DESEvents: 1}},
 		}, nil
 	})
 	const seeds = 3

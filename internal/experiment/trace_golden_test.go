@@ -165,5 +165,10 @@ func hashSendToCampaign(t *testing.T, h hash.Hash) {
 			delivered, st.InterCell, st.FailoverSwitches)
 	}
 	hashTrace(h, rec)
-	fmt.Fprintf(h, "%d %+v %x %d\n", delivered, st, math.Float64bits(w.TotalEnergy(energy.Communication)), w.Sched.Fired())
+	// The protocol counters are spelled out in the shape core.Stats printed
+	// with %+v when the golden was recorded (RouteCacheMisses, since removed,
+	// was always 0), so reshaping that struct does not move the digest.
+	fmt.Fprintf(h, "%d {FailoverSwitches:%d Replacements:%d Drops:%d InterCell:%d RouteCacheHits:%d RouteCacheMisses:0 MaintainChecks:%d Rehomes:%d} %x %d\n",
+		delivered, st.FailoverSwitches, st.Replacements, st.Drops, st.InterCell, st.RouteCacheHits, st.MaintainChecks, st.Rehomes,
+		math.Float64bits(w.TotalEnergy(energy.Communication)), w.Sched.Fired())
 }

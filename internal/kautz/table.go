@@ -10,7 +10,8 @@ import (
 // maxTablePairs bounds the size of a precomputed route table: K(2,3) has
 // 132 ordered pairs, K(3,3) 1,260, K(4,3) 6,320. Graphs whose ordered-pair
 // count exceeds the bound (e.g. K(4,4) with 102,080 pairs) are not
-// precomputed; callers fall back to the direct Routes computation.
+// precomputed; the Kautz-overlay baseline, whose graph grows with the
+// deployment, then falls back to the direct Routes computation.
 const maxTablePairs = 50_000
 
 // RouteTable is an immutable precomputed map from every ordered node pair
@@ -23,13 +24,12 @@ const maxTablePairs = 50_000
 // is tiny while the per-relay saving (script building, window walking,
 // sorting, ~20 allocations) is paid on REFER's hottest path.
 //
-// The table is immutable after construction and safe for concurrent use;
-// the hit/miss counters are atomic.
+// Nothing in the table is written after buildTable returns, so concurrent
+// runs share it without synchronization; how often a run consulted it is
+// that run's own count (experiment.WorkStats.RouteTableHits).
 type RouteTable struct {
 	d, k    int
 	entries map[pairKey][]Route
-	hits    atomic.Uint64
-	misses  atomic.Uint64
 }
 
 type pairKey struct{ u, v ID }
@@ -38,8 +38,8 @@ type pairKey struct{ u, v ID }
 type tableKey struct{ d, k int }
 
 // tableSlot holds one lazily built shared table. The table pointer is
-// atomic so AllTableCounters can snapshot concurrently with a first build;
-// err is only read after once.Do returns, which orders it.
+// atomic so Tables can snapshot concurrently with a first build; err is
+// only read after once.Do returns, which orders it.
 type tableSlot struct {
 	once  sync.Once
 	table atomic.Pointer[RouteTable]
@@ -134,70 +134,26 @@ func (t *RouteTable) Size() int { return len(t.entries) }
 // the table either.
 func (t *RouteTable) Routes(u, v ID) ([]Route, bool) {
 	routes, ok := t.entries[pairKey{u: u, v: v}]
-	if !ok {
-		t.misses.Add(1)
-		return nil, false
-	}
-	t.hits.Add(1)
-	return routes[:len(routes):len(routes)], true
+	return routes[:len(routes):len(routes)], ok
 }
 
-// TableCounters is a snapshot of one shared table's effectiveness counters.
-type TableCounters struct {
-	// Degree and Diameter identify the graph K(d, k).
-	Degree, Diameter int
-	// Hits and Misses count lookups served from / not covered by the table
-	// since process start.
-	Hits, Misses uint64
-	// Pairs is the number of precomputed ordered pairs.
-	Pairs int
-}
-
-// String renders the counters as a one-line report.
-func (c TableCounters) String() string {
-	total := c.Hits + c.Misses
-	pct := 0.0
-	if total > 0 {
-		pct = 100 * float64(c.Hits) / float64(total)
-	}
-	return fmt.Sprintf("K(%d,%d): %d pairs, %d hits / %d misses (%.1f%% hit rate)",
-		c.Degree, c.Diameter, c.Pairs, c.Hits, c.Misses, pct)
-}
-
-// Counters returns a snapshot of the table's lookup counters.
-func (t *RouteTable) Counters() TableCounters {
-	return TableCounters{
-		Degree:   t.d,
-		Diameter: t.k,
-		Hits:     t.hits.Load(),
-		Misses:   t.misses.Load(),
-		Pairs:    len(t.entries),
-	}
-}
-
-// AllTableCounters snapshots the counters of every table built so far in
-// this process, ordered by (degree, diameter).
-func AllTableCounters() []TableCounters {
+// Tables lists every table built so far in this process, ordered by
+// (degree, diameter).
+func Tables() []*RouteTable {
 	tableMu.Lock()
-	keys := make([]tableKey, 0, len(tableReg))
-	slots := make(map[tableKey]*tableSlot, len(tableReg))
-	for k, s := range tableReg {
-		keys = append(keys, k)
-		slots[k] = s
+	out := make([]*RouteTable, 0, len(tableReg))
+	for _, slot := range tableReg {
+		// A slot whose build has not completed yet (or failed) has no table.
+		if t := slot.table.Load(); t != nil {
+			out = append(out, t)
+		}
 	}
 	tableMu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].d != keys[j].d {
-			return keys[i].d < keys[j].d
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].d != out[j].d {
+			return out[i].d < out[j].d
 		}
-		return keys[i].k < keys[j].k
+		return out[i].k < out[j].k
 	})
-	out := make([]TableCounters, 0, len(keys))
-	for _, k := range keys {
-		// A slot whose build has not completed yet (or failed) has no table.
-		if t := slots[k].table.Load(); t != nil {
-			out = append(out, t.Counters())
-		}
-	}
 	return out
 }

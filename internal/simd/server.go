@@ -29,7 +29,6 @@ import (
 	"log"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -542,8 +541,9 @@ func (s *Server) finish(r *run, state string, res *experiment.Result, tab *exper
 	switch state {
 	case StateDone:
 		// The one place an outcome becomes terminal and cached: its host half
-		// is dropped, so the stored bytes equal any replay's, and its sim half
-		// is folded into /metrics before anyone can see the run as done.
+		// is dropped, so the stored bytes equal any replay's by this binary, and
+		// its work half (DES events) and sim half (recovery) are folded into
+		// /metrics before anyone can see the run as done.
 		switch {
 		case res != nil:
 			res.Stats = res.Stats.StripWallClock()
@@ -910,18 +910,8 @@ func (s *Server) MetricsSnapshot() Metrics {
 	if m.UptimeSeconds > 0 {
 		m.DESEventsPerSec = float64(m.DESEvents) / m.UptimeSeconds
 	}
-	counters := kautz.AllTableCounters()
-	sort.Slice(counters, func(i, j int) bool {
-		if counters[i].Degree != counters[j].Degree {
-			return counters[i].Degree < counters[j].Degree
-		}
-		return counters[i].Diameter < counters[j].Diameter
-	})
-	for _, c := range counters {
-		m.RouteTables = append(m.RouteTables, RouteTableMetrics{
-			Degree: c.Degree, Diameter: c.Diameter, Pairs: c.Pairs,
-			Hits: c.Hits, Misses: c.Misses,
-		})
+	for _, t := range kautz.Tables() {
+		m.RouteTables = append(m.RouteTables, RouteTableMetrics{Degree: t.Degree(), Diameter: t.Diameter(), Pairs: t.Size()})
 	}
 	return m
 }

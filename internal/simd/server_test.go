@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -593,6 +594,10 @@ func TestServerValidation(t *testing.T) {
 		want             int
 	}{
 		{"unknown system", "/runs", `{"system":"not-a-system"}`, 400},
+		// The two same-output REFER arms are gone, not aliased.
+		{"removed system linear-scan", "/runs", `{"system":"REFER/linear-scan"}`, 400},
+		{"removed system direct-routes", "/runs", `{"system":"REFER/direct-routes"}`, 400},
+		{"figure removed system", "/figures/S1/runs", `{"systems":["REFER","REFER/linear-scan"]}`, 400},
 		{"negative warmup", "/runs", `{"warmup_s":-1}`, 400},
 		{"negative count", "/runs", `{"sources":-1}`, 400},
 		{"negative speed", "/runs", `{"max_speed":-1}`, 400},
@@ -645,8 +650,8 @@ func TestServerValidation(t *testing.T) {
 	if err := json.Unmarshal(data, &systems); err != nil {
 		t.Fatal(err)
 	}
-	if len(systems) == 0 || systems[0] == "" {
-		t.Errorf("systems list: %v", systems)
+	if !reflect.DeepEqual(systems, experiment.KnownSystems()) {
+		t.Errorf("systems list %v, want the registry's %v", systems, experiment.KnownSystems())
 	}
 	resp, data = getBody(t, client, ts.URL+"/figures")
 	if resp.StatusCode != http.StatusOK {
@@ -852,6 +857,6 @@ func TestServerFigureSharesGrid(t *testing.T) {
 	}
 	all := submit(ts2.URL+"/figures/S1/runs", FigureRequest{Systems: experiment.AllSystems()}, http.StatusAccepted)
 	if all.Cached || all.Key == arms.Key {
-		t.Fatalf("S1 over all four systems was served S1's default two arms: %+v", all)
+		t.Fatalf("S1 over all four systems was served S1's default arm: %+v", all)
 	}
 }

@@ -264,6 +264,11 @@ type Stats struct {
 	// NeighborHits counts queries served from the cache.
 	NeighborRebuilds uint64
 	NeighborHits     uint64
+	// MobilityEvals counts the mobility-model evaluations the world made
+	// (every Mob.At goes through posAt); NeighborCandidates sums the grid
+	// candidates the neighborhood recomputations examined.
+	MobilityEvals      uint64
+	NeighborCandidates uint64
 	// FaultInjections and FaultRecoveries count SetFailed transitions, so
 	// a fault campaign's footprint is visible in run stats.
 	FaultInjections uint64
@@ -459,7 +464,14 @@ func (w *World) Nodes() []*Node { return w.nodes }
 
 // Position returns a node's position at the current virtual time.
 func (w *World) Position(id NodeID) geo.Point {
-	return w.nodes[id].Mob.At(w.Sched.Now())
+	return w.posAt(w.nodes[id], w.Sched.Now())
+}
+
+// posAt evaluates n's mobility model at now. It is the only place the world
+// calls Mob.At, so Stats.MobilityEvals counts every evaluation.
+func (w *World) posAt(n *Node, now time.Duration) geo.Point {
+	w.stats.MobilityEvals++
+	return n.Mob.At(now)
 }
 
 // Distance returns the current distance between two nodes.
@@ -594,7 +606,7 @@ func (w *World) refreshGrid() {
 		w.grid.Reset()
 	}
 	for _, n := range w.nodes {
-		w.grid.Insert(int(n.ID), n.Mob.At(now))
+		w.grid.Insert(int(n.ID), w.posAt(n, now))
 	}
 	w.gridAt = now
 	w.gridOK = true
@@ -636,14 +648,15 @@ func (w *World) neighborCache(from NodeID) *nodeCache {
 		w.verifyBorrowedNeighbors(from, c)
 	}
 	n := w.nodes[from]
-	p := n.Mob.At(now)
+	p := w.posAt(n, now)
 	w.scratch = w.grid.Within(w.scratch[:0], p, n.Range+w.querySlack(now), int(from))
+	w.stats.NeighborCandidates += uint64(len(w.scratch))
 	c.carrier = c.carrier[:0]
 	c.nb = c.nb[:0]
 	c.key = c.key[:0]
 	maxR2 := n.Range * n.Range
 	for _, i := range w.scratch {
-		q := w.nodes[i].Mob.At(now)
+		q := w.posAt(w.nodes[i], now)
 		dx, dy := q.X-p.X, q.Y-p.Y
 		if dx*dx+dy*dy > maxR2 {
 			continue
@@ -723,7 +736,7 @@ func (w *World) AliveNeighbors(dst []NodeID, from NodeID) []NodeID {
 // strict), matching the world's other tie rules.
 func (w *World) NearestActuator(from NodeID) NodeID {
 	now := w.Sched.Now()
-	p := w.nodes[from].Mob.At(now)
+	p := w.posAt(w.nodes[from], now)
 	best := NoNode
 	bestDist := 0.0
 	for _, id := range w.actuators {
@@ -731,7 +744,7 @@ func (w *World) NearestActuator(from NodeID) NodeID {
 		if !n.Alive() {
 			continue
 		}
-		d := p.Dist(n.Mob.At(now))
+		d := p.Dist(w.posAt(n, now))
 		if best == NoNode || d < bestDist {
 			best, bestDist = id, d
 		}

@@ -562,3 +562,40 @@ func TestNeighborQueriesAllocFree(t *testing.T) {
 		t.Fatalf("neighbor query allocated %.1f times per event, want 0", avg)
 	}
 }
+
+// TestStaticNeighborQueriesDoNoWork is the guard on the world's work
+// counters: on a static world, once every node's neighborhood is cached,
+// repeated queries at later virtual times are all cache hits — they raise
+// NeighborHits and evaluate no mobility model and no grid candidate.
+func TestStaticNeighborQueriesDoNoWork(t *testing.T) {
+	w := New(Config{Region: geo.Square(500), Seed: 9})
+	const n = 40
+	for i := 0; i < n; i++ {
+		w.AddNode(Sensor, mobility.Static{P: geo.Point{X: float64(i%8) * 60, Y: float64(i/8) * 60}}, 100, 0)
+	}
+	queryAll := func() {
+		for id := NodeID(0); id < n; id++ {
+			w.Neighbors(nil, id)
+			w.AliveNeighbors(nil, id)
+		}
+	}
+	queryAll() // warm-up: one rebuild per node
+	warm := w.Stats()
+	if warm.NeighborRebuilds != n || warm.MobilityEvals == 0 || warm.NeighborCandidates == 0 {
+		t.Fatalf("warm-up did not do the work it should: %+v", warm)
+	}
+	for k := 0; k < 3; k++ {
+		if _, err := w.Sched.After(time.Second, queryAll); err != nil {
+			t.Fatal(err)
+		}
+		w.Sched.Step()
+	}
+	got := w.Stats()
+	if want := warm.NeighborHits + 3*2*n; got.NeighborHits != want {
+		t.Errorf("NeighborHits = %d, want %d", got.NeighborHits, want)
+	}
+	if got.MobilityEvals != warm.MobilityEvals || got.NeighborCandidates != warm.NeighborCandidates ||
+		got.NeighborRebuilds != warm.NeighborRebuilds || got.GridRebuilds != warm.GridRebuilds {
+		t.Errorf("cached queries on a static world did work:\nwarm %+v\n now %+v", warm, got)
+	}
+}

@@ -114,11 +114,6 @@ const (
 	SystemDDEAR        = experiment.SystemDDEAR
 	SystemKautzOverlay = experiment.SystemKautzOverlay
 
-	// SystemREFERLinearScan is REFER with every cell lookup reverted to the
-	// pre-index linear scans — the scale study's ablation arm. Results are
-	// identical to SystemREFER; only the maintenance work differs.
-	SystemREFERLinearScan = experiment.SystemREFERLinearScan
-
 	// SystemREFERRecovery is REFER with the self-healing recovery protocols
 	// (corner re-election, cell merge, CAN zone takeover) attached — the R
 	// figure family's subject arm.
