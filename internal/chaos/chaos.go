@@ -275,20 +275,6 @@ func (inj *Injector) Stats() Stats {
 	return inj.stats
 }
 
-// Downed returns how many nodes this injector currently holds down.
-func (inj *Injector) Downed() int {
-	if inj == nil {
-		return 0
-	}
-	n := 0
-	for _, c := range inj.downed {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // SetObserver registers a callback fired after every applied fault action
 // — each schedule event, each churn crash, and each delayed recovery. The
 // conformance harness hooks it to check invariants at exactly the moments

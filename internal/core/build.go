@@ -23,11 +23,11 @@ func (s *System) Build() error {
 	if s.built {
 		return fmt.Errorf("core: system already built")
 	}
-	if s.cfg.Degree < 2 || s.cfg.Degree > kautz.MaxDegree || s.cfg.Diameter != 3 {
-		return fmt.Errorf("core: the embedding protocol implements K(d,3) cells with d >= 2; got K(%d,%d)",
-			s.cfg.Degree, s.cfg.Diameter)
+	if s.cfg.Degree < 2 || s.cfg.Degree > kautz.MaxDegree {
+		return fmt.Errorf("core: the embedding protocol implements K(d,%d) cells with 2 <= d <= %d; got d = %d",
+			diameter, kautz.MaxDegree, s.cfg.Degree)
 	}
-	g, err := kautz.New(s.cfg.Degree, s.cfg.Diameter)
+	g, err := kautz.New(s.cfg.Degree, diameter)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -35,7 +35,7 @@ func (s *System) Build() error {
 	// Share the process-wide precomputed route table for the cell graph; a
 	// K(d,3) cell is small enough that every (u, v) route set is tabulated
 	// once per process instead of on every forwarding decision.
-	if s.routes, err = kautz.TableFor(s.cfg.Degree, s.cfg.Diameter); err != nil {
+	if s.routes, err = kautz.TableFor(s.cfg.Degree, diameter); err != nil {
 		return fmt.Errorf("core: route table: %w", err)
 	}
 
@@ -294,7 +294,7 @@ func (s *System) notifyActuators(leader world.NodeID, adjacency [][]int) {
 
 // assignCellSensors associates every sensor with a cell: the triangle that
 // strictly contains it (triangle interiors partition the covered area), or
-// else the nearest cell within CellMargin. Sensors outside every cell stay
+// else the nearest cell within cellMargin. Sensors outside every cell stay
 // unaffiliated; they can still source data through any nearby overlay node.
 func (s *System) assignCellSensors() {
 	for _, n := range s.w.Nodes() {
@@ -314,7 +314,7 @@ func (s *System) assignCellSensors() {
 
 // homeCell returns the cell a sensor at p belongs to: the first cell (in
 // s.cells order) whose triangle contains p, else the nearest cell within
-// CellMargin (the last of equally near cells), else nil. Ownership is
+// cellMargin (the last of equally near cells), else nil. Ownership is
 // decided over the full fixed triangle set — including cells since retired
 // by a recovery merge — and then resolved through the absorber chain.
 // TestIndexedEquivalenceUnderMobilityAndChurn checks the answer against a
@@ -322,7 +322,7 @@ func (s *System) assignCellSensors() {
 func (s *System) homeCell(p geo.Point) *Cell {
 	ti := s.cellIndex.Containing(p)
 	if ti < 0 {
-		ti = s.cellIndex.NearestWithin(p, s.cfg.CellMargin)
+		ti = s.cellIndex.NearestWithin(p, cellMargin)
 	}
 	if ti < 0 {
 		return nil
@@ -418,7 +418,7 @@ func (s *System) embedCell(c *Cell) error {
 		return fmt.Errorf("final KID %s: %w", lastKID, err)
 	}
 	s.assignKID(c, last, lastKID)
-	s.w.Broadcast(a, energy.Construction, nil) // common-neighbor probe
+	s.w.Broadcast(a, energy.Construction) // common-neighbor probe
 	s.w.Send(a, last, energy.Construction, nil)
 
 	// Sanity: the embedding must be complete.

@@ -19,7 +19,7 @@ import (
 // and the one production path is checked against them function by function.
 
 // homeCellScan is homeCell as two passes over s.cells: the first cell whose
-// triangle contains p, else the last of the nearest cells within CellMargin.
+// triangle contains p, else the last of the nearest cells within cellMargin.
 func (s *System) homeCellScan(p geo.Point) *Cell {
 	for _, c := range s.cells {
 		if c.contains(p, 0) {
@@ -27,7 +27,7 @@ func (s *System) homeCellScan(p geo.Point) *Cell {
 		}
 	}
 	var owner *Cell
-	bestDist := s.cfg.CellMargin
+	bestDist := cellMargin
 	for _, c := range s.cells {
 		if d := c.distance(p); d <= bestDist {
 			owner, bestDist = c, d

@@ -36,7 +36,7 @@ import (
 // embedding tolerates physically broken arcs by design (flight.sendLink
 // falls back to a relay, Theorem 3.8 failover routes around the rest), so
 // a blackout can legitimately leave arcs unserviceable until maintenance
-// replaces their endpoints. OverlayAudit quantifies that instead.
+// replaces their endpoints.
 func (s *System) CheckInvariants() error {
 	if !s.built {
 		return nil
@@ -56,8 +56,8 @@ func (s *System) CheckInvariants() error {
 			return fmt.Errorf("core: cell %d: %d KIDs but %d holders", c.CID, len(c.NodeByKID), len(c.kidOfNode))
 		}
 		for kid, id := range c.NodeByKID {
-			if !kid.Valid(s.cfg.Degree, s.cfg.Diameter) {
-				return fmt.Errorf("core: cell %d: KID %s invalid for K(%d,%d)", c.CID, kid, s.cfg.Degree, s.cfg.Diameter)
+			if !kid.Valid(s.cfg.Degree, diameter) {
+				return fmt.Errorf("core: cell %d: KID %s invalid for K(%d,%d)", c.CID, kid, s.cfg.Degree, diameter)
 			}
 			if got, ok := c.kidOfNode[id]; !ok || got != kid {
 				return fmt.Errorf("core: cell %d: NodeByKID[%s]=%d but kidOfNode[%d]=%s", c.CID, kid, id, id, got)
@@ -135,38 +135,4 @@ func (s *System) checkRouteSoundness() error {
 		}
 	}
 	return nil
-}
-
-// OverlayAudit reports the cells' overlay-arc health at the current
-// virtual time: arcs counts every arc of every cell graph whose endpoint
-// KIDs are both held by alive, non-degraded nodes, and unserviceable
-// counts those with neither a direct radio link nor a one-relay physical
-// path (mirroring flight.sendLink). Unserviceable arcs are routed around
-// by Theorem 3.8 failover and healed by maintenance; the audit makes the
-// decay visible to tests and chaos tooling without hard-failing on it.
-func (s *System) OverlayAudit() (arcs, unserviceable int) {
-	if !s.built {
-		return 0, 0
-	}
-	for _, c := range s.cells {
-		for kid, from := range c.NodeByKID {
-			if !s.w.Node(from).Alive() || s.degraded(c, from) {
-				continue
-			}
-			for _, succ := range s.graph.Successors(kid) {
-				to, ok := c.NodeByKID[succ]
-				if !ok || !s.w.Node(to).Alive() || s.degraded(c, to) {
-					continue
-				}
-				arcs++
-				if s.w.Distance(from, to) <= s.w.LinkRange(from, to) {
-					continue
-				}
-				if s.bestRelay(c, from, to) == world.NoNode {
-					unserviceable++
-				}
-			}
-		}
-	}
-	return arcs, unserviceable
 }

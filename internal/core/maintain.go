@@ -53,7 +53,7 @@ func (s *System) maintainOnce() {
 		// cheap keepalive that lets candidates learn the overlay around
 		// them (Section III-B-4).
 		if prober := s.pickProber(c); prober != world.NoNode {
-			s.w.Broadcast(prober, energy.Communication, nil)
+			s.w.Broadcast(prober, energy.Communication)
 		}
 		// Deterministic KID order, served from the cell's cache.
 		for _, kid := range c.sortedKIDs() {
@@ -150,7 +150,7 @@ func (s *System) degraded(c *Cell, id world.NodeID) bool {
 	if n.Meter.Fraction() < lowBatteryFraction {
 		return true
 	}
-	return !c.contains(s.w.Position(id), s.cfg.CellMargin)
+	return !c.contains(s.w.Position(id), cellMargin)
 }
 
 // replace hands a KID from old to the best candidate. The candidate must be

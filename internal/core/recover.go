@@ -122,7 +122,7 @@ func (s *System) reelectCorner(c *Cell, slot int, detectedAt time.Duration) (rec
 	s.rebindMemberCell(best)
 	// Announcement cost: the promoted actuator broadcasts its new address to
 	// the cell (mains-powered, and alive by construction).
-	s.w.Broadcast(best, energy.Communication, nil)
+	s.w.Broadcast(best, energy.Communication)
 	return recovery.Action{
 		Kind: recovery.Reelect, CID: c.CID, Corner: slot, NewCorner: best,
 		DetectedAt: detectedAt, RepairedAt: s.w.Now(),
@@ -180,7 +180,7 @@ func (s *System) mergeCell(c *Cell, detectedAt time.Duration) []recovery.Action 
 	// takeover (it has one by selection).
 	for _, corner := range absorber.Corners {
 		if s.w.Node(corner).Alive() {
-			s.w.Broadcast(corner, energy.Communication, nil)
+			s.w.Broadcast(corner, energy.Communication)
 			break
 		}
 	}
@@ -262,7 +262,3 @@ func (s *System) activeCell(c *Cell) *Cell {
 	}
 	return c
 }
-
-// Retired reports whether the cell was retired by a merge, and which cell
-// absorbed it.
-func (c *Cell) Retired() (*Cell, bool) { return c.absorbedBy, c.retired }

@@ -29,24 +29,29 @@ import (
 	"refer/internal/world"
 )
 
+// The cell geometry has one value in use, so these are constants, not Config
+// fields.
+const (
+	// diameter is the Kautz diameter k of a cell graph: K(d,3) cells, three
+	// actuator corners per cell.
+	diameter = 3
+	// cellMargin expands each triangle when deciding which sensors belong
+	// to a cell, so border sensors participate (meters).
+	cellMargin = 40.0
+	// hopBudget bounds the number of overlay hops a packet may take before
+	// being dropped (loop protection): 3k+4.
+	hopBudget = 3*diameter + 4
+)
+
 // Config parameterizes a REFER deployment.
 type Config struct {
 	// Degree is the Kautz degree d. d = 2 uses the paper's exact K(2,3)
 	// embedding protocol; d > 2 uses the generalized wavefront embedding
 	// (embed_general.go) and needs a denser deployment.
 	Degree int
-	// Diameter is the Kautz diameter k; must be 3 (K(d,3) cells, three
-	// actuator corners per cell).
-	Diameter int
 	// ProbeInterval is the topology-maintenance period: how often Kautz
 	// sensors probe their overlay links and hand over to candidates.
 	ProbeInterval time.Duration
-	// CellMargin expands each triangle when deciding which sensors belong
-	// to a cell, so border sensors participate (meters).
-	CellMargin float64
-	// HopBudget bounds the number of overlay hops a packet may take before
-	// being dropped (loop protection); 0 means 3k+4.
-	HopBudget int
 	// DisableFailover turns off the Theorem 3.8 alternate-path failover:
 	// a relay only ever tries the greedy shortest successor and drops the
 	// packet when it fails. Ablation knob for quantifying the theorem's
@@ -60,12 +65,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's cell configuration.
 func DefaultConfig() Config {
-	return Config{
-		Degree:        2,
-		Diameter:      3,
-		ProbeInterval: 5 * time.Second,
-		CellMargin:    40,
-	}
+	return Config{Degree: 2, ProbeInterval: 5 * time.Second}
 }
 
 // Address is a REFER node address (CID, KID) as defined in Section III-B.
@@ -156,17 +156,8 @@ func New(w *world.World, cfg Config) *System {
 	if cfg.Degree == 0 {
 		cfg.Degree = 2
 	}
-	if cfg.Diameter == 0 {
-		cfg.Diameter = 3
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = DefaultConfig().ProbeInterval
-	}
-	if cfg.CellMargin <= 0 {
-		cfg.CellMargin = DefaultConfig().CellMargin
-	}
-	if cfg.HopBudget <= 0 {
-		cfg.HopBudget = 3*cfg.Diameter + 4
 	}
 	return &System{
 		w:          w,
@@ -177,9 +168,6 @@ func New(w *world.World, cfg Config) *System {
 		degradedAt: make(map[world.NodeID]time.Duration),
 	}
 }
-
-// Name implements the System interface.
-func (s *System) Name() string { return "REFER" }
 
 // Stats returns a snapshot of the protocol counters. MaintainChecks is read
 // off the cell index, which counts its own predicate evaluations (zero

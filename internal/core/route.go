@@ -84,7 +84,7 @@ func (s *System) newFlight(src world.NodeID, done func(ok bool)) *flight {
 		f.onSend, f.onCrossed = f.sent, f.crossed
 	}
 	f.p = s.w.Tracer().PacketInject(s.w.Now(), int32(src))
-	f.done, f.budget = done, s.cfg.HopBudget
+	f.done, f.budget = done, hopBudget
 	return f
 }
 
@@ -175,7 +175,7 @@ func (f *flight) crossed(ok bool, entry world.NodeID) {
 		f.finish(false)
 		return
 	}
-	f.cell, f.at, f.budget = f.dstCell, entry, f.s.cfg.HopBudget
+	f.cell, f.at, f.budget = f.dstCell, entry, hopBudget
 	f.corners[0] = f.dstKID
 	f.step()
 }

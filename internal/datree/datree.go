@@ -18,23 +18,14 @@ import (
 	"refer/internal/world"
 )
 
-// Config parameterizes DaTree.
-type Config struct {
-	// FloodTTL bounds construction and repair floods.
-	FloodTTL int
-	// MaxRetransmits bounds per-packet source retransmissions after repair.
-	MaxRetransmits int
-}
-
-// DefaultConfig returns the evaluation configuration.
-func DefaultConfig() Config {
-	return Config{FloodTTL: manet.DefaultTTL, MaxRetransmits: 3}
-}
+// maxRetransmits bounds per-packet source retransmissions after repair.
+// Construction and repair floods are bounded by manet.DefaultTTL. The paper
+// runs each baseline at one setting (Section IV), so neither is a knob.
+const maxRetransmits = 3
 
 // System is a built DaTree network.
 type System struct {
-	w   *world.World
-	cfg Config
+	w *world.World
 
 	parent map[world.NodeID]world.NodeID // tree edges (sensor → parent)
 	root   map[world.NodeID]world.NodeID // sensor → its tree's actuator
@@ -57,24 +48,14 @@ type Stats struct {
 }
 
 // New creates an unbuilt DaTree system on w.
-func New(w *world.World, cfg Config) *System {
-	if cfg.FloodTTL <= 0 {
-		cfg.FloodTTL = manet.DefaultTTL
-	}
-	if cfg.MaxRetransmits <= 0 {
-		cfg.MaxRetransmits = DefaultConfig().MaxRetransmits
-	}
+func New(w *world.World) *System {
 	return &System{
 		w:         w,
-		cfg:       cfg,
 		parent:    make(map[world.NodeID]world.NodeID),
 		root:      make(map[world.NodeID]world.NodeID),
 		repairing: make(map[world.NodeID][]func(ok bool)),
 	}
 }
-
-// Name implements the System interface.
-func (s *System) Name() string { return "DaTree" }
 
 // Stats returns a snapshot of the protocol counters.
 func (s *System) Stats() Stats { return s.stats }
@@ -108,7 +89,7 @@ func (s *System) Build() error {
 			continue
 		}
 		rootID := n.ID
-		s.w.Flood(rootID, s.cfg.FloodTTL, energy.Construction,
+		s.w.Flood(rootID, manet.DefaultTTL, energy.Construction,
 			func(at world.NodeID, hops int, path []world.NodeID) bool {
 				if s.w.Node(at).Kind == world.Actuator {
 					return false // other actuators do not join
@@ -198,7 +179,7 @@ func (s *System) Inject(src world.NodeID, done func(ok bool)) {
 		finish(true) // the actuator already has the data
 		return
 	}
-	s.transmit(src, src, s.cfg.MaxRetransmits, pkt, finish)
+	s.transmit(src, src, maxRetransmits, pkt, finish)
 }
 
 // transmit walks the packet up the tree from at. On a broken hop the stuck
@@ -258,7 +239,7 @@ func (s *System) repairAndRetransmit(src, stuck world.NodeID, budget int, pkt tr
 	s.stats.Repairs++
 	// Expanding-ring search: the root is a known nearby actuator, so a
 	// cheap local flood usually suffices.
-	manet.DiscoverRouteRing(s.w, stuck, root, []int{4, s.cfg.FloodTTL}, energy.Communication,
+	manet.DiscoverRouteRing(s.w, stuck, root, []int{4, manet.DefaultTTL}, energy.Communication,
 		func(path []world.NodeID) {
 			if path != nil {
 				// Re-point parents along the found path.

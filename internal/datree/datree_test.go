@@ -12,7 +12,7 @@ import (
 func buildSystem(t *testing.T, seed int64, sensors int, speed float64) (*world.World, *System) {
 	t.Helper()
 	w := scenario.Build(scenario.Params{Seed: seed, Sensors: sensors, MaxSpeed: speed})
-	s := New(w, DefaultConfig())
+	s := New(w)
 	if err := s.Build(); err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestInjectFromFailedSource(t *testing.T) {
 
 func TestUnbuiltSystemRejectsInject(t *testing.T) {
 	w := scenario.Build(scenario.Params{Seed: 8, Sensors: 20})
-	s := New(w, Config{})
+	s := New(w)
 	var got *bool
 	s.Inject(scenario.SensorIDs(w)[0], func(o bool) { got = &o })
 	w.Sched.Run()
@@ -183,7 +183,7 @@ func TestUnbuiltSystemRejectsInject(t *testing.T) {
 
 func TestDeliveryUnderMobility(t *testing.T) {
 	w := scenario.Build(scenario.Params{Seed: 9, Sensors: 200, MaxSpeed: 2})
-	s := New(w, DefaultConfig())
+	s := New(w)
 	if err := s.Build(); err != nil {
 		t.Fatal(err)
 	}

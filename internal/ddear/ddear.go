@@ -20,25 +20,17 @@ import (
 	"refer/internal/world"
 )
 
-// Config parameterizes D-DEAR.
-type Config struct {
-	// FloodTTL bounds discovery and repair floods.
-	FloodTTL int
-	// MaxRetransmits bounds per-packet retransmissions after a repair.
-	MaxRetransmits int
-}
-
-// DefaultConfig returns the evaluation configuration.
-func DefaultConfig() Config {
-	return Config{FloodTTL: manet.DefaultTTL, MaxRetransmits: 3}
-}
+// maxRetransmits bounds per-packet head retransmissions after a backbone
+// repair. Discovery and repair floods are bounded by manet.DefaultTTL. The
+// paper runs each baseline at one setting (Section IV), so neither is a knob.
+const maxRetransmits = 3
 
 // System is a built D-DEAR network.
 type System struct {
-	w   *world.World
-	cfg Config
+	w *world.World
 
 	heads    []world.NodeID
+	isHead   map[world.NodeID]bool           // membership of heads, fixed by Build
 	headOf   map[world.NodeID]world.NodeID   // member → head
 	relayTo  map[world.NodeID]world.NodeID   // member → relay (2-hop members)
 	backbone map[world.NodeID][]world.NodeID // head → path to actuator
@@ -60,25 +52,16 @@ type Stats struct {
 }
 
 // New creates an unbuilt D-DEAR system on w.
-func New(w *world.World, cfg Config) *System {
-	if cfg.FloodTTL <= 0 {
-		cfg.FloodTTL = manet.DefaultTTL
-	}
-	if cfg.MaxRetransmits <= 0 {
-		cfg.MaxRetransmits = DefaultConfig().MaxRetransmits
-	}
+func New(w *world.World) *System {
 	return &System{
 		w:          w,
-		cfg:        cfg,
+		isHead:     make(map[world.NodeID]bool),
 		headOf:     make(map[world.NodeID]world.NodeID),
 		relayTo:    make(map[world.NodeID]world.NodeID),
 		backbone:   make(map[world.NodeID][]world.NodeID),
 		rebuilding: make(map[world.NodeID][]func(ok bool)),
 	}
 }
-
-// Name implements the System interface.
-func (s *System) Name() string { return "D-DEAR" }
 
 // Stats returns a snapshot of the protocol counters.
 func (s *System) Stats() Stats { return s.stats }
@@ -105,7 +88,7 @@ func (s *System) Build() error {
 	for _, n := range s.w.Nodes() {
 		if n.Kind == world.Sensor {
 			sensors = append(sensors, n.ID)
-			s.w.Broadcast(n.ID, energy.Construction, nil)
+			s.w.Broadcast(n.ID, energy.Construction)
 		}
 	}
 	// Head election: process by residual energy (ID tie-break); a sensor
@@ -119,48 +102,36 @@ func (s *System) Build() error {
 		}
 		return sorted[i] < sorted[j]
 	})
-	isHead := make(map[world.NodeID]bool)
 	for _, id := range sorted {
 		if !s.w.Node(id).Alive() {
 			continue
 		}
-		if s.headWithinTwoHops(id, isHead) {
+		if s.headWithinTwoHops(id) {
 			continue
 		}
-		isHead[id] = true
+		s.isHead[id] = true
 		s.heads = append(s.heads, id)
 		// Head announcement broadcast.
-		s.w.Broadcast(id, energy.Construction, nil)
+		s.w.Broadcast(id, energy.Construction)
 	}
 	// Member attachment: direct neighbor head, else a head two hops away
 	// through a relay member.
 	for _, id := range sensors {
-		if isHead[id] {
+		if s.isHead[id] {
 			s.headOf[id] = id
 			continue
 		}
-		if h := s.directHead(id, isHead); h != world.NoNode {
-			s.headOf[id] = h
-			continue
-		}
-		if h, relay := s.twoHopHead(id, isHead); h != world.NoNode {
-			s.headOf[id] = h
-			s.relayTo[id] = relay
-		}
+		s.attach(id)
 	}
 	// Backbone: actuators flood one beacon each; every head records the
 	// reverse path of the first beacon it hears as its multi-hop path to a
 	// close actuator. (Head-initiated full floods are reserved for repair.)
-	headIsSet := make(map[world.NodeID]bool, len(s.heads))
-	for _, h := range s.heads {
-		headIsSet[h] = true
-	}
 	heard := make(map[world.NodeID]bool, len(sensors))
 	for _, n := range s.w.Nodes() {
 		if n.Kind != world.Actuator {
 			continue
 		}
-		s.w.Flood(n.ID, s.cfg.FloodTTL, energy.Construction,
+		s.w.Flood(n.ID, manet.DefaultTTL, energy.Construction,
 			func(at world.NodeID, hops int, path []world.NodeID) bool {
 				if s.w.Node(at).Kind == world.Actuator {
 					return false
@@ -169,7 +140,7 @@ func (s *System) Build() error {
 					return false // relay only the first beacon heard
 				}
 				heard[at] = true
-				if headIsSet[at] {
+				if s.isHead[at] {
 					rev := make([]world.NodeID, len(path))
 					for i, id := range path {
 						rev[len(path)-1-i] = id
@@ -183,13 +154,13 @@ func (s *System) Build() error {
 	return nil
 }
 
-func (s *System) headWithinTwoHops(id world.NodeID, isHead map[world.NodeID]bool) bool {
+func (s *System) headWithinTwoHops(id world.NodeID) bool {
 	for _, nb := range s.w.Neighbors(nil, id) {
-		if isHead[nb] {
+		if s.isHead[nb] {
 			return true
 		}
 		for _, nb2 := range s.w.Neighbors(nil, nb) {
-			if isHead[nb2] {
+			if s.isHead[nb2] {
 				return true
 			}
 		}
@@ -197,11 +168,11 @@ func (s *System) headWithinTwoHops(id world.NodeID, isHead map[world.NodeID]bool
 	return false
 }
 
-func (s *System) directHead(id world.NodeID, isHead map[world.NodeID]bool) world.NodeID {
+func (s *System) directHead(id world.NodeID) world.NodeID {
 	best, bestDist := world.NoNode, 0.0
 	pid := s.w.Position(id)
 	for _, nb := range s.w.Neighbors(nil, id) {
-		if !isHead[nb] {
+		if !s.isHead[nb] {
 			continue
 		}
 		d := pid.Dist(s.w.Position(nb))
@@ -212,7 +183,7 @@ func (s *System) directHead(id world.NodeID, isHead map[world.NodeID]bool) world
 	return best
 }
 
-func (s *System) twoHopHead(id world.NodeID, isHead map[world.NodeID]bool) (head, relay world.NodeID) {
+func (s *System) twoHopHead(id world.NodeID) (head, relay world.NodeID) {
 	head, relay = world.NoNode, world.NoNode
 	bestDist := 0.0
 	pid := s.w.Position(id)
@@ -222,7 +193,7 @@ func (s *System) twoHopHead(id world.NodeID, isHead map[world.NodeID]bool) (head
 		pnb := s.w.Position(nb)
 		dToNb := pid.Dist(pnb)
 		for _, nb2 := range s.w.Neighbors(nil, nb) {
-			if !isHead[nb2] || nb2 == id {
+			if !s.isHead[nb2] || nb2 == id {
 				continue
 			}
 			d := dToNb + pnb.Dist(s.w.Position(nb2))
@@ -260,21 +231,15 @@ func (s *System) Inject(src world.NodeID, done func(ok bool)) {
 	if !ok {
 		// Orphan sensor: attach on demand to the nearest head (local
 		// broadcast cost), mirroring cluster upkeep.
-		s.w.Broadcast(src, energy.Communication, nil)
-		if h := s.directHead(src, s.headSet()); h != world.NoNode {
-			s.headOf[src] = h
-			head = h
-		} else if h, relay := s.twoHopHead(src, s.headSet()); h != world.NoNode {
-			s.headOf[src], s.relayTo[src] = h, relay
-			head = h
-		} else {
+		s.reattach(src)
+		if head, ok = s.headOf[src]; !ok {
 			finish(false)
 			return
 		}
 	}
 	s.toHead(src, head, pkt, func(ok bool) {
 		if ok {
-			s.alongBackbone(head, s.cfg.MaxRetransmits, pkt, finish)
+			s.alongBackbone(head, maxRetransmits, pkt, finish)
 			return
 		}
 		// Mobility carried the member away from its head: re-attach to a
@@ -290,7 +255,7 @@ func (s *System) Inject(src world.NodeID, done func(ok bool)) {
 				finish(false)
 				return
 			}
-			s.alongBackbone(newHead, s.cfg.MaxRetransmits, pkt, finish)
+			s.alongBackbone(newHead, maxRetransmits, pkt, finish)
 		})
 	})
 }
@@ -298,25 +263,22 @@ func (s *System) Inject(src world.NodeID, done func(ok bool)) {
 // reattach re-runs member attachment for one sensor against the current
 // topology, paying the local advertisement broadcast.
 func (s *System) reattach(src world.NodeID) {
-	s.w.Broadcast(src, energy.Communication, nil)
+	s.w.Broadcast(src, energy.Communication)
 	delete(s.headOf, src)
 	delete(s.relayTo, src)
-	heads := s.headSet()
-	if h := s.directHead(src, heads); h != world.NoNode {
-		s.headOf[src] = h
-		return
-	}
-	if h, relay := s.twoHopHead(src, heads); h != world.NoNode {
-		s.headOf[src], s.relayTo[src] = h, relay
-	}
+	s.attach(src)
 }
 
-func (s *System) headSet() map[world.NodeID]bool {
-	set := make(map[world.NodeID]bool, len(s.heads))
-	for _, h := range s.heads {
-		set[h] = true
+// attach records a non-head sensor's cluster: a direct neighbor head, else a
+// head two hops away through a relay member, else none.
+func (s *System) attach(id world.NodeID) {
+	if h := s.directHead(id); h != world.NoNode {
+		s.headOf[id] = h
+		return
 	}
-	return set
+	if h, relay := s.twoHopHead(id); h != world.NoNode {
+		s.headOf[id], s.relayTo[id] = h, relay
+	}
 }
 
 // toHead delivers the packet from a member to its cluster head (≤ 2 hops).
@@ -384,7 +346,7 @@ func (s *System) rebuildAndRetry(head world.NodeID, budget int, pkt trace.Packet
 	}
 	s.rebuilding[head] = []func(bool){cont}
 	s.stats.Repairs++
-	manet.DiscoverNearest(s.w, head, s.cfg.FloodTTL, energy.Communication,
+	manet.DiscoverNearest(s.w, head, manet.DefaultTTL, energy.Communication,
 		func(id world.NodeID) bool { return s.w.Node(id).Kind == world.Actuator },
 		func(path []world.NodeID) {
 			if path != nil {

@@ -12,7 +12,7 @@ import (
 func buildSystem(t *testing.T, seed int64, sensors int, speed float64) (*world.World, *System) {
 	t.Helper()
 	w := scenario.Build(scenario.Params{Seed: seed, Sensors: sensors, MaxSpeed: speed})
-	s := New(w, DefaultConfig())
+	s := New(w)
 	if err := s.Build(); err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -183,7 +183,7 @@ func TestInjectFailedSourceDrops(t *testing.T) {
 
 func TestDeliveryUnderMobility(t *testing.T) {
 	w := scenario.Build(scenario.Params{Seed: 9, Sensors: 200, MaxSpeed: 2})
-	s := New(w, DefaultConfig())
+	s := New(w)
 	if err := s.Build(); err != nil {
 		t.Fatal(err)
 	}

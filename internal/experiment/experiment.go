@@ -28,8 +28,6 @@ import (
 
 // System is the contract every evaluated WSAN system implements.
 type System interface {
-	// Name returns the display name.
-	Name() string
 	// Build constructs the system's topology on its world, charging the
 	// construction energy ledger.
 	Build() error
@@ -91,9 +89,9 @@ var systemBuilders = map[string]func(w *world.World) System{
 	// itself is attached by RunObserved after Build (it needs the run's
 	// effective spec, not just the system name).
 	SystemREFERRecovery: func(w *world.World) System { return core.New(w, core.DefaultConfig()) },
-	SystemDaTree:        func(w *world.World) System { return datree.New(w, datree.DefaultConfig()) },
-	SystemDDEAR:         func(w *world.World) System { return ddear.New(w, ddear.DefaultConfig()) },
-	SystemKautzOverlay:  func(w *world.World) System { return kautzoverlay.New(w, kautzoverlay.DefaultConfig()) },
+	SystemDaTree:        func(w *world.World) System { return datree.New(w) },
+	SystemDDEAR:         func(w *world.World) System { return ddear.New(w) },
+	SystemKautzOverlay:  func(w *world.World) System { return kautzoverlay.New(w) },
 }
 
 // NewSystem constructs the named (unbuilt) system on w.

@@ -221,74 +221,6 @@ type Figure struct {
 	Stats  SweepStats `json:"stats"`
 }
 
-// progressPump serializes Options.Progress callbacks on a dedicated
-// goroutine. Workers enqueue events (under the sweep mutex, preserving
-// completion order) and never block on the callback, so a slow or blocking
-// callback cannot stall the other workers' stats accumulation — and a
-// callback that itself waits on sweep output can no longer deadlock the
-// sweep. close drains the queue before returning, so every event is
-// delivered before sweep returns.
-type progressPump struct {
-	fn     func(ProgressEvent)
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []ProgressEvent
-	closed bool
-	done   chan struct{}
-}
-
-func newProgressPump(fn func(ProgressEvent)) *progressPump {
-	p := &progressPump{fn: fn, done: make(chan struct{})}
-	p.cond = sync.NewCond(&p.mu)
-	if fn == nil {
-		close(p.done)
-		return p
-	}
-	go p.loop()
-	return p
-}
-
-// emit enqueues one event; it never blocks on the callback.
-func (p *progressPump) emit(ev ProgressEvent) {
-	if p.fn == nil {
-		return
-	}
-	p.mu.Lock()
-	p.queue = append(p.queue, ev)
-	p.mu.Unlock()
-	p.cond.Signal()
-}
-
-func (p *progressPump) loop() {
-	defer close(p.done)
-	for {
-		p.mu.Lock()
-		for len(p.queue) == 0 && !p.closed {
-			p.cond.Wait()
-		}
-		if len(p.queue) == 0 {
-			p.mu.Unlock()
-			return
-		}
-		ev := p.queue[0]
-		p.queue = p.queue[1:]
-		p.mu.Unlock()
-		p.fn(ev) // no locks held: the callback may block or query freely
-	}
-}
-
-// close waits until every enqueued event has been delivered.
-func (p *progressPump) close() {
-	if p.fn == nil {
-		return
-	}
-	p.mu.Lock()
-	p.closed = true
-	p.mu.Unlock()
-	p.cond.Signal()
-	<-p.done
-}
-
 // sweepRun executes one simulation of a sweep; indirected so tests can
 // substitute instant or failing runs.
 var sweepRun = RunContext
@@ -403,7 +335,23 @@ func sweep(ctx context.Context, label string, g grid, o Options) (Table, error) 
 		wg        sync.WaitGroup
 		sem       = make(chan struct{}, parallelism)
 	)
-	pump := newProgressPump(o.Progress)
+	// Progress callbacks run in completion order on one goroutine draining
+	// events. A sweep emits at most one event per job plus the terminal abort
+	// event, so a worker's send (under mu) never blocks: a slow or blocking
+	// callback cannot stall the other workers, and one that itself waits on
+	// sweep output cannot deadlock the sweep.
+	var events chan ProgressEvent
+	var delivered chan struct{}
+	if o.Progress != nil {
+		events = make(chan ProgressEvent, len(jobs)+1)
+		delivered = make(chan struct{})
+		go func() {
+			defer close(delivered)
+			for ev := range events {
+				o.Progress(ev)
+			}
+		}()
+	}
 	total := len(jobs)
 	for _, j := range jobs {
 		j := j
@@ -453,34 +401,37 @@ func sweep(ctx context.Context, label string, g grid, o Options) (Table, error) 
 			if aborted {
 				tot = scheduled // no further runs will start
 			}
-			pump.emit(ProgressEvent{
-				FigureID: label,
-				Done:     done,
-				Total:    tot,
-				System:   j.cfg.System,
-				Seed:     j.cfg.Scenario.Seed,
-				X:        j.x,
-				Err:      err,
-				Elapsed:  time.Since(start),
-				Aborted:  aborted,
-			})
+			if events != nil {
+				events <- ProgressEvent{
+					FigureID: label,
+					Done:     done,
+					Total:    tot,
+					System:   j.cfg.System,
+					Seed:     j.cfg.Scenario.Seed,
+					X:        j.x,
+					Err:      err,
+					Elapsed:  time.Since(start),
+					Aborted:  aborted,
+				}
+			}
 			mu.Unlock()
 		}()
 	}
 	wg.Wait()
 	// A sweep aborted before any run started would otherwise emit nothing;
 	// send one terminal event so consumers still see Aborted, Done == Total.
-	mu.Lock()
-	if (failed || ctx.Err() != nil) && done == 0 {
-		pump.emit(ProgressEvent{
-			FigureID: label,
-			Aborted:  true,
-			Err:      ctx.Err(),
-			Elapsed:  time.Since(start),
-		})
+	if events != nil {
+		if (failed || ctx.Err() != nil) && done == 0 {
+			events <- ProgressEvent{
+				FigureID: label,
+				Aborted:  true,
+				Err:      ctx.Err(),
+				Elapsed:  time.Since(start),
+			}
+		}
+		close(events)
+		<-delivered // every event is delivered before sweep returns
 	}
-	mu.Unlock()
-	pump.close()
 	if err := ctx.Err(); err != nil {
 		errs = append(errs, err)
 	}

@@ -21,10 +21,10 @@ func (s *System) CheckInvariants() error {
 	}
 	if len(s.nodeOf) != s.graph.N() {
 		return fmt.Errorf("kautzoverlay: %d overlay IDs assigned, want the full K(%d,%d) = %d",
-			len(s.nodeOf), s.cfg.Degree, s.diameter, s.graph.N())
+			len(s.nodeOf), degree, s.diameter, s.graph.N())
 	}
 	for id, kid := range s.kidOf {
-		if !kid.Valid(s.cfg.Degree, s.diameter) {
+		if !kid.Valid(degree, s.diameter) {
 			return fmt.Errorf("kautzoverlay: node %d holds invalid KID %s", id, kid)
 		}
 		if got, ok := s.nodeOf[kid]; !ok || got != id {
@@ -62,13 +62,13 @@ func (s *System) checkRouteSoundness() error {
 				}
 			}
 			if routes == nil {
-				computed, err := kautz.Routes(s.cfg.Degree, u, v)
+				computed, err := kautz.Routes(degree, u, v)
 				if err != nil {
 					return fmt.Errorf("kautzoverlay: route set %s→%s: %w", u, v, err)
 				}
 				routes = computed
 			}
-			if err := kautz.VerifyRoutes(s.cfg.Degree, u, v, routes); err != nil {
+			if err := kautz.VerifyRoutes(degree, u, v, routes); err != nil {
 				return fmt.Errorf("kautzoverlay: failover soundness: %w", err)
 			}
 		}

@@ -22,30 +22,20 @@ import (
 	"refer/internal/world"
 )
 
-// Config parameterizes the overlay.
-type Config struct {
-	// Degree is the Kautz degree d (default 2).
-	Degree int
-	// FloodTTL bounds path discovery floods.
-	FloodTTL int
-	// HopBudget bounds overlay hops per packet (loop protection);
-	// 0 derives it from the overlay diameter.
-	HopBudget int
-	// MemberSpacing is the minimum spacing between elected overlay
-	// members in meters; the overlay is built over spread-out super-nodes
-	// (the ICOIN'08 scheme elects cluster heads), not every sensor.
-	MemberSpacing float64
-}
-
-// DefaultConfig returns the evaluation configuration.
-func DefaultConfig() Config {
-	return Config{Degree: 2, FloodTTL: manet.DefaultTTL, MemberSpacing: 100}
-}
+// The evaluation runs the overlay at one setting (Section IV), so these are
+// constants, not knobs; path-discovery floods are bounded by manet.DefaultTTL.
+const (
+	// degree is the Kautz degree d of the overlay graph.
+	degree = 2
+	// memberSpacing is the minimum spacing between elected overlay members
+	// in meters; the overlay is built over spread-out super-nodes (the
+	// ICOIN'08 scheme elects cluster heads), not every sensor.
+	memberSpacing = 100.0
+)
 
 // System is a built Kautz-overlay network.
 type System struct {
-	w   *world.World
-	cfg Config
+	w *world.World
 
 	graph    *kautz.Graph
 	routes   *kautz.RouteTable // shared precomputed Theorem 3.8 routes; nil = compute directly
@@ -53,7 +43,9 @@ type System struct {
 	nodeOf   map[kautz.ID]world.NodeID
 	links    map[linkKey][]world.NodeID // physical path per overlay arc
 	diameter int
-	built    bool
+	// hopBudget bounds overlay hops per packet (loop protection): 3k+4.
+	hopBudget int
+	built     bool
 	// rebuilding coalesces concurrent rebuilds of the same overlay link.
 	rebuilding map[linkKey][]func(ok bool)
 
@@ -81,28 +73,15 @@ type Stats struct {
 }
 
 // New creates an unbuilt overlay on w.
-func New(w *world.World, cfg Config) *System {
-	if cfg.Degree <= 0 {
-		cfg.Degree = 2
-	}
-	if cfg.FloodTTL <= 0 {
-		cfg.FloodTTL = manet.DefaultTTL
-	}
-	if cfg.MemberSpacing <= 0 {
-		cfg.MemberSpacing = DefaultConfig().MemberSpacing
-	}
+func New(w *world.World) *System {
 	return &System{
 		w:          w,
-		cfg:        cfg,
 		kidOf:      make(map[world.NodeID]kautz.ID),
 		nodeOf:     make(map[kautz.ID]world.NodeID),
 		links:      make(map[linkKey][]world.NodeID),
 		rebuilding: make(map[linkKey][]func(ok bool)),
 	}
 }
-
-// Name implements the System interface.
-func (s *System) Name() string { return "Kautz-overlay" }
 
 // Stats returns a snapshot of the protocol counters.
 func (s *System) Stats() Stats { return s.stats }
@@ -130,32 +109,32 @@ func (s *System) Build() error {
 		}
 	}
 	// Member election (the ICOIN'08 clustering step): actuators plus
-	// sensors spaced at least MemberSpacing apart, greedily by node ID.
+	// sensors spaced at least memberSpacing apart, greedily by node ID.
 	// Each elected member announces itself with one broadcast.
 	members := append([]world.NodeID(nil), actuators...)
 	for _, id := range sensors {
 		p := s.w.Position(id)
 		spaced := true
 		for _, m := range members {
-			if p.Dist(s.w.Position(m)) < s.cfg.MemberSpacing {
+			if p.Dist(s.w.Position(m)) < memberSpacing {
 				spaced = false
 				break
 			}
 		}
 		if spaced {
 			members = append(members, id)
-			s.w.Broadcast(id, energy.Construction, nil)
+			s.w.Broadcast(id, energy.Construction)
 		}
 	}
 	total := len(members)
 	k := 1
-	for kautz.NumNodes(s.cfg.Degree, k+1) <= total {
+	for kautz.NumNodes(degree, k+1) <= total {
 		k++
 	}
-	if kautz.NumNodes(s.cfg.Degree, k) > total {
-		return fmt.Errorf("kautzoverlay: %d members cannot host K(%d,%d)", total, s.cfg.Degree, k)
+	if kautz.NumNodes(degree, k) > total {
+		return fmt.Errorf("kautzoverlay: %d members cannot host K(%d,%d)", total, degree, k)
 	}
-	g, err := kautz.New(s.cfg.Degree, k)
+	g, err := kautz.New(degree, k)
 	if err != nil {
 		return fmt.Errorf("kautzoverlay: %w", err)
 	}
@@ -164,12 +143,10 @@ func (s *System) Build() error {
 	// Share the process-wide precomputed route table when the chosen K(d,k)
 	// is small enough to tabulate; larger overlays fall back to the direct
 	// per-decision computation.
-	if table, err := kautz.TableFor(s.cfg.Degree, k); err == nil {
+	if table, err := kautz.TableFor(degree, k); err == nil {
 		s.routes = table
 	}
-	if s.cfg.HopBudget <= 0 {
-		s.cfg.HopBudget = 3*k + 4
-	}
+	s.hopBudget = 3*k + 4
 
 	// ID assignment ignores physical topology (the defining flaw): KIDs go
 	// to the first N members in node-ID order, blind to position.
@@ -189,7 +166,7 @@ func (s *System) Build() error {
 		for _, succ := range g.Successors(kid) {
 			to := s.nodeOf[succ]
 			key := linkKey{from: kid, to: succ}
-			manet.DiscoverRoute(s.w, from, to, s.cfg.FloodTTL, energy.Construction,
+			manet.DiscoverRoute(s.w, from, to, manet.DefaultTTL, energy.Construction,
 				func(path []world.NodeID) {
 					if path != nil {
 						s.links[key] = path
@@ -243,11 +220,11 @@ func (s *System) Inject(src world.NodeID, done func(ok bool)) {
 				return
 			}
 			p.Hop(s.w.Now(), int32(src), int32(entry), 0)
-			s.route(entry, dstKID, s.cfg.HopBudget, p, finish)
+			s.route(entry, dstKID, s.hopBudget, p, finish)
 		})
 		return
 	}
-	s.route(entry, dstKID, s.cfg.HopBudget, p, finish)
+	s.route(entry, dstKID, s.hopBudget, p, finish)
 }
 
 // nearestMember returns the nearest alive overlay member in radio range.
@@ -304,7 +281,7 @@ func (s *System) routesFor(u, v kautz.ID) ([]kautz.Route, error) {
 		}
 	}
 	s.stats.RouteCacheMisses++
-	return kautz.Routes(s.cfg.Degree, u, v)
+	return kautz.Routes(degree, u, v)
 }
 
 // countFailoverSwitch records one Theorem 3.8 failover decision, counted
@@ -348,8 +325,7 @@ func (s *System) tryRoutes(at world.NodeID, dstKID kautz.ID, routes []kautz.Rout
 // on a break it floods once to re-establish the path and retries.
 func (s *System) overlayHop(fromKID, toKID kautz.ID, from, to world.NodeID, mayRebuild bool, done func(ok bool)) {
 	key := linkKey{from: fromKID, to: toKID}
-	path := s.links[key]
-	if len(path) == 0 || !manet.PathValid(s.w, path) {
+	rebuildAndRetry := func() {
 		if !mayRebuild {
 			done(false)
 			return
@@ -361,23 +337,15 @@ func (s *System) overlayHop(fromKID, toKID kautz.ID, from, to world.NodeID, mayR
 			}
 			s.overlayHop(fromKID, toKID, from, to, false, done)
 		})
+	}
+	path := s.links[key]
+	if len(path) == 0 || !manet.PathValid(s.w, path) {
+		rebuildAndRetry()
 		return
 	}
-	manet.SendAlongPath(s.w, path, energy.Communication,
+	manet.SendAlongPathHops(s.w, path, energy.Communication, nil,
 		func() { done(true) },
-		func(int) {
-			if !mayRebuild {
-				done(false)
-				return
-			}
-			s.rebuildLink(key, from, to, func(ok bool) {
-				if !ok {
-					done(false)
-					return
-				}
-				s.overlayHop(fromKID, toKID, from, to, false, done)
-			})
-		})
+		func(int) { rebuildAndRetry() })
 }
 
 // rebuildLink floods to re-discover the physical path of an overlay arc
@@ -394,7 +362,7 @@ func (s *System) rebuildLink(key linkKey, from, to world.NodeID, done func(ok bo
 	}
 	s.rebuilding[key] = []func(bool){done}
 	s.stats.PathRebuilds++
-	manet.DiscoverRoute(s.w, from, to, s.cfg.FloodTTL, energy.Communication,
+	manet.DiscoverRoute(s.w, from, to, manet.DefaultTTL, energy.Communication,
 		func(path []world.NodeID) {
 			if path != nil {
 				s.links[key] = path

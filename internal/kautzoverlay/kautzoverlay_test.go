@@ -15,7 +15,7 @@ import (
 func buildSystem(t *testing.T, seed int64, sensors int, speed float64) (*world.World, *System) {
 	t.Helper()
 	w := scenario.Build(scenario.Params{Seed: seed, Sensors: sensors, MaxSpeed: speed})
-	s := New(w, DefaultConfig())
+	s := New(w)
 	if err := s.Build(); err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestInjectFailedSource(t *testing.T) {
 
 func TestBuildRejectsTinyPopulation(t *testing.T) {
 	w := world.New(world.Config{Seed: 1})
-	s := New(w, DefaultConfig())
+	s := New(w)
 	if err := s.Build(); err == nil {
 		t.Fatal("empty world should be rejected")
 	}
@@ -227,7 +227,7 @@ func TestDeliveryUnderMobilityDegrades(t *testing.T) {
 	// overlay links break constantly. We only require the system to keep
 	// functioning (some deliveries, heavy rebuild activity).
 	w := scenario.Build(scenario.Params{Seed: 10, Sensors: 200, MaxSpeed: 3})
-	s := New(w, DefaultConfig())
+	s := New(w)
 	if err := s.Build(); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestInjectNoMemberInRangeDrops(t *testing.T) {
 	// Place an isolated extra sensor far from everyone: no overlay member
 	// in range and no route.
 	w := scenario.Build(scenario.Params{Seed: 12, Sensors: 150})
-	s := New(w, DefaultConfig())
+	s := New(w)
 	if err := s.Build(); err != nil {
 		t.Fatal(err)
 	}

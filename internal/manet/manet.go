@@ -21,50 +21,28 @@ const DefaultTTL = 24
 // paths of full-stretch ~100 m hops break within seconds under mobility.
 const LinkMargin = 0.8
 
-// DiscoverRoute floods a route request from src toward dst. After the flood
-// quiesces, onRoute receives the selected path (src first, dst last) or nil
-// when dst was unreachable. The flood's full energy bill — every
-// rebroadcast and every overheard copy — is charged to ledger. Among the
-// request copies the destination hears, it prefers the hop-shortest path
-// whose links all satisfy LinkMargin, falling back to any path.
+// DiscoverRoute floods a route request from src toward dst: DiscoverNearest
+// accepting dst alone. onRoute receives the selected path (src first, dst
+// last) or nil when dst was unreachable.
 func DiscoverRoute(w *world.World, src, dst world.NodeID, ttl int, ledger energy.Ledger, onRoute func(path []world.NodeID)) {
-	if ttl <= 0 {
-		ttl = DefaultTTL
-	}
-	reached := false
-	w.Flood(src, ttl, ledger, func(at world.NodeID, hops int, path []world.NodeID) bool {
-		if at != dst {
-			return !reached // stop expanding once a route is found
-		}
-		reached = true
-		return false // the destination does not rebroadcast
-	}, func() {
-		if onRoute == nil {
-			return
-		}
-		if !reached {
-			onRoute(nil)
-			return
-		}
-		onRoute(selectPath(w, src, ttl, func(id world.NodeID) bool { return id == dst }))
-	})
+	DiscoverNearest(w, src, ttl, ledger, func(id world.NodeID) bool { return id == dst }, onRoute)
 }
 
-// DiscoverNearest floods from src and returns (via onRoute) the path to the
-// hop-nearest node satisfying accept, with the same strong-link preference
-// as DiscoverRoute. Used by baselines that search for "any tree member" or
-// "any actuator" rather than a specific node.
+// DiscoverNearest is the one flood-then-select. It floods from src, ttl hops
+// deep; after the flood quiesces, onRoute receives the path (src first) to
+// the hop-nearest node satisfying accept, or nil when none was reached. The
+// flood's full energy bill — every rebroadcast and every overheard copy — is
+// charged to ledger. Among the request copies an accepted node hears, it
+// prefers the hop-shortest path whose links all satisfy LinkMargin, falling
+// back to any path.
 func DiscoverNearest(w *world.World, src world.NodeID, ttl int, ledger energy.Ledger, accept func(world.NodeID) bool, onRoute func(path []world.NodeID)) {
-	if ttl <= 0 {
-		ttl = DefaultTTL
-	}
 	reached := false
 	w.Flood(src, ttl, ledger, func(at world.NodeID, hops int, path []world.NodeID) bool {
 		if !accept(at) {
-			return !reached
+			return !reached // stop expanding once a route is found
 		}
 		reached = true
-		return false
+		return false // an accepted node does not rebroadcast
 	}, func() {
 		if onRoute == nil {
 			return
@@ -140,14 +118,11 @@ func bfsPath(w *world.World, src world.NodeID, ttl int, accept func(world.NodeID
 }
 
 // DiscoverRouteRing performs an expanding-ring search: DiscoverRoute with
-// each TTL in turn, stopping at the first success. Protocols that know the
-// destination is nearby (a tree node searching its root) use a small ring
-// first, paying the full flood only when the cheap one fails.
+// each TTL of the non-empty list in turn, stopping at the first success.
+// Protocols that know the destination is nearby (a tree node searching its
+// root) use a small ring first, paying the full flood only when the cheap one
+// fails.
 func DiscoverRouteRing(w *world.World, src, dst world.NodeID, ttls []int, ledger energy.Ledger, onRoute func(path []world.NodeID)) {
-	if len(ttls) == 0 {
-		DiscoverRoute(w, src, dst, 0, ledger, onRoute)
-		return
-	}
 	DiscoverRoute(w, src, dst, ttls[0], ledger, func(path []world.NodeID) {
 		if path != nil || len(ttls) == 1 {
 			if onRoute != nil {
@@ -159,19 +134,14 @@ func DiscoverRouteRing(w *world.World, src, dst world.NodeID, ttls []int, ledger
 	})
 }
 
-// SendAlongPath forwards a packet hop by hop along a source route.
-// onDelivered fires when the final node receives the packet; onBroken fires
-// on the first failed hop with the index of the node that could not forward
-// (path[brokenAt] failed to reach path[brokenAt+1]). Exactly one of the two
-// callbacks fires. A path of length < 2 delivers immediately.
-func SendAlongPath(w *world.World, path []world.NodeID, ledger energy.Ledger, onDelivered func(), onBroken func(brokenAt int)) {
-	SendAlongPathHops(w, path, ledger, nil, onDelivered, onBroken)
-}
-
-// SendAlongPathHops is SendAlongPath with a per-hop observer: onHop fires
-// after each successful hop with the index of the forwarding node
-// (path[hopAt] reached path[hopAt+1]). Systems use it to thread per-packet
-// tracing through source-routed segments; onHop may be nil.
+// SendAlongPathHops forwards a packet hop by hop along a source route.
+// onHop, which may be nil, fires after each successful hop with the index of
+// the forwarding node (path[hopAt] reached path[hopAt+1]); systems use it to
+// thread per-packet tracing through source-routed segments. onDelivered fires
+// when the final node receives the packet; onBroken fires on the first failed
+// hop with the index of the node that could not forward (path[brokenAt]
+// failed to reach path[brokenAt+1]). Exactly one of those two fires. A path
+// of length < 2 delivers immediately.
 func SendAlongPathHops(w *world.World, path []world.NodeID, ledger energy.Ledger, onHop func(hopAt int), onDelivered func(), onBroken func(brokenAt int)) {
 	if len(path) < 2 {
 		if onDelivered != nil {

@@ -1,6 +1,8 @@
 package manet
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"refer/internal/energy"
@@ -22,7 +24,7 @@ func chainWorld(t *testing.T, n int) *world.World {
 func TestDiscoverRouteChain(t *testing.T) {
 	w := chainWorld(t, 6)
 	var route []world.NodeID
-	DiscoverRoute(w, 0, 5, 0, energy.Communication, func(p []world.NodeID) { route = p })
+	DiscoverRoute(w, 0, 5, DefaultTTL, energy.Communication, func(p []world.NodeID) { route = p })
 	w.Sched.Run()
 	if len(route) != 6 {
 		t.Fatalf("route = %v, want 6-node chain", route)
@@ -67,7 +69,7 @@ func TestDiscoverNearest(t *testing.T) {
 	w := chainWorld(t, 6)
 	targets := map[world.NodeID]bool{4: true, 5: true}
 	var route []world.NodeID
-	DiscoverNearest(w, 0, 0, energy.Communication, func(id world.NodeID) bool { return targets[id] },
+	DiscoverNearest(w, 0, DefaultTTL, energy.Communication, func(id world.NodeID) bool { return targets[id] },
 		func(p []world.NodeID) { route = p })
 	w.Sched.Run()
 	if len(route) == 0 || route[len(route)-1] != 4 {
@@ -75,9 +77,42 @@ func TestDiscoverNearest(t *testing.T) {
 	}
 }
 
+// TestDiscoverRouteIsDiscoverNearest pins that route discovery has one
+// implementation: on the same seeded world, DiscoverRoute and DiscoverNearest
+// accepting only dst select the same path and charge the same Joules.
+func TestDiscoverRouteIsDiscoverNearest(t *testing.T) {
+	const dst = world.NodeID(59)
+	discover := func(run func(w *world.World, onRoute func([]world.NodeID))) ([]world.NodeID, float64) {
+		w := world.New(world.Config{Region: geo.Square(500), Seed: 7})
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 60; i++ {
+			w.AddNode(world.Sensor, mobility.Static{P: geo.Point{X: rng.Float64() * 500, Y: rng.Float64() * 500}}, 100, 0)
+		}
+		var route []world.NodeID
+		run(w, func(p []world.NodeID) { route = p })
+		w.Sched.Run()
+		return route, w.TotalEnergy(energy.Communication)
+	}
+	route, joules := discover(func(w *world.World, onRoute func([]world.NodeID)) {
+		DiscoverRoute(w, 0, dst, DefaultTTL, energy.Communication, onRoute)
+	})
+	nearest, nearestJoules := discover(func(w *world.World, onRoute func([]world.NodeID)) {
+		DiscoverNearest(w, 0, DefaultTTL, energy.Communication, func(id world.NodeID) bool { return id == dst }, onRoute)
+	})
+	if len(route) < 2 || route[len(route)-1] != dst {
+		t.Fatalf("route = %v, want a path ending at %d", route, dst)
+	}
+	if !reflect.DeepEqual(route, nearest) {
+		t.Fatalf("DiscoverRoute path %v != DiscoverNearest path %v", route, nearest)
+	}
+	if joules != nearestJoules || joules <= 0 {
+		t.Fatalf("DiscoverRoute charged %v J, DiscoverNearest %v J", joules, nearestJoules)
+	}
+}
+
 func TestDiscoveryEnergyCharged(t *testing.T) {
 	w := chainWorld(t, 6)
-	DiscoverRoute(w, 0, 5, 0, energy.Construction, nil)
+	DiscoverRoute(w, 0, 5, DefaultTTL, energy.Construction, nil)
 	w.Sched.Run()
 	if got := w.TotalEnergy(energy.Construction); got <= 0 {
 		t.Fatal("flood charged no construction energy")
@@ -91,7 +126,7 @@ func TestSendAlongPathDelivers(t *testing.T) {
 	w := chainWorld(t, 4)
 	path := []world.NodeID{0, 1, 2, 3}
 	delivered := false
-	SendAlongPath(w, path, energy.Communication, func() { delivered = true }, func(int) {
+	SendAlongPathHops(w, path, energy.Communication, nil, func() { delivered = true }, func(int) {
 		t.Error("unexpected break")
 	})
 	w.Sched.Run()
@@ -109,7 +144,7 @@ func TestSendAlongPathBreak(t *testing.T) {
 	w := chainWorld(t, 4)
 	w.SetFailed(2, true)
 	brokenAt := -1
-	SendAlongPath(w, []world.NodeID{0, 1, 2, 3}, energy.Communication,
+	SendAlongPathHops(w, []world.NodeID{0, 1, 2, 3}, energy.Communication, nil,
 		func() { t.Error("unexpected delivery") },
 		func(i int) { brokenAt = i })
 	w.Sched.Run()
@@ -121,12 +156,12 @@ func TestSendAlongPathBreak(t *testing.T) {
 func TestSendAlongPathTrivial(t *testing.T) {
 	w := chainWorld(t, 2)
 	delivered := false
-	SendAlongPath(w, []world.NodeID{0}, energy.Communication, func() { delivered = true }, nil)
+	SendAlongPathHops(w, []world.NodeID{0}, energy.Communication, nil, func() { delivered = true }, nil)
 	if !delivered {
 		t.Fatal("single-node path should deliver immediately")
 	}
 	delivered = false
-	SendAlongPath(w, nil, energy.Communication, func() { delivered = true }, nil)
+	SendAlongPathHops(w, nil, energy.Communication, nil, func() { delivered = true }, nil)
 	if !delivered {
 		t.Fatal("empty path should deliver immediately")
 	}
@@ -156,12 +191,12 @@ func TestDiscoverRouteStopsExpandingAfterFound(t *testing.T) {
 	// Once a route is found, the flood should stop spreading: compare the
 	// energy of a discovery on a long chain where the target is node 1.
 	w := chainWorld(t, 20)
-	DiscoverRoute(w, 0, 1, 0, energy.Communication, nil)
+	DiscoverRoute(w, 0, 1, DefaultTTL, energy.Communication, nil)
 	w.Sched.Run()
 	energyNear := w.TotalEnergy(energy.Communication)
 
 	w2 := chainWorld(t, 20)
-	DiscoverRoute(w2, 0, 19, 0, energy.Communication, nil)
+	DiscoverRoute(w2, 0, 19, DefaultTTL, energy.Communication, nil)
 	w2.Sched.Run()
 	energyFar := w2.TotalEnergy(energy.Communication)
 	if energyFar <= energyNear {
@@ -197,16 +232,6 @@ func TestDiscoverRouteRingFirstRingSucceeds(t *testing.T) {
 	}
 }
 
-func TestDiscoverRouteRingEmptyTTLs(t *testing.T) {
-	w := chainWorld(t, 4)
-	var route []world.NodeID
-	DiscoverRouteRing(w, 0, 3, nil, energy.Communication, func(p []world.NodeID) { route = p })
-	w.Sched.Run()
-	if len(route) != 4 {
-		t.Fatalf("route = %v", route)
-	}
-}
-
 func TestDiscoverRouteRingUnreachable(t *testing.T) {
 	w := chainWorld(t, 4)
 	w.SetFailed(1, true)
@@ -223,15 +248,15 @@ func TestDiscoverRouteRingUnreachable(t *testing.T) {
 
 func TestDiscoverRouteNilCallback(t *testing.T) {
 	w := chainWorld(t, 3)
-	DiscoverRoute(w, 0, 2, 0, energy.Communication, nil) // must not panic
-	DiscoverNearest(w, 0, 0, energy.Communication, func(world.NodeID) bool { return false }, nil)
+	DiscoverRoute(w, 0, 2, DefaultTTL, energy.Communication, nil) // must not panic
+	DiscoverNearest(w, 0, DefaultTTL, energy.Communication, func(world.NodeID) bool { return false }, nil)
 	w.Sched.Run()
 }
 
 func TestDiscoverRouteToAdjacentNode(t *testing.T) {
 	w := chainWorld(t, 3)
 	var route []world.NodeID
-	DiscoverRoute(w, 0, 1, 0, energy.Communication, func(p []world.NodeID) { route = p })
+	DiscoverRoute(w, 0, 1, DefaultTTL, energy.Communication, func(p []world.NodeID) { route = p })
 	w.Sched.Run()
 	if len(route) != 2 || route[0] != 0 || route[1] != 1 {
 		t.Fatalf("route = %v", route)

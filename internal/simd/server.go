@@ -602,7 +602,7 @@ func (s *Server) noteProgress(r *run, p experiment.RunProgress) {
 }
 
 // noteSweep records a figure run's sweep progress (one event per completed
-// simulation; the sweep's progress pump serializes calls).
+// simulation; the sweep delivers them from one goroutine, in order).
 func (s *Server) noteSweep(r *run, ev experiment.ProgressEvent) {
 	r.mu.Lock()
 	r.sweep = ev

@@ -118,9 +118,6 @@ type Config struct {
 	// AckTimeout is how long a sender waits before concluding a
 	// transmission failed (lost ack, dead receiver, broken link).
 	AckTimeout time.Duration
-	// SensorBattery is the per-sensor energy budget in Joules; <= 0 means
-	// unconstrained.
-	SensorBattery float64
 }
 
 // DefaultConfig returns the model used throughout the evaluation: 2 ms hop
@@ -159,9 +156,6 @@ type Node struct {
 
 // Failed reports whether the node is currently injected as faulty.
 func (n *Node) Failed() bool { return n.failed }
-
-// Asleep reports whether the node is inside a duty-cycled sleep window.
-func (n *Node) Asleep() bool { return n.asleep }
 
 // Alive reports whether the node can participate in the protocol: not
 // faulty, not battery-depleted and not duty-cycled asleep.
@@ -202,6 +196,9 @@ type World struct {
 	// fault injection/recovery and battery depletion through world charges.
 	aliveGen uint64
 	scratch  []int // Within candidate scratch shared across cache fills
+	// sortKey holds the fresh-grid bucket keys of the neighborhood being
+	// insertion-sorted by a cache fill; dead between fills.
+	sortKey []int
 
 	// linkLoss is the transient link degradation probability applied to
 	// unicast sends. Zero (the default) draws no randomness, so runs
@@ -243,8 +240,6 @@ type nodeCache struct {
 	// rebuilt grid would return it (fresh-bucket-major, node ID within a
 	// bucket), so epoch-stale index state never leaks into results.
 	nb []NodeID
-	// key holds nb's fresh-grid bucket keys during the insertion sort.
-	key []int
 	// carrier is the carrier-sense set: every node within the owner's own
 	// transmission range, failed or not, in no particular order.
 	carrier []NodeID
@@ -653,7 +648,7 @@ func (w *World) neighborCache(from NodeID) *nodeCache {
 	w.stats.NeighborCandidates += uint64(len(w.scratch))
 	c.carrier = c.carrier[:0]
 	c.nb = c.nb[:0]
-	c.key = c.key[:0]
+	key := w.sortKey[:0]
 	maxR2 := n.Range * n.Range
 	for _, i := range w.scratch {
 		q := w.posAt(w.nodes[i], now)
@@ -669,13 +664,14 @@ func (w *World) neighborCache(from NodeID) *nodeCache {
 		k := w.grid.CellKey(q)
 		j := len(c.nb)
 		c.nb = append(c.nb, NodeID(i))
-		c.key = append(c.key, k)
-		for j > 0 && (c.key[j-1] > k || (c.key[j-1] == k && c.nb[j-1] > NodeID(i))) {
-			c.nb[j], c.key[j] = c.nb[j-1], c.key[j-1]
+		key = append(key, k)
+		for j > 0 && (key[j-1] > k || (key[j-1] == k && c.nb[j-1] > NodeID(i))) {
+			c.nb[j], key[j] = c.nb[j-1], key[j-1]
 			j--
 		}
-		c.nb[j], c.key[j] = NodeID(i), k
+		c.nb[j], key[j] = NodeID(i), k
 	}
+	w.sortKey = key
 	c.at = now
 	c.gen = w.topoGen
 	c.valid = true
@@ -867,28 +863,21 @@ func (w *World) Send(from, to NodeID, ledger energy.Ledger, onDone func(Outcome)
 	}
 }
 
-// Broadcast transmits one packet to every in-range alive neighbor. deliver
-// runs once per receiver at its reception time. It returns the number of
-// receivers. Failed neighbors silently miss the packet.
-func (w *World) Broadcast(from NodeID, ledger energy.Ledger, deliver func(to NodeID)) int {
+// Broadcast transmits one packet to every in-range alive neighbor, charging
+// each its reception, and returns the number of receivers. Failed neighbors
+// silently miss the packet.
+func (w *World) Broadcast(from NodeID, ledger energy.Ledger) int {
 	sender := w.nodes[from]
 	if !sender.Alive() {
 		return 0
 	}
 	w.tracer.RadioBroadcast()
-	end := w.acquireRadio(sender, w.txDelay())
+	w.acquireRadio(sender, w.txDelay())
 	// Broadcasts transmit at full power: the amplifier covers the whole range.
 	w.chargeTx(sender, ledger, sender.Range)
 	targets := w.AliveNeighbors(nil, from)
 	for _, id := range targets {
-		id := id
 		w.chargeRx(w.nodes[id], ledger)
-		if deliver == nil {
-			continue
-		}
-		if _, err := w.Sched.At(end, func() { deliver(id) }); err != nil {
-			panic(fmt.Sprintf("world: broadcast delivery: %v", err))
-		}
 	}
 	return len(targets)
 }

@@ -198,11 +198,16 @@ func TestRadioQueueing(t *testing.T) {
 func TestBroadcast(t *testing.T) {
 	w := testWorld(t, []geo.Point{{X: 0, Y: 0}, {X: 50, Y: 0}, {X: 90, Y: 0}, {X: 400, Y: 0}}, 100)
 	w.SetFailed(2, true)
-	var received []NodeID
-	n := w.Broadcast(0, energy.Communication, func(to NodeID) { received = append(received, to) })
+	n := w.Broadcast(0, energy.Communication)
 	w.Sched.Run()
 	if n != 1 {
 		t.Fatalf("Broadcast reported %d receivers, want 1 (one alive in range)", n)
+	}
+	var received []NodeID
+	for _, node := range w.Nodes() {
+		if _, rx := node.Meter.Packets(); rx > 0 {
+			received = append(received, node.ID)
+		}
 	}
 	if len(received) != 1 || received[0] != 1 {
 		t.Fatalf("received = %v, want [1]", received)
@@ -219,7 +224,7 @@ func TestBroadcast(t *testing.T) {
 func TestBroadcastFromFailedNode(t *testing.T) {
 	w := testWorld(t, []geo.Point{{X: 0, Y: 0}, {X: 50, Y: 0}}, 100)
 	w.SetFailed(0, true)
-	if n := w.Broadcast(0, energy.Communication, nil); n != 0 {
+	if n := w.Broadcast(0, energy.Communication); n != 0 {
 		t.Fatalf("failed node broadcast reached %d", n)
 	}
 }

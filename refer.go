@@ -145,15 +145,13 @@ func NewREFERWithConfig(w *World, cfg core.Config) *REFER { return core.New(w, c
 type REFERConfig = core.Config
 
 // NewDaTree constructs the tree-based baseline.
-func NewDaTree(w *World) *datree.System { return datree.New(w, datree.DefaultConfig()) }
+func NewDaTree(w *World) *datree.System { return datree.New(w) }
 
 // NewDDEAR constructs the mesh/cluster baseline.
-func NewDDEAR(w *World) *ddear.System { return ddear.New(w, ddear.DefaultConfig()) }
+func NewDDEAR(w *World) *ddear.System { return ddear.New(w) }
 
 // NewKautzOverlay constructs the application-layer Kautz overlay baseline.
-func NewKautzOverlay(w *World) *kautzoverlay.System {
-	return kautzoverlay.New(w, kautzoverlay.DefaultConfig())
-}
+func NewKautzOverlay(w *World) *kautzoverlay.System { return kautzoverlay.New(w) }
 
 // ---- Evaluation harness (Section IV) ----
 
