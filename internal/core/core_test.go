@@ -33,11 +33,12 @@ func buildWorld(t *testing.T, seed int64, n int, maxSpeed float64) *world.World 
 		w.AddNode(world.Actuator, mobility.Static{P: p}, 250, 0)
 	}
 	rng := rand.New(rand.NewSource(seed + 1))
+	draws := mobility.NewDraws()
 	for i := 0; i < n; i++ {
 		anchor := actuatorLayout[rng.Intn(len(actuatorLayout))]
 		p := w.Config().Region.RandomPointNear(rng, anchor, 140)
 		if maxSpeed > 0 {
-			w.AddNode(world.Sensor, mobility.NewWaypoint(w.Config().Region, p, maxSpeed, rng), 100, 0)
+			w.AddNode(world.Sensor, mobility.NewWaypoint(w.Config().Region, p, maxSpeed, rng.Int63(), draws), 100, 0)
 		} else {
 			w.AddNode(world.Sensor, mobility.Static{P: p}, 100, 0)
 		}

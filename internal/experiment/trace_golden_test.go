@@ -27,63 +27,11 @@ import (
 // moved onto pooled records. A refactor of Inject, SendTo, World.Send or
 // World.Flood that is behaviour-neutral leaves every digest untouched.
 func TestForwardingTraceGolden(t *testing.T) {
-	cases := []struct {
-		name   string
-		digest func(t *testing.T, h hash.Hash)
-	}{
-		{"refer_faults", func(t *testing.T, h hash.Hash) {
-			// The refer_faults benchmark shape, shortened: the static 3×3
-			// lattice under rotating sensor faults, churn and one permanent
-			// actuator kill with recovery attached.
-			hashRun(t, h, RunConfig{
-				System:   SystemREFERRecovery,
-				Scenario: scenario.Params{Seed: 2, Sensors: 400, ActuatorGrid: 3},
-				Warmup:   10 * time.Second, Duration: 50 * time.Second,
-				FaultCount: 20, Sources: 10,
-				Chaos: &chaos.Schedule{Seed: 5, Events: []chaos.Event{
-					{Kind: chaos.Churn, Rate: 0.3, Duration: chaos.Duration(24 * time.Hour), Downtime: chaos.Duration(30 * time.Second)},
-					{Kind: chaos.ActuatorKill, At: chaos.Duration(25 * time.Second), Node: 1},
-				}},
-			})
-		}},
-		{"refer_mobile", func(t *testing.T, h hash.Hash) {
-			hashRun(t, h, RunConfig{
-				System:   SystemREFER,
-				Scenario: scenario.Params{Seed: 3, Sensors: 200, MaxSpeed: 5},
-				Warmup:   10 * time.Second, Duration: 50 * time.Second,
-				FaultCount: 10,
-			})
-		}},
-		{"refer_k33", func(t *testing.T, h hash.Hash) {
-			// K(2,3) has no two equal-length routes between any pair, so the
-			// cases above never draw a shuffle; K(3,3) draws one at nearly
-			// every relay, which puts the shuffle's place in the RNG stream
-			// under the digest too.
-			hashRun(t, h, RunConfig{
-				System:   SystemREFERK33,
-				Scenario: scenario.Params{Seed: 1, Sensors: 400, MaxSpeed: 3},
-				Warmup:   10 * time.Second, Duration: 50 * time.Second,
-				FaultCount: 20,
-			})
-		}},
-		{"sendto", hashSendToCampaign},
-		{"baselines", func(t *testing.T, h hash.Hash) {
-			// The baselines' construction and repair floods, on one deployment.
-			for _, sys := range []string{SystemDaTree, SystemDDEAR, SystemKautzOverlay} {
-				hashRun(t, h, RunConfig{
-					System:   sys,
-					Scenario: scenario.Params{Seed: 4, Sensors: 200, MaxSpeed: 3},
-					Warmup:   10 * time.Second, Duration: 40 * time.Second,
-					FaultCount: 10,
-				})
-			}
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range traceCases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			h := sha256.New()
-			tc.digest(t, h)
+			tc.run(t, h)
 			got := fmt.Sprintf("%x", h.Sum(nil))
 			path := filepath.Join("..", "..", "testdata", "trace", tc.name+".sha256")
 			want, err := os.ReadFile(path)
@@ -97,6 +45,64 @@ func TestForwardingTraceGolden(t *testing.T) {
 	}
 }
 
+// traceCases are the configurations TestForwardingTraceGolden hashes and
+// TestWorkGolden counts. Each feeds h its trace and returns the WorkStats
+// of every run it made, in order.
+var traceCases = []struct {
+	name string
+	run  func(t *testing.T, h hash.Hash) []WorkStats
+}{
+	{"refer_faults", func(t *testing.T, h hash.Hash) []WorkStats {
+		// The refer_faults benchmark shape, shortened: the static 3×3
+		// lattice under rotating sensor faults, churn and one permanent
+		// actuator kill with recovery attached.
+		return []WorkStats{hashRun(t, h, RunConfig{
+			System:   SystemREFERRecovery,
+			Scenario: scenario.Params{Seed: 2, Sensors: 400, ActuatorGrid: 3},
+			Warmup:   10 * time.Second, Duration: 50 * time.Second,
+			FaultCount: 20, Sources: 10,
+			Chaos: &chaos.Schedule{Seed: 5, Events: []chaos.Event{
+				{Kind: chaos.Churn, Rate: 0.3, Duration: chaos.Duration(24 * time.Hour), Downtime: chaos.Duration(30 * time.Second)},
+				{Kind: chaos.ActuatorKill, At: chaos.Duration(25 * time.Second), Node: 1},
+			}},
+		})}
+	}},
+	{"refer_mobile", func(t *testing.T, h hash.Hash) []WorkStats {
+		return []WorkStats{hashRun(t, h, RunConfig{
+			System:   SystemREFER,
+			Scenario: scenario.Params{Seed: 3, Sensors: 200, MaxSpeed: 5},
+			Warmup:   10 * time.Second, Duration: 50 * time.Second,
+			FaultCount: 10,
+		})}
+	}},
+	{"refer_k33", func(t *testing.T, h hash.Hash) []WorkStats {
+		// K(2,3) has no two equal-length routes between any pair, so the
+		// cases above never draw a shuffle; K(3,3) draws one at nearly
+		// every relay, which puts the shuffle's place in the RNG stream
+		// under the digest too.
+		return []WorkStats{hashRun(t, h, RunConfig{
+			System:   SystemREFERK33,
+			Scenario: scenario.Params{Seed: 1, Sensors: 400, MaxSpeed: 3},
+			Warmup:   10 * time.Second, Duration: 50 * time.Second,
+			FaultCount: 20,
+		})}
+	}},
+	{"sendto", hashSendToCampaign},
+	{"baselines", func(t *testing.T, h hash.Hash) []WorkStats {
+		// The baselines' construction and repair floods, on one deployment.
+		var work []WorkStats
+		for _, sys := range []string{SystemDaTree, SystemDDEAR, SystemKautzOverlay} {
+			work = append(work, hashRun(t, h, RunConfig{
+				System:   sys,
+				Scenario: scenario.Params{Seed: 4, Sensors: 200, MaxSpeed: 3},
+				Warmup:   10 * time.Second, Duration: 40 * time.Second,
+				FaultCount: 10,
+			}))
+		}
+		return work
+	}},
+}
+
 // hashTrace feeds a recorder's ordered event stream and exact counters to h.
 func hashTrace(h hash.Hash, rec *trace.Recorder) {
 	for _, e := range rec.Events() {
@@ -108,8 +114,8 @@ func hashTrace(h hash.Hash, rec *trace.Recorder) {
 // hashRun executes cfg with every packet traced and feeds h the trace plus
 // the run's deterministic totals (floods move no packet event of their own;
 // they are pinned through the broadcast counter, the two energy ledgers, the
-// delays and the DES event count).
-func hashRun(t *testing.T, h hash.Hash, cfg RunConfig) {
+// delays and the DES event count). It returns the run's WorkStats.
+func hashRun(t *testing.T, h hash.Hash, cfg RunConfig) WorkStats {
 	t.Helper()
 	rec := trace.NewRecorder(1)
 	cfg.Trace = rec
@@ -124,13 +130,15 @@ func hashRun(t *testing.T, h hash.Hash, cfg RunConfig) {
 	fmt.Fprintf(h, "%d %d %d %d %d %d %x %x %d\n", res.Created, res.Delivered, res.QoS, res.Dropped,
 		res.MeanDelay, res.MeanQoSDelay, math.Float64bits(res.CommEnergy), math.Float64bits(res.ConstructionEnergy),
 		res.Stats.DESEvents)
+	return res.Stats.WorkStats
 }
 
 // hashSendToCampaign drives core.System.SendTo directly: 300 packets between
 // random sensors and random REFER addresses, most of them in another cell, with
 // a tenth of the sensors failed so relays fail over and links take the
-// one-relay detour.
-func hashSendToCampaign(t *testing.T, h hash.Hash) {
+// one-relay detour. It returns the campaign's counters in the shape Run
+// reports them.
+func hashSendToCampaign(t *testing.T, h hash.Hash) []WorkStats {
 	w := scenario.Build(scenario.Params{Seed: 12, Sensors: 200})
 	rec := trace.NewRecorder(1)
 	w.SetTracer(rec)
@@ -171,4 +179,16 @@ func hashSendToCampaign(t *testing.T, h hash.Hash) {
 	fmt.Fprintf(h, "%d {FailoverSwitches:%d Replacements:%d Drops:%d InterCell:%d RouteCacheHits:%d RouteCacheMisses:0 MaintainChecks:%d Rehomes:%d} %x %d\n",
 		delivered, st.FailoverSwitches, st.Replacements, st.Drops, st.InterCell, st.RouteCacheHits, st.MaintainChecks, st.Rehomes,
 		math.Float64bits(w.TotalEnergy(energy.Communication)), w.Sched.Fired())
+	ws := w.Stats()
+	return []WorkStats{{
+		DESEvents:          w.Sched.Fired(),
+		GridRebuilds:       ws.GridRebuilds,
+		NeighborRebuilds:   ws.NeighborRebuilds,
+		NeighborHits:       ws.NeighborHits,
+		RouteTableHits:     st.RouteCacheHits,
+		MaintainChecks:     st.MaintainChecks,
+		MobilityEvals:      ws.MobilityEvals,
+		NeighborCandidates: ws.NeighborCandidates,
+		RelayScans:         st.RelayScans,
+	}}
 }

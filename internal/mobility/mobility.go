@@ -17,9 +17,9 @@ import (
 
 // Model yields a node's position at any virtual time.
 type Model interface {
-	// At returns the node's position at time t. Calls must use
-	// non-decreasing t across the life of the model; the random-waypoint
-	// model lazily extends its itinerary as the clock advances.
+	// At returns the node's position at time t, for any t. The
+	// random-waypoint model extends its itinerary lazily as t advances and
+	// replays it from its seed when t steps back behind the active leg.
 	At(t time.Duration) geo.Point
 }
 
@@ -53,22 +53,80 @@ type leg struct {
 	duration time.Duration
 }
 
+// step is a leg as the look-ahead buffer stores it: it starts where and
+// when the leg before it ends.
+type step struct {
+	to       geo.Point
+	duration time.Duration
+}
+
+// lookahead is how many legs one refill draws.
+const lookahead = 16
+
+// Draws is the scratch generator the random-waypoint movers of one world
+// share. A mover owns no generator state, only a seed and the count of
+// source outputs its legs have consumed; a refill reseeds Draws, skips that
+// many outputs and draws on, so every mover sees exactly the stream a
+// private generator seeded with its seed would give it. Draws is not safe
+// for concurrent use: each world needs its own.
+type Draws struct {
+	src countingSource
+	rng *rand.Rand
+}
+
+// countingSource counts the outputs drawn from it. Consumption is counted
+// here rather than in Float64 calls because Float64 may draw twice.
+type countingSource struct {
+	rand.Source
+	n uint64
+}
+
+func (s *countingSource) Int63() int64 {
+	s.n++
+	return s.Source.Int63()
+}
+
+// NewDraws returns a scratch generator for the movers of one world.
+func NewDraws() *Draws {
+	d := &Draws{src: countingSource{Source: rand.NewSource(0)}}
+	d.rng = rand.New(&d.src)
+	return d
+}
+
+// replay positions the generator n outputs into seed's stream.
+func (d *Draws) replay(seed int64, n uint64) *rand.Rand {
+	d.rng.Seed(seed)
+	for i := uint64(0); i < n; i++ {
+		d.src.Source.Int63()
+	}
+	d.src.n = n
+	return d.rng
+}
+
 // Waypoint is a random-waypoint mover: pick a uniform destination in the
 // region, move there at a uniform speed in [0, MaxSpeed], repeat.
-// The itinerary is generated lazily and deterministically from the model's
-// own RNG, so two runs with the same seed produce identical motion.
+// The itinerary is a pure function of the seed, generated lazily
+// lookahead legs at a time, so two runs with the same seed produce
+// identical motion whatever order their movers are sampled in.
 type Waypoint struct {
 	region   geo.Rect
 	maxSpeed float64 // m/s
-	rng      *rand.Rand
-	legs     []leg
+	start    geo.Point
+	seed     int64
+	draws    *Draws
+	drawn    uint64 // source outputs consumed by the legs generated so far
+	cur      leg    // the active leg: the only one At reads
+	next     int    // index into ahead of the leg after cur; lookahead when empty
+	ahead    [lookahead]step
 }
 
-// NewWaypoint creates a random-waypoint model starting at start.
-// maxSpeed <= 0 degenerates to a static node at start.
-func NewWaypoint(region geo.Rect, start geo.Point, maxSpeed float64, rng *rand.Rand) *Waypoint {
-	w := &Waypoint{region: region, maxSpeed: maxSpeed, rng: rng}
-	w.legs = append(w.legs, leg{start: 0, from: start, to: start, duration: 0})
+// NewWaypoint creates a random-waypoint model starting at start whose legs
+// are drawn from seed's stream on draws, the scratch generator shared by
+// the movers of one world. maxSpeed <= 0 degenerates to a static node at
+// start.
+func NewWaypoint(region geo.Rect, start geo.Point, maxSpeed float64, seed int64, draws *Draws) *Waypoint {
+	w := &Waypoint{region: region, maxSpeed: maxSpeed, start: start, seed: seed, draws: draws}
+	w.rewind()
 	return w
 }
 
@@ -91,56 +149,62 @@ func (w *Waypoint) MaxSpeed() float64 {
 
 // At implements Model.
 func (w *Waypoint) At(t time.Duration) geo.Point {
-	last := &w.legs[len(w.legs)-1]
-	for t >= last.start+last.duration {
-		w.extend()
-		last = &w.legs[len(w.legs)-1]
+	if t < w.cur.start {
+		w.rewind()
 	}
-	// Find the active leg; in the common case it is the last or near-last,
-	// so scan backwards.
-	for i := len(w.legs) - 1; i >= 0; i-- {
-		l := w.legs[i]
-		if t >= l.start {
-			if l.duration == 0 {
-				return l.to
-			}
-			frac := float64(t-l.start) / float64(l.duration)
-			return l.from.Lerp(l.to, frac)
-		}
+	for t >= w.cur.start+w.cur.duration {
+		w.advance()
 	}
-	return w.legs[0].from
+	if w.cur.duration == 0 {
+		return w.cur.to
+	}
+	frac := float64(t-w.cur.start) / float64(w.cur.duration)
+	return w.cur.from.Lerp(w.cur.to, frac)
 }
 
-// extend appends the next itinerary leg.
-func (w *Waypoint) extend() {
-	last := w.legs[len(w.legs)-1]
-	at := last.to
-	begin := last.start + last.duration
-	if w.maxSpeed <= 0 {
-		w.legs = append(w.legs, leg{start: begin, from: at, to: at, duration: dwellTime})
-		return
+// rewind restarts the itinerary at its zero-length opening leg.
+func (w *Waypoint) rewind() {
+	w.cur = leg{from: w.start, to: w.start}
+	w.drawn = 0
+	w.next = lookahead
+}
+
+// advance makes the leg after the active one active.
+func (w *Waypoint) advance() {
+	if w.next == lookahead {
+		w.refill()
 	}
-	dest := w.region.RandomPoint(w.rng)
-	speed := w.rng.Float64() * w.maxSpeed
+	s := w.ahead[w.next]
+	w.next++
+	w.cur = leg{start: w.cur.start + w.cur.duration, from: w.cur.to, to: s.to, duration: s.duration}
+}
+
+// refill draws the lookahead legs that follow the active one.
+func (w *Waypoint) refill() {
+	rng := w.draws.replay(w.seed, w.drawn)
+	at := w.cur.to
+	for i := range w.ahead {
+		w.ahead[i] = w.stepFrom(at, rng)
+		at = w.ahead[i].to
+	}
+	w.drawn = w.draws.src.n
+	w.next = 0
+}
+
+// stepFrom draws the itinerary leg that starts at at.
+func (w *Waypoint) stepFrom(at geo.Point, rng *rand.Rand) step {
+	if w.maxSpeed <= 0 {
+		return step{to: at, duration: dwellTime}
+	}
+	dest := w.region.RandomPoint(rng)
+	speed := rng.Float64() * w.maxSpeed
 	if speed < minLegSpeed {
-		w.legs = append(w.legs, leg{start: begin, from: at, to: at, duration: dwellTime})
-		return
+		return step{to: at, duration: dwellTime}
 	}
 	dist := at.Dist(dest)
 	dur := time.Duration(dist / speed * float64(time.Second))
 	if dur <= 0 {
 		dur = time.Millisecond
 	}
-	w.legs = append(w.legs, leg{start: begin, from: at, to: dest, duration: dur})
-	// Bound memory for very long runs: drop legs that ended before the new
-	// leg begins (the clock never steps back behind it).
-	if len(w.legs) > 64 {
-		cut := 0
-		for cut < len(w.legs)-1 && w.legs[cut].start+w.legs[cut].duration < begin {
-			cut++
-		}
-		if cut > 0 {
-			w.legs = append(w.legs[:0], w.legs[cut:]...)
-		}
-	}
+	return step{to: dest, duration: dur}
 }

@@ -22,7 +22,7 @@ func TestWaypointStartsAtStart(t *testing.T) {
 	region := geo.Square(500)
 	rng := rand.New(rand.NewSource(1))
 	start := geo.Point{X: 100, Y: 100}
-	w := NewWaypoint(region, start, 3, rng)
+	w := NewWaypoint(region, start, 3, rng.Int63(), NewDraws())
 	if got := w.At(0); got != start {
 		t.Fatalf("At(0) = %v, want %v", got, start)
 	}
@@ -31,7 +31,7 @@ func TestWaypointStartsAtStart(t *testing.T) {
 func TestWaypointStaysInRegion(t *testing.T) {
 	region := geo.Square(500)
 	rng := rand.New(rand.NewSource(2))
-	w := NewWaypoint(region, region.RandomPoint(rng), 5, rng)
+	w := NewWaypoint(region, region.RandomPoint(rng), 5, rng.Int63(), NewDraws())
 	for s := 0; s <= 2000; s++ {
 		p := w.At(time.Duration(s) * 500 * time.Millisecond)
 		if !region.Contains(p) {
@@ -44,7 +44,7 @@ func TestWaypointSpeedBound(t *testing.T) {
 	region := geo.Square(500)
 	rng := rand.New(rand.NewSource(3))
 	const maxSpeed = 3.0
-	w := NewWaypoint(region, region.RandomPoint(rng), maxSpeed, rng)
+	w := NewWaypoint(region, region.RandomPoint(rng), maxSpeed, rng.Int63(), NewDraws())
 	const dt = 100 * time.Millisecond
 	prev := w.At(0)
 	for i := 1; i < 20000; i++ {
@@ -59,9 +59,10 @@ func TestWaypointSpeedBound(t *testing.T) {
 
 func TestWaypointDeterministic(t *testing.T) {
 	region := geo.Square(500)
+	// Two movers on one seed and one scratch generator, sampled in turn.
+	draws := NewDraws()
 	mk := func() *Waypoint {
-		rng := rand.New(rand.NewSource(42))
-		return NewWaypoint(region, geo.Point{X: 250, Y: 250}, 2, rng)
+		return NewWaypoint(region, geo.Point{X: 250, Y: 250}, 2, 42, draws)
 	}
 	w1, w2 := mk(), mk()
 	for s := 0; s < 500; s++ {
@@ -76,7 +77,7 @@ func TestWaypointZeroSpeedIsStatic(t *testing.T) {
 	region := geo.Square(500)
 	rng := rand.New(rand.NewSource(4))
 	start := geo.Point{X: 50, Y: 60}
-	w := NewWaypoint(region, start, 0, rng)
+	w := NewWaypoint(region, start, 0, rng.Int63(), NewDraws())
 	for s := 0; s < 100; s++ {
 		if got := w.At(time.Duration(s) * time.Second); got != start {
 			t.Fatalf("zero-speed node moved to %v", got)
@@ -88,7 +89,7 @@ func TestWaypointActuallyMoves(t *testing.T) {
 	region := geo.Square(500)
 	rng := rand.New(rand.NewSource(5))
 	start := geo.Point{X: 250, Y: 250}
-	w := NewWaypoint(region, start, 3, rng)
+	w := NewWaypoint(region, start, 3, rng.Int63(), NewDraws())
 	moved := false
 	for s := 1; s < 300; s++ {
 		if w.At(time.Duration(s)*time.Second) != start {
@@ -102,11 +103,11 @@ func TestWaypointActuallyMoves(t *testing.T) {
 }
 
 func TestWaypointLongHorizonTrimming(t *testing.T) {
-	// Exercise itinerary trimming on a long run; positions must remain
-	// in-region and the model must not panic.
+	// A long run crosses hundreds of refills, each replaying the stream
+	// further in; positions must remain in-region.
 	region := geo.Square(500)
 	rng := rand.New(rand.NewSource(6))
-	w := NewWaypoint(region, region.RandomPoint(rng), 5, rng)
+	w := NewWaypoint(region, region.RandomPoint(rng), 5, rng.Int63(), NewDraws())
 	for s := 0; s < 100000; s += 7 {
 		p := w.At(time.Duration(s) * time.Second)
 		if !region.Contains(p) {
@@ -121,7 +122,7 @@ func TestWaypointContinuityAcrossLegs(t *testing.T) {
 	region := geo.Square(500)
 	rng := rand.New(rand.NewSource(7))
 	const maxSpeed = 4.0
-	w := NewWaypoint(region, region.RandomPoint(rng), maxSpeed, rng)
+	w := NewWaypoint(region, region.RandomPoint(rng), maxSpeed, rng.Int63(), NewDraws())
 	const dt = 10 * time.Millisecond
 	prev := w.At(0)
 	for i := 1; i < 50000; i++ {
@@ -138,7 +139,7 @@ func TestWaypointNearZeroSpeedDwells(t *testing.T) {
 	region := geo.Square(500)
 	rng := rand.New(rand.NewSource(8))
 	start := geo.Point{X: 100, Y: 100}
-	w := NewWaypoint(region, start, 1e-4, rng)
+	w := NewWaypoint(region, start, 1e-4, rng.Int63(), NewDraws())
 	for s := 0; s < 120; s += 7 {
 		if got := w.At(time.Duration(s) * time.Second); got != start {
 			t.Fatalf("near-zero-speed node moved to %v", got)

@@ -160,18 +160,22 @@ func Build(p Params) *world.World {
 	// Motion seeds come from a third stream so placement draws do not
 	// depend on how many movers precede a sensor.
 	motionSeeds := rand.New(rand.NewSource(p.Seed + 2))
+	var draws *mobility.Draws
+	if p.MaxSpeed > 0 {
+		draws = mobility.NewDraws()
+	}
 	for i := 0; i < p.Sensors; i++ {
 		anchor := layout[rng.Intn(len(layout))]
 		pos := cfg.Region.RandomPointNear(rng, anchor, p.AnchorRadius)
 		var mob mobility.Model
 		if p.MaxSpeed > 0 {
-			// Each mover owns an RNG stream (seeded from the deployment
-			// RNG): waypoint itineraries extend lazily on position sampling,
-			// so a shared stream would make every node's motion depend on
-			// the order the simulator happens to sample positions in —
-			// including map-iteration order — and break seeded replay.
-			mob = mobility.NewWaypoint(patrol, pos, p.MaxSpeed,
-				rand.New(rand.NewSource(motionSeeds.Int63())))
+			// Each mover draws from its own seed's stream: waypoint
+			// itineraries extend lazily on position sampling, so a shared
+			// stream would make every node's motion depend on the order the
+			// simulator happens to sample positions in — including
+			// map-iteration order — and break seeded replay. The movers
+			// replay their streams on one scratch generator per world.
+			mob = mobility.NewWaypoint(patrol, pos, p.MaxSpeed, motionSeeds.Int63(), draws)
 		} else {
 			mob = mobility.Static{P: pos}
 		}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -119,4 +120,22 @@ func TestSensorBatteryApplied(t *testing.T) {
 	if w.Node(id).Meter.Remaining() != 50 {
 		t.Fatalf("battery = %f", w.Node(id).Meter.Remaining())
 	}
+}
+
+// TestMoverFootprint bounds what a mobile sensor costs to build. A mover
+// holds a seed, a draw count and a 16-leg look-ahead; it owns no generator
+// state (a math/rand source alone is ≈ 5 KB).
+func TestMoverFootprint(t *testing.T) {
+	const sensors = 2000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w := Build(Params{Seed: 1, Sensors: sensors, MaxSpeed: 5})
+	runtime.ReadMemStats(&after)
+	perMover := float64(after.TotalAlloc-before.TotalAlloc) / sensors
+	t.Logf("%.0f B allocated per mobile sensor", perMover)
+	if perMover > 1536 {
+		t.Fatalf("Build allocated %.0f B per mobile sensor, want ≤ 1536", perMover)
+	}
+	runtime.KeepAlive(w)
 }

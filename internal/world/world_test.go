@@ -468,10 +468,11 @@ func TestTallNarrowRegionNeighbors(t *testing.T) {
 func TestNeighborCacheMatchesUncached(t *testing.T) {
 	w := New(Config{Region: geo.Square(500), Seed: 21})
 	rng := w.Rand()
+	draws := mobility.NewDraws()
 	const n = 60
 	for i := 0; i < n; i++ {
 		start := w.Config().Region.RandomPoint(rng)
-		w.AddNode(Sensor, mobility.NewWaypoint(w.Config().Region, start, 4.0, rng), 100, 0)
+		w.AddNode(Sensor, mobility.NewWaypoint(w.Config().Region, start, 4.0, rng.Int63(), draws), 100, 0)
 	}
 	uncached := func(from NodeID, at time.Duration) (all, alive []NodeID) {
 		fresh := geo.NewGrid(w.Config().Region, 50)
