@@ -10,6 +10,7 @@ import (
 	"refer/internal/geo"
 	"refer/internal/kautz"
 	"refer/internal/mobility"
+	"refer/internal/trace"
 	"refer/internal/world"
 )
 
@@ -274,6 +275,7 @@ func TestRoutingAllPathsDeadDrops(t *testing.T) {
 		}
 		w.SetFailed(id, true)
 	}
+	w.SetTracer(trace.NewRecorder(1 << 30))
 	var got *bool
 	s.Inject(src, func(o bool) { got = &o })
 	w.Sched.Run()
@@ -284,7 +286,7 @@ func TestRoutingAllPathsDeadDrops(t *testing.T) {
 	// direct successors, so the packet must be dropped.
 	if *got {
 		t.Log("delivered via relay fallback — acceptable if a relay path existed")
-	} else if s.Stats().Drops == 0 {
+	} else if w.Tracer().Counts().Dropped == 0 {
 		t.Fatal("drop not recorded")
 	}
 }
@@ -449,7 +451,7 @@ func TestCellMembersExcludesOverlay(t *testing.T) {
 func TestStatsSnapshot(t *testing.T) {
 	_, s := buildSystem(t, 19, 200, 0)
 	st := s.Stats()
-	if st.Drops != 0 || st.Replacements != 0 {
+	if st.FailoverSwitches != 0 || st.Replacements != 0 {
 		t.Fatalf("fresh stats = %+v", st)
 	}
 }

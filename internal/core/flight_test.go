@@ -2,8 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 
+	"refer/internal/metrics"
 	"refer/internal/scenario"
 	"refer/internal/trace"
 	"refer/internal/world"
@@ -88,6 +91,30 @@ func TestInjectSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestInjectNilDoneAllocFree is the shape experiment.Run drives: a nil done
+// and the run's collector counting on the world. The packet lifecycle adds
+// no allocation to the warm forwarding path.
+func TestInjectNilDoneAllocFree(t *testing.T) {
+	w, s, sources := faultedLattice(t)
+	col := metrics.NewCollector(0, time.Hour, 0)
+	w.SetCollector(col)
+	injectAll := func() {
+		for _, src := range sources {
+			s.Inject(src, nil)
+			w.Sched.Run()
+		}
+	}
+	injectAll()
+	if allocs := testing.AllocsPerRun(1, injectAll); allocs != 0 {
+		t.Fatalf("%d nil-done injections allocated %.0f times in steady state, want 0", len(sources), allocs)
+	}
+	created, delivered, _, dropped := col.Counts()
+	if created != 3*len(sources) || delivered+dropped != created || delivered == 0 || dropped == 0 {
+		t.Fatalf("collector counted %d created, %d delivered, %d dropped for %d injections",
+			created, delivered, dropped, 3*len(sources))
+	}
+}
+
 // TestFlightPoolHygiene checks the free list under the two re-entry shapes
 // and under load: a done that injects again synchronously reuses the record
 // its own packet just released; the list never holds more records than
@@ -145,7 +172,7 @@ func TestFlightPoolHygiene(t *testing.T) {
 			t.Fatal("a flight was released twice")
 		}
 		seen[f] = true
-		if f.done != nil || f.cell != nil || f.dstCell != nil {
+		if !reflect.ValueOf(f.p).IsZero() || f.cell != nil || f.dstCell != nil {
 			t.Fatalf("recycled flight still holds references: %+v", f)
 		}
 	}

@@ -132,8 +132,6 @@ type Stats struct {
 	FailoverSwitches int
 	// Replacements counts maintenance node replacements.
 	Replacements int
-	// Drops counts packets abandoned after exhausting all alternatives.
-	Drops int
 	// InterCell counts packets that crossed cells via the DHT tier.
 	InterCell int
 	// RouteCacheHits counts forwarding decisions, each of which reads one

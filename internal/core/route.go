@@ -4,7 +4,6 @@ import (
 	"refer/internal/energy"
 	"refer/internal/geo"
 	"refer/internal/kautz"
-	"refer/internal/trace"
 	"refer/internal/world"
 )
 
@@ -14,15 +13,14 @@ import (
 // values bound once at minting, so a relay decision — corner ranking, route
 // lookup, shuffle, failover, the two-stage physical link — allocates
 // nothing. A flight owns itself from Inject/SendTo until finish, which
-// recycles it before the caller's done runs.
+// recycles it before the packet is closed and the caller's done runs.
 //
 // One state machine serves both sinks: dstCell == nil routes to any alive
 // corner of the cell, re-ranked at every relay (Inject); otherwise
 // corners[0] is the single KID being routed to (SendTo).
 type flight struct {
-	s    *System
-	p    trace.Packet
-	done func(ok bool)
+	s *System
+	p world.Packet
 
 	cell   *Cell
 	at     world.NodeID // relay currently holding the packet
@@ -73,8 +71,8 @@ func (s *System) SendTo(src world.NodeID, dst Address, done func(ok bool)) {
 	f.launch(src, ok && s.built && s.w.Node(src).Alive())
 }
 
-// newFlight takes a flight from the free list (or mints one) and registers
-// the packet with the tracer.
+// newFlight takes a flight from the free list (or mints one) and opens the
+// packet on the world.
 func (s *System) newFlight(src world.NodeID, done func(ok bool)) *flight {
 	var f *flight
 	if n := len(s.flightFree); n > 0 {
@@ -83,26 +81,17 @@ func (s *System) newFlight(src world.NodeID, done func(ok bool)) *flight {
 		f = &flight{s: s}
 		f.onSend, f.onCrossed = f.sent, f.crossed
 	}
-	f.p = s.w.Tracer().PacketInject(s.w.Now(), int32(src))
-	f.done, f.budget = done, hopBudget
+	f.p, f.budget = s.w.OpenPacket(src, done), hopBudget
 	return f
 }
 
-// finish resolves the packet. The flight returns to the free list first:
+// finish closes the packet. The flight returns to the free list first:
 // done may inject again.
 func (f *flight) finish(ok bool) {
-	s, p, done := f.s, f.p, f.done
-	f.done, f.cell, f.dstCell = nil, nil, nil
-	s.flightFree = append(s.flightFree, f)
-	if ok {
-		p.Deliver(s.w.Now())
-	} else {
-		p.Drop(s.w.Now())
-		s.stats.Drops++
-	}
-	if done != nil {
-		done(ok)
-	}
+	p := f.p
+	f.p, f.cell, f.dstCell = world.Packet{}, nil, nil
+	f.s.flightFree = append(f.s.flightFree, f)
+	p.Close(ok)
 }
 
 // launch finds the packet's overlay entry and, when src is a plain sensor,
@@ -312,7 +301,7 @@ func (s *System) routesFor(u, v kautz.ID) ([]kautz.Route, bool) {
 // (successor dead or unassigned) or discovered by a failed transmission —
 // and only when an alternate disjoint path actually remains to switch to.
 // The decision is also emitted as a trace event when the run is traced.
-func (s *System) countFailoverSwitch(p trace.Packet, at world.NodeID, routes []kautz.Route, idx int) {
+func (s *System) countFailoverSwitch(p world.Packet, at world.NodeID, routes []kautz.Route, idx int) {
 	if !s.cfg.DisableFailover && idx+1 < len(routes) {
 		s.stats.FailoverSwitches++
 		p.FailoverSwitch(s.w.Now(), int32(at), int8(routes[idx].Class))
@@ -428,7 +417,7 @@ func (s *System) relayVia(id, from, to world.NodeID, pf, pt geo.Point) (float64,
 // (Section III-B-3): each hop is an actuator-to-actuator transmission
 // toward the neighbor cell whose CID is closest to the destination.
 // done receives the actuator the packet arrived at inside dstCell.
-func (s *System) routeInterCell(fromCell *Cell, at world.NodeID, dstCell *Cell, p trace.Packet, done func(ok bool, entry world.NodeID)) {
+func (s *System) routeInterCell(fromCell *Cell, at world.NodeID, dstCell *Cell, p world.Packet, done func(ok bool, entry world.NodeID)) {
 	cidRoute, _ := s.dht.table.Route(fromCell.CID, dstCell.CID)
 	if cidRoute == nil {
 		done(false, world.NoNode)
@@ -442,7 +431,7 @@ func (s *System) routeInterCell(fromCell *Cell, at world.NodeID, dstCell *Cell, 
 }
 
 // hopCells walks the CID route, hopping actuators between consecutive cells.
-func (s *System) hopCells(at world.NodeID, cidRoute []int, idx int, p trace.Packet, done func(ok bool, entry world.NodeID)) {
+func (s *System) hopCells(at world.NodeID, cidRoute []int, idx int, p world.Packet, done func(ok bool, entry world.NodeID)) {
 	if idx == len(cidRoute)-1 {
 		done(true, at)
 		return

@@ -14,7 +14,6 @@ package datree
 import (
 	"refer/internal/energy"
 	"refer/internal/manet"
-	"refer/internal/trace"
 	"refer/internal/world"
 )
 
@@ -43,8 +42,6 @@ type Stats struct {
 	Repairs int
 	// Retransmits counts source retransmissions.
 	Retransmits int
-	// Drops counts abandoned packets.
-	Drops int
 }
 
 // New creates an unbuilt DaTree system on w.
@@ -159,49 +156,38 @@ func (s *System) refineTrees() {
 // Inject routes one packet from src up its tree to the root actuator.
 // done fires once with the outcome.
 func (s *System) Inject(src world.NodeID, done func(ok bool)) {
-	pkt := s.w.Tracer().PacketInject(s.w.Now(), int32(src))
-	finish := func(ok bool) {
-		if ok {
-			pkt.Deliver(s.w.Now())
-		} else {
-			pkt.Drop(s.w.Now())
-			s.stats.Drops++
-		}
-		if done != nil {
-			done(ok)
-		}
-	}
+	pkt := s.w.OpenPacket(src, done)
 	if !s.built || !s.w.Node(src).Alive() {
-		finish(false)
+		pkt.Close(false)
 		return
 	}
 	if s.w.Node(src).Kind == world.Actuator {
-		finish(true) // the actuator already has the data
+		pkt.Close(true) // the actuator already has the data
 		return
 	}
-	s.transmit(src, src, maxRetransmits, pkt, finish)
+	s.transmit(src, src, maxRetransmits, pkt)
 }
 
 // transmit walks the packet up the tree from at. On a broken hop the stuck
 // node repairs its parent link by flooding toward the root, then the packet
 // is retransmitted from the source (budget permitting).
-func (s *System) transmit(src, at world.NodeID, budget int, pkt trace.Packet, done func(ok bool)) {
+func (s *System) transmit(src, at world.NodeID, budget int, pkt world.Packet) {
 	if s.w.Node(at).Kind == world.Actuator {
-		done(true)
+		pkt.Close(true)
 		return
 	}
 	p, ok := s.parent[at]
 	if !ok || !s.w.Node(p).Alive() || !s.w.InRange(at, p) {
-		s.repairAndRetransmit(src, at, budget, pkt, done)
+		s.repairAndRetransmit(src, at, budget, pkt)
 		return
 	}
 	s.w.Send(at, p, energy.Communication, func(o world.Outcome) {
 		if o == world.Delivered {
 			pkt.Hop(s.w.Now(), int32(at), int32(p), 0)
-			s.transmit(src, p, budget, pkt, done)
+			s.transmit(src, p, budget, pkt)
 			return
 		}
-		s.repairAndRetransmit(src, at, budget, pkt, done)
+		s.repairAndRetransmit(src, at, budget, pkt)
 	})
 }
 
@@ -209,19 +195,19 @@ func (s *System) transmit(src, at world.NodeID, budget int, pkt trace.Packet, do
 // re-establish parents along the discovered path, then retransmits the
 // packet from the source. Concurrent packets stuck at the same node share a
 // single repair flood.
-func (s *System) repairAndRetransmit(src, stuck world.NodeID, budget int, pkt trace.Packet, done func(ok bool)) {
+func (s *System) repairAndRetransmit(src, stuck world.NodeID, budget int, pkt world.Packet) {
 	if budget <= 0 {
-		done(false)
+		pkt.Close(false)
 		return
 	}
 	root, ok := s.root[stuck]
 	if !ok || !s.w.Node(stuck).Alive() {
-		done(false)
+		pkt.Close(false)
 		return
 	}
 	cont := func(repaired bool) {
 		if !repaired {
-			done(false)
+			pkt.Close(false)
 			return
 		}
 		s.stats.Retransmits++
@@ -229,7 +215,7 @@ func (s *System) repairAndRetransmit(src, stuck world.NodeID, budget int, pkt tr
 		if !s.w.Node(src).Alive() {
 			retryFrom = stuck
 		}
-		s.transmit(retryFrom, retryFrom, budget-1, pkt, done)
+		s.transmit(retryFrom, retryFrom, budget-1, pkt)
 	}
 	if waiting, inFlight := s.repairing[stuck]; inFlight {
 		s.repairing[stuck] = append(waiting, cont)

@@ -6,6 +6,7 @@ import (
 
 	"refer/internal/energy"
 	"refer/internal/scenario"
+	"refer/internal/trace"
 	"refer/internal/world"
 )
 
@@ -159,13 +160,14 @@ func TestInjectFromFailedSource(t *testing.T) {
 	w, s := buildSystem(t, 7, 100, 0)
 	src := scenario.SensorIDs(w)[0]
 	w.SetFailed(src, true)
+	w.SetTracer(trace.NewRecorder(1 << 30))
 	var got *bool
 	s.Inject(src, func(o bool) { got = &o })
 	w.Sched.Run()
 	if got == nil || *got {
 		t.Fatal("failed source should not deliver")
 	}
-	if s.Stats().Drops == 0 {
+	if w.Tracer().Counts().Dropped == 0 {
 		t.Fatal("drop not counted")
 	}
 }

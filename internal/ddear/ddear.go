@@ -16,7 +16,6 @@ import (
 
 	"refer/internal/energy"
 	"refer/internal/manet"
-	"refer/internal/trace"
 	"refer/internal/world"
 )
 
@@ -47,8 +46,6 @@ type Stats struct {
 	Repairs int
 	// Retransmits counts head retransmissions.
 	Retransmits int
-	// Drops counts abandoned packets.
-	Drops int
 }
 
 // New creates an unbuilt D-DEAR system on w.
@@ -207,24 +204,13 @@ func (s *System) twoHopHead(id world.NodeID) (head, relay world.NodeID) {
 
 // Inject routes one packet: member → (relay →) head → backbone → actuator.
 func (s *System) Inject(src world.NodeID, done func(ok bool)) {
-	pkt := s.w.Tracer().PacketInject(s.w.Now(), int32(src))
-	finish := func(ok bool) {
-		if ok {
-			pkt.Deliver(s.w.Now())
-		} else {
-			pkt.Drop(s.w.Now())
-			s.stats.Drops++
-		}
-		if done != nil {
-			done(ok)
-		}
-	}
+	pkt := s.w.OpenPacket(src, done)
 	if !s.built || !s.w.Node(src).Alive() {
-		finish(false)
+		pkt.Close(false)
 		return
 	}
 	if s.w.Node(src).Kind == world.Actuator {
-		finish(true)
+		pkt.Close(true)
 		return
 	}
 	head, ok := s.headOf[src]
@@ -233,13 +219,13 @@ func (s *System) Inject(src world.NodeID, done func(ok bool)) {
 		// broadcast cost), mirroring cluster upkeep.
 		s.reattach(src)
 		if head, ok = s.headOf[src]; !ok {
-			finish(false)
+			pkt.Close(false)
 			return
 		}
 	}
 	s.toHead(src, head, pkt, func(ok bool) {
 		if ok {
-			s.alongBackbone(head, maxRetransmits, pkt, finish)
+			s.alongBackbone(head, maxRetransmits, pkt)
 			return
 		}
 		// Mobility carried the member away from its head: re-attach to a
@@ -247,15 +233,15 @@ func (s *System) Inject(src world.NodeID, done func(ok bool)) {
 		s.reattach(src)
 		newHead, ok := s.headOf[src]
 		if !ok || newHead == head {
-			finish(false)
+			pkt.Close(false)
 			return
 		}
 		s.toHead(src, newHead, pkt, func(ok bool) {
 			if !ok {
-				finish(false)
+				pkt.Close(false)
 				return
 			}
-			s.alongBackbone(newHead, maxRetransmits, pkt, finish)
+			s.alongBackbone(newHead, maxRetransmits, pkt)
 		})
 	})
 }
@@ -282,7 +268,7 @@ func (s *System) attach(id world.NodeID) {
 }
 
 // toHead delivers the packet from a member to its cluster head (≤ 2 hops).
-func (s *System) toHead(src, head world.NodeID, pkt trace.Packet, done func(ok bool)) {
+func (s *System) toHead(src, head world.NodeID, pkt world.Packet, done func(ok bool)) {
 	if src == head {
 		done(true)
 		return
@@ -315,30 +301,30 @@ func (s *System) toHead(src, head world.NodeID, pkt trace.Packet, done func(ok b
 
 // alongBackbone forwards from a head along its stored multi-hop path; on a
 // break, the head floods to rebuild the path and retransmits.
-func (s *System) alongBackbone(head world.NodeID, budget int, pkt trace.Packet, done func(ok bool)) {
+func (s *System) alongBackbone(head world.NodeID, budget int, pkt world.Packet) {
 	path := s.backbone[head]
 	if len(path) == 0 {
-		s.rebuildAndRetry(head, budget, pkt, done)
+		s.rebuildAndRetry(head, budget, pkt)
 		return
 	}
 	manet.SendAlongPathHops(s.w, path, energy.Communication,
 		func(i int) { pkt.Hop(s.w.Now(), int32(path[i]), int32(path[i+1]), 0) },
-		func() { done(true) },
-		func(int) { s.rebuildAndRetry(head, budget, pkt, done) })
+		func() { pkt.Close(true) },
+		func(int) { s.rebuildAndRetry(head, budget, pkt) })
 }
 
-func (s *System) rebuildAndRetry(head world.NodeID, budget int, pkt trace.Packet, done func(ok bool)) {
+func (s *System) rebuildAndRetry(head world.NodeID, budget int, pkt world.Packet) {
 	if budget <= 0 || !s.w.Node(head).Alive() {
-		done(false)
+		pkt.Close(false)
 		return
 	}
 	cont := func(rebuilt bool) {
 		if !rebuilt {
-			done(false)
+			pkt.Close(false)
 			return
 		}
 		s.stats.Retransmits++
-		s.alongBackbone(head, budget-1, pkt, done)
+		s.alongBackbone(head, budget-1, pkt)
 	}
 	if waiting, inFlight := s.rebuilding[head]; inFlight {
 		s.rebuilding[head] = append(waiting, cont)

@@ -6,6 +6,7 @@ import (
 
 	"refer/internal/energy"
 	"refer/internal/scenario"
+	"refer/internal/trace"
 	"refer/internal/world"
 )
 
@@ -170,13 +171,14 @@ func TestInjectFailedSourceDrops(t *testing.T) {
 	w, s := buildSystem(t, 8, 100, 0)
 	src := scenario.SensorIDs(w)[0]
 	w.SetFailed(src, true)
+	w.SetTracer(trace.NewRecorder(1 << 30))
 	var got *bool
 	s.Inject(src, func(o bool) { got = &o })
 	w.Sched.Run()
 	if got == nil || *got {
 		t.Fatal("failed source should drop")
 	}
-	if s.Stats().Drops == 0 {
+	if w.Tracer().Counts().Dropped == 0 {
 		t.Fatal("drop not counted")
 	}
 }

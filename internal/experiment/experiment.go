@@ -475,6 +475,8 @@ func RunObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) 
 	}
 	w := scenario.Build(cfg.Scenario)
 	w.SetTracer(cfg.Trace)
+	collector := metrics.NewCollector(cfg.Warmup, cfg.Warmup+cfg.Duration, cfg.QoSDeadline)
+	w.SetCollector(collector)
 	sys, err := NewSystem(cfg.System, w)
 	if err != nil {
 		return Result{}, err
@@ -507,7 +509,6 @@ func RunObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) 
 		}
 	}
 
-	collector := metrics.NewCollector(cfg.Warmup, cfg.Warmup+cfg.Duration, cfg.QoSDeadline)
 	end := cfg.Warmup + cfg.Duration
 
 	sensors := scenario.SensorIDs(w)
@@ -531,17 +532,7 @@ func RunObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) 
 			for p := 0; p < cfg.PacketsPerSource; p++ {
 				delay := time.Duration(p) * cfg.PacketSpacing
 				src := src
-				if _, err := w.Sched.After(delay, func() {
-					created := w.Now()
-					collector.Created(created)
-					sys.Inject(src, func(ok bool) {
-						if ok {
-							collector.Delivered(created, w.Now())
-						} else {
-							collector.Dropped(created)
-						}
-					})
-				}); err != nil {
+				if _, err := w.Sched.After(delay, func() { sys.Inject(src, nil) }); err != nil {
 					panic(err)
 				}
 			}

@@ -26,12 +26,12 @@ func traceCfg(system string, seed int64) RunConfig {
 	}
 }
 
-// TestTraceMatchesCollector reconciles the two independent packet ledgers:
-// the metrics collector (driving the figures) and the trace recorder
-// (driving observability) must agree packet for packet on the systems that
-// record traces.
+// TestTraceMatchesCollector reconciles the two views of the one packet
+// lifecycle the world keeps: the metrics collector (driving the figures) and
+// the trace recorder (driving observability) must agree packet for packet on
+// all four systems.
 func TestTraceMatchesCollector(t *testing.T) {
-	for _, sys := range []string{SystemREFER, SystemKautzOverlay} {
+	for _, sys := range AllSystems() {
 		sys := sys
 		t.Run(sys, func(t *testing.T) {
 			t.Parallel()

@@ -18,7 +18,6 @@ import (
 	"refer/internal/energy"
 	"refer/internal/kautz"
 	"refer/internal/manet"
-	"refer/internal/trace"
 	"refer/internal/world"
 )
 
@@ -63,8 +62,6 @@ type Stats struct {
 	PathRebuilds int
 	// FailoverSwitches counts Theorem 3.8 alternate-successor decisions.
 	FailoverSwitches int
-	// Drops counts abandoned packets.
-	Drops int
 	// RouteCacheHits and RouteCacheMisses count forwarding decisions whose
 	// Theorem 3.8 route set was served from the precomputed route table vs
 	// computed directly from the IDs.
@@ -181,50 +178,39 @@ func (s *System) Build() error {
 // Inject routes one packet from src to the overlay ID of its physically
 // nearest actuator using the Theorem 3.8 protocol over multi-hop links.
 func (s *System) Inject(src world.NodeID, done func(ok bool)) {
-	p := s.w.Tracer().PacketInject(s.w.Now(), int32(src))
-	finish := func(ok bool) {
-		if ok {
-			p.Deliver(s.w.Now())
-		} else {
-			p.Drop(s.w.Now())
-			s.stats.Drops++
-		}
-		if done != nil {
-			done(ok)
-		}
-	}
+	p := s.w.OpenPacket(src, done)
 	if !s.built || !s.w.Node(src).Alive() {
-		finish(false)
+		p.Close(false)
 		return
 	}
 	dstActuator := s.w.NearestActuator(src)
 	if dstActuator == world.NoNode {
-		finish(false)
+		p.Close(false)
 		return
 	}
 	dstKID, ok := s.kidOf[dstActuator]
 	if !ok {
-		finish(false)
+		p.Close(false)
 		return
 	}
 	entry := src
 	if _, member := s.kidOf[src]; !member {
 		entry = s.nearestMember(src)
 		if entry == world.NoNode {
-			finish(false)
+			p.Close(false)
 			return
 		}
 		s.w.Send(src, entry, energy.Communication, func(o world.Outcome) {
 			if o != world.Delivered {
-				finish(false)
+				p.Close(false)
 				return
 			}
 			p.Hop(s.w.Now(), int32(src), int32(entry), 0)
-			s.route(entry, dstKID, s.hopBudget, p, finish)
+			s.route(entry, dstKID, s.hopBudget, p)
 		})
 		return
 	}
-	s.route(entry, dstKID, s.hopBudget, p, finish)
+	s.route(entry, dstKID, s.hopBudget, p)
 }
 
 // nearestMember returns the nearest alive overlay member in radio range.
@@ -247,26 +233,26 @@ func (s *System) nearestMember(src world.NodeID) world.NodeID {
 }
 
 // route performs one overlay routing step at node at toward dstKID.
-func (s *System) route(at world.NodeID, dstKID kautz.ID, budget int, p trace.Packet, done func(ok bool)) {
+func (s *System) route(at world.NodeID, dstKID kautz.ID, budget int, p world.Packet) {
 	atKID, ok := s.kidOf[at]
 	if !ok {
-		done(false)
+		p.Close(false)
 		return
 	}
 	if atKID == dstKID {
-		done(true)
+		p.Close(true)
 		return
 	}
 	if budget <= 0 {
-		done(false)
+		p.Close(false)
 		return
 	}
 	routes, err := s.routesFor(atKID, dstKID)
 	if err != nil {
-		done(false)
+		p.Close(false)
 		return
 	}
-	s.tryRoutes(at, dstKID, routes, 0, budget, p, done)
+	s.tryRoutes(at, dstKID, routes, 0, budget, p)
 }
 
 // routesFor returns the Theorem 3.8 route set for the ordered pair: the
@@ -288,7 +274,7 @@ func (s *System) routesFor(u, v kautz.ID) ([]kautz.Route, error) {
 // exactly once per abandoned path and only when an alternate disjoint path
 // actually remains — the same invariant REFER's intra-cell router keeps.
 // The decision is also emitted as a trace event when the run is traced.
-func (s *System) countFailoverSwitch(p trace.Packet, at world.NodeID, routes []kautz.Route, idx int) {
+func (s *System) countFailoverSwitch(p world.Packet, at world.NodeID, routes []kautz.Route, idx int) {
 	if idx+1 < len(routes) {
 		s.stats.FailoverSwitches++
 		p.FailoverSwitch(s.w.Now(), int32(at), int8(routes[idx].Class))
@@ -297,9 +283,9 @@ func (s *System) countFailoverSwitch(p trace.Packet, at world.NodeID, routes []k
 
 // tryRoutes walks the ranked Theorem 3.8 successors; each overlay hop rides
 // the stored physical path, rebuilt by flooding when broken.
-func (s *System) tryRoutes(at world.NodeID, dstKID kautz.ID, routes []kautz.Route, idx, budget int, p trace.Packet, done func(ok bool)) {
+func (s *System) tryRoutes(at world.NodeID, dstKID kautz.ID, routes []kautz.Route, idx, budget int, p world.Packet) {
 	if idx >= len(routes) {
-		done(false)
+		p.Close(false)
 		return
 	}
 	atKID := s.kidOf[at]
@@ -307,17 +293,17 @@ func (s *System) tryRoutes(at world.NodeID, dstKID kautz.ID, routes []kautz.Rout
 	next, ok := s.nodeOf[succ]
 	if !ok || !s.w.Node(next).Alive() {
 		s.countFailoverSwitch(p, at, routes, idx)
-		s.tryRoutes(at, dstKID, routes, idx+1, budget, p, done)
+		s.tryRoutes(at, dstKID, routes, idx+1, budget, p)
 		return
 	}
 	s.overlayHop(atKID, succ, at, next, true, func(delivered bool) {
 		if delivered {
 			p.Hop(s.w.Now(), int32(at), int32(next), int8(routes[idx].Class))
-			s.route(next, dstKID, budget-1, p, done)
+			s.route(next, dstKID, budget-1, p)
 			return
 		}
 		s.countFailoverSwitch(p, at, routes, idx)
-		s.tryRoutes(at, dstKID, routes, idx+1, budget, p, done)
+		s.tryRoutes(at, dstKID, routes, idx+1, budget, p)
 	})
 }
 

@@ -291,13 +291,14 @@ func TestInjectNoMemberInRangeDrops(t *testing.T) {
 	}
 	w.Sched.Run()
 	orphan := w.AddNode(world.Sensor, isolatedModel{}, 1, 0) // 1 m range: nobody linkable
+	w.SetTracer(trace.NewRecorder(1 << 30))
 	var got *bool
 	s.Inject(orphan.ID, func(o bool) { got = &o })
 	w.Sched.Run()
 	if got == nil || *got {
 		t.Fatal("isolated source should drop")
 	}
-	if s.Stats().Drops == 0 {
+	if w.Tracer().Counts().Dropped == 0 {
 		t.Fatal("drop not counted")
 	}
 }
@@ -320,14 +321,14 @@ func TestRouteBudgetExhaustion(t *testing.T) {
 		}
 	}
 	var got *bool
-	s.route(s.nodeOf[kidA], kidB, 0, trace.Packet{}, func(ok bool) { got = &ok })
+	s.route(s.nodeOf[kidA], kidB, 0, w.OpenPacket(s.nodeOf[kidA], func(ok bool) { got = &ok }))
 	w.Sched.Run()
 	if got == nil || *got {
 		t.Fatal("zero budget should drop")
 	}
 	// At the destination it succeeds regardless of budget.
 	delivered := false
-	s.route(s.nodeOf[kidA], kidA, 0, trace.Packet{}, func(ok bool) { delivered = ok })
+	s.route(s.nodeOf[kidA], kidA, 0, w.OpenPacket(s.nodeOf[kidA], func(ok bool) { delivered = ok }))
 	if !delivered {
 		t.Fatal("route to self should succeed")
 	}
@@ -352,7 +353,7 @@ func TestNonMemberCannotRoute(t *testing.T) {
 		anyKID = k
 		break
 	}
-	s.route(plain, anyKID, 5, trace.Packet{}, func(ok bool) { got = &ok })
+	s.route(plain, anyKID, 5, w.OpenPacket(plain, func(ok bool) { got = &ok }))
 	w.Sched.Run()
 	if got == nil || *got {
 		t.Fatal("non-member routing should fail")

@@ -45,8 +45,8 @@ func NewCollector(windowStart, windowEnd, deadline time.Duration) *Collector {
 	}
 }
 
-// InWindow reports whether a packet created at t is measured.
-func (c *Collector) InWindow(t time.Duration) bool {
+// inWindow reports whether a packet created at t is measured.
+func (c *Collector) inWindow(t time.Duration) bool {
 	return t >= c.windowStart && t <= c.windowEnd
 }
 
@@ -54,7 +54,7 @@ func (c *Collector) InWindow(t time.Duration) bool {
 // packet falls inside the measurement window; callers may skip Delivered
 // bookkeeping otherwise (Delivered tolerates either way).
 func (c *Collector) Created(t time.Duration) bool {
-	if !c.InWindow(t) {
+	if !c.inWindow(t) {
 		return false
 	}
 	c.created++
@@ -64,7 +64,7 @@ func (c *Collector) Created(t time.Duration) bool {
 // Delivered records the delivery of a packet created at createdAt and
 // arriving at arrivedAt.
 func (c *Collector) Delivered(createdAt, arrivedAt time.Duration) {
-	if !c.InWindow(createdAt) {
+	if !c.inWindow(createdAt) {
 		return
 	}
 	delay := arrivedAt - createdAt
@@ -78,7 +78,7 @@ func (c *Collector) Delivered(createdAt, arrivedAt time.Duration) {
 
 // Dropped records a packet created at createdAt that was abandoned.
 func (c *Collector) Dropped(createdAt time.Duration) {
-	if !c.InWindow(createdAt) {
+	if !c.inWindow(createdAt) {
 		return
 	}
 	c.dropped++
@@ -114,14 +114,6 @@ func (c *Collector) MeanDelay() time.Duration {
 		return 0
 	}
 	return c.allDelay / time.Duration(c.delivered)
-}
-
-// DeliveryRatio returns delivered / created.
-func (c *Collector) DeliveryRatio() float64 {
-	if c.created == 0 {
-		return 0
-	}
-	return float64(c.delivered) / float64(c.created)
 }
 
 // Summary is a set of independent samples of one metric (one per seed) with

@@ -45,9 +45,6 @@ func TestCollectorQoSDeadline(t *testing.T) {
 	if got := c.MeanDelay(); got != 600*time.Millisecond {
 		t.Errorf("MeanDelay = %v", got)
 	}
-	if got := c.DeliveryRatio(); got != 1.0 {
-		t.Errorf("DeliveryRatio = %f", got)
-	}
 }
 
 func TestCollectorThroughput(t *testing.T) {
@@ -75,7 +72,7 @@ func TestCollectorDropped(t *testing.T) {
 
 func TestCollectorEmpty(t *testing.T) {
 	c := NewCollector(0, 0, 0)
-	if c.Throughput() != 0 || c.MeanQoSDelay() != 0 || c.MeanDelay() != 0 || c.DeliveryRatio() != 0 {
+	if c.Throughput() != 0 || c.MeanQoSDelay() != 0 || c.MeanDelay() != 0 {
 		t.Fatal("empty collector should report zeros")
 	}
 }

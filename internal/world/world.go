@@ -29,6 +29,7 @@ import (
 	"refer/internal/des"
 	"refer/internal/energy"
 	"refer/internal/geo"
+	"refer/internal/metrics"
 	"refer/internal/mobility"
 	"refer/internal/trace"
 )
@@ -167,10 +168,11 @@ type World struct {
 	// protocol timers on it.
 	Sched des.Scheduler
 
-	cfg    Config
-	rng    *rand.Rand
-	nodes  []*Node
-	tracer *trace.Recorder
+	cfg       Config
+	rng       *rand.Rand
+	nodes     []*Node
+	tracer    *trace.Recorder
+	collector *metrics.Collector
 
 	// Spatial index. The grid is allocated once and rebuilt in place
 	// (Reset+Insert) only when accumulated mobility can have displaced some
@@ -397,9 +399,10 @@ func (w *World) Config() Config { return w.cfg }
 func (w *World) Rand() *rand.Rand { return w.rng }
 
 // SetTracer attaches a per-run trace recorder. The world feeds it radio
-// counters and systems feed it packet lifecycle events. A nil tracer (the
-// default) disables tracing; every recording call then reduces to a nil
-// check, leaving the forwarding hot path unchanged.
+// counters and the packet lifecycle (OpenPacket/Close); systems add hops and
+// failover switches on the packet. A nil tracer (the default) disables
+// tracing; every recording call then reduces to a nil check, leaving the
+// forwarding hot path unchanged.
 func (w *World) SetTracer(r *trace.Recorder) { w.tracer = r }
 
 // Tracer returns the attached trace recorder, or nil when tracing is off.
