@@ -9,13 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // docFiles are the documents whose code references must stay true.
 // benchmark/README.md is frozen with the benchmark and is not checked.
-var docFiles = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
+var docFiles = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 
 // retiredNames are dotted references the docs keep on purpose after the
 // code behind them went away, each with the PR that retired it.
@@ -33,19 +34,31 @@ var (
 )
 
 // TestDocsReferToLiveCode checks that every backticked repository path in
-// the docs exists and every backticked pkg.Ident / Type.Method resolves
-// to a declaration in the tree.
+// the docs exists, every backticked pkg.Ident / Type.Method resolves to a
+// declaration in the tree, and every -flag given to a cmd/ binary, in a
+// backticked span or a fenced code block, is one that binary registers.
 func TestDocsReferToLiveCode(t *testing.T) {
 	code := parseTree(t)
 	metricNames := benchmarkMetricNames(t)
+	flags := cmdFlags(t)
 	for _, doc := range docFiles {
 		data, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fenced := false
 		for i, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if fenced {
+				checkFlags(t, doc, i+1, line, flags)
+				continue
+			}
 			for _, m := range backticked.FindAllStringSubmatch(line, -1) {
 				span := m[1]
+				checkFlags(t, doc, i+1, span, flags)
 				if _, ok := retiredNames[span]; ok || metricNames[span] {
 					continue
 				}
@@ -63,6 +76,77 @@ func TestDocsReferToLiveCode(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkFlags reports each -flag that follows a cmd/ binary's name in a
+// command line (up to a pipe, a redirection or a comment) and is not
+// registered in that binary's flag set.
+func checkFlags(t *testing.T, doc string, line int, cmd string, flags map[string]map[string]bool) {
+	t.Helper()
+	var bin string
+	for _, field := range strings.Fields(cmd) {
+		switch {
+		case field == "|" || field == "&&" || field == ";" || field == "#" || strings.HasPrefix(field, ">"):
+			bin = ""
+		case bin == "":
+			if _, ok := flags[filepath.Base(field)]; ok {
+				bin = filepath.Base(field)
+			}
+		case len(field) > 1 && field[0] == '-' && (field[1] < '0' || field[1] > '9'):
+			name, _, _ := strings.Cut(strings.TrimLeft(field, "-"), "=")
+			if !flags[bin][name] {
+				t.Errorf("%s:%d: %s has no flag -%s", doc, line, bin, name)
+			}
+		}
+	}
+}
+
+// cmdFlags maps each binary under cmd/ to the flag names its main package
+// registers: the name argument of every flag.X / flag.XVar call.
+func cmdFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	bins, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	for _, bin := range bins {
+		set := map[string]bool{}
+		flags[bin.Name()] = set
+		files, _ := filepath.Glob(filepath.Join("cmd", bin.Name(), "*.go"))
+		for _, file := range files {
+			f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+					return true
+				}
+				arg := 0
+				if strings.HasSuffix(sel.Sel.Name, "Var") {
+					arg = 1
+				}
+				if len(call.Args) > arg {
+					if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						name, _ := strconv.Unquote(lit.Value)
+						set[name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return flags
 }
 
 // repoPath reports whether a span is meant as a repository path: it has a

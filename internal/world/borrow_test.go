@@ -3,6 +3,7 @@ package world
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"refer/internal/geo"
 	"refer/internal/mobility"
@@ -55,10 +56,10 @@ func TestBorrowGuardDetectsNeighborMutation(t *testing.T) {
 func TestBorrowGuardDetectsAliveMutation(t *testing.T) {
 	w := borrowWorld(t)
 	alive := w.AliveNeighbors(nil, 0)
-	if len(alive) != 2 {
-		t.Fatalf("alive neighbors = %v", alive)
+	if len(alive) != 2 || &alive[0] != &w.Neighbors(nil, 0)[0] {
+		t.Fatalf("alive neighbors = %v, want the all-alive view aliasing Neighbors", alive)
 	}
-	alive[1] = alive[0] // contract violation
+	alive[1] = alive[0] // contract violation, through the aliased view
 	w.SetFailed(1, true)
 	mustPanicWith(t, "borrowed AliveNeighbors slice for node 0 was mutated", func() {
 		w.AliveNeighbors(nil, 0)
@@ -90,5 +91,30 @@ func TestBorrowGuardAcceptsWellBehavedCallers(t *testing.T) {
 	w.SetFailed(1, false)
 	if alive := w.AliveNeighbors(nil, 0); len(alive) != 2 {
 		t.Fatalf("post-recovery alive neighbors = %v", alive)
+	}
+}
+
+// TestBorrowGuardAcceptsRebuildUnderAlias is the world's own rewrite: a
+// rebuild rewrites nb in place, and with it an alive view that aliases nb.
+// The guard must not mistake that for a caller's mutation.
+func TestBorrowGuardAcceptsRebuildUnderAlias(t *testing.T) {
+	w := New(Config{Region: geo.Square(500), Seed: 1})
+	for i := 0; i < 6; i++ {
+		from := geo.Point{X: float64(i) * 30, Y: 0}
+		w.AddNode(Sensor, linear{from: from, to: geo.Point{X: from.X, Y: 200 - float64(i)*40}, dur: time.Second}, 100, 0)
+	}
+	w.EnableBorrowChecks()
+	for step := 1; step <= 5; step++ {
+		nb := w.Neighbors(nil, 0)
+		if alive := w.AliveNeighbors(nil, 0); len(alive) == 0 || &alive[0] != &nb[0] {
+			t.Fatalf("step %d: alive view %v does not alias Neighbors %v", step, alive, nb)
+		}
+		if _, err := w.Sched.At(time.Duration(step)*200*time.Millisecond, func() {}); err != nil {
+			t.Fatal(err)
+		}
+		w.Sched.Step() // the next query rebuilds node 0 at a later time
+	}
+	if st := w.Stats(); st.NeighborRebuilds < 5 {
+		t.Fatalf("NeighborRebuilds = %d, want one per step", st.NeighborRebuilds)
 	}
 }

@@ -19,7 +19,7 @@ import "fmt"
 
 // borrowShadow holds the private copies for one node's cache entry.
 type borrowShadow struct {
-	nb, carrier, alive  []NodeID
+	nb, wide, alive     []NodeID
 	nbValid, aliveValid bool
 }
 
@@ -52,17 +52,19 @@ func mismatch(live, shadow []NodeID) bool {
 	return false
 }
 
+// verifyBorrowedNeighbors runs before a rebuild rewrites the entry. The
+// alive view may be nb itself, so it is verified here too and its shadow
+// retired: after the rewrite it would read as a caller's mutation.
 func (w *World) verifyBorrowedNeighbors(id NodeID, c *nodeCache) {
 	s := w.borrowShadow(id)
-	if !s.nbValid {
-		return
-	}
-	if mismatch(c.nb, s.nb) || mismatch(c.carrier, s.carrier) {
+	if s.nbValid && (mismatch(c.nb, s.nb) || mismatch(c.wide, s.wide)) {
 		panic(fmt.Sprintf(
 			"world: borrowed Neighbors slice for node %d was mutated by a caller (have %v, handed out %v): "+
 				"nil-dst results are cache-owned and read-only; pass a non-nil dst for a private copy",
 			id, c.nb, s.nb))
 	}
+	w.verifyBorrowedAlive(id, c)
+	s.aliveValid = false
 }
 
 func (w *World) verifyBorrowedAlive(id NodeID, c *nodeCache) {
@@ -81,10 +83,8 @@ func (w *World) verifyBorrowedAlive(id NodeID, c *nodeCache) {
 func (w *World) snapshotBorrowedNeighbors(id NodeID, c *nodeCache) {
 	s := w.borrowShadow(id)
 	s.nb = append(s.nb[:0], c.nb...)
-	s.carrier = append(s.carrier[:0], c.carrier...)
+	s.wide = append(s.wide[:0], c.wide...)
 	s.nbValid = true
-	// The alive subset is about to be refilled lazily; its old shadow keeps
-	// guarding the old contents until then.
 }
 
 func (w *World) snapshotBorrowedAlive(id NodeID, c *nodeCache) {

@@ -129,3 +129,68 @@ func TestFloodAirtimeSerializesInNeighborhood(t *testing.T) {
 		t.Fatalf("post-flood unicast delivered at %v, want ≥ 20ms (medium busy)", deliveredAt)
 	}
 }
+
+// TestCarrierSetIsNeighborsPlusWide pins the carrier-sense set's storage: a
+// node's cached neighbor list and its wide remainder are disjoint, together
+// they are every node inside the owner's own range (failed ones included),
+// and a transmission defers exactly those nodes.
+func TestCarrierSetIsNeighborsPlusWide(t *testing.T) {
+	w := New(Config{Region: geo.Square(500), Seed: 3, HopJitter: 0})
+	rng := w.Rand()
+	for i := 0; i < 120; i++ {
+		kind, r := Sensor, 100.0
+		if i%10 == 0 {
+			kind, r = Actuator, 250.0
+		}
+		w.AddNode(kind, mobility.Static{P: w.Config().Region.RandomPoint(rng)}, r, 0)
+	}
+	for id := NodeID(1); id < 120; id += 7 {
+		w.SetFailed(id, true)
+	}
+	wideSeen := false
+	for from := NodeID(0); from < 120; from++ {
+		c := w.neighborCache(from)
+		got := map[NodeID]bool{}
+		for _, id := range c.nb {
+			got[id] = true
+		}
+		if w.Node(from).Kind == Sensor && len(c.wide) > 0 {
+			t.Fatalf("sensor %d has a wide remainder %v", from, c.wide)
+		}
+		for _, id := range c.wide {
+			if got[id] {
+				t.Fatalf("node %d: %d is in both nb and wide", from, id)
+			}
+			got[id] = true
+			wideSeen = true
+		}
+		p, r := w.Position(from), w.Node(from).Range
+		want := map[NodeID]bool{}
+		for id := NodeID(0); id < 120; id++ {
+			q := w.Position(id)
+			if dx, dy := q.X-p.X, q.Y-p.Y; id != from && dx*dx+dy*dy <= r*r {
+				want[id] = true
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("node %d: nb+wide holds %d nodes, brute force finds %d", from, len(got), len(want))
+		}
+		for id := range want {
+			if !got[id] {
+				t.Fatalf("node %d: %d is within range but missing from nb+wide", from, id)
+			}
+		}
+		for _, n := range w.Nodes() {
+			n.busyUntil = 0
+		}
+		end := w.acquireRadio(w.Node(from), time.Millisecond)
+		for _, n := range w.Nodes() {
+			if deferred := n.busyUntil == end; deferred != (want[n.ID] || n.ID == from) {
+				t.Fatalf("node %d transmitting: node %d deferred=%v, in carrier set=%v", from, n.ID, deferred, want[n.ID])
+			}
+		}
+	}
+	if !wideSeen {
+		t.Fatal("no actuator had a wide remainder; the world does not test it")
+	}
+}

@@ -78,6 +78,34 @@ func TestFloodSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestFloodDropsOutgrownMap pins the bound on what a pooled flood keeps: a
+// flood that reached more than floodKeep nodes returns to the pool without
+// its parent map, and the next flood from that record makes a fresh one.
+func TestFloodDropsOutgrownMap(t *testing.T) {
+	var positions []geo.Point
+	for i := 0; i < 1000; i++ {
+		positions = append(positions, geo.Point{X: float64(i%40) * 12, Y: float64(i/40) * 12})
+	}
+	w := testWorld(t, positions, 30)
+	visits := 0
+	w.Flood(0, 1000, energy.Construction, func(NodeID, int, []NodeID) bool { visits++; return true }, nil)
+	w.Sched.Run()
+	if visits != 999 {
+		t.Fatalf("flood reached %d of 999 nodes", visits)
+	}
+	if len(w.floodFree) != 1 {
+		t.Fatalf("%d pooled floods, want 1", len(w.floodFree))
+	}
+	if m := w.floodFree[0].parent; m != nil {
+		t.Fatalf("pooled flood kept its %d-entry map", len(m))
+	}
+	w.Flood(0, 2, energy.Construction, nil, nil)
+	w.Sched.Run()
+	if fl := w.floodFree[0]; fl.parent == nil || len(fl.parent) != 0 {
+		t.Fatalf("small flood after a large one: pooled map %v, want empty and kept", fl.parent)
+	}
+}
+
 // TestFloodNestedInVisit checks pool hygiene under re-entry: a visitor that
 // starts a flood of its own, and an onDone that starts another, must each get
 // a flood record distinct from the one still running, and every flood must

@@ -242,11 +242,16 @@ type nodeCache struct {
 	// rebuilt grid would return it (fresh-bucket-major, node ID within a
 	// bucket), so epoch-stale index state never leaks into results.
 	nb []NodeID
-	// carrier is the carrier-sense set: every node within the owner's own
-	// transmission range, failed or not, in no particular order.
-	carrier []NodeID
-	// alive is the Alive() subset of nb, valid while aliveGen matches.
+	// wide holds the nodes inside the owner's own range but beyond their
+	// own: nb plus wide is the carrier-sense set, failed nodes included.
+	// Empty for a sensor among equal-range sensors; for an actuator, the
+	// sensors between their range and its own.
+	wide []NodeID
+	// alive is the Alive() subset of nb, valid while aliveGen matches. It
+	// is nb itself while every neighbor is alive, and otherwise a copy in
+	// filtered, a buffer that keeps its capacity across fills.
 	alive      []NodeID
+	filtered   []NodeID
 	aliveGen   uint64
 	aliveValid bool
 }
@@ -649,7 +654,7 @@ func (w *World) neighborCache(from NodeID) *nodeCache {
 	p := w.posAt(n, now)
 	w.scratch = w.grid.Within(w.scratch[:0], p, n.Range+w.querySlack(now), int(from))
 	w.stats.NeighborCandidates += uint64(len(w.scratch))
-	c.carrier = c.carrier[:0]
+	c.wide = c.wide[:0]
 	c.nb = c.nb[:0]
 	key := w.sortKey[:0]
 	maxR2 := n.Range * n.Range
@@ -659,8 +664,8 @@ func (w *World) neighborCache(from NodeID) *nodeCache {
 		if dx*dx+dy*dy > maxR2 {
 			continue
 		}
-		c.carrier = append(c.carrier, NodeID(i))
 		if p.Dist(q) > w.nodes[i].Range {
+			c.wide = append(c.wide, NodeID(i))
 			continue
 		}
 		// Insertion sort by (fresh cell key, ID); neighborhoods are small.
@@ -704,16 +709,26 @@ func (w *World) Neighbors(dst []NodeID, from NodeID) []NodeID {
 // AliveNeighbors returns the IDs of in-range nodes that are alive. The nil-
 // dst borrowing contract of Neighbors applies, with one more invalidation
 // trigger: any fault injection or battery depletion refreshes the subset.
+// While every neighbor is alive the borrowed slice is Neighbors' own.
 func (w *World) AliveNeighbors(dst []NodeID, from NodeID) []NodeID {
 	c := w.neighborCache(from)
 	if !c.aliveValid || c.aliveGen != w.aliveGen {
 		if w.borrowShadows != nil {
 			w.verifyBorrowedAlive(from, c)
 		}
-		c.alive = c.alive[:0]
-		for _, id := range c.nb {
-			if w.nodes[id].Alive() {
-				c.alive = append(c.alive, id)
+		// One pass: the view is nb until the first neighbor that is down,
+		// which copies the alive prefix into the filtered buffer.
+		c.alive = c.nb
+		for i, id := range c.nb {
+			if !w.nodes[id].Alive() {
+				c.filtered = append(c.filtered[:0], c.nb[:i]...)
+				for _, id := range c.nb[i+1:] {
+					if w.nodes[id].Alive() {
+						c.filtered = append(c.filtered, id)
+					}
+				}
+				c.alive = c.filtered
+				break
 			}
 		}
 		c.aliveGen = w.aliveGen
@@ -773,12 +788,15 @@ func (w *World) acquireRadio(n *Node, txTime time.Duration) time.Duration {
 	end := start + txTime
 	n.busyUntil = end
 	// The carrier-sense set (everything inside the sender's own range,
-	// failed or not) comes from the same per-node cache as the neighbor
-	// sets, so a busy forwarding node computes it once per event.
-	for _, id := range w.neighborCache(n.ID).carrier {
-		nb := w.nodes[id]
-		if nb.busyUntil < end {
-			nb.busyUntil = end
+	// failed or not) is the cached neighbor list plus its wide remainder,
+	// so a busy forwarding node computes it once per event. A max does not
+	// depend on the order it is taken in.
+	c := w.neighborCache(n.ID)
+	for _, set := range [2][]NodeID{c.nb, c.wide} {
+		for _, id := range set {
+			if nb := w.nodes[id]; nb.busyUntil < end {
+				nb.busyUntil = end
+			}
 		}
 	}
 	return end
@@ -897,7 +915,8 @@ type FloodVisit func(at NodeID, hops int, path []NodeID) bool
 // of its packet on the air. Both are pooled on the world with their event
 // callbacks bound once at minting, so a flood allocates nothing in steady
 // state. parent records who first reached each node — the dedup set and,
-// walked backwards, every reverse path.
+// walked backwards, every reverse path; a pooled record holds none once its
+// map outgrew floodKeep.
 type flood struct {
 	w           *World
 	ttl         int
@@ -930,8 +949,11 @@ func (w *World) Flood(origin NodeID, ttl int, ledger energy.Ledger, visit FloodV
 	if n := len(w.floodFree); n > 0 {
 		fl, w.floodFree = w.floodFree[n-1], w.floodFree[:n-1]
 	} else {
-		fl = &flood{w: w, parent: make(map[NodeID]NodeID, 64)}
+		fl = &flood{w: w}
 		fl.quiesce = fl.finish
+	}
+	if fl.parent == nil {
+		fl.parent = make(map[NodeID]NodeID, 64)
 	}
 	fl.ttl, fl.ledger, fl.visit, fl.onDone = ttl, ledger, visit, onDone
 	fl.parent[origin] = NoNode
@@ -1011,11 +1033,21 @@ func (h *floodHop) run() {
 	}
 }
 
+// floodKeep bounds the parent map a pooled flood keeps: 4× the initial
+// size. A construction flood across thousands of nodes grows its map far
+// past what later floods need, and a kept map would hold that size for the
+// rest of the run.
+const floodKeep = 256
+
 // finish recycles the flood before running onDone, which may flood again.
 func (fl *flood) finish() {
 	onDone := fl.onDone
 	fl.visit, fl.onDone = nil, nil
-	clear(fl.parent)
+	if len(fl.parent) > floodKeep {
+		fl.parent = nil
+	} else {
+		clear(fl.parent)
+	}
 	fl.w.floodFree = append(fl.w.floodFree, fl)
 	if onDone != nil {
 		onDone()

@@ -1,6 +1,7 @@
 package world
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -603,5 +604,66 @@ func TestStaticNeighborQueriesDoNoWork(t *testing.T) {
 	if got.MobilityEvals != warm.MobilityEvals || got.NeighborCandidates != warm.NeighborCandidates ||
 		got.NeighborRebuilds != warm.NeighborRebuilds || got.GridRebuilds != warm.GridRebuilds {
 		t.Errorf("cached queries on a static world did work:\nwarm %+v\n now %+v", warm, got)
+	}
+}
+
+// TestAliveNeighborsAliasWhenAllAlive pins the alive view's storage: while
+// every neighbor is alive it is the neighbor list itself; a neighbor that is
+// down turns it into a private filtered copy, and recovery aliases it again.
+func TestAliveNeighborsAliasWhenAllAlive(t *testing.T) {
+	w := testWorld(t, []geo.Point{{X: 0, Y: 0}, {X: 50, Y: 0}, {X: 90, Y: 0}, {X: 0, Y: 60}, {X: 300, Y: 0}}, 100)
+	same := func(a, b []NodeID) bool { return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0] }
+	nb := w.Neighbors(nil, 0)
+	if len(nb) != 3 {
+		t.Fatalf("Neighbors = %v, want three", nb)
+	}
+	want := append([]NodeID(nil), nb...)
+	if alive := w.AliveNeighbors(nil, 0); !same(alive, nb) {
+		t.Fatalf("all alive: AliveNeighbors %v does not share Neighbors' array", alive)
+	}
+	down := nb[1]
+	w.SetFailed(down, true)
+	alive := w.AliveNeighbors(nil, 0)
+	if len(alive) != 2 || &alive[0] == &nb[0] {
+		t.Fatalf("one down: AliveNeighbors = %v, want a private copy of two", alive)
+	}
+	for _, id := range alive {
+		if id == down {
+			t.Fatalf("AliveNeighbors %v holds failed node %d", alive, down)
+		}
+	}
+	if got := w.Neighbors(nil, 0); !same(got, nb) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("Neighbors changed by the filter: %v, want %v", got, want)
+	}
+	w.SetFailed(down, false)
+	if alive := w.AliveNeighbors(nil, 0); !same(alive, nb) {
+		t.Fatalf("recovered: AliveNeighbors %v does not share Neighbors' array again", alive)
+	}
+}
+
+// TestNeighborFillFootprint bounds what a full Neighbors + AliveNeighbors
+// fill costs per node on an all-alive world, in bytes per neighbor entry.
+// One stored list grown by append costs ≈ 22 B an entry; each further
+// stored copy of the neighborhood adds about as much again.
+func TestNeighborFillFootprint(t *testing.T) {
+	const side = 40 // 1 600 sensors at 25 m pitch: 44 neighbors on average
+	w := New(Config{Region: geo.Square(1000), Seed: 1})
+	for i := 0; i < side*side; i++ {
+		w.AddNode(Sensor, mobility.Static{P: geo.Point{X: float64(i%side) * 25, Y: float64(i/side) * 25}}, 100, 0)
+	}
+	w.Neighbors(nil, 0) // builds the grid and the query scratch
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	entries := 0
+	for id := NodeID(0); id < side*side; id++ {
+		entries += len(w.Neighbors(nil, id))
+		w.AliveNeighbors(nil, id)
+	}
+	runtime.ReadMemStats(&after)
+	perEntry := float64(after.TotalAlloc-before.TotalAlloc) / float64(entries)
+	t.Logf("%.1f B allocated per neighbor entry (%.1f neighbors per node)", perEntry, float64(entries)/(side*side))
+	if perEntry > 32 {
+		t.Fatalf("neighbor fill allocated %.1f B per entry, want ≤ 32", perEntry)
 	}
 }
