@@ -7,9 +7,9 @@ import "math"
 // density rather than the population.
 //
 // The grid is designed to be reused across rebuilds: Reset clears every
-// bucket in place (keeping their capacity), Insert re-registers items, and
-// Move relocates a single item, so a simulator that refreshes positions on
-// an epoch never reallocates bucket storage after the first build.
+// bucket in place (keeping their capacity) and Insert re-registers items, so
+// a simulator that refreshes positions on an epoch never reallocates bucket
+// storage after the first build.
 type Grid struct {
 	region Rect
 	cell   float64
@@ -18,9 +18,6 @@ type Grid struct {
 	// buckets[row*cols+col] holds item indices.
 	buckets [][]int
 	points  []Point
-	// home[i] is the bucket currently holding item i (-1 when unset),
-	// maintained so Move can evict an item without a full scan.
-	home []int
 }
 
 // NewGrid builds a grid over region with the given cell size. Items are
@@ -47,30 +44,16 @@ func NewGrid(region Rect, cellSize float64) *Grid {
 	}
 }
 
-func (g *Grid) bucketIndex(p Point) int {
-	col := int((p.X - g.region.Min.X) / g.cell)
-	row := int((p.Y - g.region.Min.Y) / g.cell)
-	if col < 0 {
-		col = 0
-	}
-	if col >= g.cols {
-		col = g.cols - 1
-	}
-	if row < 0 {
-		row = 0
-	}
-	if row >= g.rows {
-		row = g.rows - 1
-	}
-	return row*g.cols + col
-}
-
 // CellKey returns the bucket a position hashes to, as a row-major integer.
 // Sorting items by (CellKey, index) reproduces exactly the bucket-major
 // order a freshly built grid's Within would return them in — which is how
 // the simulator keeps query results byte-identical while serving them from
 // an epoch-stale index.
-func (g *Grid) CellKey(p Point) int { return g.bucketIndex(p) }
+func (g *Grid) CellKey(p Point) int {
+	col := min(max(int((p.X-g.region.Min.X)/g.cell), 0), g.cols-1)
+	row := min(max(int((p.Y-g.region.Min.Y)/g.cell), 0), g.rows-1)
+	return row*g.cols + col
+}
 
 // Reset empties the grid in place: every bucket is truncated to length
 // zero but keeps its storage, so a following round of Inserts allocates
@@ -82,7 +65,6 @@ func (g *Grid) Reset() {
 		}
 	}
 	g.points = g.points[:0]
-	g.home = g.home[:0]
 }
 
 // Insert registers an item by index at position p. Indices are expected to
@@ -90,40 +72,11 @@ func (g *Grid) Reset() {
 func (g *Grid) Insert(index int, p Point) {
 	for len(g.points) <= index {
 		g.points = append(g.points, Point{})
-		g.home = append(g.home, -1)
 	}
 	g.points[index] = p
-	b := g.bucketIndex(p)
+	b := g.CellKey(p)
 	g.buckets[b] = append(g.buckets[b], index)
-	g.home[index] = b
 }
-
-// Move relocates a registered item to position p, updating its bucket
-// incrementally. Within-bucket order is preserved for the items that stay
-// put; the moved item re-enters its (possibly new) bucket at the tail, as
-// if it had just been inserted.
-func (g *Grid) Move(index int, p Point) {
-	g.points[index] = p
-	old := g.home[index]
-	b := g.bucketIndex(p)
-	if b == old {
-		return
-	}
-	if old >= 0 {
-		bucket := g.buckets[old]
-		for i, idx := range bucket {
-			if idx == index {
-				g.buckets[old] = append(bucket[:i], bucket[i+1:]...)
-				break
-			}
-		}
-	}
-	g.buckets[b] = append(g.buckets[b], index)
-	g.home[index] = b
-}
-
-// Len returns the number of registered items.
-func (g *Grid) Len() int { return len(g.points) }
 
 // Position returns the registered position of an item.
 func (g *Grid) Position(index int) Point { return g.points[index] }
@@ -133,22 +86,10 @@ func (g *Grid) Position(index int) Point { return g.points[index] }
 // all). The result ordering is deterministic (bucket-major, insertion
 // order within buckets).
 func (g *Grid) Within(dst []int, p Point, radius float64, exclude int) []int {
-	minCol := int((p.X - radius - g.region.Min.X) / g.cell)
-	maxCol := int((p.X + radius - g.region.Min.X) / g.cell)
-	minRow := int((p.Y - radius - g.region.Min.Y) / g.cell)
-	maxRow := int((p.Y + radius - g.region.Min.Y) / g.cell)
-	if minCol < 0 {
-		minCol = 0
-	}
-	if minRow < 0 {
-		minRow = 0
-	}
-	if maxCol >= g.cols {
-		maxCol = g.cols - 1
-	}
-	if maxRow >= g.rows {
-		maxRow = g.rows - 1
-	}
+	minCol := max(int((p.X-radius-g.region.Min.X)/g.cell), 0)
+	maxCol := min(int((p.X+radius-g.region.Min.X)/g.cell), g.cols-1)
+	minRow := max(int((p.Y-radius-g.region.Min.Y)/g.cell), 0)
+	maxRow := min(int((p.Y+radius-g.region.Min.Y)/g.cell), g.rows-1)
 	r2 := radius * radius
 	for row := minRow; row <= maxRow; row++ {
 		for col := minCol; col <= maxCol; col++ {

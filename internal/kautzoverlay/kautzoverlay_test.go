@@ -7,6 +7,7 @@ import (
 	"refer/internal/energy"
 	"refer/internal/geo"
 	"refer/internal/kautz"
+	"refer/internal/mobility"
 	"refer/internal/scenario"
 	"refer/internal/trace"
 	"refer/internal/world"
@@ -290,7 +291,8 @@ func TestInjectNoMemberInRangeDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Sched.Run()
-	orphan := w.AddNode(world.Sensor, isolatedModel{}, 1, 0) // 1 m range: nobody linkable
+	// Pinned in a far corner with a 1 m range: nobody linkable.
+	orphan := w.AddNode(world.Sensor, mobility.Static{P: geo.Point{X: 499, Y: 499}}, 1, 0)
 	w.SetTracer(trace.NewRecorder(1 << 30))
 	var got *bool
 	s.Inject(orphan.ID, func(o bool) { got = &o })
@@ -302,11 +304,6 @@ func TestInjectNoMemberInRangeDrops(t *testing.T) {
 		t.Fatal("drop not counted")
 	}
 }
-
-// isolatedModel pins a node in a far corner of the field.
-type isolatedModel struct{}
-
-func (isolatedModel) At(time.Duration) geo.Point { return geo.Point{X: 499, Y: 499} }
 
 func TestRouteBudgetExhaustion(t *testing.T) {
 	w, s := buildSystem(t, 13, 200, 0)

@@ -9,6 +9,7 @@
 package mobility
 
 import (
+	"math"
 	"math/rand"
 	"time"
 
@@ -21,6 +22,31 @@ type Model interface {
 	// random-waypoint model extends its itinerary lazily as t advances and
 	// replays it from its seed when t steps back behind the active leg.
 	At(t time.Duration) geo.Point
+	// Leg returns the straight segment of the itinerary that contains t;
+	// Leg(t).At(t) == At(t).
+	Leg(t time.Duration) Leg
+}
+
+// Leg is one straight segment of an itinerary: the node moves from From at
+// time Start to To at Start+Duration at constant velocity. A leg whose From
+// equals To is a pause.
+type Leg struct {
+	Start    time.Duration
+	Duration time.Duration
+	From     geo.Point
+	To       geo.Point
+}
+
+// Contains reports whether t falls inside the leg: Start <= t < Start+Duration.
+func (l Leg) Contains(t time.Duration) bool { return t >= l.Start && t-l.Start < l.Duration }
+
+// At returns the position at time t, which the leg must contain: the one
+// interpolation formula of the package. A pause returns To as it is.
+func (l Leg) At(t time.Duration) geo.Point {
+	if l.From == l.To {
+		return l.To
+	}
+	return l.From.Lerp(l.To, float64(t-l.Start)/float64(l.Duration))
 }
 
 // SpeedBounded is implemented by models that can bound how fast they move.
@@ -42,16 +68,11 @@ type Static struct {
 // At implements Model.
 func (s Static) At(time.Duration) geo.Point { return s.P }
 
+// Leg implements Model: one pause from time 0 that never ends.
+func (s Static) Leg(time.Duration) Leg { return Leg{Duration: math.MaxInt64, From: s.P, To: s.P} }
+
 // MaxSpeed implements SpeedBounded: a static node never moves.
 func (s Static) MaxSpeed() float64 { return 0 }
-
-// leg is one waypoint segment of a random-waypoint itinerary.
-type leg struct {
-	start    time.Duration
-	from     geo.Point
-	to       geo.Point
-	duration time.Duration
-}
 
 // step is a leg as the look-ahead buffer stores it: it starts where and
 // when the leg before it ends.
@@ -115,7 +136,7 @@ type Waypoint struct {
 	seed     int64
 	draws    *Draws
 	drawn    uint64 // source outputs consumed by the legs generated so far
-	cur      leg    // the active leg: the only one At reads
+	cur      Leg    // the active leg: the only one Leg reads
 	next     int    // index into ahead of the leg after cur; lookahead when empty
 	ahead    [lookahead]step
 }
@@ -148,23 +169,22 @@ func (w *Waypoint) MaxSpeed() float64 {
 }
 
 // At implements Model.
-func (w *Waypoint) At(t time.Duration) geo.Point {
-	if t < w.cur.start {
+func (w *Waypoint) At(t time.Duration) geo.Point { return w.Leg(t).At(t) }
+
+// Leg implements Model. Every leg it returns has a positive duration.
+func (w *Waypoint) Leg(t time.Duration) Leg {
+	if t < w.cur.Start {
 		w.rewind()
 	}
-	for t >= w.cur.start+w.cur.duration {
+	for t >= w.cur.Start+w.cur.Duration {
 		w.advance()
 	}
-	if w.cur.duration == 0 {
-		return w.cur.to
-	}
-	frac := float64(t-w.cur.start) / float64(w.cur.duration)
-	return w.cur.from.Lerp(w.cur.to, frac)
+	return w.cur
 }
 
 // rewind restarts the itinerary at its zero-length opening leg.
 func (w *Waypoint) rewind() {
-	w.cur = leg{from: w.start, to: w.start}
+	w.cur = Leg{From: w.start, To: w.start}
 	w.drawn = 0
 	w.next = lookahead
 }
@@ -176,13 +196,13 @@ func (w *Waypoint) advance() {
 	}
 	s := w.ahead[w.next]
 	w.next++
-	w.cur = leg{start: w.cur.start + w.cur.duration, from: w.cur.to, to: s.to, duration: s.duration}
+	w.cur = Leg{Start: w.cur.Start + w.cur.Duration, Duration: s.duration, From: w.cur.To, To: s.to}
 }
 
 // refill draws the lookahead legs that follow the active one.
 func (w *Waypoint) refill() {
 	rng := w.draws.replay(w.seed, w.drawn)
-	at := w.cur.to
+	at := w.cur.To
 	for i := range w.ahead {
 		w.ahead[i] = w.stepFrom(at, rng)
 		at = w.ahead[i].to

@@ -16,46 +16,46 @@ type refMover struct {
 	region   geo.Rect
 	maxSpeed float64
 	rng      *rand.Rand
-	legs     []leg
+	legs     []Leg
 }
 
 func newRefMover(region geo.Rect, start geo.Point, maxSpeed float64, seed int64) *refMover {
 	m := &refMover{region: region, maxSpeed: maxSpeed, rng: rand.New(rand.NewSource(seed))}
-	m.legs = append(m.legs, leg{start: 0, from: start, to: start, duration: 0})
+	m.legs = append(m.legs, Leg{From: start, To: start})
 	return m
 }
 
 func (m *refMover) At(t time.Duration) geo.Point {
 	last := &m.legs[len(m.legs)-1]
-	for t >= last.start+last.duration {
+	for t >= last.Start+last.Duration {
 		m.extend()
 		last = &m.legs[len(m.legs)-1]
 	}
 	for i := len(m.legs) - 1; i >= 0; i-- {
 		l := m.legs[i]
-		if t >= l.start {
-			if l.duration == 0 {
-				return l.to
+		if t >= l.Start {
+			if l.Duration == 0 {
+				return l.To
 			}
-			frac := float64(t-l.start) / float64(l.duration)
-			return l.from.Lerp(l.to, frac)
+			frac := float64(t-l.Start) / float64(l.Duration)
+			return l.From.Lerp(l.To, frac)
 		}
 	}
-	return m.legs[0].from
+	return m.legs[0].From
 }
 
 func (m *refMover) extend() {
 	last := m.legs[len(m.legs)-1]
-	at := last.to
-	begin := last.start + last.duration
+	at := last.To
+	begin := last.Start + last.Duration
 	if m.maxSpeed <= 0 {
-		m.legs = append(m.legs, leg{start: begin, from: at, to: at, duration: dwellTime})
+		m.legs = append(m.legs, Leg{Start: begin, Duration: dwellTime, From: at, To: at})
 		return
 	}
 	dest := m.region.RandomPoint(m.rng)
 	speed := m.rng.Float64() * m.maxSpeed
 	if speed < minLegSpeed {
-		m.legs = append(m.legs, leg{start: begin, from: at, to: at, duration: dwellTime})
+		m.legs = append(m.legs, Leg{Start: begin, Duration: dwellTime, From: at, To: at})
 		return
 	}
 	dist := at.Dist(dest)
@@ -63,37 +63,42 @@ func (m *refMover) extend() {
 	if dur <= 0 {
 		dur = time.Millisecond
 	}
-	m.legs = append(m.legs, leg{start: begin, from: at, to: dest, duration: dur})
+	m.legs = append(m.legs, Leg{Start: begin, Duration: dur, From: at, To: dest})
 }
 
 func samePoint(a, b geo.Point) bool {
 	return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
 }
 
-// TestWaypointMatchesPrivateStream runs 64 movers on one shared Draws against
+// campaignMover pairs a model under test with the reference mover of its
+// seed and the times a campaign has queried it at.
+type campaignMover struct {
+	got      Model
+	want     *refMover
+	horizon  time.Duration // how far queries reach: several refills
+	frontier time.Duration // the latest t queried
+	last     time.Duration
+}
+
+// campaign runs 64 movers on one shared Draws (plus one Static) against
 // reference movers that each own their generator, queried in a seeded random
 // interleaving with forward, repeated and backward times across several
-// refills. Every position must be bit-identical.
-func TestWaypointMatchesPrivateStream(t *testing.T) {
+// refills; check compares one query. It then asserts the campaign exercised
+// 1 ms legs, dwells and refills.
+func campaign(t *testing.T, check func(step int, m *campaignMover)) {
+	t.Helper()
 	region := geo.Square(500)
 	// A zero-area region whose only point is the start: every moving leg
 	// has distance 0 and so lasts exactly 1 ms.
 	pin := geo.Point{X: 200, Y: 300}
 	pinned := geo.Rect{Min: pin, Max: pin}
 
-	type pair struct {
-		got      *Waypoint
-		want     *refMover
-		horizon  time.Duration // how far queries reach: several refills
-		frontier time.Duration // the latest t queried
-		last     time.Duration
-	}
 	rng := rand.New(rand.NewSource(2024))
 	draws := NewDraws()
-	var movers []pair
+	var movers []campaignMover
 	add := func(r geo.Rect, start geo.Point, maxSpeed float64, horizon time.Duration) {
 		seed := rng.Int63()
-		movers = append(movers, pair{
+		movers = append(movers, campaignMover{
 			got:     NewWaypoint(r, start, maxSpeed, seed, draws),
 			want:    newRefMover(r, start, maxSpeed, seed),
 			horizon: horizon,
@@ -108,6 +113,9 @@ func TestWaypointMatchesPrivateStream(t *testing.T) {
 	for len(movers) < 64 {
 		add(region, region.RandomPoint(rng), 0.5+9.5*rng.Float64(), 24*time.Hour)
 	}
+	// An actuator: the reference of a static point is a zero-speed mover.
+	still := geo.Point{X: 40, Y: 40}
+	movers = append(movers, campaignMover{got: Static{P: still}, want: newRefMover(region, still, 0, 1), horizon: time.Hour})
 
 	for step := 0; step < 64000; step++ {
 		m := &movers[rng.Intn(len(movers))]
@@ -119,15 +127,13 @@ func TestWaypointMatchesPrivateStream(t *testing.T) {
 		default: // backward
 			m.last = time.Duration(rng.Int63n(int64(m.frontier) + 1))
 		}
-		if got, want := m.got.At(m.last), m.want.At(m.last); !samePoint(got, want) {
-			t.Fatalf("step %d, mover %d, t=%v: At = %v, reference %v", step, m.got.seed, m.last, got, want)
-		}
+		check(step, m)
 	}
 
 	// The campaign must have exercised what it claims to.
 	oneMs := 0
 	for _, l := range movers[3].want.legs {
-		if l.duration == time.Millisecond {
+		if l.Duration == time.Millisecond {
 			oneMs++
 		}
 	}
@@ -136,7 +142,7 @@ func TestWaypointMatchesPrivateStream(t *testing.T) {
 	}
 	dwells := 0
 	for _, l := range movers[2].want.legs {
-		if l.duration == dwellTime && l.from == l.to {
+		if l.Duration == dwellTime && l.From == l.To {
 			dwells++
 		}
 	}
@@ -144,16 +150,41 @@ func TestWaypointMatchesPrivateStream(t *testing.T) {
 		t.Error("the crawling mover never drew a dwell")
 	}
 	refills := 0
-	for i, m := range movers {
+	for i, m := range movers[:64] {
 		n := (len(m.want.legs) - 1 + lookahead - 1) / lookahead
 		if n < 2 {
 			t.Errorf("mover %d crossed %d refills, want several", i, n)
 		}
 		refills += n
 	}
-	if refills < 4*len(movers) {
-		t.Errorf("%d refills over %d movers, want several each", refills, len(movers))
+	if refills < 4*64 {
+		t.Errorf("%d refills over 64 movers, want several each", refills)
 	}
+}
+
+// TestWaypointMatchesPrivateStream pins At: every position of the campaign
+// must be bit-identical to the reference mover's.
+func TestWaypointMatchesPrivateStream(t *testing.T) {
+	campaign(t, func(step int, m *campaignMover) {
+		if got, want := m.got.At(m.last), m.want.At(m.last); !samePoint(got, want) {
+			t.Fatalf("step %d, t=%v: At = %v, reference %v", step, m.last, got, want)
+		}
+	})
+}
+
+// TestLegMatchesAt pins Leg against the same reference: the leg must contain
+// the queried time, and interpolating it must give the reference position
+// bit for bit.
+func TestLegMatchesAt(t *testing.T) {
+	campaign(t, func(step int, m *campaignMover) {
+		l := m.got.Leg(m.last)
+		if !l.Contains(m.last) {
+			t.Fatalf("step %d: Leg(%v) = %+v does not contain it", step, m.last, l)
+		}
+		if got, want := l.At(m.last), m.want.At(m.last); !samePoint(got, want) {
+			t.Fatalf("step %d, t=%v: Leg.At = %v, reference %v", step, m.last, got, want)
+		}
+	})
 }
 
 // TestWaypointAtAllocFree pins At's hot path, refills included, at zero

@@ -174,6 +174,10 @@ type World struct {
 	tracer    *trace.Recorder
 	collector *metrics.Collector
 
+	// kin is the position table, indexed by NodeID: a neighbor rebuild
+	// reads its candidates from here without touching their Nodes.
+	kin []kinematics
+
 	// Spatial index. The grid is allocated once and rebuilt in place
 	// (Reset+Insert) only when accumulated mobility can have displaced some
 	// node by more than gridStaleTol meters — the position-staleness epoch.
@@ -233,6 +237,13 @@ type World struct {
 	stats Stats
 }
 
+// kinematics is one node's row of the position table: its current mobility
+// leg and its radio range.
+type kinematics struct {
+	leg   mobility.Leg
+	reach float64
+}
+
 // nodeCache holds one node's memoized neighborhood at a fixed virtual time.
 type nodeCache struct {
 	at    time.Duration
@@ -266,9 +277,9 @@ type Stats struct {
 	// NeighborHits counts queries served from the cache.
 	NeighborRebuilds uint64
 	NeighborHits     uint64
-	// MobilityEvals counts the mobility-model evaluations the world made
-	// (every Mob.At goes through posAt); NeighborCandidates sums the grid
-	// candidates the neighborhood recomputations examined.
+	// MobilityEvals counts the mobility legs posAt fetched;
+	// NeighborCandidates sums the grid candidates the neighborhood
+	// recomputations examined.
 	MobilityEvals      uint64
 	NeighborCandidates uint64
 	// FaultInjections and FaultRecoveries count SetFailed transitions, so
@@ -419,6 +430,7 @@ func (w *World) Now() time.Duration { return w.Sched.Now() }
 
 // AddNode registers a node and returns it. Battery semantics follow
 // energy.NewMeter (<= 0 means unconstrained; actuators conventionally pass 0).
+// The node's radio range is fixed from here on.
 func (w *World) AddNode(kind Kind, mob mobility.Model, radioRange, battery float64) *Node {
 	n := &Node{
 		ID:    NodeID(len(w.nodes)),
@@ -428,6 +440,7 @@ func (w *World) AddNode(kind Kind, mob mobility.Model, radioRange, battery float
 		Mob:   mob,
 	}
 	w.nodes = append(w.nodes, n)
+	w.kin = append(w.kin, kinematics{reach: radioRange})
 	w.caches = append(w.caches, nodeCache{})
 	if kind == Actuator {
 		w.actuators = append(w.actuators, n.ID)
@@ -467,14 +480,19 @@ func (w *World) Nodes() []*Node { return w.nodes }
 
 // Position returns a node's position at the current virtual time.
 func (w *World) Position(id NodeID) geo.Point {
-	return w.posAt(w.nodes[id], w.Sched.Now())
+	return w.posAt(id, w.Sched.Now())
 }
 
-// posAt evaluates n's mobility model at now. It is the only place the world
-// calls Mob.At, so Stats.MobilityEvals counts every evaluation.
-func (w *World) posAt(n *Node, now time.Duration) geo.Point {
-	w.stats.MobilityEvals++
-	return n.Mob.At(now)
+// posAt returns id's position at now from the position table. It is the only
+// place the world asks a mobility model anything: for a new leg, when now
+// leaves the cached one.
+func (w *World) posAt(id NodeID, now time.Duration) geo.Point {
+	k := &w.kin[id]
+	if !k.leg.Contains(now) {
+		w.stats.MobilityEvals++
+		k.leg = w.nodes[id].Mob.Leg(now)
+	}
+	return k.leg.At(now)
 }
 
 // Distance returns the current distance between two nodes.
@@ -496,7 +514,19 @@ func (w *World) LinkRange(a, b NodeID) float64 {
 
 // InRange reports whether from and to currently share a usable link.
 func (w *World) InRange(from, to NodeID) bool {
-	return w.Distance(from, to) <= w.LinkRange(from, to)
+	return linkWithin(w.Position(from), w.Position(to), w.LinkRange(from, to))
+}
+
+// linkWithin reports p.Dist(q) <= r exactly, for coordinates and ranges whose
+// squares neither overflow nor underflow. Rounding d² and Hypot each err by
+// ~1e-16 relative, so only a d² within a relative 1e-9 of r² needs the root.
+func linkWithin(p, q geo.Point, r float64) bool {
+	dx, dy := q.X-p.X, q.Y-p.Y
+	d2, r2 := dx*dx+dy*dy, r*r
+	if d2 < r2*(1-1e-9) || d2 > r2*(1+1e-9) {
+		return d2 < r2
+	}
+	return p.Dist(q) <= r
 }
 
 // SetFailed injects or clears a fault on a node.
@@ -608,8 +638,8 @@ func (w *World) refreshGrid() {
 	} else {
 		w.grid.Reset()
 	}
-	for _, n := range w.nodes {
-		w.grid.Insert(int(n.ID), w.posAt(n, now))
+	for id := range w.kin {
+		w.grid.Insert(id, w.posAt(NodeID(id), now))
 	}
 	w.gridAt = now
 	w.gridOK = true
@@ -650,21 +680,21 @@ func (w *World) neighborCache(from NodeID) *nodeCache {
 	if w.borrowShadows != nil {
 		w.verifyBorrowedNeighbors(from, c)
 	}
-	n := w.nodes[from]
-	p := w.posAt(n, now)
-	w.scratch = w.grid.Within(w.scratch[:0], p, n.Range+w.querySlack(now), int(from))
+	p := w.posAt(from, now)
+	reach := w.kin[from].reach
+	w.scratch = w.grid.Within(w.scratch[:0], p, reach+w.querySlack(now), int(from))
 	w.stats.NeighborCandidates += uint64(len(w.scratch))
 	c.wide = c.wide[:0]
 	c.nb = c.nb[:0]
 	key := w.sortKey[:0]
-	maxR2 := n.Range * n.Range
+	maxR2 := reach * reach
 	for _, i := range w.scratch {
-		q := w.posAt(w.nodes[i], now)
+		q := w.posAt(NodeID(i), now)
 		dx, dy := q.X-p.X, q.Y-p.Y
 		if dx*dx+dy*dy > maxR2 {
 			continue
 		}
-		if p.Dist(q) > w.nodes[i].Range {
+		if !linkWithin(p, q, w.kin[i].reach) {
 			c.wide = append(c.wide, NodeID(i))
 			continue
 		}
@@ -750,15 +780,14 @@ func (w *World) AliveNeighbors(dst []NodeID, from NodeID) []NodeID {
 // strict), matching the world's other tie rules.
 func (w *World) NearestActuator(from NodeID) NodeID {
 	now := w.Sched.Now()
-	p := w.posAt(w.nodes[from], now)
+	p := w.posAt(from, now)
 	best := NoNode
 	bestDist := 0.0
 	for _, id := range w.actuators {
-		n := w.nodes[id]
-		if !n.Alive() {
+		if !w.nodes[id].Alive() {
 			continue
 		}
-		d := p.Dist(w.posAt(n, now))
+		d := p.Dist(w.posAt(id, now))
 		if best == NoNode || d < bestDist {
 			best, bestDist = id, d
 		}

@@ -1,6 +1,7 @@
 package world
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -406,6 +407,14 @@ func (l linear) At(t time.Duration) geo.Point {
 		return l.to
 	}
 	return l.from.Lerp(l.to, float64(t)/float64(l.dur))
+}
+
+// Leg is the one moving leg until dur, then a pause at to that never ends.
+func (l linear) Leg(t time.Duration) mobility.Leg {
+	if t < l.dur {
+		return mobility.Leg{Duration: l.dur, From: l.from, To: l.to}
+	}
+	return mobility.Leg{Start: l.dur, Duration: math.MaxInt64 - l.dur, From: l.to, To: l.to}
 }
 
 func TestDeterministicReplay(t *testing.T) {
