@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"refer/internal/energy"
 	"refer/internal/scenario"
 	"refer/internal/trace"
+	"refer/internal/world"
 )
 
 // TestConfigKeyCanonicalization pins the content-address contract: spelling
@@ -111,6 +113,29 @@ func eachLeafPerturbed[T any](t *testing.T, base T, check func(path string, v T)
 func TestConfigKeyRejectsUnknownSystem(t *testing.T) {
 	if _, err := ConfigKey(RunConfig{System: "not-a-system"}); err == nil {
 		t.Fatal("no error for unknown system")
+	}
+}
+
+// TestConfigRejectsNodeCountsBeyondNodeID: a scenario whose sensors plus
+// actuators would not fit in a world.NodeID is refused before any world is
+// built, and the largest one that fits is accepted.
+func TestConfigRejectsNodeCountsBeyondNodeID(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    scenario.Params
+		ok   bool
+	}{
+		{"paper layout at the limit", scenario.Params{Sensors: world.MaxNodes - 5}, true},
+		{"paper layout one over", scenario.Params{Sensors: world.MaxNodes - 4}, false},
+		{"lattice at the limit", scenario.Params{Sensors: world.MaxNodes - 9, ActuatorGrid: 3}, true},
+		{"lattice one over", scenario.Params{Sensors: world.MaxNodes - 8, ActuatorGrid: 3}, false},
+		{"lattice alone too large", scenario.Params{ActuatorGrid: 46341}, false},
+		{"lattice side squaring past int", scenario.Params{ActuatorGrid: math.MaxInt}, false},
+	} {
+		_, err := ConfigKey(RunConfig{Scenario: tc.p})
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: ConfigKey error = %v, want ok = %v", tc.name, err, tc.ok)
+		}
 	}
 }
 

@@ -237,6 +237,9 @@ func (c RunConfig) validate() error {
 			return fmt.Errorf("experiment: %s must be >= 0", f.name)
 		}
 	}
+	if !c.Scenario.FitsWorld() {
+		return fmt.Errorf("experiment: Scenario.Sensors plus the scenario's actuators exceed the %d nodes a world.NodeID can address", world.MaxNodes)
+	}
 	if c.Warmup+c.Duration+drainGrace < 0 {
 		return fmt.Errorf("experiment: Warmup + Duration overflow the virtual clock")
 	}

@@ -82,7 +82,7 @@ type step struct {
 }
 
 // lookahead is how many legs one refill draws.
-const lookahead = 16
+const lookahead = 8
 
 // Draws is the scratch generator the random-waypoint movers of one world
 // share. A mover owns no generator state, only a seed and the count of

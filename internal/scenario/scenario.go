@@ -102,6 +102,15 @@ func ActuatorLayout(side float64) []geo.Point {
 	}
 }
 
+// FitsWorld reports whether the nodes Build adds for p, the actuator layout
+// plus the sensors, fit in one world's NodeID space.
+func (p Params) FitsWorld() bool {
+	if g := p.ActuatorGrid; g >= 2 {
+		return g <= world.MaxNodes/g && p.Sensors <= world.MaxNodes-g*g
+	}
+	return p.Sensors <= world.MaxNodes-len(ActuatorLayout(0))
+}
+
 // GridLayout returns the n×n actuator lattice for the scale scenario,
 // centered in a field of the given side, in row-major order.
 func GridLayout(n int, spacing, side float64) []geo.Point {

@@ -123,7 +123,7 @@ func TestSensorBatteryApplied(t *testing.T) {
 }
 
 // TestMoverFootprint bounds what a mobile sensor costs to build. A mover
-// holds a seed, a draw count and a 16-leg look-ahead; it owns no generator
+// holds a seed, a draw count and an 8-leg look-ahead; it owns no generator
 // state (a math/rand source alone is ≈ 5 KB).
 func TestMoverFootprint(t *testing.T) {
 	const sensors = 2000
@@ -134,8 +134,8 @@ func TestMoverFootprint(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perMover := float64(after.TotalAlloc-before.TotalAlloc) / sensors
 	t.Logf("%.0f B allocated per mobile sensor", perMover)
-	if perMover > 1536 {
-		t.Fatalf("Build allocated %.0f B per mobile sensor, want ≤ 1536", perMover)
+	if perMover > 1200 {
+		t.Fatalf("Build allocated %.0f B per mobile sensor, want ≤ 1200", perMover)
 	}
 	runtime.KeepAlive(w)
 }

@@ -606,6 +606,8 @@ func TestServerValidation(t *testing.T) {
 		// with 0 events and be cached as done.
 		{"duration overflowing time.Duration", "/runs", `{"duration_s":1e10}`, 400},
 		{"windows overflowing the virtual clock", "/runs", `{"warmup_s":9e9,"duration_s":9e9}`, 400},
+		// 2^31 − 1 sensors plus five actuators overflow a world.NodeID.
+		{"sensors overflowing node IDs", "/runs", `{"sensors":2147483647}`, 400},
 		{"malformed chaos schedule", "/runs", `{"chaos":{"events":[{"kind":"blackout","at":"1s"}]}}`, 400},
 		{"malformed energy spec", "/runs", `{"energy":{"model":"nope"}}`, 400},
 		// A misspelt or retired field would otherwise run, and cache, the

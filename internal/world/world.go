@@ -34,8 +34,12 @@ import (
 	"refer/internal/trace"
 )
 
-// NodeID identifies a node in the world. IDs are dense, starting at 0.
-type NodeID int
+// NodeID identifies a node in the world. IDs are dense, starting at 0, and
+// four bytes wide: neighbor lists, flood maps and per-node tables hold them.
+type NodeID int32
+
+// MaxNodes is how many nodes one world holds, so that IDs never wrap.
+const MaxNodes = math.MaxInt32
 
 // NoNode is the sentinel for "no node".
 const NoNode NodeID = -1
@@ -389,11 +393,11 @@ func (w *World) scheduleEnergyCycle() {
 	w.mustAt(period, cycle)
 }
 
-// mustAt schedules fn at a future virtual time; scheduling in the past is
-// always a programming error here.
+// mustAt schedules fn at virtual time at. Every caller passes at >= now by
+// construction, so an error is a programming error here.
 func (w *World) mustAt(at time.Duration, fn func()) {
 	if _, err := w.Sched.At(at, fn); err != nil {
-		panic(fmt.Sprintf("world: energy cycle: %v", err))
+		panic(fmt.Sprintf("world: %v", err))
 	}
 }
 
@@ -433,7 +437,7 @@ func (w *World) Now() time.Duration { return w.Sched.Now() }
 // The node's radio range is fixed from here on.
 func (w *World) AddNode(kind Kind, mob mobility.Model, radioRange, battery float64) *Node {
 	n := &Node{
-		ID:    NodeID(len(w.nodes)),
+		ID:    nextID(len(w.nodes)),
 		Kind:  kind,
 		Range: radioRange,
 		Meter: energy.NewMeter(w.cfg.Energy, battery),
@@ -461,6 +465,15 @@ func (w *World) AddNode(kind Kind, mob mobility.Model, radioRange, battery float
 	w.topoGen++
 	w.gridOK = false
 	return n
+}
+
+// nextID returns the ID of a world's (n+1)-th node. Callers size worlds
+// from validated input, so running out of IDs is a bug, not an error.
+func nextID(n int) NodeID {
+	if n >= MaxNodes {
+		panic(fmt.Sprintf("world: node %d does not fit in a NodeID", n))
+	}
+	return NodeID(n)
 }
 
 // Node returns the node with the given ID; it panics on an invalid ID,
@@ -505,11 +518,7 @@ func (w *World) Distance(a, b NodeID) float64 {
 // reverse direction for acknowledgements, so a 250 m actuator still cannot
 // hold a link to a 100 m sensor beyond 100 m.
 func (w *World) LinkRange(a, b NodeID) float64 {
-	ra, rb := w.nodes[a].Range, w.nodes[b].Range
-	if rb < ra {
-		return rb
-	}
-	return ra
+	return min(w.nodes[a].Range, w.nodes[b].Range)
 }
 
 // InRange reports whether from and to currently share a usable link.
@@ -864,10 +873,7 @@ func (w *World) completeSend(onDone func(Outcome), o Outcome, at time.Duration) 
 		op.fire = op.run
 	}
 	op.onDone, op.outcome = onDone, o
-	if _, err := w.Sched.At(at, op.fire); err != nil {
-		// Scheduling in the past cannot happen: at >= now by construction.
-		panic(fmt.Sprintf("world: send completion: %v", err))
-	}
+	w.mustAt(at, op.fire)
 }
 
 // Send transmits one packet from from to to. onDone is invoked exactly once
@@ -887,11 +893,7 @@ func (w *World) Send(from, to NodeID, ledger energy.Ledger, onDone func(Outcome)
 	// control), capped at the sender's own range for out-of-range attempts
 	// transmitted at full power.
 	dist := w.Distance(from, to)
-	txDist := dist
-	if txDist > sender.Range {
-		txDist = sender.Range
-	}
-	w.chargeTx(sender, ledger, txDist)
+	w.chargeTx(sender, ledger, min(dist, sender.Range))
 	receiver := w.nodes[to]
 	switch {
 	case dist > w.LinkRange(from, to):
@@ -989,9 +991,7 @@ func (w *World) Flood(origin NodeID, ttl int, ledger energy.Ledger, visit FloodV
 	fl.rebroadcast(origin, 0)
 	if fl.outstanding == 0 {
 		// Nobody in range: quiesce immediately (next tick).
-		if _, err := w.Sched.After(0, fl.quiesce); err != nil {
-			panic(fmt.Sprintf("world: flood quiesce: %v", err))
-		}
+		w.mustAt(w.Sched.Now(), fl.quiesce)
 	}
 }
 
@@ -1021,9 +1021,7 @@ func (fl *flood) rebroadcast(at NodeID, hops int) {
 			h.fire = h.run
 		}
 		h.fl, h.at, h.hops = fl, nb, hops+1
-		if _, err := w.Sched.At(end, h.fire); err != nil {
-			panic(fmt.Sprintf("world: flood delivery: %v", err))
-		}
+		w.mustAt(end, h.fire)
 	}
 }
 

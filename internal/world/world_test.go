@@ -1,10 +1,13 @@
 package world
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"refer/internal/energy"
 	"refer/internal/geo"
@@ -39,6 +42,20 @@ func TestKindAndOutcomeStrings(t *testing.T) {
 			t.Errorf("Outcome %d = %q, want %q", int(o), o.String(), want)
 		}
 	}
+}
+
+// TestNextIDNeverWraps: the last node a world can hold gets the largest
+// NodeID, and one more panics instead of wrapping to a negative ID.
+func TestNextIDNeverWraps(t *testing.T) {
+	if got := nextID(MaxNodes - 1); got != math.MaxInt32-1 {
+		t.Fatalf("nextID(MaxNodes-1) = %d", got)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "NodeID") {
+			t.Fatalf("nextID(MaxNodes) recovered %v, want a panic naming NodeID", r)
+		}
+	}()
+	nextID(MaxNodes)
 }
 
 func TestNewAppliesDefaults(t *testing.T) {
@@ -652,9 +669,12 @@ func TestAliveNeighborsAliasWhenAllAlive(t *testing.T) {
 
 // TestNeighborFillFootprint bounds what a full Neighbors + AliveNeighbors
 // fill costs per node on an all-alive world, in bytes per neighbor entry.
-// One stored list grown by append costs ≈ 22 B an entry; each further
-// stored copy of the neighborhood adds about as much again.
+// One stored list of 4-byte IDs grown by append costs ≈ 11 B an entry; each
+// further stored copy of the neighborhood adds about as much again.
 func TestNeighborFillFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(NodeID(0)); size != 4 {
+		t.Fatalf("NodeID is %d bytes, want 4: every neighbor list and per-node table stores it", size)
+	}
 	const side = 40 // 1 600 sensors at 25 m pitch: 44 neighbors on average
 	w := New(Config{Region: geo.Square(1000), Seed: 1})
 	for i := 0; i < side*side; i++ {
@@ -672,7 +692,7 @@ func TestNeighborFillFootprint(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perEntry := float64(after.TotalAlloc-before.TotalAlloc) / float64(entries)
 	t.Logf("%.1f B allocated per neighbor entry (%.1f neighbors per node)", perEntry, float64(entries)/(side*side))
-	if perEntry > 32 {
-		t.Fatalf("neighbor fill allocated %.1f B per entry, want ≤ 32", perEntry)
+	if perEntry > 16 {
+		t.Fatalf("neighbor fill allocated %.1f B per entry, want ≤ 16", perEntry)
 	}
 }
