@@ -17,11 +17,14 @@
 // method dispatch in the sift loops, and fired or cancelled events return
 // to a free list, so the steady-state schedule/fire cycle allocates
 // nothing. Execution order is a pure function of (timestamp, sequence) —
-// the heap arity and the pooling are invisible to replay.
+// the heap arity and the pooling are invisible to replay. AtN schedules n
+// same-instant firings of one callback as a single queue entry that fires
+// in place at the root, so a broadcast's receptions cost one entry, not n.
 package des
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -29,11 +32,12 @@ import (
 // cancelled it returns to the scheduler's free list and its generation is
 // bumped, which invalidates any Handle still pointing at it.
 type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
-	gen uint32
-	idx int32 // position in the heap; -1 when not queued
+	at   time.Duration
+	seq  uint64
+	fn   func()
+	gen  uint32
+	idx  int32  // position in the heap; -1 when not queued
+	rest uint32 // firings left after the one seq names (AtN); 0 for At
 }
 
 // Handle lets a scheduled event be cancelled before it fires. The handle
@@ -78,8 +82,9 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 // Fired returns the number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// Pending returns the number of events still queued. Cancelled events are
-// removed eagerly, so they never inflate the count.
+// Pending returns the number of queue entries. Cancelled events are
+// removed eagerly, so they never inflate the count. An AtN run is one entry
+// until its last firing: it counts 1, also inside a non-final firing.
 func (s *Scheduler) Pending() int { return len(s.heap) }
 
 // NextAt peeks at the earliest pending event's timestamp without executing
@@ -111,6 +116,30 @@ func (s *Scheduler) At(at time.Duration, fn func()) (Handle, error) {
 	return Handle{s: s, ev: ev, gen: ev.gen}, nil
 }
 
+// AtN schedules fn to run n times at absolute virtual time at, exactly as n
+// back-to-back calls to At would: the run reserves n consecutive sequence
+// numbers, and each firing is one event to the ordering contract and to
+// Fired. It holds a single queue entry, not n, and cannot be cancelled.
+func (s *Scheduler) AtN(at time.Duration, n int, fn func()) error {
+	if n <= 0 || int64(n-1) > math.MaxUint32 {
+		return fmt.Errorf("des: %d firings requested, want 1 to 2^32", n)
+	}
+	if at < s.now {
+		return fmt.Errorf("des: schedule at %v before now %v", at, s.now)
+	}
+	if fn == nil {
+		return fmt.Errorf("des: nil event function")
+	}
+	ev := s.alloc()
+	ev.at = at
+	ev.seq = s.seq
+	ev.fn = fn
+	ev.rest = uint32(n - 1)
+	s.seq += uint64(n)
+	s.push(ev)
+	return nil
+}
+
 // After schedules fn to run delay after the current time. Negative delays
 // are coerced to zero (run "immediately", after already-queued events at
 // the same timestamp).
@@ -131,8 +160,18 @@ func (s *Scheduler) Step() bool {
 		return false
 	}
 	ev := s.heap[0]
-	s.remove(0)
 	s.now = ev.at
+	if ev.rest > 0 {
+		// A non-final firing of an AtN run fires in place. Every other
+		// entry, including any fn schedules at now, has a larger (at, seq)
+		// than the run's next number, so the entry stays at the root.
+		ev.rest--
+		ev.seq++
+		s.fired++
+		ev.fn()
+		return true
+	}
+	s.remove(0)
 	fn := ev.fn
 	// Release before running: fn may schedule new events, and the freshest
 	// pool entry is the one most likely to be cache-hot.

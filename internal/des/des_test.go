@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -561,47 +562,191 @@ func TestSchedulerChurnAllocFree(t *testing.T) {
 	}
 }
 
+// heapOrdered reports whether every queued entry is ordered after its
+// parent — the invariant an AtN run firing in place at the root relies on.
+func heapOrdered(s *Scheduler) bool {
+	for i := 1; i < len(s.heap); i++ {
+		if eventLess(s.heap[i], s.heap[(i-1)/4]) {
+			return false
+		}
+	}
+	return true
+}
+
+// atNScenario schedules one workload on s, logging every firing with the
+// clock and Fired count it saw and whether the heap was still ordered. The
+// same-instant batches go through batch, with At calls at their instant
+// before and after them, an earlier event, a one-firing batch, a batch
+// scheduled from inside an event, and a batch firing that schedules events
+// at now and later.
+func atNScenario(t *testing.T, s *Scheduler, batch func(at time.Duration, n int, fn func())) []string {
+	t.Helper()
+	var log []string
+	note := func(label string) func() {
+		return func() {
+			log = append(log, fmt.Sprintf("%s @%v #%d ordered %t", label, s.Now(), s.Fired(), heapOrdered(s)))
+		}
+	}
+	at := func(when time.Duration, fn func()) {
+		t.Helper()
+		if _, err := s.At(when, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	at(2*time.Second, note("before"))
+	at(time.Second, note("early"))
+	k := 0
+	batch(2*time.Second, 4, func() {
+		k++
+		note(fmt.Sprintf("batch %d", k))()
+		if k == 2 {
+			at(s.Now(), note("spawned at now"))
+			at(s.Now()+time.Millisecond, note("spawned later"))
+		}
+	})
+	at(2*time.Second, note("after"))
+	batch(2*time.Second, 1, note("single"))
+	at(3*time.Second, func() {
+		note("outer")()
+		batch(s.Now(), 3, note("nested"))
+		at(s.Now(), note("after nested"))
+	})
+	s.Run()
+	return append(log, fmt.Sprintf("end @%v #%d pending %d", s.Now(), s.Fired(), s.Pending()))
+}
+
+// TestAtNMatchesRepeatedAt pins AtN's contract: n firings of one entry are
+// indistinguishable from n back-to-back At calls — same order against the
+// events around them, same clock, same Fired count at every firing.
+func TestAtNMatchesRepeatedAt(t *testing.T) {
+	var ref, got Scheduler
+	want := atNScenario(t, &ref, func(at time.Duration, n int, fn func()) {
+		for i := 0; i < n; i++ {
+			if _, err := ref.At(at, fn); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	have := atNScenario(t, &got, func(at time.Duration, n int, fn func()) {
+		if err := got.AtN(at, n, fn); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(have) != len(want) {
+		t.Fatalf("AtN log has %d lines, repeated At %d:\n%v\n%v", len(have), len(want), have, want)
+	}
+	for i := range want {
+		if have[i] != want[i] {
+			t.Fatalf("line %d: AtN %q, repeated At %q", i, have[i], want[i])
+		}
+	}
+}
+
+func TestAtNErrors(t *testing.T) {
+	var s Scheduler
+	fn := func() {}
+	for _, n := range []int{0, -1} {
+		if err := s.AtN(time.Second, n, fn); err == nil {
+			t.Fatalf("AtN with n = %d should fail", n)
+		}
+	}
+	if err := s.AtN(time.Second, 2, nil); err == nil {
+		t.Fatal("AtN with a nil fn should fail")
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("failed AtN calls left %d entries", s.Pending())
+	}
+	if _, err := s.At(time.Second, fn); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if err := s.AtN(500*time.Millisecond, 2, fn); err == nil {
+		t.Fatal("AtN in the past should fail")
+	}
+	if err := s.AtN(time.Second, 2, fn); err != nil {
+		t.Fatalf("AtN at exactly now should succeed: %v", err)
+	}
+}
+
+// TestAtNPendingCountsOneEntry pins what Pending reports for a run: one
+// entry from scheduling to the start of its last firing, inside the
+// non-final firings too, and none once the last one has begun.
+func TestAtNPendingCountsOneEntry(t *testing.T) {
+	var s Scheduler
+	var seen []int
+	if err := s.AtN(time.Second, 3, func() { seen = append(seen, s.Pending()) }); err != nil {
+		t.Fatal(err)
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("Pending = %d after AtN(n = 3), want 1", s.Pending())
+	}
+	s.Run()
+	if want := []int{1, 1, 0}; fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("Pending inside the firings = %v, want %v", seen, want)
+	}
+	if s.Fired() != 3 {
+		t.Fatalf("Fired = %d, want 3", s.Fired())
+	}
+}
+
 // FuzzDESOrdering pins the heap's pop order against a reference sort: for
 // any fuzzed schedule, events pop in strictly ascending (timestamp,
 // sequence) order and same-timestamp events preserve insertion order.
+// runMask turns some entries into AtN runs, which the reference expands
+// into n consecutive records.
 func FuzzDESOrdering(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0))
-	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(3))
-	f.Add([]byte{255, 1, 255, 1, 128, 7, 9}, uint8(5))
-	f.Fuzz(func(t *testing.T, ats []byte, cancelMask uint8) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(3), uint8(0x5a))
+	f.Add([]byte{255, 1, 255, 1, 128, 7, 9}, uint8(5), uint8(0xff))
+	f.Fuzz(func(t *testing.T, ats []byte, cancelMask, runMask uint8) {
 		if len(ats) > 256 {
 			ats = ats[:256]
 		}
 		var s Scheduler
 		type rec struct {
-			at  time.Duration
-			seq int
+			at     time.Duration
+			id, of int
 		}
 		var want []rec
 		var got []rec
-		var handles []Handle
+		type handle struct {
+			id int
+			h  Handle
+		}
+		var handles []handle
 		for i, b := range ats {
 			i, at := i, time.Duration(b)*time.Millisecond
-			h, err := s.At(at, func() { got = append(got, rec{at: at, seq: i}) })
+			if runMask&(1<<(i%8)) != 0 {
+				n, of := 1+(i+int(b))%5, 0
+				if err := s.AtN(at, n, func() { got = append(got, rec{at: at, id: i, of: of}); of++ }); err != nil {
+					t.Fatal(err)
+				}
+				for k := 0; k < n; k++ {
+					want = append(want, rec{at: at, id: i, of: k})
+				}
+				continue
+			}
+			h, err := s.At(at, func() { got = append(got, rec{at: at, id: i}) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			handles = append(handles, h)
-			want = append(want, rec{at: at, seq: i})
+			handles = append(handles, handle{i, h})
+			want = append(want, rec{at: at, id: i})
 		}
-		// Cancel a mask-selected subset to fuzz heap removals too.
+		// Cancel a mask-selected subset of the At events (runs cannot be
+		// cancelled) to fuzz heap removals too.
 		cancelled := make(map[int]bool)
-		for i := range handles {
-			if cancelMask&(1<<(i%8)) != 0 && i%3 == 0 {
-				cancelled[i] = true
-				handles[i].Cancel()
+		for _, h := range handles {
+			if cancelMask&(1<<(h.id%8)) != 0 && h.id%3 == 0 {
+				cancelled[h.id] = true
+				h.h.Cancel()
 			}
 		}
 		// Reference: stable sort by timestamp keeps insertion (seq) order
 		// within ties.
 		kept := want[:0]
 		for _, r := range want {
-			if !cancelled[r.seq] {
+			if !cancelled[r.id] {
 				kept = append(kept, r)
 			}
 		}
@@ -618,6 +763,9 @@ func FuzzDESOrdering(f *testing.F) {
 			if got[i] != kept[i] {
 				t.Fatalf("pop[%d] = %+v, want %+v (heap order must match the reference sort)", i, got[i], kept[i])
 			}
+		}
+		if s.Fired() != uint64(len(kept)) {
+			t.Fatalf("Fired = %d after %d firings", s.Fired(), len(kept))
 		}
 	})
 }

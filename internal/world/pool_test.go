@@ -106,6 +106,57 @@ func TestFloodDropsOutgrownMap(t *testing.T) {
 	}
 }
 
+// TestFloodDropsOutgrownReceiverList pins the same bound on hop records: a
+// rebroadcast that reached more than floodKeep new neighbors returns its
+// record to the pool without the receiver list, and a small flood after it
+// grows a fresh one.
+func TestFloodDropsOutgrownReceiverList(t *testing.T) {
+	var positions []geo.Point
+	for i := 0; i < 300; i++ {
+		positions = append(positions, geo.Point{X: float64(i%20) * 2, Y: float64(i/20) * 2})
+	}
+	w := testWorld(t, positions, 100)
+	w.Flood(0, 1, energy.Construction, nil, nil)
+	w.Sched.Run()
+	if len(w.hopFree) != 1 {
+		t.Fatalf("%d pooled hop records after one rebroadcast, want 1", len(w.hopFree))
+	}
+	if h := w.hopFree[0]; h.to != nil || h.fl != nil || h.next != 0 {
+		t.Fatalf("pooled hop kept its %d-receiver list (next %d)", cap(h.to), h.next)
+	}
+	for i := NodeID(2); i < 300; i++ {
+		w.SetFailed(i, true)
+	}
+	w.Flood(0, 1, energy.Construction, nil, nil)
+	w.Sched.Run()
+	if h := w.hopFree[0]; h.to == nil || len(h.to) != 0 || cap(h.to) > floodKeep {
+		t.Fatalf("small flood after a large one: pooled list len %d cap %d, want empty and kept", len(h.to), cap(h.to))
+	}
+}
+
+// TestFloodRebroadcastIsOneQueueEntry pins how a rebroadcast sits on the
+// queue: the origin's first-reached neighbors add one entry to Pending, not
+// one per neighbor, while Fired still counts one event per reception.
+func TestFloodRebroadcastIsOneQueueEntry(t *testing.T) {
+	w := gridWorld(t)
+	pending, fired := w.Sched.Pending(), w.Sched.Fired()
+	var reached []NodeID
+	w.Flood(12, 1, energy.Construction, func(at NodeID, _ int, _ []NodeID) bool {
+		reached = append(reached, at)
+		return true
+	}, nil)
+	if got := w.Sched.Pending() - pending; got != 1 {
+		t.Fatalf("a rebroadcast to 8 neighbors added %d queue entries, want 1", got)
+	}
+	w.Sched.Run()
+	if len(reached) != 8 {
+		t.Fatalf("TTL-1 flood from the lattice center reached %v, want its 8 neighbors", reached)
+	}
+	if got := w.Sched.Fired() - fired; got != uint64(len(reached)) {
+		t.Fatalf("Fired advanced by %d over %d receptions", got, len(reached))
+	}
+}
+
 // TestFloodNestedInVisit checks pool hygiene under re-entry: a visitor that
 // starts a flood of its own, and an onDone that starts another, must each get
 // a flood record distinct from the one still running, and every flood must

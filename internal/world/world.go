@@ -231,7 +231,7 @@ type World struct {
 	harvest *energy.HarvestingModel
 
 	// Free lists of the radio's continuation records (Send completions,
-	// floods and their per-copy hops) and the scratch a flood's reverse path
+	// floods and their rebroadcasts) and the scratch a flood's reverse path
 	// is materialised into for the duration of one visit.
 	sendFree  []*sendOp
 	floodFree []*flood
@@ -942,12 +942,14 @@ func (w *World) Broadcast(from NodeID, ledger energy.Ledger) int {
 // poisons it with NoNode on return, so a retained path cannot go unnoticed).
 type FloodVisit func(at NodeID, hops int, path []NodeID) bool
 
-// flood is the shared state of one in-progress Flood and floodHop one copy
-// of its packet on the air. Both are pooled on the world with their event
-// callbacks bound once at minting, so a flood allocates nothing in steady
-// state. parent records who first reached each node — the dedup set and,
-// walked backwards, every reverse path; a pooled record holds none once its
-// map outgrew floodKeep.
+// flood is the shared state of one in-progress Flood and floodHop one
+// rebroadcast of its packet: the neighbors it reached first, received one
+// per firing of a single AtN queue entry. Both are pooled on the world with
+// their event callbacks bound once at minting, so a flood allocates nothing
+// in steady state. parent records who first reached each node — the dedup
+// set and, walked backwards, every reverse path. A pooled flood holds no map
+// once its map outgrew floodKeep, and a pooled hop no receiver list once
+// that outgrew floodKeep.
 type flood struct {
 	w           *World
 	ttl         int
@@ -961,9 +963,10 @@ type flood struct {
 
 type floodHop struct {
 	fl   *flood
-	at   NodeID
-	hops int
-	fire func() // h.run
+	hops int      // the hop count at every receiver
+	to   []NodeID // receivers, in reception order
+	next int      // index in to of the next reception
+	fire func()   // h.run
 }
 
 // Flood performs a TTL-bounded broadcast flood from origin — the route
@@ -996,7 +999,10 @@ func (w *World) Flood(origin NodeID, ttl int, ledger energy.Ledger, visit FloodV
 }
 
 // rebroadcast transmits the flood packet from at, which received it after
-// hops hops, and schedules one reception per neighbor not reached before.
+// hops hops, and schedules one reception per neighbor not reached before:
+// one queue entry firing once per receiver. The receptions take consecutive
+// sequence numbers at end, as one At each would, since nothing in the loop
+// schedules an event.
 func (fl *flood) rebroadcast(at NodeID, hops int) {
 	w := fl.w
 	node := w.nodes[at]
@@ -1006,33 +1012,42 @@ func (fl *flood) rebroadcast(at NodeID, hops int) {
 	w.tracer.RadioBroadcast()
 	end := w.acquireRadio(node, w.txDelay())
 	w.chargeTx(node, fl.ledger, node.Range)
+	var h *floodHop
+	if n := len(w.hopFree); n > 0 {
+		h, w.hopFree = w.hopFree[n-1], w.hopFree[:n-1]
+	} else {
+		h = &floodHop{}
+		h.fire = h.run
+	}
 	for _, nb := range w.AliveNeighbors(nil, at) {
 		w.chargeRx(w.nodes[nb], fl.ledger) // every copy is heard
 		if _, seen := fl.parent[nb]; seen {
 			continue
 		}
 		fl.parent[nb] = at
-		fl.outstanding++
-		var h *floodHop
-		if n := len(w.hopFree); n > 0 {
-			h, w.hopFree = w.hopFree[n-1], w.hopFree[:n-1]
-		} else {
-			h = &floodHop{}
-			h.fire = h.run
-		}
-		h.fl, h.at, h.hops = fl, nb, hops+1
-		w.mustAt(end, h.fire)
+		h.to = append(h.to, nb)
+	}
+	if len(h.to) == 0 {
+		w.hopFree = append(w.hopFree, h)
+		return
+	}
+	fl.outstanding += len(h.to)
+	h.fl, h.hops = fl, hops+1
+	if err := w.Sched.AtN(end, len(h.to), h.fire); err != nil {
+		panic(fmt.Sprintf("world: %v", err))
 	}
 }
 
 // run is one reception: visit, maybe rebroadcast, and quiesce the flood when
-// this was its last copy on the air. The hop record is recycled first — the
-// visitor may start floods of its own.
+// this was its last copy on the air. The hop record is recycled on its last
+// reception before the visit — the visitor may start floods of its own.
 func (h *floodHop) run() {
-	fl, at, hops := h.fl, h.at, h.hops
+	fl, at, hops := h.fl, h.to[h.next], h.hops
 	w := fl.w
-	h.fl = nil
-	w.hopFree = append(w.hopFree, h)
+	h.next++
+	if h.next == len(h.to) {
+		h.recycle()
+	}
 	fl.outstanding--
 	cont := true
 	if fl.visit != nil {
@@ -1060,10 +1075,22 @@ func (h *floodHop) run() {
 	}
 }
 
-// floodKeep bounds the parent map a pooled flood keeps: 4× the initial
-// size. A construction flood across thousands of nodes grows its map far
-// past what later floods need, and a kept map would hold that size for the
-// rest of the run.
+// recycle returns a hop record whose receptions have all fired to the pool.
+func (h *floodHop) recycle() {
+	w := h.fl.w
+	h.fl, h.next = nil, 0
+	if cap(h.to) > floodKeep {
+		h.to = nil
+	} else {
+		h.to = h.to[:0]
+	}
+	w.hopFree = append(w.hopFree, h)
+}
+
+// floodKeep bounds the parent map a pooled flood keeps (4× the initial
+// size) and the receiver list a pooled hop record keeps. A construction
+// flood across thousands of nodes grows its map far past what later floods
+// need, and a kept map would hold that size for the rest of the run.
 const floodKeep = 256
 
 // finish recycles the flood before running onDone, which may flood again.
