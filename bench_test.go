@@ -352,22 +352,21 @@ func TestNeighborsStayAllocFree(t *testing.T) {
 	}
 }
 
-// desChurn exercises one schedule/schedule/cancel/fire cycle — the event
-// lifecycle of a protocol timer — against a scheduler whose event pool has
-// reached steady state.
+// desChurn exercises one schedule/schedule/fire/fire cycle — the event
+// lifecycle of two protocol timers — against a scheduler whose heap slice
+// has reached steady state.
 func desChurn(tb testing.TB) func() {
 	tb.Helper()
 	s := &des.Scheduler{}
 	fn := func() {}
 	churn := func() {
-		h, err := s.After(time.Microsecond, fn)
-		if err != nil {
+		if _, err := s.After(time.Microsecond, fn); err != nil {
 			tb.Fatal(err)
 		}
 		if _, err := s.After(2*time.Microsecond, fn); err != nil {
 			tb.Fatal(err)
 		}
-		h.Cancel()
+		s.Step()
 		s.Step()
 	}
 	for k := 0; k < 64; k++ {
@@ -376,7 +375,7 @@ func desChurn(tb testing.TB) func() {
 	return churn
 }
 
-// BenchmarkDESChurn measures the pooled 4-ary-heap scheduler on the
+// BenchmarkDESChurn measures the 4-ary value-heap scheduler on the
 // schedule-heavy churn pattern protocol timers produce.
 func BenchmarkDESChurn(b *testing.B) {
 	churn := desChurn(b)

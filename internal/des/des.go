@@ -12,14 +12,16 @@
 // before B. This is a load-bearing guarantee, and FuzzDESOrdering pins the
 // heap's pop order against a reference sort.
 //
-// The queue is a concrete 4-ary min-heap over pooled event structs rather
-// than container/heap over an interface: no per-event boxing, no interface
-// method dispatch in the sift loops, and fired or cancelled events return
-// to a free list, so the steady-state schedule/fire cycle allocates
-// nothing. Execution order is a pure function of (timestamp, sequence) —
-// the heap arity and the pooling are invisible to replay. AtN schedules n
-// same-instant firings of one callback as a single queue entry that fires
-// in place at the root, so a broadcast's receptions cost one entry, not n.
+// The queue is a concrete 4-ary min-heap of event values rather than
+// container/heap over an interface: no per-event boxing, no interface
+// method dispatch in the sift loops, and no per-event allocation — the
+// heap slice is the only storage, so the steady-state schedule/fire cycle
+// allocates nothing once it has grown to the peak pending count. Events
+// cannot be cancelled: no protocol takes a scheduled event back. Execution
+// order is a pure function of (timestamp, sequence) — the heap arity is
+// invisible to replay. AtN schedules n same-instant firings of one callback
+// as a single queue entry that fires in place at the root, so a broadcast's
+// receptions cost one entry, not n.
 package des
 
 import (
@@ -28,52 +30,22 @@ import (
 	"time"
 )
 
-// event is a scheduled callback. Events are pooled: when one fires or is
-// cancelled it returns to the scheduler's free list and its generation is
-// bumped, which invalidates any Handle still pointing at it.
+// event is a scheduled callback, held by value in the heap.
 type event struct {
 	at   time.Duration
 	seq  uint64
 	fn   func()
-	gen  uint32
-	idx  int32  // position in the heap; -1 when not queued
-	rest uint32 // firings left after the one seq names (AtN); 0 for At
-}
-
-// Handle lets a scheduled event be cancelled before it fires. The handle
-// captures the event's generation, so a handle kept past its event's firing
-// can never cancel the pooled struct's next occupant.
-type Handle struct {
-	s   *Scheduler
-	ev  *event
-	gen uint32
-}
-
-// Cancel prevents the event from running and removes it from the queue
-// immediately (O(log n) via the heap index), so Pending() stays accurate
-// and long runs with many cancelled maintenance timers do not retain dead
-// events until their timestamps drain. Cancelling an already-fired or
-// already-cancelled event is a no-op. Cancel reports whether the event was
-// still pending.
-func (h Handle) Cancel() bool {
-	if h.s == nil || h.ev == nil || h.ev.gen != h.gen {
-		return false
-	}
-	h.s.remove(int(h.ev.idx))
-	h.s.release(h.ev)
-	return true
+	rest uint32 // firings left after the next one (AtN); 0 for At
 }
 
 // Scheduler owns the virtual clock and event queue. The zero value is
 // ready to use. Scheduler is not safe for concurrent use; the simulator is
 // single-threaded by design.
 type Scheduler struct {
-	now    time.Duration
-	seq    uint64
-	heap   []*event
-	free   []*event
-	fired  uint64
-	halted bool
+	now   time.Duration
+	seq   uint64
+	heap  []event
+	fired uint64
 }
 
 // Now returns the current virtual time.
@@ -82,44 +54,20 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 // Fired returns the number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// Pending returns the number of queue entries. Cancelled events are
-// removed eagerly, so they never inflate the count. An AtN run is one entry
+// Pending returns the number of queue entries. An AtN run is one entry
 // until its last firing: it counts 1, also inside a non-final firing.
 func (s *Scheduler) Pending() int { return len(s.heap) }
-
-// NextAt peeks at the earliest pending event's timestamp without executing
-// it. ok is false when nothing is pending. It tells self-rescheduling
-// protocol timers (the queue never drains) apart from genuinely outstanding
-// work within a window.
-func (s *Scheduler) NextAt() (at time.Duration, ok bool) {
-	if len(s.heap) == 0 {
-		return 0, false
-	}
-	return s.heap[0].at, true
-}
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the
 // past (before Now) is an error — a simulation bug worth failing loudly on.
 func (s *Scheduler) At(at time.Duration, fn func()) (Handle, error) {
-	if at < s.now {
-		return Handle{}, fmt.Errorf("des: schedule at %v before now %v", at, s.now)
-	}
-	if fn == nil {
-		return Handle{}, fmt.Errorf("des: nil event function")
-	}
-	ev := s.alloc()
-	ev.at = at
-	ev.seq = s.seq
-	ev.fn = fn
-	s.seq++
-	s.push(ev)
-	return Handle{s: s, ev: ev, gen: ev.gen}, nil
+	return Handle{}, s.AtN(at, 1, fn)
 }
 
 // AtN schedules fn to run n times at absolute virtual time at, exactly as n
 // back-to-back calls to At would: the run reserves n consecutive sequence
 // numbers, and each firing is one event to the ordering contract and to
-// Fired. It holds a single queue entry, not n, and cannot be cancelled.
+// Fired. It holds a single queue entry, not n.
 func (s *Scheduler) AtN(at time.Duration, n int, fn func()) error {
 	if n <= 0 || int64(n-1) > math.MaxUint32 {
 		return fmt.Errorf("des: %d firings requested, want 1 to 2^32", n)
@@ -130,13 +78,9 @@ func (s *Scheduler) AtN(at time.Duration, n int, fn func()) error {
 	if fn == nil {
 		return fmt.Errorf("des: nil event function")
 	}
-	ev := s.alloc()
-	ev.at = at
-	ev.seq = s.seq
-	ev.fn = fn
-	ev.rest = uint32(n - 1)
+	s.heap = append(s.heap, event{at: at, seq: s.seq, fn: fn, rest: uint32(n - 1)})
 	s.seq += uint64(n)
-	s.push(ev)
+	s.siftUp(len(s.heap) - 1)
 	return nil
 }
 
@@ -150,41 +94,33 @@ func (s *Scheduler) After(delay time.Duration, fn func()) (Handle, error) {
 	return s.At(s.now+delay, fn)
 }
 
-// Halt stops Run/RunUntil after the current event completes.
-func (s *Scheduler) Halt() { s.halted = true }
-
 // Step executes the single next event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (s *Scheduler) Step() bool {
 	if len(s.heap) == 0 {
 		return false
 	}
-	ev := s.heap[0]
-	s.now = ev.at
-	if ev.rest > 0 {
+	root := &s.heap[0]
+	s.now = root.at
+	s.fired++
+	if root.rest > 0 {
 		// A non-final firing of an AtN run fires in place. Every other
 		// entry, including any fn schedules at now, has a larger (at, seq)
-		// than the run's next number, so the entry stays at the root.
-		ev.rest--
-		ev.seq++
-		s.fired++
-		ev.fn()
+		// than every number the run reserved, so the entry stays at the
+		// root without touching its seq.
+		root.rest--
+		root.fn()
 		return true
 	}
-	s.remove(0)
-	fn := ev.fn
-	// Release before running: fn may schedule new events, and the freshest
-	// pool entry is the one most likely to be cache-hot.
-	s.release(ev)
-	s.fired++
-	fn()
+	// Pop before running: fn may schedule new events.
+	s.pop()()
 	return true
 }
 
-// RunUntil executes events in timestamp order until the queue is empty, the
-// scheduler is halted, or the next event lies beyond deadline. The clock
-// finishes at min(deadline, last event time); if the queue drains early the
-// clock is advanced to the deadline.
+// RunUntil executes events in timestamp order until the queue is empty or
+// the next event lies beyond deadline, then advances the clock to the
+// deadline unless it is already later: the clock finishes at the deadline
+// also when the last event fired earlier or none fired.
 func (s *Scheduler) RunUntil(deadline time.Duration) {
 	s.RunUntilLimit(deadline, 0)
 }
@@ -197,9 +133,7 @@ func (s *Scheduler) RunUntil(deadline time.Duration) {
 // RunUntil(deadline), including advancing the clock to the deadline once the
 // window's events are exhausted.
 func (s *Scheduler) RunUntilLimit(deadline time.Duration, limit int) bool {
-	s.halted = false
-	executed := 0
-	for !s.halted && (limit <= 0 || executed < limit) {
+	for executed := 0; limit <= 0 || executed < limit; executed++ {
 		if len(s.heap) == 0 || s.heap[0].at > deadline {
 			// The window is done: finish the clock like RunUntil.
 			if s.now < deadline {
@@ -208,50 +142,21 @@ func (s *Scheduler) RunUntilLimit(deadline time.Duration, limit int) bool {
 			return false
 		}
 		s.Step()
-		executed++
-	}
-	if s.halted {
-		return false
 	}
 	return len(s.heap) > 0 && s.heap[0].at <= deadline
 }
 
-// Run executes events until the queue is empty or Halt is called.
+// Run executes events until the queue is empty.
 func (s *Scheduler) Run() {
-	s.halted = false
-	for !s.halted && s.Step() {
+	for s.Step() {
 	}
-}
-
-// ---- event pool ----
-
-// alloc takes an event struct from the free list, or mints a new one when
-// the pool is dry. The pool never shrinks; its high-water mark is the
-// scheduler's peak pending count.
-func (s *Scheduler) alloc() *event {
-	if n := len(s.free); n > 0 {
-		ev := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return ev
-	}
-	return &event{idx: -1}
-}
-
-// release returns a fired or cancelled event to the pool. Bumping the
-// generation invalidates every outstanding Handle to it.
-func (s *Scheduler) release(ev *event) {
-	ev.fn = nil
-	ev.gen++
-	ev.idx = -1
-	s.free = append(s.free, ev)
 }
 
 // ---- concrete 4-ary min-heap on (at, seq) ----
 //
 // A 4-ary layout halves the tree height of a binary heap; the extra
-// sibling comparisons happen on one cache line of *event pointers, which
-// is a good trade for the pop-heavy workload of a DES.
+// sibling comparisons happen on adjacent 32-byte entries, which is a good
+// trade for the pop-heavy workload of a DES.
 
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
@@ -260,28 +165,18 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// push appends ev and restores the heap property.
-func (s *Scheduler) push(ev *event) {
-	s.heap = append(s.heap, ev)
-	ev.idx = int32(len(s.heap) - 1)
-	s.siftUp(len(s.heap) - 1)
-}
-
-// remove deletes the event at heap position i.
-func (s *Scheduler) remove(i int) {
+// pop removes the root and returns its callback. The vacated tail slot is
+// zeroed, so the queue retains no fired callback.
+func (s *Scheduler) pop() func() {
+	fn := s.heap[0].fn
 	n := len(s.heap) - 1
-	ev := s.heap[i]
-	last := s.heap[n]
-	s.heap[n] = nil
+	s.heap[0] = s.heap[n]
+	s.heap[n] = event{}
 	s.heap = s.heap[:n]
-	if i < n {
-		s.heap[i] = last
-		last.idx = int32(i)
-		if !s.siftDown(i) {
-			s.siftUp(i)
-		}
+	if n > 0 {
+		s.siftDown(0)
 	}
-	ev.idx = -1
+	return fn
 }
 
 // siftUp moves the event at i toward the root until its parent is not
@@ -290,23 +185,20 @@ func (s *Scheduler) siftUp(i int) {
 	ev := s.heap[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !eventLess(ev, s.heap[parent]) {
+		if !eventLess(&ev, &s.heap[parent]) {
 			break
 		}
 		s.heap[i] = s.heap[parent]
-		s.heap[i].idx = int32(i)
 		i = parent
 	}
 	s.heap[i] = ev
-	ev.idx = int32(i)
 }
 
 // siftDown moves the event at i toward the leaves until no child is
-// smaller, reporting whether it moved.
-func (s *Scheduler) siftDown(i int) bool {
+// smaller.
+func (s *Scheduler) siftDown(i int) {
 	ev := s.heap[i]
 	n := len(s.heap)
-	moved := false
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -318,30 +210,29 @@ func (s *Scheduler) siftDown(i int) bool {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if eventLess(s.heap[c], s.heap[min]) {
+			if eventLess(&s.heap[c], &s.heap[min]) {
 				min = c
 			}
 		}
-		if !eventLess(s.heap[min], ev) {
+		if !eventLess(&s.heap[min], &ev) {
 			break
 		}
 		s.heap[i] = s.heap[min]
-		s.heap[i].idx = int32(i)
 		i = min
-		moved = true
 	}
 	s.heap[i] = ev
-	ev.idx = int32(i)
-	return moved
 }
 
 // ---- benchmark/ compatibility block ----
 //
-// What is left of the deleted batched drain's scheduling surface, kept only
-// because benchmark/probes.go compiles against it and benchmark/ changes in
-// benchmark-only PRs. No caller outside benchmark/. Delete with the
-// des.tagged_fire_ns probe in the next benchmark-only PR.
+// What is left of the deleted batched drain's scheduling surface and of
+// cancellation, kept only because benchmark/ compiles against it and
+// benchmark/ changes in benchmark-only PRs. Handle is the empty first result
+// of At, After and AtTagged; nothing reads it. Delete the block, and make At
+// and After return only the error, with the des.tagged_fire_ns probe in the
+// next benchmark-only PR.
 type (
+	Handle   struct{}
 	Domain   uint64
 	Claims   [4]Domain
 	PrepFunc func(worker int, at time.Duration, claims Claims, arg0, arg1 int32)

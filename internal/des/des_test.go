@@ -83,40 +83,6 @@ func TestAfterNegativeDelayCoerced(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	var s Scheduler
-	ran := false
-	h, err := s.After(time.Second, func() { ran = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.Cancel() {
-		t.Fatal("first Cancel should report pending")
-	}
-	if h.Cancel() {
-		t.Fatal("second Cancel should report not pending")
-	}
-	s.Run()
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-	if s.Fired() != 0 {
-		t.Fatalf("Fired = %d, want 0", s.Fired())
-	}
-}
-
-func TestCancelAfterFire(t *testing.T) {
-	var s Scheduler
-	h, err := s.After(0, func() {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	if h.Cancel() {
-		t.Fatal("cancelling a fired event should report not pending")
-	}
-}
-
 func TestEventsScheduleEvents(t *testing.T) {
 	var s Scheduler
 	depth := 0
@@ -166,30 +132,6 @@ func TestRunUntil(t *testing.T) {
 	}
 	if s.Now() != 10*time.Second {
 		t.Fatalf("Now = %v, want 10s (advanced to deadline)", s.Now())
-	}
-}
-
-func TestHalt(t *testing.T) {
-	var s Scheduler
-	count := 0
-	for i := 1; i <= 10; i++ {
-		if _, err := s.At(time.Duration(i)*time.Second, func() {
-			count++
-			if count == 3 {
-				s.Halt()
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 (halted)", count)
-	}
-	// Run resumes after a halt.
-	s.Run()
-	if count != 10 {
-		t.Fatalf("count = %d, want 10 after resume", count)
 	}
 }
 
@@ -261,123 +203,64 @@ func TestManyEventsStress(t *testing.T) {
 	}
 }
 
-// TestCancelRemovesFromQueue checks that Cancel removes the event from the
-// heap immediately: Pending() drops right away instead of retaining dead
-// events until their timestamps drain.
-func TestCancelRemovesFromQueue(t *testing.T) {
-	var s Scheduler
-	handles := make([]Handle, 0, 100)
-	for i := 0; i < 100; i++ {
-		h, err := s.At(time.Duration(i+1)*time.Second, func() {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles = append(handles, h)
-	}
-	if s.Pending() != 100 {
-		t.Fatalf("Pending = %d, want 100", s.Pending())
-	}
-	// Cancel a mix of head, middle and tail events.
-	for _, i := range []int{0, 1, 13, 50, 98, 99} {
-		if !handles[i].Cancel() {
-			t.Fatalf("Cancel(%d) reported not pending", i)
+// firing is one firing of a scheduled entry: its timestamp, the index of
+// the entry in scheduling order, and the firing's number within an AtN run.
+type firing struct {
+	at     time.Duration
+	id, of int
+}
+
+// popReference removes from pending, which is in scheduling order, the
+// firing the ordering contract runs next — the earliest timestamp, the first
+// scheduled among ties — and returns it.
+func popReference(pending *[]firing) firing {
+	p := *pending
+	min := 0
+	for j := range p {
+		if p[j].at < p[min].at {
+			min = j
 		}
 	}
-	if s.Pending() != 94 {
-		t.Fatalf("Pending after cancels = %d, want 94", s.Pending())
+	r := p[min]
+	*pending = append(p[:min], p[min+1:]...)
+	return r
+}
+
+func sameFirings(t *testing.T, got, want []firing) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(got), len(want))
 	}
-	if at, ok := s.NextAt(); !ok || at != 3*time.Second {
-		t.Fatalf("NextAt after cancelling the head = %v, %v, want 3s", at, ok)
-	}
-	// Double cancel stays a no-op and does not disturb the queue.
-	if handles[50].Cancel() {
-		t.Fatal("second Cancel should report not pending")
-	}
-	if s.Pending() != 94 {
-		t.Fatalf("Pending after double cancel = %d, want 94", s.Pending())
-	}
-	s.Run()
-	if s.Fired() != 94 {
-		t.Fatalf("Fired = %d, want 94", s.Fired())
-	}
-	if s.Now() != 98*time.Second {
-		t.Fatalf("Now = %v, want 98s (last live event)", s.Now())
-	}
-	if at, ok := s.NextAt(); ok {
-		t.Fatalf("NextAt on a drained queue = %v, true", at)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing %d = %+v, want %+v (heap order must match the reference)", i, got[i], want[i])
+		}
 	}
 }
 
-// TestCancelPreservesOrdering cancels interleaved events and checks the
-// survivors still fire in (timestamp, seq) order.
-func TestCancelPreservesOrdering(t *testing.T) {
+// TestInterleavedStepsPreserveOrdering fires events between schedules, so
+// root pops interleave with pushes, and checks every firing against the
+// reference order.
+func TestInterleavedStepsPreserveOrdering(t *testing.T) {
 	var s Scheduler
 	rng := rand.New(rand.NewSource(42))
-	type rec struct {
-		at  time.Duration
-		seq int
-	}
-	var fired []rec
-	var handles []Handle
-	var want []rec
+	var pending, want, got []firing
 	for i := 0; i < 500; i++ {
-		i := i
-		at := time.Duration(rng.Intn(50)) * time.Second
-		h, err := s.At(at, func() { fired = append(fired, rec{at: at, seq: i}) })
-		if err != nil {
+		i, at := i, s.Now()+time.Duration(rng.Intn(50))*time.Second
+		if _, err := s.At(at, func() { got = append(got, firing{at: at, id: i}) }); err != nil {
 			t.Fatal(err)
 		}
-		handles = append(handles, h)
-		want = append(want, rec{at: at, seq: i})
-	}
-	cancelled := make(map[int]bool)
-	for i := 0; i < 200; i++ {
-		idx := rng.Intn(len(handles))
-		if !cancelled[idx] {
-			cancelled[idx] = true
-			handles[idx].Cancel()
+		pending = append(pending, firing{at: at, id: i})
+		if rng.Intn(3) == 0 {
+			s.Step()
+			want = append(want, popReference(&pending))
 		}
 	}
-	kept := want[:0]
-	for _, r := range want {
-		if !cancelled[r.seq] {
-			kept = append(kept, r)
-		}
-	}
-	sort.SliceStable(kept, func(i, j int) bool { return kept[i].at < kept[j].at })
-	s.Run()
-	if len(fired) != len(kept) {
-		t.Fatalf("fired %d events, want %d", len(fired), len(kept))
-	}
-	for i := range kept {
-		if fired[i] != kept[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, fired[i], kept[i])
-		}
-	}
-}
-
-// TestCancelDuringRun cancels a pending event from inside an earlier event.
-func TestCancelDuringRun(t *testing.T) {
-	var s Scheduler
-	ran := false
-	victim, err := s.At(2*time.Second, func() { ran = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.At(time.Second, func() {
-		if !victim.Cancel() {
-			t.Error("victim should still be pending")
-		}
-		if s.Pending() != 0 {
-			t.Errorf("Pending inside event = %d, want 0", s.Pending())
-		}
-	}); err != nil {
-		t.Fatal(err)
+	for len(pending) > 0 {
+		want = append(want, popReference(&pending))
 	}
 	s.Run()
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
+	sameFirings(t, got, want)
 }
 
 // TestRunUntilLimitBatches drives a window in bounded batches and checks
@@ -442,88 +325,48 @@ func TestRunUntilLimitMidBatchClock(t *testing.T) {
 	}
 }
 
-// TestRunUntilLimitHalt checks Halt inside a batch stops it without
-// advancing the clock to the deadline, like RunUntil.
-func TestRunUntilLimitHalt(t *testing.T) {
-	var s Scheduler
-	if _, err := s.At(time.Second, func() { s.Halt() }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.At(2*time.Second, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	if more := s.RunUntilLimit(5*time.Second, 0); more {
-		t.Fatal("halted batch reported more work")
-	}
-	if s.Now() != time.Second {
-		t.Fatalf("halted clock = %v, want 1s", s.Now())
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", s.Pending())
-	}
-}
-
-// TestStaleHandleCannotCancelRecycledEvent pins the pool-safety guarantee:
-// after an event fires, its struct returns to the free list and may back a
-// brand-new event. A handle kept from the fired event must not cancel the
-// recycled struct's new occupant.
-func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
-	var s Scheduler
-	stale, err := s.After(0, func() {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run() // fires and releases the event struct
-
-	ran := false
-	fresh, err := s.After(time.Second, func() { ran = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stale.ev != fresh.ev {
-		t.Skip("pool did not recycle the struct; nothing to guard against")
-	}
-	if stale.Cancel() {
-		t.Fatal("stale handle cancelled the recycled event")
-	}
-	s.Run()
-	if !ran {
-		t.Fatal("recycled event did not run")
-	}
-}
-
-// TestEventPoolReuse checks the free list actually recycles: a long
-// schedule/fire churn keeps the live event population bounded by the peak
-// pending count instead of growing with the number of events.
-func TestEventPoolReuse(t *testing.T) {
+// TestQueueRetainsNoFiredCallback checks that the heap slice is the
+// queue's only storage and keeps nothing it has fired: a long schedule/fire
+// churn, AtN runs included, bounds its capacity by the peak pending count,
+// and after Run every slot up to that capacity has a nil fn, so no fired
+// closure stays reachable from the scheduler.
+func TestQueueRetainsNoFiredCallback(t *testing.T) {
 	var s Scheduler
 	fn := func() {}
 	for i := 0; i < 1000; i++ {
 		if _, err := s.After(time.Duration(i)*time.Millisecond, fn); err != nil {
 			t.Fatal(err)
 		}
-		if s.Pending() > 8 {
-			if !s.Step() {
-				t.Fatal("Step with pending events")
+		if i%5 == 0 {
+			if err := s.AtN(s.Now()+time.Duration(i)*time.Microsecond, 3, fn); err != nil {
+				t.Fatal(err)
 			}
+		}
+		for s.Pending() > 8 {
+			s.Step()
 		}
 	}
 	s.Run()
-	if got := len(s.free); got > 16 {
-		t.Fatalf("free list grew to %d structs; churn is not recycling", got)
+	if c := cap(s.heap); c > 16 {
+		t.Fatalf("heap capacity grew to %d entries; churn is not reusing slots", c)
 	}
-	if s.Fired() != 1000 {
-		t.Fatalf("Fired = %d, want 1000", s.Fired())
+	for i, ev := range s.heap[:cap(s.heap)] {
+		if ev.fn != nil {
+			t.Fatalf("heap slot %d still holds a callback after Run", i)
+		}
+	}
+	if s.Fired() != 1600 {
+		t.Fatalf("Fired = %d, want 1600", s.Fired())
 	}
 }
 
-// TestSchedulerChurnAllocFree is the pooled-event allocation guard: a
-// steady-state schedule/cancel/fire mix must allocate nothing once the pool
-// and heap have warmed up.
+// TestSchedulerChurnAllocFree is the scheduler's allocation guard: a
+// steady-state schedule/fire mix must allocate nothing once the heap slice
+// has grown to the peak pending count.
 func TestSchedulerChurnAllocFree(t *testing.T) {
 	var s Scheduler
 	fn := func() {}
-	// Warm the pool and the heap slice.
+	// Warm the heap slice.
 	for i := 0; i < 256; i++ {
 		if _, err := s.After(time.Duration(i)*time.Microsecond, fn); err != nil {
 			t.Fatal(err)
@@ -532,22 +375,18 @@ func TestSchedulerChurnAllocFree(t *testing.T) {
 	s.Run()
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		keep, err := s.After(time.Duration(i%7)*time.Microsecond, fn)
-		if err != nil {
+		if _, err := s.After(time.Duration(i%7)*time.Microsecond, fn); err != nil {
 			t.Fatal(err)
 		}
-		drop, err := s.After(time.Duration(i%13)*time.Microsecond, fn)
-		if err != nil {
+		if _, err := s.After(time.Duration(i%13)*time.Microsecond, fn); err != nil {
 			t.Fatal(err)
 		}
-		drop.Cancel()
-		_ = keep
+		s.Step()
 		s.Step()
 		i++
 	})
-	s.Run()
 	if allocs != 0 {
-		t.Fatalf("schedule/cancel/fire churn allocates %.1f objects per op, want 0", allocs)
+		t.Fatalf("schedule/fire churn allocates %.1f objects per op, want 0", allocs)
 	}
 	// The windowed loop every run drains through must be as free as Step.
 	allocs = testing.AllocsPerRun(200, func() {
@@ -566,7 +405,7 @@ func TestSchedulerChurnAllocFree(t *testing.T) {
 // parent — the invariant an AtN run firing in place at the root relies on.
 func heapOrdered(s *Scheduler) bool {
 	for i := 1; i < len(s.heap); i++ {
-		if eventLess(s.heap[i], s.heap[(i-1)/4]) {
+		if eventLess(&s.heap[i], &s.heap[(i-1)/4]) {
 			return false
 		}
 	}
@@ -689,83 +528,51 @@ func TestAtNPendingCountsOneEntry(t *testing.T) {
 	}
 }
 
-// FuzzDESOrdering pins the heap's pop order against a reference sort: for
-// any fuzzed schedule, events pop in strictly ascending (timestamp,
-// sequence) order and same-timestamp events preserve insertion order.
-// runMask turns some entries into AtN runs, which the reference expands
-// into n consecutive records.
+// FuzzDESOrdering pins the heap's pop order against a reference: for any
+// fuzzed schedule, events pop in strictly ascending (timestamp, sequence)
+// order and same-timestamp events preserve insertion order. runMask turns
+// some entries into AtN runs, which the reference expands into n
+// consecutive firings; stepMask fires one event right after some schedules,
+// so root pops, AtN runs firing in place included, interleave with pushes.
 func FuzzDESOrdering(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), uint8(0))
 	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(3), uint8(0x5a))
 	f.Add([]byte{255, 1, 255, 1, 128, 7, 9}, uint8(5), uint8(0xff))
-	f.Fuzz(func(t *testing.T, ats []byte, cancelMask, runMask uint8) {
+	f.Add([]byte{0, 3, 0, 0, 200, 1, 0, 0, 9, 0}, uint8(0xff), uint8(0x33))
+	f.Fuzz(func(t *testing.T, ats []byte, stepMask, runMask uint8) {
 		if len(ats) > 256 {
 			ats = ats[:256]
 		}
 		var s Scheduler
-		type rec struct {
-			at     time.Duration
-			id, of int
-		}
-		var want []rec
-		var got []rec
-		type handle struct {
-			id int
-			h  Handle
-		}
-		var handles []handle
+		var pending, want, got []firing
 		for i, b := range ats {
-			i, at := i, time.Duration(b)*time.Millisecond
+			i, at := i, s.Now()+time.Duration(b)*time.Millisecond
 			if runMask&(1<<(i%8)) != 0 {
 				n, of := 1+(i+int(b))%5, 0
-				if err := s.AtN(at, n, func() { got = append(got, rec{at: at, id: i, of: of}); of++ }); err != nil {
+				if err := s.AtN(at, n, func() { got = append(got, firing{at: at, id: i, of: of}); of++ }); err != nil {
 					t.Fatal(err)
 				}
 				for k := 0; k < n; k++ {
-					want = append(want, rec{at: at, id: i, of: k})
+					pending = append(pending, firing{at: at, id: i, of: k})
 				}
-				continue
+			} else {
+				if _, err := s.At(at, func() { got = append(got, firing{at: at, id: i}) }); err != nil {
+					t.Fatal(err)
+				}
+				pending = append(pending, firing{at: at, id: i})
 			}
-			h, err := s.At(at, func() { got = append(got, rec{at: at, id: i}) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			handles = append(handles, handle{i, h})
-			want = append(want, rec{at: at, id: i})
-		}
-		// Cancel a mask-selected subset of the At events (runs cannot be
-		// cancelled) to fuzz heap removals too.
-		cancelled := make(map[int]bool)
-		for _, h := range handles {
-			if cancelMask&(1<<(h.id%8)) != 0 && h.id%3 == 0 {
-				cancelled[h.id] = true
-				h.h.Cancel()
+			if stepMask&(1<<(i%8)) != 0 {
+				s.Step()
+				want = append(want, popReference(&pending))
 			}
 		}
-		// Reference: stable sort by timestamp keeps insertion (seq) order
-		// within ties.
-		kept := want[:0]
-		for _, r := range want {
-			if !cancelled[r.id] {
-				kept = append(kept, r)
-			}
-		}
-		for i := 1; i < len(kept); i++ {
-			for j := i; j > 0 && kept[j].at < kept[j-1].at; j-- {
-				kept[j], kept[j-1] = kept[j-1], kept[j]
-			}
+		for len(pending) > 0 {
+			want = append(want, popReference(&pending))
 		}
 		s.Run()
-		if len(got) != len(kept) {
-			t.Fatalf("popped %d events, want %d", len(got), len(kept))
-		}
-		for i := range kept {
-			if got[i] != kept[i] {
-				t.Fatalf("pop[%d] = %+v, want %+v (heap order must match the reference sort)", i, got[i], kept[i])
-			}
-		}
-		if s.Fired() != uint64(len(kept)) {
-			t.Fatalf("Fired = %d after %d firings", s.Fired(), len(kept))
+		sameFirings(t, got, want)
+		if s.Fired() != uint64(len(want)) {
+			t.Fatalf("Fired = %d after %d firings", s.Fired(), len(want))
 		}
 	})
 }
