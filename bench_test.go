@@ -189,36 +189,6 @@ func BenchmarkGraphEnumerationK44(b *testing.B) {
 	}
 }
 
-// BenchmarkHamiltonianCycleK25 measures the line-digraph Eulerian
-// construction on K(2,5) (48 nodes).
-func BenchmarkHamiltonianCycleK25(b *testing.B) {
-	g, err := kautz.New(2, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.HamiltonianCycle(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMinVertexCutK23 measures the Menger max-flow check used by the
-// Lemma 3.1 tests.
-func BenchmarkMinVertexCutK23(b *testing.B) {
-	g, err := kautz.New(2, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := g.MinVertexCut("012", "201"); got != 2 {
-			b.Fatalf("cut = %d", got)
-		}
-	}
-}
-
 // BenchmarkWorldSend measures one radio transmission through the simulator
 // (scheduling, carrier sense, energy accounting).
 func BenchmarkWorldSend(b *testing.B) {

@@ -86,42 +86,119 @@ const lookahead = 8
 
 // Draws is the scratch generator the random-waypoint movers of one world
 // share. A mover owns no generator state, only a seed and the count of
-// source outputs its legs have consumed; a refill reseeds Draws, skips that
-// many outputs and draws on, so every mover sees exactly the stream a
-// private generator seeded with its seed would give it. Draws is not safe
-// for concurrent use: each world needs its own.
+// source outputs its legs have consumed; a refill positions Draws that many
+// outputs into the seed's stream and draws on, so every mover sees exactly
+// the stream a private rand.NewSource(seed) would give it. The first rngTap
+// outputs of a stream are computed straight from the seed; past them Draws
+// reseeds a math/rand source of its own in place and skips the consumed
+// outputs. Draws is not safe for concurrent use: each world needs its own.
 type Draws struct {
-	src countingSource
+	src stream
 	rng *rand.Rand
-}
-
-// countingSource counts the outputs drawn from it. Consumption is counted
-// here rather than in Float64 calls because Float64 may draw twice.
-type countingSource struct {
-	rand.Source
-	n uint64
-}
-
-func (s *countingSource) Int63() int64 {
-	s.n++
-	return s.Source.Int63()
 }
 
 // NewDraws returns a scratch generator for the movers of one world.
 func NewDraws() *Draws {
-	d := &Draws{src: countingSource{Source: rand.NewSource(0)}}
+	d := &Draws{src: stream{fallback: rand.NewSource(0)}}
 	d.rng = rand.New(&d.src)
 	return d
 }
 
 // replay positions the generator n outputs into seed's stream.
 func (d *Draws) replay(seed int64, n uint64) *rand.Rand {
-	d.rng.Seed(seed)
-	for i := uint64(0); i < n; i++ {
-		d.src.Source.Int63()
-	}
-	d.src.n = n
+	d.src.seek(seed, n)
 	return d.rng
+}
+
+// math/rand's generator is an additive lagged-Fibonacci register of rngLen
+// words; output k (from 1) adds word 334-k to word 607-k, indices mod
+// rngLen, and stores the sum in the first. Seeding fills word i from a
+// Lehmer chain x_n = 48271^n·x_0 mod (2^31-1) as
+// (x_{21+3i}<<40 ^ x_{22+3i}<<20 ^ x_{23+3i}) ^ cooked[i], so the first
+// rngTap outputs, which read only freshly seeded words, need six table
+// multiplies each instead of Seed's 1 841 chain steps.
+const (
+	rngLen    = 607
+	rngTap    = 273
+	lehmerMod = 1<<31 - 1
+)
+
+var (
+	lehmerPow [21 + 3*rngLen]uint64 // lehmerPow[n] = 48271^n mod lehmerMod
+	cooked    [rngLen]uint64        // math/rand's rngCooked from word rngLen-2·rngTap on
+)
+
+// init fills lehmerPow and recovers cooked by inverting rand.NewSource(1)'s
+// first rngLen outputs: output k adds a fresh word to output k-rngTap for
+// k > rngLen-rngTap, and two fresh words for k <= rngTap.
+func init() {
+	lehmerPow[0] = 1
+	for n := 1; n < len(lehmerPow); n++ {
+		lehmerPow[n] = lehmerPow[n-1] * 48271 % lehmerMod
+	}
+	src := rand.NewSource(1).(rand.Source64)
+	var out [rngLen + 1]uint64
+	for k := 1; k <= rngLen; k++ {
+		out[k] = src.Uint64()
+	}
+	for k := rngLen - rngTap + 1; k <= rngLen; k++ {
+		cooked[2*rngLen-rngTap-k] = out[k] - out[k-rngTap]
+	}
+	for k := 1; k <= rngTap; k++ {
+		cooked[rngLen-rngTap-k] = out[k] - cooked[rngLen-k]
+	}
+	for i := rngLen - 2*rngTap; i < rngLen; i++ {
+		cooked[i] ^= chainWord(1, i)
+	}
+}
+
+// chainWord is the Lehmer-chain half of register word i for chain start x0.
+func chainWord(x0 uint64, i int) uint64 {
+	n := 21 + 3*i
+	return lehmerPow[n]*x0%lehmerMod<<40 ^ lehmerPow[n+1]*x0%lehmerMod<<20 ^ lehmerPow[n+2]*x0%lehmerMod
+}
+
+// stream is a rand.Source that yields rand.NewSource(seed)'s outputs from
+// any position.
+type stream struct {
+	x0       uint64 // seed as math/rand normalises it: the chain's start
+	n        uint64 // outputs consumed
+	fallback rand.Source
+	synced   bool // fallback is n outputs into the stream
+}
+
+// seek positions the stream n outputs into seed's.
+func (s *stream) seek(seed int64, n uint64) {
+	s.n, s.synced = n, false
+	seed %= lehmerMod
+	if seed < 0 {
+		seed += lehmerMod
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	s.x0 = uint64(seed)
+}
+
+// Seed implements rand.Source.
+func (s *stream) Seed(seed int64) { s.seek(seed, 0) }
+
+// Int63 implements rand.Source.
+func (s *stream) Int63() int64 {
+	s.n++
+	if k := int(s.n); k <= rngTap {
+		a, b := rngLen-rngTap-k, rngLen-k
+		out := (chainWord(s.x0, a) ^ cooked[a]) + (chainWord(s.x0, b) ^ cooked[b])
+		return int64(out &^ (1 << 63))
+	}
+	if !s.synced {
+		s.fallback.Seed(int64(s.x0)) // math/rand maps x0 to itself
+		for i := uint64(1); i < s.n; i++ {
+			s.fallback.Int63()
+		}
+		s.synced = true
+	}
+	return s.fallback.Int63()
 }
 
 // Waypoint is a random-waypoint mover: pick a uniform destination in the

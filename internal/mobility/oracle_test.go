@@ -3,6 +3,7 @@ package mobility
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -188,20 +189,31 @@ func TestLegMatchesAt(t *testing.T) {
 }
 
 // TestWaypointAtAllocFree pins At's hot path, refills included, at zero
-// allocations.
+// allocations. It counts mallocs over the whole loop instead of averaging
+// them per call, where one allocation per refill (one call in eight or so)
+// would round down to zero. Each of the 8 movers crosses 11 refills inside
+// its first rngTap outputs and at least 18 past them.
 func TestWaypointAtAllocFree(t *testing.T) {
 	region := geo.Square(500)
-	w := NewWaypoint(region, geo.Point{X: 250, Y: 250}, 5, 9, NewDraws())
-	var at time.Duration
-	w.At(at)
-	allocs := testing.AllocsPerRun(5000, func() {
-		at += time.Minute
-		w.At(at)
-	})
-	if allocs != 0 {
-		t.Fatalf("At allocates %.2f times per call, want 0", allocs)
+	draws := NewDraws()
+	movers := make([]*Waypoint, 8)
+	for i := range movers {
+		movers[i] = NewWaypoint(region, geo.Point{X: 250, Y: 250}, 5, int64(9+i), draws)
 	}
-	if w.drawn <= 3*lookahead {
-		t.Fatalf("only %d draws consumed: the loop never crossed a refill", w.drawn)
+	var at time.Duration
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for done := false; !done; {
+		at += time.Minute
+		done = true
+		for _, w := range movers {
+			w.At(at)
+			done = done && w.drawn >= 30*3*lookahead
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("At allocated %d times over %d refills, want 0", n, len(movers)*30)
 	}
 }
