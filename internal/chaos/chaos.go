@@ -12,11 +12,11 @@
 // same schedule replay byte-identically, and a run with no schedule is
 // byte-identical to a build without this package.
 //
-// On top of the injector, Harness (see invariants.go) turns any of the
-// evaluated systems into a conformance subject: it re-checks the
-// simulator-wide invariants (packet conservation, exact energy accounting)
-// and the system's own structural invariants after every fault event and
-// at run end.
+// On top of the injector, the package's tests build Harness
+// (invariants_test.go), which turns any of the evaluated systems into a
+// conformance subject: it re-checks the simulator-wide invariants (packet
+// conservation, exact energy accounting) and the system's own structural
+// invariants after every fault event and at run end.
 package chaos
 
 import (

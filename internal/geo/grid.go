@@ -15,9 +15,16 @@ type Grid struct {
 	cell   float64
 	cols   int
 	rows   int
-	// buckets[row*cols+col] holds item indices.
-	buckets [][]int
+	// buckets[row*cols+col] holds the cell's items with their positions
+	// inline, so a query reads each bucket sequentially.
+	buckets [][]entry
 	points  []Point
+}
+
+// entry is one registered item in a bucket.
+type entry struct {
+	index int
+	p     Point
 }
 
 // NewGrid builds a grid over region with the given cell size. Items are
@@ -40,7 +47,7 @@ func NewGrid(region Rect, cellSize float64) *Grid {
 		cell:    cellSize,
 		cols:    cols,
 		rows:    rows,
-		buckets: make([][]int, cols*rows),
+		buckets: make([][]entry, cols*rows),
 	}
 }
 
@@ -75,7 +82,7 @@ func (g *Grid) Insert(index int, p Point) {
 	}
 	g.points[index] = p
 	b := g.CellKey(p)
-	g.buckets[b] = append(g.buckets[b], index)
+	g.buckets[b] = append(g.buckets[b], entry{index, p})
 }
 
 // Position returns the registered position of an item.
@@ -86,26 +93,39 @@ func (g *Grid) Position(index int) Point { return g.points[index] }
 // all). The result ordering is deterministic (bucket-major, insertion
 // order within buckets).
 func (g *Grid) Within(dst []int, p Point, radius float64, exclude int) []int {
-	minCol := max(int((p.X-radius-g.region.Min.X)/g.cell), 0)
-	maxCol := min(int((p.X+radius-g.region.Min.X)/g.cell), g.cols-1)
-	minRow := max(int((p.Y-radius-g.region.Min.Y)/g.cell), 0)
-	maxRow := min(int((p.Y+radius-g.region.Min.Y)/g.cell), g.rows-1)
-	r2 := radius * radius
+	_, dst = g.Split(nil, dst, p, -1, radius, exclude)
+	return dst
+}
+
+// Split is Within(outer) partitioned in one pass: the items within inner of
+// p (inclusive) are appended to in, the rest to band, each in Within's
+// order. A negative inner puts every item in band.
+func (g *Grid) Split(in, band []int, p Point, inner, outer float64, exclude int) ([]int, []int) {
+	minCol := max(int((p.X-outer-g.region.Min.X)/g.cell), 0)
+	maxCol := min(int((p.X+outer-g.region.Min.X)/g.cell), g.cols-1)
+	minRow := max(int((p.Y-outer-g.region.Min.Y)/g.cell), 0)
+	maxRow := min(int((p.Y+outer-g.region.Min.Y)/g.cell), g.rows-1)
+	in2, out2 := -1.0, outer*outer
+	if inner >= 0 {
+		in2 = inner * inner
+	}
 	for row := minRow; row <= maxRow; row++ {
 		for col := minCol; col <= maxCol; col++ {
-			for _, idx := range g.buckets[row*g.cols+col] {
-				if idx == exclude {
+			for _, e := range g.buckets[row*g.cols+col] {
+				if e.index == exclude {
 					continue
 				}
-				q := g.points[idx]
-				dx, dy := q.X-p.X, q.Y-p.Y
-				if dx*dx+dy*dy <= r2 {
-					dst = append(dst, idx)
+				dx, dy := e.p.X-p.X, e.p.Y-p.Y
+				switch d2 := dx*dx + dy*dy; {
+				case d2 <= in2:
+					in = append(in, e.index)
+				case d2 <= out2:
+					band = append(band, e.index)
 				}
 			}
 		}
 	}
-	return dst
+	return in, band
 }
 
 // Nearest returns the index of the registered item closest to p, excluding
@@ -139,14 +159,14 @@ func (g *Grid) Nearest(p Point, exclude int) int {
 		if row < 0 || row >= g.rows || col < 0 || col >= g.cols {
 			return
 		}
-		for _, idx := range g.buckets[row*g.cols+col] {
-			if idx == exclude {
+		for _, e := range g.buckets[row*g.cols+col] {
+			if e.index == exclude {
 				continue
 			}
 			// Lowest index wins exact ties: buckets are visited in ring
 			// order, not index order, so the tie must be broken explicitly.
-			if d := p.Dist(g.points[idx]); d < bestDist || (d == bestDist && idx < best) {
-				best, bestDist = idx, d
+			if d := p.Dist(e.p); d < bestDist || (d == bestDist && e.index < best) {
+				best, bestDist = e.index, d
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -127,6 +128,58 @@ func TestGridCellKeyOrdersLikeWithin(t *testing.T) {
 		for i := range got {
 			if got[i] != resorted[i] {
 				t.Fatalf("query %d: Within order %v != (CellKey, index) order %v", q, got, resorted)
+			}
+		}
+	}
+}
+
+// TestGridSplitPartitionsWithin pins the split query against Within: walking
+// Within(outer) and sending each item to inner when it lies within inner of
+// the query point, else to band, reproduces Split's two lists element for
+// element and in order, and inner holds exactly the registered items within
+// inner, by brute force. A negative inner puts everything in band.
+func TestGridSplitPartitionsWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	region := Square(500)
+	for trial := 0; trial < 40; trial++ {
+		g := NewGrid(region, 50)
+		n := 1 + rng.Intn(150)
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = Point{X: rng.Float64()*540 - 20, Y: rng.Float64()*540 - 20}
+			g.Insert(i, pts[i])
+		}
+		for q := 0; q < 20; q++ {
+			p := region.RandomPoint(rng)
+			outer := 10 + rng.Float64()*250
+			inner := outer - rng.Float64()*30
+			if q%5 == 0 {
+				inner = -rng.Float64()
+			}
+			exclude := -1
+			if q%3 == 0 {
+				exclude = rng.Intn(n)
+			}
+			in, band := g.Split(nil, nil, p, inner, outer, exclude)
+			var wantIn, wantBand []int
+			for _, i := range g.Within(nil, p, outer, exclude) {
+				if dx, dy := pts[i].X-p.X, pts[i].Y-p.Y; inner >= 0 && dx*dx+dy*dy <= inner*inner {
+					wantIn = append(wantIn, i)
+				} else {
+					wantBand = append(wantBand, i)
+				}
+			}
+			if !slices.Equal(in, wantIn) || !slices.Equal(band, wantBand) {
+				t.Fatalf("trial %d query %d: Split = %v | %v, Within(outer) partitions into %v | %v", trial, q, in, band, wantIn, wantBand)
+			}
+			brute := 0
+			for i, pt := range pts {
+				if dx, dy := pt.X-p.X, pt.Y-p.Y; i != exclude && inner >= 0 && dx*dx+dy*dy <= inner*inner {
+					brute++
+				}
+			}
+			if len(in) != brute {
+				t.Fatalf("trial %d query %d: inner holds %d items, %d lie within %v", trial, q, len(in), brute, inner)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package world
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -193,4 +195,222 @@ func TestCarrierSetIsNeighborsPlusWide(t *testing.T) {
 	if !wideSeen {
 		t.Fatal("no actuator had a wide remainder; the world does not test it")
 	}
+}
+
+// drift moves in a straight line from from at t0 to to at t1 and pauses
+// before and after: a mover whose position at t1 is placed to the bit.
+type drift struct {
+	from, to geo.Point
+	t0, t1   time.Duration
+}
+
+func (d drift) At(t time.Duration) geo.Point { return d.Leg(t).At(t) }
+
+func (d drift) Leg(t time.Duration) mobility.Leg {
+	switch {
+	case t < d.t0:
+		return mobility.Leg{Duration: d.t0, From: d.from, To: d.from}
+	case t < d.t1:
+		return mobility.Leg{Start: d.t0, Duration: d.t1 - d.t0, From: d.from, To: d.to}
+	}
+	return mobility.Leg{Start: d.t1, Duration: math.MaxInt64 - d.t1, From: d.to, To: d.to}
+}
+
+func (d drift) MaxSpeed() float64 { return d.from.Dist(d.to) / (d.t1 - d.t0).Seconds() }
+
+// scanWorld builds a mobile world whose grid was sampled dt before the
+// clock: waypoint sensors and actuators moving at up to speed m/s, failed
+// nodes, and drifters around two static senders (an actuator and a sensor)
+// that end on, just inside and just outside their range circles — some
+// across the circle from where the grid indexed them, some in the band the
+// scan re-checks. No cache is filled.
+func scanWorld(seed int64, speed float64, dt time.Duration) *World {
+	const t0 = time.Second
+	region := geo.Square(500)
+	w := New(Config{Region: region, Seed: seed, HopJitter: 0})
+	rng := rand.New(rand.NewSource(seed))
+	draws := mobility.NewDraws()
+	for i := 0; i < 100; i++ {
+		kind, r := Sensor, 100.0
+		if i%10 == 0 {
+			kind, r = Actuator, 250.0
+		}
+		w.AddNode(kind, mobility.NewWaypoint(region, region.RandomPoint(rng), speed, rng.Int63(), draws), r, 0)
+	}
+	s := speed * dt.Seconds()
+	for _, c := range []struct {
+		kind   Kind
+		r      float64
+		center geo.Point
+	}{{Actuator, 250, geo.Point{X: 250, Y: 250}}, {Sensor, 100, geo.Point{X: 120, Y: 380}}} {
+		w.AddNode(c.kind, mobility.Static{P: c.center}, c.r, 0)
+		r := c.r
+		rings := [][2]float64{ // distance from the center when indexed, then now
+			{r - 0.9*s, r + 0.05*s}, // out across the circle
+			{r + 0.9*s, r - 0.05*s}, // in across it
+			{r - s, r},              // onto it at full speed
+			{r - s - 2*senseGuard, r - 2*senseGuard},
+			{r - 0.5*s, r - 0.5*s},
+			{r + 0.5*s, r + 0.5*s},
+			{r + s, r + s},
+			{r, r},
+			{r * (1 - 1e-12), r * (1 - 1e-12)},
+			{r * (1 + 1e-12), r * (1 + 1e-12)},
+		}
+		for k, d := range rings {
+			a := 2*math.Pi*float64(k)/float64(len(rings)) + 0.3
+			dir := geo.Point{X: math.Cos(a), Y: math.Sin(a)}
+			at := func(d float64) geo.Point { return geo.Point{X: c.center.X + d*dir.X, Y: c.center.Y + d*dir.Y} }
+			w.AddNode(Sensor, drift{from: at(d[0]), to: at(d[1]), t0: t0, t1: t0 + dt}, 100, 0)
+		}
+	}
+	for id := NodeID(3); id < NodeID(w.Len()); id += 7 {
+		w.SetFailed(id, true)
+	}
+	w.Sched.RunUntil(t0)
+	w.refreshGrid()
+	w.Sched.RunUntil(t0 + dt)
+	w.refreshGrid() // rebuilds only past the staleness tolerance
+	return w
+}
+
+// carrierSet is the carrier-sense set by brute force over exact positions:
+// every other node inside from's own range, failed or not.
+func carrierSet(w *World, from NodeID) map[NodeID]bool {
+	p, r := w.Position(from), w.Node(from).Range
+	want := map[NodeID]bool{}
+	for id := NodeID(0); id < NodeID(w.Len()); id++ {
+		q := w.Position(id)
+		if dx, dy := q.X-p.X, q.Y-p.Y; id != from && dx*dx+dy*dy <= r*r {
+			want[id] = true
+		}
+	}
+	return want
+}
+
+// checkCarrierScan transmits once from every node of scanWorld, first with
+// a cold cache (the grid scan) and then with a filled one (nb plus wide),
+// and checks that each defers exactly the brute-force carrier set. It
+// returns how many nodes the scans met whose indexed position was inside
+// reach − senseGuard while their exact one was out of range, how many band
+// candidates the scans deferred and spared, and how many filled caches had
+// a wide remainder.
+func checkCarrierScan(t *testing.T, seed int64, speed float64, dt time.Duration) (crossed, bandIn, bandOut, wide int) {
+	t.Helper()
+	w := scanWorld(seed, speed, dt)
+	now, slack := w.Now(), w.querySlack(w.Now())
+	transmit := func(from NodeID, path string, want map[NodeID]bool) {
+		t.Helper()
+		for _, n := range w.Nodes() {
+			n.busyUntil = 0
+		}
+		end := w.acquireRadio(w.Node(from), time.Millisecond)
+		for _, n := range w.Nodes() {
+			if deferred := n.busyUntil == end; deferred != (want[n.ID] || n.ID == from) {
+				t.Fatalf("seed %d speed %v dt %v, %s: node %d transmitting deferred node %d: %v, in carrier set: %v",
+					seed, speed, dt, path, from, n.ID, deferred, want[n.ID])
+			}
+		}
+	}
+	for from := NodeID(0); from < NodeID(w.Len()); from++ {
+		if w.current(&w.caches[from], now) {
+			t.Fatalf("node %d's cache is warm before the scan", from)
+		}
+		want := carrierSet(w, from)
+		rebuilds := w.stats.NeighborRebuilds
+		transmit(from, "scan", want)
+		if w.stats.NeighborRebuilds != rebuilds {
+			t.Fatalf("carrier sense for node %d filled its cache", from)
+		}
+		p, r := w.Position(from), w.Node(from).Range
+		for id := NodeID(0); id < NodeID(w.Len()); id++ {
+			if id == from {
+				continue
+			}
+			d := p.Dist(w.grid.Position(int(id)))
+			switch {
+			case d <= r-senseGuard && !want[id]:
+				crossed++
+			case d > r-slack-senseGuard && d <= r+slack && want[id]:
+				bandIn++
+			case d > r-slack-senseGuard && d <= r+slack:
+				bandOut++
+			}
+		}
+	}
+	for from := NodeID(0); from < NodeID(w.Len()); from++ {
+		if len(w.neighborCache(from).wide) > 0 {
+			wide++
+		}
+		transmit(from, "cached", carrierSet(w, from))
+	}
+	return crossed, bandIn, bandOut, wide
+}
+
+// TestCarrierScanMatchesBruteForce pins carrier sense on a cold cache: on a
+// mobile world whose grid is 2 virtual seconds stale (slack 8 m), the
+// split-query scan defers exactly the nodes inside the sender's range,
+// including failed nodes, sensors beyond their own range around actuators,
+// and movers that crossed the range circle since the grid indexed them.
+func TestCarrierScanMatchesBruteForce(t *testing.T) {
+	crossed, bandIn, bandOut, wide := checkCarrierScan(t, 5, 4, 2*time.Second)
+	if crossed == 0 || bandIn == 0 || bandOut == 0 || wide == 0 {
+		t.Fatalf("%d nodes crossed out of range, %d band candidates in, %d out, %d wide remainders: want all four",
+			crossed, bandIn, bandOut, wide)
+	}
+}
+
+// FuzzCarrierScan runs the same check over seeds, speeds up to 50 m/s and
+// grid ages up to 10 virtual seconds, past the staleness epoch included
+// (the grid then rebuilds and the slack is zero).
+func FuzzCarrierScan(f *testing.F) {
+	f.Add(int64(5), 4.0, int64(2*time.Second))
+	f.Add(int64(1), 0.0, int64(time.Second))
+	f.Add(int64(2), 5.0, int64(time.Nanosecond))
+	f.Add(int64(3), 50.0, int64(5*time.Second))
+	f.Fuzz(func(t *testing.T, seed int64, speed float64, dt int64) {
+		if !(speed >= 0 && speed <= 50) || dt <= 0 || dt > int64(10*time.Second) {
+			t.Skip()
+		}
+		checkCarrierScan(t, seed, speed, time.Duration(dt))
+	})
+}
+
+// TestTransmissionsFillOnce pins the fill-before-acquire order on a mobile
+// world: a Broadcast, and each rebroadcast of a flood, costs its node exactly
+// one neighbor fill and one cache hit — the fill for the receiver list and
+// the hit for carrier sense. Fetching the list after acquiring the radio
+// would scan the grid and then fill, with no hit.
+func TestTransmissionsFillOnce(t *testing.T) {
+	region := geo.Square(300)
+	w := New(Config{Region: region, Seed: 6})
+	rng := rand.New(rand.NewSource(6))
+	draws := mobility.NewDraws()
+	for i := 0; i < 80; i++ {
+		w.AddNode(Sensor, mobility.NewWaypoint(region, region.RandomPoint(rng), 5, rng.Int63(), draws), 100, 0)
+	}
+	w.SetFailed(7, true)
+	check := func(what string, transmitters int, before Stats) {
+		t.Helper()
+		got := w.Stats()
+		if fills, hits := got.NeighborRebuilds-before.NeighborRebuilds, got.NeighborHits-before.NeighborHits; fills != uint64(transmitters) || hits != uint64(transmitters) {
+			t.Fatalf("%s: %d transmitting nodes cost %d fills and %d hits, want one of each per node", what, transmitters, fills, hits)
+		}
+	}
+	for k := 0; k < 5; k++ {
+		w.Sched.RunUntil(w.Now() + time.Second)
+		before := w.Stats()
+		if w.Broadcast(NodeID(k*11), energy.Communication) == 0 {
+			t.Fatalf("broadcast from %d reached nobody", k*11)
+		}
+		check("broadcast", 1, before)
+	}
+	w.Sched.RunUntil(w.Now() + time.Second)
+	before, visits := w.Stats(), 0
+	w.Flood(0, 64, energy.Construction, func(NodeID, int, []NodeID) bool { visits++; return true }, nil)
+	w.Sched.Run()
+	if visits < 40 {
+		t.Fatalf("flood reached %d nodes; the check needs a real flood", visits)
+	}
+	check("flood", 1+visits, before)
 }

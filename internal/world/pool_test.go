@@ -1,10 +1,14 @@
 package world
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"refer/internal/energy"
 	"refer/internal/geo"
+	"refer/internal/mobility"
 )
 
 // gridWorld is a 5×5 lattice at 60 m pitch with 100 m radios: every node
@@ -41,6 +45,60 @@ func TestSendStaysAllocFree(t *testing.T) {
 	}
 	if len(w.sendFree) != 3 {
 		t.Fatalf("sendOp free list holds %d records, want the peak of 3 pending sends", len(w.sendFree))
+	}
+}
+
+// TestMobileSendScanAllocFree pins the carrier-sense scan at zero
+// allocations: on a mobile world every Send is at a new virtual time with no
+// cached neighborhood, so each one runs the grid scan, band re-checks and
+// waypoint refills included. The warm-up spans a whole staleness epoch, so
+// the scan scratch has met the widest slack before the measured sends, which
+// stay inside the next epoch. It counts mallocs over the whole loop, not a
+// per-call average that would round a rare allocation down to zero.
+func TestMobileSendScanAllocFree(t *testing.T) {
+	region := geo.Square(300)
+	w := New(Config{Region: region, Seed: 4})
+	rng := rand.New(rand.NewSource(4))
+	draws := mobility.NewDraws()
+	for i := 0; i < 60; i++ {
+		w.AddNode(Sensor, mobility.NewWaypoint(region, region.RandomPoint(rng), 5, rng.Int63(), draws), 100, 0)
+	}
+	sends, left := 0, 0
+	var send, next func()
+	send = func() {
+		from := NodeID(sends % w.Len())
+		sends++
+		w.Send(from, (from+1)%NodeID(w.Len()), energy.Communication, nil)
+		if left--; left > 0 {
+			next()
+		}
+	}
+	next = func() {
+		if _, err := w.Sched.After(time.Millisecond, send); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sendEvery := func(n int) {
+		left = n
+		next()
+		w.Sched.Run()
+	}
+	sendEvery(2500) // 2.5 virtual seconds: one 10 m epoch at 5 m/s and then some
+	warm := w.Stats()
+	if warm.GridRebuilds != 2 {
+		t.Fatalf("warm-up built the grid %d times, want 2", warm.GridRebuilds)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sendEvery(400)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("400 scanned sends allocated %d times, want 0", n)
+	}
+	got := w.Stats()
+	if sends != 2900 || got.NeighborRebuilds != 0 || got.NeighborHits != 0 || got.GridRebuilds != warm.GridRebuilds {
+		t.Fatalf("%d sends did not all scan one stale grid: warm %+v, now %+v", sends, warm, got)
 	}
 }
 

@@ -205,7 +205,10 @@ type World struct {
 	// aliveGen is bumped whenever any node's Alive() can have flipped:
 	// fault injection/recovery and battery depletion through world charges.
 	aliveGen uint64
-	scratch  []int // Within candidate scratch shared across cache fills
+	// scratch holds a cache fill's grid candidates or a carrier-sense
+	// scan's inner ones, band the scan's band; both are dead between calls.
+	scratch []int
+	band    []int
 	// sortKey holds the fresh-grid bucket keys of the neighborhood being
 	// insertion-sorted by a cache fill; dead between fills.
 	sortKey []int
@@ -258,9 +261,10 @@ type nodeCache struct {
 	// bucket), so epoch-stale index state never leaks into results.
 	nb []NodeID
 	// wide holds the nodes inside the owner's own range but beyond their
-	// own: nb plus wide is the carrier-sense set, failed nodes included.
-	// Empty for a sensor among equal-range sensors; for an actuator, the
-	// sensors between their range and its own.
+	// own: while the entry is current, nb plus wide is the carrier-sense
+	// set, failed nodes included (a miss scans the grid instead; see
+	// acquireRadio). Empty for a sensor among equal-range sensors; for an
+	// actuator, the sensors between their range and its own.
 	wide []NodeID
 	// alive is the Alive() subset of nb, valid while aliveGen matches. It
 	// is nb itself while every neighbor is alive, and otherwise a copy in
@@ -679,9 +683,7 @@ func (w *World) neighborCache(from NodeID) *nodeCache {
 	w.refreshGrid()
 	now := w.Sched.Now()
 	c := &w.caches[from]
-	// A fully static world (every model bounds its speed at 0) has
-	// time-invariant positions, so entries never expire by clock.
-	if c.valid && c.gen == w.topoGen && (c.at == now || w.maxSpeed == 0) {
+	if w.current(c, now) {
 		w.stats.NeighborHits++
 		return c
 	}
@@ -727,6 +729,13 @@ func (w *World) neighborCache(from NodeID) *nodeCache {
 		w.snapshotBorrowedNeighbors(from, c)
 	}
 	return c
+}
+
+// current reports whether a cache entry holds its owner's neighborhood at
+// now. A fully static world (every model bounds its speed at 0) has
+// time-invariant positions, so entries never expire by clock.
+func (w *World) current(c *nodeCache, now time.Duration) bool {
+	return c.valid && c.gen == w.topoGen && (c.at == now || w.maxSpeed == 0)
 }
 
 // Neighbors returns the IDs of all nodes sharing a usable link with from
@@ -813,31 +822,61 @@ func (w *World) txDelay() time.Duration {
 	return d
 }
 
+// senseGuard is the margin, in meters, by which carrier sense's inner
+// radius stays clear of the staleness bound: it absorbs float rounding and
+// the nanosecond rounding of leg durations, either of which can carry a node
+// a hair past maxSpeed·Δt from its indexed position.
+const senseGuard = 1e-3
+
 // acquireRadio serializes a node's transmissions and models carrier sense:
 // a busy radio queues the packet, and while the packet is on the air every
 // node within the sender's range defers its own transmissions — the shared
 // medium that makes flooding storms slow as well as expensive. It returns
 // the time the transmission completes.
+//
+// The carrier-sense set is everything inside the sender's own range, failed
+// or not: a set, since a max does not depend on the order it is taken in.
+// While the sender's cache entry is current it is the neighbor list plus its
+// wide remainder. Otherwise one split grid query around the sender's exact
+// position yields it without filling the cache: a candidate indexed within
+// reach − slack − senseGuard is in range by the staleness bound, and only
+// the band out to reach + slack is re-checked against exact positions, with
+// the fill's own test. A transmission that needs its neighbor list fetches
+// it before acquiring the radio, so its carrier sense is a cache hit.
 func (w *World) acquireRadio(n *Node, txTime time.Duration) time.Duration {
-	start := w.Sched.Now()
-	if n.busyUntil > start {
-		start = n.busyUntil
-	}
-	end := start + txTime
+	now := w.Sched.Now()
+	end := max(now, n.busyUntil) + txTime
 	n.busyUntil = end
-	// The carrier-sense set (everything inside the sender's own range,
-	// failed or not) is the cached neighbor list plus its wide remainder,
-	// so a busy forwarding node computes it once per event. A max does not
-	// depend on the order it is taken in.
-	c := w.neighborCache(n.ID)
-	for _, set := range [2][]NodeID{c.nb, c.wide} {
-		for _, id := range set {
-			if nb := w.nodes[id]; nb.busyUntil < end {
-				nb.busyUntil = end
+	w.refreshGrid()
+	if c := &w.caches[n.ID]; w.current(c, now) {
+		w.stats.NeighborHits++
+		for _, set := range [2][]NodeID{c.nb, c.wide} {
+			for _, id := range set {
+				w.holdOff(id, end)
 			}
+		}
+		return end
+	}
+	p := w.posAt(n.ID, now)
+	reach, slack := w.kin[n.ID].reach, w.querySlack(now)
+	w.scratch, w.band = w.grid.Split(w.scratch[:0], w.band[:0], p, reach-slack-senseGuard, reach+slack, int(n.ID))
+	for _, i := range w.scratch {
+		w.holdOff(NodeID(i), end)
+	}
+	for _, i := range w.band {
+		q := w.posAt(NodeID(i), now)
+		if dx, dy := q.X-p.X, q.Y-p.Y; dx*dx+dy*dy <= reach*reach {
+			w.holdOff(NodeID(i), end)
 		}
 	}
 	return end
+}
+
+// holdOff defers id's transmissions until at least end.
+func (w *World) holdOff(id NodeID, end time.Duration) {
+	if n := w.nodes[id]; n.busyUntil < end {
+		n.busyUntil = end
+	}
 }
 
 // sendOp is one pending unicast completion. Records are pooled on the world
@@ -924,10 +963,13 @@ func (w *World) Broadcast(from NodeID, ledger energy.Ledger) int {
 		return 0
 	}
 	w.tracer.RadioBroadcast()
+	// Fetched before the radio, so carrier sense reads the filled cache.
+	// Neither acquiring the radio nor charging the sender changes a
+	// neighbor's aliveness: the sender is not in its own list.
+	targets := w.AliveNeighbors(nil, from)
 	w.acquireRadio(sender, w.txDelay())
 	// Broadcasts transmit at full power: the amplifier covers the whole range.
 	w.chargeTx(sender, ledger, sender.Range)
-	targets := w.AliveNeighbors(nil, from)
 	for _, id := range targets {
 		w.chargeRx(w.nodes[id], ledger)
 	}
@@ -1010,6 +1052,7 @@ func (fl *flood) rebroadcast(at NodeID, hops int) {
 		return
 	}
 	w.tracer.RadioBroadcast()
+	targets := w.AliveNeighbors(nil, at) // before the radio, as in Broadcast
 	end := w.acquireRadio(node, w.txDelay())
 	w.chargeTx(node, fl.ledger, node.Range)
 	var h *floodHop
@@ -1019,7 +1062,7 @@ func (fl *flood) rebroadcast(at NodeID, hops int) {
 		h = &floodHop{}
 		h.fire = h.run
 	}
-	for _, nb := range w.AliveNeighbors(nil, at) {
+	for _, nb := range targets {
 		w.chargeRx(w.nodes[nb], fl.ledger) // every copy is heard
 		if _, seen := fl.parent[nb]; seen {
 			continue
