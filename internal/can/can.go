@@ -11,7 +11,6 @@ package can
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"refer/internal/geo"
@@ -29,10 +28,6 @@ type Zone struct {
 type Table struct {
 	zones     []Zone
 	neighbors map[int][]int
-	// centroids indexes zone coordinates by position (item i = zones[i]), so
-	// NearestZone is local-density work instead of a scan over every zone.
-	// Grid queries are read-only, keeping the table safe for concurrent use.
-	centroids *geo.Grid
 }
 
 // New builds a table. adjacency[i] lists the CIDs adjacent to zones[i].CID
@@ -68,42 +63,7 @@ func New(zones []Zone, adjacency map[int][]int) (*Table, error) {
 		}
 		sort.Ints(t.neighbors[cid])
 	}
-	t.centroids = buildCentroidGrid(t.zones)
 	return t, nil
-}
-
-// buildCentroidGrid indexes the (CID-sorted) zone coordinates. The cell size
-// targets ~one zone per bucket on a uniform spread; any skew only costs scan
-// length, never correctness.
-func buildCentroidGrid(zones []Zone) *geo.Grid {
-	min, max := zones[0].Coord, zones[0].Coord
-	for _, z := range zones[1:] {
-		if z.Coord.X < min.X {
-			min.X = z.Coord.X
-		}
-		if z.Coord.Y < min.Y {
-			min.Y = z.Coord.Y
-		}
-		if z.Coord.X > max.X {
-			max.X = z.Coord.X
-		}
-		if z.Coord.Y > max.Y {
-			max.Y = z.Coord.Y
-		}
-	}
-	extent := max.X - min.X
-	if e := max.Y - min.Y; e > extent {
-		extent = e
-	}
-	cell := extent / math.Sqrt(float64(len(zones)))
-	if cell <= 0 {
-		cell = 1
-	}
-	g := geo.NewGrid(geo.Rect{Min: min, Max: max}, cell)
-	for i, z := range zones {
-		g.Insert(i, z.Coord)
-	}
-	return g
 }
 
 // Zones returns the zone set sorted by CID.
@@ -212,25 +172,4 @@ func (t *Table) RouteBFS(from, dest int) []int {
 		}
 	}
 	return nil
-}
-
-// NearestZone returns the CID whose coordinate is closest to p. Ties on
-// distance resolve to the lowest CID — the answer a strict-< scan over the
-// CID-sorted zone slice gives — which the grid reproduces exactly: zones are
-// inserted in CID order, and Grid.Nearest breaks exact ties to the lowest
-// item index.
-func (t *Table) NearestZone(p geo.Point) int {
-	return t.zones[t.centroids.Nearest(p, -1)].CID
-}
-
-// nearestZoneScan is NearestZone's pre-index linear form, kept as the oracle
-// the equivalence property tests compare the grid against.
-func (t *Table) nearestZoneScan(p geo.Point) int {
-	best, bestDist := t.zones[0].CID, t.zones[0].Coord.Dist(p)
-	for _, z := range t.zones[1:] {
-		if d := z.Coord.Dist(p); d < bestDist {
-			best, bestDist = z.CID, d
-		}
-	}
-	return best
 }

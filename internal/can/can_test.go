@@ -1,8 +1,6 @@
 package can
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"refer/internal/geo"
@@ -192,16 +190,6 @@ func TestRouteBFSSelf(t *testing.T) {
 	}
 }
 
-func TestNearestZone(t *testing.T) {
-	table := grid3x3(t)
-	if got := table.NearestZone(geo.Point{X: 95, Y: 105}); got != 4 {
-		t.Fatalf("NearestZone = %d, want 4", got)
-	}
-	if got := table.NearestZone(geo.Point{X: -50, Y: -50}); got != 0 {
-		t.Fatalf("NearestZone = %d, want 0", got)
-	}
-}
-
 func TestSelfLoopsIgnored(t *testing.T) {
 	zones := []Zone{{CID: 0}, {CID: 1, Coord: geo.Point{X: 10}}}
 	table, err := New(zones, map[int][]int{0: {0, 1}, 1: {0}})
@@ -210,49 +198,5 @@ func TestSelfLoopsIgnored(t *testing.T) {
 	}
 	if got := table.Neighbors(0); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("Neighbors(0) = %v, self-loop not ignored", got)
-	}
-}
-
-// TestNearestZoneMatchesScan pins the centroid grid to the linear strict-<
-// scan it replaced, including exact-distance ties (which resolve to the
-// lowest CID) and far-outside query points.
-func TestNearestZoneMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 25; trial++ {
-		n := 1 + rng.Intn(200)
-		side := 50 + rng.Float64()*950
-		zones := make([]Zone, n)
-		adjacency := map[int][]int{}
-		for i := range zones {
-			// Snapped coordinates manufacture frequent exact ties; CIDs are
-			// assigned descending so sorted order differs from input order.
-			zones[i] = Zone{
-				CID: n - i,
-				Coord: geo.Point{
-					X: math.Round(rng.Float64()*side/25) * 25,
-					Y: math.Round(rng.Float64()*side/25) * 25,
-				},
-			}
-		}
-		table, err := New(zones, adjacency)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for q := 0; q < 200; q++ {
-			p := geo.Point{
-				X: (rng.Float64()*1.6 - 0.3) * side,
-				Y: (rng.Float64()*1.6 - 0.3) * side,
-			}
-			if rng.Intn(2) == 0 {
-				// Exactly on a lattice point: maximally tie-prone.
-				p = geo.Point{
-					X: math.Round(p.X/25) * 25,
-					Y: math.Round(p.Y/25) * 25,
-				}
-			}
-			if got, want := table.NearestZone(p), table.nearestZoneScan(p); got != want {
-				t.Fatalf("trial %d: NearestZone(%v) = %d, scan = %d", trial, p, got, want)
-			}
-		}
 	}
 }

@@ -57,18 +57,6 @@ func New(w *world.World) *System {
 // Stats returns a snapshot of the protocol counters.
 func (s *System) Stats() Stats { return s.stats }
 
-// Parent returns a sensor's tree parent.
-func (s *System) Parent(id world.NodeID) (world.NodeID, bool) {
-	p, ok := s.parent[id]
-	return p, ok
-}
-
-// Root returns the actuator rooting a sensor's tree.
-func (s *System) Root(id world.NodeID) (world.NodeID, bool) {
-	r, ok := s.root[id]
-	return r, ok
-}
-
 // Build floods one tree-construction message per actuator; each sensor
 // adopts the first forwarder as its parent and joins only that tree. After
 // the floods, parents are refined to prefer strong links (the tree-reply

@@ -10,6 +10,18 @@ import (
 	"refer/internal/world"
 )
 
+// Parent returns a sensor's tree parent.
+func (s *System) Parent(id world.NodeID) (world.NodeID, bool) {
+	p, ok := s.parent[id]
+	return p, ok
+}
+
+// Root returns the actuator rooting a sensor's tree.
+func (s *System) Root(id world.NodeID) (world.NodeID, bool) {
+	r, ok := s.root[id]
+	return r, ok
+}
+
 func buildSystem(t *testing.T, seed int64, sensors int, speed float64) (*world.World, *System) {
 	t.Helper()
 	w := scenario.Build(scenario.Params{Seed: seed, Sensors: sensors, MaxSpeed: speed})

@@ -63,17 +63,6 @@ func New(w *world.World) *System {
 // Stats returns a snapshot of the protocol counters.
 func (s *System) Stats() Stats { return s.stats }
 
-// Heads returns the elected cluster heads.
-func (s *System) Heads() []world.NodeID {
-	return append([]world.NodeID(nil), s.heads...)
-}
-
-// HeadOf returns a member's cluster head.
-func (s *System) HeadOf(id world.NodeID) (world.NodeID, bool) {
-	h, ok := s.headOf[id]
-	return h, ok
-}
-
 // Build elects cluster heads (highest residual energy within a 2-hop
 // neighborhood), attaches members, and discovers each head's multi-hop path
 // to its nearest actuator.

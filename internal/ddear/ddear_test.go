@@ -10,6 +10,17 @@ import (
 	"refer/internal/world"
 )
 
+// Heads returns the elected cluster heads.
+func (s *System) Heads() []world.NodeID {
+	return append([]world.NodeID(nil), s.heads...)
+}
+
+// HeadOf returns a member's cluster head.
+func (s *System) HeadOf(id world.NodeID) (world.NodeID, bool) {
+	h, ok := s.headOf[id]
+	return h, ok
+}
+
 func buildSystem(t *testing.T, seed int64, sensors int, speed float64) (*world.World, *System) {
 	t.Helper()
 	w := scenario.Build(scenario.Params{Seed: seed, Sensors: sensors, MaxSpeed: speed})

@@ -116,13 +116,6 @@ func (r Rect) RandomPointNear(rng *rand.Rand, center Point, radius float64) Poin
 // cycle when their transmission range r satisfies r ≥ 0.8·b.
 const HamiltonianRangeFactor = 0.8
 
-// SatisfiesHamiltonianPrecondition reports whether a square cell of side b
-// and node transmission range r meets Proposition 3.2's Dirac-condition
-// bound r ≥ 0.8·b.
-func SatisfiesHamiltonianPrecondition(r, b float64) bool {
-	return r >= HamiltonianRangeFactor*b
-}
-
 // MaxCellSide returns the largest square cell side b a transmission range r
 // supports under Proposition 3.2 (b ≤ r/0.8 = √(2π)/2·r approximately).
 func MaxCellSide(r float64) float64 { return r / HamiltonianRangeFactor }

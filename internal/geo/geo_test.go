@@ -7,6 +7,13 @@ import (
 	"testing/quick"
 )
 
+// SatisfiesHamiltonianPrecondition reports whether a square cell of side b
+// and node transmission range r meets Proposition 3.2's Dirac-condition
+// bound r ≥ 0.8·b.
+func SatisfiesHamiltonianPrecondition(r, b float64) bool {
+	return r >= HamiltonianRangeFactor*b
+}
+
 func TestPointOps(t *testing.T) {
 	p := Point{X: 3, Y: 4}
 	q := Point{}
@@ -189,23 +196,6 @@ func TestGridWithinMatchesBruteForce(t *testing.T) {
 				t.Fatalf("trial %d: index %d inRange=%v gridHit=%v", trial, i, inRange, gotSet[i])
 			}
 		}
-	}
-}
-
-func TestGridNearest(t *testing.T) {
-	r := Square(100)
-	g := NewGrid(r, 10)
-	g.Insert(0, Point{X: 10, Y: 10})
-	g.Insert(1, Point{X: 90, Y: 90})
-	if got := g.Nearest(Point{X: 0, Y: 0}, -1); got != 0 {
-		t.Errorf("Nearest = %d, want 0", got)
-	}
-	if got := g.Nearest(Point{X: 0, Y: 0}, 0); got != 1 {
-		t.Errorf("Nearest excluding 0 = %d, want 1", got)
-	}
-	empty := NewGrid(r, 10)
-	if got := empty.Nearest(Point{}, -1); got != -1 {
-		t.Errorf("Nearest on empty = %d, want -1", got)
 	}
 }
 

@@ -127,68 +127,3 @@ func (g *Grid) Split(in, band []int, p Point, inner, outer float64, exclude int)
 	}
 	return in, band
 }
-
-// Nearest returns the index of the registered item closest to p, excluding
-// exclude (pass -1 to keep all), or -1 when the grid is empty. Ties resolve
-// to the lowest index.
-//
-// The search spirals outward bucket ring by bucket ring from p's cell and
-// stops as soon as no unvisited ring can hold a closer item, so the cost is
-// proportional to the local density rather than the population.
-func (g *Grid) Nearest(p Point, exclude int) int {
-	if len(g.points) == 0 {
-		return -1
-	}
-	// Unclamped cell coordinates: p may lie outside the region, in which
-	// case the spiral starts from the out-of-range cell and the in-bounds
-	// window below does the clamping.
-	c0 := int(math.Floor((p.X - g.region.Min.X) / g.cell))
-	r0 := int(math.Floor((p.Y - g.region.Min.Y) / g.cell))
-	maxRing := c0
-	if v := g.cols - 1 - c0; v > maxRing {
-		maxRing = v
-	}
-	if r0 > maxRing {
-		maxRing = r0
-	}
-	if v := g.rows - 1 - r0; v > maxRing {
-		maxRing = v
-	}
-	best, bestDist := -1, math.Inf(1)
-	scan := func(row, col int) {
-		if row < 0 || row >= g.rows || col < 0 || col >= g.cols {
-			return
-		}
-		for _, e := range g.buckets[row*g.cols+col] {
-			if e.index == exclude {
-				continue
-			}
-			// Lowest index wins exact ties: buckets are visited in ring
-			// order, not index order, so the tie must be broken explicitly.
-			if d := p.Dist(e.p); d < bestDist || (d == bestDist && e.index < best) {
-				best, bestDist = e.index, d
-			}
-		}
-	}
-	for ring := 0; ring <= maxRing; ring++ {
-		// A cell at Chebyshev ring distance `ring` from p's cell cannot hold
-		// a point closer than (ring-1)·cell, so once the best found beats
-		// that bound the spiral is done.
-		if best != -1 && float64(ring-1)*g.cell > bestDist {
-			break
-		}
-		if ring == 0 {
-			scan(r0, c0)
-			continue
-		}
-		for col := c0 - ring; col <= c0+ring; col++ {
-			scan(r0-ring, col)
-			scan(r0+ring, col)
-		}
-		for row := r0 - ring + 1; row <= r0+ring-1; row++ {
-			scan(row, c0-ring)
-			scan(row, c0+ring)
-		}
-	}
-	return best
-}

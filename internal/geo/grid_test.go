@@ -7,60 +7,6 @@ import (
 	"testing"
 )
 
-// TestGridNearestExactTie pins the documented tie rule: an exact distance
-// tie resolves to the lowest index, even when the spiral visits the
-// higher-index item first. The two points are 10 m on either side of the
-// query, in different buckets, and the higher index sits in the bucket the
-// ring scan reaches first.
-func TestGridNearestExactTie(t *testing.T) {
-	g := NewGrid(Square(100), 10)
-	g.Insert(0, Point{X: 65, Y: 55}) // visited second by the ring scan
-	g.Insert(1, Point{X: 45, Y: 55}) // visited first
-	if got := g.Nearest(Point{X: 55, Y: 55}, -1); got != 0 {
-		t.Fatalf("Nearest tie = %d, want lowest index 0", got)
-	}
-	// Excluding the winner hands the tie to the other point.
-	if got := g.Nearest(Point{X: 55, Y: 55}, 0); got != 1 {
-		t.Fatalf("Nearest tie with 0 excluded = %d, want 1", got)
-	}
-}
-
-// TestGridNearestMatchesBruteForce checks the spiral search against a
-// linear scan (with the same lowest-index tie rule) over random point sets,
-// including query points outside the region.
-func TestGridNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	region := Square(300)
-	for trial := 0; trial < 50; trial++ {
-		g := NewGrid(region, 25)
-		n := 1 + rng.Intn(60)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = region.RandomPoint(rng)
-			g.Insert(i, pts[i])
-		}
-		for q := 0; q < 20; q++ {
-			p := Point{X: rng.Float64()*400 - 50, Y: rng.Float64()*400 - 50}
-			exclude := -1
-			if q%3 == 0 {
-				exclude = rng.Intn(n)
-			}
-			want, wantDist := -1, 0.0
-			for i, pt := range pts {
-				if i == exclude {
-					continue
-				}
-				if d := p.Dist(pt); want == -1 || d < wantDist {
-					want, wantDist = i, d
-				}
-			}
-			if got := g.Nearest(p, exclude); got != want {
-				t.Fatalf("trial %d: Nearest(%v, %d) = %d, want %d", trial, p, exclude, got, want)
-			}
-		}
-	}
-}
-
 // TestGridResetReuseMatchesFresh is the reuse property test: Reset+Insert
 // on a recycled grid must produce identical Within results — membership and
 // order — to a freshly allocated grid, across random point sets.

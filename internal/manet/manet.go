@@ -68,53 +68,56 @@ func selectPath(w *world.World, src world.NodeID, ttl int, accept func(world.Nod
 }
 
 // bfsPath runs a hop-bounded BFS from src over alive nodes whose links
-// satisfy the margin, returning the first path to an accepted node.
+// satisfy the margin, returning the first path to an accepted node. It runs
+// on the world's search table: the visit list is the FIFO, one hop level
+// after another, and via holds each listed node's predecessor + 1. Only the
+// returned path is allocated, at its exact length: callers keep it.
 func bfsPath(w *world.World, src world.NodeID, ttl int, accept func(world.NodeID) bool, margin float64) []world.NodeID {
 	if !w.Node(src).Alive() {
 		return nil
 	}
-	type entry struct {
-		id   world.NodeID
-		hops int
-	}
-	prev := map[world.NodeID]world.NodeID{src: src}
-	queue := []entry{{id: src, hops: 0}}
-	build := func(at world.NodeID) []world.NodeID {
-		var rev []world.NodeID
-		for cur := at; ; cur = prev[cur] {
-			rev = append(rev, cur)
-			if cur == src {
-				break
-			}
+	via, visit := w.BorrowSearch()
+	via[src] = src + 1
+	visit = append(visit, src)
+	found := world.NoNode
+	hops, levelEnd := 0, 1 // visit[head] is hops hops from src while head < levelEnd
+search:
+	for head := 0; head < len(visit); head++ {
+		if head == levelEnd {
+			hops, levelEnd = hops+1, len(visit)
 		}
-		for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-			rev[i], rev[j] = rev[j], rev[i]
+		if hops >= ttl {
+			break
 		}
-		return rev
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.hops >= ttl {
-			continue
-		}
+		cur := visit[head]
 		// Borrowed cache slice: nothing in the loop body mutates the world
-		// or re-queries cur.id, so the slice stays valid for the iteration.
-		for _, nb := range w.AliveNeighbors(nil, cur.id) {
-			if _, seen := prev[nb]; seen {
+		// or re-queries cur, so the slice stays valid for the iteration.
+		for _, nb := range w.AliveNeighbors(nil, cur) {
+			if via[nb] != 0 || w.Distance(cur, nb) > margin*w.LinkRange(cur, nb) {
 				continue
 			}
-			if w.Distance(cur.id, nb) > margin*w.LinkRange(cur.id, nb) {
-				continue
-			}
-			prev[nb] = cur.id
+			via[nb] = cur + 1
+			visit = append(visit, nb)
 			if accept(nb) {
-				return build(nb)
+				found = nb
+				break search
 			}
-			queue = append(queue, entry{id: nb, hops: cur.hops + 1})
 		}
 	}
-	return nil
+	var path []world.NodeID
+	if found != world.NoNode {
+		n := 1
+		for cur := found; cur != src; cur = via[cur] - 1 {
+			n++
+		}
+		path = make([]world.NodeID, n)
+		for cur := found; n > 0; cur = via[cur] - 1 {
+			n--
+			path[n] = cur
+		}
+	}
+	w.ReturnSearch(visit)
+	return path
 }
 
 // DiscoverRouteRing performs an expanding-ring search: DiscoverRoute with
@@ -149,28 +152,44 @@ func SendAlongPathHops(w *world.World, path []world.NodeID, ledger energy.Ledger
 		}
 		return
 	}
-	var hop func(i int)
-	hop = func(i int) {
-		if i == len(path)-1 {
-			if onDelivered != nil {
-				onDelivered()
-			}
-			return
+	s := &pathSend{w: w, path: path, ledger: ledger, onHop: onHop, onDelivered: onDelivered, onBroken: onBroken}
+	s.sent = s.hopDone
+	w.Send(path[0], path[1], ledger, s.sent)
+}
+
+// pathSend is one source route in flight: path[at] is transmitting to
+// path[at+1], and sent, bound once per route, is every hop's completion.
+type pathSend struct {
+	w           *world.World
+	path        []world.NodeID
+	ledger      energy.Ledger
+	onHop       func(hopAt int)
+	onDelivered func()
+	onBroken    func(brokenAt int)
+	at          int
+	sent        func(world.Outcome) // s.hopDone
+}
+
+// hopDone completes the hop path[at] → path[at+1]: it reports a break, or
+// sends the next hop, or delivers at the last node.
+func (s *pathSend) hopDone(o world.Outcome) {
+	if o != world.Delivered {
+		if s.onBroken != nil {
+			s.onBroken(s.at)
 		}
-		w.Send(path[i], path[i+1], ledger, func(o world.Outcome) {
-			if o == world.Delivered {
-				if onHop != nil {
-					onHop(i)
-				}
-				hop(i + 1)
-				return
-			}
-			if onBroken != nil {
-				onBroken(i)
-			}
-		})
+		return
 	}
-	hop(0)
+	if s.onHop != nil {
+		s.onHop(s.at)
+	}
+	s.at++
+	if s.at == len(s.path)-1 {
+		if s.onDelivered != nil {
+			s.onDelivered()
+		}
+		return
+	}
+	s.w.Send(s.path[s.at], s.path[s.at+1], s.ledger, s.sent)
 }
 
 // PathValid reports whether every consecutive pair of the path is currently

@@ -3,7 +3,11 @@ package manet
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"refer/internal/energy"
 	"refer/internal/geo"
@@ -260,5 +264,252 @@ func TestDiscoverRouteToAdjacentNode(t *testing.T) {
 	w.Sched.Run()
 	if len(route) != 2 || route[0] != 0 || route[1] != 1 {
 		t.Fatalf("route = %v", route)
+	}
+}
+
+// bfsPathMap is the map-based search bfsPath replaced, kept unchanged as an
+// independent oracle: a fresh predecessor map and queue per call.
+func bfsPathMap(w *world.World, src world.NodeID, ttl int, accept func(world.NodeID) bool, margin float64) []world.NodeID {
+	if !w.Node(src).Alive() {
+		return nil
+	}
+	type entry struct {
+		id   world.NodeID
+		hops int
+	}
+	prev := map[world.NodeID]world.NodeID{src: src}
+	queue := []entry{{id: src, hops: 0}}
+	build := func(at world.NodeID) []world.NodeID {
+		var rev []world.NodeID
+		for cur := at; ; cur = prev[cur] {
+			rev = append(rev, cur)
+			if cur == src {
+				break
+			}
+		}
+		for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+			rev[i], rev[j] = rev[j], rev[i]
+		}
+		return rev
+	}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		if cur.hops >= ttl {
+			continue
+		}
+		// Borrowed cache slice: nothing in the loop body mutates the world
+		// or re-queries cur.id, so the slice stays valid for the iteration.
+		for _, nb := range w.AliveNeighbors(nil, cur.id) {
+			if _, seen := prev[nb]; seen {
+				continue
+			}
+			if w.Distance(cur.id, nb) > margin*w.LinkRange(cur.id, nb) {
+				continue
+			}
+			prev[nb] = cur.id
+			if accept(nb) {
+				return build(nb)
+			}
+			queue = append(queue, entry{id: nb, hops: cur.hops + 1})
+		}
+	}
+	return nil
+}
+
+// randomSearchWorld places n nodes, one in eight an actuator, on a 500 m
+// square, static or waypoint movers at up to 5 m/s, and fails one in ten.
+// Borrow checks are on, so every ReturnSearch scans the search table and
+// panics unless the search left it all zero.
+func randomSearchWorld(seed int64, n int, mobile bool) *world.World {
+	region := geo.Square(500)
+	w := world.New(world.Config{Region: region, Seed: seed})
+	w.EnableBorrowChecks()
+	rng := rand.New(rand.NewSource(seed))
+	draws := mobility.NewDraws()
+	for i := 0; i < n; i++ {
+		kind, reach := world.Sensor, 100.0
+		if rng.Intn(8) == 0 {
+			kind, reach = world.Actuator, 250
+		}
+		p := region.RandomPoint(rng)
+		var mob mobility.Model = mobility.Static{P: p}
+		if mobile {
+			mob = mobility.NewWaypoint(region, p, 5, rng.Int63(), draws)
+		}
+		w.AddNode(kind, mob, reach, 0)
+	}
+	for i := 0; i < n; i++ {
+		if rng.Intn(10) == 0 {
+			w.SetFailed(world.NodeID(i), true)
+		}
+	}
+	return w
+}
+
+// checkSearchesMatchOracle runs bfsPath and the map oracle from src over
+// every margin, TTL and accept set of the oracle test and requires the same
+// path, element for element.
+func checkSearchesMatchOracle(t *testing.T, w *world.World, src world.NodeID) {
+	t.Helper()
+	far := src
+	for id := range world.NodeID(w.Len()) {
+		if w.Distance(src, id) > w.Distance(src, far) {
+			far = id
+		}
+	}
+	accepts := map[string]func(world.NodeID) bool{
+		"none":     func(world.NodeID) bool { return false },
+		"far":      func(id world.NodeID) bool { return id == far },
+		"actuator": func(id world.NodeID) bool { return w.Node(id).Kind == world.Actuator },
+	}
+	for name, accept := range accepts {
+		for _, margin := range []float64{LinkMargin, 1} {
+			for _, ttl := range []int{0, 1, 2, DefaultTTL} {
+				got := bfsPath(w, src, ttl, accept, margin)
+				want := bfsPathMap(w, src, ttl, accept, margin)
+				if !slices.Equal(got, want) || (got == nil) != (want == nil) || cap(got) != len(got) {
+					t.Fatalf("t=%v src=%d accept=%s margin=%v ttl=%d: bfsPath = %v (cap %d), oracle %v",
+						w.Now(), src, name, margin, ttl, got, cap(got), want)
+				}
+			}
+		}
+	}
+}
+
+// TestBFSPathMatchesMapOracle pins the table-backed search to the map-based
+// one it replaced on random static and mobile worlds with failed nodes and
+// actuators, from several sources and at several virtual times.
+func TestBFSPathMatchesMapOracle(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, mobile := range []bool{false, true} {
+			w := randomSearchWorld(seed, 120, mobile)
+			for step := range 3 {
+				w.Sched.RunUntil(time.Duration(step) * 7 * time.Second)
+				for _, src := range []world.NodeID{0, 17, 63, 119} {
+					checkSearchesMatchOracle(t, w, src)
+				}
+			}
+		}
+	}
+}
+
+// FuzzBFSPath runs the oracle comparison over fuzzed world sizes and TTLs.
+func FuzzBFSPath(f *testing.F) {
+	f.Add(int64(1), uint8(60), int8(DefaultTTL))
+	f.Add(int64(2), uint8(2), int8(1))
+	f.Add(int64(3), uint8(200), int8(-1))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, ttl int8) {
+		w := randomSearchWorld(seed, 1+int(n), seed%2 == 0)
+		w.Sched.RunUntil(time.Duration(seed&0xff) * time.Second)
+		src := world.NodeID(uint64(seed) % uint64(w.Len()))
+		last := world.NodeID(w.Len() - 1)
+		for _, accept := range []func(world.NodeID) bool{
+			func(id world.NodeID) bool { return id == last },
+			func(id world.NodeID) bool { return w.Node(id).Kind == world.Actuator },
+		} {
+			for _, margin := range []float64{LinkMargin, 1} {
+				got := bfsPath(w, src, int(ttl), accept, margin)
+				want := bfsPathMap(w, src, int(ttl), accept, margin)
+				if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+					t.Fatalf("src=%d margin=%v ttl=%d: bfsPath = %v, oracle %v", src, margin, ttl, got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestBFSPathTableGrowsWithWorld searches once, then adds nodes: the next
+// search must see them through a grown table.
+func TestBFSPathTableGrowsWithWorld(t *testing.T) {
+	w := chainWorld(t, 5)
+	w.EnableBorrowChecks()
+	checkSearchesMatchOracle(t, w, 0)
+	for i := 5; i < 9; i++ {
+		w.AddNode(world.Sensor, mobility.Static{P: geo.Point{X: float64(i) * 80, Y: 0}}, 100, 0)
+	}
+	checkSearchesMatchOracle(t, w, 0)
+	if got := selectPath(w, 0, DefaultTTL, func(id world.NodeID) bool { return id == 8 }); len(got) != 9 {
+		t.Fatalf("path to an added node = %v, want the 9-node chain", got)
+	}
+}
+
+// TestBFSPathNestedBorrowPanics pins the single-borrow rule: a search
+// started while another holds the table is a programming error.
+func TestBFSPathNestedBorrowPanics(t *testing.T) {
+	w := chainWorld(t, 4)
+	msg := func() (msg string) {
+		defer func() { msg, _ = recover().(string) }()
+		selectPath(w, 0, DefaultTTL, func(world.NodeID) bool {
+			selectPath(w, 1, DefaultTTL, func(world.NodeID) bool { return true })
+			return false
+		})
+		return ""
+	}()
+	if !strings.Contains(msg, "already lent") {
+		t.Fatalf("panic = %q, want the nested-borrow panic", msg)
+	}
+}
+
+// mallocs counts the heap allocations f makes, on one P so no other
+// goroutine's allocations land in the delta.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestSelectPathAllocatesOnlyThePath pins the search's allocations on a warm
+// static world: the returned path and nothing else, whether the strong-link
+// search finds it or the any-link fallback does.
+func TestSelectPathAllocatesOnlyThePath(t *testing.T) {
+	w := chainWorld(t, 20)
+	const calls = 50
+	for _, c := range []struct {
+		name   string
+		accept func(world.NodeID) bool
+		want   uint64
+	}{
+		{"found", func(id world.NodeID) bool { return id == 19 }, calls},
+		{"none", func(world.NodeID) bool { return false }, 0},
+	} {
+		selectPath(w, 0, DefaultTTL, c.accept) // warm caches and the table
+		n := mallocs(func() {
+			for range calls {
+				selectPath(w, 0, DefaultTTL, c.accept)
+			}
+		})
+		if n != c.want {
+			t.Errorf("%s: %d selectPath calls allocated %d times, want %d", c.name, calls, n, c.want)
+		}
+	}
+}
+
+// TestSendAlongPathAllocsIndependentOfLength pins a source route's
+// allocations to a per-route constant: a 20-hop route allocates no more than
+// a 3-hop one.
+func TestSendAlongPathAllocsIndependentOfLength(t *testing.T) {
+	w := chainWorld(t, 21)
+	path := make([]world.NodeID, 21)
+	for i := range path {
+		path[i] = world.NodeID(i)
+	}
+	delivered := 0
+	onDelivered := func() { delivered++ }
+	send := func(hops int) uint64 {
+		return mallocs(func() {
+			for range 20 {
+				SendAlongPathHops(w, path[:hops+1], energy.Communication, nil, onDelivered, nil)
+				w.Sched.Run()
+			}
+		})
+	}
+	send(20) // warm caches and the world's pools
+	short, long := send(3), send(20)
+	if short != long || delivered != 60 {
+		t.Fatalf("20 routes of 3 hops allocated %d times, of 20 hops %d (delivered %d/60)", short, long, delivered)
 	}
 }

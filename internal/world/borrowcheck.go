@@ -23,7 +23,8 @@ type borrowShadow struct {
 	nbValid, aliveValid bool
 }
 
-// EnableBorrowChecks turns on the borrowed-slice guard. Intended for tests;
+// EnableBorrowChecks turns on the borrowed-slice guard, and with it a full
+// scan of the path-search table at every ReturnSearch. Intended for tests;
 // enabling mid-run is fine (existing hand-outs are unshadowed and only
 // checked from their next recomputation on).
 func (w *World) EnableBorrowChecks() {
@@ -91,4 +92,15 @@ func (w *World) snapshotBorrowedAlive(id NodeID, c *nodeCache) {
 	s := w.borrowShadow(id)
 	s.alive = append(s.alive[:0], c.alive...)
 	s.aliveValid = true
+}
+
+// verifySearchTable checks the path-search table after a loan: when the
+// visit list named every entry the search set, the table is all zero again.
+func (w *World) verifySearchTable() {
+	for id, v := range w.via {
+		if v != 0 {
+			panic(fmt.Sprintf("world: path-search table entry for node %d left set after a search "+
+				"(predecessor %d): the visit list must name every entry the search sets", id, v-1))
+		}
+	}
 }

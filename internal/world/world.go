@@ -241,6 +241,13 @@ type World struct {
 	hopFree   []*floodHop
 	floodPath []NodeID
 
+	// The path-search table and its visit list, lent to one synchronous
+	// search at a time (BorrowSearch). via is all zero between searches and
+	// empty until the first one.
+	via       []NodeID
+	visit     []NodeID
+	searching bool
+
 	stats Stats
 }
 
@@ -1148,6 +1155,37 @@ func (fl *flood) finish() {
 	fl.w.floodFree = append(fl.w.floodFree, fl)
 	if onDone != nil {
 		onDone()
+	}
+}
+
+// BorrowSearch lends the world's path-search table to one synchronous
+// search. via, indexed by NodeID, holds a reached node's predecessor + 1 and
+// 0 for "not reached"; it is all zero on loan. visit is an empty list the
+// search appends every node whose via entry it sets to. The search hands the
+// list back through ReturnSearch before it returns, on every path, and keeps
+// neither slice. A second borrow before then is a programming error and
+// panics. The table grows with the world, so one that never searches holds
+// none.
+func (w *World) BorrowSearch() (via, visit []NodeID) {
+	if w.searching {
+		panic("world: path-search table borrowed while already lent")
+	}
+	w.searching = true
+	if n := len(w.nodes); len(w.via) < n {
+		w.via = append(w.via, make([]NodeID, n-len(w.via))...)
+	}
+	return w.via, w.visit[:0]
+}
+
+// ReturnSearch ends the loan: it zeroes the via entries visit names, which
+// must be every entry the search set, and keeps the list's buffer.
+func (w *World) ReturnSearch(visit []NodeID) {
+	for _, id := range visit {
+		w.via[id] = 0
+	}
+	w.visit, w.searching = visit[:0], false
+	if w.borrowShadows != nil {
+		w.verifySearchTable()
 	}
 }
 
