@@ -66,11 +66,6 @@ func New(zones []Zone, adjacency map[int][]int) (*Table, error) {
 	return t, nil
 }
 
-// Zones returns the zone set sorted by CID.
-func (t *Table) Zones() []Zone {
-	return append([]Zone(nil), t.zones...)
-}
-
 // Zone returns the zone with the given CID.
 func (t *Table) Zone(cid int) (Zone, bool) {
 	i := sort.Search(len(t.zones), func(i int) bool { return t.zones[i].CID >= cid })

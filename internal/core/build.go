@@ -444,7 +444,7 @@ func (s *System) assignKID(c *Cell, id world.NodeID, kid kautz.ID) {
 // accumulated energy whose chain from→a→b→to is bidirectionally connected.
 func (s *System) selectPathSensors(c *Cell, from, to world.NodeID) (a, b world.NodeID, err error) {
 	// The path query flood: TTL 2, restricted to the cell's sensors.
-	s.w.Flood(from, 2, energy.Construction, func(at world.NodeID, hops int, path []world.NodeID) bool {
+	s.w.Flood(from, 2, energy.Construction, func(at, _ world.NodeID) bool {
 		return c.members[at] // only cell sensors relay the query
 	}, nil)
 

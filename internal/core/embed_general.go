@@ -38,7 +38,7 @@ func (s *System) embedCellGeneral(c *Cell) error {
 	// One probe query per corner bootstraps the wavefront (the analogue of
 	// the actuator path queries).
 	for _, corner := range c.Corners {
-		s.w.Flood(corner, 2, energy.Construction, func(at world.NodeID, hops int, path []world.NodeID) bool {
+		s.w.Flood(corner, 2, energy.Construction, func(at, _ world.NodeID) bool {
 			return c.members[at]
 		}, nil)
 	}

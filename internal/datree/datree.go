@@ -75,14 +75,14 @@ func (s *System) Build() error {
 		}
 		rootID := n.ID
 		s.w.Flood(rootID, manet.DefaultTTL, energy.Construction,
-			func(at world.NodeID, hops int, path []world.NodeID) bool {
+			func(at, from world.NodeID) bool {
 				if s.w.Node(at).Kind == world.Actuator {
 					return false // other actuators do not join
 				}
 				if _, joined := s.parent[at]; joined {
 					return false // "each sensor belongs to only one tree"
 				}
-				s.parent[at] = path[len(path)-2]
+				s.parent[at] = from
 				s.root[at] = rootID
 				return true
 			}, func() {
@@ -96,48 +96,23 @@ func (s *System) Build() error {
 	return nil
 }
 
-// refineTrees re-points each tree's parents along strong links: a BFS from
-// every root over its members using links within manet.LinkMargin of range,
-// keeping the flood parent for members the margin graph cannot reach.
+// refineTrees re-points each tree's parents along strong links: a
+// manet.Tree from every root that has members, over its members, keeping
+// the flood parent for members the margin graph cannot reach.
 func (s *System) refineTrees() {
-	roots := make(map[world.NodeID][]world.NodeID) // root → members
-	for member, root := range s.root {
-		roots[root] = append(roots[root], member)
+	rooted := make(map[world.NodeID]bool)
+	for _, root := range s.root {
+		rooted[root] = true
 	}
-	for root, members := range roots {
-		inTree := make(map[world.NodeID]bool, len(members)+1)
-		inTree[root] = true
-		for _, m := range members {
-			inTree[m] = true
+	for _, n := range s.w.Nodes() {
+		root := n.ID
+		if !rooted[root] {
+			continue
 		}
-		// BFS from the root over margin links restricted to tree members.
-		prev := map[world.NodeID]world.NodeID{root: root}
-		queue := []world.NodeID{root}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			// Borrowed cache slice (see world.Neighbors): the body only
-			// reads positions and maps, so cur's slice stays valid.
-			for _, nb := range s.w.AliveNeighbors(nil, cur) {
-				if !inTree[nb] {
-					continue
-				}
-				if _, seen := prev[nb]; seen {
-					continue
-				}
-				if s.w.Distance(cur, nb) > manet.LinkMargin*s.w.LinkRange(cur, nb) {
-					continue
-				}
-				prev[nb] = cur
-				queue = append(queue, nb)
-			}
-		}
-		for member, parent := range prev {
-			if member == root {
-				continue
-			}
-			s.parent[member] = parent
-		}
+		manet.Tree(s.w, root, func(id world.NodeID) bool {
+			r, ok := s.root[id]
+			return ok && r == root
+		}, func(at, pred world.NodeID) { s.parent[at] = pred })
 	}
 }
 

@@ -110,28 +110,32 @@ func (s *System) Build() error {
 		s.attach(id)
 	}
 	// Backbone: actuators flood one beacon each; every head records the
-	// reverse path of the first beacon it hears as its multi-hop path to a
-	// close actuator. (Head-initiated full floods are reserved for repair.)
-	heard := make(map[world.NodeID]bool, len(sensors))
+	// path of the first beacon it hears back to its actuator as its
+	// multi-hop path to a close actuator. (Head-initiated full floods are
+	// reserved for repair.) A sensor relays only its first beacon, so
+	// following each relay's recorded sender from a head retraces exactly
+	// the path that beacon took.
+	heardFrom := make(map[world.NodeID]world.NodeID, len(sensors))
 	for _, n := range s.w.Nodes() {
 		if n.Kind != world.Actuator {
 			continue
 		}
 		s.w.Flood(n.ID, manet.DefaultTTL, energy.Construction,
-			func(at world.NodeID, hops int, path []world.NodeID) bool {
+			func(at, from world.NodeID) bool {
 				if s.w.Node(at).Kind == world.Actuator {
 					return false
 				}
-				if heard[at] {
+				if _, heard := heardFrom[at]; heard {
 					return false // relay only the first beacon heard
 				}
-				heard[at] = true
+				heardFrom[at] = from
 				if s.isHead[at] {
-					rev := make([]world.NodeID, len(path))
-					for i, id := range path {
-						rev[len(path)-1-i] = id
+					path := []world.NodeID{at}
+					for cur := at; s.w.Node(cur).Kind == world.Sensor; {
+						cur = heardFrom[cur]
+						path = append(path, cur)
 					}
-					s.backbone[at] = rev
+					s.backbone[at] = path
 				}
 				return true
 			}, nil)

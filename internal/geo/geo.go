@@ -33,9 +33,6 @@ func (p Point) Sub(q Point) Point { return Point{X: p.X - q.X, Y: p.Y - q.Y} }
 // Scale returns p scaled by s.
 func (p Point) Scale(s float64) Point { return Point{X: p.X * s, Y: p.Y * s} }
 
-// Norm returns the vector length of p.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.1f,%.1f)", p.X, p.Y) }
 
@@ -81,11 +78,6 @@ func (r Rect) Clamp(p Point) Point {
 	}
 }
 
-// Center returns the rectangle's midpoint.
-func (r Rect) Center() Point {
-	return Point{X: (r.Min.X + r.Max.X) / 2, Y: (r.Min.Y + r.Max.Y) / 2}
-}
-
 // RandomPoint draws a uniform point inside the rectangle using rng.
 func (r Rect) RandomPoint(rng *rand.Rand) Point {
 	return Point{
@@ -110,12 +102,3 @@ func (r Rect) RandomPointNear(rng *rand.Rand, center Point, radius float64) Poin
 	}
 	return r.Clamp(center)
 }
-
-// HamiltonianRangeFactor is the 0.8 constant of Proposition 3.2: nodes
-// uniformly deployed in a square of side b can be formed into a Hamiltonian
-// cycle when their transmission range r satisfies r ≥ 0.8·b.
-const HamiltonianRangeFactor = 0.8
-
-// MaxCellSide returns the largest square cell side b a transmission range r
-// supports under Proposition 3.2 (b ≤ r/0.8 = √(2π)/2·r approximately).
-func MaxCellSide(r float64) float64 { return r / HamiltonianRangeFactor }

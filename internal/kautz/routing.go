@@ -77,28 +77,6 @@ func GreedyNext(u, v ID) (ID, error) {
 	return u.Shift(v.At(l))
 }
 
-// ShortestPath returns the unique greedy shortest path from u to v,
-// inclusive of both endpoints. Its length is Distance(u, v).
-func ShortestPath(u, v ID) ([]ID, error) {
-	if len(u) != len(v) {
-		return nil, fmt.Errorf("kautz: ShortestPath: length mismatch %q vs %q", u, v)
-	}
-	path := []ID{u}
-	cur := u
-	for cur != v {
-		next, err := GreedyNext(cur, v)
-		if err != nil {
-			return nil, err
-		}
-		path = append(path, next)
-		cur = next
-		if len(path) > len(u)+2 {
-			return nil, fmt.Errorf("kautz: ShortestPath(%s, %s): no convergence", u, v)
-		}
-	}
-	return path, nil
-}
-
 // Routes computes, purely from the IDs, the d disjoint U→V routes of
 // Theorem 3.8 for a Kautz graph of degree d, sorted by concrete path length
 // (shortest first; ties broken by out-digit). u and v must be distinct nodes
@@ -235,21 +213,6 @@ func windowWalk(script string, k int, v ID) ([]ID, error) {
 		return nil, fmt.Errorf("script %q does not end at %s", script, v)
 	}
 	return path, nil
-}
-
-// NextHops returns U's successors toward V ranked by the concrete length of
-// the Theorem 3.8 route through each (shortest first). It is the lookup a
-// REFER relay performs on every forwarding decision and failover.
-func NextHops(d int, u, v ID) ([]ID, error) {
-	routes, err := Routes(d, u, v)
-	if err != nil {
-		return nil, err
-	}
-	hops := make([]ID, len(routes))
-	for i, r := range routes {
-		hops[i] = r.Successor
-	}
-	return hops, nil
 }
 
 // InternallyDisjoint reports whether the given paths share no nodes other

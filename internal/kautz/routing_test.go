@@ -29,32 +29,6 @@ func TestGreedyNext(t *testing.T) {
 	}
 }
 
-func TestShortestPath(t *testing.T) {
-	path, err := ShortestPath("12345", "34501")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []ID{"12345", "23450", "34501"}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v, want %v", path, want)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path[%d] = %s, want %s", i, path[i], want[i])
-		}
-	}
-	self, err := ShortestPath("012", "012")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(self) != 1 || self[0] != "012" {
-		t.Fatalf("ShortestPath(u,u) = %v, want [u]", self)
-	}
-	if _, err := ShortestPath("012", "0123"); err == nil {
-		t.Fatal("length mismatch should error")
-	}
-}
-
 // TestRoutesFigure2a reproduces the worked example of Section III-C-2:
 // in K(4,4), node 0123 routes to 2301; the four disjoint paths have
 // successors 1230 (shortest, len 2), 1232 (len k=4), 1234 (len k+1=5) and
@@ -180,22 +154,6 @@ func TestRoutesErrors(t *testing.T) {
 	}
 	if _, err := Routes(2, "011", "201"); err == nil {
 		t.Error("Routes with malformed ID should error")
-	}
-}
-
-func TestNextHops(t *testing.T) {
-	hops, err := NextHops(4, "0123", "2301")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []ID{"1230", "1232", "1234", "1231"}
-	if len(hops) != len(want) {
-		t.Fatalf("NextHops = %v, want %v", hops, want)
-	}
-	for i := range want {
-		if hops[i] != want[i] {
-			t.Fatalf("NextHops[%d] = %s, want %s", i, hops[i], want[i])
-		}
 	}
 }
 

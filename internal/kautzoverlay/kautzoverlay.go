@@ -13,7 +13,6 @@ package kautzoverlay
 
 import (
 	"fmt"
-	"sort"
 
 	"refer/internal/energy"
 	"refer/internal/kautz"
@@ -155,10 +154,9 @@ func (s *System) Build() error {
 	}
 
 	// Every overlay node floods to discover a physical path to each of its
-	// d overlay successors — the expensive construction step.
-	sortedKIDs := append([]kautz.ID(nil), kids...)
-	sort.Slice(sortedKIDs, func(i, j int) bool { return sortedKIDs[i] < sortedKIDs[j] })
-	for _, kid := range sortedKIDs {
+	// d overlay successors — the expensive construction step, in the
+	// lexicographic order g.Nodes returns.
+	for _, kid := range kids {
 		from := s.nodeOf[kid]
 		for _, succ := range g.Successors(kid) {
 			to := s.nodeOf[succ]

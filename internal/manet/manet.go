@@ -6,6 +6,8 @@
 package manet
 
 import (
+	"math"
+
 	"refer/internal/energy"
 	"refer/internal/world"
 )
@@ -37,7 +39,7 @@ func DiscoverRoute(w *world.World, src, dst world.NodeID, ttl int, ledger energy
 // back to any path.
 func DiscoverNearest(w *world.World, src world.NodeID, ttl int, ledger energy.Ledger, accept func(world.NodeID) bool, onRoute func(path []world.NodeID)) {
 	reached := false
-	w.Flood(src, ttl, ledger, func(at world.NodeID, hops int, path []world.NodeID) bool {
+	w.Flood(src, ttl, ledger, func(at, _ world.NodeID) bool {
 		if !accept(at) {
 			return !reached // stop expanding once a route is found
 		}
@@ -67,21 +69,17 @@ func selectPath(w *world.World, src world.NodeID, ttl int, accept func(world.Nod
 	return bfsPath(w, src, ttl, accept, 1.0)
 }
 
-// bfsPath runs a hop-bounded BFS from src over alive nodes whose links
-// satisfy the margin, returning the first path to an accepted node. It runs
-// on the world's search table: the visit list is the FIFO, one hop level
-// after another, and via holds each listed node's predecessor + 1. Only the
-// returned path is allocated, at its exact length: callers keep it.
-func bfsPath(w *world.World, src world.NodeID, ttl int, accept func(world.NodeID) bool, margin float64) []world.NodeID {
-	if !w.Node(src).Alive() {
-		return nil
-	}
-	via, visit := w.BorrowSearch()
+// search is the level-order BFS bfsPath and Tree share, on the world's
+// search table: the visit list is the FIFO, one hop level after another, and
+// via holds each listed node's predecessor + 1. From each listed node less
+// than ttl hops from src it enters every alive neighbor not listed before
+// that enter admits (nil admits all) over a link within margin × range, and
+// it stops at the first entered node accept admits (nil admits none),
+// returning that node or NoNode with the grown visit list.
+func search(w *world.World, via, visit []world.NodeID, src world.NodeID, ttl int, margin float64, enter, accept func(world.NodeID) bool) (world.NodeID, []world.NodeID) {
 	via[src] = src + 1
 	visit = append(visit, src)
-	found := world.NoNode
 	hops, levelEnd := 0, 1 // visit[head] is hops hops from src while head < levelEnd
-search:
 	for head := 0; head < len(visit); head++ {
 		if head == levelEnd {
 			hops, levelEnd = hops+1, len(visit)
@@ -93,17 +91,28 @@ search:
 		// Borrowed cache slice: nothing in the loop body mutates the world
 		// or re-queries cur, so the slice stays valid for the iteration.
 		for _, nb := range w.AliveNeighbors(nil, cur) {
-			if via[nb] != 0 || w.Distance(cur, nb) > margin*w.LinkRange(cur, nb) {
+			if via[nb] != 0 || (enter != nil && !enter(nb)) || w.Distance(cur, nb) > margin*w.LinkRange(cur, nb) {
 				continue
 			}
 			via[nb] = cur + 1
 			visit = append(visit, nb)
-			if accept(nb) {
-				found = nb
-				break search
+			if accept != nil && accept(nb) {
+				return nb, visit
 			}
 		}
 	}
+	return world.NoNode, visit
+}
+
+// bfsPath runs a hop-bounded BFS from src over alive nodes whose links
+// satisfy the margin, returning the first path to an accepted node. Only
+// the returned path is allocated, at its exact length: callers keep it.
+func bfsPath(w *world.World, src world.NodeID, ttl int, accept func(world.NodeID) bool, margin float64) []world.NodeID {
+	if !w.Node(src).Alive() {
+		return nil
+	}
+	via, visit := w.BorrowSearch()
+	found, visit := search(w, via, visit, src, ttl, margin, nil, accept)
 	var path []world.NodeID
 	if found != world.NoNode {
 		n := 1
@@ -118,6 +127,19 @@ search:
 	}
 	w.ReturnSearch(visit)
 	return path
+}
+
+// Tree grows a strong-link tree from root: a BFS over alive links within
+// LinkMargin of range that enters only nodes member admits. It calls
+// reached(at, pred) for every node it reaches except root, in BFS order,
+// after the search and before the table goes back; reached must not search.
+func Tree(w *world.World, root world.NodeID, member func(world.NodeID) bool, reached func(at, pred world.NodeID)) {
+	via, visit := w.BorrowSearch()
+	_, visit = search(w, via, visit, root, math.MaxInt, LinkMargin, member, nil)
+	for _, at := range visit[1:] {
+		reached(at, via[at]-1)
+	}
+	w.ReturnSearch(visit)
 }
 
 // DiscoverRouteRing performs an expanding-ring search: DiscoverRoute with

@@ -419,6 +419,129 @@ func FuzzBFSPath(f *testing.F) {
 	})
 }
 
+// treeMap is the strong-link BFS DaTree's refineTrees ran per root before
+// Tree, kept unchanged as an independent oracle: a membership map, a
+// predecessor map and a queue per call. prev maps root to itself.
+func treeMap(w *world.World, root world.NodeID, members []world.NodeID) map[world.NodeID]world.NodeID {
+	inTree := make(map[world.NodeID]bool, len(members)+1)
+	inTree[root] = true
+	for _, m := range members {
+		inTree[m] = true
+	}
+	// BFS from the root over margin links restricted to tree members.
+	prev := map[world.NodeID]world.NodeID{root: root}
+	queue := []world.NodeID{root}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		// Borrowed cache slice (see world.Neighbors): the body only
+		// reads positions and maps, so cur's slice stays valid.
+		for _, nb := range w.AliveNeighbors(nil, cur) {
+			if !inTree[nb] {
+				continue
+			}
+			if _, seen := prev[nb]; seen {
+				continue
+			}
+			if w.Distance(cur, nb) > LinkMargin*w.LinkRange(cur, nb) {
+				continue
+			}
+			prev[nb] = cur
+			queue = append(queue, nb)
+		}
+	}
+	return prev
+}
+
+// checkTreeMatchesOracle grows a Tree from root over members and requires
+// the oracle's predecessor for every reached node, each reported once, and
+// a search table that reads all zero afterwards.
+func checkTreeMatchesOracle(t *testing.T, w *world.World, root world.NodeID, members []world.NodeID) {
+	t.Helper()
+	member := make(map[world.NodeID]bool, len(members))
+	for _, m := range members {
+		member[m] = true
+	}
+	got := map[world.NodeID]world.NodeID{root: root}
+	Tree(w, root, func(id world.NodeID) bool { return member[id] }, func(at, pred world.NodeID) {
+		if _, twice := got[at]; twice {
+			t.Errorf("t=%v root=%d: Tree reported %d twice", w.Now(), root, at)
+		}
+		got[at] = pred
+	})
+	if want := treeMap(w, root, members); !reflect.DeepEqual(got, want) {
+		t.Fatalf("t=%v root=%d members=%v:\nTree   %v\noracle %v", w.Now(), root, members, got, want)
+	}
+	via, visit := w.BorrowSearch()
+	for id, v := range via {
+		if v != 0 {
+			t.Fatalf("t=%v root=%d: search table entry %d reads %d after the tree", w.Now(), root, id, v)
+		}
+	}
+	w.ReturnSearch(visit)
+}
+
+// randomMembers draws each node into the set with probability 1/2, and
+// sometimes every node.
+func randomMembers(rng *rand.Rand, n int) []world.NodeID {
+	var members []world.NodeID
+	all := rng.Intn(4) == 0
+	for id := range world.NodeID(n) {
+		if all || rng.Intn(2) == 0 {
+			members = append(members, id)
+		}
+	}
+	return members
+}
+
+// TestTreeMatchesMapOracle pins Tree to the map-based BFS DaTree used
+// before it, on random static and mobile worlds with failed nodes, from
+// several roots over random member sets and at several virtual times.
+func TestTreeMatchesMapOracle(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, mobile := range []bool{false, true} {
+			w := randomSearchWorld(seed, 120, mobile)
+			rng := rand.New(rand.NewSource(seed))
+			for step := range 3 {
+				w.Sched.RunUntil(time.Duration(step) * 7 * time.Second)
+				for _, root := range []world.NodeID{0, 17, 63, 119} {
+					checkTreeMatchesOracle(t, w, root, randomMembers(rng, w.Len()))
+				}
+			}
+		}
+	}
+}
+
+// FuzzTree runs the Tree oracle comparison over fuzzed world sizes, roots
+// and member sets.
+func FuzzTree(f *testing.F) {
+	f.Add(int64(1), uint8(60), uint8(0))
+	f.Add(int64(2), uint8(2), uint8(1))
+	f.Add(int64(3), uint8(200), uint8(77))
+	f.Fuzz(func(t *testing.T, seed int64, n, root uint8) {
+		w := randomSearchWorld(seed, 1+int(n), seed%2 == 0)
+		w.Sched.RunUntil(time.Duration(seed&0xff) * time.Second)
+		rng := rand.New(rand.NewSource(seed))
+		checkTreeMatchesOracle(t, w, world.NodeID(int(root)%w.Len()), randomMembers(rng, w.Len()))
+	})
+}
+
+// TestSearchEntersBeforeAccepting pins the order of search's two
+// predicates: a node enter refuses is never accepted, even when accept
+// admits it, and the search goes on to the next admitted node beyond.
+func TestSearchEntersBeforeAccepting(t *testing.T) {
+	w := chainWorld(t, 4)
+	w.AddNode(world.Sensor, mobility.Static{P: geo.Point{X: 80, Y: 50}}, 100, 0) // 4: beside 1
+	via, visit := w.BorrowSearch()
+	found, visit := search(w, via, visit, 0, DefaultTTL, 1,
+		func(id world.NodeID) bool { return id != 1 },
+		func(id world.NodeID) bool { return id == 1 || id == 2 })
+	if found != 2 || via[2]-1 != 4 || via[1] != 0 {
+		t.Errorf("search found %d (2 via %d, 1 via %d), want 2 reached through 4 and 1 never entered", found, via[2]-1, via[1]-1)
+	}
+	w.ReturnSearch(visit)
+}
+
 // TestBFSPathTableGrowsWithWorld searches once, then adds nodes: the next
 // search must see them through a grown table.
 func TestBFSPathTableGrowsWithWorld(t *testing.T) {

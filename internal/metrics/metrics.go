@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -153,18 +152,4 @@ func Summarize(samples []float64) Summary {
 // String implements fmt.Stringer as "mean ± ci".
 func (s Summary) String() string {
 	return fmt.Sprintf("%.3f ± %.3f", s.Mean, s.CI95)
-}
-
-// Median returns the sample median (robustness check alongside the mean).
-func (s Summary) Median() float64 {
-	if len(s.Samples) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.Samples...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		return sorted[mid]
-	}
-	return (sorted[mid-1] + sorted[mid]) / 2
 }

@@ -87,25 +87,15 @@ func TestSummarize(t *testing.T) {
 	if math.Abs(s.CI95-want) > 1e-9 {
 		t.Errorf("CI95 = %f, want %f", s.CI95, want)
 	}
-	if s.Median() != 10 {
-		t.Errorf("Median = %f", s.Median())
-	}
 }
 
 func TestSummarizeDegenerate(t *testing.T) {
-	if s := Summarize(nil); s.Mean != 0 || s.CI95 != 0 || s.Median() != 0 {
+	if s := Summarize(nil); s.Mean != 0 || s.CI95 != 0 {
 		t.Error("empty summary should be zero")
 	}
 	s := Summarize([]float64{42})
 	if s.Mean != 42 || s.CI95 != 0 {
 		t.Errorf("single sample: %+v", s)
-	}
-	if s.Median() != 42 {
-		t.Errorf("Median = %f", s.Median())
-	}
-	even := Summarize([]float64{1, 2, 3, 4})
-	if even.Median() != 2.5 {
-		t.Errorf("even median = %f, want 2.5", even.Median())
 	}
 }
 

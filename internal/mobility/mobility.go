@@ -25,6 +25,12 @@ type Model interface {
 	// Leg returns the straight segment of the itinerary that contains t;
 	// Leg(t).At(t) == At(t).
 	Leg(t time.Duration) Leg
+	// MaxSpeed returns an upper bound on the node's speed in m/s. The
+	// simulator uses it to quantize spatial-index rebuilds: a world whose
+	// models all report 0 never rebuilds its index, and a finite bound
+	// turns "rebuild on every clock advance" into "rebuild once per
+	// staleness epoch" (see the world package).
+	MaxSpeed() float64
 }
 
 // Leg is one straight segment of an itinerary: the node moves from From at
@@ -49,17 +55,6 @@ func (l Leg) At(t time.Duration) geo.Point {
 	return l.From.Lerp(l.To, float64(t-l.Start)/float64(l.Duration))
 }
 
-// SpeedBounded is implemented by models that can bound how fast they move.
-// The simulator uses the bound to quantize spatial-index rebuilds: a world
-// whose models all report 0 never rebuilds its index, and a finite bound
-// turns "rebuild on every clock advance" into "rebuild once per staleness
-// epoch" (see the world package). Models that do not implement it are
-// treated as unboundedly fast — always correct, never faster.
-type SpeedBounded interface {
-	// MaxSpeed returns an upper bound on the model's speed in m/s.
-	MaxSpeed() float64
-}
-
 // Static is an immobile node (actuators, or sensors with MaxSpeed 0).
 type Static struct {
 	P geo.Point
@@ -71,7 +66,7 @@ func (s Static) At(time.Duration) geo.Point { return s.P }
 // Leg implements Model: one pause from time 0 that never ends.
 func (s Static) Leg(time.Duration) Leg { return Leg{Duration: math.MaxInt64, From: s.P, To: s.P} }
 
-// MaxSpeed implements SpeedBounded: a static node never moves.
+// MaxSpeed implements Model: a static node never moves.
 func (s Static) MaxSpeed() float64 { return 0 }
 
 // step is a leg as the look-ahead buffer stores it: it starts where and
@@ -236,7 +231,7 @@ const minLegSpeed = 1e-3
 // dwellTime is how long a node pauses when it draws a (near-)zero speed.
 const dwellTime = 5 * time.Second
 
-// MaxSpeed implements SpeedBounded: leg speeds are drawn uniformly from
+// MaxSpeed implements Model: leg speeds are drawn uniformly from
 // [0, maxSpeed], so maxSpeed bounds the mover's displacement rate.
 func (w *Waypoint) MaxSpeed() float64 {
 	if w.maxSpeed < 0 {

@@ -123,7 +123,6 @@ type run struct {
 	finished    time.Time
 	lastPush    time.Time
 	subs        map[chan []byte]struct{}
-	done        chan struct{}
 }
 
 // terminalLocked reports whether the run reached a final state.
@@ -354,7 +353,6 @@ func (s *Server) submit(w http.ResponseWriter, r *run) {
 		r.result, r.table = ent.result, ent.table
 		r.submitted = time.Now()
 		r.finished = r.submitted
-		r.done = closedChan
 		r.mu.Unlock()
 		s.mu.Unlock()
 		s.logf("%s %s cache hit (%s)", r.id, r.kind, shortKey(r.key))
@@ -379,7 +377,6 @@ func (s *Server) submit(w http.ResponseWriter, r *run) {
 		r.id = s.registerLocked(r)
 		r.state = StateQueued
 		r.submitted = time.Now()
-		r.done = make(chan struct{})
 		s.inflight[r.key] = r
 		r.mu.Unlock()
 		s.mu.Unlock()
@@ -394,13 +391,6 @@ func (s *Server) submit(w http.ResponseWriter, r *run) {
 			"run queue full (%d pending); retry after ~%ds", s.cfg.QueueDepth, retry)
 	}
 }
-
-// closedChan is a pre-closed done channel for cache-hit records.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
 
 // registerLocked assigns the next run ID, tracks the record, and prunes the
 // oldest terminal records beyond the retention bound. Caller holds s.mu.
@@ -563,7 +553,6 @@ func (s *Server) finish(r *run, state string, res *experiment.Result, tab *exper
 	line, lineErr := json.Marshal(r.statusLocked())
 	subs := r.subs
 	r.subs = nil
-	done := r.done
 	r.mu.Unlock()
 	s.mu.Unlock()
 
@@ -577,13 +566,6 @@ func (s *Server) finish(r *run, state string, res *experiment.Result, tab *exper
 			}
 		}
 		close(ch)
-	}
-	if done != nil {
-		select {
-		case <-done:
-		default:
-			close(done)
-		}
 	}
 	s.logf("%s %s %s (%s)", r.id, r.kind, state, shortKey(r.key))
 }

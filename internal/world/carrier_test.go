@@ -407,7 +407,7 @@ func TestTransmissionsFillOnce(t *testing.T) {
 	}
 	w.Sched.RunUntil(w.Now() + time.Second)
 	before, visits := w.Stats(), 0
-	w.Flood(0, 64, energy.Construction, func(NodeID, int, []NodeID) bool { visits++; return true }, nil)
+	w.Flood(0, 64, energy.Construction, func(NodeID, NodeID) bool { visits++; return true }, nil)
 	w.Sched.Run()
 	if visits < 40 {
 		t.Fatalf("flood reached %d nodes; the check needs a real flood", visits)

@@ -103,14 +103,14 @@ func TestMobileSendScanAllocFree(t *testing.T) {
 }
 
 // TestFloodSteadyStateAllocFree pins the flood path: the second identical
-// TTL-3 flood with a visitor reuses the first one's flood state, hop records,
-// parent map and path scratch, and allocates nothing.
+// TTL-3 flood with a visitor reuses the first one's flood state, hop records
+// and dedup set, and allocates nothing.
 func TestFloodSteadyStateAllocFree(t *testing.T) {
 	w := gridWorld(t)
 	visits, quiesced := 0, 0
-	visit := func(at NodeID, hops int, path []NodeID) bool {
-		if len(path) != hops+1 || path[0] != 0 || path[hops] != at {
-			t.Errorf("visit(%d, %d) got path %v", at, hops, path)
+	visit := func(at, from NodeID) bool {
+		if from == at || !w.InRange(from, at) {
+			t.Errorf("visit(%d) reports sender %d", at, from)
 		}
 		visits++
 		return true
@@ -138,7 +138,7 @@ func TestFloodSteadyStateAllocFree(t *testing.T) {
 
 // TestFloodDropsOutgrownMap pins the bound on what a pooled flood keeps: a
 // flood that reached more than floodKeep nodes returns to the pool without
-// its parent map, and the next flood from that record makes a fresh one.
+// its dedup set, and the next flood from that record makes a fresh one.
 func TestFloodDropsOutgrownMap(t *testing.T) {
 	var positions []geo.Point
 	for i := 0; i < 1000; i++ {
@@ -146,7 +146,7 @@ func TestFloodDropsOutgrownMap(t *testing.T) {
 	}
 	w := testWorld(t, positions, 30)
 	visits := 0
-	w.Flood(0, 1000, energy.Construction, func(NodeID, int, []NodeID) bool { visits++; return true }, nil)
+	w.Flood(0, 1000, energy.Construction, func(NodeID, NodeID) bool { visits++; return true }, nil)
 	w.Sched.Run()
 	if visits != 999 {
 		t.Fatalf("flood reached %d of 999 nodes", visits)
@@ -154,13 +154,13 @@ func TestFloodDropsOutgrownMap(t *testing.T) {
 	if len(w.floodFree) != 1 {
 		t.Fatalf("%d pooled floods, want 1", len(w.floodFree))
 	}
-	if m := w.floodFree[0].parent; m != nil {
-		t.Fatalf("pooled flood kept its %d-entry map", len(m))
+	if m := w.floodFree[0].seen; m != nil {
+		t.Fatalf("pooled flood kept its %d-entry set", len(m))
 	}
 	w.Flood(0, 2, energy.Construction, nil, nil)
 	w.Sched.Run()
-	if fl := w.floodFree[0]; fl.parent == nil || len(fl.parent) != 0 {
-		t.Fatalf("small flood after a large one: pooled map %v, want empty and kept", fl.parent)
+	if fl := w.floodFree[0]; fl.seen == nil || len(fl.seen) != 0 {
+		t.Fatalf("small flood after a large one: pooled set %v, want empty and kept", fl.seen)
 	}
 }
 
@@ -199,7 +199,7 @@ func TestFloodRebroadcastIsOneQueueEntry(t *testing.T) {
 	w := gridWorld(t)
 	pending, fired := w.Sched.Pending(), w.Sched.Fired()
 	var reached []NodeID
-	w.Flood(12, 1, energy.Construction, func(at NodeID, _ int, _ []NodeID) bool {
+	w.Flood(12, 1, energy.Construction, func(at, _ NodeID) bool {
 		reached = append(reached, at)
 		return true
 	}, nil)
@@ -215,67 +215,102 @@ func TestFloodRebroadcastIsOneQueueEntry(t *testing.T) {
 	}
 }
 
+// senderChain returns a visitor for a flood from origin that requires every
+// sender to be the origin or a node the flood reached earlier, so each
+// node's senders walk back to the origin one hop at a time. hops records
+// every reached node's hop count; the visitor passes each visit on to next,
+// which may be nil.
+func senderChain(t *testing.T, origin NodeID, hops map[NodeID]int, next FloodVisit) FloodVisit {
+	hops[origin] = 0
+	return func(at, from NodeID) bool {
+		h, ok := hops[from]
+		if _, twice := hops[at]; twice || !ok {
+			t.Errorf("flood from %d visited %d via sender %d (sender reached: %v, visited before: %v)", origin, at, from, ok, twice)
+		}
+		hops[at] = h + 1
+		if next == nil {
+			return true
+		}
+		return next(at, from)
+	}
+}
+
 // TestFloodNestedInVisit checks pool hygiene under re-entry: a visitor that
 // starts a flood of its own, and an onDone that starts another, must each get
 // a flood record distinct from the one still running, and every flood must
-// see only its own reverse paths.
+// see only its own senders.
 func TestFloodNestedInVisit(t *testing.T) {
 	w := gridWorld(t)
-	inner, innerDone, chained := 0, 0, 0
-	innerVisit := func(at NodeID, hops int, path []NodeID) bool {
-		if path[0] != 24 || path[hops] != at {
-			t.Errorf("inner flood from 24 visited %d with path %v", at, path)
-		}
-		inner++
-		return true
-	}
-	outer := 0
-	w.Flood(0, 2, energy.Construction, func(at NodeID, hops int, path []NodeID) bool {
-		if outer == 0 {
-			w.Flood(24, 2, energy.Construction, innerVisit, func() { innerDone++ })
-		}
-		outer++
-		if path[0] != 0 || path[hops] != at {
-			t.Errorf("outer flood from 0 visited %d with path %v after nesting", at, path)
+	innerDone, chained := 0, 0
+	outer, inner := map[NodeID]int{}, map[NodeID]int{}
+	w.Flood(0, 2, energy.Construction, senderChain(t, 0, outer, func(NodeID, NodeID) bool {
+		if len(outer) == 2 {
+			w.Flood(24, 2, energy.Construction, senderChain(t, 24, inner, nil), func() { innerDone++ })
 		}
 		return true
-	}, func() {
-		w.Flood(12, 1, energy.Construction, func(NodeID, int, []NodeID) bool { chained++; return true }, nil)
+	}), func() {
+		w.Flood(12, 1, energy.Construction, senderChain(t, 12, map[NodeID]int{}, func(NodeID, NodeID) bool {
+			chained++
+			return true
+		}), nil)
 	})
 	w.Sched.Run()
-	if outer == 0 || inner == 0 || innerDone != 1 || chained == 0 {
-		t.Fatalf("outer %d, inner %d, inner quiesced %d, chained %d", outer, inner, innerDone, chained)
+	if len(outer) < 2 || len(inner) < 2 || innerDone != 1 || chained == 0 {
+		t.Fatalf("outer %d, inner %d, inner quiesced %d, chained %d", len(outer)-1, len(inner)-1, innerDone, chained)
 	}
 	if len(w.floodFree) != 2 {
 		t.Fatalf("flood free list holds %d records, want 2 (outer and inner overlapped; the chained one reused a slot)", len(w.floodFree))
 	}
 	for _, fl := range w.floodFree {
-		if len(fl.parent) != 0 || fl.outstanding != 0 || fl.visit != nil || fl.onDone != nil {
+		if len(fl.seen) != 0 || fl.outstanding != 0 || fl.visit != nil || fl.onDone != nil {
 			t.Fatalf("recycled flood still holds state: %+v", fl)
 		}
 	}
 }
 
-// TestFloodPathIsPoisonedUnderBorrowChecks pins the guard on FloodVisit's
-// borrowed path: with borrow checks on, the scratch is overwritten with
-// NoNode as soon as the visitor returns, so a retained path cannot pass for
-// valid IDs.
-func TestFloodPathIsPoisonedUnderBorrowChecks(t *testing.T) {
-	w := gridWorld(t)
-	w.EnableBorrowChecks()
-	var retained [][]NodeID
-	w.Flood(0, 2, energy.Construction, func(_ NodeID, _ int, path []NodeID) bool {
-		retained = append(retained, path) // the bug: no copy
-		return true
-	}, nil)
-	w.Sched.Run()
-	if len(retained) == 0 {
-		t.Fatal("flood visited nobody")
-	}
-	for _, path := range retained {
-		for _, id := range path {
-			if id != NoNode {
-				t.Fatalf("retained path %v still reads as node IDs", path)
+// TestFloodSendersChainToOrigin floods random mobile worlds with failed
+// nodes, each visit of the outer flood starting a short flood of its own,
+// and checks every visit's sender through senderChain: each reached node's
+// senders walk back to its flood's origin through nodes reached one hop
+// earlier, and no flood reaches a node past its TTL.
+func TestFloodSendersChainToOrigin(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		region := geo.Square(400)
+		w := New(Config{Region: region, Seed: seed})
+		rng := rand.New(rand.NewSource(seed))
+		draws := mobility.NewDraws()
+		for range 80 {
+			w.AddNode(Sensor, mobility.NewWaypoint(region, region.RandomPoint(rng), 5, rng.Int63(), draws), 100, 0)
+		}
+		for id := NodeID(1); id < 80; id++ {
+			if rng.Intn(10) == 0 {
+				w.SetFailed(id, true)
+			}
+		}
+		w.Sched.RunUntil(time.Duration(seed) * 3 * time.Second)
+		var floods []map[NodeID]int
+		flood := func(origin NodeID, ttl int, next FloodVisit) {
+			hops := map[NodeID]int{}
+			floods = append(floods, hops)
+			w.Flood(origin, ttl, energy.Construction, senderChain(t, origin, hops, next), nil)
+		}
+		flood(0, 6, func(at, _ NodeID) bool {
+			flood(at, 2, nil)
+			return true
+		})
+		w.Sched.Run()
+		if len(floods) < 10 {
+			t.Fatalf("seed %d: outer flood reached %d nodes; the check needs a real flood", seed, len(floods)-1)
+		}
+		for i, hops := range floods {
+			ttl := 2
+			if i == 0 {
+				ttl = 6
+			}
+			for at, h := range hops {
+				if h > ttl {
+					t.Fatalf("seed %d: flood %d reached %d at hop %d past its TTL %d", seed, i, at, h, ttl)
+				}
 			}
 		}
 	}

@@ -191,7 +191,7 @@ type World struct {
 	grid     *geo.Grid
 	gridAt   time.Duration // virtual time the grid positions were sampled
 	gridOK   bool
-	maxSpeed float64 // max over node mobility bounds; +Inf for unknown models
+	maxSpeed float64 // max over node mobility bounds
 
 	// actuators is the maintained actuator index NearestActuator scans
 	// instead of the full node list.
@@ -234,12 +234,10 @@ type World struct {
 	harvest *energy.HarvestingModel
 
 	// Free lists of the radio's continuation records (Send completions,
-	// floods and their rebroadcasts) and the scratch a flood's reverse path
-	// is materialised into for the duration of one visit.
+	// floods and their rebroadcasts).
 	sendFree  []*sendOp
 	floodFree []*flood
 	hopFree   []*floodHop
-	floodPath []NodeID
 
 	// The path-search table and its visit list, lent to one synchronous
 	// search at a time (BorrowSearch). via is all zero between searches and
@@ -463,15 +461,8 @@ func (w *World) AddNode(kind Kind, mob mobility.Model, radioRange, battery float
 	if battery > 0 {
 		w.constrained++
 	}
-	// Fold the node's speed bound into the world bound. A model that cannot
-	// bound itself forces the conservative regime: rebuild on every clock
-	// advance, exactly the pre-epoch behavior.
-	if sb, ok := mob.(mobility.SpeedBounded); ok {
-		if s := sb.MaxSpeed(); s > w.maxSpeed {
-			w.maxSpeed = s
-		}
-	} else {
-		w.maxSpeed = math.Inf(1)
+	if s := mob.MaxSpeed(); s > w.maxSpeed {
+		w.maxSpeed = s
 	}
 	w.topoGen++
 	w.gridOK = false
@@ -494,9 +485,9 @@ func (w *World) Node(id NodeID) *Node { return w.nodes[id] }
 // Len returns the number of nodes.
 func (w *World) Len() int { return len(w.nodes) }
 
-// MaxSpeed returns the maximum mobility speed bound over all nodes (+Inf
-// when any node's model has no known bound). Zero means every node is
-// static, which lets position-derived caches skip refreshing entirely.
+// MaxSpeed returns the maximum mobility speed bound over all nodes. Zero
+// means every node is static, which lets position-derived caches skip
+// refreshing entirely.
 func (w *World) MaxSpeed() float64 { return w.maxSpeed }
 
 // Nodes returns the node list (shared slice; callers must not mutate).
@@ -636,15 +627,8 @@ func (w *World) chargeRx(n *Node, l energy.Ledger) {
 // epoch instead of once per event, reusing the grid's bucket storage.
 func (w *World) refreshGrid() {
 	now := w.Sched.Now()
-	if w.gridOK {
-		if now == w.gridAt {
-			return
-		}
-		// Ordered after the equality check: with an unbounded (+Inf) speed
-		// and zero elapsed time the product would be NaN, not zero.
-		if w.maxSpeed*(now-w.gridAt).Seconds() <= gridStaleTol {
-			return
-		}
+	if w.gridOK && w.querySlack(now) <= gridStaleTol {
+		return
 	}
 	if w.grid == nil {
 		// Cell size on the order of the sensor radio range, shrunk for small
@@ -670,9 +654,6 @@ func (w *World) refreshGrid() {
 // position. Queries widen their radius by this much and re-check candidates
 // exactly, so results never depend on the staleness.
 func (w *World) querySlack(now time.Duration) float64 {
-	if now == w.gridAt {
-		return 0
-	}
 	return w.maxSpeed * (now - w.gridAt).Seconds()
 }
 
@@ -983,35 +964,32 @@ func (w *World) Broadcast(from NodeID, ledger energy.Ledger) int {
 	return len(targets)
 }
 
-// FloodVisit is called once per node reached by a flood, with the hop count
-// and the reverse path (origin first, visited node last). Returning false
-// stops the flood from rebroadcasting at that node. The path is borrowed: it
-// lives in world-owned scratch that the next visit overwrites, so a visitor
-// that keeps any of it must copy before returning (EnableBorrowChecks
-// poisons it with NoNode on return, so a retained path cannot go unnoticed).
-type FloodVisit func(at NodeID, hops int, path []NodeID) bool
+// FloodVisit is called once per node reached by a flood, with the node
+// whose rebroadcast reached it first (the origin for the first hop).
+// Returning false stops the flood from rebroadcasting at that node.
+type FloodVisit func(at, from NodeID) bool
 
 // flood is the shared state of one in-progress Flood and floodHop one
 // rebroadcast of its packet: the neighbors it reached first, received one
 // per firing of a single AtN queue entry. Both are pooled on the world with
 // their event callbacks bound once at minting, so a flood allocates nothing
-// in steady state. parent records who first reached each node — the dedup
-// set and, walked backwards, every reverse path. A pooled flood holds no map
-// once its map outgrew floodKeep, and a pooled hop no receiver list once
-// that outgrew floodKeep.
+// in steady state. seen is the dedup set of every node the flood reached. A
+// pooled flood holds no set once its set outgrew floodKeep, and a pooled hop
+// no receiver list once that outgrew floodKeep.
 type flood struct {
 	w           *World
 	ttl         int
 	ledger      energy.Ledger
 	visit       FloodVisit
 	onDone      func()
-	parent      map[NodeID]NodeID
+	seen        map[NodeID]struct{}
 	outstanding int
 	quiesce     func() // fl.finish
 }
 
 type floodHop struct {
 	fl   *flood
+	from NodeID   // the rebroadcasting node
 	hops int      // the hop count at every receiver
 	to   []NodeID // receivers, in reception order
 	next int      // index in to of the next reception
@@ -1035,11 +1013,11 @@ func (w *World) Flood(origin NodeID, ttl int, ledger energy.Ledger, visit FloodV
 		fl = &flood{w: w}
 		fl.quiesce = fl.finish
 	}
-	if fl.parent == nil {
-		fl.parent = make(map[NodeID]NodeID, 64)
+	if fl.seen == nil {
+		fl.seen = make(map[NodeID]struct{}, 64)
 	}
 	fl.ttl, fl.ledger, fl.visit, fl.onDone = ttl, ledger, visit, onDone
-	fl.parent[origin] = NoNode
+	fl.seen[origin] = struct{}{}
 	fl.rebroadcast(origin, 0)
 	if fl.outstanding == 0 {
 		// Nobody in range: quiesce immediately (next tick).
@@ -1071,10 +1049,10 @@ func (fl *flood) rebroadcast(at NodeID, hops int) {
 	}
 	for _, nb := range targets {
 		w.chargeRx(w.nodes[nb], fl.ledger) // every copy is heard
-		if _, seen := fl.parent[nb]; seen {
+		if _, seen := fl.seen[nb]; seen {
 			continue
 		}
-		fl.parent[nb] = at
+		fl.seen[nb] = struct{}{}
 		h.to = append(h.to, nb)
 	}
 	if len(h.to) == 0 {
@@ -1082,7 +1060,7 @@ func (fl *flood) rebroadcast(at NodeID, hops int) {
 		return
 	}
 	fl.outstanding += len(h.to)
-	h.fl, h.hops = fl, hops+1
+	h.fl, h.from, h.hops = fl, at, hops+1
 	if err := w.Sched.AtN(end, len(h.to), h.fire); err != nil {
 		panic(fmt.Sprintf("world: %v", err))
 	}
@@ -1092,8 +1070,7 @@ func (fl *flood) rebroadcast(at NodeID, hops int) {
 // this was its last copy on the air. The hop record is recycled on its last
 // reception before the visit — the visitor may start floods of its own.
 func (h *floodHop) run() {
-	fl, at, hops := h.fl, h.to[h.next], h.hops
-	w := fl.w
+	fl, at, from, hops := h.fl, h.to[h.next], h.from, h.hops
 	h.next++
 	if h.next == len(h.to) {
 		h.recycle()
@@ -1101,23 +1078,9 @@ func (h *floodHop) run() {
 	fl.outstanding--
 	cont := true
 	if fl.visit != nil {
-		if cap(w.floodPath) <= hops {
-			w.floodPath = make([]NodeID, 2*(hops+1))
-		}
-		path := w.floodPath[:hops+1]
-		for i, id := hops, at; i >= 0; i, id = i-1, fl.parent[id] {
-			path[i] = id
-		}
-		cont = fl.visit(at, hops, path)
-		if w.borrowShadows != nil {
-			// Poison the scratch so a visitor that retained the borrowed
-			// path reads NoNode instead of plausible stale IDs.
-			for i := range path {
-				path[i] = NoNode
-			}
-		}
+		cont = fl.visit(at, from)
 	}
-	if cont && hops < fl.ttl && w.nodes[at].Alive() {
+	if cont && hops < fl.ttl && fl.w.nodes[at].Alive() {
 		fl.rebroadcast(at, hops)
 	}
 	if fl.outstanding == 0 {
@@ -1137,20 +1100,20 @@ func (h *floodHop) recycle() {
 	w.hopFree = append(w.hopFree, h)
 }
 
-// floodKeep bounds the parent map a pooled flood keeps (4× the initial
+// floodKeep bounds the dedup set a pooled flood keeps (4× the initial
 // size) and the receiver list a pooled hop record keeps. A construction
-// flood across thousands of nodes grows its map far past what later floods
-// need, and a kept map would hold that size for the rest of the run.
+// flood across thousands of nodes grows its set far past what later floods
+// need, and a kept set would hold that size for the rest of the run.
 const floodKeep = 256
 
 // finish recycles the flood before running onDone, which may flood again.
 func (fl *flood) finish() {
 	onDone := fl.onDone
 	fl.visit, fl.onDone = nil, nil
-	if len(fl.parent) > floodKeep {
-		fl.parent = nil
+	if len(fl.seen) > floodKeep {
+		fl.seen = nil
 	} else {
-		clear(fl.parent)
+		clear(fl.seen)
 	}
 	fl.w.floodFree = append(fl.w.floodFree, fl)
 	if onDone != nil {

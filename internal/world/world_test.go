@@ -255,30 +255,20 @@ func TestFloodReachesConnectedComponent(t *testing.T) {
 		positions[i] = geo.Point{X: float64(i) * 80, Y: 0}
 	}
 	w := testWorld(t, positions, 100)
-	visited := make(map[NodeID]int)
-	var pathTo5 []NodeID
+	hops := make(map[NodeID]int)
 	done := false
-	w.Flood(0, 10, energy.Communication, func(at NodeID, hops int, path []NodeID) bool {
-		visited[at] = hops
-		if at == 5 {
-			pathTo5 = append([]NodeID(nil), path...)
-		}
-		return true
-	}, func() { done = true })
+	w.Flood(0, 10, energy.Communication, senderChain(t, 0, hops, nil), func() { done = true })
 	w.Sched.Run()
 	if !done {
 		t.Fatal("flood did not quiesce")
 	}
-	if len(visited) != 5 {
-		t.Fatalf("visited %v, want all 5 other nodes", visited)
+	if len(hops) != 6 {
+		t.Fatalf("reached %v, want the origin and all 5 other nodes", hops)
 	}
-	for id, hops := range visited {
-		if hops != int(id) {
-			t.Errorf("node %d reached in %d hops, want %d (chain)", id, hops, id)
+	for id, h := range hops {
+		if h != int(id) {
+			t.Errorf("node %d reached in %d hops, want %d (chain)", id, h, id)
 		}
-	}
-	if len(pathTo5) != 6 || pathTo5[0] != 0 || pathTo5[5] != 5 {
-		t.Fatalf("path to node 5 = %v", pathTo5)
 	}
 }
 
@@ -289,7 +279,7 @@ func TestFloodTTLBound(t *testing.T) {
 	}
 	w := testWorld(t, positions, 100)
 	visited := make(map[NodeID]bool)
-	w.Flood(0, 2, energy.Communication, func(at NodeID, hops int, _ []NodeID) bool {
+	w.Flood(0, 2, energy.Communication, func(at, _ NodeID) bool {
 		visited[at] = true
 		return true
 	}, nil)
@@ -311,7 +301,7 @@ func TestFloodVisitCanStop(t *testing.T) {
 	// Wider range world for this test.
 	w = testWorld(t, positions, 100)
 	visited := make(map[NodeID]bool)
-	w.Flood(0, 10, energy.Communication, func(at NodeID, hops int, _ []NodeID) bool {
+	w.Flood(0, 10, energy.Communication, func(at, _ NodeID) bool {
 		visited[at] = true
 		return at != 2 // stop the wave at node 2
 	}, nil)
@@ -330,7 +320,7 @@ func TestFloodSkipsFailedNodes(t *testing.T) {
 	w.SetFailed(2, true) // break the chain
 	visited := make(map[NodeID]bool)
 	done := false
-	w.Flood(0, 10, energy.Communication, func(at NodeID, _ int, _ []NodeID) bool {
+	w.Flood(0, 10, energy.Communication, func(at, _ NodeID) bool {
 		visited[at] = true
 		return true
 	}, func() { done = true })
@@ -433,6 +423,19 @@ func (l linear) Leg(t time.Duration) mobility.Leg {
 	}
 	return mobility.Leg{Start: l.dur, Duration: math.MaxInt64 - l.dur, From: l.to, To: l.to}
 }
+
+func (l linear) MaxSpeed() float64 {
+	if l.dur == 0 {
+		return 0
+	}
+	return l.from.Dist(l.to) / l.dur.Seconds()
+}
+
+// fast is linear with a loose speed bound, a valid one: a bound of a
+// kilometer per nanosecond makes every clock advance outdate the grid.
+type fast struct{ linear }
+
+func (fast) MaxSpeed() float64 { return 1e12 }
 
 func TestDeterministicReplay(t *testing.T) {
 	run := func() (float64, time.Duration) {
@@ -563,17 +566,15 @@ func TestNeighborCacheMatchesUncached(t *testing.T) {
 // TestNeighborQueriesAllocFree pins the zero-allocation contract of the
 // steady-state neighbor path: once caches and the reusable grid have
 // reached capacity, advancing the clock and re-querying allocates nothing —
-// even under the worst-case regime of an unbounded mobility model that
-// forces a full index rebuild every event.
+// even under the worst-case regime of a speed bound so loose that every
+// event rebuilds the whole index.
 func TestNeighborQueriesAllocFree(t *testing.T) {
 	w := New(Config{Region: geo.Square(500), Seed: 9})
 	const n = 40
 	for i := 0; i < n; i++ {
 		from := geo.Point{X: float64(i%8) * 60, Y: float64(i/8) * 60}
 		to := geo.Point{X: from.X + 20, Y: from.Y + 20}
-		// linear does not implement SpeedBounded: every clock advance
-		// invalidates the grid — the heaviest recompute path.
-		w.AddNode(Sensor, linear{from: from, to: to, dur: time.Hour}, 100, 0)
+		w.AddNode(Sensor, fast{linear{from: from, to: to, dur: time.Hour}}, 100, 0)
 	}
 	i := 0
 	query := func() {
@@ -586,7 +587,11 @@ func TestNeighborQueriesAllocFree(t *testing.T) {
 		if _, err := w.Sched.After(time.Nanosecond, query); err != nil {
 			t.Fatal(err)
 		}
+		rebuilds := w.stats.GridRebuilds
 		w.Sched.Step()
+		if w.stats.GridRebuilds != rebuilds+1 {
+			t.Fatalf("t=%v: tick rebuilt the grid %d times, want once", w.Now(), w.stats.GridRebuilds-rebuilds)
+		}
 	}
 	for k := 0; k < 2*n; k++ {
 		tick() // warm caches, scratch, grid buckets, and the event pool
