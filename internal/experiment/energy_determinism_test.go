@@ -2,10 +2,12 @@ package experiment
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
 	"refer/internal/energy"
+	"refer/internal/scenario"
 )
 
 // TestReplayHarvestingSleep pins replay determinism for the busiest energy
@@ -64,6 +66,45 @@ func TestRadioModelRunMatchesFlatTopology(t *testing.T) {
 	if radio.CommEnergy == flat.CommEnergy || radio.CommEnergy <= 0 {
 		t.Fatalf("radio pricing did not move the ledger: flat %v, radio %v",
 			flat.CommEnergy, radio.CommEnergy)
+	}
+}
+
+// TestJouleScalingIsExact is a metamorphic oracle on whole runs: scaling the
+// flat cost model by a power of two scales every Joule exactly, so a model in
+// which no decision reads a Joule value except by order moves nothing else.
+// Every system on three seeds must keep every count, delay and DES event
+// count, and show both ledgers exactly ×4.
+func TestJouleScalingIsExact(t *testing.T) {
+	scaled := energy.PaperModel{TxJ: 4 * energy.DefaultTxCost, RxJ: 4 * energy.DefaultRxCost}
+	for _, sys := range AllSystems() {
+		for seed := int64(1); seed <= 3; seed++ {
+			cfg := RunConfig{
+				System:   sys,
+				Scenario: scenario.Params{Seed: seed, Sensors: 200},
+				Warmup:   20 * time.Second, Duration: 100 * time.Second,
+			}
+			flat, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Scenario.Energy = scaled
+			got, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.CommEnergy != 4*flat.CommEnergy || got.ConstructionEnergy != 4*flat.ConstructionEnergy || flat.Delivered == 0 {
+				t.Errorf("%s seed %d: ledgers %v/%v under ×4 costs, %v/%v flat", sys, seed,
+					got.CommEnergy, got.ConstructionEnergy, flat.CommEnergy, flat.ConstructionEnergy)
+			}
+			// Undo the scaling (exact for a power of two) and the host timing;
+			// what is left must be the flat run bit for bit.
+			got.CommEnergy, got.ConstructionEnergy = flat.CommEnergy, flat.ConstructionEnergy
+			got.Stats.CommEnergy, got.Stats.ConstructionEnergy = got.Stats.CommEnergy/4, got.Stats.ConstructionEnergy/4
+			got.Stats.HostStats, flat.Stats.HostStats = HostStats{}, HostStats{}
+			if !reflect.DeepEqual(got, flat) {
+				t.Errorf("%s seed %d: ×4 costs moved the run:\nflat %+v\n ×4  %+v", sys, seed, flat, got)
+			}
+		}
 	}
 }
 

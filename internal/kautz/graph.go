@@ -64,9 +64,6 @@ func NumNodes(d, k int) int {
 	return n
 }
 
-// NumEdges returns (d+1)·d^k, the number of arcs of K(d, k).
-func NumEdges(d, k int) int { return NumNodes(d, k) * d }
-
 // Degree returns d.
 func (g *Graph) Degree() int { return g.d }
 

@@ -4,6 +4,9 @@ import (
 	"testing"
 )
 
+// NumEdges returns (d+1)·d^k, the number of arcs of K(d, k).
+func NumEdges(d, k int) int { return NumNodes(d, k) * d }
+
 func TestNewValidation(t *testing.T) {
 	tests := []struct {
 		name    string

@@ -68,16 +68,6 @@ func MakeID(digits ...int) (ID, error) {
 	return ID(buf), nil
 }
 
-// MustID is MakeID that panics on error. It is intended for constants in
-// tests and examples.
-func MustID(digits ...int) ID {
-	id, err := MakeID(digits...)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
-
 // Len returns k, the number of digits of the ID.
 func (id ID) Len() int { return len(id) }
 

@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// MustID is MakeID that panics on error, for constant IDs in tests.
+func MustID(digits ...int) ID {
+	id, err := MakeID(digits...)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
 func TestParseID(t *testing.T) {
 	tests := []struct {
 		name    string

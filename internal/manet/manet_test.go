@@ -1,6 +1,7 @@
 package manet
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -319,12 +320,9 @@ func bfsPathMap(w *world.World, src world.NodeID, ttl int, accept func(world.Nod
 
 // randomSearchWorld places n nodes, one in eight an actuator, on a 500 m
 // square, static or waypoint movers at up to 5 m/s, and fails one in ten.
-// Borrow checks are on, so every ReturnSearch scans the search table and
-// panics unless the search left it all zero.
 func randomSearchWorld(seed int64, n int, mobile bool) *world.World {
 	region := geo.Square(500)
 	w := world.New(world.Config{Region: region, Seed: seed})
-	w.EnableBorrowChecks()
 	rng := rand.New(rand.NewSource(seed))
 	draws := mobility.NewDraws()
 	for i := 0; i < n; i++ {
@@ -372,6 +370,7 @@ func checkSearchesMatchOracle(t *testing.T, w *world.World, src world.NodeID) {
 					t.Fatalf("t=%v src=%d accept=%s margin=%v ttl=%d: bfsPath = %v (cap %d), oracle %v",
 						w.Now(), src, name, margin, ttl, got, cap(got), want)
 				}
+				requireSearchTableZero(t, w, "src=%d accept=%s margin=%v ttl=%d", src, name, margin, ttl)
 			}
 		}
 	}
@@ -414,6 +413,7 @@ func FuzzBFSPath(f *testing.F) {
 				if !slices.Equal(got, want) || (got == nil) != (want == nil) {
 					t.Fatalf("src=%d margin=%v ttl=%d: bfsPath = %v, oracle %v", src, margin, ttl, got, want)
 				}
+				requireSearchTableZero(t, w, "src=%d margin=%v ttl=%d", src, margin, ttl)
 			}
 		}
 	})
@@ -472,10 +472,17 @@ func checkTreeMatchesOracle(t *testing.T, w *world.World, root world.NodeID, mem
 	if want := treeMap(w, root, members); !reflect.DeepEqual(got, want) {
 		t.Fatalf("t=%v root=%d members=%v:\nTree   %v\noracle %v", w.Now(), root, members, got, want)
 	}
+	requireSearchTableZero(t, w, "tree from root=%d", root)
+}
+
+// requireSearchTableZero borrows the world's search table and requires every
+// entry to read zero: the search the format describes must have left none set.
+func requireSearchTableZero(t *testing.T, w *world.World, format string, args ...any) {
+	t.Helper()
 	via, visit := w.BorrowSearch()
 	for id, v := range via {
 		if v != 0 {
-			t.Fatalf("t=%v root=%d: search table entry %d reads %d after the tree", w.Now(), root, id, v)
+			t.Fatalf("t=%v: search table entry %d reads %d after the search %s", w.Now(), id, v, fmt.Sprintf(format, args...))
 		}
 	}
 	w.ReturnSearch(visit)
@@ -546,7 +553,6 @@ func TestSearchEntersBeforeAccepting(t *testing.T) {
 // search must see them through a grown table.
 func TestBFSPathTableGrowsWithWorld(t *testing.T) {
 	w := chainWorld(t, 5)
-	w.EnableBorrowChecks()
 	checkSearchesMatchOracle(t, w, 0)
 	for i := 5; i < 9; i++ {
 		w.AddNode(world.Sensor, mobility.Static{P: geo.Point{X: float64(i) * 80, Y: 0}}, 100, 0)

@@ -11,6 +11,9 @@ import (
 	"refer/internal/mobility"
 )
 
+// gridOf returns the world's production spatial layer.
+func gridOf(w *World) *gridSpace { return w.space.(*gridSpace) }
+
 // noJitterWorld builds a deterministic-delay world for timing assertions.
 func noJitterWorld(positions []geo.Point, sensorRange float64) *World {
 	w := New(Config{
@@ -108,6 +111,47 @@ func TestNeighborsRespectReceiverRange(t *testing.T) {
 	}
 }
 
+// TestRangeTestsAgreeAtTheBoundary pins one range test for every query: a
+// 100 m sensor and a 250 m actuator placed where dx²+dy² and Dist round to
+// opposite sides of 100 m. Send, InRange, both neighbor lists and both
+// carrier-sense sets must agree with Dist <= range, on a cold cache and a
+// filled one.
+func TestRangeTestsAgreeAtTheBoundary(t *testing.T) {
+	sensor := geo.Point{X: 250, Y: 100}
+	for _, a := range []geo.Point{
+		{X: 246.17352885078512, Y: 199.92676377499788}, // Dist <= 100 < √(dx²+dy²)
+		{X: 232.9133653529119, Y: 1.4705784222959721},  // √(dx²+dy²) <= 100 < Dist
+	} {
+		w := New(Config{Region: geo.Square(500), Seed: 1, HopJitter: 0})
+		w.AddNode(Sensor, mobility.Static{P: sensor}, 100, 0)
+		w.AddNode(Actuator, mobility.Static{P: a}, 250, 0)
+		linked := sensor.Dist(a) <= 100
+		if w.InRange(0, 1) != linked || w.InRange(1, 0) != linked {
+			t.Fatalf("actuator at %v: InRange %v/%v, Dist %v", a, w.InRange(0, 1), w.InRange(1, 0), sensor.Dist(a))
+		}
+		for pass := range 2 {
+			for from := NodeID(0); from < 2; from++ {
+				for _, n := range w.Nodes() {
+					n.busyUntil = 0
+				}
+				end := w.acquireRadio(w.Node(from), time.Millisecond)
+				if deferred, want := w.Node(1-from).busyUntil == end, sensor.Dist(a) <= w.Node(from).Range; deferred != want {
+					t.Fatalf("actuator at %v, pass %d: node %d's carrier sense deferred its peer: %v, want %v", a, pass, from, deferred, want)
+				}
+				if got := len(w.Neighbors(nil, from)) == 1; got != linked {
+					t.Fatalf("actuator at %v, pass %d: node %d lists its peer: %v, want %v", a, pass, from, got, linked)
+				}
+			}
+		}
+		var out Outcome
+		w.Send(0, 1, energy.Communication, func(o Outcome) { out = o })
+		w.Sched.Run()
+		if (out == Delivered) != linked {
+			t.Fatalf("actuator at %v: Send %v, want delivered %v", a, out, linked)
+		}
+	}
+}
+
 func TestFloodAirtimeSerializesInNeighborhood(t *testing.T) {
 	// A flood across a clique occupies the shared medium for at least one
 	// hop-delay per rebroadcast: a packet sent right after the flood must
@@ -151,7 +195,7 @@ func TestCarrierSetIsNeighborsPlusWide(t *testing.T) {
 	}
 	wideSeen := false
 	for from := NodeID(0); from < 120; from++ {
-		c := w.neighborCache(from)
+		c := gridOf(w).fill(from)
 		got := map[NodeID]bool{}
 		for _, id := range c.nb {
 			got[id] = true
@@ -166,14 +210,7 @@ func TestCarrierSetIsNeighborsPlusWide(t *testing.T) {
 			got[id] = true
 			wideSeen = true
 		}
-		p, r := w.Position(from), w.Node(from).Range
-		want := map[NodeID]bool{}
-		for id := NodeID(0); id < 120; id++ {
-			q := w.Position(id)
-			if dx, dy := q.X-p.X, q.Y-p.Y; id != from && dx*dx+dy*dy <= r*r {
-				want[id] = true
-			}
-		}
+		want := carrierSet(w, from)
 		if len(got) != len(want) {
 			t.Fatalf("node %d: nb+wide holds %d nodes, brute force finds %d", from, len(got), len(want))
 		}
@@ -268,9 +305,9 @@ func scanWorld(seed int64, speed float64, dt time.Duration) *World {
 		w.SetFailed(id, true)
 	}
 	w.Sched.RunUntil(t0)
-	w.refreshGrid()
+	gridOf(w).refreshGrid()
 	w.Sched.RunUntil(t0 + dt)
-	w.refreshGrid() // rebuilds only past the staleness tolerance
+	gridOf(w).refreshGrid() // rebuilds only past the staleness tolerance
 	return w
 }
 
@@ -280,8 +317,7 @@ func carrierSet(w *World, from NodeID) map[NodeID]bool {
 	p, r := w.Position(from), w.Node(from).Range
 	want := map[NodeID]bool{}
 	for id := NodeID(0); id < NodeID(w.Len()); id++ {
-		q := w.Position(id)
-		if dx, dy := q.X-p.X, q.Y-p.Y; id != from && dx*dx+dy*dy <= r*r {
+		if id != from && p.Dist(w.Position(id)) <= r {
 			want[id] = true
 		}
 	}
@@ -298,7 +334,8 @@ func carrierSet(w *World, from NodeID) map[NodeID]bool {
 func checkCarrierScan(t *testing.T, seed int64, speed float64, dt time.Duration) (crossed, bandIn, bandOut, wide int) {
 	t.Helper()
 	w := scanWorld(seed, speed, dt)
-	now, slack := w.Now(), w.querySlack(w.Now())
+	g := gridOf(w)
+	now, slack := w.Now(), g.querySlack(w.Now())
 	transmit := func(from NodeID, path string, want map[NodeID]bool) {
 		t.Helper()
 		for _, n := range w.Nodes() {
@@ -313,7 +350,7 @@ func checkCarrierScan(t *testing.T, seed int64, speed float64, dt time.Duration)
 		}
 	}
 	for from := NodeID(0); from < NodeID(w.Len()); from++ {
-		if w.current(&w.caches[from], now) {
+		if g.current(&g.caches[from], now) {
 			t.Fatalf("node %d's cache is warm before the scan", from)
 		}
 		want := carrierSet(w, from)
@@ -327,7 +364,7 @@ func checkCarrierScan(t *testing.T, seed int64, speed float64, dt time.Duration)
 			if id == from {
 				continue
 			}
-			d := p.Dist(w.grid.Position(int(id)))
+			d := p.Dist(g.grid.Position(int(id)))
 			switch {
 			case d <= r-senseGuard && !want[id]:
 				crossed++
@@ -339,7 +376,7 @@ func checkCarrierScan(t *testing.T, seed int64, speed float64, dt time.Duration)
 		}
 	}
 	for from := NodeID(0); from < NodeID(w.Len()); from++ {
-		if len(w.neighborCache(from).wide) > 0 {
+		if len(g.fill(from).wide) > 0 {
 			wide++
 		}
 		transmit(from, "cached", carrierSet(w, from))

@@ -1,0 +1,337 @@
+package world
+
+import (
+	"math"
+	"time"
+
+	"refer/internal/geo"
+	"refer/internal/mobility"
+)
+
+// space is the world's spatial layer: where each node is at the current
+// virtual time and who is within range of whom. The world calls it once per
+// query. Every range test it makes is p.Dist(q) <= r, the test InRange and
+// Send make. Neighborhoods are ordered by the cell key a grid freshly built
+// over the region gives each member's exact position (indexGrid), then by
+// NodeID. The slices it returns are borrowed (see World.Neighbors).
+type space interface {
+	// add registers the world's newest node.
+	add(n *Node)
+	// position returns id's position now.
+	position(id NodeID) geo.Point
+	// neighbors returns the nodes sharing a usable link with from now,
+	// failed ones included unless alive is set.
+	neighbors(from NodeID, alive bool) []NodeID
+	// carrierSense defers every node inside from's own range now, failed
+	// or not, until end: from's carrier-sense set.
+	carrierSense(from NodeID, end time.Duration)
+	// nearestActuator returns the closest alive actuator to from, the lowest
+	// ID on ties, or NoNode.
+	nearestActuator(from NodeID) NodeID
+}
+
+// newSpace builds the spatial layer New gives a world. The package's tests
+// replace it with a brute-force twin.
+var newSpace = func(w *World) space { return &gridSpace{w: w} }
+
+// indexGrid returns an empty grid over region. Cell size is on the order of
+// the sensor radio range, shrunk for small regions — considering both
+// dimensions, so a tall narrow region gets cells matched to its thin axis
+// instead of one degenerate column. Its cell keys order every neighborhood.
+func indexGrid(region geo.Rect) *geo.Grid {
+	cell := 50.0
+	if m := math.Min(region.Width(), region.Height()); m < 200 {
+		cell = m / 4
+	}
+	return geo.NewGrid(region, cell)
+}
+
+// gridStaleTol is the position-staleness tolerance in meters: the spatial
+// index is rebuilt only once any node can have moved this far since the
+// grid's positions were sampled. Queries add the current staleness bound to
+// their radius as slack and re-check candidates exactly, so the tolerance
+// trades rebuild frequency against candidate-set width without ever
+// changing results. 10 m is the measured sweet spot on the paper's default
+// scenario (at its 5 m/s speed cap that is one rebuild per 2 virtual
+// seconds instead of one per event); larger values save few rebuilds while
+// widening every query's candidate ring.
+const gridStaleTol = 10.0
+
+// senseGuard is the margin, in meters, by which carrier sense's inner
+// radius stays clear of the staleness bound: it absorbs float rounding and
+// the nanosecond rounding of leg durations, either of which can carry a node
+// a hair past maxSpeed·Δt from its indexed position.
+const senseGuard = 1e-3
+
+// gridSpace is the production spatial layer: a position table, a grid
+// index rebuilt once per staleness epoch, and per-node neighbor caches. It
+// keeps the world's spatial-index counters in w.stats.
+type gridSpace struct {
+	w *World
+
+	// kin is the position table, indexed by NodeID: a neighbor rebuild
+	// reads its candidates from here without touching their Nodes.
+	kin []kinematics
+
+	// Spatial index. The grid is allocated once and rebuilt in place
+	// (Reset+Insert) only when accumulated mobility can have displaced some
+	// node by more than gridStaleTol meters — the position-staleness epoch.
+	// Queries stay exact regardless: the stale index is only a candidate
+	// generator (radii get the staleness as slack) and every candidate is
+	// re-checked against its exact position at the current virtual time.
+	grid   *geo.Grid
+	gridAt time.Duration // virtual time the grid positions were sampled
+	gridOK bool
+
+	// actuators is the maintained actuator index nearestActuator scans
+	// instead of the full node list.
+	actuators []NodeID
+
+	// Per-node neighbor caches, keyed by (virtual time, topoGen) with the
+	// alive subset additionally keyed by the world's aliveGen. The buffers
+	// are reused, so the forwarding hot path allocates nothing.
+	caches  []nodeCache
+	topoGen uint64 // bumped by add
+	// scratch holds a cache fill's grid candidates or a carrier-sense
+	// scan's inner ones, band the scan's band; both are dead between calls.
+	scratch []int
+	band    []int
+	// sortKey holds the fresh-grid bucket keys of the neighborhood being
+	// insertion-sorted by a cache fill; dead between fills.
+	sortKey []int
+}
+
+// kinematics is one node's row of the position table: its current mobility
+// leg and its radio range.
+type kinematics struct {
+	leg   mobility.Leg
+	reach float64
+}
+
+// nodeCache holds one node's memoized neighborhood at a fixed virtual time.
+type nodeCache struct {
+	at    time.Duration
+	gen   uint64 // topoGen the entry was computed under
+	valid bool
+	// nb is the usable-link neighborhood in exactly the order a freshly
+	// rebuilt grid would return it (fresh-bucket-major, node ID within a
+	// bucket), so epoch-stale index state never leaks into results.
+	nb []NodeID
+	// wide holds the nodes inside the owner's own range but beyond their
+	// own: while the entry is current, nb plus wide is the carrier-sense
+	// set, failed nodes included (a miss scans the grid instead; see
+	// carrierSense). Empty for a sensor among equal-range sensors; for an
+	// actuator, the sensors between their range and its own.
+	wide []NodeID
+	// alive is the Alive() subset of nb, valid while aliveGen matches. It
+	// is nb itself while every neighbor is alive, and otherwise a copy in
+	// filtered, a buffer that keeps its capacity across fills.
+	alive      []NodeID
+	filtered   []NodeID
+	aliveGen   uint64
+	aliveValid bool
+}
+
+func (s *gridSpace) add(n *Node) {
+	s.kin = append(s.kin, kinematics{reach: n.Range})
+	s.caches = append(s.caches, nodeCache{})
+	if n.Kind == Actuator {
+		s.actuators = append(s.actuators, n.ID)
+	}
+	s.topoGen++
+	s.gridOK = false
+}
+
+func (s *gridSpace) position(id NodeID) geo.Point { return s.posAt(id, s.w.Sched.Now()) }
+
+// posAt returns id's position at now from the position table. It is the only
+// place the world asks a mobility model anything: for a new leg, when now
+// leaves the cached one.
+func (s *gridSpace) posAt(id NodeID, now time.Duration) geo.Point {
+	k := &s.kin[id]
+	if !k.leg.Contains(now) {
+		s.w.stats.MobilityEvals++
+		k.leg = s.w.nodes[id].Mob.Leg(now)
+	}
+	return k.leg.At(now)
+}
+
+// refreshGrid (re)builds the spatial index when node positions may have
+// drifted more than gridStaleTol since the last build. Static worlds
+// (maxSpeed 0) build exactly once; mobile worlds rebuild once per staleness
+// epoch instead of once per event, reusing the grid's bucket storage.
+func (s *gridSpace) refreshGrid() {
+	now := s.w.Sched.Now()
+	if s.gridOK && s.querySlack(now) <= gridStaleTol {
+		return
+	}
+	if s.grid == nil {
+		s.grid = indexGrid(s.w.cfg.Region)
+	} else {
+		s.grid.Reset()
+	}
+	for id := range s.kin {
+		s.grid.Insert(id, s.posAt(NodeID(id), now))
+	}
+	s.gridAt = now
+	s.gridOK = true
+	s.w.stats.GridRebuilds++
+}
+
+// querySlack bounds how far any node can have strayed from its indexed
+// position. Queries widen their radius by this much and re-check candidates
+// exactly, so results never depend on the staleness.
+func (s *gridSpace) querySlack(now time.Duration) float64 {
+	return s.w.maxSpeed * (now - s.gridAt).Seconds()
+}
+
+// outer is the grid radius that holds every node whose exact position is
+// within reach: the staleness slack, padded past linkWithin's band so the
+// grid's plain squared-distance test never cuts a node at Dist == reach.
+func (s *gridSpace) outer(reach float64, now time.Duration) float64 {
+	return (reach + s.querySlack(now)) * (1 + linkBand)
+}
+
+// fill returns from's neighborhood memoized at the current virtual time,
+// computing it if the clock or topology moved since the last query.
+//
+// The computation queries the (possibly stale) grid with slack, filters the
+// candidates against exact current positions and re-sorts survivors into
+// the order a freshly rebuilt grid would list them (bucket-major by the
+// exact position's cell, node ID within a cell — IDs because the rebuild
+// inserts in ID order). Results are therefore bit-identical to rebuilding
+// the index at every event, while the index is only rebuilt once per
+// staleness epoch.
+func (s *gridSpace) fill(from NodeID) *nodeCache {
+	s.refreshGrid()
+	now := s.w.Sched.Now()
+	c := &s.caches[from]
+	if s.current(c, now) {
+		s.w.stats.NeighborHits++
+		return c
+	}
+	s.w.stats.NeighborRebuilds++
+	p := s.posAt(from, now)
+	reach := s.kin[from].reach
+	s.scratch = s.grid.Within(s.scratch[:0], p, s.outer(reach, now), int(from))
+	s.w.stats.NeighborCandidates += uint64(len(s.scratch))
+	c.wide = c.wide[:0]
+	c.nb = c.nb[:0]
+	key := s.sortKey[:0]
+	beyond := reach * reach * (1 + linkBand)
+	for _, i := range s.scratch {
+		q := s.posAt(NodeID(i), now)
+		// Candidates beyond linkWithin's band, most of the ring, are rejected
+		// here by its own first test, without a call.
+		if dx, dy := q.X-p.X, q.Y-p.Y; dx*dx+dy*dy > beyond || !linkWithin(p, q, reach) {
+			continue
+		}
+		if r := s.kin[i].reach; r < reach && !linkWithin(p, q, r) {
+			c.wide = append(c.wide, NodeID(i))
+			continue
+		}
+		// Insertion sort by (fresh cell key, ID); neighborhoods are small.
+		k := s.grid.CellKey(q)
+		j := len(c.nb)
+		c.nb = append(c.nb, NodeID(i))
+		key = append(key, k)
+		for j > 0 && (key[j-1] > k || (key[j-1] == k && c.nb[j-1] > NodeID(i))) {
+			c.nb[j], key[j] = c.nb[j-1], key[j-1]
+			j--
+		}
+		c.nb[j], key[j] = NodeID(i), k
+	}
+	s.sortKey = key
+	c.at = now
+	c.gen = s.topoGen
+	c.valid = true
+	c.aliveValid = false
+	return c
+}
+
+// current reports whether a cache entry holds its owner's neighborhood at
+// now. A fully static world (every model bounds its speed at 0) has
+// time-invariant positions, so entries never expire by clock.
+func (s *gridSpace) current(c *nodeCache, now time.Duration) bool {
+	return c.valid && c.gen == s.topoGen && (c.at == now || s.w.maxSpeed == 0)
+}
+
+func (s *gridSpace) neighbors(from NodeID, alive bool) []NodeID {
+	c := s.fill(from)
+	if !alive {
+		return c.nb
+	}
+	if !c.aliveValid || c.aliveGen != s.w.aliveGen {
+		// One pass: the view is nb until the first neighbor that is down,
+		// which copies the alive prefix into the filtered buffer.
+		c.alive = c.nb
+		for i, id := range c.nb {
+			if !s.w.nodes[id].Alive() {
+				c.filtered = append(c.filtered[:0], c.nb[:i]...)
+				for _, id := range c.nb[i+1:] {
+					if s.w.nodes[id].Alive() {
+						c.filtered = append(c.filtered, id)
+					}
+				}
+				c.alive = c.filtered
+				break
+			}
+		}
+		c.aliveGen = s.w.aliveGen
+		c.aliveValid = true
+	}
+	return c.alive
+}
+
+// carrierSense walks the carrier-sense set. While from's cache entry is
+// current it is the neighbor list plus its wide remainder. Otherwise one
+// split grid query around from's exact position yields it without filling
+// the cache: a candidate indexed within reach − slack − senseGuard is in
+// range by the staleness bound, and only the band out to the fill's outer
+// radius is re-checked against exact positions, with the fill's own test.
+func (s *gridSpace) carrierSense(from NodeID, end time.Duration) {
+	now := s.w.Sched.Now()
+	s.refreshGrid()
+	if c := &s.caches[from]; s.current(c, now) {
+		s.w.stats.NeighborHits++
+		for _, set := range [2][]NodeID{c.nb, c.wide} {
+			for _, id := range set {
+				s.w.holdOff(id, end)
+			}
+		}
+		return
+	}
+	p := s.posAt(from, now)
+	reach := s.kin[from].reach
+	s.scratch, s.band = s.grid.Split(s.scratch[:0], s.band[:0], p, reach-s.querySlack(now)-senseGuard, s.outer(reach, now), int(from))
+	for _, i := range s.scratch {
+		s.w.holdOff(NodeID(i), end)
+	}
+	beyond := reach * reach * (1 + linkBand)
+	for _, i := range s.band {
+		q := s.posAt(NodeID(i), now)
+		if dx, dy := q.X-p.X, q.Y-p.Y; dx*dx+dy*dy <= beyond && linkWithin(p, q, reach) {
+			s.w.holdOff(NodeID(i), end)
+		}
+	}
+}
+
+// nearestActuator scans the maintained actuator index — a few dozen entries
+// — rather than the full node list. Ties resolve to the lowest ID (the
+// index is in insertion = ID order and the comparison is strict).
+func (s *gridSpace) nearestActuator(from NodeID) NodeID {
+	now := s.w.Sched.Now()
+	p := s.posAt(from, now)
+	best := NoNode
+	bestDist := 0.0
+	for _, id := range s.actuators {
+		if !s.w.nodes[id].Alive() {
+			continue
+		}
+		d := p.Dist(s.posAt(id, now))
+		if best == NoNode || d < bestDist {
+			best, bestDist = id, d
+		}
+	}
+	return best
+}

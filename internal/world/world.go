@@ -178,50 +178,20 @@ type World struct {
 	tracer    *trace.Recorder
 	collector *metrics.Collector
 
-	// kin is the position table, indexed by NodeID: a neighbor rebuild
-	// reads its candidates from here without touching their Nodes.
-	kin []kinematics
-
-	// Spatial index. The grid is allocated once and rebuilt in place
-	// (Reset+Insert) only when accumulated mobility can have displaced some
-	// node by more than gridStaleTol meters — the position-staleness epoch.
-	// Queries stay exact regardless: the stale index is only a candidate
-	// generator (radii get the staleness as slack) and every candidate is
-	// re-checked against its exact position at the current virtual time.
-	grid     *geo.Grid
-	gridAt   time.Duration // virtual time the grid positions were sampled
-	gridOK   bool
+	// space is the spatial layer (space.go): positions, neighborhoods,
+	// carrier sense and the nearest actuator.
+	space    space
 	maxSpeed float64 // max over node mobility bounds
 
-	// actuators is the maintained actuator index NearestActuator scans
-	// instead of the full node list.
-	actuators []NodeID
-
-	// Per-node neighbor caches, keyed by (virtual time, topoGen) with the
-	// alive subset additionally keyed by aliveGen. The buffers are owned by
-	// the world and reused, so the forwarding hot path allocates nothing.
-	caches  []nodeCache
-	topoGen uint64 // bumped by AddNode
 	// aliveGen is bumped whenever any node's Alive() can have flipped:
 	// fault injection/recovery and battery depletion through world charges.
+	// It keys the spatial layer's cached alive subsets.
 	aliveGen uint64
-	// scratch holds a cache fill's grid candidates or a carrier-sense
-	// scan's inner ones, band the scan's band; both are dead between calls.
-	scratch []int
-	band    []int
-	// sortKey holds the fresh-grid bucket keys of the neighborhood being
-	// insertion-sorted by a cache fill; dead between fills.
-	sortKey []int
 
 	// linkLoss is the transient link degradation probability applied to
 	// unicast sends. Zero (the default) draws no randomness, so runs
 	// without chaos replay byte-identically to builds without the hook.
 	linkLoss float64
-
-	// borrowShadows, when non-nil, holds private copies of the cache-owned
-	// slices handed out by Neighbors/AliveNeighbors, used to detect callers
-	// violating the borrowed-slice contract. See EnableBorrowChecks.
-	borrowShadows []borrowShadow
 
 	// Lifetime bookkeeping: constrained counts battery-limited nodes,
 	// depletedNow how many of them are currently dead, for the
@@ -249,40 +219,10 @@ type World struct {
 	stats Stats
 }
 
-// kinematics is one node's row of the position table: its current mobility
-// leg and its radio range.
-type kinematics struct {
-	leg   mobility.Leg
-	reach float64
-}
-
-// nodeCache holds one node's memoized neighborhood at a fixed virtual time.
-type nodeCache struct {
-	at    time.Duration
-	gen   uint64 // topoGen the entry was computed under
-	valid bool
-	// nb is the usable-link neighborhood in exactly the order a freshly
-	// rebuilt grid would return it (fresh-bucket-major, node ID within a
-	// bucket), so epoch-stale index state never leaks into results.
-	nb []NodeID
-	// wide holds the nodes inside the owner's own range but beyond their
-	// own: while the entry is current, nb plus wide is the carrier-sense
-	// set, failed nodes included (a miss scans the grid instead; see
-	// acquireRadio). Empty for a sensor among equal-range sensors; for an
-	// actuator, the sensors between their range and its own.
-	wide []NodeID
-	// alive is the Alive() subset of nb, valid while aliveGen matches. It
-	// is nb itself while every neighbor is alive, and otherwise a copy in
-	// filtered, a buffer that keeps its capacity across fills.
-	alive      []NodeID
-	filtered   []NodeID
-	aliveGen   uint64
-	aliveValid bool
-}
-
-// Stats counts the world's spatial-index work for observability: how often
-// the grid was actually rebuilt and how the neighbor cache performed. All
-// counters are deterministic per seed.
+// Stats counts the world's work and events for observability: how often the
+// spatial layer's grid was rebuilt and how its neighbor cache performed, and
+// the faults, link losses, energy drained and harvested, and battery deaths
+// the run saw. All counters are deterministic per seed.
 type Stats struct {
 	// GridRebuilds is the number of full spatial-index rebuilds.
 	GridRebuilds uint64
@@ -290,7 +230,7 @@ type Stats struct {
 	// NeighborHits counts queries served from the cache.
 	NeighborRebuilds uint64
 	NeighborHits     uint64
-	// MobilityEvals counts the mobility legs posAt fetched;
+	// MobilityEvals counts the mobility legs the position table fetched;
 	// NeighborCandidates sums the grid candidates the neighborhood
 	// recomputations examined.
 	MobilityEvals      uint64
@@ -316,19 +256,8 @@ type Stats struct {
 	HalfDeadAt   time.Duration
 }
 
-// Stats returns a snapshot of the world's spatial-index counters.
+// Stats returns a snapshot of the world's counters.
 func (w *World) Stats() Stats { return w.stats }
-
-// gridStaleTol is the position-staleness tolerance in meters: the spatial
-// index is rebuilt only once any node can have moved this far since the
-// grid's positions were sampled. Queries add the current staleness bound to
-// their radius as slack and re-check candidates exactly, so the tolerance
-// trades rebuild frequency against candidate-set width without ever
-// changing results. 10 m is the measured sweet spot on the paper's default
-// scenario (at its 5 m/s speed cap that is one rebuild per 2 virtual
-// seconds instead of one per event); larger values save few rebuilds while
-// widening every query's candidate ring.
-const gridStaleTol = 10.0
 
 // New creates an empty world.
 func New(cfg Config) *World {
@@ -351,6 +280,7 @@ func New(cfg Config) *World {
 		cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
+	w.space = newSpace(w)
 	w.stats.FirstDeathAt = -1
 	w.stats.HalfDeadAt = -1
 	if h, ok := cfg.Energy.(energy.HarvestingModel); ok {
@@ -453,19 +383,13 @@ func (w *World) AddNode(kind Kind, mob mobility.Model, radioRange, battery float
 		Mob:   mob,
 	}
 	w.nodes = append(w.nodes, n)
-	w.kin = append(w.kin, kinematics{reach: radioRange})
-	w.caches = append(w.caches, nodeCache{})
-	if kind == Actuator {
-		w.actuators = append(w.actuators, n.ID)
-	}
+	w.space.add(n)
 	if battery > 0 {
 		w.constrained++
 	}
 	if s := mob.MaxSpeed(); s > w.maxSpeed {
 		w.maxSpeed = s
 	}
-	w.topoGen++
-	w.gridOK = false
 	return n
 }
 
@@ -495,19 +419,7 @@ func (w *World) Nodes() []*Node { return w.nodes }
 
 // Position returns a node's position at the current virtual time.
 func (w *World) Position(id NodeID) geo.Point {
-	return w.posAt(id, w.Sched.Now())
-}
-
-// posAt returns id's position at now from the position table. It is the only
-// place the world asks a mobility model anything: for a new leg, when now
-// leaves the cached one.
-func (w *World) posAt(id NodeID, now time.Duration) geo.Point {
-	k := &w.kin[id]
-	if !k.leg.Contains(now) {
-		w.stats.MobilityEvals++
-		k.leg = w.nodes[id].Mob.Leg(now)
-	}
-	return k.leg.At(now)
+	return w.space.position(id)
 }
 
 // Distance returns the current distance between two nodes.
@@ -530,15 +442,20 @@ func (w *World) InRange(from, to NodeID) bool {
 
 // linkWithin reports p.Dist(q) <= r exactly, for coordinates and ranges whose
 // squares neither overflow nor underflow. Rounding d² and Hypot each err by
-// ~1e-16 relative, so only a d² within a relative 1e-9 of r² needs the root.
+// ~1e-16 relative, so only a d² within a relative linkBand of r² needs the
+// root. It is the one range test of the world and its spatial layer.
 func linkWithin(p, q geo.Point, r float64) bool {
 	dx, dy := q.X-p.X, q.Y-p.Y
 	d2, r2 := dx*dx+dy*dy, r*r
-	if d2 < r2*(1-1e-9) || d2 > r2*(1+1e-9) {
+	if d2 < r2*(1-linkBand) || d2 > r2*(1+linkBand) {
 		return d2 < r2
 	}
 	return p.Dist(q) <= r
 }
+
+// linkBand is the relative width of the band around r² in which linkWithin
+// takes the square root.
+const linkBand = 1e-9
 
 // SetFailed injects or clears a fault on a node.
 func (w *World) SetFailed(id NodeID, failed bool) {
@@ -621,125 +538,20 @@ func (w *World) chargeRx(n *Node, l energy.Ledger) {
 	w.noteDepletion(n)
 }
 
-// refreshGrid (re)builds the spatial index when node positions may have
-// drifted more than gridStaleTol since the last build. Static worlds
-// (maxSpeed 0) build exactly once; mobile worlds rebuild once per staleness
-// epoch instead of once per event, reusing the grid's bucket storage.
-func (w *World) refreshGrid() {
-	now := w.Sched.Now()
-	if w.gridOK && w.querySlack(now) <= gridStaleTol {
-		return
-	}
-	if w.grid == nil {
-		// Cell size on the order of the sensor radio range, shrunk for small
-		// regions — considering both dimensions, so a tall narrow region gets
-		// cells matched to its thin axis instead of one degenerate column.
-		cell := 50.0
-		if m := math.Min(w.cfg.Region.Width(), w.cfg.Region.Height()); m < 200 {
-			cell = m / 4
-		}
-		w.grid = geo.NewGrid(w.cfg.Region, cell)
-	} else {
-		w.grid.Reset()
-	}
-	for id := range w.kin {
-		w.grid.Insert(id, w.posAt(NodeID(id), now))
-	}
-	w.gridAt = now
-	w.gridOK = true
-	w.stats.GridRebuilds++
-}
-
-// querySlack bounds how far any node can have strayed from its indexed
-// position. Queries widen their radius by this much and re-check candidates
-// exactly, so results never depend on the staleness.
-func (w *World) querySlack(now time.Duration) float64 {
-	return w.maxSpeed * (now - w.gridAt).Seconds()
-}
-
-// neighborCache returns from's neighborhood memoized at the current virtual
-// time, computing it if the clock or topology moved since the last query.
-//
-// The computation queries the (possibly stale) grid with slack, filters the
-// candidates against exact current positions using the same float
-// comparisons a direct query would make, and re-sorts survivors into the
-// order a freshly rebuilt grid would list them (bucket-major by the exact
-// position's cell, node ID within a cell — IDs because the rebuild inserts
-// in ID order). Results are therefore bit-identical to rebuilding the index
-// at every event, while the index is only rebuilt once per staleness epoch.
-func (w *World) neighborCache(from NodeID) *nodeCache {
-	w.refreshGrid()
-	now := w.Sched.Now()
-	c := &w.caches[from]
-	if w.current(c, now) {
-		w.stats.NeighborHits++
-		return c
-	}
-	w.stats.NeighborRebuilds++
-	if w.borrowShadows != nil {
-		w.verifyBorrowedNeighbors(from, c)
-	}
-	p := w.posAt(from, now)
-	reach := w.kin[from].reach
-	w.scratch = w.grid.Within(w.scratch[:0], p, reach+w.querySlack(now), int(from))
-	w.stats.NeighborCandidates += uint64(len(w.scratch))
-	c.wide = c.wide[:0]
-	c.nb = c.nb[:0]
-	key := w.sortKey[:0]
-	maxR2 := reach * reach
-	for _, i := range w.scratch {
-		q := w.posAt(NodeID(i), now)
-		dx, dy := q.X-p.X, q.Y-p.Y
-		if dx*dx+dy*dy > maxR2 {
-			continue
-		}
-		if !linkWithin(p, q, w.kin[i].reach) {
-			c.wide = append(c.wide, NodeID(i))
-			continue
-		}
-		// Insertion sort by (fresh cell key, ID); neighborhoods are small.
-		k := w.grid.CellKey(q)
-		j := len(c.nb)
-		c.nb = append(c.nb, NodeID(i))
-		key = append(key, k)
-		for j > 0 && (key[j-1] > k || (key[j-1] == k && c.nb[j-1] > NodeID(i))) {
-			c.nb[j], key[j] = c.nb[j-1], key[j-1]
-			j--
-		}
-		c.nb[j], key[j] = NodeID(i), k
-	}
-	w.sortKey = key
-	c.at = now
-	c.gen = w.topoGen
-	c.valid = true
-	c.aliveValid = false
-	if w.borrowShadows != nil {
-		w.snapshotBorrowedNeighbors(from, c)
-	}
-	return c
-}
-
-// current reports whether a cache entry holds its owner's neighborhood at
-// now. A fully static world (every model bounds its speed at 0) has
-// time-invariant positions, so entries never expire by clock.
-func (w *World) current(c *nodeCache, now time.Duration) bool {
-	return c.valid && c.gen == w.topoGen && (c.at == now || w.maxSpeed == 0)
-}
-
 // Neighbors returns the IDs of all nodes sharing a usable link with from
 // (failed nodes included — radios cannot see remote faults, protocols
 // discover them through failed sends).
 //
-// With a nil dst the returned slice is owned by the world's per-node cache:
+// With a nil dst the returned slice is owned by the spatial layer's cache:
 // it is valid until the next same-node query at a later virtual time or
 // changed topology, and must not be mutated or retained across events. Pass
 // a non-nil dst to get an appended copy instead.
 func (w *World) Neighbors(dst []NodeID, from NodeID) []NodeID {
-	c := w.neighborCache(from)
+	nb := w.space.neighbors(from, false)
 	if dst == nil {
-		return c.nb
+		return nb
 	}
-	return append(dst, c.nb...)
+	return append(dst, nb...)
 }
 
 // AliveNeighbors returns the IDs of in-range nodes that are alive. The nil-
@@ -747,58 +559,18 @@ func (w *World) Neighbors(dst []NodeID, from NodeID) []NodeID {
 // trigger: any fault injection or battery depletion refreshes the subset.
 // While every neighbor is alive the borrowed slice is Neighbors' own.
 func (w *World) AliveNeighbors(dst []NodeID, from NodeID) []NodeID {
-	c := w.neighborCache(from)
-	if !c.aliveValid || c.aliveGen != w.aliveGen {
-		if w.borrowShadows != nil {
-			w.verifyBorrowedAlive(from, c)
-		}
-		// One pass: the view is nb until the first neighbor that is down,
-		// which copies the alive prefix into the filtered buffer.
-		c.alive = c.nb
-		for i, id := range c.nb {
-			if !w.nodes[id].Alive() {
-				c.filtered = append(c.filtered[:0], c.nb[:i]...)
-				for _, id := range c.nb[i+1:] {
-					if w.nodes[id].Alive() {
-						c.filtered = append(c.filtered, id)
-					}
-				}
-				c.alive = c.filtered
-				break
-			}
-		}
-		c.aliveGen = w.aliveGen
-		c.aliveValid = true
-		if w.borrowShadows != nil {
-			w.snapshotBorrowedAlive(from, c)
-		}
-	}
+	alive := w.space.neighbors(from, true)
 	if dst == nil {
-		return c.alive
+		return alive
 	}
-	return append(dst, c.alive...)
+	return append(dst, alive...)
 }
 
 // NearestActuator returns the closest non-failed actuator to the node, or
-// NoNode if none exists. It scans the maintained actuator index — a few
-// dozen entries — rather than the full node list. Ties resolve to the
-// lowest ID (the index is in insertion = ID order and the comparison is
-// strict), matching the world's other tie rules.
+// NoNode if none exists. It scans the actuators only, not the full node
+// list. Ties resolve to the lowest ID, matching the world's other tie rules.
 func (w *World) NearestActuator(from NodeID) NodeID {
-	now := w.Sched.Now()
-	p := w.posAt(from, now)
-	best := NoNode
-	bestDist := 0.0
-	for _, id := range w.actuators {
-		if !w.nodes[id].Alive() {
-			continue
-		}
-		d := p.Dist(w.posAt(id, now))
-		if best == NoNode || d < bestDist {
-			best, bestDist = id, d
-		}
-	}
-	return best
+	return w.space.nearestActuator(from)
 }
 
 // txDelay draws one transmission's air time (hop delay + random backoff).
@@ -810,12 +582,6 @@ func (w *World) txDelay() time.Duration {
 	return d
 }
 
-// senseGuard is the margin, in meters, by which carrier sense's inner
-// radius stays clear of the staleness bound: it absorbs float rounding and
-// the nanosecond rounding of leg durations, either of which can carry a node
-// a hair past maxSpeed·Δt from its indexed position.
-const senseGuard = 1e-3
-
 // acquireRadio serializes a node's transmissions and models carrier sense:
 // a busy radio queues the packet, and while the packet is on the air every
 // node within the sender's range defers its own transmissions — the shared
@@ -823,40 +589,14 @@ const senseGuard = 1e-3
 // the time the transmission completes.
 //
 // The carrier-sense set is everything inside the sender's own range, failed
-// or not: a set, since a max does not depend on the order it is taken in.
-// While the sender's cache entry is current it is the neighbor list plus its
-// wide remainder. Otherwise one split grid query around the sender's exact
-// position yields it without filling the cache: a candidate indexed within
-// reach − slack − senseGuard is in range by the staleness bound, and only
-// the band out to reach + slack is re-checked against exact positions, with
-// the fill's own test. A transmission that needs its neighbor list fetches
-// it before acquiring the radio, so its carrier sense is a cache hit.
+// or not: a set, since a max does not depend on the order it is taken in. The
+// spatial layer walks it. A transmission that needs its neighbor list fetches
+// it before acquiring the radio, so the layer finds the set in that list's
+// cache entry instead of scanning for it.
 func (w *World) acquireRadio(n *Node, txTime time.Duration) time.Duration {
-	now := w.Sched.Now()
-	end := max(now, n.busyUntil) + txTime
+	end := max(w.Sched.Now(), n.busyUntil) + txTime
 	n.busyUntil = end
-	w.refreshGrid()
-	if c := &w.caches[n.ID]; w.current(c, now) {
-		w.stats.NeighborHits++
-		for _, set := range [2][]NodeID{c.nb, c.wide} {
-			for _, id := range set {
-				w.holdOff(id, end)
-			}
-		}
-		return end
-	}
-	p := w.posAt(n.ID, now)
-	reach, slack := w.kin[n.ID].reach, w.querySlack(now)
-	w.scratch, w.band = w.grid.Split(w.scratch[:0], w.band[:0], p, reach-slack-senseGuard, reach+slack, int(n.ID))
-	for _, i := range w.scratch {
-		w.holdOff(NodeID(i), end)
-	}
-	for _, i := range w.band {
-		q := w.posAt(NodeID(i), now)
-		if dx, dy := q.X-p.X, q.Y-p.Y; dx*dx+dy*dy <= reach*reach {
-			w.holdOff(NodeID(i), end)
-		}
-	}
+	w.space.carrierSense(n.ID, end)
 	return end
 }
 
@@ -1147,9 +887,6 @@ func (w *World) ReturnSearch(visit []NodeID) {
 		w.via[id] = 0
 	}
 	w.visit, w.searching = visit[:0], false
-	if w.borrowShadows != nil {
-		w.verifySearchTable()
-	}
 }
 
 // TotalEnergy sums the given ledger across all nodes.
