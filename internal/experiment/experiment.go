@@ -452,6 +452,10 @@ func (p RunProgress) Fraction() float64 {
 	return f
 }
 
+// buildWorld builds a run's deployment; indirected so tests can transform
+// the world a run sees without a field in its config.
+var buildWorld = scenario.Build
+
 // RunObserved is RunContext with an optional per-batch progress observer,
 // invoked serially on the calling goroutine after every DES batch (thousands
 // of times per second of wall clock for a busy run — throttle in the
@@ -476,7 +480,7 @@ func RunObserved(ctx context.Context, cfg RunConfig, observe func(RunProgress)) 
 			cfg.Scenario.PacketBits = cfg.Energy.PacketBits
 		}
 	}
-	w := scenario.Build(cfg.Scenario)
+	w := buildWorld(cfg.Scenario)
 	w.SetTracer(cfg.Trace)
 	collector := metrics.NewCollector(cfg.Warmup, cfg.Warmup+cfg.Duration, cfg.QoSDeadline)
 	w.SetCollector(collector)
