@@ -86,7 +86,7 @@ var paperClaims = []paperClaim{
 		return ko < 1 && ko < growth(f.means("4", SystemREFER)) && ko < growth(f.means("4", SystemDDEAR)) &&
 			growth(f.means("4", SystemDaTree)) < ko
 	}},
-	{"fig4/datree_declines_clearly_lowest_from_1mps", "✅", func(f figureSet) bool {
+	{"fig4/datree_declines_clearly_lowest_from_1mps", "⚠️", func(f figureSet) bool {
 		if growth(f.means("4", SystemDaTree)) >= 1 {
 			return false
 		}
@@ -104,7 +104,7 @@ var paperClaims = []paperClaim{
 	}},
 
 	// Figure 5: communication energy vs mobility.
-	{"fig5/all_grow", "✅", func(f figureSet) bool {
+	{"fig5/all_grow", "⚠️", func(f figureSet) bool {
 		for _, s := range f["5"].Series {
 			m := s.Means()
 			if !everywhere(m[:len(m)-1], m[1:], less) {
@@ -113,7 +113,7 @@ var paperClaims = []paperClaim{
 		}
 		return true
 	}},
-	{"fig5/refer_lowest_slight_increase", "✅", func(f figureSet) bool {
+	{"fig5/refer_lowest_slight_increase", "⚠️", func(f figureSet) bool {
 		return f.lowest("5", SystemREFER) && growth(f.means("5", SystemREFER)) <= 1.2
 	}},
 	{"fig5/ko_below_datree_at_0.5mps", "✅", func(f figureSet) bool {
@@ -123,7 +123,7 @@ var paperClaims = []paperClaim{
 		ko, dt := f.means("5", SystemKautzOverlay), f.means("5", SystemDaTree)
 		return ko[len(ko)-1] > dt[len(dt)-1]
 	}},
-	{"fig5/ddear_doubles_below_datree", "✅", func(f figureSet) bool {
+	{"fig5/ddear_doubles_below_datree", "⚠️", func(f figureSet) bool {
 		dd := f.means("5", SystemDDEAR)
 		return growth(dd) >= 2 && everywhere(dd, f.means("5", SystemDaTree), less)
 	}},
@@ -163,7 +163,7 @@ var paperClaims = []paperClaim{
 		}
 		return true
 	}},
-	{"fig7/ddear_above_datree", "✅", func(f figureSet) bool {
+	{"fig7/ddear_above_datree", "❌", func(f figureSet) bool {
 		return everywhere(f.means("7", SystemDaTree), f.means("7", SystemDDEAR), less)
 	}},
 	{"fig7/ko_lowest", "⚠️", func(f figureSet) bool { return f.lowest("7", SystemKautzOverlay) }},
@@ -189,7 +189,7 @@ var paperClaims = []paperClaim{
 	}},
 
 	// Figure 9: communication energy vs network size.
-	{"fig9/refer_marginal_others_rapid", "✅", func(f figureSet) bool {
+	{"fig9/refer_marginal_others_rapid", "⚠️", func(f figureSet) bool {
 		refer := growth(f.means("9", SystemREFER))
 		for _, sys := range []string{SystemDaTree, SystemDDEAR, SystemKautzOverlay} {
 			if growth(f.means("9", sys)) < 2*refer {
@@ -202,7 +202,7 @@ var paperClaims = []paperClaim{
 		dt := f.means("9", SystemDaTree)
 		return everywhere(f.means("9", SystemDDEAR), dt, less) && everywhere(f.means("9", SystemKautzOverlay), dt, less)
 	}},
-	{"fig9/order_DaTree>KO>DDEAR>REFER", "✅", func(f figureSet) bool {
+	{"fig9/order_DaTree>KO>DDEAR>REFER", "⚠️", func(f figureSet) bool {
 		return everywhere(f.means("9", SystemREFER), f.means("9", SystemDDEAR), less) &&
 			everywhere(f.means("9", SystemDDEAR), f.means("9", SystemKautzOverlay), less) &&
 			everywhere(f.means("9", SystemKautzOverlay), f.means("9", SystemDaTree), less)
@@ -224,7 +224,7 @@ var paperClaims = []paperClaim{
 	{"fig10/datree_least", "✅", func(f figureSet) bool { return f.lowest("10", SystemDaTree) }},
 
 	// Figure 11: total energy vs network size.
-	{"fig11/refer_lowest", "✅", func(f figureSet) bool { return f.lowest("11", SystemREFER) }},
+	{"fig11/refer_lowest", "❌", func(f figureSet) bool { return f.lowest("11", SystemREFER) }},
 	{"fig11/construction_under_1pct_of_comm", "⚠️", func(f figureSet) bool {
 		for _, s := range f["10"].Series {
 			if !everywhere(s.Means(), f.means("9", s.System), func(c, comm float64) bool { return c <= 0.01*comm }) {

@@ -118,32 +118,14 @@ func TestTransposeInvariance(t *testing.T) {
 	}
 	plain, mirrored := runMirrored(scenario.Build, cfgs), runMirrored(buildTransposed, cfgs)
 
-	// knownBroken lists the systems whose runs still depend on orientation:
-	// at least one of their runs must differ from its mirror image, so a fix
-	// is noticed and moves the system to the must-hold side.
-	knownBroken := map[string]bool{SystemDaTree: true, SystemDDEAR: true, SystemKautzOverlay: true}
-	total, same := map[string]int{}, map[string]int{}
 	for i, r := range runs {
 		a, b := plain[i], mirrored[i]
-		if fmt.Sprint(a.err) != fmt.Sprint(b.err) {
+		if a.err != nil || b.err != nil {
 			t.Fatalf("%s %+v: error %v, mirrored %v", r.system, r.cfg.Scenario, a.err, b.err)
 		}
-		if a.err != nil {
-			t.Fatalf("%s %+v: %v", r.system, r.cfg.Scenario, a.err)
-		}
-		total[r.system]++
-		switch {
-		case a.res == b.res && a.trace == b.trace:
-			same[r.system]++
-		case !knownBroken[r.system]:
+		if a.res != b.res || a.trace != b.trace {
 			t.Errorf("%s %+v differs from its mirror image:\n%+v\n%+v\ntrace %s vs %s",
 				r.system, r.cfg.Scenario, a.res, b.res, a.trace, b.trace)
-		}
-	}
-	for sys := range knownBroken {
-		t.Logf("%s: %d of %d runs identical to their mirror image", sys, same[sys], total[sys])
-		if same[sys] == total[sys] {
-			t.Errorf("%s is listed as orientation-dependent but all %d runs match their mirror image: move it to the must-hold side", sys, total[sys])
 		}
 	}
 }

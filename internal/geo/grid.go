@@ -51,12 +51,8 @@ func NewGrid(region Rect, cellSize float64) *Grid {
 	}
 }
 
-// CellKey returns the bucket a position hashes to, as a row-major integer.
-// Sorting items by (CellKey, index) reproduces exactly the bucket-major
-// order a freshly built grid's Within would return them in — which is how
-// the simulator keeps query results byte-identical while serving them from
-// an epoch-stale index.
-func (g *Grid) CellKey(p Point) int {
+// bucket returns the row-major index of the bucket a position hashes to.
+func (g *Grid) bucket(p Point) int {
 	col := min(max(int((p.X-g.region.Min.X)/g.cell), 0), g.cols-1)
 	row := min(max(int((p.Y-g.region.Min.Y)/g.cell), 0), g.rows-1)
 	return row*g.cols + col
@@ -81,7 +77,7 @@ func (g *Grid) Insert(index int, p Point) {
 		g.points = append(g.points, Point{})
 	}
 	g.points[index] = p
-	b := g.CellKey(p)
+	b := g.bucket(p)
 	g.buckets[b] = append(g.buckets[b], entry{index, p})
 }
 

@@ -3,7 +3,6 @@ package geo
 import (
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 )
 
@@ -43,37 +42,6 @@ func TestGridResetReuseMatchesFresh(t *testing.T) {
 				if a[i] != b[i] {
 					t.Fatalf("trial %d: Within[%d] = %d (fresh) vs %d (reused)", trial, i, a[i], b[i])
 				}
-			}
-		}
-	}
-}
-
-// TestGridCellKeyOrdersLikeWithin checks the CellKey contract: sorting the
-// items of a Within result by (CellKey, index) leaves it unchanged, because
-// Within already returns bucket-major, insertion-ordered results.
-func TestGridCellKeyOrdersLikeWithin(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	region := Square(500)
-	g := NewGrid(region, 50)
-	pts := make([]Point, 100)
-	for i := range pts {
-		pts[i] = region.RandomPoint(rng)
-		g.Insert(i, pts[i])
-	}
-	for q := 0; q < 25; q++ {
-		p := region.RandomPoint(rng)
-		got := g.Within(nil, p, 120, -1)
-		resorted := append([]int(nil), got...)
-		sort.SliceStable(resorted, func(a, b int) bool {
-			ka, kb := g.CellKey(pts[resorted[a]]), g.CellKey(pts[resorted[b]])
-			if ka != kb {
-				return ka < kb
-			}
-			return resorted[a] < resorted[b]
-		})
-		for i := range got {
-			if got[i] != resorted[i] {
-				t.Fatalf("query %d: Within order %v != (CellKey, index) order %v", q, got, resorted)
 			}
 		}
 	}

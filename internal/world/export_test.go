@@ -1,11 +1,28 @@
 package world
 
+import "sync"
+
 // UseTwin makes New give every world it builds the brute-force twin of the
 // spatial layer (twin_test.go) until the returned function restores the
-// production layer. New reads the choice, so a test that calls it must not
-// run in parallel with another that builds worlds.
+// production layer. Restoring also checks every twin's last lent neighbor
+// slices and panics if a caller wrote to one. New reads the choice, so a
+// test that calls it must not run in parallel with another that builds
+// worlds.
 func UseTwin() (restore func()) {
 	prod := newSpace
-	newSpace = func(w *World) space { return newTwin(w) }
-	return func() { newSpace = prod }
+	var mu sync.Mutex
+	var lent []*lentSlices
+	newSpace = func(w *World) space {
+		t := newTwin(w)
+		mu.Lock()
+		lent = append(lent, t.lent)
+		mu.Unlock()
+		return t
+	}
+	return func() {
+		newSpace = prod
+		for _, l := range lent {
+			l.check(0)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package world
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"refer/internal/geo"
@@ -11,9 +12,10 @@ import (
 // space is the world's spatial layer: where each node is at the current
 // virtual time and who is within range of whom. The world calls it once per
 // query. Every range test it makes is p.Dist(q) <= r, the test InRange and
-// Send make. Neighborhoods are ordered by the cell key a grid freshly built
-// over the region gives each member's exact position (indexGrid), then by
-// NodeID. The slices it returns are borrowed (see World.Neighbors).
+// Send make. Neighborhoods are in ascending NodeID order: a node's ID says
+// nothing about where it is, so the order that decides BFS ties, flood
+// parents and relay choice has no geometric bias. The slices it returns are
+// borrowed (see World.Neighbors).
 type space interface {
 	// add registers the world's newest node.
 	add(n *Node)
@@ -37,7 +39,7 @@ var newSpace = func(w *World) space { return &gridSpace{w: w} }
 // indexGrid returns an empty grid over region. Cell size is on the order of
 // the sensor radio range, shrunk for small regions — considering both
 // dimensions, so a tall narrow region gets cells matched to its thin axis
-// instead of one degenerate column. Its cell keys order every neighborhood.
+// instead of one degenerate column.
 func indexGrid(region geo.Rect) *geo.Grid {
 	cell := 50.0
 	if m := math.Min(region.Width(), region.Height()); m < 200 {
@@ -96,9 +98,6 @@ type gridSpace struct {
 	// scan's inner ones, band the scan's band; both are dead between calls.
 	scratch []int
 	band    []int
-	// sortKey holds the fresh-grid bucket keys of the neighborhood being
-	// insertion-sorted by a cache fill; dead between fills.
-	sortKey []int
 }
 
 // kinematics is one node's row of the position table: its current mobility
@@ -113,9 +112,8 @@ type nodeCache struct {
 	at    time.Duration
 	gen   uint64 // topoGen the entry was computed under
 	valid bool
-	// nb is the usable-link neighborhood in exactly the order a freshly
-	// rebuilt grid would return it (fresh-bucket-major, node ID within a
-	// bucket), so epoch-stale index state never leaks into results.
+	// nb is the usable-link neighborhood in ascending NodeID order, so
+	// epoch-stale index state never leaks into results.
 	nb []NodeID
 	// wide holds the nodes inside the owner's own range but beyond their
 	// own: while the entry is current, nb plus wide is the carrier-sense
@@ -196,12 +194,11 @@ func (s *gridSpace) outer(reach float64, now time.Duration) float64 {
 // computing it if the clock or topology moved since the last query.
 //
 // The computation queries the (possibly stale) grid with slack, filters the
-// candidates against exact current positions and re-sorts survivors into
-// the order a freshly rebuilt grid would list them (bucket-major by the
-// exact position's cell, node ID within a cell — IDs because the rebuild
-// inserts in ID order). Results are therefore bit-identical to rebuilding
-// the index at every event, while the index is only rebuilt once per
-// staleness epoch.
+// candidates against exact current positions and sorts the survivors by ID.
+// Results are therefore bit-identical to a scan of every node at every
+// event, while the index is only rebuilt once per staleness epoch. The grid
+// lists survivors as one ascending run per bucket, a handful of runs that
+// slices.Sort merges faster than an insertion sort.
 func (s *gridSpace) fill(from NodeID) *nodeCache {
 	s.refreshGrid()
 	now := s.w.Sched.Now()
@@ -217,7 +214,6 @@ func (s *gridSpace) fill(from NodeID) *nodeCache {
 	s.w.stats.NeighborCandidates += uint64(len(s.scratch))
 	c.wide = c.wide[:0]
 	c.nb = c.nb[:0]
-	key := s.sortKey[:0]
 	beyond := reach * reach * (1 + linkBand)
 	for _, i := range s.scratch {
 		q := s.posAt(NodeID(i), now)
@@ -230,18 +226,9 @@ func (s *gridSpace) fill(from NodeID) *nodeCache {
 			c.wide = append(c.wide, NodeID(i))
 			continue
 		}
-		// Insertion sort by (fresh cell key, ID); neighborhoods are small.
-		k := s.grid.CellKey(q)
-		j := len(c.nb)
 		c.nb = append(c.nb, NodeID(i))
-		key = append(key, k)
-		for j > 0 && (key[j-1] > k || (key[j-1] == k && c.nb[j-1] > NodeID(i))) {
-			c.nb[j], key[j] = c.nb[j-1], key[j-1]
-			j--
-		}
-		c.nb[j], key[j] = NodeID(i), k
 	}
-	s.sortKey = key
+	slices.Sort(c.nb)
 	c.at = now
 	c.gen = s.topoGen
 	c.valid = true

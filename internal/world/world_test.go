@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -492,9 +493,8 @@ func TestTallNarrowRegionNeighbors(t *testing.T) {
 
 // TestNeighborCacheMatchesUncached is the epoch-cache property test: over a
 // mobility run with fault churn, every Neighbors/AliveNeighbors result must
-// match — membership AND order — what the pre-cache implementation computed:
-// a grid freshly rebuilt from exact positions at the event time, queried
-// with the sender's range and filtered by the receiver's.
+// match — membership AND order — what the brute-force twin (twin_test.go)
+// computes for the same world at the event time.
 func TestNeighborCacheMatchesUncached(t *testing.T) {
 	w := New(Config{Region: geo.Square(500), Seed: 21})
 	rng := w.Rand()
@@ -504,33 +504,7 @@ func TestNeighborCacheMatchesUncached(t *testing.T) {
 		start := w.Config().Region.RandomPoint(rng)
 		w.AddNode(Sensor, mobility.NewWaypoint(w.Config().Region, start, 4.0, rng.Int63(), draws), 100, 0)
 	}
-	uncached := func(from NodeID, at time.Duration) (all, alive []NodeID) {
-		fresh := geo.NewGrid(w.Config().Region, 50)
-		for id := 0; id < n; id++ {
-			fresh.Insert(id, w.Node(NodeID(id)).Mob.At(at))
-		}
-		p := fresh.Position(int(from))
-		for _, i := range fresh.Within(nil, p, w.Node(from).Range, int(from)) {
-			if p.Dist(fresh.Position(i)) <= w.Node(NodeID(i)).Range {
-				all = append(all, NodeID(i))
-				if w.Node(NodeID(i)).Alive() {
-					alive = append(alive, NodeID(i))
-				}
-			}
-		}
-		return all, alive
-	}
-	equal := func(a, b []NodeID) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
+	ref := newTwin(w)
 	for step := 0; step < 120; step++ {
 		at := time.Duration(step) * 777 * time.Millisecond
 		if _, err := w.Sched.At(at, func() {
@@ -541,13 +515,13 @@ func TestNeighborCacheMatchesUncached(t *testing.T) {
 				w.SetFailed(NodeID((step*3)%n), false)
 			}
 			from := NodeID(step % n)
-			wantAll, wantAlive := uncached(from, w.Now())
+			wantAll, wantAlive := ref.neighbors(from, false), ref.neighbors(from, true)
 			gotAll := w.Neighbors(nil, from)
 			gotAlive := w.AliveNeighbors(nil, from)
-			if !equal(gotAll, wantAll) {
+			if !slices.Equal(gotAll, wantAll) {
 				t.Errorf("t=%v Neighbors(%d) = %v, want %v", w.Now(), from, gotAll, wantAll)
 			}
-			if !equal(gotAlive, wantAlive) {
+			if !slices.Equal(gotAlive, wantAlive) {
 				t.Errorf("t=%v AliveNeighbors(%d) = %v, want %v", w.Now(), from, gotAlive, wantAlive)
 			}
 		}); err != nil {
