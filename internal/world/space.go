@@ -197,8 +197,8 @@ func (s *gridSpace) outer(reach float64, now time.Duration) float64 {
 // candidates against exact current positions and sorts the survivors by ID.
 // Results are therefore bit-identical to a scan of every node at every
 // event, while the index is only rebuilt once per staleness epoch. The grid
-// lists survivors as one ascending run per bucket, a handful of runs that
-// slices.Sort merges faster than an insertion sort.
+// lists survivors as one ascending run per bucket; one slices.Sort orders
+// them, where an insertion sort would shift each run past the others.
 func (s *gridSpace) fill(from NodeID) *nodeCache {
 	s.refreshGrid()
 	now := s.w.Sched.Now()
