@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -227,8 +228,9 @@ var sweepRun = RunContext
 
 // Table is one executed grid: every run's Result, from which each figure of
 // the grid is a projection (Table.Figure). Cells[s][x] holds the runs of
-// Systems[s] at Xs[x], one per seed in seed order, so a table is the same
-// value at any sweep parallelism once its host half is stripped.
+// Systems[s] at Xs[x], one per seed in seed order less the seeds dropped at
+// Xs[x] (see sweep), so a table is the same value at any sweep parallelism
+// once its host half is stripped.
 type Table struct {
 	XLabel  string
 	Systems []string
@@ -275,20 +277,30 @@ func (t Table) Figure(spec FigureSpec) Figure {
 // request in progress events and CPU-profile samples. Runs execute in
 // parallel; a failed run or a cancelled context stops further jobs from being
 // scheduled, and every run error — each wrapped with the failing run's
-// system, seed and x — is aggregated with errors.Join. The one exception is
-// grid.buildFailureIsZero, under which the zero Result stands in for an
-// ErrBuild run (and is not counted in SweepStats.Runs).
+// system, seed and x — is aggregated with errors.Join. A system that cannot
+// construct its topology (ErrBuild) is not a failure: its seed is dropped
+// from every system's cell at that x, so the systems stay paired and each
+// cell's sample count shows the drop, and only an x that loses every seed
+// fails the sweep with those errors. Under grid.buildFailureIsZero the zero
+// Result stands in for an ErrBuild run instead (and is not counted in
+// SweepStats.Runs).
 func sweep(ctx context.Context, label string, g grid, o Options) (Table, error) {
 	if err := o.validate(); err != nil {
 		return Table{}, err
 	}
 	o = g.resolve(o)
 	type job struct {
-		cfg RunConfig
-		out *Result
-		x   float64
+		cfg    RunConfig
+		out    *Result
+		x      float64
+		xi, ki int
 	}
 	var jobs []job
+	// buildErrs[x][seed] is the first ErrBuild seen at that position.
+	buildErrs := make([][]error, len(g.xs))
+	for xi := range buildErrs {
+		buildErrs[xi] = make([]error, len(o.Seeds))
+	}
 	cells := make([][][]Result, len(o.Systems))
 	for si, sys := range o.Systems {
 		cells[si] = make([][]Result, len(g.xs))
@@ -315,7 +327,7 @@ func sweep(ctx context.Context, label string, g grid, o Options) (Table, error) 
 				if cfg.Recovery.IsZero() {
 					cfg.Recovery = o.Recovery
 				}
-				jobs = append(jobs, job{cfg: cfg, out: &cells[si][xi][ki], x: x})
+				jobs = append(jobs, job{cfg: cfg, out: &cells[si][xi][ki], x: x, xi: xi, ki: ki})
 			}
 		}
 	}
@@ -391,6 +403,11 @@ func sweep(ctx context.Context, label string, g grid, o Options) (Table, error) 
 				stats.accumulate(res.Stats)
 			case g.buildFailureIsZero && errors.Is(err, ErrBuild):
 				err = nil // cannot operate this sparse: the cell keeps its zero Result
+			case errors.Is(err, ErrBuild):
+				if buildErrs[j.xi][j.ki] == nil { // the seed is dropped at x below
+					buildErrs[j.xi][j.ki] = fmt.Errorf("experiment: %s seed=%d x=%g: %w",
+						j.cfg.System, j.cfg.Scenario.Seed, j.x, err)
+				}
 			default:
 				failed = true
 				errs = append(errs, fmt.Errorf("experiment: %s seed=%d x=%g: %w",
@@ -435,8 +452,24 @@ func sweep(ctx context.Context, label string, g grid, o Options) (Table, error) 
 	if err := ctx.Err(); err != nil {
 		errs = append(errs, err)
 	}
+	for _, seedErrs := range buildErrs {
+		if !slices.ContainsFunc(seedErrs, func(err error) bool { return err == nil }) {
+			errs = append(errs, seedErrs...) // no seed left to plot at this x
+		}
+	}
 	if len(errs) > 0 {
 		return Table{}, errors.Join(errs...)
+	}
+	for xi, seedErrs := range buildErrs {
+		for _, row := range cells {
+			cell := row[xi][:0]
+			for ki, r := range row[xi] {
+				if seedErrs[ki] == nil {
+					cell = append(cell, r)
+				}
+			}
+			row[xi] = cell
+		}
 	}
 	stats.finish(start)
 	return Table{XLabel: g.xLabel, Systems: o.Systems, Xs: g.xs, Cells: cells, Stats: stats}, nil

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -277,5 +278,64 @@ func TestFiguresShareGrid(t *testing.T) {
 				t.Errorf("%d sweeps and %d runs, want %d and %d", sweeps, runs, tc.sweeps, tc.runs)
 			}
 		})
+	}
+}
+
+// TestSweepDropsUnbuildableSeed pins what an ErrBuild does outside the
+// density grid: REFER failing to embed at one (x, seed) drops that seed from
+// every system's cell at that x, so the systems stay paired and the figure's
+// sample counts show the drop, and the sweep still succeeds. Only an x that
+// loses every seed fails the sweep, with the build errors.
+func TestSweepDropsUnbuildableSeed(t *testing.T) {
+	seeds := []int64{1, 2, 3, 4, 5}
+	const badX, badSeed = 2, 4
+	g := grid{xs: []float64{1, badX, 3}, configure: func(_ Options, x float64, seed int64) RunConfig {
+		return RunConfig{Scenario: scenario.Params{Seed: seed, Sensors: int(x)}}
+	}}
+	stubSweepRun(t, func(ctx context.Context, cfg RunConfig) (Result, error) {
+		if cfg.System == SystemREFER && cfg.Scenario.Sensors == badX && cfg.Scenario.Seed == badSeed {
+			return Result{}, fmt.Errorf("%w %s: cannot embed", ErrBuild, cfg.System)
+		}
+		return Result{System: cfg.System, Throughput: float64(cfg.Scenario.Seed)}, nil
+	})
+	var events []ProgressEvent
+	o := Options{Seeds: seeds, Parallelism: 2, Progress: func(ev ProgressEvent) { events = append(events, ev) }}
+	table, err := sweep(context.Background(), "", g, o)
+	if err != nil {
+		t.Fatalf("one unbuildable seed failed the sweep: %v", err)
+	}
+	for _, ev := range events {
+		if ev.Aborted {
+			t.Fatalf("a build failure aborted the sweep: %+v", ev)
+		}
+	}
+	if len(table.Systems) != 4 {
+		t.Fatalf("sweep ran systems %v, want all four", table.Systems)
+	}
+	fig := table.Figure(FigureSpec{Column: "throughput"})
+	for _, series := range fig.Series {
+		for _, p := range series.Points {
+			want := []float64{1, 2, 3, 4, 5}
+			if p.X == badX {
+				want = []float64{1, 2, 3, 5}
+			}
+			if !reflect.DeepEqual(p.Y.Samples, want) {
+				t.Errorf("%s at x=%g: samples %v, want the seeds %v", series.System, p.X, p.Y.Samples, want)
+			}
+		}
+	}
+
+	stubSweepRun(t, func(ctx context.Context, cfg RunConfig) (Result, error) {
+		if cfg.System == SystemREFER && cfg.Scenario.Sensors == badX {
+			return Result{}, fmt.Errorf("%w %s: cannot embed", ErrBuild, cfg.System)
+		}
+		return Result{System: cfg.System}, nil
+	})
+	_, err = sweep(context.Background(), "", g, Options{Seeds: seeds})
+	if !errors.Is(err, ErrBuild) {
+		t.Fatalf("every seed unbuildable at x=%d: sweep error = %v, want ErrBuild", badX, err)
+	}
+	if n := strings.Count(err.Error(), "cannot embed"); n != len(seeds) {
+		t.Errorf("sweep error names %d build failures, want one per seed (%d): %v", n, len(seeds), err)
 	}
 }

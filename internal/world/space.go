@@ -2,7 +2,7 @@ package world
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 	"time"
 
 	"refer/internal/geo"
@@ -98,6 +98,55 @@ type gridSpace struct {
 	// scan's inner ones, band the scan's band; both are dead between calls.
 	scratch []int
 	band    []int
+	// order puts a fill's survivors in NodeID order; it is all zero
+	// between fills.
+	order idBitmap
+}
+
+// idBitmap orders a set of distinct node IDs without comparing them: one bit
+// per node in 64-bit words, and one summary bit per word that is set while
+// the word is nonzero. set marks an ID; drain reads the marked IDs back in
+// ascending order and clears each word as it goes, so the bitmap is all zero
+// between uses. A drain costs one step per ID plus one summary word per
+// 4 096 nodes.
+type idBitmap struct {
+	words   []uint64 // bit id%64 of words[id/64] marks id
+	summary []uint64 // bit w%64 of summary[w/64] marks words[w] != 0
+}
+
+// grow makes room for the IDs below n.
+func (b *idBitmap) grow(n int) {
+	for len(b.words)*64 < n {
+		b.words = append(b.words, 0)
+	}
+	for len(b.summary)*64 < len(b.words) {
+		b.summary = append(b.summary, 0)
+	}
+}
+
+func (b *idBitmap) set(id NodeID) {
+	w := uint(id) >> 6
+	b.words[w] |= 1 << (uint(id) & 63)
+	b.summary[w>>6] |= 1 << (w & 63)
+}
+
+// drain appends the marked IDs to dst in ascending order and clears them.
+func (b *idBitmap) drain(dst []NodeID) []NodeID {
+	for i, sum := range b.summary {
+		if sum == 0 {
+			continue
+		}
+		b.summary[i] = 0
+		for ; sum != 0; sum &= sum - 1 {
+			w := i<<6 | bits.TrailingZeros64(sum)
+			word := b.words[w]
+			b.words[w] = 0
+			for ; word != 0; word &= word - 1 {
+				dst = append(dst, NodeID(w<<6|bits.TrailingZeros64(word)))
+			}
+		}
+	}
+	return dst
 }
 
 // kinematics is one node's row of the position table: its current mobility
@@ -133,6 +182,7 @@ type nodeCache struct {
 func (s *gridSpace) add(n *Node) {
 	s.kin = append(s.kin, kinematics{reach: n.Range})
 	s.caches = append(s.caches, nodeCache{})
+	s.order.grow(len(s.kin))
 	if n.Kind == Actuator {
 		s.actuators = append(s.actuators, n.ID)
 	}
@@ -194,11 +244,12 @@ func (s *gridSpace) outer(reach float64, now time.Duration) float64 {
 // computing it if the clock or topology moved since the last query.
 //
 // The computation queries the (possibly stale) grid with slack, filters the
-// candidates against exact current positions and sorts the survivors by ID.
+// candidates against exact current positions and lists the survivors by ID.
 // Results are therefore bit-identical to a scan of every node at every
-// event, while the index is only rebuilt once per staleness epoch. The grid
-// lists survivors as one ascending run per bucket; one slices.Sort orders
-// them, where an insertion sort would shift each run past the others.
+// event, while the index is only rebuilt once per staleness epoch. Each
+// survivor sets its bit in the space's idBitmap, whose drain reads them back
+// in ascending order: no comparisons, one step per survivor plus one summary
+// word per 4 096 nodes.
 func (s *gridSpace) fill(from NodeID) *nodeCache {
 	s.refreshGrid()
 	now := s.w.Sched.Now()
@@ -213,7 +264,6 @@ func (s *gridSpace) fill(from NodeID) *nodeCache {
 	s.scratch = s.grid.Within(s.scratch[:0], p, s.outer(reach, now), int(from))
 	s.w.stats.NeighborCandidates += uint64(len(s.scratch))
 	c.wide = c.wide[:0]
-	c.nb = c.nb[:0]
 	beyond := reach * reach * (1 + linkBand)
 	for _, i := range s.scratch {
 		q := s.posAt(NodeID(i), now)
@@ -226,9 +276,9 @@ func (s *gridSpace) fill(from NodeID) *nodeCache {
 			c.wide = append(c.wide, NodeID(i))
 			continue
 		}
-		c.nb = append(c.nb, NodeID(i))
+		s.order.set(NodeID(i))
 	}
-	slices.Sort(c.nb)
+	c.nb = s.order.drain(c.nb[:0])
 	c.at = now
 	c.gen = s.topoGen
 	c.valid = true

@@ -541,18 +541,41 @@ func TestNeighborCacheMatchesUncached(t *testing.T) {
 // steady-state neighbor path: once caches and the reusable grid have
 // reached capacity, advancing the clock and re-querying allocates nothing —
 // even under the worst-case regime of a speed bound so loose that every
-// event rebuilds the whole index.
+// event rebuilds the whole index. The large case stacks 64 nodes to a spot,
+// so every list holds IDs from many bitmap words, and node 4 096 joins next
+// to node 0 during the warm-up, growing the ordering bitmap to a second
+// summary word that the lists of nodes 0, 9 and 4 032 then read.
 func TestNeighborQueriesAllocFree(t *testing.T) {
+	t.Run("40 nodes", func(t *testing.T) {
+		var all []NodeID
+		for id := NodeID(0); id < 40; id++ {
+			all = append(all, id)
+		}
+		checkNeighborQueriesAllocFree(t, 40, false, all)
+	})
+	t.Run("4097 nodes", func(t *testing.T) {
+		checkNeighborQueriesAllocFree(t, 4096, true, []NodeID{0, 9, 63, 64, 2047, 4032, 4095})
+	})
+}
+
+// checkNeighborQueriesAllocFree places n fast movers on an 8×8 lattice at
+// 60 m pitch (node i at spot i mod 64), adds one more halfway through the
+// warm-up if join is set, then queries the listed nodes in turn, one per
+// event.
+func checkNeighborQueriesAllocFree(t *testing.T, n int, join bool, queried []NodeID) {
 	w := New(Config{Region: geo.Square(500), Seed: 9})
-	const n = 40
-	for i := 0; i < n; i++ {
+	add := func() {
+		i := len(w.nodes) % 64
 		from := geo.Point{X: float64(i%8) * 60, Y: float64(i/8) * 60}
 		to := geo.Point{X: from.X + 20, Y: from.Y + 20}
 		w.AddNode(Sensor, fast{linear{from: from, to: to, dur: time.Hour}}, 100, 0)
 	}
+	for i := 0; i < n; i++ {
+		add()
+	}
 	i := 0
 	query := func() {
-		id := NodeID(i % n)
+		id := queried[i%len(queried)]
 		i++
 		w.Neighbors(nil, id)
 		w.AliveNeighbors(nil, id)
@@ -567,7 +590,13 @@ func TestNeighborQueriesAllocFree(t *testing.T) {
 			t.Fatalf("t=%v: tick rebuilt the grid %d times, want once", w.Now(), w.stats.GridRebuilds-rebuilds)
 		}
 	}
-	for k := 0; k < 2*n; k++ {
+	for k := 0; k < 2*len(queried); k++ {
+		if join && k == len(queried) {
+			add()
+			if words := len(w.space.(*gridSpace).order.summary); words != 2 {
+				t.Fatalf("node %d joined; the bitmap has %d summary words, want 2", n, words)
+			}
+		}
 		tick() // warm caches, scratch, grid buckets, and the event pool
 	}
 	if avg := testing.AllocsPerRun(200, tick); avg != 0 {
