@@ -23,12 +23,12 @@ func requireZeroBitmap(t *testing.T, b *idBitmap, n int) {
 	}
 	for i, w := range b.words {
 		if w != 0 {
-			t.Fatalf("word %d is %#x after a drain, want 0", i, w)
+			t.Fatalf("word %d is %#x, want 0", i, w)
 		}
 	}
 	for i, s := range b.summary {
 		if s != 0 {
-			t.Fatalf("summary word %d is %#x after a drain, want 0", i, s)
+			t.Fatalf("summary word %d is %#x, want 0", i, s)
 		}
 	}
 }
@@ -117,6 +117,73 @@ func FuzzNeighborOrder(f *testing.F) {
 			}
 		}
 		checkOrder(t, &b, grown, ids, buf)
+	})
+}
+
+// FuzzIDBitmap drives one bitmap through an interleaving of set, has, grow,
+// reset and drain, one operation per byte of ops, against a map. IDs are
+// drawn from the whole world, from the word and summary-word boundaries and
+// as the highest ID, in equal shares. The bitmap must be all zero after
+// every reset and drain, and must agree with the map on every ID at the end.
+func FuzzIDBitmap(f *testing.F) {
+	for i, n := range orderSizes {
+		f.Add(int64(i), uint16(n), []byte{0, 1, 2, 8, 2, 4, 3, 0, 0, 0x0c, 1, 3, 200, 2, 5, 1, 0, 4})
+	}
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, ops []byte) {
+		n := int(size)%10240 + 1
+		rng := rand.New(rand.NewSource(seed))
+		edges := boundaryIDs(n)
+		var b idBitmap
+		b.grow(n)
+		want := map[NodeID]bool{}
+		draw := func() NodeID {
+			switch rng.Intn(3) {
+			case 0:
+				return NodeID(rng.Intn(n))
+			case 1:
+				return edges[rng.Intn(len(edges))]
+			}
+			return NodeID(n - 1)
+		}
+		var buf []NodeID
+		for _, op := range ops {
+			switch op % 5 {
+			case 0, 1:
+				id := draw()
+				b.set(id)
+				want[id] = true
+			case 2:
+				if id := draw(); b.has(id) != want[id] {
+					t.Fatalf("n=%d: has(%d) = %v, want %v", n, id, b.has(id), want[id])
+				}
+			case 3:
+				n += int(op >> 3)
+				b.grow(n)
+			case 4:
+				if op&8 == 0 {
+					b.reset()
+				} else {
+					buf = b.drain(buf[:0])
+					var sorted []NodeID
+					for id := range want {
+						sorted = append(sorted, id)
+					}
+					slices.Sort(sorted)
+					if !slices.Equal(buf, sorted) {
+						t.Fatalf("n=%d: drain = %v, want %v", n, buf, sorted)
+					}
+				}
+				clear(want)
+				requireZeroBitmap(t, &b, n)
+			}
+		}
+		for id := NodeID(0); int(id) < n; id++ {
+			if b.has(id) != want[id] {
+				t.Fatalf("n=%d: has(%d) = %v, want %v", n, id, b.has(id), want[id])
+			}
+		}
+		b.reset()
+		requireZeroBitmap(t, &b, n)
 	})
 }
 

@@ -104,9 +104,54 @@ func TestMobileSendScanAllocFree(t *testing.T) {
 
 // TestFloodSteadyStateAllocFree pins the flood path: the second identical
 // TTL-3 flood with a visitor reuses the first one's flood state, hop records
-// and dedup set, and allocates nothing.
+// and dedup set, and allocates nothing. The large world scatters its IDs
+// over the lattice, so one flood marks words under each of the three
+// summary words of its dedup set.
 func TestFloodSteadyStateAllocFree(t *testing.T) {
-	w := gridWorld(t)
+	t.Run("lattice", func(t *testing.T) {
+		checkFloodAllocFree(t, gridWorld(t), 0, 10)
+	})
+	t.Run("10000 nodes", func(t *testing.T) {
+		const side = 100
+		var positions []geo.Point
+		for _, i := range rand.New(rand.NewSource(45)).Perm(side * side) {
+			positions = append(positions, geo.Point{X: float64(i%side) * 5, Y: float64(i/side) * 5})
+		}
+		w := testWorld(t, positions, 12)
+		blocks := map[NodeID]bool{} // summary words the flood marks under
+		w.Flood(0, 3, energy.Construction, func(at, _ NodeID) bool {
+			blocks[at/4096] = true
+			return true
+		}, nil)
+		w.Sched.Run()
+		fl := w.floodFree[0]
+		if len(fl.seen.summary) != 3 || len(blocks) != 3 {
+			t.Fatalf("dedup set of %d nodes has %d summary words, the flood marked under %d, want 3 and 3", w.Len(), len(fl.seen.summary), len(blocks))
+		}
+		words, summary := &fl.seen.words[0], &fl.seen.summary[0]
+		// Hop records rotate through their LIFO pool, so over the first few
+		// floods a record can meet a longer receiver list than it held
+		// before: here the second flood grows 20 lists and the tenth none.
+		for i := 0; testing.AllocsPerRun(1, func() {
+			w.Flood(0, 3, energy.Construction, nil, nil)
+			w.Sched.Run()
+		}) != 0; i++ {
+			if i == 20 {
+				t.Fatal("hop receiver lists still grow after 20 identical floods")
+			}
+		}
+		checkFloodAllocFree(t, w, 0, 60)
+		if &fl.seen.words[0] != words || &fl.seen.summary[0] != summary {
+			t.Fatal("the dedup set was reallocated after the first flood")
+		}
+	})
+}
+
+// checkFloodAllocFree floods w from origin with TTL 3 and a visitor. The
+// flood must reach at least least nodes, the same flood again must allocate
+// nothing, and one pooled flood record must be left, its dedup set all zero.
+func checkFloodAllocFree(t *testing.T, w *World, origin NodeID, least int) {
+	t.Helper()
 	visits, quiesced := 0, 0
 	visit := func(at, from NodeID) bool {
 		if from == at || !w.InRange(from, at) {
@@ -117,12 +162,12 @@ func TestFloodSteadyStateAllocFree(t *testing.T) {
 	}
 	onDone := func() { quiesced++ }
 	flood := func() {
-		w.Flood(0, 3, energy.Construction, visit, onDone)
+		w.Flood(origin, 3, energy.Construction, visit, onDone)
 		w.Sched.Run()
 	}
 	flood()
 	reached := visits
-	if reached < 10 {
+	if reached < least {
 		t.Fatalf("TTL-3 flood reached only %d nodes; the guard needs a real flood", reached)
 	}
 	if avg := testing.AllocsPerRun(50, flood); avg != 0 {
@@ -134,12 +179,14 @@ func TestFloodSteadyStateAllocFree(t *testing.T) {
 	if len(w.floodFree) != 1 {
 		t.Fatalf("flood free list holds %d records after serial floods, want 1", len(w.floodFree))
 	}
+	requireZeroBitmap(t, &w.floodFree[0].seen, w.Len())
 }
 
-// TestFloodDropsOutgrownMap pins the bound on what a pooled flood keeps: a
-// flood that reached more than floodKeep nodes returns to the pool without
-// its dedup set, and the next flood from that record makes a fresh one.
-func TestFloodDropsOutgrownMap(t *testing.T) {
+// TestFloodSetIsZeroAndBounded pins what a pooled flood keeps: after a
+// flood that reached all 999 other nodes, the pooled dedup set is all zero
+// and holds one word per 64 nodes plus one summary word, and a small flood
+// after it reuses that set without allocating.
+func TestFloodSetIsZeroAndBounded(t *testing.T) {
 	var positions []geo.Point
 	for i := 0; i < 1000; i++ {
 		positions = append(positions, geo.Point{X: float64(i%40) * 12, Y: float64(i/40) * 12})
@@ -154,14 +201,56 @@ func TestFloodDropsOutgrownMap(t *testing.T) {
 	if len(w.floodFree) != 1 {
 		t.Fatalf("%d pooled floods, want 1", len(w.floodFree))
 	}
-	if m := w.floodFree[0].seen; m != nil {
-		t.Fatalf("pooled flood kept its %d-entry set", len(m))
+	set := &w.floodFree[0].seen
+	requireZeroBitmap(t, set, 1000)
+	if cap(set.words) != 16 || cap(set.summary) != 1 {
+		t.Fatalf("pooled set holds %d words and %d summary words for 1000 nodes, want 16 and 1", cap(set.words), cap(set.summary))
 	}
-	w.Flood(0, 2, energy.Construction, nil, nil)
+	words := &set.words[0]
+	small := func() {
+		w.Flood(0, 2, energy.Construction, nil, nil)
+		w.Sched.Run()
+	}
+	if avg := testing.AllocsPerRun(10, small); avg != 0 {
+		t.Fatalf("small flood after a large one allocated %.1f times, want 0", avg)
+	}
+	if len(w.floodFree) != 1 || &w.floodFree[0].seen.words[0] != words {
+		t.Fatal("small flood after a large one did not reuse the pooled set")
+	}
+	requireZeroBitmap(t, set, 1000)
+}
+
+// TestFloodAcrossAddNode adds a node while a flood is live: the world's 64
+// nodes fill one bitmap word, so the joiner's ID lies past the dedup set the
+// flood began with. The flood must still reach the joiner exactly once.
+func TestFloodAcrossAddNode(t *testing.T) {
+	var positions []geo.Point
+	for i := 0; i < 64; i++ {
+		positions = append(positions, geo.Point{X: float64(i%8) * 60, Y: float64(i/8) * 60})
+	}
+	w := testWorld(t, positions, 100)
+	joiner := NodeID(-1)
+	reached := map[NodeID]int{}
+	w.Flood(0, 64, energy.Construction, func(at, _ NodeID) bool {
+		if reached[at]++; at == 1 {
+			// Between nodes 62 and 63, far from the flood's front.
+			joiner = w.AddNode(Sensor, mobility.Static{P: geo.Point{X: 390, Y: 420}}, 100, 0).ID
+		}
+		return true
+	}, nil)
 	w.Sched.Run()
-	if fl := w.floodFree[0]; fl.seen == nil || len(fl.seen) != 0 {
-		t.Fatalf("small flood after a large one: pooled set %v, want empty and kept", fl.seen)
+	if joiner != 64 {
+		t.Fatalf("joiner has ID %d, want 64", joiner)
 	}
+	if len(reached) != 64 {
+		t.Fatalf("flood reached %d of the 64 other nodes", len(reached))
+	}
+	for id, n := range reached {
+		if n != 1 {
+			t.Fatalf("flood reached node %d %d times", id, n)
+		}
+	}
+	requireZeroBitmap(t, &w.floodFree[0].seen, w.Len())
 }
 
 // TestFloodDropsOutgrownReceiverList pins the same bound on hop records: a
@@ -262,9 +351,10 @@ func TestFloodNestedInVisit(t *testing.T) {
 		t.Fatalf("flood free list holds %d records, want 2 (outer and inner overlapped; the chained one reused a slot)", len(w.floodFree))
 	}
 	for _, fl := range w.floodFree {
-		if len(fl.seen) != 0 || fl.outstanding != 0 || fl.visit != nil || fl.onDone != nil {
+		if fl.outstanding != 0 || fl.visit != nil || fl.onDone != nil {
 			t.Fatalf("recycled flood still holds state: %+v", fl)
 		}
+		requireZeroBitmap(t, &fl.seen, w.Len())
 	}
 }
 

@@ -103,12 +103,12 @@ type gridSpace struct {
 	order idBitmap
 }
 
-// idBitmap orders a set of distinct node IDs without comparing them: one bit
-// per node in 64-bit words, and one summary bit per word that is set while
-// the word is nonzero. set marks an ID; drain reads the marked IDs back in
-// ascending order and clears each word as it goes, so the bitmap is all zero
-// between uses. A drain costs one step per ID plus one summary word per
-// 4 096 nodes.
+// idBitmap is a set of node IDs: one bit per node in 64-bit words, and one
+// summary bit per word that is set while the word is nonzero. set marks an
+// ID and has tests one. drain reads the marked IDs back in ascending order
+// and reset forgets them. Both clear only the words the summary marks and
+// leave the bitmap all zero: a drain costs one step per ID, a reset one per
+// marked word, each plus one summary word per 4 096 nodes.
 type idBitmap struct {
 	words   []uint64 // bit id%64 of words[id/64] marks id
 	summary []uint64 // bit w%64 of summary[w/64] marks words[w] != 0
@@ -116,11 +116,11 @@ type idBitmap struct {
 
 // grow makes room for the IDs below n.
 func (b *idBitmap) grow(n int) {
-	for len(b.words)*64 < n {
-		b.words = append(b.words, 0)
+	if need := (n + 63) >> 6; len(b.words) < need {
+		b.words = append(b.words, make([]uint64, need-len(b.words))...)
 	}
-	for len(b.summary)*64 < len(b.words) {
-		b.summary = append(b.summary, 0)
+	if need := (len(b.words) + 63) >> 6; len(b.summary) < need {
+		b.summary = append(b.summary, make([]uint64, need-len(b.summary))...)
 	}
 }
 
@@ -128,6 +128,10 @@ func (b *idBitmap) set(id NodeID) {
 	w := uint(id) >> 6
 	b.words[w] |= 1 << (uint(id) & 63)
 	b.summary[w>>6] |= 1 << (w & 63)
+}
+
+func (b *idBitmap) has(id NodeID) bool {
+	return b.words[uint(id)>>6]&(1<<(uint(id)&63)) != 0
 }
 
 // drain appends the marked IDs to dst in ascending order and clears them.
@@ -147,6 +151,19 @@ func (b *idBitmap) drain(dst []NodeID) []NodeID {
 		}
 	}
 	return dst
+}
+
+// reset clears every marked ID.
+func (b *idBitmap) reset() {
+	for i, sum := range b.summary {
+		if sum == 0 {
+			continue
+		}
+		b.summary[i] = 0
+		for ; sum != 0; sum &= sum - 1 {
+			b.words[i<<6|bits.TrailingZeros64(sum)] = 0
+		}
+	}
 }
 
 // kinematics is one node's row of the position table: its current mobility

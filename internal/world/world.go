@@ -713,8 +713,9 @@ type FloodVisit func(at, from NodeID) bool
 // rebroadcast of its packet: the neighbors it reached first, received one
 // per firing of a single AtN queue entry. Both are pooled on the world with
 // their event callbacks bound once at minting, so a flood allocates nothing
-// in steady state. seen is the dedup set of every node the flood reached. A
-// pooled flood holds no set once its set outgrew floodKeep, and a pooled hop
+// in steady state. seen is the dedup set of every node the flood reached, a
+// bitmap over the world's IDs that each flood owns, since floods overlap in
+// time; it is all zero while the flood sits in the pool. A pooled hop holds
 // no receiver list once that outgrew floodKeep.
 type flood struct {
 	w           *World
@@ -722,7 +723,7 @@ type flood struct {
 	ledger      energy.Ledger
 	visit       FloodVisit
 	onDone      func()
-	seen        map[NodeID]struct{}
+	seen        idBitmap
 	outstanding int
 	quiesce     func() // fl.finish
 }
@@ -753,11 +754,9 @@ func (w *World) Flood(origin NodeID, ttl int, ledger energy.Ledger, visit FloodV
 		fl = &flood{w: w}
 		fl.quiesce = fl.finish
 	}
-	if fl.seen == nil {
-		fl.seen = make(map[NodeID]struct{}, 64)
-	}
 	fl.ttl, fl.ledger, fl.visit, fl.onDone = ttl, ledger, visit, onDone
-	fl.seen[origin] = struct{}{}
+	fl.seen.grow(len(w.nodes))
+	fl.seen.set(origin)
 	fl.rebroadcast(origin, 0)
 	if fl.outstanding == 0 {
 		// Nobody in range: quiesce immediately (next tick).
@@ -787,12 +786,13 @@ func (fl *flood) rebroadcast(at NodeID, hops int) {
 		h = &floodHop{}
 		h.fire = h.run
 	}
+	fl.seen.grow(len(w.nodes)) // a node may have joined since the flood began
 	for _, nb := range targets {
 		w.chargeRx(w.nodes[nb], fl.ledger) // every copy is heard
-		if _, seen := fl.seen[nb]; seen {
+		if fl.seen.has(nb) {
 			continue
 		}
-		fl.seen[nb] = struct{}{}
+		fl.seen.set(nb)
 		h.to = append(h.to, nb)
 	}
 	if len(h.to) == 0 {
@@ -840,21 +840,17 @@ func (h *floodHop) recycle() {
 	w.hopFree = append(w.hopFree, h)
 }
 
-// floodKeep bounds the dedup set a pooled flood keeps (4× the initial
-// size) and the receiver list a pooled hop record keeps. A construction
-// flood across thousands of nodes grows its set far past what later floods
-// need, and a kept set would hold that size for the rest of the run.
+// floodKeep bounds the receiver list a pooled hop record keeps. One
+// rebroadcast in a dense deployment can reach hundreds of new neighbors, far
+// more than later rebroadcasts need, and a kept list would hold that size
+// for the rest of the run.
 const floodKeep = 256
 
 // finish recycles the flood before running onDone, which may flood again.
 func (fl *flood) finish() {
 	onDone := fl.onDone
 	fl.visit, fl.onDone = nil, nil
-	if len(fl.seen) > floodKeep {
-		fl.seen = nil
-	} else {
-		clear(fl.seen)
-	}
+	fl.seen.reset()
 	fl.w.floodFree = append(fl.w.floodFree, fl)
 	if onDone != nil {
 		onDone()
