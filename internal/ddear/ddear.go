@@ -29,7 +29,7 @@ type System struct {
 	w *world.World
 
 	heads    []world.NodeID
-	isHead   map[world.NodeID]bool           // membership of heads, fixed by Build
+	isHead   []bool                          // indexed by NodeID, fixed by Build
 	headOf   map[world.NodeID]world.NodeID   // member → head
 	relayTo  map[world.NodeID]world.NodeID   // member → relay (2-hop members)
 	backbone map[world.NodeID][]world.NodeID // head → path to actuator
@@ -52,7 +52,6 @@ type Stats struct {
 func New(w *world.World) *System {
 	return &System{
 		w:          w,
-		isHead:     make(map[world.NodeID]bool),
 		headOf:     make(map[world.NodeID]world.NodeID),
 		relayTo:    make(map[world.NodeID]world.NodeID),
 		backbone:   make(map[world.NodeID][]world.NodeID),
@@ -88,6 +87,7 @@ func (s *System) Build() error {
 		}
 		return sorted[i] < sorted[j]
 	})
+	s.isHead = make([]bool, s.w.Len())
 	for _, id := range sorted {
 		if !s.w.Node(id).Alive() {
 			continue

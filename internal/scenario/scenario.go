@@ -148,6 +148,7 @@ func Build(p Params) *world.World {
 	if p.ActuatorGrid >= 2 {
 		layout = GridLayout(p.ActuatorGrid, p.GridSpacing, p.Side)
 	}
+	w.Grow(len(layout) + p.Sensors)
 	for _, pos := range layout {
 		w.AddNode(world.Actuator, mobility.Static{P: pos}, p.ActuatorRange, 0)
 	}

@@ -26,3 +26,7 @@ func UseTwin() (restore func()) {
 		}
 	}
 }
+
+// KinCap returns the capacity of the position table of a world on the
+// production spatial layer.
+func KinCap(w *World) int { return cap(w.space.(*gridSpace).kin) }

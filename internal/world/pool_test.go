@@ -1,8 +1,10 @@
 package world
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -130,14 +132,16 @@ func TestFloodSteadyStateAllocFree(t *testing.T) {
 		}
 		words, summary := &fl.seen.words[0], &fl.seen.summary[0]
 		// Hop records rotate through their LIFO pool, so over the first few
-		// floods a record can meet a longer receiver list than it held
-		// before: here the second flood grows 20 lists and the tenth none.
+		// floods a record can meet more fresh receivers than its list holds.
+		// Each list is sized once for them, so here the second flood sizes
+		// 12 lists, and the floods AllocsPerRun counts (every other one)
+		// size 6, 5, 4, 4, 2, 2, 2, 1, 1 and then none.
 		for i := 0; testing.AllocsPerRun(1, func() {
 			w.Flood(0, 3, energy.Construction, nil, nil)
 			w.Sched.Run()
 		}) != 0; i++ {
-			if i == 20 {
-				t.Fatal("hop receiver lists still grow after 20 identical floods")
+			if i == 12 {
+				t.Fatal("hop receiver lists still grow after 13 pairs of identical floods")
 			}
 		}
 		checkFloodAllocFree(t, w, 0, 60)
@@ -278,6 +282,33 @@ func TestFloodDropsOutgrownReceiverList(t *testing.T) {
 	w.Sched.Run()
 	if h := w.hopFree[0]; h.to == nil || len(h.to) != 0 || cap(h.to) > floodKeep {
 		t.Fatalf("small flood after a large one: pooled list len %d cap %d, want empty and kept", len(h.to), cap(h.to))
+	}
+}
+
+// TestHopListSizedForFreshReceivers pins how a rebroadcast sizes its
+// receiver list: for exactly the targets its flood has not reached. Five
+// ring nodes 50 m around the origin hear it and each other, and each has one
+// outer neighbor of its own, so the origin's hop holds 5 receivers and a
+// ring node's 1 of its 6 targets. Ring nodes 1–4 rebroadcast while the
+// origin's record is on the queue and take new records; node 5 reuses it.
+func TestHopListSizedForFreshReceivers(t *testing.T) {
+	positions := []geo.Point{{X: 250, Y: 250}}
+	for _, r := range []float64{50, 110} {
+		for i := 0; i < 5; i++ {
+			a := 2 * math.Pi * float64(i) / 5
+			positions = append(positions, geo.Point{X: 250 + r*math.Cos(a), Y: 250 + r*math.Sin(a)})
+		}
+	}
+	w := testWorld(t, positions, 100)
+	w.Flood(0, 2, energy.Construction, nil, nil)
+	w.Sched.Run()
+	var caps []int
+	for _, h := range w.hopFree {
+		caps = append(caps, cap(h.to))
+	}
+	slices.Sort(caps)
+	if want := []int{1, 1, 1, 1, 5}; !slices.Equal(caps, want) {
+		t.Fatalf("pooled hop lists have capacities %v, want %v", caps, want)
 	}
 }
 

@@ -17,6 +17,8 @@ import (
 // parents and relay choice has no geometric bias. The slices it returns are
 // borrowed (see World.Neighbors).
 type space interface {
+	// grow makes room for n more nodes (World.Grow).
+	grow(n int)
 	// add registers the world's newest node.
 	add(n *Node)
 	// position returns id's position now.
@@ -196,6 +198,12 @@ type nodeCache struct {
 	aliveValid bool
 }
 
+func (s *gridSpace) grow(n int) {
+	s.kin = presize(s.kin, n)
+	s.caches = presize(s.caches, n)
+	s.order.grow(len(s.kin) + n)
+}
+
 func (s *gridSpace) add(n *Node) {
 	s.kin = append(s.kin, kinematics{reach: n.Range})
 	s.caches = append(s.caches, nodeCache{})
@@ -266,7 +274,9 @@ func (s *gridSpace) outer(reach float64, now time.Duration) float64 {
 // event, while the index is only rebuilt once per staleness epoch. Each
 // survivor sets its bit in the space's idBitmap, whose drain reads them back
 // in ascending order: no comparisons, one step per survivor plus one summary
-// word per 4 096 nodes.
+// word per 4 096 nodes. The scan counts the survivors and compacts the wide
+// members to the front of the scratch, so each list is sized before it is
+// written (sized) and never grows by append.
 func (s *gridSpace) fill(from NodeID) *nodeCache {
 	s.refreshGrid()
 	now := s.w.Sched.Now()
@@ -280,8 +290,8 @@ func (s *gridSpace) fill(from NodeID) *nodeCache {
 	reach := s.kin[from].reach
 	s.scratch = s.grid.Within(s.scratch[:0], p, s.outer(reach, now), int(from))
 	s.w.stats.NeighborCandidates += uint64(len(s.scratch))
-	c.wide = c.wide[:0]
 	beyond := reach * reach * (1 + linkBand)
+	survivors, wide := 0, 0
 	for _, i := range s.scratch {
 		q := s.posAt(NodeID(i), now)
 		// Candidates beyond linkWithin's band, most of the ring, are rejected
@@ -290,17 +300,33 @@ func (s *gridSpace) fill(from NodeID) *nodeCache {
 			continue
 		}
 		if r := s.kin[i].reach; r < reach && !linkWithin(p, q, r) {
-			c.wide = append(c.wide, NodeID(i))
+			s.scratch[wide] = i // wide <= the index being read
+			wide++
 			continue
 		}
 		s.order.set(NodeID(i))
+		survivors++
 	}
-	c.nb = s.order.drain(c.nb[:0])
+	c.wide = sized(c.wide, wide)
+	for _, i := range s.scratch[:wide] {
+		c.wide = append(c.wide, NodeID(i))
+	}
+	c.nb = s.order.drain(sized(c.nb, survivors))
 	c.at = now
 	c.gen = s.topoGen
 	c.valid = true
 	c.aliveValid = false
 	return c
+}
+
+// sized returns buf emptied with room for k IDs. A list that outgrew its
+// buffer gets a new one with 1/8 headroom, so one that creeps up a few IDs at
+// a time is not reallocated on every fill.
+func sized(buf []NodeID, k int) []NodeID {
+	if cap(buf) < k {
+		return make([]NodeID, 0, k+k>>3)
+	}
+	return buf[:0]
 }
 
 // current reports whether a cache entry holds its owner's neighborhood at

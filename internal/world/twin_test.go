@@ -56,6 +56,8 @@ func (t *twin) query() {
 	l.unchecked = len(l.slices)
 }
 
+func (t *twin) grow(int) {}
+
 func (t *twin) add(*Node) {}
 
 func (t *twin) position(id NodeID) geo.Point {

@@ -393,6 +393,26 @@ func (w *World) AddNode(kind Kind, mob mobility.Model, radioRange, battery float
 	return n
 }
 
+// Grow makes room for n more nodes, as slices.Grow does for elements: the
+// node list and the spatial layer's per-node tables are allocated once, at
+// their final size, instead of grown by AddNode's appends. A world that
+// takes more nodes than the hint still grows by append.
+func (w *World) Grow(n int) {
+	w.nodes = presize(w.nodes, n)
+	w.space.grow(n)
+}
+
+// presize returns s with room for exactly n more elements, reallocated only
+// when it has less.
+func presize[E any](s []E, n int) []E {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	t := make([]E, len(s), len(s)+n)
+	copy(t, s)
+	return t
+}
+
 // nextID returns the ID of a world's (n+1)-th node. Callers size worlds
 // from validated input, so running out of IDs is a bug, not an error.
 func nextID(n int) NodeID {
@@ -787,6 +807,17 @@ func (fl *flood) rebroadcast(at NodeID, hops int) {
 		h.fire = h.run
 	}
 	fl.seen.grow(len(w.nodes)) // a node may have joined since the flood began
+	// The receiver list is sized for the targets the flood has not reached,
+	// not for all of them: most copies a rebroadcast sends are duplicates.
+	fresh := 0
+	for _, nb := range targets {
+		if !fl.seen.has(nb) {
+			fresh++
+		}
+	}
+	if cap(h.to) < fresh {
+		h.to = make([]NodeID, 0, fresh)
+	}
 	for _, nb := range targets {
 		w.chargeRx(w.nodes[nb], fl.ledger) // every copy is heard
 		if fl.seen.has(nb) {
