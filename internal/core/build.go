@@ -31,7 +31,7 @@ func (s *System) Build() error {
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	s.graph = g
+	s.graph, s.kids = g, g.Nodes()
 	// Share the process-wide precomputed route table for the cell graph; a
 	// K(d,3) cell is small enough that every (u, v) route set is tabulated
 	// once per process instead of on every forwarding decision.
@@ -401,7 +401,7 @@ func (s *System) embedCell(c *Cell) error {
 	// sensor best connected to the KID's overlay partners (the same rule
 	// maintenance uses for candidates).
 	var lastKID kautz.ID
-	for _, kid := range s.graph.Nodes() {
+	for _, kid := range s.kids {
 		if _, taken := c.NodeByKID[kid]; !taken {
 			lastKID = kid
 			break

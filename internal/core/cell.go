@@ -27,14 +27,6 @@ type Cell struct {
 	// the sleep/wait population that candidates are drawn from.
 	members map[world.NodeID]bool
 
-	// kidOrder caches the cell's KIDs in ascending order so each maintenance
-	// round iterates deterministically without rebuilding and re-sorting the
-	// slice. KIDs are only ever added (during Build); replacement reassigns
-	// a KID's holder but never the KID set, so the cache is valid exactly
-	// when its length matches NodeByKID. Cell merge empties the KID set and
-	// must nil the cache explicitly (recover.go).
-	kidOrder []kautz.ID
-
 	// retired marks a cell dissolved by a recovery merge: it stays in
 	// s.cells (iteration order is part of the determinism contract) but its
 	// overlay state is empty and absorbedBy points at the cell that
@@ -42,24 +34,6 @@ type Cell struct {
 	// permanent, so absorber chains never cycle.
 	retired    bool
 	absorbedBy *Cell
-}
-
-// sortedKIDs returns the cell's KIDs in ascending order, served from the
-// cache once the embedding is complete. The rebuild uses an insertion sort
-// into the retained buffer so steady-state maintenance stays allocation-free.
-func (c *Cell) sortedKIDs() []kautz.ID {
-	if len(c.kidOrder) != len(c.NodeByKID) {
-		c.kidOrder = c.kidOrder[:0]
-		for kid := range c.NodeByKID {
-			c.kidOrder = append(c.kidOrder, kid)
-		}
-		for i := 1; i < len(c.kidOrder); i++ {
-			for j := i; j > 0 && c.kidOrder[j] < c.kidOrder[j-1]; j-- {
-				c.kidOrder[j], c.kidOrder[j-1] = c.kidOrder[j-1], c.kidOrder[j]
-			}
-		}
-	}
-	return c.kidOrder
 }
 
 // KIDOf returns the node's Kautz ID within this cell.

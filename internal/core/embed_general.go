@@ -30,7 +30,7 @@ import (
 // allows); the router's relay fallback covers the rest.
 func (s *System) embedCellGeneral(c *Cell) error {
 	unassigned := make([]kautz.ID, 0, s.graph.N()-3)
-	for _, kid := range s.graph.Nodes() {
+	for _, kid := range s.kids {
 		if _, taken := c.NodeByKID[kid]; !taken {
 			unassigned = append(unassigned, kid)
 		}

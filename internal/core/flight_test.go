@@ -78,7 +78,7 @@ func TestInjectSteadyStateAllocFree(t *testing.T) {
 
 	c := s.Cells()[0]
 	sendAll := func() {
-		for _, kid := range c.sortedKIDs() {
+		for _, kid := range s.kids {
 			for _, src := range []world.NodeID{c.NodeByKID["010"], c.NodeByKID["121"]} {
 				s.SendTo(src, Address{CID: c.CID, KID: kid}, done)
 				w.Sched.Run()

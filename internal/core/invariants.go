@@ -108,9 +108,8 @@ func (s *System) CheckInvariants() error {
 // fail over through — the precomputed table when enabled, the direct
 // computation otherwise — for every ordered pair of the cell graph.
 func (s *System) checkRouteSoundness() error {
-	nodes := s.graph.Nodes()
-	for _, u := range nodes {
-		for _, v := range nodes {
+	for _, u := range s.kids {
+		for _, v := range s.kids {
 			if u == v {
 				continue
 			}

@@ -55,9 +55,13 @@ func (s *System) maintainOnce() {
 		if prober := s.pickProber(c); prober != world.NoNode {
 			s.w.Broadcast(prober, energy.Communication)
 		}
-		// Deterministic KID order, served from the cell's cache.
-		for _, kid := range c.sortedKIDs() {
-			id := c.NodeByKID[kid]
+		// Deterministic KID order: the graph's node list, which every
+		// embedded cell holds in full.
+		for _, kid := range s.kids {
+			id, ok := c.NodeByKID[kid]
+			if !ok {
+				continue
+			}
 			if c.IsActuatorKID(kid) {
 				continue // corners are actuators; sensors cannot replace them
 			}

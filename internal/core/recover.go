@@ -110,8 +110,7 @@ func (s *System) reelectCorner(c *Cell, slot int, detectedAt time.Duration) (rec
 	if best == world.NoNode {
 		return recovery.Action{}, false
 	}
-	// Rebind the corner's KID to the winner. The KID set is unchanged, so
-	// the cell's kidOrder cache stays valid.
+	// Rebind the corner's KID to the winner.
 	kid := c.kidOfNode[old]
 	delete(c.kidOfNode, old)
 	c.Corners[slot] = best
@@ -159,12 +158,10 @@ func (s *System) mergeCell(c *Cell, detectedAt time.Duration) []recovery.Action 
 	}
 	corners := c.Corners
 	// Retire in place: c stays in s.cells (iteration order) with cleared
-	// overlay state; kidOrder is invalidated explicitly because its cache
-	// test assumes KIDs are only ever added.
+	// overlay state.
 	c.NodeByKID = make(map[kautz.ID]world.NodeID)
 	c.kidOfNode = make(map[world.NodeID]kautz.ID)
 	c.members = make(map[world.NodeID]bool)
-	c.kidOrder = nil
 	c.retired = true
 	c.absorbedBy = absorber
 	for _, corner := range corners {

@@ -83,6 +83,7 @@ type System struct {
 	cfg Config
 
 	graph     *kautz.Graph
+	kids      []kautz.ID        // graph.Nodes(), in ascending order
 	routes    *kautz.RouteTable // the process-wide precomputed Theorem 3.8 routes of K(d,k)
 	cells     []*Cell
 	cellByCID map[int]*Cell

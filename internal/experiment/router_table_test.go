@@ -18,7 +18,8 @@ import (
 // has no equal-length pair at all — plus the Kautz overlay walking its own
 // route sets, on four concurrent runs: the tables are process-wide, so under
 // -race a write through a view is a reported race, and afterwards every
-// entry of every table built must still equal a fresh Theorem 3.8
+// entry of every table the campaign can have read — K(3,3) for the cells,
+// K(2,k) for the overlay — must still equal a fresh Theorem 3.8
 // computation, order included.
 func TestRouterNeverMutatesTable(t *testing.T) {
 	o := Options{
@@ -38,12 +39,12 @@ func TestRouterNeverMutatesTable(t *testing.T) {
 		t.Fatalf("campaign never exercised the table: %d hits, %d failover switches",
 			table.Stats.RouteTableHits, table.Stats.FailoverSwitches)
 	}
-	tables := kautz.Tables()
-	if len(tables) == 0 {
-		t.Fatal("no route table was built")
-	}
-	for _, rt := range tables {
-		d, k := rt.Degree(), rt.Diameter()
+	for _, dk := range [][2]int{{3, 3}, {2, 1}, {2, 2}, {2, 3}, {2, 4}, {2, 5}, {2, 6}, {2, 7}} {
+		d, k := dk[0], dk[1]
+		rt, err := kautz.TableFor(d, k)
+		if err != nil {
+			t.Fatal(err)
+		}
 		g, err := kautz.New(d, k)
 		if err != nil {
 			t.Fatal(err)

@@ -57,6 +57,53 @@ func FuzzParseID(f *testing.F) {
 	})
 }
 
+// FuzzGraphIndex pins the arithmetic rank against the grammar: for any
+// string, Index finds it exactly when it is a node of K(d, k) — ParseID
+// accepts it, its length is k and no digit is above d — and then the node
+// list holds it at that index.
+func FuzzGraphIndex(f *testing.F) {
+	for _, seed := range []struct {
+		d uint8
+		s string
+	}{
+		{1, "010"}, {2, "012"}, {2, "212"}, {2, "013"}, {2, "011"}, {3, "3030"},
+		{4, "0123"}, {8, "9"}, {8, "989"}, {2, ""}, {2, "0"}, {2, "01201"}, {2, "0/1"}, {2, "0:1"},
+	} {
+		f.Add(seed.d, seed.s)
+	}
+	const maxK = 4
+	var graphs [MaxDegree + 1][maxK + 1]*Graph
+	for d := 1; d <= MaxDegree; d++ {
+		for k := 1; k <= maxK; k++ {
+			g, err := New(d, k)
+			if err != nil {
+				f.Fatal(err)
+			}
+			graphs[d][k] = g
+		}
+	}
+	f.Fuzz(func(t *testing.T, dd uint8, s string) {
+		d := 1 + int(dd)%MaxDegree
+		k := len(s)
+		if k < 1 || k > maxK {
+			k = 3
+		}
+		g := graphs[d][k]
+		_, err := ParseID(s)
+		isNode := err == nil && len(s) == k
+		for i := 0; isNode && i < len(s); i++ {
+			isNode = int(s[i]-'0') <= d
+		}
+		i := g.Index(ID(s))
+		if (i >= 0) != isNode || g.Contains(ID(s)) != isNode {
+			t.Fatalf("K(%d,%d): Index(%q) = %d, Contains = %v, but node = %v", d, k, s, i, g.Contains(ID(s)), isNode)
+		}
+		if isNode && g.nodes[i] != ID(s) {
+			t.Fatalf("K(%d,%d): Index(%q) = %d holds %q", d, k, s, i, g.nodes[i])
+		}
+	})
+}
+
 // FuzzDisjointPaths pins Theorem 3.8 over arbitrary (d, u, v): the route
 // set must contain exactly d routes whose concrete paths are simple, valid
 // Kautz walks from u to v, with distinct successors and internal

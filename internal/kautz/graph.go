@@ -2,8 +2,12 @@ package kautz
 
 import (
 	"fmt"
-	"sort"
+	"math"
 )
+
+// maxNodes bounds the order of a graph New enumerates: K(2,19) (786,432
+// nodes) fits, K(4,10) and K(9,7) do not.
+const maxNodes = 1 << 20
 
 // Graph is a fully enumerated Kautz digraph K(d, k). It is immutable after
 // construction and safe for concurrent use.
@@ -11,34 +15,36 @@ type Graph struct {
 	d     int
 	k     int
 	nodes []ID
-	index map[ID]int
 }
 
-// New enumerates K(d, k). It returns an error for d < 1, k < 1, or
-// d > MaxDegree.
+// New enumerates K(d, k). It returns an error for d < 1, k < 1,
+// d > MaxDegree, or a graph of more than maxNodes nodes.
 func New(d, k int) (*Graph, error) {
-	if d < 1 || d > MaxDegree {
-		return nil, fmt.Errorf("kautz: degree d=%d out of range [1,%d]", d, MaxDegree)
+	n, err := order(d, k)
+	if err != nil {
+		return nil, err
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("kautz: diameter k=%d must be >= 1", k)
-	}
-	n := NumNodes(d, k)
-	g := &Graph{
-		d:     d,
-		k:     k,
-		nodes: make([]ID, 0, n),
-		index: make(map[ID]int, n),
-	}
-	buf := make([]byte, k)
-	g.enumerate(buf, 0)
-	sort.Slice(g.nodes, func(i, j int) bool { return g.nodes[i] < g.nodes[j] })
-	for i, id := range g.nodes {
-		g.index[id] = i
-	}
+	g := &Graph{d: d, k: k, nodes: make([]ID, 0, n)}
+	g.enumerate(make([]byte, k), 0)
 	return g, nil
 }
 
+// order validates d and k and returns the number of nodes of K(d, k).
+func order(d, k int) (int, error) {
+	if d < 1 || d > MaxDegree {
+		return 0, fmt.Errorf("kautz: degree d=%d out of range [1,%d]", d, MaxDegree)
+	}
+	if k < 1 {
+		return 0, fmt.Errorf("kautz: diameter k=%d must be >= 1", k)
+	}
+	if n := NumNodes(d, k); n <= maxNodes {
+		return n, nil
+	}
+	return 0, fmt.Errorf("kautz: K(%d,%d) has more than %d nodes", d, k, maxNodes)
+}
+
+// enumerate appends every ID with the prefix buf[:pos], trying digits in
+// ascending order, so the node list comes out in lexicographic order.
 func (g *Graph) enumerate(buf []byte, pos int) {
 	if pos == g.k {
 		id := ID(buf)
@@ -55,10 +61,14 @@ func (g *Graph) enumerate(buf []byte, pos int) {
 	}
 }
 
-// NumNodes returns (d+1)·d^(k-1), the order of K(d, k).
+// NumNodes returns (d+1)·d^(k-1), the order of K(d, k), or math.MaxInt when
+// that does not fit in an int.
 func NumNodes(d, k int) int {
 	n := d + 1
 	for i := 1; i < k; i++ {
+		if d > 0 && n > math.MaxInt/d {
+			return math.MaxInt
+		}
 		n *= d
 	}
 	return n
@@ -81,18 +91,33 @@ func (g *Graph) Nodes() []ID {
 }
 
 // Contains reports whether id is a node of the graph.
-func (g *Graph) Contains(id ID) bool {
-	_, ok := g.index[id]
-	return ok
-}
+func (g *Graph) Contains(id ID) bool { return g.Index(id) >= 0 }
 
 // Index returns the position of id in the sorted node list, or -1.
-func (g *Graph) Index(id ID) int {
-	i, ok := g.index[id]
-	if !ok {
+func (g *Graph) Index(id ID) int { return rank(g.d, g.k, id) }
+
+// rank returns the position of id among the nodes of K(d, k) in
+// lexicographic order, or -1 when id is no node of it. The first digit
+// counts in base d+1; each later digit x, which cannot repeat its
+// predecessor p, counts as x - [x > p] in base d.
+func rank(d, k int, id ID) int {
+	if len(id) != k {
 		return -1
 	}
-	return i
+	r, prev := 0, -1
+	for i := 0; i < k; i++ {
+		x := int(id[i]) - '0'
+		if x < 0 || x > d || x == prev {
+			return -1
+		}
+		digit := x
+		if prev >= 0 && x > prev {
+			digit--
+		}
+		r = r*d + digit
+		prev = x
+	}
+	return r
 }
 
 // Successors returns the d out-neighbors u2…uk x (x ≠ uk) of u, in

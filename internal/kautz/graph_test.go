@@ -1,6 +1,7 @@
 package kautz
 
 import (
+	"math"
 	"testing"
 )
 
@@ -18,6 +19,11 @@ func TestNewValidation(t *testing.T) {
 		{name: "zero degree", d: 0, k: 3, wantErr: true},
 		{name: "zero diameter", d: 2, k: 0, wantErr: true},
 		{name: "degree too large", d: 10, k: 2, wantErr: true},
+		// Orders that overflow int (K(2,64) is 3·2^63, K(9,20) is 10·9^19)
+		// and one that fits but is above the enumeration bound (3.1e11).
+		{name: "order overflows at d=2", d: 2, k: 64, wantErr: true},
+		{name: "order overflows at d=9", d: 9, k: 20, wantErr: true},
+		{name: "order above bound", d: 9, k: 12, wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -26,6 +32,19 @@ func TestNewValidation(t *testing.T) {
 				t.Fatalf("New(%d,%d) error = %v, wantErr %v", tt.d, tt.k, err, tt.wantErr)
 			}
 		})
+	}
+}
+
+// TestNumNodesSaturates pins the overflow-safe order: the exact product
+// while it fits in an int, math.MaxInt once it does not.
+func TestNumNodesSaturates(t *testing.T) {
+	if got, want := NumNodes(2, 62), 3<<61; got != want {
+		t.Errorf("NumNodes(2,62) = %d, want %d", got, want)
+	}
+	for _, c := range []struct{ d, k int }{{2, 63}, {2, 64}, {2, 70}, {9, 20}, {9, 1000}} {
+		if got := NumNodes(c.d, c.k); got != math.MaxInt {
+			t.Errorf("NumNodes(%d,%d) = %d, want math.MaxInt", c.d, c.k, got)
+		}
 	}
 }
 
@@ -320,5 +339,32 @@ func TestGraphIndexAndContains(t *testing.T) {
 	nodes[0] = "999"
 	if g.Nodes()[0] != "010" {
 		t.Error("Nodes() does not return a defensive copy")
+	}
+}
+
+// TestGraphIndexIsRank checks the arithmetic rank against the enumeration
+// exhaustively: every node's Index is its position in the node list, which
+// is strictly ascending.
+func TestGraphIndexIsRank(t *testing.T) {
+	var graphs [][2]int
+	for d := 1; d <= 4; d++ {
+		for k := 1; k <= 5; k++ {
+			graphs = append(graphs, [2]int{d, k})
+		}
+	}
+	graphs = append(graphs, [2]int{9, 1}, [2]int{9, 2}, [2]int{9, 3})
+	for _, c := range graphs {
+		g, err := New(c[0], c[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range g.Nodes() {
+			if got := g.Index(id); got != i {
+				t.Fatalf("K(%d,%d): Index(%s) = %d, want %d", c[0], c[1], id, got, i)
+			}
+			if i > 0 && g.nodes[i-1] >= id {
+				t.Fatalf("K(%d,%d): node %d (%s) does not follow %s", c[0], c[1], i, id, g.nodes[i-1])
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package kautz
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -190,11 +191,11 @@ func (g *Graph) MinVertexCut(u, v ID) int {
 				// exactly one internally disjoint path.
 				capArc = 1
 			}
-			addEdge(idOut(i), idIn(g.index[s]), capArc)
+			addEdge(idOut(i), idIn(g.Index(s)), capArc)
 		}
 	}
-	src := idOut(g.index[u])
-	dst := idIn(g.index[v])
+	src := idOut(g.Index(u))
+	dst := idIn(g.Index(v))
 	flow := 0
 	for {
 		// BFS for an augmenting path.
@@ -257,6 +258,76 @@ func BenchmarkMinVertexCutK23(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if got := g.MinVertexCut("012", "201"); got != 2 {
 			b.Fatalf("cut = %d", got)
+		}
+	}
+}
+
+// primaryArcLoad returns max ÷ mean of the arc load of Theorem 3.8 primary
+// routes over every arc of K(d, k): the load of an arc is the number of
+// ordered pairs (u, v), u ≠ v, whose routes[0].Path crosses it. With
+// toCorners the pairs are every u to the three corner KIDs 012, 120 and
+// 201; otherwise every ordered pair. Routes are read through the shared
+// table, so the tabulated entries are what is counted.
+func primaryArcLoad(t *testing.T, d, k int, toCorners bool) float64 {
+	t.Helper()
+	g, err := New(d, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := TableFor(d, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsts := g.Nodes()
+	if toCorners {
+		dsts = []ID{"012", "120", "201"}
+	}
+	load := make(map[[2]ID]int)
+	for _, u := range g.Nodes() {
+		for _, v := range dsts {
+			if u == v {
+				continue
+			}
+			routes, ok := table.Routes(u, v)
+			if !ok {
+				t.Fatalf("K(%d,%d): table misses %s→%s", d, k, u, v)
+			}
+			path := routes[0].Path
+			for i := 1; i < len(path); i++ {
+				if !g.HasArc(path[i-1], path[i]) {
+					t.Fatalf("K(%d,%d): %s→%s primary path steps off the graph at %s→%s", d, k, u, v, path[i-1], path[i])
+				}
+				load[[2]ID{path[i-1], path[i]}]++
+			}
+		}
+	}
+	maxLoad, total := 0, 0
+	for _, l := range load {
+		maxLoad = max(maxLoad, l)
+		total += l
+	}
+	arcs := g.N() * d
+	return float64(maxLoad) * float64(arcs) / float64(total)
+}
+
+// TestPrimaryArcLoad pins how unevenly Theorem 3.8's primary routes load
+// the arcs of K(d,3) — the prior for where a saturated cell congests first:
+// nearly even all-to-all, concentrated on the corners' in-arcs when every
+// packet heads for an actuator, more so as d grows.
+func TestPrimaryArcLoad(t *testing.T) {
+	for _, c := range []struct {
+		d                int
+		allToAll, corner float64
+	}{
+		{2, 1.176, 2.880},
+		{3, 1.129, 7.200},
+		{4, 1.069, 13.521},
+	} {
+		if got := primaryArcLoad(t, c.d, 3, false); math.Abs(got-c.allToAll) > 5e-4 {
+			t.Errorf("K(%d,3) all-to-all max/mean = %.4f, want %.3f", c.d, got, c.allToAll)
+		}
+		if got := primaryArcLoad(t, c.d, 3, true); math.Abs(got-c.corner) > 5e-4 {
+			t.Errorf("K(%d,3) to-corners max/mean = %.4f, want %.3f", c.d, got, c.corner)
 		}
 	}
 }

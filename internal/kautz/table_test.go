@@ -20,10 +20,6 @@ func TestTableEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		nodes := g.Nodes()
-		wantPairs := len(nodes) * (len(nodes) - 1)
-		if table.Size() != wantPairs {
-			t.Fatalf("K(%d,%d) table size = %d, want %d", cfg.d, cfg.k, table.Size(), wantPairs)
-		}
 		for _, u := range nodes {
 			for _, v := range nodes {
 				if u == v {
@@ -88,9 +84,9 @@ func TestTableSharedPerDegree(t *testing.T) {
 	}
 }
 
-// TestTableCounters checks what a table still reports about itself — its
-// pair count and its coverage — and that Tables lists it. (Lookups are
-// counted per run, in experiment.WorkStats, not on the shared table.)
+// TestTableCounters checks what a table reports about its coverage: every
+// ordered pair of distinct nodes, nothing else. (Lookups are counted per
+// run, in experiment.WorkStats, not on the shared table.)
 func TestTableCounters(t *testing.T) {
 	table, err := TableFor(2, 3)
 	if err != nil {
@@ -105,20 +101,34 @@ func TestTableCounters(t *testing.T) {
 	if _, ok := table.Routes("0123", "1230"); ok {
 		t.Fatal("foreign IDs should not be covered")
 	}
-	if table.Size() != 132 {
-		t.Fatalf("K(2,3) pairs = %d, want 132", table.Size())
+	for _, foreign := range []ID{"01", "013", "011", "310", "0a1"} {
+		if routes, ok := table.Routes(foreign, "012"); ok || routes != nil {
+			t.Fatalf("%q is no K(2,3) node but is covered as a source", foreign)
+		}
+		if routes, ok := table.Routes("012", foreign); ok || routes != nil {
+			t.Fatalf("%q is no K(2,3) node but is covered as a destination", foreign)
+		}
 	}
-	found := false
-	for _, listed := range Tables() {
-		found = found || listed == table
+	g, err := New(2, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !found {
-		t.Fatal("Tables does not list the built K(2,3) table")
+	pairs := 0
+	for _, u := range g.Nodes() {
+		for _, v := range g.Nodes() {
+			if _, ok := table.Routes(u, v); ok {
+				pairs++
+			}
+		}
+	}
+	if pairs != 132 {
+		t.Fatalf("K(2,3) covered pairs = %d, want 132", pairs)
 	}
 }
 
-// TestTableInvalid checks the rejection paths: bad parameters and graphs
-// above the precompute bound.
+// TestTableInvalid checks the rejection paths: bad parameters, graphs
+// above the precompute bound, and graphs whose pair count would overflow an
+// int (K(2,70) has 3·2^69 nodes; its order is refused before it is squared).
 func TestTableInvalid(t *testing.T) {
 	if _, err := TableFor(0, 3); err == nil {
 		t.Fatal("degree 0 should fail")
@@ -128,6 +138,9 @@ func TestTableInvalid(t *testing.T) {
 	}
 	if _, err := TableFor(4, 4); err == nil {
 		t.Fatal("K(4,4) (102,080 pairs) should be above the precompute bound")
+	}
+	if _, err := TableFor(2, 70); err == nil {
+		t.Fatal("K(2,70) should be refused")
 	}
 }
 
@@ -162,7 +175,6 @@ func TestTableConcurrentAccess(t *testing.T) {
 					}
 				}
 			}
-			_ = Tables()
 		}()
 	}
 	wg.Wait()

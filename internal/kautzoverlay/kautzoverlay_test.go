@@ -1,6 +1,8 @@
 package kautzoverlay
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -354,5 +356,58 @@ func TestNonMemberCannotRoute(t *testing.T) {
 	w.Sched.Run()
 	if got == nil || *got {
 		t.Fatal("non-member routing should fail")
+	}
+}
+
+// TestDirectRoutesMatchTable runs the direct-computation fallback that
+// overlays too large to tabulate take. One seed is built twice, the second
+// time without its route table; the same injection campaign under mobility
+// and a failed member must then deliver the same packets at the same times
+// for the same energy, with every table hit of the first run a miss of the
+// second.
+func TestDirectRoutesMatchTable(t *testing.T) {
+	type outcome struct {
+		deliveries []string
+		energy     float64
+		stats      Stats
+	}
+	campaign := func(direct bool) outcome {
+		w, s := buildSystem(t, 11, 200, 3)
+		if direct {
+			s.routes = nil
+		}
+		failed := 0
+		for _, id := range scenario.SensorIDs(w) {
+			if _, ok := s.KIDOf(id); ok && failed < 3 {
+				w.SetFailed(id, true)
+				failed++
+			}
+		}
+		var out outcome
+		for i, id := range scenario.SensorIDs(w)[:60] {
+			s.Inject(id, func(ok bool) {
+				out.deliveries = append(out.deliveries, fmt.Sprintf("%d:%v@%v", i, ok, w.Now()))
+			})
+			w.Sched.RunUntil(w.Now() + time.Second)
+		}
+		w.Sched.Run()
+		out.energy = w.TotalEnergy(energy.Communication)
+		out.stats = s.Stats()
+		return out
+	}
+	tabled, direct := campaign(false), campaign(true)
+	if tabled.stats.RouteCacheHits == 0 || tabled.stats.RouteCacheMisses != 0 {
+		t.Fatalf("tabled run: %d hits, %d misses; want only hits", tabled.stats.RouteCacheHits, tabled.stats.RouteCacheMisses)
+	}
+	if direct.stats.RouteCacheHits != 0 || direct.stats.RouteCacheMisses != tabled.stats.RouteCacheHits {
+		t.Fatalf("direct run: %d hits, %d misses; want 0 hits, %d misses",
+			direct.stats.RouteCacheHits, direct.stats.RouteCacheMisses, tabled.stats.RouteCacheHits)
+	}
+	if tabled.stats.FailoverSwitches == 0 {
+		t.Fatal("campaign never failed over: the route sets' order is not exercised")
+	}
+	direct.stats.RouteCacheHits, direct.stats.RouteCacheMisses = tabled.stats.RouteCacheHits, 0
+	if !reflect.DeepEqual(tabled, direct) {
+		t.Fatalf("direct routes change the run:\ntabled %+v\ndirect %+v", tabled, direct)
 	}
 }

@@ -15,7 +15,7 @@
 //     figure of the same grid and options is served from one entry;
 //   - identical in-flight submissions are coalesced onto one execution;
 //   - all concurrent runs share the process-wide immutable Kautz route
-//     tables (kautz.TableFor), prewarmed at startup;
+//     tables (kautz.TableFor), each built once by its first caller;
 //   - GET /metrics exposes queue depth, cache hit rate, runs in flight and
 //     aggregate DES throughput.
 package simd
@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"refer/internal/experiment"
-	"refer/internal/kautz"
 	"refer/internal/recovery"
 )
 
@@ -180,13 +179,6 @@ func New(cfg Config) *Server {
 		buildTable: experiment.BuildTable,
 	}
 	s.routes()
-	// Prewarm the shared immutable route tables so the first wave of
-	// concurrent runs reads instead of racing to build.
-	for _, d := range []int{2, 3} {
-		if _, err := kautz.TableFor(d, 3); err != nil {
-			s.logf("prewarm K(%d,3) route table: %v", d, err)
-		}
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
 		go s.worker()
@@ -891,9 +883,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 	}
 	if m.UptimeSeconds > 0 {
 		m.DESEventsPerSec = float64(m.DESEvents) / m.UptimeSeconds
-	}
-	for _, t := range kautz.Tables() {
-		m.RouteTables = append(m.RouteTables, RouteTableMetrics{Degree: t.Degree(), Diameter: t.Diameter(), Pairs: t.Size()})
 	}
 	return m
 }

@@ -211,8 +211,8 @@ func TestServerLoadSmoke(t *testing.T) {
 	if m.DESEvents == 0 || m.DESEventsPerSec <= 0 {
 		t.Errorf("DES throughput not reported: %+v", m)
 	}
-	if len(m.RouteTables) == 0 {
-		t.Error("no shared route tables reported")
+	if bytes.Contains(data, []byte(`"route_tables"`)) {
+		t.Errorf("/metrics still reports route_tables: %s", data)
 	}
 }
 

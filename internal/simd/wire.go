@@ -257,15 +257,4 @@ type Metrics struct {
 	RecoveryMerges      uint64 `json:"recovery_merges"`
 	RecoveryTakeovers   uint64 `json:"recovery_takeovers"`
 	RecoveryLatencyNs   int64  `json:"recovery_latency_ns"`
-	// RouteTables lists the process-wide shared Kautz route tables every
-	// concurrent run reads from (lookups are counted per run, in the result's
-	// stats.route_table_hits).
-	RouteTables []RouteTableMetrics `json:"route_tables"`
-}
-
-// RouteTableMetrics identifies one shared route table and gives its size.
-type RouteTableMetrics struct {
-	Degree   int `json:"degree"`
-	Diameter int `json:"diameter"`
-	Pairs    int `json:"pairs"`
 }
