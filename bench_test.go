@@ -244,7 +244,8 @@ func benchREFERInject(b *testing.B, tracer *TraceRecorder) {
 	w.Sched.Run()
 	srcs := make([]world.NodeID, 0, 4)
 	for _, c := range sys.Cells() {
-		srcs = append(srcs, c.NodeByKID["021"])
+		src, _ := c.Node("021")
+		srcs = append(srcs, src)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

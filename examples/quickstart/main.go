@@ -49,7 +49,7 @@ func run(quick bool, out io.Writer) error {
 	if _, err := w.Sched.After(2*time.Second, func() {
 		for _, c := range sys.Cells() {
 			c := c
-			src := c.NodeByKID["021"]
+			src, _ := c.Node("021")
 			createdAt := w.Now()
 			sys.Inject(src, func(ok bool) {
 				if ok {

@@ -23,15 +23,16 @@ func (s *System) Build() error {
 	if s.built {
 		return fmt.Errorf("core: system already built")
 	}
-	if s.cfg.Degree < 2 || s.cfg.Degree > kautz.MaxDegree {
-		return fmt.Errorf("core: the embedding protocol implements K(d,%d) cells with 2 <= d <= %d; got d = %d",
-			diameter, kautz.MaxDegree, s.cfg.Degree)
+	if s.cfg.Degree < 2 || s.cfg.Degree > 5 {
+		return fmt.Errorf("core: the embedding protocol implements K(d,%d) cells with 2 <= d <= 5 (a larger cell's route table is too big to precompute); got d = %d",
+			diameter, s.cfg.Degree)
 	}
 	g, err := kautz.New(s.cfg.Degree, diameter)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	s.graph, s.kids = g, g.Nodes()
+	s.partners = partnerRanks(g, s.kids)
 	// Share the process-wide precomputed route table for the cell graph; a
 	// K(d,3) cell is small enough that every (u, v) route set is tabulated
 	// once per process instead of on every forwarding decision.
@@ -206,50 +207,50 @@ func cornerKIDForColor(c int) kautz.ID {
 // newCell creates a cell for a triangle and assigns its corner KIDs.
 func (s *System) newCell(idx int, tri geo.Triangle, positions []geo.Point, colors []int) (*Cell, error) {
 	vs := tri.Vertices()
-	cell := &Cell{
-		CID:       idx,
-		Centroid:  tri.Centroid(positions),
-		NodeByKID: make(map[kautz.ID]world.NodeID, s.graph.N()),
-		kidOfNode: make(map[world.NodeID]kautz.ID, s.graph.N()),
-		members:   make(map[world.NodeID]bool),
-	}
+	cell := s.blankCell()
+	cell.CID, cell.Centroid = idx, tri.Centroid(positions)
 	for i, v := range vs {
 		cell.Corners[i] = s.actuators[v]
 		cell.Vertices[i] = positions[v]
 	}
 	// Assign corner KIDs from global colors; clashes (colors >= 3 or
 	// duplicates within the triangle) fall back to the free rotations.
-	taken := make(map[kautz.ID]bool, 3)
-	pending := make([]int, 0, 3)
-	for i, v := range vs {
-		if colors[v] < 3 {
-			kid := cornerKIDForColor(colors[v])
-			if !taken[kid] {
-				taken[kid] = true
-				cell.NodeByKID[kid] = s.actuators[v]
-				cell.kidOfNode[s.actuators[v]] = kid
-				continue
-			}
+	claim := func(color, v int) bool {
+		r := s.graph.Index(cornerKIDForColor(color))
+		if cell.holder[r] != world.NoNode {
+			return false
 		}
-		pending = append(pending, i)
+		cell.holder[r] = s.actuators[v]
+		return true
 	}
-	for _, i := range pending {
-		assigned := false
-		for c := 0; c < 3; c++ {
-			kid := cornerKIDForColor(c)
-			if !taken[kid] {
-				taken[kid] = true
-				cell.NodeByKID[kid] = s.actuators[vs[i]]
-				cell.kidOfNode[s.actuators[vs[i]]] = kid
-				assigned = true
-				break
-			}
+	pending := make([]int, 0, 3)
+	for _, v := range vs {
+		if colors[v] >= 3 || !claim(colors[v], v) {
+			pending = append(pending, v)
 		}
-		if !assigned {
+	}
+	for _, v := range pending {
+		color := 0
+		for color < 3 && !claim(color, v) {
+			color++
+		}
+		if color == 3 {
 			return nil, fmt.Errorf("could not assign corner KIDs")
 		}
 	}
 	return cell, nil
+}
+
+// blankCell returns a cell of the system's graph with every KID free.
+func (s *System) blankCell() *Cell {
+	c := &Cell{
+		holder:  make([]world.NodeID, len(s.kids)),
+		graph:   s.graph,
+		kids:    s.kids,
+		members: make(map[world.NodeID]bool),
+	}
+	c.freeAll()
+	return c
 }
 
 // electLeader returns the starting server of Section III-B-1: the actuator
@@ -352,8 +353,8 @@ func (s *System) embedCell(c *Cell) error {
 
 	// Step 1: actuator-to-successor paths.
 	for _, x := range cornerKIDs {
-		from := c.NodeByKID[x]
-		to := c.NodeByKID[rotateLeft(x)]
+		from, _ := c.Node(x)
+		to, _ := c.Node(rotateLeft(x))
 		s1KID, s2KID := pathKIDs(x)
 		a, b, err := s.selectPathSensors(c, from, to)
 		if err != nil {
@@ -367,24 +368,12 @@ func (s *System) embedCell(c *Cell) error {
 	}
 
 	// Step 2: the sensor-to-sensor path. S_i is the successor of the
-	// smallest corner KID, S_j the predecessor of the largest corner KID.
-	smallest, largest := cornerKIDs[0], cornerKIDs[0]
-	for _, kid := range cornerKIDs[1:] {
-		if kid < smallest {
-			smallest = kid
-		}
-		if kid > largest {
-			largest = kid
-		}
-	}
-	si, _ := pathKIDs(smallest)
-	var sj kautz.ID
-	for _, x := range cornerKIDs {
-		if rotateLeft(x) == largest {
-			_, sj = pathKIDs(x)
-		}
-	}
-	siNode, sjNode := c.NodeByKID[si], c.NodeByKID[sj]
+	// smallest corner KID (012), S_j the predecessor of the largest (201),
+	// which is the second sensor on the path from 120.
+	si, _ := pathKIDs(cornerKIDs[0])
+	_, sj := pathKIDs(cornerKIDs[1])
+	siNode, _ := c.Node(si)
+	sjNode, _ := c.Node(sj)
 	mid1 := si.MustShift(sj.At(0))
 	mid2 := mid1.MustShift(sj.At(1))
 	a, b, err := s.selectPathSensors(c, siNode, sjNode)
@@ -400,30 +389,30 @@ func (s *System) embedCell(c *Cell) error {
 	// just-selected sensors — or, in sparse cells without one, to the
 	// sensor best connected to the KID's overlay partners (the same rule
 	// maintenance uses for candidates).
-	var lastKID kautz.ID
-	for _, kid := range s.kids {
-		if _, taken := c.NodeByKID[kid]; !taken {
-			lastKID = kid
+	last := -1
+	for r, id := range c.holder {
+		if id == world.NoNode {
+			last = r
 			break
 		}
 	}
-	if lastKID == "" {
+	if last < 0 {
 		return fmt.Errorf("no remaining KID for the final assignment")
 	}
-	last, err := s.selectCommonNeighbor(c, a, b)
+	holder, err := s.selectCommonNeighbor(c, a, b)
 	if err != nil {
-		last, err = s.selectBestConnected(c, lastKID)
+		holder, err = s.selectBestConnected(c, last)
 	}
 	if err != nil {
-		return fmt.Errorf("final KID %s: %w", lastKID, err)
+		return fmt.Errorf("final KID %s: %w", s.kids[last], err)
 	}
-	s.assignKID(c, last, lastKID)
+	s.assignKID(c, holder, s.kids[last])
 	s.w.Broadcast(a, energy.Construction) // common-neighbor probe
-	s.w.Send(a, last, energy.Construction, nil)
+	s.w.Send(a, holder, energy.Construction, nil)
 
 	// Sanity: the embedding must be complete.
-	if len(c.NodeByKID) != s.graph.N() {
-		return fmt.Errorf("incomplete embedding: %d of %d KIDs", len(c.NodeByKID), s.graph.N())
+	if n := c.held(); n != s.graph.N() {
+		return fmt.Errorf("incomplete embedding: %d of %d KIDs", n, s.graph.N())
 	}
 	return nil
 }
@@ -432,8 +421,7 @@ func (s *System) embedCell(c *Cell) error {
 // an overlay member for entry selection (a sensor serves at most one cell's
 // overlay, so first registration wins).
 func (s *System) assignKID(c *Cell, id world.NodeID, kid kautz.ID) {
-	c.NodeByKID[kid] = id
-	c.kidOfNode[id] = kid
+	c.holder[s.graph.Index(kid)] = id
 	if _, ok := s.memberCell[id]; !ok {
 		s.memberCell[id] = c
 	}
@@ -505,10 +493,10 @@ func (s *System) selectCommonNeighbor(c *Cell, x, y world.NodeID) (world.NodeID,
 }
 
 // selectBestConnected picks the alive unassigned cell sensor with radio
-// links to the most overlay partners of kid (at least one required);
-// battery breaks ties.
-func (s *System) selectBestConnected(c *Cell, kid kautz.ID) (world.NodeID, error) {
-	partners := s.overlayPartners(c, kid)
+// links to the most overlay partners of the KID of rank r (at least one
+// required); battery breaks ties.
+func (s *System) selectBestConnected(c *Cell, r int) (world.NodeID, error) {
+	partners := s.overlayPartners(c, r)
 	best := world.NoNode
 	bestConn, bestScore := 0, -1.0
 	for _, cand := range s.candidatePool(c) {
@@ -528,7 +516,7 @@ func (s *System) selectBestConnected(c *Cell, kid kautz.ID) (world.NodeID, error
 		}
 	}
 	if best == world.NoNode {
-		return world.NoNode, fmt.Errorf("no sensor connects to any overlay partner of %s", kid)
+		return world.NoNode, fmt.Errorf("no sensor connects to any overlay partner of %s", s.kids[r])
 	}
 	return best, nil
 }
@@ -541,7 +529,7 @@ func (s *System) selectBestConnected(c *Cell, kid kautz.ID) (world.NodeID, error
 func (s *System) candidatePool(c *Cell) []world.NodeID {
 	pool := s.poolBuf[:0]
 	for id := range c.members {
-		if _, taken := c.kidOfNode[id]; taken {
+		if c.rankOf(id) >= 0 {
 			continue
 		}
 		if !s.w.Node(id).Alive() {

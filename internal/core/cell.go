@@ -18,13 +18,20 @@ type Cell struct {
 	// Vertices are the corner positions at construction time.
 	Vertices [3]geo.Point
 
-	// NodeByKID maps every Kautz ID of the cell graph to the node currently
-	// holding it. Entries change as maintenance replaces nodes.
-	NodeByKID map[kautz.ID]world.NodeID
-	kidOfNode map[world.NodeID]kautz.ID
+	// holder[r] is the node holding the cell graph's KID of rank r
+	// (graph.Index; kids[r] is that KID), or world.NoNode while it is free.
+	// Maintenance and recovery change holders, never the KID set, so these
+	// slots are the cell's one record of who holds what. A node holds at
+	// most one KID per cell.
+	holder []world.NodeID
+	graph  *kautz.Graph
+	kids   []kautz.ID
 
-	// members are the plain (non-overlay) sensors associated with the cell:
-	// the sleep/wait population that candidates are drawn from.
+	// members are the sensors homed in the cell (the sleep/wait population
+	// candidates are drawn from) and, since the build never removes them,
+	// the sensors it embedded. A maintenance replacement removes its new
+	// holder and adds the node it demotes, so the only holders listed here
+	// are build-time holders not yet replaced.
 	members map[world.NodeID]bool
 
 	// retired marks a cell dissolved by a recovery merge: it stays in
@@ -38,36 +45,56 @@ type Cell struct {
 
 // KIDOf returns the node's Kautz ID within this cell.
 func (c *Cell) KIDOf(id world.NodeID) (kautz.ID, bool) {
-	kid, ok := c.kidOfNode[id]
-	return kid, ok
+	if r := c.rankOf(id); r >= 0 {
+		return c.kids[r], true
+	}
+	return "", false
 }
 
-// Node returns the node holding a KID.
+// Node returns the node holding a KID; false when the KID is free or no
+// node of the cell graph.
 func (c *Cell) Node(kid kautz.ID) (world.NodeID, bool) {
-	id, ok := c.NodeByKID[kid]
-	return id, ok
+	r := c.graph.Index(kid)
+	if r < 0 || c.holder[r] == world.NoNode {
+		return world.NoNode, false
+	}
+	return c.holder[r], true
 }
 
-// IsActuatorKID reports whether kid is one of the three corner KIDs.
-func (c *Cell) IsActuatorKID(kid kautz.ID) bool {
-	for _, corner := range c.Corners {
-		if c.kidOfNode[corner] == kid {
-			return true
+// rankOf returns the rank of the KID id holds, or -1 when it holds none.
+func (c *Cell) rankOf(id world.NodeID) int {
+	if id == world.NoNode {
+		return -1
+	}
+	for r, h := range c.holder {
+		if h == id {
+			return r
 		}
 	}
-	return false
+	return -1
 }
 
-// Members returns the plain-sensor population of the cell (the candidate
-// pool), alive or not, excluding overlay members.
-func (c *Cell) Members() []world.NodeID {
-	out := make([]world.NodeID, 0, len(c.members))
-	for id := range c.members {
-		if _, overlay := c.kidOfNode[id]; !overlay {
-			out = append(out, id)
+// held returns how many of the cell's KIDs have a holder.
+func (c *Cell) held() int {
+	n := 0
+	for _, h := range c.holder {
+		if h != world.NoNode {
+			n++
 		}
 	}
-	return out
+	return n
+}
+
+// freeAll releases every KID of the cell.
+func (c *Cell) freeAll() {
+	for r := range c.holder {
+		c.holder[r] = world.NoNode
+	}
+}
+
+// isCorner reports whether id is one of the cell's three corner actuators.
+func (c *Cell) isCorner(id world.NodeID) bool {
+	return id == c.Corners[0] || id == c.Corners[1] || id == c.Corners[2]
 }
 
 // contains reports whether p lies within the cell triangle expanded by

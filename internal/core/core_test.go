@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -47,6 +49,12 @@ func buildWorld(t *testing.T, seed int64, n int, maxSpeed float64) *world.World 
 	return w
 }
 
+// holderOf returns the node holding kid in c, or world.NoNode.
+func holderOf(c *Cell, kid kautz.ID) world.NodeID {
+	id, _ := c.Node(kid)
+	return id
+}
+
 // buildSystem builds REFER on a fresh default world.
 func buildSystem(t *testing.T, seed int64, n int, maxSpeed float64) (*world.World, *System) {
 	t.Helper()
@@ -64,7 +72,7 @@ func TestBuildCreatesFourCompleteCells(t *testing.T) {
 		t.Fatalf("cells = %d, want 4", got)
 	}
 	for _, c := range s.Cells() {
-		if got := len(c.NodeByKID); got != 12 {
+		if got := c.held(); got != 12 {
 			t.Fatalf("cell %d has %d overlay members, want 12 (K(2,3))", c.CID, got)
 		}
 		// The three corners are actuators holding the rotation KIDs.
@@ -82,8 +90,9 @@ func TestBuildCreatesFourCompleteCells(t *testing.T) {
 			}
 		}
 		// Every overlay sensor is inside the (expanded) cell.
-		for kid, id := range c.NodeByKID {
-			if c.IsActuatorKID(kid) {
+		for r, id := range c.holder {
+			kid := c.kids[r]
+			if c.isCorner(id) {
 				continue
 			}
 			n := s.w.Node(id)
@@ -104,7 +113,7 @@ func TestBuildChainAdjacency(t *testing.T) {
 			s1, s2 := pathKIDs(x)
 			chain := []kautz.ID{x, s1, s2, rotateLeft(x)}
 			for i := 0; i+1 < len(chain); i++ {
-				a, b := c.NodeByKID[chain[i]], c.NodeByKID[chain[i+1]]
+				a, b := holderOf(c, chain[i]), holderOf(c, chain[i+1])
 				if d := w.Distance(a, b); d > 100 {
 					t.Errorf("cell %d chain %s→%s: nodes %d,%d are %.0f m apart (>100)",
 						c.CID, chain[i], chain[i+1], a, b, d)
@@ -217,7 +226,7 @@ func TestInjectFromOverlayMemberIsFast(t *testing.T) {
 	started := w.Now()
 	c := s.Cells()[0]
 	// Pick the overlay sensor holding KID 021 (farthest class from corners).
-	src := c.NodeByKID["021"]
+	src := holderOf(c, "021")
 	var deliveredAt time.Duration
 	ok := false
 	s.Inject(src, func(o bool) { ok, deliveredAt = o, w.Now() })
@@ -238,7 +247,7 @@ func TestRoutingFailoverOnFault(t *testing.T) {
 	c := s.Cells()[0]
 	// Source 021 routes toward its nearest corner; fail one mid-path sensor
 	// and verify delivery still succeeds via a disjoint path.
-	src := c.NodeByKID["021"]
+	src := holderOf(c, "021")
 	corners, _ := s.cornersByKautzDistance(c, "021")
 	dstKID := corners[0]
 	routes, err := kautz.Routes(2, "021", dstKID)
@@ -248,10 +257,10 @@ func TestRoutingFailoverOnFault(t *testing.T) {
 	// Fail the shortest path's first intermediate (if it is a sensor).
 	shortest := routes[0]
 	victimKID := shortest.Path[1]
-	if c.IsActuatorKID(victimKID) {
+	if c.isCorner(holderOf(c, victimKID)) {
 		t.Skip("shortest path starts at an actuator; scenario not applicable")
 	}
-	w.SetFailed(c.NodeByKID[victimKID], true)
+	w.SetFailed(holderOf(c, victimKID), true)
 	ok := false
 	s.Inject(src, func(o bool) { ok = o })
 	w.Sched.Run()
@@ -267,10 +276,10 @@ func TestRoutingAllPathsDeadDrops(t *testing.T) {
 	w, s := buildSystem(t, 10, 200, 0)
 	s.StopMaintenance()
 	c := s.Cells()[0]
-	src := c.NodeByKID["021"]
+	src := holderOf(c, "021")
 	// Kill every overlay sensor except the source: no route survives.
-	for kid, id := range c.NodeByKID {
-		if kid == "021" || c.IsActuatorKID(kid) {
+	for r, id := range c.holder {
+		if c.kids[r] == "021" || c.isCorner(id) {
 			continue
 		}
 		w.SetFailed(id, true)
@@ -295,7 +304,7 @@ func TestSendToSameCell(t *testing.T) {
 	w, s := buildSystem(t, 11, 200, 0)
 	s.StopMaintenance()
 	c := s.Cells()[0]
-	src := c.NodeByKID["101"]
+	src := holderOf(c, "101")
 	ok := false
 	s.SendTo(src, Address{CID: c.CID, KID: "201"}, func(o bool) { ok = o })
 	w.Sched.Run()
@@ -310,7 +319,7 @@ func TestSendToOtherCell(t *testing.T) {
 	if len(s.Cells()) < 2 {
 		t.Skip("need 2+ cells")
 	}
-	src := s.Cells()[0].NodeByKID["010"]
+	src := holderOf(s.Cells()[0], "010")
 	dst := s.Cells()[len(s.Cells())-1]
 	ok := false
 	s.SendTo(src, Address{CID: dst.CID, KID: "212"}, func(o bool) { ok = o })
@@ -326,19 +335,60 @@ func TestSendToOtherCell(t *testing.T) {
 func TestSendToInvalidDestination(t *testing.T) {
 	w, s := buildSystem(t, 13, 200, 0)
 	s.StopMaintenance()
-	src := s.Cells()[0].NodeByKID["010"]
+	src := holderOf(s.Cells()[0], "010")
 	var ok *bool
 	s.SendTo(src, Address{CID: 999, KID: "212"}, func(o bool) { ok = &o })
 	w.Sched.Run()
 	if ok == nil || *ok {
 		t.Fatal("SendTo to unknown cell should fail")
 	}
+	// A known cell with a KID that is no node of K(2,3): dropped, not a
+	// panic on the holder slot.
+	for _, kid := range foreignKIDs {
+		ok = nil
+		s.SendTo(src, Address{CID: s.Cells()[0].CID, KID: kid}, func(o bool) { ok = &o })
+		w.Sched.Run()
+		if ok == nil || *ok {
+			t.Fatalf("SendTo to KID %q should fail", kid)
+		}
+	}
+}
+
+// foreignKIDs are no nodes of K(2,3): empty, a digit above d, too long,
+// and out of the alphabet.
+var foreignKIDs = []kautz.ID{"", "013", "0123", "999"}
+
+func TestCellNodeRejectsForeignKIDs(t *testing.T) {
+	_, s := buildSystem(t, 13, 200, 0)
+	c := s.Cells()[0]
+	for _, kid := range foreignKIDs {
+		if id, ok := c.Node(kid); ok || id != world.NoNode {
+			t.Errorf("Node(%q) = %d, %t; want NoNode, false", kid, id, ok)
+		}
+	}
+	for _, kid := range s.kids {
+		id, ok := c.Node(kid)
+		if !ok {
+			t.Fatalf("built cell leaves KID %s free", kid)
+		}
+		if got, ok := c.KIDOf(id); !ok || got != kid {
+			t.Fatalf("KIDOf(Node(%s)) = %s, %t", kid, got, ok)
+		}
+	}
+	// A free slot is no holder: NoNode holds no KID and the KID has none.
+	c.holder[5] = world.NoNode
+	if kid, ok := c.KIDOf(world.NoNode); ok {
+		t.Errorf("KIDOf(NoNode) = %s, want none", kid)
+	}
+	if id, ok := c.Node(s.kids[5]); ok {
+		t.Errorf("Node(%s) = %d after freeing it", s.kids[5], id)
+	}
 }
 
 func TestInjectFromFailedSource(t *testing.T) {
 	w, s := buildSystem(t, 14, 200, 0)
 	s.StopMaintenance()
-	src := s.Cells()[0].NodeByKID["010"]
+	src := holderOf(s.Cells()[0], "010")
 	w.SetFailed(src, true)
 	var ok *bool
 	s.Inject(src, func(o bool) { ok = &o })
@@ -352,10 +402,10 @@ func TestMaintenanceReplacesFailedNode(t *testing.T) {
 	w, s := buildSystem(t, 15, 200, 0)
 	c := s.Cells()[0]
 	victimKID := kautz.ID("210")
-	victim := c.NodeByKID[victimKID]
+	victim := holderOf(c, victimKID)
 	w.SetFailed(victim, true)
 	w.Sched.RunUntil(30 * time.Second) // several maintenance rounds
-	replacement := c.NodeByKID[victimKID]
+	replacement := holderOf(c, victimKID)
 	if replacement == victim {
 		t.Fatal("failed overlay node was never replaced")
 	}
@@ -366,7 +416,7 @@ func TestMaintenanceReplacesFailedNode(t *testing.T) {
 		t.Fatal("replacement not counted")
 	}
 	// The demoted node returns to the sleep pool.
-	if _, stillMember := c.kidOfNode[victim]; stillMember {
+	if _, stillMember := c.KIDOf(victim); stillMember {
 		t.Fatal("victim still in overlay")
 	}
 }
@@ -386,7 +436,7 @@ func TestMaintenanceKeepsDeliveryUnderMobility(t *testing.T) {
 			return
 		}
 		for _, c := range s.Cells() {
-			src := c.NodeByKID["021"]
+			src := holderOf(c, "021")
 			if src == world.NoNode || !w.Node(src).Alive() {
 				continue
 			}
@@ -416,12 +466,12 @@ func TestDeterministicBuild(t *testing.T) {
 	_, s2 := buildSystem(t, 17, 200, 0)
 	for i := range s1.Cells() {
 		c1, c2 := s1.Cells()[i], s2.Cells()[i]
-		if c1.CID != c2.CID || len(c1.NodeByKID) != len(c2.NodeByKID) {
+		if c1.CID != c2.CID || c1.held() != c2.held() {
 			t.Fatalf("cells differ at %d", i)
 		}
-		for kid, id := range c1.NodeByKID {
-			if c2.NodeByKID[kid] != id {
-				t.Fatalf("cell %d KID %s: %d vs %d", c1.CID, kid, id, c2.NodeByKID[kid])
+		for r, id := range c1.holder {
+			if c2.holder[r] != id {
+				t.Fatalf("cell %d KID %s: %d vs %d", c1.CID, c1.kids[r], id, c2.holder[r])
 			}
 		}
 	}
@@ -438,12 +488,45 @@ func TestDeterministicBuild(t *testing.T) {
 	}
 }
 
+// TestCellMembersExcludesOverlay checks the candidate pool that probers,
+// replacements and the embedding draw from: exactly the cell's alive members
+// that hold no KID, in ascending ID order. Every holder is listed as a member
+// first, so the exclusion is exercised whatever members holds after Build.
 func TestCellMembersExcludesOverlay(t *testing.T) {
-	_, s := buildSystem(t, 18, 200, 0)
+	w, s := buildSystem(t, 18, 200, 0)
 	c := s.Cells()[0]
-	for _, m := range c.Members() {
-		if _, overlay := c.kidOfNode[m]; overlay {
-			t.Fatalf("Members() returned overlay node %d", m)
+	for _, id := range c.holder {
+		c.members[id] = true
+	}
+	var plain []world.NodeID
+	for id := range c.members {
+		if _, overlay := c.KIDOf(id); !overlay {
+			plain = append(plain, id)
+		}
+	}
+	if len(plain) < 2 {
+		t.Fatalf("cell %d has %d plain members, want at least 2", c.CID, len(plain))
+	}
+	w.SetFailed(plain[0], true)
+	want := 0
+	for _, id := range plain {
+		if w.Node(id).Alive() {
+			want++
+		}
+	}
+	pool := s.candidatePool(c)
+	if len(pool) != want {
+		t.Fatalf("candidate pool has %d sensors, want the %d alive plain members", len(pool), want)
+	}
+	for i, id := range pool {
+		if _, overlay := c.KIDOf(id); overlay {
+			t.Fatalf("candidate pool holds overlay node %d", id)
+		}
+		if !w.Node(id).Alive() || !c.members[id] {
+			t.Fatalf("candidate pool holds %d, not an alive member", id)
+		}
+		if i > 0 && pool[i-1] >= id {
+			t.Fatalf("candidate pool not in ascending ID order: %v", pool)
 		}
 	}
 }
@@ -466,7 +549,7 @@ func TestDisableFailoverDropsOnFirstFailure(t *testing.T) {
 	}
 	s.StopMaintenance()
 	c := s.Cells()[0]
-	src := c.NodeByKID["021"]
+	src := holderOf(c, "021")
 	// Fail the greedy shortest successor toward the first-choice corner.
 	corners, _ := s.cornersByKautzDistance(c, "021")
 	dstKID := corners[0]
@@ -475,10 +558,10 @@ func TestDisableFailoverDropsOnFirstFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	victimKID := routes[0].Path[1]
-	if c.IsActuatorKID(victimKID) {
+	if c.isCorner(holderOf(c, victimKID)) {
 		t.Skip("successor is an actuator")
 	}
-	w.SetFailed(c.NodeByKID[victimKID], true)
+	w.SetFailed(holderOf(c, victimKID), true)
 	var got *bool
 	s.Inject(src, func(ok bool) { got = &ok })
 	w.Sched.Run()
@@ -495,9 +578,9 @@ func TestDisableFailoverDropsOnFirstFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.StopMaintenance()
-	w2.SetFailed(s2.Cells()[0].NodeByKID[victimKID], true)
+	w2.SetFailed(holderOf(s2.Cells()[0], victimKID), true)
 	delivered := false
-	s2.Inject(s2.Cells()[0].NodeByKID["021"], func(ok bool) { delivered = ok })
+	s2.Inject(holderOf(s2.Cells()[0], "021"), func(ok bool) { delivered = ok })
 	w2.Sched.Run()
 	if !delivered {
 		t.Fatal("full router should deliver via a disjoint path")
@@ -513,10 +596,10 @@ func TestDisableMaintenanceLeavesFailuresUnrepaired(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := s.Cells()[0]
-	victim := c.NodeByKID["210"]
+	victim := holderOf(c, "210")
 	w.SetFailed(victim, true)
 	w.Sched.RunUntil(60 * time.Second)
-	if c.NodeByKID["210"] != victim {
+	if holderOf(c, "210") != victim {
 		t.Fatal("maintenance ran despite being disabled")
 	}
 	if s.Stats().Replacements != 0 {
@@ -530,17 +613,17 @@ func TestTwoPhaseReplacementDelay(t *testing.T) {
 	// Theorem 3.8 failover carries the traffic.
 	w, s := buildSystem(t, 22, 200, 0)
 	c := s.Cells()[0]
-	victim := c.NodeByKID["210"]
+	victim := holderOf(c, "210")
 	w.SetFailed(victim, true)
 	interval := DefaultConfig().ProbeInterval
 	// After one probe round the node is detected but not yet replaced.
 	w.Sched.RunUntil(interval + interval/2)
-	if c.NodeByKID["210"] != victim {
+	if holderOf(c, "210") != victim {
 		t.Fatal("replaced too early (within one probe round)")
 	}
 	// After the second round it must be replaced.
 	w.Sched.RunUntil(3 * interval)
-	if c.NodeByKID["210"] == victim {
+	if holderOf(c, "210") == victim {
 		t.Fatal("not replaced after two probe rounds")
 	}
 }
@@ -558,7 +641,7 @@ func TestGeneralEmbeddingK33(t *testing.T) {
 		t.Fatalf("cells = %d", got)
 	}
 	for _, c := range s.Cells() {
-		if got := len(c.NodeByKID); got != 36 {
+		if got := c.held(); got != 36 {
 			t.Fatalf("cell %d has %d members, want 36 (K(3,3))", c.CID, got)
 		}
 		// Corners still hold the rotation KIDs.
@@ -572,8 +655,8 @@ func TestGeneralEmbeddingK33(t *testing.T) {
 	// Every overlay member can reach an actuator through the d=3 router.
 	delivered, attempts := 0, 0
 	for _, c := range s.Cells() {
-		for kid, id := range c.NodeByKID {
-			if c.IsActuatorKID(kid) {
+		for _, id := range c.holder {
+			if c.isCorner(id) {
 				continue
 			}
 			attempts++
@@ -592,7 +675,7 @@ func TestGeneralEmbeddingK33(t *testing.T) {
 
 func TestGeneralEmbeddingRejectsBadDegrees(t *testing.T) {
 	w := buildWorld(t, 24, 100, 0)
-	for _, d := range []int{0, 1, 10} {
+	for _, d := range []int{0, 1, 6, 10} {
 		cfg := DefaultConfig()
 		cfg.Degree = d
 		if cfg.Degree == 0 {
@@ -633,18 +716,13 @@ func failoverCell(t *testing.T) (*world.World, *System, *Cell, world.NodeID, map
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.graph = g
+	s.graph, s.kids = g, g.Nodes()
 	if s.routes, err = kautz.TableFor(2, 3); err != nil {
 		t.Fatal(err)
 	}
-	c := &Cell{
-		NodeByKID: map[kautz.ID]world.NodeID{
-			"021": src.ID, "210": n210.ID, "212": n212.ID, "120": dst.ID,
-		},
-		kidOfNode: map[world.NodeID]kautz.ID{
-			src.ID: "021", n210.ID: "210", n212.ID: "212", dst.ID: "120",
-		},
-		members: map[world.NodeID]bool{},
+	c := s.blankCell()
+	for kid, id := range map[kautz.ID]world.NodeID{"021": src.ID, "210": n210.ID, "212": n212.ID, "120": dst.ID} {
+		c.holder[g.Index(kid)] = id
 	}
 	succs := map[kautz.ID]world.NodeID{"210": n210.ID, "212": n212.ID}
 	return w, s, c, src.ID, succs
@@ -704,6 +782,19 @@ func TestFailoverSwitchInvariant(t *testing.T) {
 	}
 }
 
+// TestRelayScansCountHeldKIDs checks what bestRelay counts: the KIDs the
+// cell holds plus its members, not its free slots. The hand-built cell holds
+// 4 of 12 KIDs and has no members; both successors are out of range, so each
+// costs one relay search of 4 nodes.
+func TestRelayScansCountHeldKIDs(t *testing.T) {
+	w, s, c, src, _ := failoverCell(t)
+	routeWithin(s, c, src, "120", func(bool) {})
+	w.Sched.Run()
+	if got := s.Stats().RelayScans; got != 8 {
+		t.Fatalf("RelayScans = %d, want 8 (two searches over 4 held KIDs)", got)
+	}
+}
+
 // TestFailoverDisabledCountsNoSwitches checks the ablated router records no
 // failover switches at all.
 func TestFailoverDisabledCountsNoSwitches(t *testing.T) {
@@ -745,5 +836,91 @@ func TestEntryPointTieBreak(t *testing.T) {
 	}
 	if sensors == 0 {
 		t.Fatal("no sensors in scenario")
+	}
+}
+
+// TestOverlayPartnersMatchStringOracle checks the per-graph partner table
+// against a string oracle: successor then predecessor KID strings, mapped
+// to holders, each holder once. Cells
+// of K(2,3)…K(5,3) are hand-built fully held and then with every third KID
+// free (the embedding's partial state); the order must match too. A warm
+// call allocates nothing.
+func TestOverlayPartnersMatchStringOracle(t *testing.T) {
+	for d := 2; d <= 5; d++ {
+		g, err := kautz.New(d, diameter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(world.New(world.Config{Region: geo.Square(100), Seed: 1}), Config{Degree: d})
+		s.graph, s.kids = g, g.Nodes()
+		s.partners = partnerRanks(g, s.kids)
+		c := s.blankCell()
+		oracle := func(kid kautz.ID) []world.NodeID {
+			var out []world.NodeID
+			seen := map[world.NodeID]bool{}
+			add := func(k kautz.ID) {
+				if id, ok := c.Node(k); ok && !seen[id] {
+					seen[id] = true
+					out = append(out, id)
+				}
+			}
+			for _, k := range g.Successors(kid) {
+				add(k)
+			}
+			for _, k := range g.Predecessors(kid) {
+				add(k)
+			}
+			return out
+		}
+		check := func(state string) {
+			for r, kid := range s.kids {
+				got := s.overlayPartners(c, r)
+				if want := oracle(kid); !slices.Equal(got, want) {
+					t.Fatalf("K(%d,3) %s: partners of %s = %v, oracle %v", d, state, kid, got, want)
+				}
+			}
+		}
+		for r := range c.holder {
+			c.holder[r] = world.NodeID(1000 + 7*r)
+		}
+		check("fully held")
+		allocs := testing.AllocsPerRun(10, func() {
+			for r := range s.kids {
+				s.overlayPartners(c, r)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("K(%d,3): overlayPartners allocated %.0f times per sweep, want 0", d, allocs)
+		}
+		for r := range c.holder {
+			if r%3 == 0 {
+				c.holder[r] = world.NoNode
+			}
+		}
+		check("every third KID free")
+	}
+}
+
+// TestCheckInvariantsCatchesCorruptHolders corrupts a built cell's holder
+// slots the ways the record could go wrong and expects the probe to name
+// each: a node holding two KIDs, and a corner holding none.
+func TestCheckInvariantsCatchesCorruptHolders(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(c *Cell)
+	}{
+		{"two KIDs", "holds KIDs", func(c *Cell) { c.holder[c.rankOf(c.Corners[0])] = holderOf(c, "010") }},
+		{"corner without KID", "holds no KID", func(c *Cell) { c.holder[c.rankOf(c.Corners[1])] = world.NoNode }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, s := buildSystem(t, 12, 200, 0)
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("fresh system: %v", err)
+			}
+			tc.corrupt(s.Cells()[0])
+			if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CheckInvariants = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }

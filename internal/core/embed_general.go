@@ -5,7 +5,6 @@ import (
 
 	"refer/internal/energy"
 	"refer/internal/geo"
-	"refer/internal/kautz"
 	"refer/internal/world"
 )
 
@@ -29,10 +28,10 @@ import (
 // a single radio hop in a d > 2 cell (there are more arcs than geometry
 // allows); the router's relay fallback covers the rest.
 func (s *System) embedCellGeneral(c *Cell) error {
-	unassigned := make([]kautz.ID, 0, s.graph.N()-3)
-	for _, kid := range s.kids {
-		if _, taken := c.NodeByKID[kid]; !taken {
-			unassigned = append(unassigned, kid)
+	unassigned := make([]int, 0, s.graph.N()-3) // KID ranks
+	for r, id := range c.holder {
+		if id == world.NoNode {
+			unassigned = append(unassigned, r)
 		}
 	}
 	// One probe query per corner bootstraps the wavefront (the analogue of
@@ -43,14 +42,14 @@ func (s *System) embedCellGeneral(c *Cell) error {
 		}, nil)
 	}
 	for len(unassigned) > 0 {
-		kid, idx := s.nextWavefrontKID(c, unassigned)
-		cand, err := s.selectWavefrontSensor(c, kid)
+		r, idx := s.nextWavefrontKID(c, unassigned)
+		cand, err := s.selectWavefrontSensor(c, r)
 		if err != nil {
-			return fmt.Errorf("KID %s: %w", kid, err)
+			return fmt.Errorf("KID %s: %w", s.kids[r], err)
 		}
-		s.assignKID(c, cand, kid)
+		s.assignKID(c, cand, s.kids[r])
 		// Selection cost: the assigning neighbor notifies the candidate.
-		partners := s.overlayPartners(c, kid)
+		partners := s.overlayPartners(c, r)
 		notifier := partners[0]
 		for _, p := range partners[1:] {
 			if s.w.Position(p).Dist(s.w.Position(cand)) < s.w.Position(notifier).Dist(s.w.Position(cand)) {
@@ -60,30 +59,31 @@ func (s *System) embedCellGeneral(c *Cell) error {
 		s.w.Send(notifier, cand, energy.Construction, nil)
 		unassigned = append(unassigned[:idx], unassigned[idx+1:]...)
 	}
-	if len(c.NodeByKID) != s.graph.N() {
-		return fmt.Errorf("incomplete embedding: %d of %d KIDs", len(c.NodeByKID), s.graph.N())
+	if n := c.held(); n != s.graph.N() {
+		return fmt.Errorf("incomplete embedding: %d of %d KIDs", n, s.graph.N())
 	}
 	return nil
 }
 
-// nextWavefrontKID returns the unassigned KID with the most assigned
-// overlay partners (ties by KID order for determinism) and its index.
-func (s *System) nextWavefrontKID(c *Cell, unassigned []kautz.ID) (kautz.ID, int) {
+// nextWavefrontKID returns the rank of the unassigned KID with the most
+// assigned overlay partners (ties by KID order for determinism) and its
+// index in unassigned.
+func (s *System) nextWavefrontKID(c *Cell, unassigned []int) (int, int) {
 	best, bestIdx, bestConn := unassigned[0], 0, -1
-	for i, kid := range unassigned {
-		conn := len(s.overlayPartners(c, kid))
-		if conn > bestConn || (conn == bestConn && kid < best) {
-			best, bestIdx, bestConn = kid, i, conn
+	for i, r := range unassigned {
+		conn := len(s.overlayPartners(c, r))
+		if conn > bestConn || (conn == bestConn && r < best) {
+			best, bestIdx, bestConn = r, i, conn
 		}
 	}
 	return best, bestIdx
 }
 
-// selectWavefrontSensor picks the cell sensor for a KID: reach the most
-// assigned partners, then highest battery, then smallest total distance to
-// the partners.
-func (s *System) selectWavefrontSensor(c *Cell, kid kautz.ID) (world.NodeID, error) {
-	partners := s.overlayPartners(c, kid)
+// selectWavefrontSensor picks the cell sensor for the KID of rank r: reach
+// the most assigned partners, then highest battery, then smallest total
+// distance to the partners.
+func (s *System) selectWavefrontSensor(c *Cell, r int) (world.NodeID, error) {
+	partners := s.overlayPartners(c, r)
 	if len(partners) == 0 {
 		return world.NoNode, fmt.Errorf("no assigned overlay partner")
 	}

@@ -79,7 +79,7 @@ func TestInjectSteadyStateAllocFree(t *testing.T) {
 	c := s.Cells()[0]
 	sendAll := func() {
 		for _, kid := range s.kids {
-			for _, src := range []world.NodeID{c.NodeByKID["010"], c.NodeByKID["121"]} {
+			for _, src := range []world.NodeID{holderOf(c, "010"), holderOf(c, "121")} {
 				s.SendTo(src, Address{CID: c.CID, KID: kid}, done)
 				w.Sched.Run()
 			}

@@ -14,18 +14,17 @@ import (
 // so every check below is something maintenance and routing guarantee
 // unconditionally — not a property that only holds in fault-free runs.
 //
-//  1. Cell bijection: NodeByKID and kidOfNode are exact inverses, KIDs are
-//     valid K(d,k) nodes, and no KID or node appears twice in a cell.
-//  2. Corners: each of the three corner actuators holds a KID, and (per
-//     the bijection) no sensor holds a corner's KID.
+//  1. Cell record: no node holds two KIDs of a cell. (A KID has one holder
+//     slot, so no KID can have two holders.)
+//  2. Corners: each of the three corner actuators holds a KID.
 //  3. Membership: an overlay sensor is registered in sensorCell for
 //     exactly the cell whose overlay it serves; a sensor never serves two
 //     cells' overlays.
 //  4. Theorem 3.8 soundness: for every ordered pair of the cell graph the
-//     route set actually served to relays (precomputed table or direct
-//     computation) passes kautz.VerifyRoutes — so every failover switch,
-//     which by construction moves to the next route of this set, lands on
-//     a valid disjoint-path successor.
+//     route set actually served to relays (the precomputed table's) passes
+//     kautz.VerifyRoutes — so every failover switch, which by construction
+//     moves to the next route of this set, lands on a valid disjoint-path
+//     successor.
 //  5. Recovery: a cell retired by a merge holds no overlay state at all and
 //     its absorber chain resolves to an active cell; every CAN zone
 //     takeover maps a retired cell to a chain ending in an active one. The
@@ -44,7 +43,7 @@ func (s *System) CheckInvariants() error {
 	holders := make(map[world.NodeID]*Cell)
 	for _, c := range s.cells {
 		if c.retired {
-			if len(c.NodeByKID) != 0 || len(c.kidOfNode) != 0 || len(c.members) != 0 {
+			if c.held() != 0 || len(c.members) != 0 {
 				return fmt.Errorf("core: retired cell %d still holds overlay state", c.CID)
 			}
 			if a := s.activeCell(c); a == nil || a.retired {
@@ -52,32 +51,21 @@ func (s *System) CheckInvariants() error {
 			}
 			continue
 		}
-		if len(c.NodeByKID) != len(c.kidOfNode) {
-			return fmt.Errorf("core: cell %d: %d KIDs but %d holders", c.CID, len(c.NodeByKID), len(c.kidOfNode))
-		}
-		for kid, id := range c.NodeByKID {
-			if !kid.Valid(s.cfg.Degree, diameter) {
-				return fmt.Errorf("core: cell %d: KID %s invalid for K(%d,%d)", c.CID, kid, s.cfg.Degree, diameter)
-			}
-			if got, ok := c.kidOfNode[id]; !ok || got != kid {
-				return fmt.Errorf("core: cell %d: NodeByKID[%s]=%d but kidOfNode[%d]=%s", c.CID, kid, id, id, got)
-			}
-		}
-		for id, kid := range c.kidOfNode {
-			if got, ok := c.NodeByKID[kid]; !ok || got != id {
-				return fmt.Errorf("core: cell %d: kidOfNode[%d]=%s but NodeByKID[%s]=%d", c.CID, id, kid, kid, got)
+		for r, id := range c.holder {
+			if first := c.rankOf(id); id != world.NoNode && first != r {
+				return fmt.Errorf("core: cell %d: node %d holds KIDs %s and %s", c.CID, id, s.kids[first], s.kids[r])
 			}
 		}
 		for _, corner := range c.Corners {
-			if _, ok := c.kidOfNode[corner]; !ok {
+			if c.rankOf(corner) < 0 {
 				return fmt.Errorf("core: cell %d: corner actuator %d holds no KID", c.CID, corner)
 			}
 			if s.w.Node(corner).Kind != world.Actuator {
 				return fmt.Errorf("core: cell %d: corner %d is not an actuator", c.CID, corner)
 			}
 		}
-		for id := range c.kidOfNode {
-			if s.w.Node(id).Kind != world.Sensor {
+		for _, id := range c.holder {
+			if id == world.NoNode || s.w.Node(id).Kind != world.Sensor {
 				continue
 			}
 			if other, taken := holders[id]; taken {
@@ -105,29 +93,15 @@ func (s *System) CheckInvariants() error {
 }
 
 // checkRouteSoundness verifies the exact route sets relays forward and
-// fail over through — the precomputed table when enabled, the direct
-// computation otherwise — for every ordered pair of the cell graph.
+// fail over through, the precomputed table's, for every ordered pair of the
+// cell graph.
 func (s *System) checkRouteSoundness() error {
 	for _, u := range s.kids {
 		for _, v := range s.kids {
 			if u == v {
 				continue
 			}
-			var (
-				routes []kautz.Route
-				err    error
-			)
-			if s.routes != nil {
-				if tabled, ok := s.routes.Routes(u, v); ok {
-					routes = tabled
-				}
-			}
-			if routes == nil {
-				routes, err = kautz.Routes(s.cfg.Degree, u, v)
-				if err != nil {
-					return fmt.Errorf("core: route set %s→%s: %w", u, v, err)
-				}
-			}
+			routes, _ := s.routes.Routes(u, v)
 			if err := kautz.VerifyRoutes(s.cfg.Degree, u, v, routes); err != nil {
 				return fmt.Errorf("core: failover soundness: %w", err)
 			}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"refer/internal/energy"
 	"refer/internal/kautz"
 	"refer/internal/world"
@@ -55,14 +57,8 @@ func (s *System) maintainOnce() {
 		if prober := s.pickProber(c); prober != world.NoNode {
 			s.w.Broadcast(prober, energy.Communication)
 		}
-		// Deterministic KID order: the graph's node list, which every
-		// embedded cell holds in full.
-		for _, kid := range s.kids {
-			id, ok := c.NodeByKID[kid]
-			if !ok {
-				continue
-			}
-			if c.IsActuatorKID(kid) {
+		for r, id := range c.holder {
+			if id == world.NoNode || c.isCorner(id) {
 				continue // corners are actuators; sensors cannot replace them
 			}
 			if !s.degraded(c, id) {
@@ -82,7 +78,7 @@ func (s *System) maintainOnce() {
 				continue
 			}
 			delete(s.degradedAt, id)
-			s.replace(c, kid, id)
+			s.replace(c, r, id)
 		}
 	}
 }
@@ -107,10 +103,8 @@ func (s *System) refreshMembership() {
 			continue
 		}
 		cur := s.sensorCell[n.ID]
-		if cur != nil {
-			if _, overlay := cur.kidOfNode[n.ID]; overlay {
-				continue
-			}
+		if cur != nil && cur.rankOf(n.ID) >= 0 {
+			continue
 		}
 		p := s.w.Position(n.ID)
 		if int(n.ID) < len(s.homeValid) && s.homeValid[n.ID] && s.homePos[n.ID] == p {
@@ -157,12 +151,12 @@ func (s *System) degraded(c *Cell, id world.NodeID) bool {
 	return !c.contains(s.w.Position(id), cellMargin)
 }
 
-// replace hands a KID from old to the best candidate. The candidate must be
-// radio-connected to as many of the KID's overlay partners as possible;
-// battery breaks ties (the paper selects candidates that "can build
-// connections with the neighboring Kautz nodes").
-func (s *System) replace(c *Cell, kid kautz.ID, old world.NodeID) {
-	partners := s.overlayPartners(c, kid)
+// replace hands the KID of rank r from old to the best candidate. The
+// candidate must be radio-connected to as many of the KID's overlay partners
+// as possible; battery breaks ties (the paper selects candidates that "can
+// build connections with the neighboring Kautz nodes").
+func (s *System) replace(c *Cell, r int, old world.NodeID) {
+	partners := s.overlayPartners(c, r)
 	best := world.NoNode
 	bestConn, bestScore := -1, -1.0
 	for _, cand := range s.candidatePool(c) {
@@ -192,11 +186,9 @@ func (s *System) replace(c *Cell, kid kautz.ID, old world.NodeID) {
 	}
 	s.w.Send(notifier, best, energy.Communication, nil)
 
-	delete(c.kidOfNode, old)
+	c.holder[r] = best
 	c.members[old] = true // the demoted node returns to the sleep pool
 	delete(c.members, best)
-	c.NodeByKID[kid] = best
-	c.kidOfNode[best] = kid
 	// Keep the member→cell map in step: sensors hold at most one KID, so the
 	// demoted node leaves the map and its successor takes its place.
 	delete(s.memberCell, old)
@@ -204,22 +196,35 @@ func (s *System) replace(c *Cell, kid kautz.ID, old world.NodeID) {
 	s.stats.Replacements++
 }
 
-// overlayPartners returns the nodes currently holding the KID's overlay
-// neighbors (successors and predecessors in the Kautz graph).
-func (s *System) overlayPartners(c *Cell, kid kautz.ID) []world.NodeID {
-	var out []world.NodeID
-	seen := make(map[world.NodeID]bool, 2*s.cfg.Degree)
-	add := func(k kautz.ID) {
-		if id, ok := c.NodeByKID[k]; ok && !seen[id] {
-			seen[id] = true
+// overlayPartners returns the nodes currently holding the overlay neighbors
+// of the KID of rank r: its successors, then its predecessors, each holder
+// once. The returned slice is the system's reused buffer, valid until the
+// next overlayPartners call.
+func (s *System) overlayPartners(c *Cell, r int) []world.NodeID {
+	out := s.partnerBuf[:0]
+	for _, p := range s.partners[r] {
+		if id := c.holder[p]; id != world.NoNode {
 			out = append(out, id)
 		}
 	}
-	for _, k := range s.graph.Successors(kid) {
-		add(k)
-	}
-	for _, k := range s.graph.Predecessors(kid) {
-		add(k)
+	s.partnerBuf = out
+	return out
+}
+
+// partnerRanks lists, for every node of g by rank, the ranks of its
+// successors and then its predecessors, each rank once: a successor that is
+// also a predecessor (010's 101) keeps its first place. A node holds at most
+// one KID per cell, so one rank per partner is one node per partner.
+func partnerRanks(g *kautz.Graph, kids []kautz.ID) [][]int {
+	out := make([][]int, len(kids))
+	for r, kid := range kids {
+		var ranks []int
+		for _, k := range append(g.Successors(kid), g.Predecessors(kid)...) {
+			if p := g.Index(k); !slices.Contains(ranks, p) {
+				ranks = append(ranks, p)
+			}
+		}
+		out[r] = ranks
 	}
 	return out
 }

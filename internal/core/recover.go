@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"refer/internal/energy"
-	"refer/internal/kautz"
 	"refer/internal/recovery"
 	"refer/internal/world"
 )
@@ -96,7 +95,7 @@ func (s *System) reelectCorner(c *Cell, slot int, detectedAt time.Duration) (rec
 		if !s.w.Node(cand).Alive() {
 			continue
 		}
-		if _, holds := c.kidOfNode[cand]; holds {
+		if c.rankOf(cand) >= 0 {
 			continue // already corners this cell (actuators hold only corner KIDs)
 		}
 		d := s.w.Position(cand).Dist(vertex)
@@ -111,11 +110,8 @@ func (s *System) reelectCorner(c *Cell, slot int, detectedAt time.Duration) (rec
 		return recovery.Action{}, false
 	}
 	// Rebind the corner's KID to the winner.
-	kid := c.kidOfNode[old]
-	delete(c.kidOfNode, old)
+	c.holder[c.rankOf(old)] = best
 	c.Corners[slot] = best
-	c.NodeByKID[kid] = best
-	c.kidOfNode[best] = kid
 	delete(s.cornerDownAt, best) // alive by construction; drop any stale record
 	s.rebindMemberCell(old)
 	s.rebindMemberCell(best)
@@ -141,8 +137,8 @@ func (s *System) mergeCell(c *Cell, detectedAt time.Duration) []recovery.Action 
 	// Demote c's overlay sensors into the absorber's sleep pool: they hold
 	// no KID anywhere afterwards, so they leave memberCell and any pending
 	// degradation record.
-	for id := range c.kidOfNode {
-		if s.w.Node(id).Kind != world.Sensor {
+	for _, id := range c.holder {
+		if id == world.NoNode || s.w.Node(id).Kind != world.Sensor {
 			continue
 		}
 		delete(s.memberCell, id)
@@ -159,8 +155,7 @@ func (s *System) mergeCell(c *Cell, detectedAt time.Duration) []recovery.Action 
 	corners := c.Corners
 	// Retire in place: c stays in s.cells (iteration order) with cleared
 	// overlay state.
-	c.NodeByKID = make(map[kautz.ID]world.NodeID)
-	c.kidOfNode = make(map[world.NodeID]kautz.ID)
+	c.freeAll()
 	c.members = make(map[world.NodeID]bool)
 	c.retired = true
 	c.absorbedBy = absorber
@@ -242,7 +237,7 @@ func (s *System) rebindMemberCell(id world.NodeID) {
 		if c.retired {
 			continue
 		}
-		if _, ok := c.kidOfNode[id]; ok {
+		if c.rankOf(id) >= 0 {
 			s.memberCell[id] = c
 			return
 		}

@@ -37,7 +37,7 @@ func overlayDigest(s *System) string {
 			absorber = c.absorbedBy.CID
 		}
 		fmt.Fprintf(&b, "cell %d retired=%t absorber=%d corners=%v overlay=%d members=%d\n",
-			c.CID, c.retired, absorber, c.Corners, len(c.NodeByKID), len(c.members))
+			c.CID, c.retired, absorber, c.Corners, c.held(), len(c.members))
 	}
 	if s.dht != nil {
 		cids := make([]int, 0, len(s.dht.takenOver))

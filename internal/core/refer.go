@@ -45,9 +45,11 @@ const (
 
 // Config parameterizes a REFER deployment.
 type Config struct {
-	// Degree is the Kautz degree d. d = 2 uses the paper's exact K(2,3)
-	// embedding protocol; d > 2 uses the generalized wavefront embedding
-	// (embed_general.go) and needs a denser deployment.
+	// Degree is the Kautz degree d, 2 ≤ d ≤ 5. d = 2 uses the paper's exact
+	// K(2,3) embedding protocol; d > 2 uses the generalized wavefront
+	// embedding (embed_general.go) and needs a denser deployment. Build
+	// rejects d ≥ 6: the cell's route table is precomputed, and K(6,3)'s
+	// 63 252 ordered pairs exceed kautz.TableFor's bound.
 	Degree int
 	// ProbeInterval is the topology-maintenance period: how often Kautz
 	// sensors probe their overlay links and hand over to candidates.
@@ -84,6 +86,7 @@ type System struct {
 
 	graph     *kautz.Graph
 	kids      []kautz.ID        // graph.Nodes(), in ascending order
+	partners  [][]int           // per KID rank: its overlay partners' ranks (partnerRanks)
 	routes    *kautz.RouteTable // the process-wide precomputed Theorem 3.8 routes of K(d,k)
 	cells     []*Cell
 	cellByCID map[int]*Cell
@@ -112,6 +115,8 @@ type System struct {
 	// poolBuf is the reused candidatePool buffer (single-threaded runs; the
 	// returned slice is borrowed until the next candidatePool call).
 	poolBuf []world.NodeID
+	// partnerBuf is the reused overlayPartners buffer, borrowed the same way.
+	partnerBuf []world.NodeID
 	// flightFree recycles packet flights (route.go); its high-water mark is
 	// the peak number of packets in flight.
 	flightFree []*flight
@@ -189,13 +194,13 @@ func (s *System) Graph() *kautz.Graph { return s.graph }
 // node is an overlay member.
 func (s *System) AddressOf(id world.NodeID) (Address, bool) {
 	if c, ok := s.sensorCell[id]; ok {
-		if kid, ok := c.kidOfNode[id]; ok {
+		if kid, ok := c.KIDOf(id); ok {
 			return Address{CID: c.CID, KID: kid}, true
 		}
 		return Address{}, false
 	}
 	for _, c := range s.cells {
-		if kid, ok := c.kidOfNode[id]; ok {
+		if kid, ok := c.KIDOf(id); ok {
 			return Address{CID: c.CID, KID: kid}, true
 		}
 	}

@@ -65,7 +65,7 @@ func (s *System) SendTo(src world.NodeID, dst Address, done func(ok bool)) {
 	f := s.newFlight(src, done)
 	dstCell, ok := s.cellByCID[dst.CID]
 	if ok {
-		_, ok = dstCell.NodeByKID[dst.KID]
+		_, ok = dstCell.Node(dst.KID)
 	}
 	f.dstCell, f.dstKID = dstCell, dst.KID
 	f.launch(src, ok && s.built && s.w.Node(src).Alive())
@@ -120,7 +120,8 @@ func (f *flight) enter() {
 		f.corners[0], f.nc = f.dstKID, 1
 		if f.cell.CID != f.dstCell.CID {
 			f.s.stats.InterCell++
-			f.corners[0] = f.s.nearestCornerByKautz(f.cell, f.cell.kidOfNode[f.at])
+			kid, _ := f.cell.KIDOf(f.at)
+			f.corners[0] = f.s.nearestCornerByKautz(f.cell, kid)
 		}
 	}
 	f.step()
@@ -131,11 +132,11 @@ func (f *flight) enter() {
 // nearby actuator" traffic all three corners are valid sinks, ranked by Kautz
 // distance from the relay's own KID.
 func (f *flight) step() {
-	atKID, ok := f.cell.kidOfNode[f.at]
+	atKID, ok := f.cell.KIDOf(f.at)
 	switch {
 	case !ok:
 		f.finish(false)
-	case f.dstCell == nil && f.cell.IsActuatorKID(atKID), f.dstCell != nil && atKID == f.corners[0]:
+	case f.dstCell == nil && f.cell.isCorner(f.at), f.dstCell != nil && atKID == f.corners[0]:
 		f.arrive()
 	case f.budget <= 0:
 		f.finish(false)
@@ -156,7 +157,8 @@ func (f *flight) arrive() {
 		f.finish(true)
 		return
 	}
-	f.s.routeInterCell(f.cell, f.cell.NodeByKID[f.corners[0]], f.dstCell, f.p, f.onCrossed)
+	exit, _ := f.cell.Node(f.corners[0])
+	f.s.routeInterCell(f.cell, exit, f.dstCell, f.p, f.onCrossed)
 }
 
 func (f *flight) crossed(ok bool, entry world.NodeID) {
@@ -176,7 +178,8 @@ func (f *flight) crossed(ok bool, entry world.NodeID) {
 // while the packet waits on an ack timeout.
 func (f *flight) loadRoutes() {
 	for ; f.ci < f.nc; f.ci++ {
-		view, ok := f.s.routesFor(f.cell.kidOfNode[f.at], f.corners[f.ci])
+		kid, _ := f.cell.KIDOf(f.at)
+		view, ok := f.s.routesFor(kid, f.corners[f.ci])
 		if !ok {
 			continue
 		}
@@ -197,7 +200,7 @@ func (f *flight) loadRoutes() {
 func (f *flight) tryNext() {
 	s := f.s
 	for ; f.idx < len(f.routes) && !(s.cfg.DisableFailover && f.idx > 0); f.idx++ {
-		next, ok := f.cell.NodeByKID[f.routes[f.idx].Successor]
+		next, ok := f.cell.Node(f.routes[f.idx].Successor)
 		if ok && s.w.Node(next).Alive() {
 			f.sendLink(next)
 			return
@@ -265,7 +268,7 @@ func (s *System) cornersByKautzDistance(c *Cell, fromKID kautz.ID) ([3]kautz.ID,
 	n := 0
 	for _, corner := range c.Corners {
 		if s.w.Node(corner).Alive() {
-			corners[n] = c.kidOfNode[corner]
+			corners[n], _ = c.KIDOf(corner)
 			n++
 		}
 	}
@@ -344,10 +347,10 @@ func (s *System) entryPoint(src world.NodeID) (world.NodeID, *Cell) {
 // nearestCornerByKautz returns the corner KID with the smallest Kautz
 // distance from fromKID (the cheapest overlay exit).
 func (s *System) nearestCornerByKautz(c *Cell, fromKID kautz.ID) kautz.ID {
-	best := c.kidOfNode[c.Corners[0]]
+	best, _ := c.KIDOf(c.Corners[0])
 	bestDist := kautz.Distance(fromKID, best)
 	for _, corner := range c.Corners[1:] {
-		kid := c.kidOfNode[corner]
+		kid, _ := c.KIDOf(corner)
 		if d := kautz.Distance(fromKID, kid); d < bestDist {
 			best, bestDist = kid, d
 		}
@@ -374,13 +377,18 @@ func (s *System) shuffleEqualLength(routes []kautz.Route) {
 }
 
 // bestRelay picks an alive cell node in range of both endpoints, minimizing
-// the two-hop distance. Candidates come from map iteration, so equal
-// distances break on the smaller node ID to keep seeded replay exact.
+// the two-hop distance. Members come from map iteration, so equal distances
+// break on the smaller node ID to keep seeded replay exact.
 func (s *System) bestRelay(c *Cell, from, to world.NodeID) world.NodeID {
 	pf, pt := s.w.Position(from), s.w.Position(to)
 	best := world.NoNode
 	bestDist := 0.0
-	for id := range c.kidOfNode {
+	held := 0
+	for _, id := range c.holder {
+		if id == world.NoNode {
+			continue
+		}
+		held++
 		if d, ok := s.relayVia(id, from, to, pf, pt); ok && (best == world.NoNode || d < bestDist || (d == bestDist && id < best)) {
 			best, bestDist = id, d
 		}
@@ -390,7 +398,7 @@ func (s *System) bestRelay(c *Cell, from, to world.NodeID) world.NodeID {
 			best, bestDist = id, d
 		}
 	}
-	s.stats.RelayScans += uint64(len(c.kidOfNode) + len(c.members))
+	s.stats.RelayScans += uint64(held + len(c.members))
 	return best
 }
 
@@ -439,7 +447,7 @@ func (s *System) hopCells(at world.NodeID, cidRoute []int, idx int, p world.Pack
 	nextCell := s.cellByCID[cidRoute[idx+1]]
 	// If the current actuator also sits in the next cell, no radio hop is
 	// needed (shared-corner adjacency).
-	if _, ok := nextCell.kidOfNode[at]; ok {
+	if nextCell.rankOf(at) >= 0 {
 		s.hopCells(at, cidRoute, idx+1, p, done)
 		return
 	}

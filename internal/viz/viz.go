@@ -6,11 +6,9 @@ package viz
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"refer/internal/core"
-	"refer/internal/kautz"
 	"refer/internal/world"
 )
 
@@ -49,18 +47,17 @@ func SVG(w *world.World, sys *core.System, widthPx float64) string {
 			tx(c.Centroid.X), ty(c.Centroid.Y), 12*scale/1.6, c.CID)
 	}
 
-	// Overlay arcs (drawn under the nodes). Sort KIDs for determinism.
+	// Overlay arcs (drawn under the nodes), in the graph's KID order.
 	g := sys.Graph()
+	kids := g.Nodes()
 	for _, c := range cells {
-		kids := make([]kautz.ID, 0, len(c.NodeByKID))
-		for kid := range c.NodeByKID {
-			kids = append(kids, kid)
-		}
-		sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
 		for _, kid := range kids {
-			from := c.NodeByKID[kid]
+			from, ok := c.Node(kid)
+			if !ok {
+				continue
+			}
 			for _, succ := range g.Successors(kid) {
-				to, ok := c.NodeByKID[succ]
+				to, ok := c.Node(succ)
 				if !ok {
 					continue
 				}

@@ -144,7 +144,7 @@ func TestPublicAPIREFERAddressing(t *testing.T) {
 		t.Fatal("corner has no address")
 	}
 	var delivered *bool
-	src := cells[0].NodeByKID["010"]
+	src, _ := cells[0].Node("010")
 	sys.SendTo(src, Address{CID: addr.CID, KID: addr.KID}, func(ok bool) { delivered = &ok })
 	sys.StopMaintenance()
 	w.Sched.Run()
