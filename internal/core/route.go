@@ -331,13 +331,13 @@ func (s *System) entryPoint(src world.NodeID) (world.NodeID, *Cell) {
 	bestDist := 0.0
 	p := s.w.Position(src)
 	for _, id := range s.w.AliveNeighbors(nil, src) {
-		d := p.Dist(s.w.Position(id))
-		if best != world.NoNode && (d > bestDist || (d == bestDist && id > best)) {
-			continue
-		}
 		cell := s.memberCell[id]
 		if cell == nil {
 			continue // in range and alive, but not an overlay member
+		}
+		d := p.Dist(s.w.Position(id))
+		if best != world.NoNode && (d > bestDist || (d == bestDist && id > best)) {
+			continue
 		}
 		best, bestCell, bestDist = id, cell, d
 	}

@@ -27,6 +27,22 @@ func UseTwin() (restore func()) {
 	}
 }
 
+// PoisonArena makes New give every world it builds on the production spatial
+// layer an arena that overwrites each reclaimed chunk with NoNode, until the
+// returned function restores plain resets. A caller that reads a borrowed
+// neighbor list after its epoch ended then reads NoNode, or another node's
+// list, every time: its run diverges from the twin's. New reads the choice,
+// as with UseTwin.
+func PoisonArena() (restore func()) {
+	prod := newSpace
+	newSpace = func(w *World) space {
+		s := prod(w).(*gridSpace)
+		s.arena.poison = true
+		return s
+	}
+	return func() { newSpace = prod }
+}
+
 // KinCap returns the capacity of the position table of a world on the
 // production spatial layer.
 func KinCap(w *World) int { return cap(w.space.(*gridSpace).kin) }

@@ -127,8 +127,10 @@ func eventAt(events []trace.Event, i int) string {
 }
 
 // TestTwinAgreesOnGoldenShapes runs every trace-golden and work-golden
-// shape of internal/experiment on both layers.
+// shape of internal/experiment on both layers, with the production layer's
+// reclaimed neighbor lists poisoned.
 func TestTwinAgreesOnGoldenShapes(t *testing.T) {
+	defer world.PoisonArena()()
 	shapes := []shape{
 		{"refer_faults", experiment.RunConfig{
 			System:   experiment.SystemREFERRecovery,
@@ -288,8 +290,10 @@ func TestTwinAgreesOnStaticWorlds(t *testing.T) {
 
 // FuzzSpaceTwin runs random shapes on both layers: every system, recovery
 // on the lattice, mobility up to 5 m/s, each fault campaign or none, and
-// the flat or the distance-dependent energy model.
+// the flat or the distance-dependent energy model. The production layer's
+// reclaimed neighbor lists are poisoned.
 func FuzzSpaceTwin(f *testing.F) {
+	defer world.PoisonArena()()
 	// mix picks the system, then the campaign (×5), then the energy model
 	// (×30).
 	f.Add(int64(1), uint8(60), uint8(0))

@@ -563,9 +563,10 @@ func (w *World) chargeRx(n *Node, l energy.Ledger) {
 // discover them through failed sends).
 //
 // With a nil dst the returned slice is owned by the spatial layer's cache:
-// it is valid until the next same-node query at a later virtual time or
-// changed topology, and must not be mutated or retained across events. Pass
-// a non-nil dst to get an appended copy instead.
+// it is valid until the clock advances (in a world where anything moves) or
+// the topology changes, whichever comes first, and must not be mutated or
+// retained across events. Pass a non-nil dst to get an appended copy
+// instead.
 func (w *World) Neighbors(dst []NodeID, from NodeID) []NodeID {
 	nb := w.space.neighbors(from, false)
 	if dst == nil {

@@ -736,41 +736,3 @@ func TestGrowPresizesTables(t *testing.T) {
 		t.Fatalf("node past the hint at node 0's spot: its neighbors %v", nb)
 	}
 }
-
-// TestFillSizesListsOnce pins how a fill sizes its lists: from the count it
-// makes while scanning, before it writes a list. A fill whose survivors fit
-// the list's buffer allocates nothing; one that does not allocates once,
-// with 1/8 headroom. An actuator at the center of a spoke of sensors 5 m to
-// 191 m away lists 32 of them and keeps the other 32 in wide.
-func TestFillSizesListsOnce(t *testing.T) {
-	w := New(Config{Region: geo.Square(500), Seed: 1})
-	w.AddNode(Actuator, mobility.Static{P: geo.Point{X: 250, Y: 250}}, 250, 0)
-	for i := 0; i < 64; i++ {
-		w.AddNode(Sensor, mobility.Static{P: geo.Point{X: 255 + 3*float64(i), Y: 250}}, 100, 0)
-	}
-	s := w.space.(*gridSpace)
-	c := &s.caches[0]
-	fill := func() {
-		c.valid = false
-		s.fill(0)
-	}
-	fill() // builds the grid and the query scratch
-	const k = 32
-	if len(c.nb) != k || len(c.wide) != k || c.nb[0] != 1 || c.nb[k-1] != k || c.wide[0] != k+1 {
-		t.Fatalf("actuator lists %v, wide %v; want sensors 1–%d and %d–%d", c.nb, c.wide, k, k+1, 2*k)
-	}
-	if avg := testing.AllocsPerRun(20, fill); avg != 0 {
-		t.Fatalf("a fill that fits its buffers allocated %.1f times, want 0", avg)
-	}
-	for _, list := range []*[]NodeID{&c.nb, &c.wide} {
-		if avg := testing.AllocsPerRun(20, func() {
-			*list = nil
-			fill()
-		}); avg != 1 {
-			t.Fatalf("a fill that outgrew one buffer allocated %.1f times, want 1", avg)
-		}
-		if n := cap(*list); n < k || n > k+k>>3+1 {
-			t.Fatalf("a list of %d IDs was given capacity %d, want %d to %d", k, n, k, k+k>>3+1)
-		}
-	}
-}
