@@ -331,12 +331,12 @@ func (s *System) homeCell(p geo.Point) *Cell {
 	return s.activeCell(s.cells[ti])
 }
 
-// notePosition memoizes the position a sensor was last homed at (growing
-// the memo to cover the sensor on first use).
+// notePosition memoizes the position a sensor was last homed at, sizing
+// the memo to the world's node count in one step when it falls short.
 func (s *System) notePosition(id world.NodeID, p geo.Point) {
-	for len(s.homePos) <= int(id) {
-		s.homePos = append(s.homePos, geo.Point{})
-		s.homeValid = append(s.homeValid, false)
+	if n := s.w.Len(); len(s.homePos) < n {
+		s.homePos = append(s.homePos, make([]geo.Point, n-len(s.homePos))...)
+		s.homeValid = append(s.homeValid, make([]bool, n-len(s.homeValid))...)
 	}
 	s.homePos[id] = p
 	s.homeValid[id] = true

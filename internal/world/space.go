@@ -38,13 +38,19 @@ type space interface {
 // replace it with a brute-force twin.
 var newSpace = func(w *World) space { return &gridSpace{w: w} }
 
-// indexGrid returns an empty grid over region. Cell size is on the order of
-// the sensor radio range, shrunk for small regions — considering both
-// dimensions, so a tall narrow region gets cells matched to its thin axis
-// instead of one degenerate column.
+// gridCell is the spatial index's cell size in meters. Queries read each
+// row of cells only as far as the circle's chord reaches, so cells a
+// quarter of the 100 m sensor range fit the circle more tightly than
+// range-sized ones: on the refer_heavy workload a query visits 224 entries
+// at 25 m against 291 at 50 m.
+const gridCell = 25.0
+
+// indexGrid returns an empty grid over region, with cells shrunk for small
+// regions — considering both dimensions, so a tall narrow region gets cells
+// matched to its thin axis instead of one degenerate column.
 func indexGrid(region geo.Rect) *geo.Grid {
-	cell := 50.0
-	if m := math.Min(region.Width(), region.Height()); m < 200 {
+	cell := gridCell
+	if m := math.Min(region.Width(), region.Height()); m < 4*gridCell {
 		cell = m / 4
 	}
 	return geo.NewGrid(region, cell)
@@ -237,7 +243,7 @@ func (s *gridSpace) posAt(id NodeID, now time.Duration) geo.Point {
 // refreshGrid (re)builds the spatial index when node positions may have
 // drifted more than gridStaleTol since the last build. Static worlds
 // (maxSpeed 0) build exactly once; mobile worlds rebuild once per staleness
-// epoch instead of once per event, reusing the grid's bucket storage.
+// epoch instead of once per event, reusing the grid's buffers.
 func (s *gridSpace) refreshGrid() {
 	now := s.w.Sched.Now()
 	if s.gridOK && s.querySlack(now) <= gridStaleTol {
@@ -248,6 +254,7 @@ func (s *gridSpace) refreshGrid() {
 	} else {
 		s.grid.Reset()
 	}
+	s.grid.Grow(len(s.kin))
 	for id := range s.kin {
 		s.grid.Insert(id, s.posAt(NodeID(id), now))
 	}
